@@ -1,9 +1,11 @@
 """Closed-form bounds, and the numerical searches that corroborate them.
 
-Every bound is an explicit formula; body_search grids a coefficient body
-that contains the class's (a2, a3) region and so brackets the true extremes
-from outside.  When the two agree to a few parts in a thousand, the formula,
-the body geometry, and the search all confirm one another.
+Every bound is an explicit formula; body_search finds the exact extremes of
+delta over a coefficient body that contains the class's (a2, a3) region, and
+so brackets the true extremes from outside.  It solves the modulus and phase
+of the free coefficient in closed form and searches what is left in |a2|
+alone.  When the two agree to rounding, the formula, the body geometry, and
+the search all confirm one another.
 """
 
 from logcoef import (
@@ -42,7 +44,7 @@ for alpha in (1.0, M_BRANCH_ALPHA, 2.0, 10.0):
     print(f"alpha = {alpha:7.4f}: lower = {b.lower:+.10f}{extra}")
 print()
 
-print("== grid-plus-refinement search against the formulas ==")
+print("== exact body search against the formulas ==")
 for spec in [ClassSpec("U", lam=0.5), ClassSpec("M", alpha=1.0), ClassSpec("G", alpha=1.0)]:
     res = body_search(spec, resolution=200)
     b = bound_delta(spec)

@@ -83,10 +83,8 @@ def g_lower_minimizer(alpha: float) -> float:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"G requires 0 < alpha <= 1, got {alpha}")
-    t0 = 3.0 * alpha / (8.0 - alpha)
-    # 3 alpha / (8 - alpha) < alpha / 2 iff 6 < 8 - alpha iff alpha < 2.
-    assert t0 < 0.5 * alpha
-    return t0
+    # Interior: 3 alpha / (8 - alpha) < alpha / 2 iff 6 < 8 - alpha iff alpha < 2.
+    return 3.0 * alpha / (8.0 - alpha)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ member, which is what the search module sweeps over.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,14 +221,13 @@ def membership_test(
     spec: ClassSpec,
     radii=(0.5, 0.9, 0.99),
     angular: int = 256,
-    parallel: bool = False,
 ) -> MembershipReport:
     """Worst margin of the class inequality over a polar grid.
 
     Samples `angular` equispaced angles on each radius.  Singular samples are
     skipped, counted, and force a failed report.  The reduction is
     deterministic: ties on the worst margin resolve to the first point in
-    (radius, angle) order, whether or not `parallel` is set.
+    (radius, angle) order.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
@@ -241,14 +239,7 @@ def membership_test(
     angles = 2.0 * np.pi * np.arange(angular) / angular
     ring = np.exp(1j * angles)
 
-    def row(r: float) -> np.ndarray:
-        return _margins(f, spec, r * ring, r)
-
-    if parallel and len(radii) > 1:
-        with ThreadPoolExecutor() as ex:
-            rows = list(ex.map(row, radii))
-    else:
-        rows = [row(r) for r in radii]
+    rows = [_margins(f, spec, r * ring, r) for r in radii]
 
     worst = np.inf
     witness = complex(radii[0] * ring[0])

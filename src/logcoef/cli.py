@@ -224,7 +224,7 @@ def _golden_delta_rows():
     return rows
 
 
-def _verify_checks(full: bool, parallel: bool):
+def _verify_checks(full: bool):
     checks = []
 
     def add(name: str, passed, detail: str = "") -> None:
@@ -297,7 +297,7 @@ def _verify_checks(full: bool, parallel: bool):
     radii = (0.5, 0.9, 0.99) if full else (0.5, 0.9)
     angular = 256 if full else 128
     for f, spec in classes.asserted_memberships(order=order):
-        rep = classes.membership_test(f, spec, radii=radii, angular=angular, parallel=parallel)
+        rep = classes.membership_test(f, spec, radii=radii, angular=angular)
         add(
             f"membership {_desc(f)} in {spec.label()}",
             rep.passed,
@@ -316,7 +316,7 @@ def _verify_checks(full: bool, parallel: bool):
 
 
 def _cmd_verify(args) -> int:
-    checks = _verify_checks(full=args.all, parallel=args.parallel)
+    checks = _verify_checks(full=args.all)
     n_pass = sum(1 for c in checks if c["passed"])
     ok = n_pass == len(checks)
     payload = {
@@ -371,7 +371,7 @@ def _cmd_search(args) -> int:
         return 0 if res.passed else 1
 
     resolution = args.resolution if args.resolution is not None else 200
-    res = search.body_search(spec, resolution=resolution, parallel=args.parallel)
+    res = search.body_search(spec, resolution=resolution)
     pair = bounds.bound_delta(spec)
     payload = {"command": "search"}
     payload.update(res.as_dict())
@@ -471,7 +471,7 @@ def _cmd_sweep(args) -> int:
         for p in _class_param_grid(kind, step):
             spec = ClassSpec(kind, lam=p) if kind == "U" else ClassSpec(kind, alpha=p)
             pair = bounds.bound_delta(spec)
-            res = search.body_search(spec, resolution=resolution, parallel=args.parallel)
+            res = search.body_search(spec, resolution=resolution)
             table.append((p, pair.lower, pair.upper, res.min_delta, res.max_delta))
         header = ["param", "bound_lower", "bound_upper", "search_min", "search_max"]
         payload = {
@@ -521,9 +521,7 @@ def _cmd_membership(args) -> int:
     f = _function_from_args(args, MEMBERSHIP_ORDER)
     spec = _class_spec(args, shared=True)
     radii = _parse_radii(args.radii)
-    rep = classes.membership_test(
-        f, spec, radii=radii, angular=args.angular, parallel=args.parallel
-    )
+    rep = classes.membership_test(f, spec, radii=radii, angular=args.angular)
     payload = {"command": "membership", "params": dict(sorted(f.params.items()))}
     payload.update(rep.as_dict())
     lines = [
@@ -610,16 +608,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="deterministic check battery; exit 1 on any failure")
     sp.add_argument("--all", action="store_true", help="full catalog membership at radius 0.99")
-    sp.add_argument("--parallel", action="store_true")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("search", help="body search (or randomized scan with --samples)")
     _add_class_flags(sp)
-    sp.add_argument("--resolution", type=int, metavar="R", help="grid resolution (default 200)")
+    sp.add_argument(
+        "--resolution", type=int, metavar="R",
+        help=f"guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION}; extremes are "
+        "exact at any value (default 200)",
+    )
     sp.add_argument("--samples", type=int, metavar="N", help="run a randomized scan instead")
     sp.add_argument("--seed", type=int, default=0, metavar="S")
-    sp.add_argument("--parallel", action="store_true")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_search)
 
@@ -627,12 +627,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
     sp.add_argument("--function", metavar="LABEL")
     sp.add_argument("--step", type=float, metavar="X", help="parameter step (default 0.05)")
-    sp.add_argument("--resolution", type=int, metavar="R", help="per-row search grid (default 64)")
+    sp.add_argument(
+        "--resolution", type=int, metavar="R",
+        help=f"per-row guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION} (default 64)",
+    )
     sp.add_argument("--theta", type=float, metavar="X")
     sp.add_argument("--order", type=int, metavar="N")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_sweep)
-    sp.set_defaults(parallel=False)
 
     sp = sub.add_parser("membership", help="polar-grid class membership test for one function")
     sp.add_argument("--function", metavar="LABEL")
@@ -642,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, metavar="N")
     sp.add_argument("--radii", default="0.5,0.9,0.99", metavar="R1,R2,...")
     sp.add_argument("--angular", type=int, default=256, metavar="K")
-    sp.add_argument("--parallel", action="store_true")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_membership)
 

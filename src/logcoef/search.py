@@ -1,20 +1,19 @@
 """Numerical searches over coefficient bodies and catalog families.
 
 The closed-form bounds in `bounds` are extremes of delta = |gamma_2| -
-|gamma_1| over a three-parameter coefficient body: a modulus for a_2 (or the
-first Schwarz coefficient), a modulus for the free part of a_3 (or the second
-Schwarz coefficient), and the relative phase between them.  These bodies are
-relaxations: every class member yields a body point, so searching the body
-brackets the class extremes from outside.  `body_search` grids and refines
-such a search, `bound_violation_scan` hammers the same body with random
-samples, and `family_sweep` walks a one-parameter catalog family and records
-the delta values actually attained.
+|gamma_1| over a coefficient body in (m1, m2, phase): the moduli of a_2 and
+of the free part of a_3 (or of the Schwarz coefficients c_1, c_2) and their
+relative phase.  The bodies are relaxations: every class member yields a
+body point, so the body extremes bracket the class extremes from outside.
+`body_search` finds them exactly by solving (m2, phase) in closed form and
+searching what is left in m1; `bound_violation_scan` samples the whole body
+at random as a brute-force check, and `family_sweep` records the delta
+values a one-parameter catalog family actually attains.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,11 @@ BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class
 
 SCAN_TOLERANCE = 1e-9
 
-_TIE = 1e-12
+# Largest m1 grid accepted by body_search.
+MAX_RESOLUTION = 10**6
+
+# How far a guard-grid value may pass the closed-form extremes as roundoff.
+GUARD_SLACK = 1e-12
 
 
 def _body_geometry(spec: ClassSpec):
@@ -68,10 +71,14 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Extremes of delta over a gridded and refined body search.
+    """Exact extremes of delta over a coefficient body.
 
-    argmin and argmax hold the body coordinates (m1, m2, phase) of the
-    refined extreme points.
+    argmin and argmax hold the body coordinates (m1, m2, phase) of points
+    where body_delta takes the reported values, with phase in [0, 2 pi).
+    `resolution` is the number of m1 grid intervals evaluated next to the
+    closed-form candidates.  `refined` is True when both extremes are
+    closed-form candidates; False would mean the guard grid beat them, that
+    is, the reduction missed an extreme.
     """
 
     spec: ClassSpec
@@ -96,100 +103,85 @@ class SearchResult:
         }
 
 
-def _slab_delta(spec, x, ts, phis, m2cap):
-    # One x-slab of the grid: m2 varies down the rows, phase across columns.
-    m2 = (ts * float(m2cap(x)))[:, None]
-    return body_delta(spec, x, m2, phis[None, :])
+def _reduction(spec: ClassSpec, m1):
+    """(|a_2|, P, L, cap) at m1, where a_3 - a_2^2/2 = P + L w over |w| <= cap."""
+    a2, a3 = _coeffs_from_body(spec, m1, 0.0, 0.0)
+    p = a3 - 0.5 * a2 * a2
+    a2, a3 = _coeffs_from_body(spec, m1, 1.0, 0.0)
+    lin = a3 - 0.5 * a2 * a2 - p
+    return np.abs(a2), p, lin, _body_geometry(spec)[1](m1)
 
 
-def body_search(spec: ClassSpec, resolution: int = 200, parallel: bool = False) -> SearchResult:
-    """Grid the body at the given resolution, then locally refine both extremes.
+def _critical_m1(spec: ClassSpec, xmax: float) -> np.ndarray:
+    """Vertices and kinks of the reduced extremes as functions of m1.
 
-    Ties on the grid (within 1e-12) resolve to the smallest (m1, m2, phase)
-    in lexicographic order, so results are reproducible whether or not the
-    grid pass runs on threads.
+    |a_2| is linear in m1, P a multiple of m1^2 and the cap constant or
+    1 - m1^2, so 2 delta_max = |P| + |L| cap - |a_2| is a quadratic, and so
+    is 2 delta_min = |P| - |L| cap - |a_2| up to the kink |P| = |L| cap
+    (beyond it, -|a_2|).  Three nodes recover each quadratic exactly.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    xmax, m2cap = _body_geometry(spec)
-    xs = np.linspace(0.0, xmax, resolution + 1)
-    ts = np.linspace(0.0, 1.0, resolution + 1)
-    phis = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    h = 0.5 * xmax
+    a2, p, lin, cap = _reduction(spec, np.array([0.0, h, xmax]))
+    top = np.abs(p) + np.abs(lin) * cap - a2
+    kink = np.abs(p) - np.abs(lin) * cap
+    # y_k holds the values at m1 = k h of the three quadratics top, low, kink.
+    y0, y1, y2 = np.stack([top, kink - a2, kink], axis=1)
+    a = (y0 - 2.0 * y1 + y2) / (2.0 * h * h)
+    b = (4.0 * y1 - 3.0 * y0 - y2) / (2.0 * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -b[:2] / (2.0 * a[:2])
+        root = np.sqrt(b[2] * b[2] - 4.0 * a[2] * y0[2])
+        r = np.concatenate((vertex, (-b[2] + np.array([-root, root])) / (2.0 * a[2])))
+    return np.clip(r[np.isfinite(r)], 0.0, xmax)
 
-    def slab(x):
-        d = _slab_delta(spec, x, ts, phis, m2cap)
-        return float(d.min()), float(d.max())
 
-    if parallel:
-        with ThreadPoolExecutor() as ex:
-            ranges = list(ex.map(slab, xs))
-    else:
-        ranges = [slab(x) for x in xs]
-    mins, maxs = zip(*ranges)
-    gmin, gmax = min(mins), max(maxs)
+def _pick(values, closed: int, sign: float) -> tuple:
+    """(index of the largest sign * value, whether it is a closed-form candidate).
 
-    # Second pass only over slabs that can host a tied extreme; the first
-    # flat index argmin/argmax returns is the lexicographic winner.
-    loc_min = loc_max = None
-    for i, x in enumerate(xs):
-        need_min = loc_min is None and mins[i] <= gmin + _TIE
-        need_max = loc_max is None and maxs[i] >= gmax - _TIE
-        if not (need_min or need_max):
-            continue
-        d = _slab_delta(spec, x, ts, phis, m2cap)
-        if need_min:
-            hits = np.argwhere(d <= gmin + _TIE)
-            if hits.size:
-                j, k = hits[0]
-                loc_min = (x, ts[j], phis[k])
-        if need_max:
-            hits = np.argwhere(d >= gmax - _TIE)
-            if hits.size:
-                j, k = hits[0]
-                loc_max = (x, ts[j], phis[k])
-        if loc_min is not None and loc_max is not None:
-            break
+    The first `closed` entries are the closed-form candidates.  A guard-grid
+    node is picked only if it beats all of them by more than GUARD_SLACK,
+    which would mean the reduction missed an extreme.
+    """
+    v = sign * values
+    i = int(np.argmax(v[:closed]))
+    j = closed + int(np.argmax(v[closed:]))
+    if v[j] > v[i] + GUARD_SLACK:
+        return j, False
+    return i, True
 
-    hx = xs[1] - xs[0]
-    ht = ts[1] - ts[0]
-    hp = phis[1] - phis[0]
-    min_delta, argmin = _refine(spec, loc_min, (hx, ht, hp), xmax, m2cap, mode="min")
-    max_delta, argmax = _refine(spec, loc_max, (hx, ht, hp), xmax, m2cap, mode="max")
+
+def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
+    """Exact extremes of delta over the body, by a one-variable reduction.
+
+    For fixed m1 the maximum over (m2, phase) puts m2 at the cap with L w
+    aligned with P; the minimum puts m2 at min(cap, |P|/|L|), anti-aligned.
+    In m1 the extremes sit at the endpoints, the kink or a vertex (see
+    `_critical_m1`); a uniform m1 grid with `resolution` intervals is added
+    as a guard.  Every candidate goes through `body_delta`, and ties go to
+    the closed-form candidates, so the result does not depend on resolution.
+    """
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
+    xmax, _ = _body_geometry(spec)
+    closed = np.concatenate(([0.0, xmax], _critical_m1(spec, xmax)))
+    x = np.concatenate((closed, np.linspace(0.0, xmax, resolution + 1)))
+    _, p, lin, cap = _reduction(spec, x)
+    u = p * np.conj(lin)  # direction of P / L
+    phase_max, phase_min = np.angle(u) % (2.0 * math.pi), np.angle(-u) % (2.0 * math.pi)
+    m2_min = np.minimum(cap, np.abs(p) / np.abs(lin))
+    hi = body_delta(spec, x, cap, phase_max)
+    lo = body_delta(spec, x, m2_min, phase_min)
+    i, exact_max = _pick(hi, closed.size, 1.0)
+    j, exact_min = _pick(lo, closed.size, -1.0)
     return SearchResult(
         spec=spec,
-        min_delta=min_delta,
-        max_delta=max_delta,
-        argmin=argmin,
-        argmax=argmax,
+        min_delta=float(lo[j]),
+        max_delta=float(hi[i]),
+        argmin={"m1": float(x[j]), "m2": float(m2_min[j]), "phase": float(phase_min[j])},
+        argmax={"m1": float(x[i]), "m2": float(cap[i]), "phase": float(phase_max[i])},
         resolution=resolution,
-        refined=True,
+        refined=exact_min and exact_max,
     )
-
-
-def _refine(spec, start, steps, xmax, m2cap, mode, iterations: int = 3):
-    """Shrinking 5x5x5 neighborhood descent in (m1, t, phase) coordinates.
-
-    t is m2 normalized by its cap at the current m1, so moving in m1 never
-    pushes m2 outside the body.
-    """
-    x, t, phi = start
-    hx, ht, hp = steps
-    offs = np.arange(-2.0, 3.0)
-    better = np.argmin if mode == "min" else np.argmax
-    for _ in range(iterations):
-        cx = np.clip(x + hx * offs, 0.0, xmax)
-        ct = np.clip(t + ht * offs, 0.0, 1.0)
-        cp = np.mod(phi + hp * offs, 2.0 * math.pi)
-        X = cx[:, None, None]
-        T = ct[None, :, None]
-        P = cp[None, None, :]
-        d = body_delta(spec, X, T * m2cap(X), P)
-        i, j, k = np.unravel_index(better(d), d.shape)
-        x, t, phi = float(cx[i]), float(ct[j]), float(cp[k])
-        hx, ht, hp = 0.5 * hx, 0.5 * ht, 0.5 * hp
-    m2 = float(t * m2cap(x))
-    value = float(body_delta(spec, x, m2, phi))
-    return value, {"m1": float(x), "m2": m2, "phase": float(phi)}
 
 
 # -- catalog family sweeps ---------------------------------------------------

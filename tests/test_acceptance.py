@@ -134,18 +134,18 @@ def test_criterion_5_relaxation_oracle_agreement():
     for spec in MESH:
         res = search.body_search(spec, resolution=200)
         pair = bound_delta(spec)
-        if abs(res.min_delta - pair.lower) > 2e-3:
+        if abs(res.min_delta - pair.lower) > 1e-12:
             failures.append(
                 f"{spec.label()} lower: search={res.min_delta!r} bound={pair.lower!r}"
             )
-        if abs(res.max_delta - pair.upper) > 2e-3:
+        if abs(res.max_delta - pair.upper) > 1e-12:
             failures.append(
                 f"{spec.label()} upper: search={res.max_delta!r} bound={pair.upper!r}"
             )
     elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.2f} s exceeds 30 s")
-    _finish(5, f"relaxation-oracle agreement at 2e-3 ({elapsed:.2f} s)", failures)
+    _finish(5, f"relaxation-oracle agreement at 1e-12 ({elapsed:.2f} s)", failures)
 
 
 def test_criterion_6_zero_violation_scans():

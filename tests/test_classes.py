@@ -208,15 +208,6 @@ class TestMembershipTest:
         want = [0.8 * (1 - r * r) for r in (0.5, 0.9, 0.99)]
         np.testing.assert_allclose(rep.margin_by_radius, want, atol=1e-12)
 
-    def test_parallel_matches_sequential(self):
-        f = g_alpha_upper(0.5)
-        spec = ClassSpec("G", alpha=0.5)
-        a = membership_test(f, spec, angular=128)
-        b = membership_test(f, spec, angular=128, parallel=True)
-        assert a.worst_margin == b.worst_margin
-        assert a.witness == b.witness
-        assert a.margin_by_radius == b.margin_by_radius
-
     def test_failing_membership(self):
         rep = membership_test(koebe(), ClassSpec("G", alpha=1.0), radii=(0.5,), angular=64)
         assert not rep.passed

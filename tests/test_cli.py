@@ -165,8 +165,8 @@ class TestSearch:
         assert row["class"] == "U(0.5)"
         assert float(row["bound_lower"]) == -0.5
         assert float(row["bound_upper"]) == 0.25
-        assert float(row["min_delta"]) == pytest.approx(-0.5, abs=5e-3)
-        assert float(row["max_delta"]) == pytest.approx(0.25, abs=5e-3)
+        assert float(row["min_delta"]) == pytest.approx(-0.5, abs=1e-12)
+        assert float(row["max_delta"]) == pytest.approx(0.25, abs=1e-12)
         assert float(row["argmin_m2"]) >= 0.0
 
     def test_body_search_json_note(self, run):
@@ -202,6 +202,17 @@ class TestSearch:
         code, out, _ = run("search", "--class", "S", "--resolution", "30")
         assert code == 0
         assert "note: proof-relaxation body" in out
+
+    def test_parallel_flag_is_gone(self, run):
+        code, _, err = run("search", "--class", "S", "--parallel")
+        assert code == 2
+        assert "--parallel" in err
+
+    def test_resolution_cap(self, run):
+        # Rejected before any grid is built.
+        code, _, err = run("search", "--class", "S", "--resolution", str(10**6 + 1))
+        assert code == 2
+        assert "resolution must lie in [2, 1000000]" in err
 
 
 class TestSweep:
@@ -282,6 +293,11 @@ class TestSweep:
         code, _, err = run("sweep", "--class", "U", "--step", "-0.1")
         assert code == 2
         assert "--step" in err
+
+    def test_resolution_cap(self, run):
+        code, _, err = run("sweep", "--class", "U", "--resolution", str(10**6 + 1))
+        assert code == 2
+        assert "resolution must lie in [2, 1000000]" in err
 
 
 class TestMembership:

@@ -5,13 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from logcoef.bounds import bound_delta, m_upper_bound
+from logcoef import search
+from logcoef.bounds import (
+    M_BRANCH_ALPHA,
+    bound_delta,
+    g_lower_minimizer,
+    m_lower_minimizer,
+    m_upper_bound,
+)
 from logcoef.catalog import g_quadratic
-from logcoef.classes import ClassSpec
+from logcoef.classes import (
+    ClassSpec,
+    g_coefficients_from_schwarz,
+    m_coefficients_from_schwarz,
+)
 from logcoef.functional import delta
 from logcoef.search import (
     BODY_NOTE,
     BOUND_CLASS,
+    MAX_RESOLUTION,
     SCAN_TOLERANCE,
     SWEEPABLE,
     ScanResult,
@@ -58,8 +70,8 @@ class TestBodySearch:
         ]:
             res = body_search(spec, resolution=60)
             pair = bound_delta(spec)
-            assert res.min_delta == pytest.approx(pair.lower, abs=5e-3)
-            assert res.max_delta == pytest.approx(pair.upper, abs=5e-3)
+            assert res.min_delta == pytest.approx(pair.lower, abs=1e-12)
+            assert res.max_delta == pytest.approx(pair.upper, abs=1e-12)
 
     def test_extremes_reproducible_from_reported_args(self):
         res = body_search(ClassSpec("M", alpha=2.0), resolution=50)
@@ -77,16 +89,14 @@ class TestBodySearch:
             assert 0.0 <= arg["m2"] <= 0.8 + 1e-9
             assert 0.0 <= arg["phase"] < 2.0 * math.pi
 
-    def test_deterministic_and_parallel_identical(self):
+    def test_deterministic(self):
         spec = ClassSpec("G", alpha=0.5)
         a = body_search(spec, resolution=40)
         b = body_search(spec, resolution=40)
-        c = body_search(spec, resolution=40, parallel=True)
-        for other in (b, c):
-            assert a.min_delta == other.min_delta
-            assert a.max_delta == other.max_delta
-            assert a.argmin == other.argmin
-            assert a.argmax == other.argmax
+        assert a.min_delta == b.min_delta
+        assert a.max_delta == b.max_delta
+        assert a.argmin == b.argmin
+        assert a.argmax == b.argmax
 
     def test_result_metadata(self):
         res = body_search(ClassSpec("U", lam=1.0), resolution=30)
@@ -100,6 +110,19 @@ class TestBodySearch:
     def test_resolution_validated(self):
         with pytest.raises(ValueError, match="resolution"):
             body_search(ClassSpec("S"), resolution=1)
+        # The cap is rejected before any grid is built.
+        with pytest.raises(ValueError, match=r"resolution must lie in \[2, 1000000\]"):
+            body_search(ClassSpec("S"), resolution=MAX_RESOLUTION + 1)
+
+    def test_guard_grid_catches_a_missed_extreme(self, monkeypatch):
+        # Without the vertices and kinks only the endpoints are closed-form
+        # candidates; the interior minimum of M(2) must then come from the grid.
+        monkeypatch.setattr(search, "_critical_m1", lambda spec, xmax: np.empty(0))
+        spec = ClassSpec("M", alpha=2.0)
+        res = body_search(spec, resolution=400)
+        assert not res.refined
+        assert res.min_delta == pytest.approx(bound_delta(spec).lower, abs=1e-5)
+        assert res.min_delta >= bound_delta(spec).lower
 
     def test_phase_grid_doubling_barely_moves_extremes(self):
         # Only the relative phase enters delta, so refining the phase grid
@@ -111,6 +134,75 @@ class TestBodySearch:
         fine = body_delta(spec, m1, m2, np.linspace(0, 2 * math.pi, 400, endpoint=False))
         assert abs(coarse.min() - fine.min()) < 1e-4
         assert abs(coarse.max() - fine.max()) < 1e-4
+
+
+# S plus the class instances of acceptance criterion 5.
+ORACLE_MESH = (
+    [ClassSpec("S")]
+    + [ClassSpec("U", lam=l) for l in (0.1, 0.25, 0.5, 0.75, 1.0)]
+    + [ClassSpec("M", alpha=a) for a in (0.0, 0.5, 1.0, M_BRANCH_ALPHA, 2.0, 5.0)]
+    + [ClassSpec("G", alpha=a) for a in (0.25, 0.5, 0.75, 1.0)]
+)
+
+
+def _body(spec):
+    """(m1 range, m2 cap at m1) of the searched body, written out per kind."""
+    if spec.kind in ("U", "S"):
+        lam = 1.0 if spec.kind == "S" else spec.lam
+        return 1.0 + lam, lambda m1: lam
+    return 1.0, lambda m1: 1.0 - m1 * m1
+
+
+@pytest.mark.parametrize("spec", ORACLE_MESH, ids=lambda s: s.label())
+class TestBodySearchOracle:
+    """The exact search against brute-force evaluation of the whole body."""
+
+    def test_random_scan_stays_inside(self, spec):
+        res = body_search(spec)
+        scan = bound_violation_scan(spec, samples=200_000, seed=3)
+        assert scan.min_delta >= res.min_delta - 1e-12
+        assert scan.max_delta <= res.max_delta + 1e-12
+
+    def test_dense_grid_stays_inside(self, spec):
+        res = body_search(spec)
+        xmax, cap = _body(spec)
+        m1 = np.linspace(0.0, xmax, 101)[:, None, None]
+        m2 = np.linspace(0.0, 1.0, 41)[None, :, None] * cap(m1)
+        phase = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[None, None, :]
+        d = body_delta(spec, m1, m2, phase)
+        assert d.min() >= res.min_delta - 1e-12
+        assert d.max() <= res.max_delta + 1e-12
+
+    def test_args_reproduce_extremes_inside_body(self, spec):
+        res = body_search(spec)
+        assert res.refined
+        xmax, cap = _body(spec)
+        for value, arg in [(res.min_delta, res.argmin), (res.max_delta, res.argmax)]:
+            again = float(body_delta(spec, arg["m1"], arg["m2"], arg["phase"]))
+            assert again == pytest.approx(value, abs=1e-15)
+            assert 0.0 <= arg["m1"] <= xmax
+            assert 0.0 <= arg["m2"] <= cap(arg["m1"])
+            assert 0.0 <= arg["phase"] < 2.0 * math.pi
+
+    def test_result_independent_of_resolution(self, spec):
+        a = body_search(spec, resolution=2)
+        b = body_search(spec, resolution=200)
+        assert (a.min_delta, a.max_delta) == (b.min_delta, b.max_delta)
+        assert (a.argmin, a.argmax) == (b.argmin, b.argmax)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [s for s in ORACLE_MESH if s.kind == "G" or (s.kind == "M" and s.alpha >= M_BRANCH_ALPHA)],
+    ids=lambda s: s.label(),
+)
+def test_argmin_at_known_minimizer(spec):
+    m1 = body_search(spec).argmin["m1"]
+    if spec.kind == "M":
+        a2, want = m_coefficients_from_schwarz(m1, 0.0, spec.alpha)[0], m_lower_minimizer
+    else:
+        a2, want = g_coefficients_from_schwarz(m1, 0.0, spec.alpha)[0], g_lower_minimizer
+    assert abs(a2) == pytest.approx(want(spec.alpha), abs=1e-15)
 
 
 class TestFamilySweep:
