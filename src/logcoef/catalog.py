@@ -18,18 +18,51 @@ import numpy as np
 
 from .series import DEFAULT_ORDER, NormalizedSeries, TruncatedSeries, exp_unit, log_unit, pow_real
 
-LABELS = (
-    "koebe",
-    "f1",
-    "f2",
-    "f3",
-    "f4",
-    "f5",
-    "k_theta_alpha",
-    "m_alpha_upper",
-    "g_alpha_upper",
-    "g_quadratic",
-)
+
+@dataclass(frozen=True)
+class Family:
+    """What a catalog entry's constructor takes, and the range a sweep walks.
+
+    kind: the class (U, M or G) whose parameter the entry takes, or None.
+    rotated: whether the entry takes a rotation angle theta.
+    sweep: (lo, hi, ends) over the class parameter, or over theta when kind
+    is None, with ends in interval notation such as "(]"; None if not swept.
+    """
+
+    kind: Optional[str]
+    rotated: bool
+    sweep: Optional[tuple]
+
+
+# Keyed by the constructor's name in this module.  `make` looks the
+# constructor up when it is called, so a wrapper installed on the module
+# attribute sees the call.
+FAMILIES = {
+    "koebe": Family(None, True, (0.0, 2.0 * math.pi, "[)")),
+    "f1": Family(None, True, (0.0, 2.0 * math.pi, "[)")),
+    "f2": Family(None, True, (0.0, 2.0 * math.pi, "[)")),
+    "f3": Family("U", True, (0.0, 1.0, "(]")),
+    "f4": Family("U", False, (0.5, 1.0, "[]")),
+    "f5": Family("U", False, (0.0, 0.5, "(]")),
+    "k_theta_alpha": Family("M", True, (0.0, 3.0, "[]")),
+    "m_alpha_upper": Family("M", False, (0.0, 3.0, "[]")),
+    "g_alpha_upper": Family("G", False, (0.0, 1.0, "(]")),
+    "g_quadratic": Family(None, False, None),
+}
+
+LABELS = tuple(FAMILIES)
+
+
+def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
+    """lo + k step for k = 0, 1, ... across the interval, the last value clipped to hi.
+
+    `ends` is in interval notation: "(" drops lo, ")" stops short of hi.
+    """
+    if ends[1] == ")":
+        n = math.ceil((hi - lo) / step - 1e-9)
+    else:
+        n = math.floor((hi - lo) / step + 1e-9) + 1
+    return [min(lo + k * step, hi) for k in range(1 if ends[0] == "(" else 0, n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +175,20 @@ def _stable_pow(a: TruncatedSeries, beta: float) -> TruncatedSeries:
     return exp_unit(TruncatedSeries(beta * logs.coeffs, order=a.order))
 
 
+def _alpha_convex(label, base, power, alpha, params, order):
+    """z * (sum b_k z^k / (1 + alpha k))^alpha, where sum b_k z^k = base^power.
+
+    The series pipeline shared by the alpha-convex extremals, alpha > 0.
+    """
+    expanded = pow_real(TruncatedSeries(base, order=order), power)
+    k = np.arange(order + 1)
+    inner = TruncatedSeries(expanded.coeffs / (1.0 + alpha * k), order=order)
+    u = _stable_pow(inner, alpha)
+    c = np.zeros(order + 1, dtype=complex)
+    c[1:] = u.coeffs[:-1]
+    return AnalyticFunction(label, NormalizedSeries(TruncatedSeries(c, order=order)), params)
+
+
 def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """Generalized koebe function for the alpha-convex family.
 
@@ -160,18 +207,9 @@ def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> Ana
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0:
         return koebe(theta, order=order)
-    w = np.exp(1j * theta)
-    expanded = pow_real(TruncatedSeries([1.0, -w], order=order), -2.0 / alpha)
-    k = np.arange(order + 1)
-    inner = TruncatedSeries(expanded.coeffs / (1.0 + alpha * k), order=order)
-    u = _stable_pow(inner, alpha)
-    c = np.zeros(order + 1, dtype=complex)
-    c[1:] = u.coeffs[:-1]
-    return AnalyticFunction(
-        "k_theta_alpha",
-        NormalizedSeries(TruncatedSeries(c, order=order)),
-        {"theta": float(theta), "alpha": float(alpha)},
-    )
+    params = {"theta": float(theta), "alpha": float(alpha)}
+    base = [1.0, -np.exp(1j * theta)]
+    return _alpha_convex("k_theta_alpha", base, -2.0 / alpha, alpha, params, order)
 
 
 def m_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
@@ -185,16 +223,8 @@ def m_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0:
         return _quadratic_rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0}, order)
-    expanded = pow_real(TruncatedSeries([1.0, 0.0, -1.0], order=order), -1.0 / alpha)
-    k = np.arange(order + 1)
-    inner = TruncatedSeries(expanded.coeffs / (1.0 + alpha * k), order=order)
-    u = _stable_pow(inner, alpha)
-    c = np.zeros(order + 1, dtype=complex)
-    c[1:] = u.coeffs[:-1]
-    return AnalyticFunction(
-        "m_alpha_upper",
-        NormalizedSeries(TruncatedSeries(c, order=order)),
-        {"alpha": float(alpha)},
+    return _alpha_convex(
+        "m_alpha_upper", [1.0, 0.0, -1.0], -1.0 / alpha, alpha, {"alpha": float(alpha)}, order
     )
 
 
@@ -309,37 +339,24 @@ def make(
     alpha: float | None = None,
     order: int = DEFAULT_ORDER,
 ) -> AnalyticFunction:
-    """Build a catalog entry by label string; used by the command line."""
-    if label == "koebe":
-        return koebe(theta, order=order)
-    if label == "f1":
-        return f1(theta, order=order)
-    if label == "f2":
-        return f2(theta, order=order)
-    if label == "f3":
-        if lam is None:
-            raise ValueError("f3 requires lambda")
-        return f3(lam, theta, order=order)
-    if label == "f4":
-        if lam is None:
-            raise ValueError("f4 requires lambda")
-        return f4(lam, order=order)
-    if label == "f5":
-        if lam is None:
-            raise ValueError("f5 requires lambda")
-        return f5(lam, order=order)
-    if label == "k_theta_alpha":
-        if alpha is None:
-            raise ValueError("k_theta_alpha requires alpha")
-        return k_theta_alpha(theta, alpha, order=order)
-    if label == "m_alpha_upper":
-        if alpha is None:
-            raise ValueError("m_alpha_upper requires alpha")
-        return m_alpha_upper(alpha, order=order)
-    if label == "g_alpha_upper":
-        if alpha is None:
-            raise ValueError("g_alpha_upper requires alpha")
-        return g_alpha_upper(alpha, order=order)
-    if label == "g_quadratic":
-        return g_quadratic(order=order)
-    raise ValueError(f"unknown function label {label!r}; known labels: {', '.join(LABELS)}")
+    """Build a catalog entry by label string; used by the command line.
+
+    Only the parameters the entry takes are read; the others are ignored.
+    """
+    family = FAMILIES.get(label)
+    if family is None:
+        raise ValueError(f"unknown function label {label!r}; known labels: {', '.join(LABELS)}")
+    kwargs = {}
+    if family.rotated:
+        kwargs["theta"] = theta
+    if family.kind == "U":
+        kwargs["lam"] = lam
+    elif family.kind is not None:
+        kwargs["alpha"] = alpha
+    for name, value in kwargs.items():
+        flag = "lambda" if name == "lam" else name
+        if value is None:
+            raise ValueError(f"{label} requires {flag}")
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    return globals()[label](order=order, **kwargs)

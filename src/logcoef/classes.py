@@ -20,6 +20,7 @@ member, which is what the search module sweeps over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ class ClassSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}; expected one of {KINDS}")
+        for name, value in (("lambda", self.lam), ("alpha", self.alpha)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "U":
             if self.lam is None or not 0.0 < self.lam <= 1.0:
                 raise ValueError(f"U requires 0 < lambda <= 1, got {self.lam}")
@@ -75,6 +79,11 @@ class ClassSpec:
         else:  # S
             if self.lam is not None or self.alpha is not None:
                 raise ValueError("S takes no parameter")
+
+    @classmethod
+    def of(cls, kind: str, param: float | None = None) -> "ClassSpec":
+        """The class `kind` with its parameter: lam for U, alpha for M and G."""
+        return cls(kind, lam=param) if kind == "U" else cls(kind, alpha=param)
 
     @property
     def param(self) -> float | None:
@@ -208,8 +217,13 @@ def _margins(f, spec: ClassSpec, zs: np.ndarray, r: float) -> np.ndarray:
 
 
 def membership_margin(f, spec: ClassSpec, z: complex) -> float:
-    """Margin of the defining inequality at one point; raises on singular z."""
+    """Margin of the defining inequality at one point; raises on singular z.
+
+    z must lie in the open unit disk, as membership_test's radii do.
+    """
     z = complex(z)
+    if not abs(z) < 1.0:
+        raise ValueError(f"z must lie inside the unit disk, got {z}")
     v = _margins(f, spec, np.asarray([z]), abs(z))
     if not np.isfinite(v[0]):
         raise SingularSampleError(f"f or f' vanished at z = {z}")

@@ -94,13 +94,9 @@ def _class_spec(args, shared: bool = False) -> ClassSpec:
     alpha = getattr(args, "alpha", None)
     if not shared:
         return ClassSpec(kind, lam=lam, alpha=alpha)
-    if kind == "U":
-        return ClassSpec("U", lam=lam)
-    if kind == "M":
-        return ClassSpec("M", alpha=alpha)
-    if kind == "G":
-        return ClassSpec("G", alpha=alpha)
-    return ClassSpec("S")
+    if kind == "S":
+        return ClassSpec("S")
+    return ClassSpec.of(kind, lam if kind == "U" else alpha)
 
 
 def _function_from_args(args, default_order: int):
@@ -424,35 +420,11 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _steps_up_to(end: float, step: float, include_zero: bool = False) -> list:
-    n = int(math.floor(end / step + 1e-9))
-    ks = range(0 if include_zero else 1, n + 1)
-    return [min(k * step, end) for k in ks]
-
-
 def _class_param_grid(kind: str, step: float) -> list:
     if kind in ("U", "G"):
-        return _steps_up_to(1.0, step)
+        return catalog.sweep_grid(0.0, 1.0, "(]", step)
     # M: cover [0, 3] and always include the branch point of the lower bound.
-    params = _steps_up_to(3.0, step, include_zero=True)
-    params.append(M_BRANCH_ALPHA)
-    return sorted(set(params))
-
-
-def _family_param_grid(label: str, step: float) -> list:
-    if label in ("koebe", "f1", "f2"):
-        n = int(math.ceil(2.0 * math.pi / step - 1e-9))
-        return [k * step for k in range(n)]
-    if label == "f3":
-        return _steps_up_to(1.0, step)
-    if label == "f4":
-        return [min(0.5 + k * step, 1.0) for k in range(int(math.floor(0.5 / step + 1e-9)) + 1)]
-    if label == "f5":
-        return _steps_up_to(0.5, step)
-    if label == "g_alpha_upper":
-        return _steps_up_to(1.0, step)
-    # k_theta_alpha, m_alpha_upper
-    return _steps_up_to(3.0, step, include_zero=True)
+    return sorted(set(catalog.sweep_grid(0.0, 3.0, "[]", step) + [M_BRANCH_ALPHA]))
 
 
 def _cmd_sweep(args) -> int:
@@ -469,7 +441,7 @@ def _cmd_sweep(args) -> int:
         resolution = args.resolution if args.resolution is not None else 64
         table = []
         for p in _class_param_grid(kind, step):
-            spec = ClassSpec(kind, lam=p) if kind == "U" else ClassSpec(kind, alpha=p)
+            spec = ClassSpec.of(kind, p)
             pair = bounds.bound_delta(spec)
             res = search.body_search(spec, resolution=resolution)
             table.append((p, pair.lower, pair.upper, res.min_delta, res.max_delta))
@@ -487,17 +459,15 @@ def _cmd_sweep(args) -> int:
         label = args.function
         order = args.order if args.order is not None else DEFAULT_ORDER
         theta_grid = (args.theta,) if args.theta is not None else (0.0,)
-        params = _family_param_grid(label, step)
+        family = catalog.FAMILIES.get(label)
+        # family_sweep refuses a label that is not sweepable.
+        params = catalog.sweep_grid(*family.sweep, step) if family and family.sweep else []
         sweep_rows = search.family_sweep(label, params, theta_grid=theta_grid, order=order)
-        kind = search.BOUND_CLASS.get(label)
         table = []
         for r in sweep_rows:
             lo = hi = None
-            if kind is not None:
-                spec = (
-                    ClassSpec("U", lam=r.param) if kind == "U" else ClassSpec(kind, alpha=r.param)
-                )
-                pair = bounds.bound_delta(spec)
+            if family.kind is not None:
+                pair = bounds.bound_delta(ClassSpec.of(family.kind, r.param))
                 lo, hi = pair.lower, pair.upper
             table.append((r.param, r.delta_min, r.delta_max, lo, hi))
         header = ["param", "delta_min", "delta_max", "bound_lower", "bound_upper"]
@@ -625,7 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="bound curves over a class parameter, or delta along a family")
     sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
-    sp.add_argument("--function", metavar="LABEL")
+    sp.add_argument(
+        "--function", metavar="LABEL",
+        help=", ".join(label for label, family in catalog.FAMILIES.items() if family.sweep),
+    )
     sp.add_argument("--step", type=float, metavar="X", help="parameter step (default 0.05)")
     sp.add_argument(
         "--resolution", type=int, metavar="R",
@@ -637,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("membership", help="polar-grid class membership test for one function")
-    sp.add_argument("--function", metavar="LABEL")
+    sp.add_argument("--function", metavar="LABEL", help=", ".join(catalog.LABELS))
     sp.add_argument("--theta", type=float, default=0.0, metavar="X")
     sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
     _add_param_flags(sp)

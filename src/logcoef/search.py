@@ -8,7 +8,8 @@ body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form and
 searching what is left in m1; `bound_violation_scan` samples the whole body
 at random as a brute-force check, and `family_sweep` records the delta
-values a one-parameter catalog family actually attains.
+values a one-parameter catalog family actually attains; which parameter a
+family sweeps, and over what range, is read from `catalog.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -186,29 +187,6 @@ def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
 
 # -- catalog family sweeps ---------------------------------------------------
 
-# label -> name of the swept parameter
-SWEEPABLE = {
-    "koebe": "theta",
-    "f1": "theta",
-    "f2": "theta",
-    "f3": "lam",
-    "f4": "lam",
-    "f5": "lam",
-    "k_theta_alpha": "alpha",
-    "m_alpha_upper": "alpha",
-    "g_alpha_upper": "alpha",
-}
-
-# label -> class kind whose parameter the swept parameter is
-BOUND_CLASS = {
-    "f3": "U",
-    "f4": "U",
-    "f5": "U",
-    "k_theta_alpha": "M",
-    "m_alpha_upper": "M",
-    "g_alpha_upper": "G",
-}
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -217,36 +195,30 @@ class SweepRow:
     delta_max: float
 
 
-def _family_members(label, param, theta_grid, order):
-    if label in ("koebe", "f1", "f2"):
-        # The swept parameter is the rotation angle itself.
-        return [catalog.make(label, theta=param)]
-    if label == "f3":
-        return [catalog.f3(param, th) for th in theta_grid]
-    if label == "f4":
-        return [catalog.f4(param)]
-    if label == "f5":
-        return [catalog.f5(param)]
-    if label == "k_theta_alpha":
-        return [catalog.k_theta_alpha(th, param, order=order) for th in theta_grid]
-    if label == "m_alpha_upper":
-        return [catalog.m_alpha_upper(param, order=order)]
-    if label == "g_alpha_upper":
-        return [catalog.g_alpha_upper(param, order=order)]
-    raise ValueError(f"{label!r} is not sweepable; choose one of {sorted(SWEEPABLE)}")
-
-
 def family_sweep(label, param_grid, theta_grid=(0.0,), order: int = DEFAULT_ORDER):
     """delta range attained along a one-parameter catalog family.
 
-    For families that also carry a rotation angle, each parameter value is
-    evaluated at every angle in theta_grid and the row records the spread.
+    The swept parameter is the entry's class parameter, or theta for an entry
+    without one (see `catalog.FAMILIES`).  For families that also carry a
+    rotation angle, each parameter value is evaluated at every angle in
+    theta_grid and the row records the spread.
     """
-    if label not in SWEEPABLE:
-        raise ValueError(f"{label!r} is not sweepable; choose one of {sorted(SWEEPABLE)}")
+    family = catalog.FAMILIES.get(label)
+    if family is None or family.sweep is None:
+        sweepable = sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep)
+        raise ValueError(f"{label!r} is not sweepable; choose one of {sweepable}")
     rows = []
     for param in param_grid:
-        values = [functional.delta(f) for f in _family_members(label, param, theta_grid, order)]
+        if family.kind is None:
+            # The swept parameter is the rotation angle itself.
+            members = [catalog.make(label, theta=param, order=order)]
+        else:
+            # make reads whichever of lam and alpha the entry takes.
+            thetas = theta_grid if family.rotated else (0.0,)
+            members = [
+                catalog.make(label, th, lam=param, alpha=param, order=order) for th in thetas
+            ]
+        values = [functional.delta(f) for f in members]
         rows.append(SweepRow(param=float(param), delta_min=min(values), delta_max=max(values)))
     return rows
 

@@ -314,6 +314,20 @@ class TestMake:
         with pytest.raises(ValueError, match="unknown function"):
             make("zeta")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, value):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            make("f3", theta=value, lam=0.5)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            make("k_theta_alpha", theta=value, alpha=1.0)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            make("f4", lam=value)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            make("m_alpha_upper", alpha=value)
+
+    def test_unread_parameter_not_checked(self):
+        assert make("f4", theta=math.nan, lam=0.5, alpha=math.inf).params == {"lam": 0.5}
+
     def test_labels_cover_catalog(self):
         assert set(LABELS) == {
             "koebe",

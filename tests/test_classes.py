@@ -89,6 +89,18 @@ class TestClassSpec:
         with pytest.raises(ValueError, match="unknown class"):
             ClassSpec("X")
 
+    @pytest.mark.parametrize("kind", ["U", "M", "G"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, kind, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            ClassSpec.of(kind, value)
+
+    def test_of_picks_the_keyword(self):
+        assert ClassSpec.of("U", 0.3) == ClassSpec("U", lam=0.3)
+        assert ClassSpec.of("M", 2.0) == ClassSpec("M", alpha=2.0)
+        assert ClassSpec.of("G", 0.5) == ClassSpec("G", alpha=0.5)
+        assert ClassSpec.of("S") == ClassSpec("S")
+
 
 class TestSchwarzPoint:
     def test_accepts_boundary(self):
@@ -151,6 +163,13 @@ class TestMargins:
     def test_class_s_has_no_pointwise_test(self):
         with pytest.raises(ValueError, match="class S"):
             membership_margin(f1(), ClassSpec("S"), 0.5)
+
+    @pytest.mark.parametrize("z", [1.0, 1.5, 1j, complex(math.nan, 0.0)])
+    def test_point_outside_open_disk_rejected(self, z):
+        # A series-only entry: at |z| >= 1 its series diverges.
+        f = k_theta_alpha(0.0, 1.0)
+        with pytest.raises(ValueError, match="inside the unit disk"):
+            membership_margin(f, ClassSpec("M", alpha=1.0), z)
 
     def test_singular_sample_raises(self):
         # f = z - z^2 has f'(1/2) = 0, so the convexity quotient blows up

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from logcoef import functional
+from logcoef import catalog, functional
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.catalog import f4, f5
 from logcoef.classes import ClassSpec
@@ -87,6 +87,16 @@ class TestGamma:
         assert code == 2
         assert "unknown function" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--function", "f3", "--lambda", "0.5", "--theta", "nan"),
+        ("--function", "k_theta_alpha", "--alpha", "1", "--theta", "nan"),
+    ])
+    def test_non_finite_theta_is_usage_error(self, run, argv):
+        code, out, err = run("gamma", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: theta must be finite, got nan" in err
+
 
 class TestBounds:
     def test_text_example(self, run):
@@ -125,6 +135,12 @@ class TestBounds:
         code, _, err = run("bounds", "--class", "U")
         assert code == 2
         assert "error:" in err
+
+    def test_non_finite_parameter_is_usage_error(self, run):
+        code, out, err = run("bounds", "--class", "M", "--alpha", "inf")
+        assert code == 2
+        assert out == ""
+        assert "error: alpha must be finite, got inf" in err
 
     def test_cross_parameter_rejected(self, run):
         code, _, err = run("bounds", "--class", "M", "--lambda", "0.5", "--alpha", "1")
@@ -214,6 +230,13 @@ class TestSearch:
         assert code == 2
         assert "resolution must lie in [2, 1000000]" in err
 
+    def test_non_finite_parameter_is_usage_error(self, run):
+        # NaN deltas fail both bound comparisons, so a scan would count no violations.
+        code, out, err = run("search", "--class", "M", "--alpha", "nan", "--samples", "1000")
+        assert code == 2
+        assert out == ""
+        assert "error: alpha must be finite, got nan" in err
+
 
 class TestSweep:
     def test_u_class_sweep_row_count(self, run):
@@ -299,6 +322,25 @@ class TestSweep:
         assert code == 2
         assert "resolution must lie in [2, 1000000]" in err
 
+    @pytest.mark.parametrize(
+        "label", [label for label, fam in catalog.FAMILIES.items() if fam.sweep]
+    )
+    def test_bound_columns_follow_the_class_kind(self, run, label):
+        code, out, _ = run("sweep", "--function", label, "--step", "0.25", "--format", "csv")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows
+        has_class = catalog.FAMILIES[label].kind is not None
+        for r in rows:
+            assert (r[3] != "", r[4] != "") == (has_class, has_class)
+
+    def test_function_help_lists_sweepable_labels(self, run):
+        code, out, _ = run("sweep", "--help")
+        assert code == 0
+        text = " ".join(out.split())  # argparse wraps long help lines
+        assert "koebe, f1, f2, f3, f4, f5, k_theta_alpha, m_alpha_upper, g_alpha_upper" in text
+        assert "g_quadratic" not in text
+
 
 class TestMembership:
     def test_passing_membership(self, run):
@@ -358,6 +400,20 @@ class TestMembership:
         )
         assert code == 2
         assert "--radii" in err
+
+    def test_non_finite_theta_is_usage_error(self, run):
+        code, out, err = run(
+            "membership", "--function", "f3", "--class", "U", "--lambda", "0.5",
+            "--theta", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: theta must be finite, got nan" in err
+
+    def test_function_help_lists_labels(self, run):
+        code, out, _ = run("membership", "--help")
+        assert code == 0
+        assert ", ".join(catalog.LABELS) in " ".join(out.split())
 
 
 class TestPlumbing:

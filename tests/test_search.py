@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from logcoef import search
+from logcoef import catalog, search
 from logcoef.bounds import (
     M_BRANCH_ALPHA,
     bound_delta,
@@ -22,10 +22,8 @@ from logcoef.classes import (
 from logcoef.functional import delta
 from logcoef.search import (
     BODY_NOTE,
-    BOUND_CLASS,
     MAX_RESOLUTION,
     SCAN_TOLERANCE,
-    SWEEPABLE,
     ScanResult,
     SearchResult,
     SweepRow,
@@ -257,10 +255,45 @@ class TestFamilySweep:
         with pytest.raises(ValueError, match="not sweepable"):
             family_sweep("nope", [0.0])
 
-    def test_sweepable_tables_consistent(self):
-        assert set(BOUND_CLASS) <= set(SWEEPABLE)
-        assert set(SWEEPABLE.values()) == {"theta", "lam", "alpha"}
-        assert set(BOUND_CLASS.values()) == {"U", "M", "G"}
+    # (label, step, grid length, first value, last value) of the grids that
+    # `sweep --function` walks, pinned so that an edit to the table shows.
+    GRIDS = [
+        ("koebe", 0.05, 126, 0.0, 6.25),
+        ("koebe", 0.3, 21, 0.0, 6.0),
+        ("f1", 0.05, 126, 0.0, 6.25),
+        ("f1", 0.3, 21, 0.0, 6.0),
+        ("f2", 0.05, 126, 0.0, 6.25),
+        ("f2", 0.3, 21, 0.0, 6.0),
+        ("f3", 0.05, 20, 0.05, 1.0),
+        ("f3", 0.3, 3, 0.3, 0.8999999999999999),
+        ("f4", 0.05, 11, 0.5, 1.0),
+        ("f4", 0.3, 2, 0.5, 0.8),
+        ("f5", 0.05, 10, 0.05, 0.5),
+        ("f5", 0.3, 1, 0.3, 0.3),
+        ("k_theta_alpha", 0.05, 61, 0.0, 3.0),
+        ("k_theta_alpha", 0.3, 11, 0.0, 3.0),
+        ("m_alpha_upper", 0.05, 61, 0.0, 3.0),
+        ("m_alpha_upper", 0.3, 11, 0.0, 3.0),
+        ("g_alpha_upper", 0.05, 20, 0.05, 1.0),
+        ("g_alpha_upper", 0.3, 3, 0.3, 0.8999999999999999),
+    ]
+
+    def test_grids_cover_every_sweepable_family(self):
+        sweepable = {label for label, fam in catalog.FAMILIES.items() if fam.sweep}
+        assert sweepable == {row[0] for row in self.GRIDS}
+        assert {fam.kind for fam in catalog.FAMILIES.values()} == {None, "U", "M", "G"}
+
+    @pytest.mark.parametrize("label,step,length,first,last", GRIDS)
+    def test_family_grid_pinned(self, label, step, length, first, last):
+        grid = catalog.sweep_grid(*catalog.FAMILIES[label].sweep, step)
+        assert (len(grid), grid[0], grid[-1]) == (length, first, last)
+
+    @pytest.mark.parametrize("label,step,length,first,last", GRIDS)
+    def test_family_grid_endpoints_build(self, label, step, length, first, last):
+        kind = catalog.FAMILIES[label].kind
+        key = {None: "theta", "U": "lam"}.get(kind, "alpha")
+        for p in (first, last):
+            assert math.isfinite(delta(catalog.make(label, order=32, **{key: p})))
 
 
 class TestViolationScan:
