@@ -2,7 +2,9 @@
 
 Each entry is a concrete normalized function attaining (or approaching) one
 of the sharp bounds.  The quadratic-rational entries carry closed-form
-evaluators; the alpha-convex extremals are built by series recurrences alone.
+evaluators; the integral-defined extremals (k_theta_alpha, m_alpha_upper,
+g_alpha_upper) take their coefficients from series recurrences and their
+values from graded Gauss-Legendre quadrature.
 """
 
 import numpy as np
@@ -51,7 +53,7 @@ for name, q in [
 print("(the koebe pole sits exactly on |z| = 1, as it must for a full mapping)")
 print()
 
-print("== the series-built alpha-convex extremals ==")
+print("== the alpha-convex extremals: series coefficients ==")
 for alpha in (0.5, 1.0, 2.0):
     f = k_theta_alpha(0.0, alpha, order=64)
     print(
@@ -72,7 +74,7 @@ gap = np.abs(f4(1.0).series.coeffs - f1(0.0).series.coeffs).max()
 print(f"f4 at lambda = 1 and f1 at theta = 0 are the same function; max gap {gap:.2e}")
 print()
 
-print("== g_alpha_upper has closed derivatives but a transcendental primitive ==")
+print("== g_alpha_upper has closed derivatives; its primitive comes by quadrature ==")
 f = g_alpha_upper(1.0)
 fv, fpv, fppv = f.eval(0.3 + 0.2j)
 print(f"value      f (0.3+0.2i) = {fv:.12f}")

@@ -7,6 +7,7 @@ closed-form profiles exactly where those are known.
 """
 
 from logcoef import (
+    AnalyticFunction,
     ClassSpec,
     asserted_memberships,
     f3,
@@ -40,14 +41,24 @@ print(f"worst margin {rep.worst_margin:.3f} at z = {rep.witness:.4f}  -> {'PASS'
 print("(the convexity quotient of the koebe function blows up near the boundary)")
 print()
 
-print("== series entries refuse radii their order cannot support ==")
-shallow = k_theta_alpha(0.0, 0.5, order=64)
+print("== a bare series is refused at radii its order cannot support ==")
+k = k_theta_alpha(0.0, 0.5, order=64)
+bare = AnalyticFunction("k_theta_alpha series", k.series, k.params)  # no evaluator
+spec = ClassSpec("M", alpha=0.5)
 try:
-    membership_margin(shallow, ClassSpec("M", alpha=0.5), 0.99)
+    membership_margin(bare, spec, -0.99)
 except ValueError as e:
-    print(f"order 64 at radius 0.99: {e}")
-deep = k_theta_alpha(0.0, 0.5, order=5120)
-print(f"order 5120 at radius 0.99: margin {membership_margin(deep, ClassSpec('M', alpha=0.5), 0.99):.6f}")
+    print(f"order-64 series at z = -0.99: {e}")
+# At z = -r the exact margin is (1 - r)/(1 + r); the catalog entry evaluates
+# by quadrature and holds it all the way out.
+for name, g, z in [
+    ("order-64 series", bare, -0.3),
+    ("catalog entry", k, -0.3),
+    ("catalog entry", k, -0.99),
+]:
+    r = abs(z)
+    print(f"{name:15s} at z = {z:5.2f}: margin {membership_margin(g, spec, z):.12f}"
+          f"   exact {(1 - r) / (1 + r):.12f}")
 print()
 
 print("== the full asserted-membership suite ==")

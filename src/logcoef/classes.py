@@ -26,18 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import catalog
-from .series import DEFAULT_ORDER
 
 KINDS = ("S", "U", "M", "G")
 
-# Order used when building series-only entries for membership runs near the
-# boundary; large enough that radius 0.99 clears the tail gate below even for
-# the slowest-decaying catalog entry (coefficient growth ~ n^2.5 in the
-# second derivative).
-MEMBERSHIP_ORDER = 5120
+# Most angular samples per radius accepted by membership_test.
+MAX_ANGULAR = 10**4
 
-# A series evaluation is refused when the geometric tail estimate of the
-# second-derivative series exceeds this bound.
+# An entry without an evaluator is evaluated from its series, which is
+# refused when the geometric tail estimate of the second-derivative series
+# exceeds this bound.  Every catalog entry has an evaluator; the gate guards
+# series a user builds.
 SERIES_TAIL_BUDGET = 1e-6
 _TAIL_SAFETY = 8.0
 _TAIL_WINDOW = 16
@@ -155,9 +153,9 @@ def _tail_estimate(coeffs: np.ndarray, r: float) -> float:
 
     Takes the largest |a_n| r^n over the last few stored coefficients and
     extends it as a geometric series with ratio r, times a safety factor for
-    polynomially growing coefficients.  Heuristic, but for the catalog's
-    entries (coefficient growth at most a small power of n) it overestimates
-    the true tail whenever the window terms are already decaying.
+    polynomially growing coefficients.  Heuristic, but for coefficients that
+    grow at most like a small power of n it overestimates the true tail
+    whenever the window terms are already decaying.
     """
     w = min(_TAIL_WINDOW, len(coeffs))
     k = np.arange(len(coeffs) - w, len(coeffs), dtype=float)
@@ -247,8 +245,8 @@ def membership_test(
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError(f"radii must lie strictly inside (0, 1), got {radii}")
     angular = int(angular)
-    if angular < 1:
-        raise ValueError("need at least one angular sample")
+    if not 1 <= angular <= MAX_ANGULAR:
+        raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
 
     angles = 2.0 * np.pi * np.arange(angular) / angular
     ring = np.exp(1j * angles)
@@ -380,13 +378,8 @@ def coeff_bound_A_check(f, alpha: float, n: int) -> float:
     return alpha / (n * (n - 1.0)) - abs(f.a(n))
 
 
-def asserted_memberships(order: int = MEMBERSHIP_ORDER):
-    """Catalog entries paired with the class each is known to belong to.
-
-    Series-only entries are built at `order` so that the tail gate admits
-    radii up to 0.99; closed-form entries keep the default order because
-    their membership path never touches the series.
-    """
+def asserted_memberships():
+    """Catalog entries paired with the class each is known to belong to."""
     return [
         (catalog.koebe(0.0), ClassSpec("M", alpha=0.0)),
         (catalog.koebe(2.5), ClassSpec("M", alpha=0.0)),
@@ -399,11 +392,11 @@ def asserted_memberships(order: int = MEMBERSHIP_ORDER):
         (catalog.f4(1.0), ClassSpec("U", lam=1.0)),
         (catalog.f5(0.25), ClassSpec("U", lam=0.25)),
         (catalog.f5(0.5), ClassSpec("U", lam=0.5)),
-        (catalog.k_theta_alpha(0.0, 0.5, order=order), ClassSpec("M", alpha=0.5)),
-        (catalog.k_theta_alpha(0.0, 1.0, order=order), ClassSpec("M", alpha=1.0)),
+        (catalog.k_theta_alpha(0.0, 0.5), ClassSpec("M", alpha=0.5)),
+        (catalog.k_theta_alpha(0.0, 1.0), ClassSpec("M", alpha=1.0)),
         (catalog.m_alpha_upper(0.0), ClassSpec("M", alpha=0.0)),
-        (catalog.m_alpha_upper(1.0, order=order), ClassSpec("M", alpha=1.0)),
-        (catalog.m_alpha_upper(2.0, order=order), ClassSpec("M", alpha=2.0)),
+        (catalog.m_alpha_upper(1.0), ClassSpec("M", alpha=1.0)),
+        (catalog.m_alpha_upper(2.0), ClassSpec("M", alpha=2.0)),
         (catalog.g_alpha_upper(0.25), ClassSpec("G", alpha=0.25)),
         (catalog.g_alpha_upper(0.5), ClassSpec("G", alpha=0.5)),
         (catalog.g_alpha_upper(1.0), ClassSpec("G", alpha=1.0)),

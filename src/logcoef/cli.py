@@ -27,8 +27,7 @@ import sys
 
 from . import bounds, catalog, classes, functional, search
 from .bounds import M_BRANCH_ALPHA
-from .classes import MEMBERSHIP_ORDER, ClassSpec
-from .series import DEFAULT_ORDER
+from .classes import ClassSpec
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -99,17 +98,15 @@ def _class_spec(args, shared: bool = False) -> ClassSpec:
     return ClassSpec.of(kind, lam if kind == "U" else alpha)
 
 
-def _function_from_args(args, default_order: int):
+def _function_from_args(args):
     label = getattr(args, "function", None)
     if label is None:
         raise ValueError("--function is required for this command")
-    order = args.order if getattr(args, "order", None) is not None else default_order
     return catalog.make(
         label,
         theta=getattr(args, "theta", 0.0) or 0.0,
         lam=getattr(args, "lam", None),
         alpha=getattr(args, "alpha", None),
-        order=order,
     )
 
 
@@ -127,7 +124,7 @@ def _parse_radii(text: str) -> tuple:
 
 
 def _cmd_gamma(args) -> int:
-    f = _function_from_args(args, DEFAULT_ORDER)
+    f = _function_from_args(args)
     pair = functional.log_pair(f)
     payload = {
         "command": "gamma",
@@ -289,10 +286,9 @@ def _verify_checks(full: bool):
         f"({g1.lower!r},{g1.upper!r})",
     )
 
-    order = MEMBERSHIP_ORDER if full else 512
     radii = (0.5, 0.9, 0.99) if full else (0.5, 0.9)
     angular = 256 if full else 128
-    for f, spec in classes.asserted_memberships(order=order):
+    for f, spec in classes.asserted_memberships():
         rep = classes.membership_test(f, spec, radii=radii, angular=angular)
         add(
             f"membership {_desc(f)} in {spec.label()}",
@@ -431,8 +427,8 @@ def _cmd_sweep(args) -> int:
     if (args.klass is None) == (args.function is None):
         raise ValueError("sweep needs exactly one of --class or --function")
     step = args.step if args.step is not None else 0.05
-    if step <= 0:
-        raise ValueError(f"--step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"--step must be positive and finite, got {step}")
 
     if args.klass is not None:
         kind = args.klass
@@ -457,12 +453,11 @@ def _cmd_sweep(args) -> int:
         lines = [f"sweep: class {kind} step={step!r} resolution={resolution}"]
     else:
         label = args.function
-        order = args.order if args.order is not None else DEFAULT_ORDER
         theta_grid = (args.theta,) if args.theta is not None else (0.0,)
         family = catalog.FAMILIES.get(label)
         # family_sweep refuses a label that is not sweepable.
         params = catalog.sweep_grid(*family.sweep, step) if family and family.sweep else []
-        sweep_rows = search.family_sweep(label, params, theta_grid=theta_grid, order=order)
+        sweep_rows = search.family_sweep(label, params, theta_grid=theta_grid)
         table = []
         for r in sweep_rows:
             lo = hi = None
@@ -488,7 +483,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_membership(args) -> int:
-    f = _function_from_args(args, MEMBERSHIP_ORDER)
+    f = _function_from_args(args)
     spec = _class_spec(args, shared=True)
     radii = _parse_radii(args.radii)
     rep = classes.membership_test(f, spec, radii=radii, angular=args.angular)
@@ -567,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--function", metavar="LABEL", help=", ".join(catalog.LABELS))
     sp.add_argument("--theta", type=float, default=0.0, metavar="X")
     _add_param_flags(sp)
-    sp.add_argument("--order", type=int, metavar="N")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_gamma)
 
@@ -588,7 +582,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION}; extremes are "
         "exact at any value (default 200)",
     )
-    sp.add_argument("--samples", type=int, metavar="N", help="run a randomized scan instead")
+    sp.add_argument(
+        "--samples", type=int, metavar="N",
+        help=f"run a randomized scan of N samples instead, 1 to {search.MAX_SAMPLES}",
+    )
     sp.add_argument("--seed", type=int, default=0, metavar="S")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_search)
@@ -605,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"per-row guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION} (default 64)",
     )
     sp.add_argument("--theta", type=float, metavar="X")
-    sp.add_argument("--order", type=int, metavar="N")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_sweep)
 
@@ -614,9 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, default=0.0, metavar="X")
     sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
     _add_param_flags(sp)
-    sp.add_argument("--order", type=int, metavar="N")
     sp.add_argument("--radii", default="0.5,0.9,0.99", metavar="R1,R2,...")
-    sp.add_argument("--angular", type=int, default=256, metavar="K")
+    sp.add_argument(
+        "--angular", type=int, default=256, metavar="K",
+        help=f"samples per radius, 1 to {classes.MAX_ANGULAR} (default 256)",
+    )
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_membership)
 

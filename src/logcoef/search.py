@@ -36,6 +36,9 @@ SCAN_TOLERANCE = 1e-9
 # Largest m1 grid accepted by body_search.
 MAX_RESOLUTION = 10**6
 
+# Most samples accepted by bound_violation_scan.
+MAX_SAMPLES = 10**6
+
 # How far a guard-grid value may pass the closed-form extremes as roundoff.
 GUARD_SLACK = 1e-12
 
@@ -257,8 +260,8 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     """Sample the body uniformly and count samples whose delta escapes the
     closed-form bounds by more than SCAN_TOLERANCE.  Deterministic for a
     fixed seed (permuted congruential generator)."""
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
     xmax, m2cap = _body_geometry(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
     m1 = rng.uniform(0.0, xmax, samples)

@@ -2,15 +2,18 @@
 
 Coefficients are checked two independent ways: against hand-derived closed
 forms, and against the contour-integral oracle applied to each entry's
-closed-form evaluator.  Derivatives are checked by finite differences.
+evaluator (closed form or quadrature).  Derivatives are checked by finite
+differences.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from logcoef.catalog import (
+    FAMILIES,
     LABELS,
     f1,
     f2,
@@ -125,10 +128,15 @@ class TestEvaluators:
         f3(0.8, 0.3),
         f4(0.6),
         f5(0.4),
+        pytest.param(k_theta_alpha(0.2, 0.8), id="k_theta_alpha(0.8)"),
         m_alpha_upper(0.0),
+        pytest.param(m_alpha_upper(1.5), id="m_alpha_upper(1.5)"),
         g_alpha_upper(0.7),
         g_quadratic(),
     ]
+
+    # Entries evaluated by quadrature.
+    INTEGRAL_CASES = [k_theta_alpha(0.2, 0.8), m_alpha_upper(1.5), g_alpha_upper(0.7)]
 
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_contour_oracle_agrees_with_series(self, f):
@@ -144,8 +152,25 @@ class TestEvaluators:
         assert abs(fpv - ofp) < 1e-9
         assert abs(fppv - ofpp) < 1e-6
 
+    @pytest.mark.parametrize("f", INTEGRAL_CASES, ids=lambda f: f.label)
+    def test_contour_oracle_near_boundary(self, f):
+        got = contour_coefficients(lambda z: f.eval(z)[0], 10, radius=0.95)
+        np.testing.assert_allclose(got, f.series.coeffs[:11], rtol=0, atol=1e-8)
+
+    def test_quadrature_node_cap(self):
+        # Refused before any node is built.
+        with pytest.raises(ValueError, match="more than 100000; the integrand"):
+            k_theta_alpha(0.0, 1e-5).eval(0.5)
+
+    def test_quadrature_evaluator_needs_open_disk(self):
+        f = k_theta_alpha(0.0, 0.5)
+        for z in (1.0, np.array([0.5, 1.5j]), complex(math.nan, 0.0)):
+            with pytest.raises(ValueError, match=r"needs \|z\| < 1"):
+                f.eval(z)
+
     def test_series_only_entry_derivatives(self):
-        f = k_theta_alpha(0.2, 0.8, order=64)
+        # The series path of eval, for an entry without an evaluator.
+        f = dataclasses.replace(k_theta_alpha(0.2, 0.8, order=64), evaluator=None)
         z = 0.15 - 0.1j
         fv, fpv, fppv = f.eval(z)
         of, ofp, ofpp = fd_derivatives(lambda t: f.eval(t)[0], z)
@@ -324,6 +349,30 @@ class TestMake:
             make("f4", lam=value)
         with pytest.raises(ValueError, match="alpha must be finite"):
             make("m_alpha_upper", alpha=value)
+        # The constructors check on their own, not only through make.
+        for build, flag in [
+            (lambda: koebe(value), "theta"),
+            (lambda: f1(value), "theta"),
+            (lambda: f2(value), "theta"),
+            (lambda: f3(0.5, theta=value), "theta"),
+            (lambda: f3(value), "lambda"),
+            (lambda: f4(value), "lambda"),
+            (lambda: f5(value), "lambda"),
+            (lambda: k_theta_alpha(value, 1.0), "theta"),
+            (lambda: k_theta_alpha(0.0, value), "alpha"),
+            (lambda: m_alpha_upper(value), "alpha"),
+            (lambda: g_alpha_upper(value), "alpha"),
+            (lambda: rotate(f1(), value), "theta"),
+        ]:
+            with pytest.raises(ValueError, match=f"{flag} must be finite, got {value}"):
+                build()
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_every_entry_has_an_evaluator(self, label):
+        f = make(label, theta=0.3, lam=0.5, alpha=0.5)
+        assert f.evaluator is not None
+        if FAMILIES[label].kind == "M":
+            assert make(label, theta=0.3, alpha=2.0).evaluator is not None
 
     def test_unread_parameter_not_checked(self):
         assert make("f4", theta=math.nan, lam=0.5, alpha=math.inf).params == {"lam": 0.5}

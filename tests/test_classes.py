@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     AnalyticFunction,
     f1,
@@ -18,7 +19,7 @@ from logcoef.catalog import (
     m_alpha_upper,
 )
 from logcoef.classes import (
-    MEMBERSHIP_ORDER,
+    MAX_ANGULAR,
     SERIES_TAIL_BUDGET,
     ClassSpec,
     MembershipReport,
@@ -166,7 +167,7 @@ class TestMargins:
 
     @pytest.mark.parametrize("z", [1.0, 1.5, 1j, complex(math.nan, 0.0)])
     def test_point_outside_open_disk_rejected(self, z):
-        # A series-only entry: at |z| >= 1 its series diverges.
+        # The integral behind this entry's evaluator diverges at |z| >= 1.
         f = k_theta_alpha(0.0, 1.0)
         with pytest.raises(ValueError, match="inside the unit disk"):
             membership_margin(f, ClassSpec("M", alpha=1.0), z)
@@ -184,14 +185,19 @@ class TestMargins:
             membership_margin(f, ClassSpec("U", lam=1.0), 0.5)
 
 
+def k_series_only(order=64):
+    """k_theta_alpha(0, 0.5) as bare series, without its quadrature evaluator."""
+    return entry_from_coeffs(k_theta_alpha(0.0, 0.5, order=order).series.coeffs, order=order)
+
+
 class TestTailGate:
     def test_low_order_series_refused_near_boundary(self):
-        f = k_theta_alpha(0.0, 0.5, order=64)
+        f = k_series_only()
         with pytest.raises(ValueError, match="cannot be trusted"):
             membership_margin(f, ClassSpec("M", alpha=0.5), 0.99)
 
     def test_same_series_fine_at_small_radius(self):
-        f = k_theta_alpha(0.0, 0.5, order=64)
+        f = k_series_only()
         assert membership_margin(f, ClassSpec("M", alpha=0.5), 0.3) > 0
 
     def test_short_series_window_is_clipped(self):
@@ -208,6 +214,55 @@ class TestTailGate:
 
     def test_budget_is_strict(self):
         assert SERIES_TAIL_BUDGET == 1e-6
+
+
+class TestQuadratureMargins:
+    """The integral-defined extremals against their exact margins.
+
+    k_theta_alpha and m_alpha_upper solve (1 - alpha) z f'/f + alpha (1 + z f''/f')
+    = (1 + w)/(1 - w), with w = e^{i theta} z and w = z^2 respectively.
+    """
+
+    RING = np.exp(2j * np.pi * np.arange(64) / 64)
+
+    @pytest.mark.parametrize(
+        "alpha", [0.1, 0.25, 0.3, 0.5, 1.0, M_BRANCH_ALPHA, 2.0, 3.0, 5.0]
+    )
+    @pytest.mark.parametrize("label, theta", [
+        ("k_theta_alpha", 0.0), ("k_theta_alpha", 2.5), ("m_alpha_upper", 0.0),
+    ])
+    def test_m_margin_matches_exact(self, label, theta, alpha):
+        if label == "k_theta_alpha":
+            f = k_theta_alpha(theta, alpha)
+        else:
+            f = m_alpha_upper(alpha)
+        spec = ClassSpec("M", alpha=alpha)
+        for r in (0.5, 0.9, 0.99) + ((0.995,) if alpha <= 3.0 else ()):
+            z = r * self.RING
+            w = np.exp(1j * theta) * z if label == "k_theta_alpha" else z * z
+            exact = ((1.0 + w) / (1.0 - w)).real
+            got = [membership_margin(f, spec, p) for p in z[::8]]
+            np.testing.assert_allclose(got, exact[::8], rtol=0, atol=1e-9)
+            rep = membership_test(f, spec, radii=(r,), angular=64)
+            assert abs(rep.worst_margin - exact.min()) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.001])
+    def test_m_margin_small_alpha(self, alpha):
+        # The integrand's peak over sigma lies far from the bulk of its weight
+        # here; the sums must stay finite all the same.
+        f = k_theta_alpha(0.0, alpha)
+        for z in (-0.99, 0.99j, 0.9 * np.exp(1j)):
+            want = ((1.0 + z) / (1.0 - z)).real
+            assert abs(membership_margin(f, ClassSpec("M", alpha=alpha), z) - want) <= 1e-9
+
+    @pytest.mark.parametrize("r", [0.25, 0.5])
+    def test_u_margin_agrees_with_series(self, r):
+        # The U margin reads f itself, so it checks the branch of v^alpha.
+        f = k_theta_alpha(0.7, 0.5, order=64)
+        bare = entry_from_coeffs(f.series.coeffs, order=64)
+        spec = ClassSpec("U", lam=1.0)
+        for z in r * self.RING[::4]:
+            assert abs(membership_margin(f, spec, z) - membership_margin(bare, spec, z)) <= 1e-10
 
 
 class TestMembershipTest:
@@ -247,6 +302,11 @@ class TestMembershipTest:
     def test_angular_validated(self):
         with pytest.raises(ValueError, match="angular"):
             membership_test(f1(), ClassSpec("U", lam=1.0), angular=0)
+
+    def test_angular_cap(self):
+        # Refused before any sample is taken.
+        with pytest.raises(ValueError, match=r"angular must lie in \[1, 10000\]"):
+            membership_test(f1(), ClassSpec("U", lam=1.0), angular=MAX_ANGULAR + 1)
 
     def test_as_dict_keys(self):
         rep = membership_test(f5(0.5), ClassSpec("U", lam=0.5), angular=16)
@@ -391,17 +451,14 @@ class TestCoefficientChecks:
 
 class TestAssertedMemberships:
     def test_inventory(self):
-        pairs = asserted_memberships(order=64)
+        pairs = asserted_memberships()
         assert len(pairs) == 20
         kinds = {spec.kind for _, spec in pairs}
         assert kinds == {"U", "M", "G"}
 
     def test_quick_pass_at_moderate_radii(self):
-        # The full-depth run belongs to the acceptance suite; this one uses
-        # smaller orders and stays off the outermost ring.
-        for f, spec in asserted_memberships(order=384):
+        # The full-depth run belongs to the acceptance suite; this one stays
+        # off the outermost ring.
+        for f, spec in asserted_memberships():
             rep = membership_test(f, spec, radii=(0.5, 0.9), angular=64)
             assert rep.passed, f"{f.label} vs {spec.label()}: {rep.worst_margin}"
-
-    def test_membership_order_constant(self):
-        assert MEMBERSHIP_ORDER == 5120

@@ -98,6 +98,18 @@ class TestGamma:
         assert "error: theta must be finite, got nan" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--function", "k_theta_alpha", "--alpha", "0.7"),
+    ("sweep", "--function", "k_theta_alpha"),
+    ("membership", "--function", "k_theta_alpha", "--alpha", "0.7", "--class", "M"),
+])
+def test_order_flag_is_gone(run, argv):
+    code, out, err = run(*argv, "--order", "64")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --order 64" in err
+
+
 class TestBounds:
     def test_text_example(self, run):
         code, out, _ = run("bounds", "--class", "M", "--alpha", "1")
@@ -230,6 +242,13 @@ class TestSearch:
         assert code == 2
         assert "resolution must lie in [2, 1000000]" in err
 
+    def test_samples_cap(self, run):
+        # Rejected before any sample is drawn.
+        code, out, err = run("search", "--class", "S", "--samples", str(10**6 + 1))
+        assert code == 2
+        assert out == ""
+        assert "samples must lie in [1, 1000000]" in err
+
     def test_non_finite_parameter_is_usage_error(self, run):
         # NaN deltas fail both bound comparisons, so a scan would count no violations.
         code, out, err = run("search", "--class", "M", "--alpha", "nan", "--samples", "1000")
@@ -317,6 +336,26 @@ class TestSweep:
         assert code == 2
         assert "--step" in err
 
+    @pytest.mark.parametrize("mode", [("--class", "M"), ("--function", "f3")])
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_step_is_usage_error(self, run, mode, step):
+        code, out, err = run("sweep", *mode, "--step", step)
+        assert code == 2
+        assert out == ""
+        assert f"error: --step must be positive and finite, got {step}" in err
+
+    @pytest.mark.parametrize("mode, step", [
+        (("--class", "U"), "9.99e-05"),  # 10010 steps across (0, 1]
+        (("--function", "koebe"), "0.000628"),  # 10005 steps across [0, 2 pi)
+    ])
+    def test_step_grid_cap(self, run, mode, step):
+        # Refused before the grid is built.  The steps sit just past the cap,
+        # so a run stays short even if the check were missing.
+        code, out, err = run("sweep", *mode, "--step", step)
+        assert code == 2
+        assert out == ""
+        assert f"step must be finite and at least 1/10000 of the range, got {step}" in err
+
     def test_resolution_cap(self, run):
         code, _, err = run("sweep", "--class", "U", "--resolution", str(10**6 + 1))
         assert code == 2
@@ -346,7 +385,7 @@ class TestMembership:
     def test_passing_membership(self, run):
         code, out, _ = run(
             "membership", "--function", "f3", "--lambda", "0.8", "--class", "U",
-            "--angular", "64", "--order", "64",
+            "--angular", "64",
         )
         assert code == 0
         assert "result: PASS" in out
@@ -385,13 +424,33 @@ class TestMembership:
         assert doc["passed"] is True
 
     def test_series_entry_at_full_depth(self, run):
-        # Series-only entry at the default order passes on the outermost ring.
+        # A quadrature-evaluated entry passes on the outermost ring.
         code, out, _ = run(
             "membership", "--function", "m_alpha_upper", "--alpha", "1",
             "--class", "M", "--angular", "32", "--format", "json",
         )
         assert code == 0
         assert json.loads(out)["worst_margin"] > 0
+
+    def test_small_alpha_extremal_passes_at_099(self, run):
+        # The extremal of M(0.3) has exact worst margin (1 - r)/(1 + r) on radius r.
+        code, out, _ = run(
+            "membership", "--function", "k_theta_alpha", "--alpha", "0.3", "--class", "M",
+        )
+        assert code == 0
+        assert "result: PASS" in out
+        line = next(x for x in out.splitlines() if x.startswith("margin[0.99] = "))
+        assert abs(float(line.split(" = ")[1]) - 0.01 / 1.99) <= 1e-10
+
+    def test_angular_cap(self, run):
+        # Refused before any sample is taken.
+        code, out, err = run(
+            "membership", "--function", "f1", "--class", "U", "--lambda", "1",
+            "--angular", str(10**4 + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert "angular must lie in [1, 10000]" in err
 
     def test_bad_radii(self, run):
         code, _, err = run(

@@ -23,6 +23,7 @@ from logcoef.functional import delta
 from logcoef.search import (
     BODY_NOTE,
     MAX_RESOLUTION,
+    MAX_SAMPLES,
     SCAN_TOLERANCE,
     ScanResult,
     SearchResult,
@@ -288,6 +289,12 @@ class TestFamilySweep:
         grid = catalog.sweep_grid(*catalog.FAMILIES[label].sweep, step)
         assert (len(grid), grid[0], grid[-1]) == (length, first, last)
 
+    def test_grid_step_cap(self):
+        assert len(catalog.sweep_grid(0.0, 1.0, "(]", 1e-4)) == catalog.MAX_SWEEP_STEPS
+        for step in (0.999e-4, 0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="at least 1/10000 of the range"):
+                catalog.sweep_grid(0.0, 1.0, "(]", step)
+
     @pytest.mark.parametrize("label,step,length,first,last", GRIDS)
     def test_family_grid_endpoints_build(self, label, step, length, first, last):
         kind = catalog.FAMILIES[label].kind
@@ -339,6 +346,11 @@ class TestViolationScan:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="samples"):
             bound_violation_scan(ClassSpec("S"), samples=0)
+
+    def test_sample_count_capped(self):
+        # Refused before any sample is drawn.
+        with pytest.raises(ValueError, match=r"samples must lie in \[1, 1000000\]"):
+            bound_violation_scan(ClassSpec("S"), samples=MAX_SAMPLES + 1)
 
 
 def test_g_quadratic_sits_strictly_inside_interval():
