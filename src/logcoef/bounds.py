@@ -59,7 +59,7 @@ def m_lower_minimizer(alpha: float) -> float:
     breakpoint the minimum sits at the edge of the admissible |a_2| range
     rather than at this interior point.
     """
-    if alpha < M_BRANCH_ALPHA - 1e-12:
+    if not M_BRANCH_ALPHA - 1e-12 <= alpha < math.inf:
         raise ValueError(
             f"interior minimizer exists only for alpha >= {M_BRANCH_ALPHA:.6f}, got {alpha}"
         )

@@ -341,14 +341,17 @@ def _alpha_convex(label, w, q, alpha, params, order):
     """z * (sum b_k z^k / (1 + alpha k))^alpha, sum b_k z^k = (1 - w z^q)^(-2/(q alpha)).
 
     The series and the quadrature evaluator shared by the alpha-convex
-    extremals, alpha > 0.
+    extremals, alpha > 0.  Numpy overflow is silenced during the build: at
+    small alpha and high order the coefficients overflow, and NormalizedSeries
+    refuses the result, naming the first bad coefficient.
     """
     base = np.zeros(q + 1, dtype=complex)
     base[0], base[q] = 1.0, -w
-    expanded = pow_real(TruncatedSeries(base, order=order), -2.0 / (q * alpha))
-    k = np.arange(order + 1)
-    inner = TruncatedSeries(expanded.coeffs / (1.0 + alpha * k), order=order)
-    u = _stable_pow(inner, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expanded = pow_real(TruncatedSeries(base, order=order), -2.0 / (q * alpha))
+        k = np.arange(order + 1)
+        inner = TruncatedSeries(expanded.coeffs / (1.0 + alpha * k), order=order)
+        u = _stable_pow(inner, alpha)
     c = np.zeros(order + 1, dtype=complex)
     c[1:] = u.coeffs[:-1]
     series = NormalizedSeries(TruncatedSeries(c, order=order))
@@ -366,8 +369,8 @@ def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> Ana
     Reduces to the koebe function at alpha = 0; a_2 = 2 e^{i theta} / (1 + alpha).
 
     The inner expansion coefficients grow like n^(2/alpha - 1), so at very
-    small positive alpha the series needs moderate orders to stay inside
-    double-precision range; the evaluator does not.
+    small positive alpha a high-order series leaves double-precision range
+    and the build is refused with ValueError; the evaluator has no such limit.
     """
     _check_finite(("theta", theta), ("alpha", alpha))
     if alpha < 0:

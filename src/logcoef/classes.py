@@ -41,6 +41,12 @@ _TAIL_SAFETY = 8.0
 _TAIL_WINDOW = 16
 
 
+def format_number(x: float) -> str:
+    """x in its shortest round-trip form, with a trailing ".0" dropped: 1.0 -> "1"."""
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 class SingularSampleError(ArithmeticError):
     """f or f' vanished at a sample point, so the margin is undefined there."""
 
@@ -90,7 +96,7 @@ class ClassSpec:
     def label(self) -> str:
         if self.kind == "S":
             return "S"
-        return f"{self.kind}({self.param:g})"
+        return f"{self.kind}({format_number(self.param)})"
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,9 @@ class SchwarzPoint:
 
     def __post_init__(self):
         r = abs(self.c1)
-        if r > 1.0 + 1e-12:
+        if not r <= 1.0 + 1e-12:
             raise ValueError(f"|c1| = {r} exceeds 1")
-        if abs(self.c2) > 1.0 - r * r + 1e-12:
+        if not abs(self.c2) <= 1.0 - r * r + 1e-12:
             raise ValueError(f"|c2| = {abs(self.c2)} exceeds 1 - |c1|^2 = {1 - r * r}")
 
 
@@ -171,7 +177,7 @@ def _series_values(f, zs: np.ndarray, r: float):
     est = _tail_estimate(d2.coeffs, r)
     if est > SERIES_TAIL_BUDGET:
         raise ValueError(
-            f"series of order {s.order} cannot be trusted at radius {r:g} "
+            f"series of order {s.order} cannot be trusted at radius {format_number(r)} "
             f"(tail estimate {est:.2e} > {SERIES_TAIL_BUDGET:.0e}); rebuild the "
             "entry with a higher order"
         )
@@ -292,6 +298,8 @@ def u_aux_check(f, lam: float) -> tuple[float, float]:
     |a_3 - a_2^2| <= lam  and  |a_2| <= 1 + lam.
     Returns (lam - |a_3 - a_2^2|, 1 + lam - |a_2|), nonnegative for members.
     """
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"U requires 0 < lambda <= 1, got {lam}")
     a2, a3 = f.a(2), f.a(3)
     return lam - abs(a3 - a2 * a2), (1.0 + lam) - abs(a2)
 
@@ -304,7 +312,7 @@ def m_coefficients_from_schwarz(c1, c2, alpha: float):
     c_2 = -[(1 + 2 alpha) a_3 - (alpha^2 + 8 alpha + 3)/4 * a_2^2].
     Accepts scalars or ndarrays.
     """
-    if alpha < 0:
+    if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     a2 = -2.0 * np.asarray(c1) / (1.0 + alpha)
     a3 = ((alpha * alpha + 8.0 * alpha + 3.0) / 4.0 * a2 * a2 - np.asarray(c2)) / (
@@ -345,7 +353,7 @@ def eq10_slack(a2, a3, alpha: float):
 
     Nonnegative on the image of the Schwarz body.  Accepts ndarrays.
     """
-    if alpha < 0:
+    if not 0.0 <= alpha < math.inf:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     a2 = np.asarray(a2)
     q = 1.0 + 2.0 * alpha

@@ -11,9 +11,13 @@ violation, failed verify), 2 on usage errors including numeric flags that a
 module rejects.
 
 Output formats: text (human-readable key = value lines), json (one top-level
-object), csv (comma-separated, header row, LF endings).  Floats in json and
-csv are serialized with repr, so re-parsing reproduces the in-memory doubles
-bit for bit.
+object), csv (comma-separated, header row, LF endings).  Text and csv read one
+record per output row, a dict from column to value: the csv header is its
+keys, and each `key = value` text line renders one of its fields.  Json
+serializes the report, built from the row where both hold the same flat
+fields.  Floats are serialized with repr, so re-parsing reproduces the
+in-memory doubles bit for bit; parameters and radii in labels print in the
+same shortest form, with a trailing ".0" dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 
 from . import bounds, catalog, classes, functional, search
 from .bounds import M_BRANCH_ALPHA
-from .classes import ClassSpec
+from .classes import KINDS, ClassSpec, format_number
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -50,8 +54,14 @@ def _csv_text(header, rows) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
-        w.writerow([_cell(x) for x in row])
+        w.writerow([_cell(row[k]) for k in header])
     return buf.getvalue()
+
+
+def _fields(row, *own) -> list:
+    """`key = value` text lines for a row record, in its order.  Keys in `own`
+    have a line of their own shape, and a None value prints no line."""
+    return [f"{k} = {_cell(v)}" for k, v in row.items() if k not in own and v is not None]
 
 
 def _cjson(z: complex) -> dict:
@@ -61,15 +71,17 @@ def _cjson(z: complex) -> dict:
 def _desc(f) -> str:
     if not f.params:
         return f.label
-    inner = ", ".join(f"{k}={v:g}" for k, v in sorted(f.params.items()))
+    inner = ", ".join(f"{k}={format_number(v)}" for k, v in sorted(f.params.items()))
     return f"{f.label}({inner})"
 
 
-def _emit(args, payload, text_lines, header, rows) -> None:
+def _emit(args, payload, text_lines, rows, header=None) -> None:
+    """Write the report: json serializes `payload`, csv writes `rows` (dicts
+    from column to value) under `header`, by default the first row's keys."""
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
-        out = _csv_text(header, rows)
+        out = _csv_text(list(rows[0]) if header is None else header, rows)
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
@@ -134,70 +146,24 @@ def _cmd_gamma(args) -> int:
         "gamma2": _cjson(pair.gamma2),
         "delta": pair.delta,
     }
-    lines = [
-        f"function: {_desc(f)}",
-        f"gamma1_re = {pair.gamma1.real!r}",
-        f"gamma1_im = {pair.gamma1.imag!r}",
-        f"gamma2_re = {pair.gamma2.real!r}",
-        f"gamma2_im = {pair.gamma2.imag!r}",
-        f"delta = {pair.delta!r}",
-    ]
-    header = ["function", "gamma1_re", "gamma1_im", "gamma2_re", "gamma2_im", "delta"]
-    rows = [
-        [
-            f.label,
-            pair.gamma1.real,
-            pair.gamma1.imag,
-            pair.gamma2.real,
-            pair.gamma2.imag,
-            pair.delta,
-        ]
-    ]
-    _emit(args, payload, lines, header, rows)
+    row = {
+        "function": f.label,
+        "gamma1_re": pair.gamma1.real,
+        "gamma1_im": pair.gamma1.imag,
+        "gamma2_re": pair.gamma2.real,
+        "gamma2_im": pair.gamma2.imag,
+        "delta": pair.delta,
+    }
+    _emit(args, payload, [f"function: {_desc(f)}", *_fields(row, "function")], [row])
     return 0
 
 
 def _cmd_bounds(args) -> int:
     spec = _class_spec(args)
-    pair = bounds.bound_delta(spec)
-    payload = {"command": "bounds", "class": spec.label()}
-    payload.update(pair.as_dict())
-    lines = [
-        f"class: {spec.label()}",
-        f"lower = {pair.lower!r}",
-        f"upper = {pair.upper!r}",
-        f"lower_sharp = {_cell(pair.lower_sharp)}",
-        f"upper_sharp = {_cell(pair.upper_sharp)}",
-    ]
-    if pair.lower_witness:
-        lines.append(f"lower_witness = {pair.lower_witness}")
-    if pair.upper_witness:
-        lines.append(f"upper_witness = {pair.upper_witness}")
-    if pair.note:
-        lines.append(f"note = {pair.note}")
-    header = [
-        "class",
-        "lower",
-        "upper",
-        "lower_sharp",
-        "upper_sharp",
-        "lower_witness",
-        "upper_witness",
-        "note",
-    ]
-    rows = [
-        [
-            spec.label(),
-            pair.lower,
-            pair.upper,
-            pair.lower_sharp,
-            pair.upper_sharp,
-            pair.lower_witness,
-            pair.upper_witness,
-            pair.note,
-        ]
-    ]
-    _emit(args, payload, lines, header, rows)
+    row = {"class": spec.label(), **bounds.bound_delta(spec).as_dict()}
+    payload = {"command": "bounds", **row}
+    row.setdefault("note", None)  # a csv column always, a json key only when set
+    _emit(args, payload, [f"class: {row['class']}", *_fields(row, "class")], [row])
     return 0
 
 
@@ -234,23 +200,23 @@ def _verify_checks(full: bool):
         )
 
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        d = functional.delta(catalog.m_alpha_upper(alpha, order=64))
+        d = functional.delta(catalog.m_alpha_upper(alpha))
         add(
-            f"series delta m_alpha_upper(alpha={alpha:g})",
+            f"series delta m_alpha_upper(alpha={format_number(alpha)})",
             abs(d - 0.5 / (1.0 + 2.0 * alpha)) <= 1e-6,
             f"delta={d!r}",
         )
     for alpha in (0.25, 0.5, 1.0):
-        d = functional.delta(catalog.g_alpha_upper(alpha, order=64))
+        d = functional.delta(catalog.g_alpha_upper(alpha))
         add(
-            f"series delta g_alpha_upper(alpha={alpha:g})",
+            f"series delta g_alpha_upper(alpha={format_number(alpha)})",
             abs(d - alpha / 12.0) <= 1e-6,
             f"delta={d!r}",
         )
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        a2 = catalog.k_theta_alpha(0.0, alpha, order=64).a(2)
+        a2 = catalog.k_theta_alpha(0.0, alpha).a(2)
         add(
-            f"series a2 k_theta_alpha(alpha={alpha:g})",
+            f"series a2 k_theta_alpha(alpha={format_number(alpha)})",
             abs(a2 - 2.0 / (1.0 + alpha)) <= 1e-6,
             f"a2={a2.real!r}",
         )
@@ -326,9 +292,7 @@ def _cmd_verify(args) -> int:
         else:
             lines.append(f"FAIL {c['name']}: {c['detail']}")
     lines.append(f"passed {n_pass}/{len(checks)}")
-    header = ["name", "passed", "detail"]
-    rows = [[c["name"], c["passed"], c["detail"]] for c in checks]
-    _emit(args, payload, lines, header, rows)
+    _emit(args, payload, lines, checks)
     return 0 if ok else 1
 
 
@@ -336,83 +300,36 @@ def _cmd_search(args) -> int:
     spec = _class_spec(args)
     if args.samples is not None:
         res = search.bound_violation_scan(spec, samples=args.samples, seed=args.seed)
-        payload = {"command": "scan"}
-        payload.update(res.as_dict())
+        row = res.as_dict()
         lines = [
-            f"class: {spec.label()}",
-            f"samples = {res.samples}",
-            f"seed = {res.seed}",
-            f"violations = {res.violations}",
-            f"min_delta = {res.min_delta!r}",
-            f"max_delta = {res.max_delta!r}",
+            f"class: {row['class']}",
+            *_fields(row, "class", "passed"),
             f"result: {'PASS' if res.passed else 'FAIL'}",
         ]
-        header = ["class", "samples", "seed", "violations", "min_delta", "max_delta", "passed"]
-        rows = [
-            [
-                spec.label(),
-                res.samples,
-                res.seed,
-                res.violations,
-                res.min_delta,
-                res.max_delta,
-                res.passed,
-            ]
-        ]
-        _emit(args, payload, lines, header, rows)
+        _emit(args, {"command": "scan", **row}, lines, [row])
         return 0 if res.passed else 1
 
     resolution = args.resolution if args.resolution is not None else 200
     res = search.body_search(spec, resolution=resolution)
     pair = bounds.bound_delta(spec)
-    payload = {"command": "search"}
-    payload.update(res.as_dict())
-    payload["bound_lower"] = pair.lower
-    payload["bound_upper"] = pair.upper
+    row = {
+        "class": spec.label(),
+        "resolution": res.resolution,
+        "min_delta": res.min_delta,
+        "max_delta": res.max_delta,
+        "bound_lower": pair.lower,
+        "bound_upper": pair.upper,
+    }
+    payload = {"command": "search", **res.as_dict(), **row}
+    points = {"argmin": res.argmin, "argmax": res.argmax}
     lines = [
-        f"class: {spec.label()}",
-        f"resolution = {res.resolution}",
-        f"min_delta = {res.min_delta!r}",
-        f"max_delta = {res.max_delta!r}",
-        f"bound_lower = {pair.lower!r}",
-        f"bound_upper = {pair.upper!r}",
-        f"argmin: m1 = {res.argmin['m1']!r}, m2 = {res.argmin['m2']!r}, "
-        f"phase = {res.argmin['phase']!r}",
-        f"argmax: m1 = {res.argmax['m1']!r}, m2 = {res.argmax['m2']!r}, "
-        f"phase = {res.argmax['phase']!r}",
+        f"class: {row['class']}",
+        *_fields(row, "class"),
+        *(f"{side}: {', '.join(_fields(point))}" for side, point in points.items()),
         f"note: {res.note}",
     ]
-    header = [
-        "class",
-        "resolution",
-        "min_delta",
-        "max_delta",
-        "bound_lower",
-        "bound_upper",
-        "argmin_m1",
-        "argmin_m2",
-        "argmin_phase",
-        "argmax_m1",
-        "argmax_m2",
-        "argmax_phase",
-    ]
-    rows = [
-        [
-            spec.label(),
-            res.resolution,
-            res.min_delta,
-            res.max_delta,
-            pair.lower,
-            pair.upper,
-            res.argmin["m1"],
-            res.argmin["m2"],
-            res.argmin["phase"],
-            res.argmax["m1"],
-            res.argmax["m2"],
-            res.argmax["phase"],
-        ]
-    ]
-    _emit(args, payload, lines, header, rows)
+    coords = {f"{side}_{k}": v for side, point in points.items() for k, v in point.items()}
+    _emit(args, payload, lines, [{**row, **coords}])
     return 0
 
 
@@ -478,7 +395,7 @@ def _cmd_sweep(args) -> int:
     lines.append("  ".join(header))
     for row in table:
         lines.append("  ".join(_cell(x) if x is not None else "-" for x in row))
-    _emit(args, payload, lines, header, table)
+    _emit(args, payload, lines, payload["rows"], header)
     return 0
 
 
@@ -487,48 +404,33 @@ def _cmd_membership(args) -> int:
     spec = _class_spec(args, shared=True)
     radii = _parse_radii(args.radii)
     rep = classes.membership_test(f, spec, radii=radii, angular=args.angular)
-    payload = {"command": "membership", "params": dict(sorted(f.params.items()))}
-    payload.update(rep.as_dict())
+    payload = {"command": "membership", "params": dict(sorted(f.params.items())), **rep.as_dict()}
+    summary = {
+        "worst_margin": rep.worst_margin,
+        "witness_re": rep.witness.real,
+        "witness_im": rep.witness.imag,
+        "skipped": rep.skipped,
+    }
+    rows = [
+        {
+            "label": f.label,
+            "class": spec.label(),
+            "radius": r,
+            "margin": m,
+            **summary,
+            "passed": rep.passed,
+        }
+        for r, m in zip(rep.radii, rep.margin_by_radius)
+    ]
     lines = [
         f"class: {spec.label()}",
         f"function: {_desc(f)}",
-        f"angular = {rep.angular}",
-    ]
-    for r, m in zip(rep.radii, rep.margin_by_radius):
-        lines.append(f"margin[{r:g}] = {m!r}")
-    lines += [
-        f"worst_margin = {rep.worst_margin!r}",
-        f"witness_re = {rep.witness.real!r}",
-        f"witness_im = {rep.witness.imag!r}",
-        f"skipped = {rep.skipped}",
+        *_fields({"angular": rep.angular}),
+        *(f"margin[{format_number(row['radius'])}] = {_cell(row['margin'])}" for row in rows),
+        *_fields(summary),
         f"result: {'PASS' if rep.passed else 'FAIL'}",
     ]
-    header = [
-        "label",
-        "class",
-        "radius",
-        "margin",
-        "worst_margin",
-        "witness_re",
-        "witness_im",
-        "skipped",
-        "passed",
-    ]
-    rows = [
-        [
-            f.label,
-            spec.label(),
-            r,
-            m,
-            rep.worst_margin,
-            rep.witness.real,
-            rep.witness.imag,
-            rep.skipped,
-            rep.passed,
-        ]
-        for r, m in zip(rep.radii, rep.margin_by_radius)
-    ]
-    _emit(args, payload, lines, header, rows)
+    _emit(args, payload, lines, rows)
     return 0 if rep.passed else 1
 
 
@@ -541,7 +443,7 @@ def _add_output_flags(sp) -> None:
 
 
 def _add_class_flags(sp) -> None:
-    sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
+    sp.add_argument("--class", dest="klass", choices=KINDS)
     _add_param_flags(sp)
 
 
@@ -591,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("sweep", help="bound curves over a class parameter, or delta along a family")
-    sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
+    sp.add_argument("--class", dest="klass", choices=KINDS)
     sp.add_argument(
         "--function", metavar="LABEL",
         help=", ".join(label for label, family in catalog.FAMILIES.items() if family.sweep),
@@ -608,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("membership", help="polar-grid class membership test for one function")
     sp.add_argument("--function", metavar="LABEL", help=", ".join(catalog.LABELS))
     sp.add_argument("--theta", type=float, default=0.0, metavar="X")
-    sp.add_argument("--class", dest="klass", choices=("S", "U", "M", "G"))
+    sp.add_argument("--class", dest="klass", choices=KINDS)
     _add_param_flags(sp)
     sp.add_argument("--radii", default="0.5,0.9,0.99", metavar="R1,R2,...")
     sp.add_argument(

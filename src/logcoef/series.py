@@ -164,7 +164,10 @@ class TruncatedSeries:
 
 
 class NormalizedSeries:
-    """Series with a_0 = 0 and a_1 = 1, i.e. the normalization f(0) = 0, f'(0) = 1."""
+    """Series with a_0 = 0 and a_1 = 1, i.e. the normalization f(0) = 0, f'(0) = 1.
+
+    Every coefficient must be finite, so a build that overflowed is refused here.
+    """
 
     __slots__ = ("_s",)
 
@@ -172,6 +175,10 @@ class NormalizedSeries:
         c = series.coeffs
         if c[0] != 0 or c[1] != 1:
             raise ValueError("series is not normalized: need a_0 = 0 and a_1 = 1 exactly")
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            n = int(bad[0])
+            raise ValueError(f"series coefficient a_{n} = {c[n]} is not finite")
         self._s = series
 
     @property

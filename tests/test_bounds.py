@@ -92,6 +92,11 @@ class TestMinimizers:
             m_lower_minimizer(1.0)
         m_lower_minimizer(M_BRANCH_ALPHA)  # boundary allowed
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_m_minimizer_refuses_non_finite(self, alpha):
+        with pytest.raises(ValueError, match="minimizer"):
+            m_lower_minimizer(alpha)
+
     def test_g_minimizer_value(self):
         assert g_lower_minimizer(0.5) == pytest.approx(0.2, abs=1e-15)
 

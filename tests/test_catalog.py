@@ -8,6 +8,7 @@ differences.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,25 @@ class TestValidation:
             k_theta_alpha(0.0, -0.1)
         with pytest.raises(ValueError):
             m_alpha_upper(-1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: k_theta_alpha(0.0, 0.05, order=2048),
+        lambda: k_theta_alpha(0.0, 0.01, order=512),
+        lambda: m_alpha_upper(0.01, order=1024),
+    ], ids=["k_0.05_2048", "k_0.01_512", "m_0.01_1024"])
+    def test_overflowing_series_build_refused(self, build):
+        # Refused by name of the first bad coefficient, and silently: no
+        # numpy RuntimeWarning reaches the caller.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"series coefficient a_\d+ = .* is not finite"):
+                build()
+
+    def test_default_order_builds_stay_finite_at_small_alpha(self):
+        # The coefficients grow faster as alpha falls; 1e-4 lies below every
+        # alpha whose quadrature rule fits under the node cap (about 4e-4).
+        for f in (k_theta_alpha(0.7, 1e-4), m_alpha_upper(1e-4)):
+            assert np.isfinite(f.series.coeffs).all()
 
 
 class TestMake:

@@ -53,6 +53,11 @@ class TestClassSpec:
         assert ClassSpec("M", alpha=1.5).label() == "M(1.5)"
         assert ClassSpec("G", alpha=1.0).label() == "G(1)"
 
+    def test_label_prints_parameter_in_full(self):
+        assert ClassSpec("G", alpha=0.123456789).label() == "G(0.123456789)"
+        assert ClassSpec("M", alpha=1e-7).label() == "M(1e-07)"
+        assert ClassSpec("M", alpha=100.0).label() == "M(100)"
+
     def test_param_accessor(self):
         assert ClassSpec("U", lam=0.3).param == 0.3
         assert ClassSpec("M", alpha=2.0).param == 2.0
@@ -114,6 +119,13 @@ class TestSchwarzPoint:
             SchwarzPoint(1.1, 0.0)
         with pytest.raises(ValueError):
             SchwarzPoint(0.8, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"\|c1\| = .* exceeds 1"):
+            SchwarzPoint(bad, 0.0)
+        with pytest.raises(ValueError, match=r"\|c2\| = .* exceeds"):
+            SchwarzPoint(0.0, bad)
 
 
 class TestMargins:
@@ -411,6 +423,18 @@ class TestSlackIdentities:
         with pytest.raises(ValueError):
             e11_slack(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check, message", [
+        (m_coefficients_from_schwarz, "alpha must be nonnegative"),
+        (eq10_slack, "alpha must be nonnegative"),
+        (g_coefficients_from_schwarz, "G requires 0 < alpha <= 1"),
+        (e11_slack, "G requires 0 < alpha <= 1"),
+    ])
+    def test_non_finite_alpha_refused(self, check, message, alpha):
+        # The M-side checks fail closed like their G twins, with no NaN result.
+        with pytest.raises(ValueError, match=message):
+            check(0.1, 0.1, alpha)
+
 
 class TestCoefficientChecks:
     def test_u_aux_slack_exactly_zero_for_f3(self):
@@ -427,6 +451,11 @@ class TestCoefficientChecks:
         s1, s2 = u_aux_check(f3(0.5, 0.0), 0.8)
         assert s1 == pytest.approx(0.3, abs=1e-15)
         assert s2 > 0
+
+    @pytest.mark.parametrize("lam", [5.0, 0.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_u_aux_refuses_lambda_outside_the_class(self, lam):
+        with pytest.raises(ValueError, match="U requires 0 < lambda <= 1"):
+            u_aux_check(f3(0.5, 0.0), lam)
 
     def test_coeff_bound_sharp_for_g_extremals(self):
         assert coeff_bound_A_check(g_alpha_upper(1.0), 1.0, 3) == pytest.approx(

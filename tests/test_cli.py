@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -32,6 +33,126 @@ def run(capsys):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def value(text):
+    """A text or csv cell parsed back: None for an empty cell, else bool, int, float or str."""
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def json_field(doc, key):
+    """doc[key], or doc[a][b] for a column a_b that json nests; None when absent."""
+    if key in doc or "_" not in key:
+        return doc.get(key)
+    outer, inner = key.rsplit("_", 1)
+    return doc[outer][inner]
+
+
+def key_values(text):
+    """`key = value` pairs of a line such as "m1 = 0.5, m2 = 0.0"."""
+    return dict(part.split(" = ") for part in text.split(", "))
+
+
+class TestFormatsAgree:
+    """Every `key = value` text line, every csv cell and the matching json
+    field of one run parse to the same value."""
+
+    def three(self, run, argv, code):
+        outs = {}
+        for fmt in ("text", "json", "csv"):
+            got, out, err = run(*argv, "--format", fmt)
+            assert (got, err) == (code, "")
+            outs[fmt] = out
+        header, cells = parse_csv(outs["csv"])
+        rows = [dict(zip(header, r)) for r in cells]
+        return outs["text"].splitlines(), rows, json.loads(outs["json"])
+
+    def check(self, lines, rows, doc, own=()):
+        pattern = re.compile(r"(\w+) = (.*)")
+        fields = dict(m.groups() for m in map(pattern.fullmatch, lines) if m)
+        assert fields
+        for key, text in fields.items():
+            assert value(text) == json_field(doc, key), key
+            for row in rows:
+                if key in row:
+                    assert row[key] == text, key
+        assert rows
+        for row in rows:
+            for key, cell in row.items():
+                if key not in own:
+                    assert value(cell) == json_field(doc, key), key
+
+    @pytest.mark.parametrize("argv", [
+        ("gamma", "--function", "f5", "--lambda", "0.3"),
+        ("gamma", "--function", "k_theta_alpha", "--alpha", "0.7", "--theta", "0.4"),
+    ])
+    def test_gamma(self, run, argv):
+        lines, rows, doc = self.three(run, argv, 0)
+        self.check(lines, rows, doc)
+        assert lines[0].startswith(f"function: {doc['function']}(")
+
+    @pytest.mark.parametrize("klass", [("S",), ("U", "--lambda", "0.3"), ("G", "--alpha", "1")])
+    def test_bounds(self, run, klass):
+        lines, rows, doc = self.three(run, ("bounds", "--class", *klass), 0)
+        self.check(lines, rows, doc)
+        assert lines[0] == f"class: {doc['class']}" == f"class: {rows[0]['class']}"
+
+    def test_bounds_note(self, run):
+        lines, rows, doc = self.three(run, ("bounds", "--class", "G", "--alpha", "1"), 0)
+        assert f"note = {doc['note']}" in lines
+        assert rows[0]["note"] == doc["note"]
+
+    def test_body_search(self, run):
+        argv = ("search", "--class", "M", "--alpha", "2.5", "--resolution", "40")
+        lines, rows, doc = self.three(run, argv, 0)
+        self.check(lines, rows, doc)
+        assert lines[0] == f"class: {doc['class']}"
+        assert lines[-1] == f"note: {doc['note']}"
+        for side in ("argmin", "argmax"):
+            line = next(x for x in lines if x.startswith(f"{side}: "))
+            pairs = key_values(line[len(side) + 2 :])
+            assert list(pairs) == ["m1", "m2", "phase"]
+            for coord, text in pairs.items():
+                assert rows[0][f"{side}_{coord}"] == text
+                assert float(text) == doc[side][coord]
+
+    def test_scan(self, run):
+        argv = ("search", "--class", "G", "--alpha", "0.5", "--samples", "3000", "--seed", "5")
+        lines, rows, doc = self.three(run, argv, 0)
+        self.check(lines, rows, doc)
+        assert lines[-1] == "result: PASS"
+
+    def test_failing_membership(self, run):
+        argv = (
+            "membership", "--function", "koebe", "--class", "G", "--alpha", "1",
+            "--radii", "0.5,0.9", "--angular", "64",
+        )
+        lines, rows, doc = self.three(run, argv, 1)
+        # The csv class is the label G(1); the json class is the kind, with alpha beside it.
+        self.check(lines, rows, doc, own=("class", "radius", "margin"))
+        assert lines[0] == f"class: {rows[0]['class']}" == "class: G(1)"
+        margins = [x for x in lines if x.startswith("margin[")]
+        assert len(margins) == len(rows) == len(doc["margin_by_radius"]) == 2
+        for line, row, entry in zip(margins, rows, doc["margin_by_radius"]):
+            assert line == f"margin[{row['radius']}] = {row['margin']}"
+            assert (float(row["radius"]), float(row["margin"])) == (
+                entry["radius"], entry["margin"]
+            )
+        assert lines[-1] == "result: FAIL"
+
+    def test_empty_sweep_csv_is_header_only(self, run):
+        code, out, err = run("sweep", "--function", "f3", "--step", "2", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "param,delta_min,delta_max,bound_lower,bound_upper\n"
 
 
 class TestGamma:
@@ -75,6 +196,13 @@ class TestGamma:
         assert doc["params"]["theta"] == 0.7
         # delta is rotation invariant
         assert doc["delta"] == pytest.approx(0.25, abs=1e-12)
+
+    def test_parameters_print_in_full(self, run):
+        code, out, _ = run(
+            "gamma", "--function", "f3", "--lambda", "0.123456789", "--theta", "1e-7",
+        )
+        assert code == 0
+        assert "function: f3(lam=0.123456789, theta=1e-07)" in out
 
     def test_missing_parameter_is_usage_error(self, run):
         code, out, err = run("gamma", "--function", "f3")
@@ -137,6 +265,11 @@ class TestBounds:
         assert row["class"] == "S"
         assert row["lower_sharp"] == "true"
         assert float(row["lower"]) == -0.5 * math.sqrt(2.0)
+
+    def test_class_label_prints_parameter_in_full(self, run):
+        code, out, _ = run("bounds", "--class", "G", "--alpha", "0.123456789", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["class"] == "G(0.123456789)"
 
     def test_note_round_trips(self, run):
         code, out, _ = run("bounds", "--class", "G", "--alpha", "1", "--format", "json")
@@ -468,6 +601,15 @@ class TestMembership:
         assert code == 2
         assert out == ""
         assert "error: theta must be finite, got nan" in err
+
+    def test_radius_prints_in_full(self, run):
+        code, out, _ = run(
+            "membership", "--function", "k_theta_alpha", "--alpha", "0.5", "--class", "M",
+            "--radii", "0.5,0.99999999", "--angular", "16",
+        )
+        assert code == 0
+        assert "margin[0.99999999] = " in out
+        assert "margin[1] = " not in out
 
     def test_function_help_lists_labels(self, run):
         code, out, _ = run("membership", "--help")

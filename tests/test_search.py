@@ -144,6 +144,12 @@ ORACLE_MESH = (
 )
 
 
+def mesh_id(spec):
+    """Test id of a mesh instance: the parameter to six significant digits,
+    which keeps the ids short where labels print M_BRANCH_ALPHA in full."""
+    return spec.kind if spec.param is None else f"{spec.kind}({spec.param:g})"
+
+
 def _body(spec):
     """(m1 range, m2 cap at m1) of the searched body, written out per kind."""
     if spec.kind in ("U", "S"):
@@ -152,7 +158,7 @@ def _body(spec):
     return 1.0, lambda m1: 1.0 - m1 * m1
 
 
-@pytest.mark.parametrize("spec", ORACLE_MESH, ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", ORACLE_MESH, ids=mesh_id)
 class TestBodySearchOracle:
     """The exact search against brute-force evaluation of the whole body."""
 
@@ -193,7 +199,7 @@ class TestBodySearchOracle:
 @pytest.mark.parametrize(
     "spec",
     [s for s in ORACLE_MESH if s.kind == "G" or (s.kind == "M" and s.alpha >= M_BRANCH_ALPHA)],
-    ids=lambda s: s.label(),
+    ids=mesh_id,
 )
 def test_argmin_at_known_minimizer(spec):
     m1 = body_search(spec).argmin["m1"]

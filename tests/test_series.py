@@ -213,6 +213,11 @@ class TestNormalizedSeries:
         with pytest.raises(ValueError, match="normalized"):
             NormalizedSeries(TruncatedSeries([0, 0.999], order=4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValueError, match=r"coefficient a_3 = .* is not finite"):
+            NormalizedSeries(TruncatedSeries([0, 1, 2, bad, bad], order=6))
+
 
 # -- property-based round trips ---------------------------------------------
 
