@@ -2,9 +2,11 @@
 
 Each entry is a concrete normalized function attaining (or approaching) one
 of the sharp bounds.  The quadratic-rational entries carry closed-form
-evaluators; the integral-defined extremals (k_theta_alpha, m_alpha_upper,
-g_alpha_upper) take their coefficients from series recurrences and their
-values from graded Gauss-Legendre quadrature.
+evaluators.  The integral-defined extremals (k_theta_alpha, m_alpha_upper,
+g_alpha_upper) are one builder over a table of power factors,
+f = z (integral_0^1 h(z t^alpha) dt)^alpha with h = prod P^e: their
+coefficients come from series recurrences on h, and their values from
+f' = u^(alpha - 1) h(z) with u, and u'/u, by graded Gauss-Legendre quadrature.
 """
 
 import numpy as np

@@ -3,9 +3,10 @@
 gamma_1 and gamma_2 are the first two coefficients of (1/2) log(f(z)/z).
 Every bound here is an explicit algebraic expression in the class parameter;
 piecewise bounds switch branch at a breakpoint where the two expressions
-agree.  `bound_delta` packages the pair for a class instance together with
-sharpness flags and, where sharpness holds, the catalog label of a member
-attaining the bound.
+agree.  Each function refuses, with ClassSpec's ValueError, a parameter that
+is not finite or lies outside its class.  `bound_delta` packages the pair for
+a class instance together with sharpness flags and, where sharpness holds,
+the catalog label of a member attaining the bound.
 """
 
 from __future__ import annotations
@@ -22,33 +23,45 @@ M_BRANCH_ALPHA = 0.5 * (1.0 + math.sqrt(3.0))
 
 def u_upper_bound(lam: float) -> float:
     """max delta over U(lam) = lam / 2, attained by z / (1 - lam e^{i t} z^2)."""
+    ClassSpec.of("U", lam)
     return 0.5 * lam
 
 
 def u_lower_small_lambda(lam: float) -> float:
     """min delta over U(lam) for lam <= 1/2: -(2 lam + 1) / 4."""
+    ClassSpec.of("U", lam)
     return -(2.0 * lam + 1.0) / 4.0
 
 
 def u_lower_large_lambda(lam: float) -> float:
     """min delta over U(lam) for lam >= 1/2: -sqrt(2 lam) / 2."""
+    ClassSpec.of("U", lam)
     return -0.5 * math.sqrt(2.0 * lam)
 
 
 def m_upper_bound(alpha: float) -> float:
     """max delta over M(alpha) = 1 / (2 (1 + 2 alpha))."""
+    ClassSpec.of("M", alpha)
     return 0.5 / (1.0 + 2.0 * alpha)
 
 
 def m_lower_small_alpha(alpha: float) -> float:
     """Lower bound for M(alpha) on 0 <= alpha <= (1 + sqrt 3)/2."""
+    ClassSpec.of("M", alpha)
     return -1.0 / math.sqrt(2.0 * (alpha * alpha + 3.0 * alpha + 1.0))
 
 
 def m_lower_large_alpha(alpha: float) -> float:
-    """Lower bound for M(alpha) on alpha >= (1 + sqrt 3)/2."""
+    """Lower bound for M(alpha) on alpha >= (1 + sqrt 3)/2.
+
+    Refused with ValueError for alpha above about 1e154, where 6 alpha^2
+    overflows.
+    """
+    ClassSpec.of("M", alpha)
     num = 6.0 * alpha * alpha + 10.0 * alpha + 3.0
     den = 4.0 * (2.0 * alpha + 1.0) * (alpha * alpha + 3.0 * alpha + 1.0)
+    if math.isinf(num):
+        raise ValueError(f"m_lower_large_alpha overflows at alpha = {alpha}")
     return -num / den
 
 
@@ -57,22 +70,28 @@ def m_lower_minimizer(alpha: float) -> float:
 
     Only meaningful on the branch alpha >= (1 + sqrt 3)/2; below the
     breakpoint the minimum sits at the edge of the admissible |a_2| range
-    rather than at this interior point.
+    rather than at this interior point.  Refused with ValueError for alpha
+    above about 9e307, where 1 + 2 alpha overflows.
     """
     if not M_BRANCH_ALPHA - 1e-12 <= alpha < math.inf:
         raise ValueError(
             f"interior minimizer exists only for alpha >= {M_BRANCH_ALPHA:.6f}, got {alpha}"
         )
-    return (1.0 + 2.0 * alpha) / (alpha * alpha + 3.0 * alpha + 1.0)
+    num = 1.0 + 2.0 * alpha
+    if math.isinf(num):
+        raise ValueError(f"m_lower_minimizer overflows at alpha = {alpha}")
+    return num / (alpha * alpha + 3.0 * alpha + 1.0)
 
 
 def g_upper_bound(alpha: float) -> float:
     """max delta over G(alpha) = alpha / 12, attained by the odd member."""
+    ClassSpec.of("G", alpha)
     return alpha / 12.0
 
 
 def g_lower_bound(alpha: float) -> float:
     """Lower bound for G(alpha): -alpha (17 - alpha) / (12 (8 - alpha))."""
+    ClassSpec.of("G", alpha)
     return -alpha * (17.0 - alpha) / (12.0 * (8.0 - alpha))
 
 
@@ -81,8 +100,7 @@ def g_lower_minimizer(alpha: float) -> float:
 
     Always an interior point of the admissible range [0, alpha/2].
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"G requires 0 < alpha <= 1, got {alpha}")
+    ClassSpec.of("G", alpha)
     # Interior: 3 alpha / (8 - alpha) < alpha / 2 iff 6 < 8 - alpha iff alpha < 2.
     return 3.0 * alpha / (8.0 - alpha)
 

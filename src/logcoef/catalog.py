@@ -3,18 +3,27 @@
 Every entry is an :class:`AnalyticFunction`: a normalized Taylor series
 (f(0) = 0, f'(0) = 1) plus an evaluator that returns (f, f', f'') at a point
 or at an ndarray of points of the open unit disk.  Rational entries evaluate
-in closed form.  The entries defined by integrals (the alpha-convex
-extremals k_theta_alpha and m_alpha_upper, and Ozaki's g_alpha_upper)
-evaluate those integrals by composite Gauss-Legendre quadrature on panels
-graded toward both ends, with the grading derived from alpha and the largest
-|z| asked for.  The series serves the coefficient functionals; membership
-runs never go through it for a catalog entry.
+in closed form.  The entries defined by integrals are f = z u^alpha with
+u = integral_0^1 h(z t^alpha) dt and h = prod P^e over a table of power
+factors, each P of degree <= 2 with P(0) = 1 and its roots on |z| = 1:
+
+    k_theta_alpha   ((1, -e^{i theta}), -2/alpha)   outer power alpha
+    m_alpha_upper   ((1, 0, -1), -1/alpha)          outer power alpha
+    g_alpha_upper   ((1, 0, -1), alpha/2)           outer power 1, so f' = h
+
+Their series expands h and integrates it termwise.  Their evaluator uses
+f' = u^(alpha - 1) h(z) and f''/f' = (alpha - 1) u'/u + h'/h(z), so only u
+and, for alpha != 1, u'/u come by composite Gauss-Legendre quadrature, on
+panels graded toward both ends from alpha and the largest |z| asked for.
+The series serves the coefficient functionals; membership runs never go
+through it for a catalog entry.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -224,14 +233,17 @@ _BLOCK = 64 * 256
 
 
 def _graded_rule(gap: float, power: float, gamma: float):
-    """Composite 16-point Gauss-Legendre nodes and log weights on [0, 1].
+    """Composite 16-point Gauss-Legendre nodes, their distances to 1 and log weights on [0, 1].
 
     For integrands with a singularity of order `power` about `gap` beyond
     t = 1 that behave like t**gamma at t = 0.  Toward t = 1 the panels shrink
-    geometrically down to gap/4, by a ratio that tightens as power grows;
-    toward t = 0 they shrink by 4 until the rule's error on t**gamma over the
-    innermost panel is below _ENDPOINT_TOL, which needs no panel at all for
-    integer gamma.
+    geometrically down to gap/4, by a ratio that tightens as power grows, and
+    the last one is cut into ceil(power/64) equal panels; toward t = 0 they
+    shrink by 4 until the rule's error on t**gamma over the innermost panel
+    is below _ENDPOINT_TOL, which needs no panel at all for integer gamma.
+    The distances to 1 and the panel widths near t = 1 come from the panel
+    ends' own distances to 1, so that they keep their relative precision
+    where the integrand is sharpest.
     """
     x, w = _gauss_legendre()
     ratio = 1.0 + min(3.0, 8.0 / power)
@@ -241,136 +253,130 @@ def _graded_rule(gap: float, power: float, gamma: float):
     if err > _ENDPOINT_TOL:
         inner = (_ENDPOINT_TOL / err) ** (1.0 / (gamma + 1.0))
         n_left = math.ceil(math.log(0.5 / inner, 4.0))
-    nodes = len(x) * (n_left + n_right + 2)
+    n_last = math.ceil(power / 64.0)
+    nodes = len(x) * (n_left + n_right + n_last + 1)
     if nodes > _MAX_NODES:
         raise ValueError(
             f"quadrature would need {nodes} nodes, more than {_MAX_NODES}; "
             f"the integrand (power {power:g}) is too sharp"
         )
     left = 0.5 * 4.0 ** -np.arange(float(n_left), 0.0, -1.0)
-    right = 1.0 - 0.5 * ratio ** -np.arange(1.0, n_right + 1)
-    b = np.concatenate(([0.0], left, [0.5], right, [1.0]))
-    half = 0.5 * np.diff(b)[:, None]
-    return (b[:-1, None] + half * (1.0 + x)).ravel(), np.log(half * w).ravel()
+    right = 0.5 * ratio ** -np.arange(1.0, n_right + 1)
+    right = np.concatenate((right, right[-1] * np.arange(n_last - 1.0, 0.0, -1.0) / n_last))
+    b = np.concatenate(([0.0], left, [0.5], 1.0 - right, [1.0]))
+    c = np.concatenate(([1.0], 1.0 - left, [0.5], right, [0.0]))  # 1 - b
+    half = 0.5 * np.where(b[1:] <= 0.5, np.diff(b), -np.diff(c))[:, None]
+    t = (b[:-1, None] + half * (1.0 + x)).ravel()
+    return t, (c[1:, None] + half * (1.0 - x)).ravel(), np.log(half * w).ravel()
 
 
-def _disk_gap(z: np.ndarray) -> float:
-    """1 - max |z|; raises unless every point lies in the open unit disk."""
+def _integral_logs(factors, alpha: float, z: np.ndarray):
+    """(log h, h'/h, log v, u'/u) at the flat points z, for u = integral_0^1 h(z t^alpha) dt.
+
+    v = u/h(z) is what is left once the singular factor comes out; its terms
+    h(z sigma)/h(z), sigma = t^alpha, are summed in logs, so v cannot
+    overflow.  v stays off the negative real axis (|Arg v| < 0.5 pi for the
+    k_theta_alpha and m_alpha_upper rows and < 0.25 pi for g_alpha_upper's,
+    measured over alpha from 0.01 to 30 and |z| up to 0.9999), so its
+    principal log is the continued branch.  u'/u, the average of
+    sigma h'/h(z sigma) under the integrand, is summed only for alpha != 1
+    (else 0).  For alpha <= 1 the integral runs over s = sigma, where the
+    weight s^(1/alpha - 1)/alpha is bounded; for alpha > 1 over t.
+    """
     r = float(np.abs(z).max(initial=0.0))
     if not r < 1.0:
         raise ValueError(f"quadrature evaluation needs |z| < 1, got max |z| = {r}")
-    return 1.0 - r
-
-
-def _log_sums(log_terms, x, lw, points: int):
-    """Sums over the nodes of exp(e) m for each m in ms, (e, ms) = log_terms(x, lw).
-
-    Returns (top, sums): top holds the largest Re e at each point, and the
-    sums are scaled by exp(-top), so no term overflows and the largest is 1.
-    The nodes go _BLOCK node-point pairs at a time; the running sums are
-    rescaled whenever top grows.
-    """
-    step = max(1, _BLOCK // max(points, 1))
-    top, sums = np.full(points, -np.inf), 0.0
-    for i in range(0, len(x), step):
-        e, ms = log_terms(x[i : i + step], lw[i : i + step])
+    gap, power = 1.0 - r, max(abs(e) for _, e in factors)
+    if alpha <= 1.0:
+        # The weight s^gamma falls off within about alpha of s = 1.
+        gamma = 1.0 / alpha - 1.0
+        sigma, rest, lw = _graded_rule(min(gap, alpha), power, gamma)
+        lw = lw + gamma * np.log(sigma) - math.log(alpha)
+    else:
+        # In t the singularity sits about gap/alpha beyond t = 1.  At t = 0 the
+        # integrand goes like t^(alpha lead), lead the index of h's first
+        # non-constant term.
+        lead = 1 if sum(e * P[1] for P, e in factors) != 0 else 2
+        t, rest, lw = _graded_rule(gap / alpha, power, alpha * lead)
+        sigma, rest = t**alpha, -np.expm1(alpha * np.log1p(-rest))
+    # P(z sigma) = P(z) + sum_k c_k z^k (sigma^k - 1), with sigma^k - 1 taken
+    # from rest = 1 - sigma so that it keeps its precision near sigma = 1, and
+    # sigma P'(z sigma) = sum_k k c_k z^(k-1) sigma^k.
+    powers = (None, sigma, sigma * sigma)
+    drops = (None, -rest, -rest * (1.0 + sigma))
+    rows = []  # e, P(z) and (k, c_k z^k, e k c_k z^(k-1)) for each c_k != 0
+    for P, e in factors:
+        ks = [(k, c * z**k, e * k * c * z ** (k - 1)) for k, c in enumerate(P) if k and c]
+        rows.append((e, 1.0 + sum(a for _, a, _ in ks), ks))
+    moment = alpha != 1.0
+    # The terms are scaled by exp(-top), top the largest Re of their logs so
+    # far at each point, so that none overflows; the sums are rescaled as top
+    # grows.  _BLOCK node-point pairs go at a time.
+    step = max(1, _BLOCK // max(z.size, 1))
+    top, v, mv = np.full(z.size, -np.inf), 0.0, 0.0
+    for j in range(0, len(lw), step):
+        i = slice(j, j + step)
+        e, m = lw[i], 0.0
+        for ex, pz, ks in rows:
+            P = sum((a[:, None] * drops[k][i] for k, a, _ in ks), pz[:, None])
+            # The principal log by parts: numpy's complex log is several times slower.
+            e = e + ex * (np.log(np.abs(P)) + 1j * np.angle(P))
+            if moment:
+                m = m + sum(b[:, None] * powers[k][i] for k, _, b in ks) / P
         new = np.maximum(top, e.real.max(1))
-        h = np.exp(e - new[:, None])
-        sums = sums * np.exp(top - new) + np.array([(h * m).sum(1) for m in ms])
-        top = new
-    return top, sums
+        h, scale = np.exp(e - new[:, None]), np.exp(top - new)
+        v, top = v * scale + h.sum(1), new
+        if moment:
+            mv = mv * scale + (h * m).sum(1)
+    lh = sum(e * np.log(pz) for e, pz, _ in rows)
+    # h(z)'s modulus comes off top, and its phase off the sum.
+    logv = top - lh.real + np.log(v * np.exp(-1j * lh.imag))
+    dh = sum(b / pz for _, pz, ks in rows for _, _, b in ks)
+    return lh, dh, logv, mv / v
 
 
-def _as_points(z, *values):
-    """Flat value arrays in the shape of z; complex scalars for a scalar z."""
-    if np.ndim(z) == 0:
-        return tuple(complex(v[0]) for v in values)
-    return tuple(np.reshape(v, np.shape(z)) for v in values)
+def _integral_entry(label, factors, alpha, params, order):
+    """The entry f = z u^alpha, u = integral_0^1 h(z t^alpha) dt, h = prod P^e over `factors`.
 
-
-def _alpha_convex_evaluator(w: complex, q: int, alpha: float):
-    """(f, f', f'') of f = z u^alpha, u = integral_0^1 (1 - w z^q t^(q alpha))^(-p) dt.
-
-    Here p = 2/(q alpha).  The singular factor comes out first: with
-    omega = w z^q and sigma = t^(q alpha), u = (1 - omega)^(-p) v and
-    f = z (1 - omega)^(-2/q) v^alpha, where v integrates
-    ((1 - omega)/(1 - omega sigma))^p, summed in logs so that it cannot
-    overflow.  v stays in the right half-plane (|Arg v| < pi/2 for alpha from
-    0.01 to 30 and |z| up to 0.9999), so the principal log is the continued
-    branch.  With <.> the average under the integrand and
-    B = sigma/(1 - omega sigma), d log u/d omega = p <B> and
-    d^2 log u/d omega^2 = p (p+1) <B^2> - p^2 <B>^2, which give z f'/f and
-    f''.  For alpha <= 1 the integral runs over s = t^alpha, where the weight
-    s^(1/alpha - 1)/alpha is bounded; for alpha > 1 over t.
+    The series divides h's coefficient b_k by 1 + alpha k and raises the
+    result to the alpha power.  Numpy overflow is silenced during the build:
+    at small alpha and high order the coefficients overflow, and
+    NormalizedSeries refuses the result, naming the first bad coefficient.
     """
-    p = 2.0 / (q * alpha)
-
-    def ev(z):
-        flat = np.ravel(np.asarray(z, dtype=complex))
-        gap = _disk_gap(flat)
-        if alpha <= 1.0:
-            # The weight s^gamma falls off within about alpha of s = 1.
-            gamma = 1.0 / alpha - 1.0
-            s, lw = _graded_rule(min(gap, alpha), p, gamma)
-            lw = lw + gamma * np.log(s) - math.log(alpha)
-        else:
-            # In t the singularity sits about gap/alpha beyond t = 1.
-            t, lw = _graded_rule(gap / alpha, p, q * alpha)
-            s = t**alpha
-        om = w * flat**q
-        lg = np.log1p(-om)
-
-        def log_terms(x, lwx):
-            d = 1.0 - om[:, None] * x
-            b = x / d
-            return lwx + p * (lg[:, None] - np.log(d)), (1.0, b, b * b)
-
-        top, (v0, v1, v2) = _log_sums(log_terms, s**q, lw, flat.size)
-        m1 = p * v1 / v0
-        m2 = p * (p + 1.0) * v2 / v0 - m1 * m1
-        j = 1.0 + alpha * q * om * m1  # z f'/f
-        fz = np.exp(alpha * (top + np.log(v0)) - (2.0 / q) * lg)  # f/z
-        fp = fz * j
-        fpp = fp * alpha * q * w * flat ** (q - 1) * (m1 + q * (m1 + om * m2) / j)
-        return _as_points(z, flat * fz, fp, fpp)
-
-    return ev
-
-
-def _alpha_convex(label, w, q, alpha, params, order):
-    """z * (sum b_k z^k / (1 + alpha k))^alpha, sum b_k z^k = (1 - w z^q)^(-2/(q alpha)).
-
-    The series and the quadrature evaluator shared by the alpha-convex
-    extremals, alpha > 0.  Numpy overflow is silenced during the build: at
-    small alpha and high order the coefficients overflow, and NormalizedSeries
-    refuses the result, naming the first bad coefficient.
-    """
-    base = np.zeros(q + 1, dtype=complex)
-    base[0], base[q] = 1.0, -w
     with np.errstate(over="ignore", invalid="ignore"):
-        expanded = pow_real(TruncatedSeries(base, order=order), -2.0 / (q * alpha))
+        h = functools.reduce(
+            operator.mul, [pow_real(TruncatedSeries(P, order=order), e) for P, e in factors]
+        )
         k = np.arange(order + 1)
-        inner = TruncatedSeries(expanded.coeffs / (1.0 + alpha * k), order=order)
-        u = _stable_pow(inner, alpha)
+        u = _stable_pow(TruncatedSeries(h.coeffs / (1.0 + alpha * k), order=order), alpha)
     c = np.zeros(order + 1, dtype=complex)
     c[1:] = u.coeffs[:-1]
     series = NormalizedSeries(TruncatedSeries(c, order=order))
-    return AnalyticFunction(label, series, params, _alpha_convex_evaluator(w, q, alpha))
+
+    def ev(z):
+        flat = np.ravel(np.asarray(z, dtype=complex))
+        lh, dh, logv, du = _integral_logs(factors, alpha, flat)
+        logu = lh + logv
+        fp = np.exp(lh + (alpha - 1.0) * logu)
+        values = (flat * np.exp(alpha * logu), fp, fp * ((alpha - 1.0) * du + dh))
+        if np.ndim(z) == 0:
+            return tuple(complex(x[0]) for x in values)
+        return tuple(np.reshape(x, np.shape(z)) for x in values)
+
+    return AnalyticFunction(label, series, params, ev)
 
 
 def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """Generalized koebe function, the extremal of the alpha-convex class M(alpha).
 
     f = ((1/alpha) integral_0^z t^{1/alpha - 1} (1 - e^{i theta} t)^{-2/alpha} dt)^alpha,
-    which is z (integral_0^1 (1 - e^{i theta} z t^alpha)^{-2/alpha} dt)^alpha.
-    The series expands (1 - e^{i theta} t)^{-2/alpha} = sum b_k t^k, divides
-    b_k by (1 + alpha k) and raises the result to the alpha power; the
-    evaluator computes the integral by graded Gauss-Legendre quadrature.
-    Reduces to the koebe function at alpha = 0; a_2 = 2 e^{i theta} / (1 + alpha).
+    the integral entry with the one factor (1 - e^{i theta} z)^{-2/alpha} and
+    outer power alpha.  Reduces to the koebe function at alpha = 0;
+    a_2 = 2 e^{i theta} / (1 + alpha).
 
-    The inner expansion coefficients grow like n^(2/alpha - 1), so at very
-    small positive alpha a high-order series leaves double-precision range
-    and the build is refused with ValueError; the evaluator has no such limit.
+    The coefficients of h grow like n^(2/alpha - 1), so at very small
+    positive alpha a high-order series leaves double-precision range and the
+    build is refused with ValueError; the evaluator has no such limit.
     """
     _check_finite(("theta", theta), ("alpha", alpha))
     if alpha < 0:
@@ -378,51 +384,37 @@ def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> Ana
     if alpha == 0:
         return koebe(theta, order=order)
     params = {"theta": float(theta), "alpha": float(alpha)}
-    return _alpha_convex("k_theta_alpha", np.exp(1j * theta), 1, alpha, params, order)
+    factors = [((1.0, -np.exp(1j * theta)), -2.0 / alpha)]
+    return _integral_entry("k_theta_alpha", factors, alpha, params, order)
 
 
 def m_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """Odd extremal z + z^3/(1+2 alpha) + ... for the alpha-convex family.
 
-    f = z (integral_0^1 (1 - z^2 t^{2 alpha})^{-1/alpha} dt)^alpha, built by
-    the same series and quadrature as k_theta_alpha with inner factor
-    (1 - t^2)^{-1/alpha}.  At alpha = 0 it is z / (1 - z^2) in closed form.
+    The integral entry with the one factor (1 - z^2)^{-1/alpha} and outer
+    power alpha.  At alpha = 0 it is z / (1 - z^2) in closed form.
     """
     _check_finite(("alpha", alpha))
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if alpha == 0:
         return _quadratic_rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0}, order)
-    return _alpha_convex("m_alpha_upper", 1.0, 2, alpha, {"alpha": float(alpha)}, order)
+    factors = [((1.0, 0.0, -1.0), -1.0 / alpha)]
+    return _integral_entry("m_alpha_upper", factors, alpha, {"alpha": float(alpha)}, order)
 
 
 def g_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """Primitive of (1 - z^2)^(alpha/2): starts z - (alpha/6) z^3.
 
-    Requires 0 < alpha <= 1.  f' and f'' have closed forms; the evaluator
-    takes f = z integral_0^1 (1 - z^2 t^2)^(alpha/2) dt by the same graded
-    quadrature as the alpha-convex entries.  1 - z^2 t^2 has positive real
-    part on the disk, so the principal powers agree with the series branch.
+    Requires 0 < alpha <= 1.  The integral entry with the one factor
+    (1 - z^2)^(alpha/2) and outer power 1, so f' = h and f''/f' = h'/h are
+    closed forms and only f comes by quadrature.
     """
     _check_finite(("alpha", alpha))
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"g_alpha_upper requires 0 < alpha <= 1, got {alpha}")
-    half = 0.5 * alpha
-    fp = pow_real(TruncatedSeries([1.0, 0.0, -1.0], order=order), half)
-
-    def ev(z):
-        flat = np.ravel(np.asarray(z, dtype=complex))
-        t, lw = _graded_rule(_disk_gap(flat), half, 2.0)
-        z2 = flat[:, None] ** 2
-        top, (v,) = _log_sums(
-            lambda x, lwx: (lwx + half * np.log1p(-z2 * x * x), (1.0,)), t, lw, flat.size
-        )
-        w = 1.0 - flat * flat
-        return _as_points(z, flat * np.exp(top) * v, w**half, -alpha * flat * w ** (half - 1.0))
-
-    return AnalyticFunction(
-        "g_alpha_upper", NormalizedSeries(fp.integ()), {"alpha": float(alpha)}, ev
-    )
+    factors = [((1.0, 0.0, -1.0), 0.5 * alpha)]
+    return _integral_entry("g_alpha_upper", factors, 1.0, {"alpha": float(alpha)}, order)
 
 
 def g_quadratic(order: int = DEFAULT_ORDER) -> AnalyticFunction:

@@ -135,7 +135,7 @@ class MembershipReport:
 
     def as_dict(self) -> dict:
         d = {
-            "class": self.spec.kind,
+            "class": self.spec.label(),
             "label": self.label,
             "radii": list(self.radii),
             "angular": self.angular,

@@ -9,6 +9,7 @@ separate route so each can cross-check the other.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,15 @@ def log_coefficients(f, n: int) -> np.ndarray:
 
 
 def gamma_from_a(a2: complex, a3: complex) -> LogPair:
-    """LogPair straight from the coefficient formulas, no series involved."""
-    g1 = 0.5 * complex(a2)
-    g2 = 0.5 * (complex(a3) - 0.5 * complex(a2) * complex(a2))
-    return LogPair(g1, g2)
+    """LogPair straight from the coefficient formulas, no series involved.
+
+    Raises ValueError unless a2, a3, gamma_1, gamma_2 and delta are finite.
+    """
+    a2, a3 = complex(a2), complex(a3)
+    pair = LogPair(0.5 * a2, 0.5 * (a3 - 0.5 * a2 * a2))
+    if not all(map(cmath.isfinite, (a2, a3, pair.gamma1, pair.gamma2, pair.delta))):
+        raise ValueError(f"a2 = {a2} and a3 = {a3} must be finite and give a finite delta")
+    return pair
 
 
 def log_pair(f) -> LogPair:

@@ -1,9 +1,12 @@
 """Tests for the closed-form delta bounds."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcoef.bounds import (
     M_BRANCH_ALPHA,
@@ -22,7 +25,7 @@ from logcoef.bounds import (
 )
 from logcoef.catalog import LABELS, f3, f4, f5, g_alpha_upper, m_alpha_upper, make
 from logcoef.classes import ClassSpec
-from logcoef.functional import delta
+from logcoef.functional import delta, gamma_from_a
 
 
 class TestGoldenValues:
@@ -210,3 +213,51 @@ class TestNotes:
         b = BoundPair(0.0, 1.0, False, False)
         with pytest.raises(AttributeError):
             b.lower = 5.0
+
+
+BOUND_FUNCTIONS = [
+    u_upper_bound, u_lower_small_lambda, u_lower_large_lambda,
+    m_upper_bound, m_lower_small_alpha, m_lower_large_alpha, m_lower_minimizer,
+    g_upper_bound, g_lower_bound, g_lower_minimizer,
+]
+
+
+class TestFailClosed:
+    """A parameter outside the class, or one the formula cannot take, is refused."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: m_lower_small_alpha(math.nan), "alpha must be finite, got nan"),
+        (lambda: u_upper_bound(5.0), r"U requires 0 < lambda <= 1, got 5.0"),
+        (lambda: g_upper_bound(math.inf), "alpha must be finite, got inf"),
+        (lambda: m_upper_bound(-0.5), r"M requires alpha >= 0, got -0.5"),
+        (lambda: g_lower_bound(8.0), r"G requires 0 < alpha <= 1, got 8.0"),
+        (lambda: u_lower_large_lambda(-1.0), r"U requires 0 < lambda <= 1, got -1.0"),
+        (lambda: gamma_from_a(math.nan, 0), "must be finite"),
+        (lambda: m_lower_large_alpha(1e200), "overflows"),
+        (lambda: m_lower_minimizer(1e308), "overflows"),
+    ], ids=[
+        "m_lower_small_nan", "u_upper_5", "g_upper_inf", "m_upper_neg", "g_lower_8",
+        "u_lower_large_neg", "gamma_from_a_nan", "m_lower_large_huge", "m_minimizer_huge",
+    ])
+    def test_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize("fn", BOUND_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats())
+    def test_finite_or_refused(self, fn, x):
+        try:
+            value = fn(x)
+        except ValueError:
+            return
+        assert math.isfinite(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.complex_numbers(), st.complex_numbers())
+    def test_gamma_from_a_finite_or_refused(self, a2, a3):
+        try:
+            pair = gamma_from_a(a2, a3)
+        except ValueError:
+            return
+        assert all(map(cmath.isfinite, (pair.gamma1, pair.gamma2, pair.delta)))

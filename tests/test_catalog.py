@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from logcoef import catalog
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
@@ -168,6 +169,55 @@ class TestEvaluators:
         for z in (1.0, np.array([0.5, 1.5j]), complex(math.nan, 0.0)):
             with pytest.raises(ValueError, match=r"needs \|z\| < 1"):
                 f.eval(z)
+
+    # The factor table of each integral entry, and the outer power, from the entry's alpha.
+    FACTORS = {
+        "k_theta_alpha": lambda a: ([((1.0, -1.0), -2.0 / a)], a),
+        "m_alpha_upper": lambda a: ([((1.0, 0.0, -1.0), -1.0 / a)], a),
+        "g_alpha_upper": lambda a: ([((1.0, 0.0, -1.0), 0.5 * a)], 1.0),
+    }
+    # The bound on |Arg v| / pi that _integral_logs states for each row.
+    ARG_BOUND = {"k_theta_alpha": 0.5, "m_alpha_upper": 0.5, "g_alpha_upper": 0.25}
+
+    @pytest.mark.parametrize("label, alpha", [
+        (label, alpha)
+        for label in ("k_theta_alpha", "m_alpha_upper", "g_alpha_upper")
+        for alpha in (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+        if label != "g_alpha_upper" or alpha <= 1.0
+    ])
+    def test_remainder_stays_off_negative_axis(self, label, alpha):
+        # The principal log of v is the continued branch only if v never
+        # crosses the negative real axis.
+        factors, outer = self.FACTORS[label](alpha)
+        ring = np.exp(2j * np.pi * (np.arange(128) + 0.5) / 128)
+        z = np.concatenate([r * ring for r in (0.5, 0.9, 0.99, 0.999, 0.9999)])
+        logv = catalog._integral_logs(factors, outer, z)[2]
+        assert np.isfinite(logv).all()
+        assert np.abs(logv.imag).max() < self.ARG_BOUND[label] * np.pi
+
+    @pytest.mark.parametrize("f, most", [
+        pytest.param(k_theta_alpha(0.0, 0.3), 192, id="k(0,0.3)"),
+        pytest.param(k_theta_alpha(0.0, 1.0), 96, id="k(0,1)"),
+        pytest.param(k_theta_alpha(0.0, 2.5), 144, id="k(0,2.5)"),
+        pytest.param(m_alpha_upper(0.5), 96, id="m(0.5)"),
+        pytest.param(m_alpha_upper(2.5), 112, id="m(2.5)"),
+        pytest.param(g_alpha_upper(0.3), 96, id="g(0.3)"),
+        pytest.param(g_alpha_upper(1.0), 96, id="g(1)"),
+    ])
+    def test_ring_node_count(self, monkeypatch, f, most):
+        # Nodes of the rule for a 256-point ring at r = 0.99; `most` is what
+        # the rule took before the entries shared one builder.
+        counts = []
+        rule = catalog._graded_rule
+
+        def counted(*args):
+            nodes = rule(*args)
+            counts.append(len(nodes[0]))
+            return nodes
+
+        monkeypatch.setattr(catalog, "_graded_rule", counted)
+        f.eval(0.99 * np.exp(2j * np.pi * np.arange(256) / 256))
+        assert counts and max(counts) <= most
 
     def test_series_only_entry_derivatives(self):
         # The series path of eval, for an entry without an evaluator.

@@ -258,6 +258,20 @@ class TestQuadratureMargins:
             rep = membership_test(f, spec, radii=(r,), angular=64)
             assert abs(rep.worst_margin - exact.min()) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
+    def test_g_margin_matches_exact(self, alpha):
+        # g_alpha_upper has f''/f' = -alpha z/(1 - z^2), so its G margin
+        # 1 + alpha/2 - Re(1 + z f''/f') is alpha/2 + alpha Re(z^2/(1 - z^2)).
+        f = g_alpha_upper(alpha)
+        spec = ClassSpec("G", alpha=alpha)
+        for r in (0.5, 0.9, 0.99, 0.999):
+            z = r * self.RING
+            exact = alpha / 2.0 + alpha * (z * z / (1.0 - z * z)).real
+            got = [membership_margin(f, spec, p) for p in z[::8]]
+            np.testing.assert_allclose(got, exact[::8], rtol=0, atol=1e-9)
+            rep = membership_test(f, spec, radii=(r,), angular=64)
+            assert abs(rep.worst_margin - exact.min()) <= 1e-9
+
     @pytest.mark.parametrize("alpha", [0.01, 0.001])
     def test_m_margin_small_alpha(self, alpha):
         # The integrand's peak over sigma lies far from the bulk of its weight
@@ -323,7 +337,7 @@ class TestMembershipTest:
     def test_as_dict_keys(self):
         rep = membership_test(f5(0.5), ClassSpec("U", lam=0.5), angular=16)
         d = rep.as_dict()
-        assert d["class"] == "U"
+        assert d["class"] == "U(0.5)"
         assert d["lambda"] == 0.5
         assert d["passed"] is True
         assert {"radius", "margin"} == set(d["margin_by_radius"][0])

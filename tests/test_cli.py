@@ -137,8 +137,7 @@ class TestFormatsAgree:
             "--radii", "0.5,0.9", "--angular", "64",
         )
         lines, rows, doc = self.three(run, argv, 1)
-        # The csv class is the label G(1); the json class is the kind, with alpha beside it.
-        self.check(lines, rows, doc, own=("class", "radius", "margin"))
+        self.check(lines, rows, doc, own=("radius", "margin"))
         assert lines[0] == f"class: {rows[0]['class']}" == "class: G(1)"
         margins = [x for x in lines if x.startswith("margin[")]
         assert len(margins) == len(rows) == len(doc["margin_by_radius"]) == 2
