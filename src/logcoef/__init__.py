@@ -44,14 +44,11 @@ from .catalog import (
 from .classes import (
     ClassSpec,
     MembershipReport,
-    SchwarzPoint,
     SingularSampleError,
     asserted_memberships,
     coeff_bound_A_check,
     e11_slack,
     eq10_slack,
-    g_schwarz_map,
-    m_schwarz_map,
     membership_margin,
     membership_test,
     u_aux_check,
@@ -90,7 +87,6 @@ __all__ = [
     "MembershipReport",
     "NormalizedSeries",
     "ScanResult",
-    "SchwarzPoint",
     "SearchResult",
     "SingularSampleError",
     "SweepRow",
@@ -115,7 +111,6 @@ __all__ = [
     "g_lower_bound",
     "g_lower_minimizer",
     "g_quadratic",
-    "g_schwarz_map",
     "g_upper_bound",
     "gamma_from_a",
     "k_theta_alpha",
@@ -127,7 +122,6 @@ __all__ = [
     "m_lower_large_alpha",
     "m_lower_minimizer",
     "m_lower_small_alpha",
-    "m_schwarz_map",
     "m_upper_bound",
     "make",
     "membership_margin",

@@ -5,8 +5,9 @@ Every bound here is an explicit algebraic expression in the class parameter;
 piecewise bounds switch branch at a breakpoint where the two expressions
 agree.  Each function refuses, with ClassSpec's ValueError, a parameter that
 is not finite or lies outside its class.  `bound_delta` packages the pair for
-a class instance together with sharpness flags and, where sharpness holds,
-the catalog label of a member attaining the bound.
+a class instance with, for each side, the catalog label of a member attaining
+it.  It is the one place that names these witnesses: a side is sharp exactly
+when it names one, and `verify` checks each named witness against its side.
 """
 
 from __future__ import annotations
@@ -107,19 +108,26 @@ def g_lower_minimizer(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Two-sided bound on delta with sharpness data.
+    """Two-sided bound on delta with its witnesses.
 
-    A sharp side carries the catalog label of a member attaining it; the
-    optional note records caveats about a side that is not claimed sharp.
+    A side is sharp exactly when it names a witness, the catalog label of a
+    member attaining it (built with the class's own parameter); the optional
+    note records caveats about a side that is not claimed sharp.
     """
 
     lower: float
     upper: float
-    lower_sharp: bool
-    upper_sharp: bool
     lower_witness: str | None = None
     upper_witness: str | None = None
     note: str | None = None
+
+    @property
+    def lower_sharp(self) -> bool:
+        return self.lower_witness is not None
+
+    @property
+    def upper_sharp(self) -> bool:
+        return self.upper_witness is not None
 
     def as_dict(self) -> dict:
         d = {
@@ -138,14 +146,7 @@ class BoundPair:
 def bound_delta(spec: ClassSpec) -> BoundPair:
     """Best known two-sided bound on delta for the given class instance."""
     if spec.kind == "S":
-        return BoundPair(
-            lower=-0.5 * math.sqrt(2.0),
-            upper=0.5,
-            lower_sharp=True,
-            upper_sharp=True,
-            lower_witness="f1",
-            upper_witness="f2",
-        )
+        return BoundPair(-0.5 * math.sqrt(2.0), 0.5, lower_witness="f1", upper_witness="f2")
     if spec.kind == "U":
         lam = spec.lam
         if lam <= 0.5:
@@ -154,27 +155,14 @@ def bound_delta(spec: ClassSpec) -> BoundPair:
         else:
             lower = u_lower_large_lambda(lam)
             lower_witness = "f4"
-        return BoundPair(
-            lower=lower,
-            upper=u_upper_bound(lam),
-            lower_sharp=True,
-            upper_sharp=True,
-            lower_witness=lower_witness,
-            upper_witness="f3",
-        )
+        return BoundPair(lower, u_upper_bound(lam), lower_witness=lower_witness, upper_witness="f3")
     if spec.kind == "M":
         alpha = spec.alpha
         if alpha <= M_BRANCH_ALPHA:
             lower = m_lower_small_alpha(alpha)
         else:
             lower = m_lower_large_alpha(alpha)
-        return BoundPair(
-            lower=lower,
-            upper=m_upper_bound(alpha),
-            lower_sharp=False,
-            upper_sharp=True,
-            upper_witness="m_alpha_upper",
-        )
+        return BoundPair(lower, m_upper_bound(alpha), upper_witness="m_alpha_upper")
     if spec.kind == "G":
         alpha = spec.alpha
         note = None
@@ -186,8 +174,6 @@ def bound_delta(spec: ClassSpec) -> BoundPair:
         return BoundPair(
             lower=g_lower_bound(alpha),
             upper=g_upper_bound(alpha),
-            lower_sharp=False,
-            upper_sharp=True,
             upper_witness="g_alpha_upper",
             note=note,
         )

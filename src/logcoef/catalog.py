@@ -21,6 +21,7 @@ through it for a catalog entry.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -114,19 +115,39 @@ def _check_finite(*named):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _stable_roots(c0, c1, c2):
+    """Both roots of c0 + c1 z + c2 z^2 (c2 != 0) as (q / c2, c0 / q), q = -(c1 + s)/2
+    with s the discriminant's square root aligned with c1, so that neither comes
+    from a cancelling difference; q = 0 only for the double root 0."""
+    s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    if (c1.conjugate() * s).real < 0.0:
+        s = -s
+    q = -0.5 * (c1 + s)
+    return (q / c2, c0 / q) if q else (0j, 0j)
+
+
 def _quadratic_rational(label, b, c, params, order):
-    """z / (1 + b z + c z^2) with its closed-form derivatives."""
+    """z / (1 + b z + c z^2) with its closed-form derivatives.
+
+    The evaluator works in factored form, 1 + b z + c z^2 = u_1 u_2 with
+    u_j = 1 - p_j z over the reciprocal roots p_j, and f' = (1 - c z^2) /
+    (u_1 u_2)^2 with 1 - c z^2 = (1 - s z)(1 + s z), s^2 = c, so f, f' and
+    f''/f' = 2 (p_1/u_1 + p_2/u_2) - s/(1 - s z) + s/(1 + s z) keep their
+    relative precision next to a root on the circle.  The series is built
+    from (b, c) directly.
+    """
     den = TruncatedSeries([1.0, b, c], order=order)
     num = TruncatedSeries([0.0, 1.0], order=order)
     series = NormalizedSeries(num / den)
+    p1, p2 = _stable_roots(c, b, 1.0)
+    s = cmath.sqrt(c)
 
     def ev(z):
-        q = 1.0 + b * z + c * z * z
-        qp = b + 2.0 * c * z
-        f = z / q
-        fp = (q - z * qp) / (q * q)
-        fpp = (-2.0 * c * z * q - 2.0 * qp * (q - z * qp)) / (q * q * q)
-        return f, fp, fpp
+        u1, u2 = 1.0 - p1 * z, 1.0 - p2 * z
+        v1, v2 = 1.0 - s * z, 1.0 + s * z
+        q = u1 * u2
+        fp = v1 * v2 / (q * q)
+        return z / q, fp, fp * (2.0 * (p1 / u1 + p2 / u2) - s / v1 + s / v2)
 
     return AnalyticFunction(label, series, params, ev)
 
@@ -246,6 +267,9 @@ def _graded_rule(gap: float, power: float, gamma: float):
     where the integrand is sharpest.
     """
     x, w = _gauss_legendre()
+    # Past these the panel counts divide by zero or overflow.
+    if not (0.0 < power <= 64.0 * _MAX_NODES and 0.0 < gap and 2.0 / gap < math.inf):
+        raise ValueError(f"quadrature rule out of range: gap {gap:g}, power {power:g}")
     ratio = 1.0 + min(3.0, 8.0 / power)
     n_right = math.ceil(math.log(2.0 / gap, ratio))
     err = abs(0.5 * (w * (0.5 * (x + 1.0)) ** gamma).sum() * (gamma + 1.0) - 1.0)
@@ -355,10 +379,15 @@ def _integral_entry(label, factors, alpha, params, order):
 
     def ev(z):
         flat = np.ravel(np.asarray(z, dtype=complex))
-        lh, dh, logv, du = _integral_logs(factors, alpha, flat)
-        logu = lh + logv
-        fp = np.exp(lh + (alpha - 1.0) * logu)
-        values = (flat * np.exp(alpha * logu), fp, fp * ((alpha - 1.0) * du + dh))
+        # The powers of u scale u's quadrature error by alpha: at huge alpha
+        # they, or the quadrature, overflow, and the values are refused.
+        with np.errstate(all="ignore"):
+            lh, dh, logv, du = _integral_logs(factors, alpha, flat)
+            logu = lh + logv
+            fp = np.exp(lh + (alpha - 1.0) * logu)
+            values = (flat * np.exp(alpha * logu), fp, fp * ((alpha - 1.0) * du + dh))
+        if not all(np.isfinite(x).all() for x in values):
+            raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
         if np.ndim(z) == 0:
             return tuple(complex(x[0]) for x in values)
         return tuple(np.reshape(x, np.shape(z)) for x in values)
@@ -460,10 +489,8 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
 def poles_outside_disk(coeffs) -> tuple[bool, float]:
     """Whether every root of a degree <= 2 polynomial lies strictly outside |z| = 1.
 
-    Returns (all_outside, smallest_root_modulus).  Roots are taken with the
-    closed quadratic formula, using the numerically stable pairing
-    (q / c2, c0 / q) with q = -(c1 + s)/2 and s the square root aligned
-    with c1.
+    Returns (all_outside, smallest_root_modulus).  Quadratic roots come from
+    `_stable_roots`.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.size == 0 or not c.any():
@@ -477,16 +504,7 @@ def poles_outside_disk(coeffs) -> tuple[bool, float]:
     if len(c) == 2:
         m = abs(c[0] / c[1])
         return m > 1.0, float(m)
-    c0, c1, c2 = (complex(v) for v in c)
-    disc = c1 * c1 - 4.0 * c0 * c2
-    s = complex(np.sqrt(np.complex128(disc)))
-    if (np.conj(c1) * s).real < 0.0:
-        s = -s
-    q = -0.5 * (c1 + s)
-    if q == 0:
-        roots = ((-c1 + s) / (2.0 * c2), (-c1 - s) / (2.0 * c2))
-    else:
-        roots = (q / c2, c0 / q)
+    roots = _stable_roots(*(complex(v) for v in c))
     m = min(abs(roots[0]), abs(roots[1]))
     return m > 1.0, float(m)
 

@@ -13,14 +13,16 @@ negative where it fails; a membership test reports the worst margin seen on a
 polar grid together with the witness point.  Full-disk membership (class S)
 has no pointwise criterion of this kind and is rejected explicitly.
 
-The Schwarz-coefficient maps in this module translate a point of the body
-{|c_1| <= 1, |c_2| <= 1 - |c_1|^2} into the (a_2, a_3) pair of a hypothetical
-member, which is what the search module sweeps over.
+`m_coefficients_from_schwarz` and `g_coefficients_from_schwarz` translate
+points of the Schwarz body {|c_1| <= 1, |c_2| <= 1 - |c_1|^2}, scalars or
+ndarrays, into the (a_2, a_3) pairs of hypothetical members, which is what
+the search module sweeps over.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,10 @@ KINDS = ("S", "U", "M", "G")
 
 # Most angular samples per radius accepted by membership_test.
 MAX_ANGULAR = 10**4
+
+# Smallest nonzero |z| sampled, the smallest normal float: below it the
+# quotients z/f and z f'/f overflow.
+_MIN_RADIUS = sys.float_info.min
 
 # An entry without an evaluator is evaluated from its series, which is
 # refused when the geometric tail estimate of the second-derivative series
@@ -97,21 +103,6 @@ class ClassSpec:
         if self.kind == "S":
             return "S"
         return f"{self.kind}({format_number(self.param)})"
-
-
-@dataclass(frozen=True)
-class SchwarzPoint:
-    """Coefficient pair (c_1, c_2) of a Schwarz function: |c_2| <= 1 - |c_1|^2."""
-
-    c1: complex
-    c2: complex
-
-    def __post_init__(self):
-        r = abs(self.c1)
-        if not r <= 1.0 + 1e-12:
-            raise ValueError(f"|c1| = {r} exceeds 1")
-        if not abs(self.c2) <= 1.0 - r * r + 1e-12:
-            raise ValueError(f"|c2| = {abs(self.c2)} exceeds 1 - |c1|^2 = {1 - r * r}")
 
 
 @dataclass(frozen=True)
@@ -221,16 +212,24 @@ def _margins(f, spec: ClassSpec, zs: np.ndarray, r: float) -> np.ndarray:
 
 
 def membership_margin(f, spec: ClassSpec, z: complex) -> float:
-    """Margin of the defining inequality at one point; raises on singular z.
+    """Margin of the defining inequality at one point.
 
-    z must lie in the open unit disk, as membership_test's radii do.
+    Raises SingularSampleError where f or f' vanishes, and ValueError where
+    the margin overflows.  z must be 0 or lie in the open unit disk at least
+    the smallest normal float from 0, as membership_test's radii do.
     """
     z = complex(z)
-    if not abs(z) < 1.0:
+    # The parts first: abs overflows on parts near the float maximum.
+    if not (abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0):
         raise ValueError(f"z must lie inside the unit disk, got {z}")
+    if 0.0 < abs(z) < _MIN_RADIUS:
+        raise ValueError(f"|z| = {abs(z)!r} is below {_MIN_RADIUS!r}, where the margins overflow")
     v = _margins(f, spec, np.asarray([z]), abs(z))
     if not np.isfinite(v[0]):
-        raise SingularSampleError(f"f or f' vanished at z = {z}")
+        F, F1, _ = _values(f, np.asarray([z]), abs(z))
+        if F[0] == 0 or F1[0] == 0:
+            raise SingularSampleError(f"f or f' vanished at z = {z}")
+        raise ValueError(f"the {spec.label()} margin overflows at z = {z}")
     return float(v[0])
 
 
@@ -248,8 +247,8 @@ def membership_test(
     (radius, angle) order.
     """
     radii = tuple(float(r) for r in radii)
-    if not radii or any(not 0.0 < r < 1.0 for r in radii):
-        raise ValueError(f"radii must lie strictly inside (0, 1), got {radii}")
+    if not radii or any(not _MIN_RADIUS <= r < 1.0 for r in radii):
+        raise ValueError(f"radii must lie in (0, 1), none below {_MIN_RADIUS!r}, got {radii}")
     angular = int(angular)
     if not 1 <= angular <= MAX_ANGULAR:
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
@@ -333,16 +332,6 @@ def g_coefficients_from_schwarz(c1, c2, alpha: float):
     a2 = 0.5 * alpha * np.asarray(c1)
     a3 = alpha / 6.0 * np.asarray(c2) - (2.0 * (1.0 - alpha) / (3.0 * alpha)) * a2 * a2
     return a2, a3
-
-
-def m_schwarz_map(p: SchwarzPoint, alpha: float) -> tuple[complex, complex]:
-    a2, a3 = m_coefficients_from_schwarz(p.c1, p.c2, alpha)
-    return complex(a2), complex(a3)
-
-
-def g_schwarz_map(p: SchwarzPoint, alpha: float) -> tuple[complex, complex]:
-    a2, a3 = g_coefficients_from_schwarz(p.c1, p.c2, alpha)
-    return complex(a2), complex(a3)
 
 
 def eq10_slack(a2, a3, alpha: float):

@@ -167,20 +167,14 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _golden_delta_rows():
-    rows = [
-        (catalog.koebe(0.0), -0.5, ClassSpec("S")),
-        (catalog.f1(0.0), -0.5 * math.sqrt(2.0), ClassSpec("S")),
-        (catalog.f2(0.0), 0.5, ClassSpec("S")),
-    ]
-    for lam in (0.1, 0.5, 1.0):
-        rows.append((catalog.f3(lam), 0.5 * lam, ClassSpec("U", lam=lam)))
-    for lam in (0.5, 0.75, 1.0):
-        rows.append((catalog.f4(lam), -0.5 * math.sqrt(2.0 * lam), ClassSpec("U", lam=lam)))
-    for lam in (0.1, 0.25, 0.5):
-        rows.append((catalog.f5(lam), -0.25 * (2.0 * lam + 1.0), ClassSpec("U", lam=lam)))
-    rows.append((catalog.g_quadratic(), -3.0 / 16.0, ClassSpec("G", alpha=1.0)))
-    return rows
+# The class instances at which verify checks every witness that bound_delta
+# names against the side it attains.
+_WITNESS_MESH = (
+    ClassSpec("S"),
+    *(ClassSpec("U", lam=x) for x in (0.1, 0.25, 0.5, 0.75, 1.0)),
+    *(ClassSpec("M", alpha=x) for x in (0.0, 0.5, 1.0, M_BRANCH_ALPHA, 2.0, 5.0)),
+    *(ClassSpec("G", alpha=x) for x in (0.25, 0.5, 0.75, 1.0)),
+)
 
 
 def _verify_checks(full: bool):
@@ -189,30 +183,26 @@ def _verify_checks(full: bool):
     def add(name: str, passed, detail: str = "") -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    for f, expected, spec in _golden_delta_rows():
+    # Members that attain no bound: a known delta, inside the bounds.
+    for f, expected, spec in (
+        (catalog.koebe(0.0), -0.5, ClassSpec("S")),
+        (catalog.g_quadratic(), -3.0 / 16.0, ClassSpec("G", alpha=1.0)),
+    ):
         d = functional.delta(f)
         pair = bounds.bound_delta(spec)
         ok = abs(d - expected) <= 1e-10 and pair.lower - 1e-10 <= d <= pair.upper + 1e-10
-        add(
-            f"delta {_desc(f)}",
-            ok,
-            f"delta={d!r} expected={expected!r} bounds={spec.label()}",
-        )
+        add(f"delta {_desc(f)}", ok, f"delta={d!r} expected={expected!r} bounds={spec.label()}")
 
-    for alpha in (0.0, 0.5, 1.0, 2.0):
-        d = functional.delta(catalog.m_alpha_upper(alpha))
-        add(
-            f"series delta m_alpha_upper(alpha={format_number(alpha)})",
-            abs(d - 0.5 / (1.0 + 2.0 * alpha)) <= 1e-6,
-            f"delta={d!r}",
-        )
-    for alpha in (0.25, 0.5, 1.0):
-        d = functional.delta(catalog.g_alpha_upper(alpha))
-        add(
-            f"series delta g_alpha_upper(alpha={format_number(alpha)})",
-            abs(d - alpha / 12.0) <= 1e-6,
-            f"delta={d!r}",
-        )
+    for spec in _WITNESS_MESH:
+        pair = bounds.bound_delta(spec)
+        for side in ("lower", "upper"):
+            label, bound = getattr(pair, f"{side}_witness"), getattr(pair, side)
+            if label is not None:
+                f = catalog.make(label, lam=spec.lam, alpha=spec.alpha)
+                d = functional.delta(f)
+                name = f"{spec.label()} {side} witness {_desc(f)}"
+                add(name, abs(d - bound) <= 1e-12, f"delta={d!r} bound={bound!r}")
+
     for alpha in (0.5, 1.0, 2.0, 5.0):
         a2 = catalog.k_theta_alpha(0.0, alpha).a(2)
         add(

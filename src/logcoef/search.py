@@ -26,7 +26,6 @@ from .classes import (
     g_coefficients_from_schwarz,
     m_coefficients_from_schwarz,
 )
-from .series import DEFAULT_ORDER
 
 # The searched set is a relaxation of the class, not the class itself.
 BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class"
@@ -47,11 +46,17 @@ def _body_geometry(spec: ClassSpec):
     """(m1 range, m2 cap as a function of m1) for the class's coefficient body.
 
     U and S bodies live in (|a_2|, |a_3 - a_2^2|); M and G bodies live in the
-    Schwarz coefficients (|c_1|, |c_2|).
+    Schwarz coefficients (|c_1|, |c_2|).  Refuses, with ValueError, an M or
+    G class whose coefficient map overflows.
     """
     if spec.kind in ("U", "S"):
         lam = 1.0 if spec.kind == "S" else spec.lam
         return 1.0 + lam, (lambda x: np.full_like(np.asarray(x, dtype=float), lam))
+    # The maps' largest coefficients, which overflow at extreme alpha.
+    a = spec.alpha
+    top = (a * a + 8.0 * a + 3.0) / 4.0 if spec.kind == "M" else 2.0 * (1.0 - a) / (3.0 * a)
+    if not math.isfinite(top):
+        raise ValueError(f"the coefficient map of {spec.label()} overflows")
     return 1.0, (lambda x: 1.0 - np.asarray(x, dtype=float) ** 2)
 
 
@@ -67,8 +72,23 @@ def _coeffs_from_body(spec: ClassSpec, m1, m2, phase):
 
 
 def body_delta(spec: ClassSpec, m1, m2, phase):
-    """delta at a body point.  Pure formula: the caller keeps (m1, m2) inside
-    the body; nothing here checks that."""
+    """delta at body points; broadcasts over array inputs.
+
+    Refuses with ValueError a coordinate that is not finite and a point
+    outside the body: m1 outside [0, m1 range] or m2 outside [0, cap(m1)].
+    """
+    m1, m2, phase = (np.asarray(x, dtype=float) for x in (m1, m2, phase))
+    xmax, cap = _body_geometry(spec)
+    # cap(m1) is computed only once m1 is known to be in range.
+    if not (
+        ((0.0 <= m1) & (m1 <= xmax)).all()
+        and ((0.0 <= m2) & (m2 <= cap(m1))).all()
+        and np.isfinite(phase).all()
+    ):
+        raise ValueError(
+            f"body points must be finite with 0 <= m1 <= {xmax!r} and 0 <= m2 <= cap(m1) "
+            f"for {spec.label()}"
+        )
     a2, a3 = _coeffs_from_body(spec, m1, m2, phase)
     return 0.5 * np.abs(a3 - 0.5 * a2 * a2) - 0.5 * np.abs(a2)
 
@@ -198,7 +218,7 @@ class SweepRow:
     delta_max: float
 
 
-def family_sweep(label, param_grid, theta_grid=(0.0,), order: int = DEFAULT_ORDER):
+def family_sweep(label, param_grid, theta_grid=(0.0,)):
     """delta range attained along a one-parameter catalog family.
 
     The swept parameter is the entry's class parameter, or theta for an entry
@@ -214,13 +234,11 @@ def family_sweep(label, param_grid, theta_grid=(0.0,), order: int = DEFAULT_ORDE
     for param in param_grid:
         if family.kind is None:
             # The swept parameter is the rotation angle itself.
-            members = [catalog.make(label, theta=param, order=order)]
+            members = [catalog.make(label, theta=param)]
         else:
             # make reads whichever of lam and alpha the entry takes.
             thetas = theta_grid if family.rotated else (0.0,)
-            members = [
-                catalog.make(label, th, lam=param, alpha=param, order=order) for th in thetas
-            ]
+            members = [catalog.make(label, th, lam=param, alpha=param) for th in thetas]
         values = [functional.delta(f) for f in members]
         rows.append(SweepRow(param=float(param), delta_min=min(values), delta_max=max(values)))
     return rows

@@ -209,8 +209,14 @@ class TestNotes:
         assert d["lower_sharp"] is True
         assert d["lower_witness"] == "f5"
 
+    def test_sharp_exactly_where_a_witness_is_named(self):
+        b = BoundPair(0.0, 1.0, upper_witness="f2")
+        assert (b.lower_sharp, b.upper_sharp) == (False, True)
+        with pytest.raises(AttributeError):
+            b.lower_sharp = True
+
     def test_boundpair_is_frozen(self):
-        b = BoundPair(0.0, 1.0, False, False)
+        b = BoundPair(0.0, 1.0)
         with pytest.raises(AttributeError):
             b.lower = 5.0
 

@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcoef import catalog
 from logcoef.catalog import (
@@ -229,6 +231,30 @@ class TestEvaluators:
         assert abs(fpv - ofp) < 1e-9
         assert abs(fppv - ofpp) < 1e-6
 
+    @pytest.mark.parametrize("z", [1.0 - 1e-6, -(1.0 - 1e-6), 1.0 - 1e-9])
+    def test_rational_keeps_precision_next_to_pole(self, z):
+        # koebe's pole at 1 and the zero of f' at -1, against
+        # z/(1 - z)^2, (1 + z)/(1 - z)^3 and (4 + 2z)/(1 - z)^4.
+        fv, fpv, fppv = koebe(0.0).eval(z)
+        assert fv == pytest.approx(z / (1.0 - z) ** 2, rel=1e-12)
+        assert fpv == pytest.approx((1.0 + z) / (1.0 - z) ** 3, rel=1e-12)
+        assert fppv == pytest.approx((4.0 + 2.0 * z) / (1.0 - z) ** 4, rel=1e-12)
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda: m_alpha_upper(1e-20), "rule out of range"),
+        (lambda: g_alpha_upper(5e-324), "rule out of range"),
+        (lambda: k_theta_alpha(0.0, 9e307), "rule out of range"),
+        (lambda: k_theta_alpha(0.0, 4e17), "values overflow at alpha"),
+    ], ids=["m_1e-20", "g_5e-324", "k_9e307", "k_4e17"])
+    def test_extreme_alpha_evaluation_refused(self, build, match):
+        # The rule's panel counts divide by zero or overflow; at huge alpha
+        # the powers of u overflow from u's roundoff alone.
+        f = build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                f.eval(0.5)
+
     def test_evaluator_vectorized(self):
         f = f3(0.5, 0.2)
         z = np.array([0.1, 0.2j, -0.3 + 0.1j])
@@ -387,6 +413,36 @@ class TestValidation:
         # alpha whose quadrature rule fits under the node cap (about 4e-4).
         for f in (k_theta_alpha(0.7, 1e-4), m_alpha_upper(1e-4)):
             assert np.isfinite(f.series.coeffs).all()
+
+    CONSTRUCTORS = {
+        "koebe": lambda x, y: koebe(x),
+        "f1": lambda x, y: f1(x),
+        "f2": lambda x, y: f2(x),
+        "f3": lambda x, y: f3(x, y),
+        "f4": lambda x, y: f4(x),
+        "f5": lambda x, y: f5(x),
+        "k_theta_alpha": lambda x, y: k_theta_alpha(y, x),
+        "m_alpha_upper": lambda x, y: m_alpha_upper(x),
+        "g_alpha_upper": lambda x, y: g_alpha_upper(x),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(CONSTRUCTORS)), x=st.floats(), y=st.floats())
+    def test_constructor_finite_or_refused(self, name, x, y):
+        try:
+            f = self.CONSTRUCTORS[name](x, y)
+        except ValueError:
+            return
+        assert np.isfinite(f.series.coeffs).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(label=st.sampled_from(LABELS), theta=st.floats(), lam=st.floats(), alpha=st.floats())
+    def test_make_finite_or_refused(self, label, theta, lam, alpha):
+        try:
+            f = make(label, theta=theta, lam=lam, alpha=alpha)
+        except ValueError:
+            return
+        assert np.isfinite(f.series.coeffs).all()
 
 
 class TestMake:

@@ -1,12 +1,16 @@
 """Tests for class specifications, membership margins, and coefficient checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
+    LABELS,
     AnalyticFunction,
     f1,
     f3,
@@ -17,22 +21,21 @@ from logcoef.catalog import (
     k_theta_alpha,
     koebe,
     m_alpha_upper,
+    make,
 )
 from logcoef.classes import (
+    KINDS,
     MAX_ANGULAR,
     SERIES_TAIL_BUDGET,
     ClassSpec,
     MembershipReport,
-    SchwarzPoint,
     SingularSampleError,
     asserted_memberships,
     coeff_bound_A_check,
     e11_slack,
     eq10_slack,
     g_coefficients_from_schwarz,
-    g_schwarz_map,
     m_coefficients_from_schwarz,
-    m_schwarz_map,
     membership_margin,
     membership_test,
     u_aux_check,
@@ -108,26 +111,6 @@ class TestClassSpec:
         assert ClassSpec.of("S") == ClassSpec("S")
 
 
-class TestSchwarzPoint:
-    def test_accepts_boundary(self):
-        SchwarzPoint(1.0, 0.0)
-        SchwarzPoint(0.0, 1.0)
-        SchwarzPoint(0.6, 0.64)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            SchwarzPoint(1.1, 0.0)
-        with pytest.raises(ValueError):
-            SchwarzPoint(0.8, 0.5)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match=r"\|c1\| = .* exceeds 1"):
-            SchwarzPoint(bad, 0.0)
-        with pytest.raises(ValueError, match=r"\|c2\| = .* exceeds"):
-            SchwarzPoint(0.0, bad)
-
-
 class TestMargins:
     def test_u_margin_of_quadratic_rational(self):
         # For z/q with quadratic q the U expression is 1 - (z/f)^2 f' = c z^2,
@@ -195,6 +178,59 @@ class TestMargins:
         f = entry_from_coeffs([0, 1, -2])
         with pytest.raises(SingularSampleError):
             membership_margin(f, ClassSpec("U", lam=1.0), 0.5)
+
+
+class TestClosedFormNearPoles:
+    """The rational entries keep their margins next to a pole on the circle."""
+
+    def test_koebe_starlike_next_to_its_pole(self):
+        rep = membership_test(koebe(0.0), ClassSpec("M", alpha=0.0), radii=(0.999999999,))
+        assert rep.skipped == 0
+        assert rep.passed
+
+    def test_koebe_g_margin_next_to_its_pole(self):
+        # koebe has 1 + z f''/f' = (1 + 4z + z^2) / ((1 - z)(1 + z)).
+        z = 0.999999 * np.exp(2j * np.pi * np.arange(256) / 256)
+        got = np.array([membership_margin(koebe(0.0), ClassSpec("G", alpha=1.0), w) for w in z])
+        exact = 1.5 - ((1.0 + 4.0 * z + z * z) / ((1.0 - z) * (1.0 + z))).real
+        assert np.max(np.abs(got - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("z", [1e-310, 1e-310j])
+    def test_subnormal_point_refused(self, z):
+        with pytest.raises(ValueError, match="margins overflow"):
+            membership_margin(koebe(), ClassSpec("U", lam=1.0), z)
+
+    def test_overflowing_margin_refused(self):
+        # f and f' are finite and nonzero; the M(1e308) margin's terms overflow.
+        with pytest.raises(ValueError, match=r"M\(1e\+308\) margin overflows"):
+            membership_margin(koebe(), ClassSpec("M", alpha=1e308), 0.5)
+
+    def test_subnormal_radius_refused(self):
+        tiny = sys.float_info.min  # the smallest normal float
+        with pytest.raises(ValueError, match="radii"):
+            membership_test(koebe(), ClassSpec("U", lam=1.0), radii=(0.5 * tiny,))
+        assert membership_test(koebe(), ClassSpec("U", lam=1.0), radii=(tiny,), angular=8).passed
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        label=st.sampled_from(LABELS),
+        theta=st.floats(),
+        param=st.floats(),
+        kind=st.sampled_from(KINDS),
+        class_param=st.floats(),
+        x=st.floats(),
+        y=st.floats(),
+    )
+    def test_margin_finite_or_refused(self, label, theta, param, kind, class_param, x, y):
+        try:
+            f = make(label, theta=theta, lam=param, alpha=param)
+            spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, class_param)
+            v = membership_margin(f, spec, complex(x, y))
+        except ValueError:
+            return
+        assert math.isfinite(v)
 
 
 def k_series_only(order=64):
@@ -347,43 +383,47 @@ class TestMembershipTest:
 
 class TestSchwarzMaps:
     def test_m_map_recovers_koebe(self):
-        assert m_schwarz_map(SchwarzPoint(-1.0, 0.0), 0.0) == (2.0, 3.0)
+        assert m_coefficients_from_schwarz(-1.0, 0.0, 0.0) == (2.0, 3.0)
 
     def test_m_map_odd_direction(self):
-        a2, a3 = m_schwarz_map(SchwarzPoint(0.0, -1.0), 0.7)
+        a2, a3 = m_coefficients_from_schwarz(0.0, -1.0, 0.7)
         assert a2 == 0.0
         assert a3 == pytest.approx(1.0 / 2.4, abs=1e-15)
 
     def test_m_map_head_matches_series_extremal(self):
         f = m_alpha_upper(1.5, order=64)
-        a2, a3 = m_schwarz_map(SchwarzPoint(0.0, -1.0), 1.5)
+        a2, a3 = m_coefficients_from_schwarz(0.0, -1.0, 1.5)
         assert abs(f.a(2) - a2) < 1e-12
         assert abs(f.a(3) - a3) < 1e-12
 
     def test_m_map_head_matches_k_family(self):
         f = k_theta_alpha(0.0, 0.8, order=64)
-        a2, _ = m_schwarz_map(SchwarzPoint(-1.0, 0.0), 0.8)
+        a2, _ = m_coefficients_from_schwarz(-1.0, 0.0, 0.8)
         assert abs(f.a(2) - a2) < 1e-12
 
     def test_g_map_example(self):
-        a2, a3 = g_schwarz_map(SchwarzPoint(1.0, 0.0), 0.5)
+        a2, a3 = g_coefficients_from_schwarz(1.0, 0.0, 0.5)
         assert a2 == 0.25
         assert a3 == pytest.approx(-1.0 / 24.0, abs=1e-16)
 
     def test_g_map_head_matches_series_extremal(self):
         f = g_alpha_upper(0.6)
-        a2, a3 = g_schwarz_map(SchwarzPoint(0.0, -1.0), 0.6)
+        a2, a3 = g_coefficients_from_schwarz(0.0, -1.0, 0.6)
         assert abs(f.a(2) - a2) < 1e-15
         assert abs(f.a(3) - a3) < 1e-15
 
     def test_maps_rotate_equivariantly(self):
-        # c1 -> w c1, c2 -> w^2 c2 must give a2 -> w a2, a3 -> w^2 a3
+        # c1 -> w c1, c2 -> w^2 c2 must give a2 -> w a2, a3 -> w^2 a3, pointwise
+        # over an array of body points.
         w = np.exp(0.9j)
-        for mapper, alpha in [(m_schwarz_map, 1.3), (g_schwarz_map, 0.7)]:
-            a2, a3 = mapper(SchwarzPoint(0.4 + 0.1j, 0.3 - 0.2j), alpha)
-            b2, b3 = mapper(SchwarzPoint(w * (0.4 + 0.1j), w * w * (0.3 - 0.2j)), alpha)
-            assert abs(b2 - w * a2) < 1e-14
-            assert abs(b3 - w * w * a3) < 1e-14
+        c1 = np.array([0.4 + 0.1j, -0.2j, 0.9])
+        c2 = np.array([0.3 - 0.2j, 0.5, 0.1j])
+        maps = [(m_coefficients_from_schwarz, 1.3), (g_coefficients_from_schwarz, 0.7)]
+        for mapper, alpha in maps:
+            a2, a3 = mapper(c1, c2, alpha)
+            b2, b3 = mapper(w * c1, w * w * c2, alpha)
+            assert np.all(np.abs(b2 - w * a2) < 1e-14)
+            assert np.all(np.abs(b3 - w * w * a3) < 1e-14)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ confirm the repr serialization reproduces the in-memory doubles.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import re
 
 import pytest
 
-from logcoef import catalog, functional
+from logcoef import bounds, catalog, functional
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.catalog import f4, f5
 from logcoef.classes import ClassSpec
@@ -296,7 +297,7 @@ class TestVerify:
     def test_quick_battery_passes(self, run):
         code, out, _ = run("verify")
         assert code == 0
-        assert "passed 50/50" in out
+        assert "passed 54/54" in out
         assert "FAIL" not in out
 
     def test_output_is_deterministic(self, run):
@@ -309,8 +310,50 @@ class TestVerify:
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["name", "passed", "detail"]
-        assert len(rows) == 50
+        assert len(rows) == 54
         assert all(r[1] == "true" for r in rows)
+
+
+    # The class instances verify checks witnesses at: S and criterion 5's mesh.
+    WITNESS_MESH = (
+        [("S", None)]
+        + [("U", x) for x in (0.1, 0.25, 0.5, 0.75, 1.0)]
+        + [("M", x) for x in (0.0, 0.5, 1.0, M_BRANCH_ALPHA, 2.0, 5.0)]
+        + [("G", x) for x in (0.25, 0.5, 0.75, 1.0)]
+    )
+
+    def test_one_row_per_named_witness(self, run):
+        code, out, _ = run("verify", "--format", "json")
+        assert code == 0
+        rows = [c for c in json.loads(out)["checks"] if " witness " in c["name"]]
+        expected = []
+        for kind, param in self.WITNESS_MESH:
+            spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, param)
+            pair = bound_delta(spec)
+            for side in ("lower", "upper"):
+                label = getattr(pair, f"{side}_witness")
+                if label is not None:
+                    expected.append((spec.label(), side, label))
+        got = [(name.split()[0], name.split()[1], name.split()[3].split("(")[0])
+               for name in (r["name"] for r in rows)]
+        assert got == expected
+        for r in rows:
+            d, bound = (float(v.split("=")[1]) for v in r["detail"].split())
+            assert r["passed"] and abs(d - bound) <= 1e-12
+
+    def test_wrong_witness_fails_only_its_rows(self, run, monkeypatch):
+        real = bounds.bound_delta
+
+        def f3_as_u_lower(spec):
+            pair = real(spec)
+            return dataclasses.replace(pair, lower_witness="f3") if spec.kind == "U" else pair
+
+        monkeypatch.setattr(bounds, "bound_delta", f3_as_u_lower)
+        code, out, _ = run("verify", "--format", "json")
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        lams = ("0.1", "0.25", "0.5", "0.75", "1")
+        assert failed == [f"U({x}) lower witness f3(lam={x}, theta=0)" for x in lams]
 
 
 class TestSearch:

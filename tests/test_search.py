@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcoef import catalog, search
 from logcoef.bounds import (
@@ -15,6 +17,7 @@ from logcoef.bounds import (
 )
 from logcoef.catalog import g_quadratic
 from logcoef.classes import (
+    KINDS,
     ClassSpec,
     g_coefficients_from_schwarz,
     m_coefficients_from_schwarz,
@@ -58,6 +61,45 @@ class TestBodyDelta:
         out = body_delta(ClassSpec("U", lam=1.0), m1, 0.5, 0.0)
         assert out.shape == (3,)
         assert out[0] == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("spec, m1, m2, phase", [
+        (ClassSpec("M", alpha=1.0), math.nan, 0.5, 0.0),
+        (ClassSpec("M", alpha=1.0), math.inf, 0.0, 0.0),
+        (ClassSpec("M", alpha=1.0), 1e308, 0.0, 0.0),
+        (ClassSpec("M", alpha=1.0), 0.5, 0.76, 0.0),
+        (ClassSpec("G", alpha=0.5), 0.5, -0.1, 0.0),
+        (ClassSpec("U", lam=0.5), 1.6, 0.1, 0.0),
+        (ClassSpec("U", lam=0.5), -0.1, 0.1, 0.0),
+        (ClassSpec("U", lam=0.5), 0.5, 0.6, 0.0),
+        (ClassSpec("S"), 0.5, 0.5, math.inf),
+        (ClassSpec("S"), np.array([0.5, math.nan]), 0.5, 0.0),
+    ], ids=[
+        "m1_nan", "m1_inf", "m1_huge", "m2_over_cap", "m2_negative", "m1_over_range",
+        "m1_negative", "m2_over_lam", "phase_inf", "one_bad_in_array",
+    ])
+    def test_refuses_points_off_the_body(self, spec, m1, m2, phase):
+        with pytest.raises(ValueError, match="body points must be finite"):
+            body_delta(spec, m1, m2, phase)
+
+    def test_refuses_an_overflowing_map(self):
+        with pytest.raises(ValueError, match="coefficient map of M.* overflows"):
+            body_delta(ClassSpec("M", alpha=1e200), 0.0, 0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        param=st.floats(),
+        m1=st.floats(),
+        m2=st.floats(),
+        phase=st.floats(),
+    )
+    def test_finite_or_refused(self, kind, param, m1, m2, phase):
+        try:
+            spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, param)
+            d = body_delta(spec, m1, m2, phase)
+        except ValueError:
+            return
+        assert np.isfinite(d)
 
 
 class TestBodySearch:
@@ -240,20 +282,20 @@ class TestFamilySweep:
             assert row.delta_max == pytest.approx(-0.5, abs=1e-12)
 
     def test_k_family_theta_invariant(self):
-        rows = family_sweep("k_theta_alpha", [0.0, 1.0], theta_grid=(0.0, 1.3), order=64)
+        rows = family_sweep("k_theta_alpha", [0.0, 1.0], theta_grid=(0.0, 1.3))
         for row in rows:
             assert row.delta_max - row.delta_min < 1e-12
         assert rows[0].delta_min == pytest.approx(-0.5, abs=1e-12)
         assert rows[1].delta_min == pytest.approx(-0.25, abs=1e-12)
 
     def test_m_upper_family_attains_bound(self):
-        for row in family_sweep("m_alpha_upper", [0.0, 0.5, 2.0], order=64):
+        for row in family_sweep("m_alpha_upper", [0.0, 0.5, 2.0]):
             assert row.delta_max == pytest.approx(
                 0.5 / (1.0 + 2.0 * row.param), abs=1e-9
             )
 
     def test_g_upper_family_attains_bound(self):
-        for row in family_sweep("g_alpha_upper", [0.25, 1.0], order=64):
+        for row in family_sweep("g_alpha_upper", [0.25, 1.0]):
             assert row.delta_max == pytest.approx(row.param / 12.0, abs=1e-9)
 
     def test_not_sweepable(self):
