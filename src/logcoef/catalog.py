@@ -30,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .classes import ClassSpec
 from .series import DEFAULT_ORDER, NormalizedSeries, TruncatedSeries, exp_unit, log_unit, pow_real
 
 
@@ -183,9 +184,8 @@ def f3(lam: float, theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFu
 
     Requires 0 < lam <= 1.
     """
-    _check_finite(("theta", theta), ("lambda", lam))
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"f3 requires 0 < lambda <= 1, got {lam}")
+    _check_finite(("theta", theta))
+    ClassSpec.of("U", lam)  # refuses lam outside U's range
     w = np.exp(1j * theta)
     return _quadratic_rational(
         "f3", 0.0, -lam * w, {"lam": float(lam), "theta": float(theta)}, order
@@ -407,9 +407,8 @@ def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> Ana
     positive alpha a high-order series leaves double-precision range and the
     build is refused with ValueError; the evaluator has no such limit.
     """
-    _check_finite(("theta", theta), ("alpha", alpha))
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_finite(("theta", theta))
+    ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     if alpha == 0:
         return koebe(theta, order=order)
     params = {"theta": float(theta), "alpha": float(alpha)}
@@ -423,9 +422,7 @@ def m_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     The integral entry with the one factor (1 - z^2)^{-1/alpha} and outer
     power alpha.  At alpha = 0 it is z / (1 - z^2) in closed form.
     """
-    _check_finite(("alpha", alpha))
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     if alpha == 0:
         return _quadratic_rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0}, order)
     factors = [((1.0, 0.0, -1.0), -1.0 / alpha)]
@@ -439,9 +436,7 @@ def g_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     (1 - z^2)^(alpha/2) and outer power 1, so f' = h and f''/f' = h'/h are
     closed forms and only f comes by quadrature.
     """
-    _check_finite(("alpha", alpha))
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"g_alpha_upper requires 0 < alpha <= 1, got {alpha}")
+    ClassSpec.of("G", alpha)  # refuses alpha outside G's range
     factors = [((1.0, 0.0, -1.0), 0.5 * alpha)]
     return _integral_entry("g_alpha_upper", factors, 1.0, {"alpha": float(alpha)}, order)
 

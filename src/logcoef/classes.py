@@ -13,10 +13,13 @@ negative where it fails; a membership test reports the worst margin seen on a
 polar grid together with the witness point.  Full-disk membership (class S)
 has no pointwise criterion of this kind and is rejected explicitly.
 
-`m_coefficients_from_schwarz` and `g_coefficients_from_schwarz` translate
-points of the Schwarz body {|c_1| <= 1, |c_2| <= 1 - |c_1|^2}, scalars or
-ndarrays, into the (a_2, a_3) pairs of hypothetical members, which is what
-the search module sweeps over.
+Each class also has a coefficient body, one row of `_body`: a body point
+(m, w) with 0 <= |m| <= reach and |w| <= cap(|m|) maps to a_2 = s m and
+a_3 = q a_2^2 + t w.  For U(lam) (and S, read as U(1)) the point is
+(|a_2|, a_3 - a_2^2) with cap lam; for M and G it is the Schwarz coefficients
+(c_1, c_2) with cap 1 - |c_1|^2.  The Schwarz maps, the coefficient slacks
+|t| cap(|a_2/s|) - |a_3 - q a_2^2| and the search module's body all read
+that row.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import catalog
 
 KINDS = ("S", "U", "M", "G")
 
@@ -182,41 +183,47 @@ def _values(f, zs: np.ndarray, r: float):
 
 
 def _margins(f, spec: ClassSpec, zs: np.ndarray, r: float) -> np.ndarray:
-    """Margins at an array of sample points; singular samples become NaN."""
-    F, F1, F2 = _values(f, zs, r)
-    F = np.asarray(F, dtype=complex)
-    F1 = np.asarray(F1, dtype=complex)
-    F2 = np.asarray(F2, dtype=complex)
+    """Margins at an array of sample points.
+
+    A sample where the margin divides by zero, at f = 0 for U and M or at
+    f' = 0 for M and G, is singular and becomes NaN.  Any other margin that
+    is not finite is refused with ValueError, naming the first such point.
+    """
+    F, F1, F2 = (np.asarray(x, dtype=complex) for x in _values(f, zs, r))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind == "U":
             v = spec.lam - np.abs((zs / F) ** 2 * F1 - 1.0)
-            bad = (F == 0) | ~np.isfinite(v)
+            singular = F == 0
         elif spec.kind == "M":
             a = spec.alpha
             j = (1.0 - a) * zs * F1 / F + a * (1.0 + zs * F2 / F1)
             v = j.real
-            bad = (F == 0) | (F1 == 0) | ~np.isfinite(v)
+            singular = (F == 0) | (F1 == 0)
         elif spec.kind == "G":
             a = spec.alpha
             v = 1.0 + 0.5 * a - (1.0 + zs * F2 / F1).real
-            bad = (F1 == 0) | ~np.isfinite(v)
+            singular = F1 == 0
         else:
             raise ValueError("class S has no pointwise membership criterion")
-    v = np.where(bad, np.nan, v)
+    v = np.where(singular, np.nan, v)
     # At z = 0 every margin has a removable limit: lam for U, 1 for M, alpha/2 for G.
     at0 = zs == 0
     if np.any(at0):
         limit = {"U": spec.lam, "M": 1.0, "G": 0.5 * (spec.alpha or 0.0)}[spec.kind]
         v = np.where(at0, limit, v)
+    over = np.flatnonzero(~np.isfinite(v) & ~singular)
+    if over.size:
+        raise ValueError(f"the {spec.label()} margin overflows at z = {complex(zs[over[0]])}")
     return v
 
 
 def membership_margin(f, spec: ClassSpec, z: complex) -> float:
     """Margin of the defining inequality at one point.
 
-    Raises SingularSampleError where f or f' vanishes, and ValueError where
-    the margin overflows.  z must be 0 or lie in the open unit disk at least
-    the smallest normal float from 0, as membership_test's radii do.
+    Raises SingularSampleError where the margin divides by zero (see
+    `_margins`), and ValueError where it overflows.  z must be 0 or lie in
+    the open unit disk at least the smallest normal float from 0, as
+    membership_test's radii do.
     """
     z = complex(z)
     # The parts first: abs overflows on parts near the float maximum.
@@ -224,13 +231,10 @@ def membership_margin(f, spec: ClassSpec, z: complex) -> float:
         raise ValueError(f"z must lie inside the unit disk, got {z}")
     if 0.0 < abs(z) < _MIN_RADIUS:
         raise ValueError(f"|z| = {abs(z)!r} is below {_MIN_RADIUS!r}, where the margins overflow")
-    v = _margins(f, spec, np.asarray([z]), abs(z))
-    if not np.isfinite(v[0]):
-        F, F1, _ = _values(f, np.asarray([z]), abs(z))
-        if F[0] == 0 or F1[0] == 0:
-            raise SingularSampleError(f"f or f' vanished at z = {z}")
-        raise ValueError(f"the {spec.label()} margin overflows at z = {z}")
-    return float(v[0])
+    v = float(_margins(f, spec, np.asarray([z]), abs(z))[0])
+    if math.isnan(v):
+        raise SingularSampleError(f"f or f' vanished at z = {z}")
+    return v
 
 
 def membership_test(
@@ -242,7 +246,8 @@ def membership_test(
     """Worst margin of the class inequality over a polar grid.
 
     Samples `angular` equispaced angles on each radius.  Singular samples are
-    skipped, counted, and force a failed report.  The reduction is
+    skipped, counted, and force a failed report; a margin that overflows is
+    refused with ValueError (see `_margins`).  The reduction is
     deterministic: ties on the worst margin resolve to the first point in
     (radius, angle) order.
     """
@@ -288,7 +293,57 @@ def membership_test(
     )
 
 
-# -- coefficient-level checks ------------------------------------------------
+# -- coefficient bodies ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Body:
+    """A class's coefficient body: the body point (m, w), 0 <= |m| <= reach and
+    |w| <= cap(|m|), maps to a_2 = s m and a_3 = q a_2^2 + t w.  `lam` is U's
+    constant cap; None stands for the Schwarz cap 1 - |m|^2."""
+
+    s: float
+    q: float
+    t: float
+    reach: float
+    lam: float | None
+
+    def cap(self, m):
+        m = np.asarray(m, dtype=float)
+        return 1.0 - m * m if self.lam is None else np.full_like(m, self.lam)
+
+    def coefficients(self, m, w):
+        """(a_2, a_3) at body points; broadcasts over ndarrays."""
+        a2 = self.s * np.asarray(m)
+        return a2, self.q * a2 * a2 + self.t * np.asarray(w)
+
+    def slack(self, a2, a3):
+        """|t| cap(|a_2/s|) - |a_3 - q a_2^2|, nonnegative on the body's image."""
+        a2 = np.asarray(a2)
+        free = np.abs(np.asarray(a3) - self.q * a2 * a2)
+        return abs(self.t) * self.cap(np.abs(a2 / self.s)) - free
+
+
+def _body(spec: ClassSpec) -> _Body:
+    """The coefficient body of `spec`, one row per class, S read as U(1).
+
+    For U(lam) the body point is (|a_2|, a_3 - a_2^2); for M and G it is the
+    Schwarz coefficients (c_1, c_2), with |c_2| <= 1 - |c_1|^2.  Refuses,
+    with ValueError, a class whose map overflows: M above alpha ~ 1.3e154,
+    G below alpha ~ 3.7e-309.
+    """
+    a = spec.alpha
+    if spec.kind == "M":
+        q = (a * a + 8.0 * a + 3.0) / (4.0 * (1.0 + 2.0 * a))
+        body = _Body(-2.0 / (1.0 + a), q, -1.0 / (1.0 + 2.0 * a), 1.0, None)
+    elif spec.kind == "G":
+        body = _Body(0.5 * a, -2.0 * (1.0 - a) / (3.0 * a), a / 6.0, 1.0, None)
+    else:
+        lam = 1.0 if spec.kind == "S" else spec.lam
+        body = _Body(1.0, 1.0, 1.0, 1.0 + lam, lam)
+    if not all(map(math.isfinite, (body.s, body.q, body.t))):
+        raise ValueError(f"the coefficient map of {spec.label()} overflows")
+    return body
 
 
 def u_aux_check(f, lam: float) -> tuple[float, float]:
@@ -297,10 +352,9 @@ def u_aux_check(f, lam: float) -> tuple[float, float]:
     |a_3 - a_2^2| <= lam  and  |a_2| <= 1 + lam.
     Returns (lam - |a_3 - a_2^2|, 1 + lam - |a_2|), nonnegative for members.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"U requires 0 < lambda <= 1, got {lam}")
-    a2, a3 = f.a(2), f.a(3)
-    return lam - abs(a3 - a2 * a2), (1.0 + lam) - abs(a2)
+    body = _body(ClassSpec.of("U", lam))
+    a2 = f.a(2)
+    return float(body.slack(a2, f.a(3))), body.reach - abs(a2 / body.s)
 
 
 def m_coefficients_from_schwarz(c1, c2, alpha: float):
@@ -311,13 +365,7 @@ def m_coefficients_from_schwarz(c1, c2, alpha: float):
     c_2 = -[(1 + 2 alpha) a_3 - (alpha^2 + 8 alpha + 3)/4 * a_2^2].
     Accepts scalars or ndarrays.
     """
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    a2 = -2.0 * np.asarray(c1) / (1.0 + alpha)
-    a3 = ((alpha * alpha + 8.0 * alpha + 3.0) / 4.0 * a2 * a2 - np.asarray(c2)) / (
-        1.0 + 2.0 * alpha
-    )
-    return a2, a3
+    return _body(ClassSpec.of("M", alpha)).coefficients(c1, c2)
 
 
 def g_coefficients_from_schwarz(c1, c2, alpha: float):
@@ -327,11 +375,7 @@ def g_coefficients_from_schwarz(c1, c2, alpha: float):
     c_2 = (6/alpha) (a_3 + (2/3) ((1 - alpha)/alpha) a_2^2).
     Accepts scalars or ndarrays.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"G requires 0 < alpha <= 1, got {alpha}")
-    a2 = 0.5 * alpha * np.asarray(c1)
-    a3 = alpha / 6.0 * np.asarray(c2) - (2.0 * (1.0 - alpha) / (3.0 * alpha)) * a2 * a2
-    return a2, a3
+    return _body(ClassSpec.of("G", alpha)).coefficients(c1, c2)
 
 
 def eq10_slack(a2, a3, alpha: float):
@@ -342,13 +386,7 @@ def eq10_slack(a2, a3, alpha: float):
 
     Nonnegative on the image of the Schwarz body.  Accepts ndarrays.
     """
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    a2 = np.asarray(a2)
-    q = 1.0 + 2.0 * alpha
-    lhs = np.abs(np.asarray(a3) - (alpha * alpha + 8.0 * alpha + 3.0) / (4.0 * q) * a2 * a2)
-    rhs = 1.0 / q - (1.0 + alpha) ** 2 / (4.0 * q) * np.abs(a2) ** 2
-    return rhs - lhs
+    return _body(ClassSpec.of("M", alpha)).slack(a2, a3)
 
 
 def e11_slack(a2, a3, alpha: float):
@@ -358,18 +396,12 @@ def e11_slack(a2, a3, alpha: float):
 
     Nonnegative on the image of the Schwarz body.  Accepts ndarrays.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"G requires 0 < alpha <= 1, got {alpha}")
-    a2 = np.asarray(a2)
-    lhs = np.abs(np.asarray(a3) + (2.0 * (1.0 - alpha) / (3.0 * alpha)) * a2 * a2)
-    rhs = (alpha * alpha - 4.0 * np.abs(a2) ** 2) / (6.0 * alpha)
-    return rhs - lhs
+    return _body(ClassSpec.of("G", alpha)).slack(a2, a3)
 
 
 def coeff_bound_A_check(f, alpha: float, n: int) -> float:
     """Slack of |a_n| <= alpha / (n (n - 1)), valid throughout G(alpha)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"G requires 0 < alpha <= 1, got {alpha}")
+    ClassSpec.of("G", alpha)  # refuses alpha outside G's range
     if n < 2:
         raise ValueError(f"bound starts at n = 2, got {n}")
     return alpha / (n * (n - 1.0)) - abs(f.a(n))
@@ -377,6 +409,8 @@ def coeff_bound_A_check(f, alpha: float, n: int) -> float:
 
 def asserted_memberships():
     """Catalog entries paired with the class each is known to belong to."""
+    from . import catalog  # catalog checks its class parameters with ClassSpec
+
     return [
         (catalog.koebe(0.0), ClassSpec("M", alpha=0.0)),
         (catalog.koebe(2.5), ClassSpec("M", alpha=0.0)),

@@ -207,7 +207,7 @@ def _verify_checks(full: bool):
         a2 = catalog.k_theta_alpha(0.0, alpha).a(2)
         add(
             f"series a2 k_theta_alpha(alpha={format_number(alpha)})",
-            abs(a2 - 2.0 / (1.0 + alpha)) <= 1e-6,
+            abs(a2 - 2.0 / (1.0 + alpha)) <= 1e-12,
             f"a2={a2.real!r}",
         )
 

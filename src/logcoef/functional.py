@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TruncatedSeries, log_unit
+from .series import MIN_ORDER, TruncatedSeries, log_unit
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,9 @@ class LogPair:
 def log_coefficients(f, n: int) -> np.ndarray:
     """First n logarithmic coefficients gamma_1..gamma_n of a catalog entry.
 
-    Computed from the series logarithm of f(z)/z.  Requires
-    n <= series order - 1 because dividing by z drops one order.
+    Computed from the series logarithm of f(z)/z, cut after a_{n+1}: the
+    recurrence is triangular, so gamma_1..gamma_n do not depend on the cut.
+    Requires n <= series order - 1 because dividing by z drops one order.
     """
     s = f.series
     if n < 1:
@@ -43,9 +44,8 @@ def log_coefficients(f, n: int) -> np.ndarray:
             f"cannot produce gamma_{n} from a series of order {s.order}; "
             f"need order >= {n + 1}"
         )
-    unit = TruncatedSeries(s.coeffs[1:], order=s.order - 1)
-    L = log_unit(unit)
-    return 0.5 * L.coeffs[1 : n + 1]
+    unit = TruncatedSeries(s.coeffs[1 : n + 2], order=max(n, MIN_ORDER))
+    return 0.5 * log_unit(unit).coeffs[1 : n + 1]
 
 
 def gamma_from_a(a2: complex, a3: complex) -> LogPair:

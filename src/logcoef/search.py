@@ -21,11 +21,7 @@ import numpy as np
 
 from . import catalog, functional
 from .bounds import bound_delta
-from .classes import (
-    ClassSpec,
-    g_coefficients_from_schwarz,
-    m_coefficients_from_schwarz,
-)
+from .classes import ClassSpec, _body
 
 # The searched set is a relaxation of the class, not the class itself.
 BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class"
@@ -42,54 +38,26 @@ MAX_SAMPLES = 10**6
 GUARD_SLACK = 1e-12
 
 
-def _body_geometry(spec: ClassSpec):
-    """(m1 range, m2 cap as a function of m1) for the class's coefficient body.
-
-    U and S bodies live in (|a_2|, |a_3 - a_2^2|); M and G bodies live in the
-    Schwarz coefficients (|c_1|, |c_2|).  Refuses, with ValueError, an M or
-    G class whose coefficient map overflows.
-    """
-    if spec.kind in ("U", "S"):
-        lam = 1.0 if spec.kind == "S" else spec.lam
-        return 1.0 + lam, (lambda x: np.full_like(np.asarray(x, dtype=float), lam))
-    # The maps' largest coefficients, which overflow at extreme alpha.
-    a = spec.alpha
-    top = (a * a + 8.0 * a + 3.0) / 4.0 if spec.kind == "M" else 2.0 * (1.0 - a) / (3.0 * a)
-    if not math.isfinite(top):
-        raise ValueError(f"the coefficient map of {spec.label()} overflows")
-    return 1.0, (lambda x: 1.0 - np.asarray(x, dtype=float) ** 2)
-
-
-def _coeffs_from_body(spec: ClassSpec, m1, m2, phase):
-    """(a_2, a_3) at a body point; broadcasts over array inputs."""
-    m1 = np.asarray(m1, dtype=float)
-    w = np.asarray(m2, dtype=float) * np.exp(1j * np.asarray(phase, dtype=float))
-    if spec.kind in ("U", "S"):
-        return m1.astype(complex), m1 * m1 + w
-    if spec.kind == "M":
-        return m_coefficients_from_schwarz(m1, w, spec.alpha)
-    return g_coefficients_from_schwarz(m1, w, spec.alpha)
-
-
 def body_delta(spec: ClassSpec, m1, m2, phase):
     """delta at body points; broadcasts over array inputs.
 
+    The body of each class, and its map to (a_2, a_3), is `classes._body`.
     Refuses with ValueError a coordinate that is not finite and a point
     outside the body: m1 outside [0, m1 range] or m2 outside [0, cap(m1)].
     """
     m1, m2, phase = (np.asarray(x, dtype=float) for x in (m1, m2, phase))
-    xmax, cap = _body_geometry(spec)
+    body = _body(spec)
     # cap(m1) is computed only once m1 is known to be in range.
     if not (
-        ((0.0 <= m1) & (m1 <= xmax)).all()
-        and ((0.0 <= m2) & (m2 <= cap(m1))).all()
+        ((0.0 <= m1) & (m1 <= body.reach)).all()
+        and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
         and np.isfinite(phase).all()
     ):
         raise ValueError(
-            f"body points must be finite with 0 <= m1 <= {xmax!r} and 0 <= m2 <= cap(m1) "
-            f"for {spec.label()}"
+            f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
+            f"0 <= m2 <= cap(m1) for {spec.label()}"
         )
-    a2, a3 = _coeffs_from_body(spec, m1, m2, phase)
+    a2, a3 = body.coefficients(m1, m2 * np.exp(1j * phase))
     return 0.5 * np.abs(a3 - 0.5 * a2 * a2) - 0.5 * np.abs(a2)
 
 
@@ -128,12 +96,11 @@ class SearchResult:
 
 
 def _reduction(spec: ClassSpec, m1):
-    """(|a_2|, P, L, cap) at m1, where a_3 - a_2^2/2 = P + L w over |w| <= cap."""
-    a2, a3 = _coeffs_from_body(spec, m1, 0.0, 0.0)
-    p = a3 - 0.5 * a2 * a2
-    a2, a3 = _coeffs_from_body(spec, m1, 1.0, 0.0)
-    lin = a3 - 0.5 * a2 * a2 - p
-    return np.abs(a2), p, lin, _body_geometry(spec)[1](m1)
+    """(|a_2|, P, L, cap) at m1, where a_3 - a_2^2/2 = P + L w over |w| <= cap:
+    P = (q - 1/2) a_2^2 and L = t, from the class's body map."""
+    body = _body(spec)
+    a2 = body.s * np.asarray(m1, dtype=float)
+    return np.abs(a2), (body.q - 0.5) * a2 * a2, body.t, body.cap(m1)
 
 
 def _critical_m1(spec: ClassSpec, xmax: float) -> np.ndarray:
@@ -186,12 +153,14 @@ def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
     """
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
-    xmax, _ = _body_geometry(spec)
+    xmax = _body(spec).reach
     closed = np.concatenate(([0.0, xmax], _critical_m1(spec, xmax)))
     x = np.concatenate((closed, np.linspace(0.0, xmax, resolution + 1)))
     _, p, lin, cap = _reduction(spec, x)
-    u = p * np.conj(lin)  # direction of P / L
-    phase_max, phase_min = np.angle(u) % (2.0 * math.pi), np.angle(-u) % (2.0 * math.pi)
+    # P and L are real, so L w lies along P or against it on the real axis.  Their
+    # signs decide which: the product underflows at tiny alpha.
+    phase_max = np.where(np.sign(p) * np.sign(lin) < 0.0, math.pi, 0.0)
+    phase_min = math.pi - phase_max
     m2_min = np.minimum(cap, np.abs(p) / np.abs(lin))
     hi = body_delta(spec, x, cap, phase_max)
     lo = body_delta(spec, x, m2_min, phase_min)
@@ -280,10 +249,10 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     fixed seed (permuted congruential generator)."""
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
-    xmax, m2cap = _body_geometry(spec)
+    body = _body(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
-    m1 = rng.uniform(0.0, xmax, samples)
-    m2 = rng.uniform(0.0, 1.0, samples) * m2cap(m1)
+    m1 = rng.uniform(0.0, body.reach, samples)
+    m2 = rng.uniform(0.0, 1.0, samples) * body.cap(m1)
     phase = rng.uniform(0.0, 2.0 * math.pi, samples)
     d = body_delta(spec, m1, m2, phase)
     pair = bound_delta(spec)

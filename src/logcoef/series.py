@@ -9,8 +9,7 @@ classical differentiate-and-solve recurrences (for ``L = log a``, the relation
 ``L' a = a'`` is solved term by term).  No series composition is involved
 anywhere, and the principal branch is pinned by ``log(1) = 0``.
 
-Coefficients are double precision complex numbers.  Instances are immutable,
-so they can be shared freely between threads.
+Coefficients are double precision complex numbers.  Instances are immutable.
 """
 
 from __future__ import annotations

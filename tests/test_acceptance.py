@@ -50,19 +50,19 @@ def test_criterion_2_series_built_extremals():
     for alpha in (0.0, 0.5, 1.0, 2.0):
         got = functional.delta(catalog.m_alpha_upper(alpha, order=64))
         want = 0.5 / (1.0 + 2.0 * alpha)
-        if abs(got - want) > 1e-6:
+        if abs(got - want) > 1e-12:
             failures.append(f"m_alpha_upper({alpha}): delta={got!r} want={want!r}")
     for alpha in (0.25, 0.5, 1.0):
         got = functional.delta(catalog.g_alpha_upper(alpha, order=64))
         want = alpha / 12.0
-        if abs(got - want) > 1e-6:
+        if abs(got - want) > 1e-12:
             failures.append(f"g_alpha_upper({alpha}): delta={got!r} want={want!r}")
     for alpha in (0.5, 1.0, 2.0, 5.0):
         got = catalog.k_theta_alpha(0.0, alpha, order=64).a(2)
         want = 2.0 / (1.0 + alpha)
-        if abs(got - want) > 1e-6:
+        if abs(got - want) > 1e-12:
             failures.append(f"k_theta_alpha(0,{alpha}): a2={got!r} want={want!r}")
-    _finish(2, "series-built extremals at order 64, 1e-6", failures)
+    _finish(2, "series-built extremals at order 64, 1e-12", failures)
 
 
 def test_criterion_3_bound_formula_identities():

@@ -355,6 +355,11 @@ class TestMembershipTest:
         assert rep.skipped >= 1
         assert not rep.passed
 
+    def test_overflowing_margin_refused(self):
+        # Only a margin that divides by zero is a skipped sample.
+        with pytest.raises(ValueError, match=r"M\(1e\+308\) margin overflows at z = \(0.5\+0j\)"):
+            membership_test(koebe(), ClassSpec("M", alpha=1e308), radii=(0.5,))
+
     def test_radii_validated(self):
         with pytest.raises(ValueError, match="radii"):
             membership_test(f1(), ClassSpec("U", lam=1.0), radii=(0.5, 1.0))
@@ -478,15 +483,14 @@ class TestSlackIdentities:
             e11_slack(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("check, message", [
-        (m_coefficients_from_schwarz, "alpha must be nonnegative"),
-        (eq10_slack, "alpha must be nonnegative"),
-        (g_coefficients_from_schwarz, "G requires 0 < alpha <= 1"),
-        (e11_slack, "G requires 0 < alpha <= 1"),
-    ])
-    def test_non_finite_alpha_refused(self, check, message, alpha):
-        # The M-side checks fail closed like their G twins, with no NaN result.
-        with pytest.raises(ValueError, match=message):
+    @pytest.mark.parametrize(
+        "check",
+        [m_coefficients_from_schwarz, eq10_slack, g_coefficients_from_schwarz, e11_slack],
+        ids=["m_map", "eq10", "g_map", "e11"],
+    )
+    def test_non_finite_alpha_refused(self, check, alpha):
+        # Each check reads its parameter through ClassSpec, with no NaN result.
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
             check(0.1, 0.1, alpha)
 
 
@@ -508,7 +512,8 @@ class TestCoefficientChecks:
 
     @pytest.mark.parametrize("lam", [5.0, 0.0, -0.5, math.nan, math.inf, -math.inf])
     def test_u_aux_refuses_lambda_outside_the_class(self, lam):
-        with pytest.raises(ValueError, match="U requires 0 < lambda <= 1"):
+        message = "U requires 0 < lambda <= 1" if math.isfinite(lam) else "lambda must be finite"
+        with pytest.raises(ValueError, match=message):
             u_aux_check(f3(0.5, 0.0), lam)
 
     def test_coeff_bound_sharp_for_g_extremals(self):

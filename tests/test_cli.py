@@ -210,6 +210,18 @@ class TestGamma:
         assert out == ""
         assert "error: f3 requires lambda" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--function", "f3", "--lambda", "1.5"), "U requires 0 < lambda <= 1, got 1.5"),
+        (("--function", "k_theta_alpha", "--alpha", "-1"), "M requires alpha >= 0, got -1.0"),
+        (("--function", "m_alpha_upper", "--alpha", "-1"), "M requires alpha >= 0, got -1.0"),
+        (("--function", "g_alpha_upper", "--alpha", "1.5"), "G requires 0 < alpha <= 1, got 1.5"),
+    ])
+    def test_parameter_outside_the_class_is_usage_error(self, run, argv, message):
+        code, out, err = run("gamma", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
     def test_unknown_function(self, run):
         code, _, err = run("gamma", "--function", "zeta")
         assert code == 2
@@ -616,6 +628,16 @@ class TestMembership:
         assert "result: PASS" in out
         line = next(x for x in out.splitlines() if x.startswith("margin[0.99] = "))
         assert abs(float(line.split(" = ")[1]) - 0.01 / 1.99) <= 1e-10
+
+    def test_overflowing_margin_is_refused(self, run):
+        # f and f' are finite and nonzero there: not a singular sample.
+        code, out, err = run(
+            "membership", "--function", "koebe", "--class", "M", "--alpha", "1e308",
+            "--radii", "0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: the M(1e+308) margin overflows at z = (0.5+0j)" in err
 
     def test_angular_cap(self, run):
         # Refused before any sample is taken.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from logcoef.catalog import (
+    LABELS,
     AnalyticFunction,
     f1,
     f2,
@@ -17,10 +18,11 @@ from logcoef.catalog import (
     k_theta_alpha,
     koebe,
     m_alpha_upper,
+    make,
     rotate,
 )
 from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
-from logcoef.series import NormalizedSeries, TruncatedSeries
+from logcoef.series import NormalizedSeries, TruncatedSeries, log_unit
 
 
 def entry_from_coeffs(coeffs, order=16):
@@ -46,6 +48,17 @@ class TestLogCoefficients:
             log_coefficients(f, 8)
         with pytest.raises(ValueError, match="n >= 1"):
             log_coefficients(f, 0)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_cut_series_is_bit_identical(self, label):
+        # gamma_1..gamma_n read only a_1..a_{n+1}, so the full-order log must
+        # give the same bits.
+        f = make(label, theta=0.7, lam=0.5, alpha=0.6)
+        s = f.series
+        full = 0.5 * log_unit(TruncatedSeries(s.coeffs[1:], order=s.order - 1)).coeffs
+        for n in range(1, s.order):
+            got = log_coefficients(f, n)
+            np.testing.assert_array_equal(got.view(np.uint64), full[1 : n + 1].view(np.uint64))
 
 
 class TestGammaFromA:

@@ -85,6 +85,15 @@ class TestBodyDelta:
         with pytest.raises(ValueError, match="coefficient map of M.* overflows"):
             body_delta(ClassSpec("M", alpha=1e200), 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("kind, inside, outside", [
+        ("M", 1.3e154, 1.4e154),
+        ("G", 3.8e-309, 3.6e-309),
+    ])
+    def test_overflow_thresholds(self, kind, inside, outside):
+        assert np.isfinite(body_delta(ClassSpec(kind, alpha=inside), 1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match=f"coefficient map of {kind}.* overflows"):
+            body_delta(ClassSpec(kind, alpha=outside), 1.0, 0.0, 0.0)
+
     @settings(max_examples=300, deadline=None)
     @given(
         kind=st.sampled_from(KINDS),
