@@ -44,6 +44,9 @@ print()
 print("== a bare series is refused at radii its order cannot support ==")
 k = k_theta_alpha(0.0, 0.5, order=64)
 bare = AnalyticFunction("k_theta_alpha series", k.series, k.params)  # no evaluator
+# The refusal comes from the entry itself: without an evaluator, bare.eval
+# reads the series and refuses a radius where its tail estimate is too large,
+# and membership_margin passes that refusal on.
 spec = ClassSpec("M", alpha=0.5)
 try:
     membership_margin(bare, spec, -0.99)

@@ -66,7 +66,6 @@ from .search import (
 )
 from .series import (
     DEFAULT_ORDER,
-    NormalizedSeries,
     TruncatedSeries,
     exp_unit,
     log_unit,
@@ -85,7 +84,6 @@ __all__ = [
     "LogPair",
     "M_BRANCH_ALPHA",
     "MembershipReport",
-    "NormalizedSeries",
     "ScanResult",
     "SearchResult",
     "SingularSampleError",

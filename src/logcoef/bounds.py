@@ -4,10 +4,12 @@ gamma_1 and gamma_2 are the first two coefficients of (1/2) log(f(z)/z).
 Every bound here is an explicit algebraic expression in the class parameter;
 piecewise bounds switch branch at a breakpoint where the two expressions
 agree.  Each function refuses, with ClassSpec's ValueError, a parameter that
-is not finite or lies outside its class.  `bound_delta` packages the pair for
-a class instance with, for each side, the catalog label of a member attaining
-it.  It is the one place that names these witnesses: a side is sharp exactly
-when it names one, and `verify` checks each named witness against its side.
+is not finite or lies outside its class; an M function also refuses an alpha
+at which a term of its formula overflows, rather than return a false zero.
+`bound_delta` packages the pair for a class instance with, for each side, the
+catalog label of a member attaining it.  It is the one place that names
+these witnesses: a side is sharp exactly when it names one, and `verify`
+checks each named witness against its side.
 """
 
 from __future__ import annotations
@@ -41,27 +43,42 @@ def u_lower_large_lambda(lam: float) -> float:
 
 
 def m_upper_bound(alpha: float) -> float:
-    """max delta over M(alpha) = 1 / (2 (1 + 2 alpha))."""
+    """max delta over M(alpha) = 1 / (2 (1 + 2 alpha)).
+
+    Refused with ValueError for alpha above about 9e307, where 1 + 2 alpha
+    overflows.
+    """
     ClassSpec.of("M", alpha)
-    return 0.5 / (1.0 + 2.0 * alpha)
+    den = 1.0 + 2.0 * alpha
+    if math.isinf(den):
+        raise ValueError(f"m_upper_bound overflows at alpha = {alpha}")
+    return 0.5 / den
 
 
 def m_lower_small_alpha(alpha: float) -> float:
-    """Lower bound for M(alpha) on 0 <= alpha <= (1 + sqrt 3)/2."""
+    """Lower bound for M(alpha) on 0 <= alpha <= (1 + sqrt 3)/2.
+
+    Refused with ValueError for alpha above about 9.5e153, where
+    2 (alpha^2 + 3 alpha + 1) overflows.
+    """
     ClassSpec.of("M", alpha)
-    return -1.0 / math.sqrt(2.0 * (alpha * alpha + 3.0 * alpha + 1.0))
+    den = 2.0 * (alpha * alpha + 3.0 * alpha + 1.0)
+    if math.isinf(den):
+        raise ValueError(f"m_lower_small_alpha overflows at alpha = {alpha}")
+    return -1.0 / math.sqrt(den)
 
 
 def m_lower_large_alpha(alpha: float) -> float:
     """Lower bound for M(alpha) on alpha >= (1 + sqrt 3)/2.
 
-    Refused with ValueError for alpha above about 1e154, where 6 alpha^2
-    overflows.
+    Refused with ValueError for alpha above about 2.8e102, where the
+    denominator 4 (2 alpha + 1)(alpha^2 + 3 alpha + 1) overflows, before the
+    numerator does.
     """
     ClassSpec.of("M", alpha)
     num = 6.0 * alpha * alpha + 10.0 * alpha + 3.0
     den = 4.0 * (2.0 * alpha + 1.0) * (alpha * alpha + 3.0 * alpha + 1.0)
-    if math.isinf(num):
+    if math.isinf(den):
         raise ValueError(f"m_lower_large_alpha overflows at alpha = {alpha}")
     return -num / den
 
@@ -72,16 +89,16 @@ def m_lower_minimizer(alpha: float) -> float:
     Only meaningful on the branch alpha >= (1 + sqrt 3)/2; below the
     breakpoint the minimum sits at the edge of the admissible |a_2| range
     rather than at this interior point.  Refused with ValueError for alpha
-    above about 9e307, where 1 + 2 alpha overflows.
+    above about 1.3e154, where alpha^2 + 3 alpha + 1 overflows.
     """
     if not M_BRANCH_ALPHA - 1e-12 <= alpha < math.inf:
         raise ValueError(
             f"interior minimizer exists only for alpha >= {M_BRANCH_ALPHA:.6f}, got {alpha}"
         )
-    num = 1.0 + 2.0 * alpha
-    if math.isinf(num):
+    den = alpha * alpha + 3.0 * alpha + 1.0
+    if math.isinf(den):
         raise ValueError(f"m_lower_minimizer overflows at alpha = {alpha}")
-    return num / (alpha * alpha + 3.0 * alpha + 1.0)
+    return (1.0 + 2.0 * alpha) / den
 
 
 def g_upper_bound(alpha: float) -> float:

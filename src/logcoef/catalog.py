@@ -1,11 +1,14 @@
 """Catalog of normalized analytic functions used as extremal witnesses.
 
-Every entry is an :class:`AnalyticFunction`: a normalized Taylor series
-(f(0) = 0, f'(0) = 1) plus an evaluator that returns (f, f', f'') at a point
-or at an ndarray of points of the open unit disk.  Rational entries evaluate
-in closed form.  The entries defined by integrals are f = z u^alpha with
-u = integral_0^1 h(z t^alpha) dt and h = prod P^e over a table of power
-factors, each P of degree <= 2 with P(0) = 1 and its roots on |z| = 1:
+Every entry is an :class:`AnalyticFunction`: a Taylor series, which the
+entry refuses unless it is normalized (f(0) = 0, f'(0) = 1) and finite, plus
+an evaluator that returns (f, f', f'') at a point or at an ndarray of points
+of the open unit disk.  `AnalyticFunction.eval` is the one path from points
+to those values: the evaluator when there is one, else the series, gated by
+its tail estimate.  Rational entries evaluate in closed form.  The entries
+defined by integrals are f = z u^alpha with u = integral_0^1 h(z t^alpha) dt
+and h = prod P^e over a table of power factors, each P of degree <= 2 with
+P(0) = 1 and its roots on |z| = 1:
 
     k_theta_alpha   ((1, -e^{i theta}), -2/alpha)   outer power alpha
     m_alpha_upper   ((1, 0, -1), -1/alpha)          outer power alpha
@@ -16,7 +19,7 @@ f' = u^(alpha - 1) h(z) and f''/f' = (alpha - 1) u'/u + h'/h(z), so only u
 and, for alpha != 1, u'/u come by composite Gauss-Legendre quadrature, on
 panels graded toward both ends from alpha and the largest |z| asked for.
 The series serves the coefficient functionals; membership runs never go
-through it for a catalog entry.
+through it for a catalog entry, since every one has an evaluator.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classes import ClassSpec
-from .series import DEFAULT_ORDER, NormalizedSeries, TruncatedSeries, exp_unit, log_unit, pow_real
+from .classes import ClassSpec, format_number
+from .series import DEFAULT_ORDER, TruncatedSeries, exp_unit, log_unit, pow_real
 
 
 @dataclass(frozen=True)
@@ -87,26 +90,80 @@ def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
     return [min(lo + k * step, hi) for k in range(1 if ends[0] == "(" else 0, n)]
 
 
+# An entry without an evaluator is evaluated from its series, which is
+# refused when the geometric tail estimate of the second-derivative series
+# exceeds this bound.  Every catalog entry has an evaluator; the gate guards
+# series a user builds.
+SERIES_TAIL_BUDGET = 1e-6
+_TAIL_SAFETY = 8.0
+_TAIL_WINDOW = 16
+
+
+def _tail_estimate(coeffs: np.ndarray, r: float) -> float:
+    """Geometric estimate of the dropped tail of sum |a_n| r^n.
+
+    Takes the largest |a_n| r^n over the last few stored coefficients and
+    extends it as a geometric series with ratio r, times a safety factor for
+    polynomially growing coefficients.  Heuristic, but for coefficients that
+    grow at most like a small power of n it overestimates the true tail
+    whenever the window terms are already decaying.
+    """
+    w = min(_TAIL_WINDOW, len(coeffs))
+    k = np.arange(len(coeffs) - w, len(coeffs), dtype=float)
+    window = np.abs(coeffs[-w:]) * r**k
+    return float(window.max() * (r / (1.0 - r)) * _TAIL_SAFETY)
+
+
 @dataclass(frozen=True, eq=False)
 class AnalyticFunction:
-    """A catalog entry: normalized series, parameters, optional evaluator."""
+    """A catalog entry: a normalized series, parameters, optional evaluator.
+
+    Refuses, with ValueError, a series unless a_0 = 0, a_1 = 1 and every
+    coefficient is finite, so a build that overflowed is refused here.
+    """
 
     label: str
-    series: NormalizedSeries
+    series: TruncatedSeries
     params: dict = field(default_factory=dict)
     evaluator: Optional[Callable] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        c = self.series.coeffs
+        if c[0] != 0 or c[1] != 1:
+            raise ValueError("series is not normalized: need a_0 = 0 and a_1 = 1 exactly")
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            n = int(bad[0])
+            raise ValueError(f"series coefficient a_{n} = {c[n]} is not finite")
 
     def a(self, n: int) -> complex:
         """Taylor coefficient a_n."""
         return self.series.coefficient(n)
 
     def eval(self, z):
-        """(f, f', f'') at z, by the evaluator when there is one, else by series."""
+        """(f, f', f'') at z, a point or an ndarray of points of the open disk.
+
+        By the evaluator when there is one, else by the series, which is
+        refused with ValueError at r = max |z| where its tail estimate
+        exceeds SERIES_TAIL_BUDGET.
+        """
         if self.evaluator is not None:
             return self.evaluator(z)
-        s = self.series.series
+        s = self.series
         d1 = s.deriv()
-        return s(z), d1(z), d1.deriv()(z)
+        d2 = d1.deriv()
+        r = float(np.max(np.abs(z), initial=0.0))
+        if not r < 1.0:
+            raise ValueError(f"series evaluation needs |z| < 1, got max |z| = {r}")
+        # Gate on the second-derivative series, the worst-conditioned of the three.
+        est = _tail_estimate(d2.coeffs, r)
+        if est > SERIES_TAIL_BUDGET:
+            raise ValueError(
+                f"series of order {s.order} cannot be trusted at radius {format_number(r)} "
+                f"(tail estimate {est:.2e} > {SERIES_TAIL_BUDGET:.0e}); rebuild the "
+                "entry with a higher order"
+            )
+        return s(z), d1(z), d2(z)
 
 
 def _check_finite(*named):
@@ -139,7 +196,7 @@ def _quadratic_rational(label, b, c, params, order):
     """
     den = TruncatedSeries([1.0, b, c], order=order)
     num = TruncatedSeries([0.0, 1.0], order=order)
-    series = NormalizedSeries(num / den)
+    series = num / den
     p1, p2 = _stable_roots(c, b, 1.0)
     s = cmath.sqrt(c)
 
@@ -365,7 +422,7 @@ def _integral_entry(label, factors, alpha, params, order):
     The series divides h's coefficient b_k by 1 + alpha k and raises the
     result to the alpha power.  Numpy overflow is silenced during the build:
     at small alpha and high order the coefficients overflow, and
-    NormalizedSeries refuses the result, naming the first bad coefficient.
+    AnalyticFunction refuses the result, naming the first bad coefficient.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = functools.reduce(
@@ -375,7 +432,7 @@ def _integral_entry(label, factors, alpha, params, order):
         u = _stable_pow(TruncatedSeries(h.coeffs / (1.0 + alpha * k), order=order), alpha)
     c = np.zeros(order + 1, dtype=complex)
     c[1:] = u.coeffs[:-1]
-    series = NormalizedSeries(TruncatedSeries(c, order=order))
+    series = TruncatedSeries(c, order=order)
 
     def ev(z):
         flat = np.ravel(np.asarray(z, dtype=complex))
@@ -447,12 +504,7 @@ def g_quadratic(order: int = DEFAULT_ORDER) -> AnalyticFunction:
     def ev(z):
         return z - 0.5 * z * z, 1.0 - z, z * 0.0 - 1.0
 
-    return AnalyticFunction(
-        "g_quadratic",
-        NormalizedSeries(TruncatedSeries([0.0, 1.0, -0.5], order=order)),
-        {},
-        ev,
-    )
+    return AnalyticFunction("g_quadratic", TruncatedSeries([0.0, 1.0, -0.5], order=order), {}, ev)
 
 
 def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
@@ -476,9 +528,7 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
 
     params = dict(f.params)
     params["rotated_by"] = float(theta)
-    return AnalyticFunction(
-        f.label, NormalizedSeries(TruncatedSeries(c, order=f.series.order)), params, ev
-    )
+    return AnalyticFunction(f.label, TruncatedSeries(c, order=f.series.order), params, ev)
 
 
 def poles_outside_disk(coeffs) -> tuple[bool, float]:

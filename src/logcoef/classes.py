@@ -10,7 +10,9 @@ function measures:
 
 The margin is positive where the inequality holds with room to spare and
 negative where it fails; a membership test reports the worst margin seen on a
-polar grid together with the witness point.  Full-disk membership (class S)
+polar grid together with the witness point.  The margins read (f, f', f'')
+from `f.eval`, the entry's one evaluation path, so a series the entry cannot
+trust at a sample radius is refused there.  Full-disk membership (class S)
 has no pointwise criterion of this kind and is rejected explicitly.
 
 Each class also has a coefficient body, one row of `_body`: a body point
@@ -38,14 +40,6 @@ MAX_ANGULAR = 10**4
 # Smallest nonzero |z| sampled, the smallest normal float: below it the
 # quotients z/f and z f'/f overflow.
 _MIN_RADIUS = sys.float_info.min
-
-# An entry without an evaluator is evaluated from its series, which is
-# refused when the geometric tail estimate of the second-derivative series
-# exceeds this bound.  Every catalog entry has an evaluator; the gate guards
-# series a user builds.
-SERIES_TAIL_BUDGET = 1e-6
-_TAIL_SAFETY = 8.0
-_TAIL_WINDOW = 16
 
 
 def format_number(x: float) -> str:
@@ -146,50 +140,14 @@ class MembershipReport:
         return d
 
 
-def _tail_estimate(coeffs: np.ndarray, r: float) -> float:
-    """Geometric estimate of the dropped tail of sum |a_n| r^n.
-
-    Takes the largest |a_n| r^n over the last few stored coefficients and
-    extends it as a geometric series with ratio r, times a safety factor for
-    polynomially growing coefficients.  Heuristic, but for coefficients that
-    grow at most like a small power of n it overestimates the true tail
-    whenever the window terms are already decaying.
-    """
-    w = min(_TAIL_WINDOW, len(coeffs))
-    k = np.arange(len(coeffs) - w, len(coeffs), dtype=float)
-    window = np.abs(coeffs[-w:]) * r**k
-    return float(window.max() * (r / (1.0 - r)) * _TAIL_SAFETY)
-
-
-def _series_values(f, zs: np.ndarray, r: float):
-    s = f.series.series
-    d1 = s.deriv()
-    d2 = d1.deriv()
-    # Gate on the second-derivative series, the worst-conditioned of the three.
-    est = _tail_estimate(d2.coeffs, r)
-    if est > SERIES_TAIL_BUDGET:
-        raise ValueError(
-            f"series of order {s.order} cannot be trusted at radius {format_number(r)} "
-            f"(tail estimate {est:.2e} > {SERIES_TAIL_BUDGET:.0e}); rebuild the "
-            "entry with a higher order"
-        )
-    return s(zs), d1(zs), d2(zs)
-
-
-def _values(f, zs: np.ndarray, r: float):
-    if f.evaluator is not None:
-        return f.evaluator(zs)
-    return _series_values(f, zs, r)
-
-
-def _margins(f, spec: ClassSpec, zs: np.ndarray, r: float) -> np.ndarray:
-    """Margins at an array of sample points.
+def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
+    """Margins at an array of sample points, from (f, f', f'') by `f.eval`.
 
     A sample where the margin divides by zero, at f = 0 for U and M or at
     f' = 0 for M and G, is singular and becomes NaN.  Any other margin that
     is not finite is refused with ValueError, naming the first such point.
     """
-    F, F1, F2 = (np.asarray(x, dtype=complex) for x in _values(f, zs, r))
+    F, F1, F2 = (np.asarray(x, dtype=complex) for x in f.eval(zs))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind == "U":
             v = spec.lam - np.abs((zs / F) ** 2 * F1 - 1.0)
@@ -231,7 +189,7 @@ def membership_margin(f, spec: ClassSpec, z: complex) -> float:
         raise ValueError(f"z must lie inside the unit disk, got {z}")
     if 0.0 < abs(z) < _MIN_RADIUS:
         raise ValueError(f"|z| = {abs(z)!r} is below {_MIN_RADIUS!r}, where the margins overflow")
-    v = float(_margins(f, spec, np.asarray([z]), abs(z))[0])
+    v = float(_margins(f, spec, np.asarray([z]))[0])
     if math.isnan(v):
         raise SingularSampleError(f"f or f' vanished at z = {z}")
     return v
@@ -261,7 +219,7 @@ def membership_test(
     angles = 2.0 * np.pi * np.arange(angular) / angular
     ring = np.exp(1j * angles)
 
-    rows = [_margins(f, spec, r * ring, r) for r in radii]
+    rows = [_margins(f, spec, r * ring) for r in radii]
 
     worst = np.inf
     witness = complex(radii[0] * ring[0])

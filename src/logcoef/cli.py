@@ -85,8 +85,11 @@ def _emit(args, payload, text_lines, rows, header=None) -> None:
     else:
         out = "\n".join(text_lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(out)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out}: {e.strerror or e}") from e
     else:
         sys.stdout.write(out)
 

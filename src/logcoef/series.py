@@ -10,6 +10,8 @@ classical differentiate-and-solve recurrences (for ``L = log a``, the relation
 anywhere, and the principal branch is pinned by ``log(1) = 0``.
 
 Coefficients are double precision complex numbers.  Instances are immutable.
+A series here carries no normalization: a catalog entry's a_0 = 0, a_1 = 1
+is checked by `catalog.AnalyticFunction`, which holds a plain series.
 """
 
 from __future__ import annotations
@@ -152,7 +154,8 @@ class TruncatedSeries:
         """Horner evaluation at z (scalar or ndarray).
 
         No tail-bound estimation happens here; the caller owns the
-        truncation-error budget for the radius it evaluates at.
+        truncation-error budget for the radius it evaluates at
+        (`catalog.AnalyticFunction.eval` gates an entry's series).
         """
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for c in self._c[::-1]:
@@ -160,46 +163,6 @@ class TruncatedSeries:
         if np.ndim(z) == 0:
             return complex(acc)
         return acc
-
-
-class NormalizedSeries:
-    """Series with a_0 = 0 and a_1 = 1, i.e. the normalization f(0) = 0, f'(0) = 1.
-
-    Every coefficient must be finite, so a build that overflowed is refused here.
-    """
-
-    __slots__ = ("_s",)
-
-    def __init__(self, series: TruncatedSeries):
-        c = series.coeffs
-        if c[0] != 0 or c[1] != 1:
-            raise ValueError("series is not normalized: need a_0 = 0 and a_1 = 1 exactly")
-        bad = np.flatnonzero(~np.isfinite(c))
-        if bad.size:
-            n = int(bad[0])
-            raise ValueError(f"series coefficient a_{n} = {c[n]} is not finite")
-        self._s = series
-
-    @property
-    def series(self) -> TruncatedSeries:
-        return self._s
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._s.coeffs
-
-    @property
-    def order(self) -> int:
-        return self._s.order
-
-    def coefficient(self, n: int) -> complex:
-        return self._s.coefficient(n)
-
-    def __call__(self, z):
-        return self._s(z)
-
-    def __repr__(self):
-        return f"NormalizedSeries({self._s!r})"
 
 
 def _div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

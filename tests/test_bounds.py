@@ -258,6 +258,24 @@ class TestFailClosed:
         except ValueError:
             return
         assert math.isfinite(value)
+        if fn.__name__.startswith("m_"):
+            # Every M value is nonzero and representable, so a zero is an
+            # overflow.  U's and G's zeros at subnormal parameters are exact
+            # values below the smallest float.
+            assert value != 0.0
+
+    # The last alpha each M function accepts and the first it refuses, where a
+    # term of its formula overflows, with the formula's leading term there.
+    @pytest.mark.parametrize("fn, last, first, leading", [
+        (m_lower_large_alpha, 2.8219015470611807e102, 2.821901547061181e102, -0.75),
+        (m_lower_small_alpha, 9.480751908109176e153, 9.480751908109177e153, -math.sqrt(0.5)),
+        (m_lower_minimizer, 1.3407807929942596e154, 1.3407807929942597e154, 2.0),
+        (m_upper_bound, 8.988465674311579e307, 8.98846567431158e307, 0.25),
+    ], ids=["m_lower_large_alpha", "m_lower_small_alpha", "m_lower_minimizer", "m_upper_bound"])
+    def test_m_overflow_threshold(self, fn, last, first, leading):
+        assert fn(last) == pytest.approx(leading / last, rel=1e-9)
+        with pytest.raises(ValueError, match=f"{fn.__name__} overflows"):
+            fn(first)
 
     @settings(max_examples=200, deadline=None)
     @given(st.complex_numbers(), st.complex_numbers())

@@ -19,6 +19,7 @@ from logcoef import catalog
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
+    AnalyticFunction,
     f1,
     f2,
     f3,
@@ -33,6 +34,8 @@ from logcoef.catalog import (
     poles_outside_disk,
     rotate,
 )
+from logcoef.classes import ClassSpec, membership_margin
+from logcoef.series import TruncatedSeries
 
 from _oracles import contour_coefficients, fd_derivatives
 
@@ -362,6 +365,71 @@ class TestPoleLocation:
             _, m = poles_outside_disk(c)
             want = np.abs(np.roots(c[::-1])).min()
             assert m == pytest.approx(want, rel=1e-9)
+
+
+class TestNormalization:
+    """An entry refuses a series unless a_0 = 0, a_1 = 1 and every coefficient is finite."""
+
+    def test_accepts_normalized(self):
+        f = AnalyticFunction("adhoc", TruncatedSeries([0, 1, 5], order=4))
+        assert f.series.order == 4
+        assert f.a(2) == 5
+        assert f.series(0.5) == pytest.approx(0.5 + 5 * 0.25)
+
+    def test_rejects_wrong_constant(self):
+        with pytest.raises(ValueError, match="normalized"):
+            AnalyticFunction("adhoc", TruncatedSeries([1e-17, 1], order=4))
+
+    def test_rejects_wrong_linear_term(self):
+        with pytest.raises(ValueError, match="normalized"):
+            AnalyticFunction("adhoc", TruncatedSeries([0, 0.999], order=4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_coefficient(self, bad):
+        with pytest.raises(ValueError, match=r"coefficient a_3 = .* is not finite"):
+            AnalyticFunction("adhoc", TruncatedSeries([0, 1, 2, bad, bad], order=6))
+
+
+def bare_k(order=64):
+    """k_theta_alpha(0, 0.5) without its evaluator, so eval reads the series."""
+    return dataclasses.replace(k_theta_alpha(0.0, 0.5, order=order), evaluator=None)
+
+
+class TestSeriesGate:
+    """eval is the one path from points to (f, f', f''): an entry without an
+    evaluator reads its series, refused where the tail estimate at max |z|
+    exceeds the budget."""
+
+    RING = 0.99 * np.exp(2j * np.pi * np.arange(256) / 256)
+
+    @pytest.mark.parametrize("f", [bare_k(), rotate(bare_k(), 0.7)], ids=["bare", "rotated"])
+    @pytest.mark.parametrize("z", [-0.99, RING], ids=["point", "ring"])
+    def test_refused_near_the_circle(self, f, z):
+        with pytest.raises(ValueError, match="cannot be trusted"):
+            f.eval(z)
+
+    def test_message_is_the_margin_refusal(self):
+        message = (
+            "series of order 64 cannot be trusted at radius 0.99 (tail estimate "
+            "1.26e+07 > 1e-06); rebuild the entry with a higher order"
+        )
+        f = bare_k()
+        for call in (lambda: f.eval(-0.99),
+                     lambda: membership_margin(f, ClassSpec("M", alpha=0.5), -0.99)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize("f", [bare_k(), rotate(bare_k(), 0.7)], ids=["bare", "rotated"])
+    def test_series_values_inside(self, f):
+        s = f.series
+        d1 = s.deriv()
+        assert f.eval(0.3) == (s(0.3), d1(0.3), d1.deriv()(0.3))
+
+    @pytest.mark.parametrize("z", [1.0, -1.5j, complex(math.nan, 0.0)], ids=["1", "-1.5j", "nan"])
+    def test_refused_off_the_disk(self, z):
+        with pytest.raises(ValueError, match=r"needs \|z\| < 1"):
+            bare_k().eval(z)
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     LABELS,
+    SERIES_TAIL_BUDGET,
     AnalyticFunction,
     f1,
     f3,
@@ -26,7 +27,6 @@ from logcoef.catalog import (
 from logcoef.classes import (
     KINDS,
     MAX_ANGULAR,
-    SERIES_TAIL_BUDGET,
     ClassSpec,
     MembershipReport,
     SingularSampleError,
@@ -40,13 +40,11 @@ from logcoef.classes import (
     membership_test,
     u_aux_check,
 )
-from logcoef.series import NormalizedSeries, TruncatedSeries
+from logcoef.series import TruncatedSeries
 
 
 def entry_from_coeffs(coeffs, order=24):
-    return AnalyticFunction(
-        "adhoc", NormalizedSeries(TruncatedSeries(coeffs, order=order)), {}
-    )
+    return AnalyticFunction("adhoc", TruncatedSeries(coeffs, order=order), {})
 
 
 class TestClassSpec:

@@ -304,6 +304,14 @@ class TestBounds:
         assert code == 2
         assert "not lambda" in err
 
+    def test_overflowing_bound_is_usage_error(self, run):
+        # The large-alpha lower bound's denominator overflows past alpha ~ 2.8e102,
+        # which would print a false -0.0.
+        code, out, err = run("bounds", "--class", "M", "--alpha", "1e105")
+        assert code == 2
+        assert out == ""
+        assert err == "error: m_lower_large_alpha overflows at alpha = 1e+105\n"
+
 
 class TestVerify:
     def test_quick_battery_passes(self, run):
@@ -695,6 +703,14 @@ class TestPlumbing:
         data = path.read_bytes()
         assert data.decode("utf-8") == stdout_text
         assert b"\r" not in data
+
+    def test_unwritable_out_is_usage_error(self, run, tmp_path):
+        path = tmp_path / "missing" / "bounds.txt"
+        code, out, err = run("bounds", "--class", "S", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+        assert not path.parent.exists()
 
     def test_no_arguments_is_usage_error(self, run):
         assert run()[0] == 2

@@ -22,13 +22,11 @@ from logcoef.catalog import (
     rotate,
 )
 from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
-from logcoef.series import NormalizedSeries, TruncatedSeries, log_unit
+from logcoef.series import TruncatedSeries, log_unit
 
 
 def entry_from_coeffs(coeffs, order=16):
-    return AnalyticFunction(
-        "adhoc", NormalizedSeries(TruncatedSeries(coeffs, order=order)), {}
-    )
+    return AnalyticFunction("adhoc", TruncatedSeries(coeffs, order=order), {})
 
 
 class TestLogCoefficients:

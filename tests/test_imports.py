@@ -1,10 +1,14 @@
-"""The import graph, checked in fresh interpreters.
+"""The import graph and the package surface, checked in fresh interpreters.
 
 Every module imports on its own, so no import cycle hides behind the order
 in which the package imports them, and the runtime stays numpy-only.
+`python -m logcoef` runs the command line, `__all__` lists every public
+name, and the version matches pyproject.toml.
 """
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,17 +16,18 @@ from pathlib import Path
 import pytest
 
 import logcoef
+from logcoef.cli import main
 
 PACKAGE = Path(logcoef.__file__).resolve().parent
 # __main__ runs the command line when imported.
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
 
 
-def run(code: str) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this copy of logcoef."""
+def run(*argv: str) -> str:
+    """stdout of `python *argv` in a fresh interpreter that imports this copy of logcoef."""
     path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -34,11 +39,12 @@ def run(code: str) -> str:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_on_its_own(module):
-    run(f"import logcoef.{module}")
+    run("-c", f"import logcoef.{module}")
 
 
 def test_package_loads_only_the_standard_library_and_numpy():
     loaded = run(
+        "-c",
         "import sys\n"
         "before = set(sys.modules)\n"
         "import logcoef\n"
@@ -49,3 +55,21 @@ def test_package_loads_only_the_standard_library_and_numpy():
     # Loading numpy.polynomial slows every command's start-up, which is why
     # catalog._gauss_legendre computes its rule by Golub-Welsch, not leggauss.
     assert not [name for name in loaded if (name + ".").startswith("numpy.polynomial.")]
+
+
+def test_main_module_runs_the_command_line(capsys):
+    assert main(["bounds", "--class", "S"]) == 0
+    assert run("-m", "logcoef", "bounds", "--class", "S") == capsys.readouterr().out
+
+
+def test_all_lists_every_public_name():
+    public = {
+        name for name, value in vars(logcoef).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(logcoef.__all__) == sorted(public)
+
+
+def test_version_matches_pyproject():
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert logcoef.__version__ == re.search(r'^version = "([^"]+)"$', text, re.M).group(1)

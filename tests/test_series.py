@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from logcoef.series import (
     DEFAULT_ORDER,
     MIN_ORDER,
-    NormalizedSeries,
     TruncatedSeries,
     exp_unit,
     log_unit,
@@ -196,27 +195,6 @@ class TestTranscendental:
     def test_pow_requires_unit_constant(self):
         with pytest.raises(ValueError, match="constant term"):
             pow_real(TruncatedSeries([0, 1], order=4), 2.0)
-
-
-class TestNormalizedSeries:
-    def test_accepts_normalized(self):
-        n = NormalizedSeries(TruncatedSeries([0, 1, 5], order=4))
-        assert n.order == 4
-        assert n.coefficient(2) == 5
-        assert n(0.5) == pytest.approx(0.5 + 5 * 0.25)
-
-    def test_rejects_wrong_constant(self):
-        with pytest.raises(ValueError, match="normalized"):
-            NormalizedSeries(TruncatedSeries([1e-17, 1], order=4))
-
-    def test_rejects_wrong_linear_term(self):
-        with pytest.raises(ValueError, match="normalized"):
-            NormalizedSeries(TruncatedSeries([0, 0.999], order=4))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
-    def test_rejects_non_finite_coefficient(self, bad):
-        with pytest.raises(ValueError, match=r"coefficient a_3 = .* is not finite"):
-            NormalizedSeries(TruncatedSeries([0, 1, 2, bad, bad], order=6))
 
 
 # -- property-based round trips ---------------------------------------------
