@@ -78,7 +78,7 @@ print()
 
 print("== g_alpha_upper has closed derivatives; its primitive comes by quadrature ==")
 f = g_alpha_upper(1.0)
-fv, fpv, fppv = f.eval(0.3 + 0.2j)
+fv, fpv, fppv = f.evaluator(0.3 + 0.2j)
 print(f"value      f (0.3+0.2i) = {fv:.12f}")
 print(f"derivative f'(0.3+0.2i) = {fpv:.12f}")
 print(f"curvature  f''(0.3+0.2i) = {fppv:.12f}")

@@ -7,7 +7,6 @@ closed-form profiles exactly where those are known.
 """
 
 from logcoef import (
-    AnalyticFunction,
     ClassSpec,
     asserted_memberships,
     f3,
@@ -41,27 +40,19 @@ print(f"worst margin {rep.worst_margin:.3f} at z = {rep.witness:.4f}  -> {'PASS'
 print("(the convexity quotient of the koebe function blows up near the boundary)")
 print()
 
-print("== a bare series is refused at radii its order cannot support ==")
+print("== the alpha-convex extremal k_theta_alpha(0, 0.5), evaluated by quadrature ==")
 k = k_theta_alpha(0.0, 0.5, order=64)
-bare = AnalyticFunction("k_theta_alpha series", k.series, k.params)  # no evaluator
-# The refusal comes from the entry itself: without an evaluator, bare.eval
-# reads the series and refuses a radius where its tail estimate is too large,
-# and membership_margin passes that refusal on.
 spec = ClassSpec("M", alpha=0.5)
-try:
-    membership_margin(bare, spec, -0.99)
-except ValueError as e:
-    print(f"order-64 series at z = -0.99: {e}")
-# At z = -r the exact margin is (1 - r)/(1 + r); the catalog entry evaluates
-# by quadrature and holds it all the way out.
-for name, g, z in [
-    ("order-64 series", bare, -0.3),
-    ("catalog entry", k, -0.3),
-    ("catalog entry", k, -0.99),
-]:
+# At z = -r the exact margin is (1 - r)/(1 + r); the entry's evaluator holds
+# it all the way out to the circle.
+for z in (-0.3, -0.99):
     r = abs(z)
-    print(f"{name:15s} at z = {z:5.2f}: margin {membership_margin(g, spec, z):.12f}"
+    print(f"margin at z = {z:5.2f}: {membership_margin(k, spec, z):.12f}"
           f"   exact {(1 - r) / (1 + r):.12f}")
+# The series is where the coefficients come from; well inside the disk its
+# Horner value agrees with the evaluator.
+print(f"f(-0.3): series (order 64) {k.series(-0.3).real:.12f}"
+      f"   evaluator {k.evaluator(-0.3)[0].real:.12f}")
 print()
 
 print("== the full asserted-membership suite ==")

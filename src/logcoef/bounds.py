@@ -69,18 +69,23 @@ def m_lower_small_alpha(alpha: float) -> float:
 
 
 def m_lower_large_alpha(alpha: float) -> float:
-    """Lower bound for M(alpha) on alpha >= (1 + sqrt 3)/2.
+    """Lower bound for M(alpha) on alpha >= (1 + sqrt 3)/2:
+    -(6 alpha^2 + 10 alpha + 3) / (4 (2 alpha + 1)(alpha^2 + 3 alpha + 1)).
 
-    Refused with ValueError for alpha above about 2.8e102, where the
-    denominator 4 (2 alpha + 1)(alpha^2 + 3 alpha + 1) overflows, before the
-    numerator does.
+    Computed with numerator and denominator divided by alpha^2, so it is
+    refused with ValueError, as overflowing, only for alpha above about
+    2.2e307, where the denominator's 8 alpha overflows.  Refused below the
+    breakpoint, where the formula is not the bound.
     """
     ClassSpec.of("M", alpha)
-    num = 6.0 * alpha * alpha + 10.0 * alpha + 3.0
-    den = 4.0 * (2.0 * alpha + 1.0) * (alpha * alpha + 3.0 * alpha + 1.0)
+    if alpha < M_BRANCH_ALPHA - 1e-12:
+        raise ValueError(
+            f"m_lower_large_alpha holds only for alpha >= {M_BRANCH_ALPHA:.6f}, got {alpha}"
+        )
+    den = 4.0 * (2.0 + 1.0 / alpha) * (alpha + 3.0 + 1.0 / alpha)
     if math.isinf(den):
         raise ValueError(f"m_lower_large_alpha overflows at alpha = {alpha}")
-    return -num / den
+    return -(6.0 + (10.0 + 3.0 / alpha) / alpha) / den
 
 
 def m_lower_minimizer(alpha: float) -> float:

@@ -2,10 +2,10 @@
 
 Every entry is an :class:`AnalyticFunction`: a Taylor series, which the
 entry refuses unless it is normalized (f(0) = 0, f'(0) = 1) and finite, plus
-an evaluator that returns (f, f', f'') at a point or at an ndarray of points
-of the open unit disk.  `AnalyticFunction.eval` is the one path from points
-to those values: the evaluator when there is one, else the series, gated by
-its tail estimate.  Rational entries evaluate in closed form.  The entries
+an evaluator, which every entry must have, that returns (f, f', f'') at a
+point or at an ndarray of points of the open unit disk.  The series is the
+source of the coefficient functionals; the evaluator is the one path from
+points to values.  Rational entries evaluate in closed form.  The entries
 defined by integrals are f = z u^alpha with u = integral_0^1 h(z t^alpha) dt
 and h = prod P^e over a table of power factors, each P of degree <= 2 with
 P(0) = 1 and its roots on |z| = 1:
@@ -18,8 +18,6 @@ Their series expands h and integrates it termwise.  Their evaluator uses
 f' = u^(alpha - 1) h(z) and f''/f' = (alpha - 1) u'/u + h'/h(z), so only u
 and, for alpha != 1, u'/u come by composite Gauss-Legendre quadrature, on
 panels graded toward both ends from alpha and the largest |z| asked for.
-The series serves the coefficient functionals; membership runs never go
-through it for a catalog entry, since every one has an evaluator.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classes import ClassSpec, format_number
+from .classes import ClassSpec
 from .series import DEFAULT_ORDER, TruncatedSeries, exp_unit, log_unit, pow_real
 
 
@@ -90,42 +88,20 @@ def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
     return [min(lo + k * step, hi) for k in range(1 if ends[0] == "(" else 0, n)]
 
 
-# An entry without an evaluator is evaluated from its series, which is
-# refused when the geometric tail estimate of the second-derivative series
-# exceeds this bound.  Every catalog entry has an evaluator; the gate guards
-# series a user builds.
-SERIES_TAIL_BUDGET = 1e-6
-_TAIL_SAFETY = 8.0
-_TAIL_WINDOW = 16
-
-
-def _tail_estimate(coeffs: np.ndarray, r: float) -> float:
-    """Geometric estimate of the dropped tail of sum |a_n| r^n.
-
-    Takes the largest |a_n| r^n over the last few stored coefficients and
-    extends it as a geometric series with ratio r, times a safety factor for
-    polynomially growing coefficients.  Heuristic, but for coefficients that
-    grow at most like a small power of n it overestimates the true tail
-    whenever the window terms are already decaying.
-    """
-    w = min(_TAIL_WINDOW, len(coeffs))
-    k = np.arange(len(coeffs) - w, len(coeffs), dtype=float)
-    window = np.abs(coeffs[-w:]) * r**k
-    return float(window.max() * (r / (1.0 - r)) * _TAIL_SAFETY)
-
-
 @dataclass(frozen=True, eq=False)
 class AnalyticFunction:
-    """A catalog entry: a normalized series, parameters, optional evaluator.
+    """A catalog entry: a normalized series, parameters and an evaluator.
 
     Refuses, with ValueError, a series unless a_0 = 0, a_1 = 1 and every
-    coefficient is finite, so a build that overflowed is refused here.
+    coefficient is finite, so a build that overflowed is refused here, and
+    an evaluator that is not callable.  evaluator(z) returns (f, f', f'')
+    at z, a point or an ndarray of points of the open disk.
     """
 
     label: str
     series: TruncatedSeries
-    params: dict = field(default_factory=dict)
-    evaluator: Optional[Callable] = field(default=None, repr=False)
+    params: dict
+    evaluator: Callable = field(repr=False)
 
     def __post_init__(self):
         c = self.series.coeffs
@@ -135,35 +111,12 @@ class AnalyticFunction:
         if bad.size:
             n = int(bad[0])
             raise ValueError(f"series coefficient a_{n} = {c[n]} is not finite")
+        if not callable(self.evaluator):
+            raise ValueError(f"evaluator must be callable, got {self.evaluator!r}")
 
     def a(self, n: int) -> complex:
         """Taylor coefficient a_n."""
         return self.series.coefficient(n)
-
-    def eval(self, z):
-        """(f, f', f'') at z, a point or an ndarray of points of the open disk.
-
-        By the evaluator when there is one, else by the series, which is
-        refused with ValueError at r = max |z| where its tail estimate
-        exceeds SERIES_TAIL_BUDGET.
-        """
-        if self.evaluator is not None:
-            return self.evaluator(z)
-        s = self.series
-        d1 = s.deriv()
-        d2 = d1.deriv()
-        r = float(np.max(np.abs(z), initial=0.0))
-        if not r < 1.0:
-            raise ValueError(f"series evaluation needs |z| < 1, got max |z| = {r}")
-        # Gate on the second-derivative series, the worst-conditioned of the three.
-        est = _tail_estimate(d2.coeffs, r)
-        if est > SERIES_TAIL_BUDGET:
-            raise ValueError(
-                f"series of order {s.order} cannot be trusted at radius {format_number(r)} "
-                f"(tail estimate {est:.2e} > {SERIES_TAIL_BUDGET:.0e}); rebuild the "
-                "entry with a higher order"
-            )
-        return s(z), d1(z), d2(z)
 
 
 def _check_finite(*named):
@@ -416,6 +369,11 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
     return lh, dh, logv, mv / v
 
 
+# Largest alpha the integral entries are evaluated at: u^alpha and u^(alpha - 1)
+# scale u's roundoff by alpha, and the M margin's relative error is about 4e-13 alpha.
+_MAX_ALPHA = 1e6
+
+
 def _integral_entry(label, factors, alpha, params, order):
     """The entry f = z u^alpha, u = integral_0^1 h(z t^alpha) dt, h = prod P^e over `factors`.
 
@@ -435,9 +393,10 @@ def _integral_entry(label, factors, alpha, params, order):
     series = TruncatedSeries(c, order=order)
 
     def ev(z):
+        if alpha > _MAX_ALPHA:
+            raise ValueError(f"{label} is evaluated only at alpha <= {_MAX_ALPHA:g}, got {alpha!r}")
         flat = np.ravel(np.asarray(z, dtype=complex))
-        # The powers of u scale u's quadrature error by alpha: at huge alpha
-        # they, or the quadrature, overflow, and the values are refused.
+        # A value that is not finite is refused rather than returned.
         with np.errstate(all="ignore"):
             lh, dh, logv, du = _integral_logs(factors, alpha, flat)
             logu = lh + logv
@@ -511,23 +470,21 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     """Disk rotation e^{-i theta} f(e^{i theta} z): a_n -> e^{i(n-1) theta} a_n.
 
     Preserves membership in every rotation-invariant class and each |gamma_n|.
+    params["rotated_by"] adds up the angles of repeated rotations.
     """
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
     c = f.series.coeffs.copy()
     n = np.arange(len(c))
     c[1:] = c[1:] * w ** (n[1:] - 1)
-    base_ev = f.evaluator
-    ev = None
-    if base_ev is not None:
-        wc = complex(w)
+    base, wc = f.evaluator, complex(w)
 
-        def ev(z, _ev=base_ev, _w=wc):
-            fv, fpv, fppv = _ev(_w * z)
-            return fv / _w, fpv, _w * fppv
+    def ev(z):
+        fv, fpv, fppv = base(wc * z)
+        return fv / wc, fpv, wc * fppv
 
     params = dict(f.params)
-    params["rotated_by"] = float(theta)
+    params["rotated_by"] = params.get("rotated_by", 0.0) + float(theta)
     return AnalyticFunction(f.label, TruncatedSeries(c, order=f.series.order), params, ev)
 
 
@@ -535,23 +492,31 @@ def poles_outside_disk(coeffs) -> tuple[bool, float]:
     """Whether every root of a degree <= 2 polynomial lies strictly outside |z| = 1.
 
     Returns (all_outside, smallest_root_modulus).  Quadratic roots come from
-    `_stable_roots`.
+    `_stable_roots`.  Non-finite coefficients are refused with ValueError.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    if not np.isfinite(c).all():
+        raise ValueError(f"polynomial coefficients must be finite, got {coeffs!r}")
     if c.size == 0 or not c.any():
         raise ValueError("zero polynomial has no pole locations")
+    # Scaling by a power of two is exact and moves no root; with every real
+    # and imaginary part below 1, no product in _stable_roots overflows.
+    e = math.frexp(max(np.abs(c.real).max(), np.abs(c.imag).max()))[1]
+    c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
     while len(c) > 1 and c[-1] == 0:
         c = c[:-1]
     if len(c) > 3:
         raise ValueError("only polynomial degree <= 2 is supported")
     if len(c) == 1:
         return True, math.inf
+    # Python complex arithmetic, unlike numpy's, gives inf without a warning
+    # when a root lies beyond the float range (a subnormal leading coefficient).
+    c = [complex(v) for v in c]
     if len(c) == 2:
         m = abs(c[0] / c[1])
-        return m > 1.0, float(m)
-    roots = _stable_roots(*(complex(v) for v in c))
-    m = min(abs(roots[0]), abs(roots[1]))
-    return m > 1.0, float(m)
+    else:
+        m = min(map(abs, _stable_roots(*c)))
+    return bool(m > 1.0), float(m)
 
 
 def make(

@@ -11,9 +11,9 @@ function measures:
 The margin is positive where the inequality holds with room to spare and
 negative where it fails; a membership test reports the worst margin seen on a
 polar grid together with the witness point.  The margins read (f, f', f'')
-from `f.eval`, the entry's one evaluation path, so a series the entry cannot
-trust at a sample radius is refused there.  Full-disk membership (class S)
-has no pointwise criterion of this kind and is rejected explicitly.
+from `f.evaluator`, the entry's one evaluation path, closed form or
+quadrature, and pass on its refusals.  Full-disk membership (class S) has no
+pointwise criterion of this kind and is rejected explicitly.
 
 Each class also has a coefficient body, one row of `_body`: a body point
 (m, w) with 0 <= |m| <= reach and |w| <= cap(|m|) maps to a_2 = s m and
@@ -141,13 +141,13 @@ class MembershipReport:
 
 
 def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
-    """Margins at an array of sample points, from (f, f', f'') by `f.eval`.
+    """Margins at an array of sample points, from (f, f', f'') by `f.evaluator`.
 
     A sample where the margin divides by zero, at f = 0 for U and M or at
     f' = 0 for M and G, is singular and becomes NaN.  Any other margin that
     is not finite is refused with ValueError, naming the first such point.
     """
-    F, F1, F2 = (np.asarray(x, dtype=complex) for x in f.eval(zs))
+    F, F1, F2 = (np.asarray(x, dtype=complex) for x in f.evaluator(zs))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind == "U":
             v = spec.lam - np.abs((zs / F) ** 2 * F1 - 1.0)

@@ -153,9 +153,10 @@ class TruncatedSeries:
     def __call__(self, z):
         """Horner evaluation at z (scalar or ndarray).
 
-        No tail-bound estimation happens here; the caller owns the
-        truncation-error budget for the radius it evaluates at
-        (`catalog.AnalyticFunction.eval` gates an entry's series).
+        The value is that of the stored polynomial: the dropped tail is not
+        estimated, so it approximates the full series only where the caller
+        knows the tail to be negligible.  Catalog entries are evaluated by
+        their evaluators, never by this.
         """
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for c in self._c[::-1]:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestBranches:
         large = m_lower_large_alpha(a)
         assert abs(small - large) <= 1e-12
         assert small == pytest.approx(math.sqrt(3.0) - 2.0, abs=1e-12)
+
+    def test_m_large_branch_matches_exact_rational(self):
+        # Computed with numerator and denominator divided by alpha^2; against
+        # the formula in exact arithmetic at each float alpha.
+        for a in np.geomspace(M_BRANCH_ALPHA, 1e300, 301):
+            x = Fraction(float(a))
+            exact = -(6 * x * x + 10 * x + 3) / (4 * (2 * x + 1) * (x * x + 3 * x + 1))
+            assert abs(m_lower_large_alpha(float(a)) - float(exact)) <= 1e-15 * abs(float(exact))
 
     def test_breakpoint_value(self):
         assert M_BRANCH_ALPHA == 0.5 * (1.0 + math.sqrt(3.0))
@@ -239,11 +248,13 @@ class TestFailClosed:
         (lambda: g_lower_bound(8.0), r"G requires 0 < alpha <= 1, got 8.0"),
         (lambda: u_lower_large_lambda(-1.0), r"U requires 0 < lambda <= 1, got -1.0"),
         (lambda: gamma_from_a(math.nan, 0), "must be finite"),
-        (lambda: m_lower_large_alpha(1e200), "overflows"),
+        (lambda: m_lower_large_alpha(1e308), "overflows"),
+        (lambda: m_lower_large_alpha(1.0), r"holds only for alpha >= 1.366025, got 1.0"),
         (lambda: m_lower_minimizer(1e308), "overflows"),
     ], ids=[
         "m_lower_small_nan", "u_upper_5", "g_upper_inf", "m_upper_neg", "g_lower_8",
-        "u_lower_large_neg", "gamma_from_a_nan", "m_lower_large_huge", "m_minimizer_huge",
+        "u_lower_large_neg", "gamma_from_a_nan", "m_lower_large_huge", "m_lower_large_below",
+        "m_minimizer_huge",
     ])
     def test_refused(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -267,7 +278,7 @@ class TestFailClosed:
     # The last alpha each M function accepts and the first it refuses, where a
     # term of its formula overflows, with the formula's leading term there.
     @pytest.mark.parametrize("fn, last, first, leading", [
-        (m_lower_large_alpha, 2.8219015470611807e102, 2.821901547061181e102, -0.75),
+        (m_lower_large_alpha, 2.2471164185778946e307, 2.247116418577895e307, -0.75),
         (m_lower_small_alpha, 9.480751908109176e153, 9.480751908109177e153, -math.sqrt(0.5)),
         (m_lower_minimizer, 1.3407807929942596e154, 1.3407807929942597e154, 2.0),
         (m_upper_bound, 8.988465674311579e307, 8.98846567431158e307, 0.25),

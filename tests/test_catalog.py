@@ -6,7 +6,6 @@ evaluator (closed form or quadrature).  Derivatives are checked by finite
 differences.
 """
 
-import dataclasses
 import math
 import warnings
 
@@ -34,7 +33,6 @@ from logcoef.catalog import (
     poles_outside_disk,
     rotate,
 )
-from logcoef.classes import ClassSpec, membership_margin
 from logcoef.series import TruncatedSeries
 
 from _oracles import contour_coefficients, fd_derivatives
@@ -147,33 +145,33 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_contour_oracle_agrees_with_series(self, f):
-        got = contour_coefficients(lambda z: f.eval(z)[0], 8, radius=0.5)
+        got = contour_coefficients(lambda z: f.evaluator(z)[0], 8, radius=0.5)
         np.testing.assert_allclose(got, f.series.coeffs[:9], atol=1e-9)
 
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_fd_oracle_agrees_with_derivatives(self, f):
         z = 0.1 + 0.1j
-        fv, fpv, fppv = f.eval(z)
-        of, ofp, ofpp = fd_derivatives(lambda t: f.eval(t)[0], z)
+        fv, fpv, fppv = f.evaluator(z)
+        of, ofp, ofpp = fd_derivatives(lambda t: f.evaluator(t)[0], z)
         assert fv == of
         assert abs(fpv - ofp) < 1e-9
         assert abs(fppv - ofpp) < 1e-6
 
     @pytest.mark.parametrize("f", INTEGRAL_CASES, ids=lambda f: f.label)
     def test_contour_oracle_near_boundary(self, f):
-        got = contour_coefficients(lambda z: f.eval(z)[0], 10, radius=0.95)
+        got = contour_coefficients(lambda z: f.evaluator(z)[0], 10, radius=0.95)
         np.testing.assert_allclose(got, f.series.coeffs[:11], rtol=0, atol=1e-8)
 
     def test_quadrature_node_cap(self):
         # Refused before any node is built.
         with pytest.raises(ValueError, match="more than 100000; the integrand"):
-            k_theta_alpha(0.0, 1e-5).eval(0.5)
+            k_theta_alpha(0.0, 1e-5).evaluator(0.5)
 
     def test_quadrature_evaluator_needs_open_disk(self):
         f = k_theta_alpha(0.0, 0.5)
         for z in (1.0, np.array([0.5, 1.5j]), complex(math.nan, 0.0)):
             with pytest.raises(ValueError, match=r"needs \|z\| < 1"):
-                f.eval(z)
+                f.evaluator(z)
 
     # The factor table of each integral entry, and the outer power, from the entry's alpha.
     FACTORS = {
@@ -221,24 +219,14 @@ class TestEvaluators:
             return nodes
 
         monkeypatch.setattr(catalog, "_graded_rule", counted)
-        f.eval(0.99 * np.exp(2j * np.pi * np.arange(256) / 256))
+        f.evaluator(0.99 * np.exp(2j * np.pi * np.arange(256) / 256))
         assert counts and max(counts) <= most
-
-    def test_series_only_entry_derivatives(self):
-        # The series path of eval, for an entry without an evaluator.
-        f = dataclasses.replace(k_theta_alpha(0.2, 0.8, order=64), evaluator=None)
-        z = 0.15 - 0.1j
-        fv, fpv, fppv = f.eval(z)
-        of, ofp, ofpp = fd_derivatives(lambda t: f.eval(t)[0], z)
-        assert abs(fv - of) < 1e-14
-        assert abs(fpv - ofp) < 1e-9
-        assert abs(fppv - ofpp) < 1e-6
 
     @pytest.mark.parametrize("z", [1.0 - 1e-6, -(1.0 - 1e-6), 1.0 - 1e-9])
     def test_rational_keeps_precision_next_to_pole(self, z):
         # koebe's pole at 1 and the zero of f' at -1, against
         # z/(1 - z)^2, (1 + z)/(1 - z)^3 and (4 + 2z)/(1 - z)^4.
-        fv, fpv, fppv = koebe(0.0).eval(z)
+        fv, fpv, fppv = koebe(0.0).evaluator(z)
         assert fv == pytest.approx(z / (1.0 - z) ** 2, rel=1e-12)
         assert fpv == pytest.approx((1.0 + z) / (1.0 - z) ** 3, rel=1e-12)
         assert fppv == pytest.approx((4.0 + 2.0 * z) / (1.0 - z) ** 4, rel=1e-12)
@@ -246,24 +234,26 @@ class TestEvaluators:
     @pytest.mark.parametrize("build, match", [
         (lambda: m_alpha_upper(1e-20), "rule out of range"),
         (lambda: g_alpha_upper(5e-324), "rule out of range"),
-        (lambda: k_theta_alpha(0.0, 9e307), "rule out of range"),
-        (lambda: k_theta_alpha(0.0, 4e17), "values overflow at alpha"),
-    ], ids=["m_1e-20", "g_5e-324", "k_9e307", "k_4e17"])
+        (lambda: k_theta_alpha(0.0, 9e307), r"evaluated only at alpha <= 1e\+06"),
+        (lambda: k_theta_alpha(0.0, 4e17), r"evaluated only at alpha <= 1e\+06"),
+        (lambda: k_theta_alpha(0.0, 1e7), r"k_theta_alpha is evaluated only at alpha <= 1e\+06"),
+        (lambda: m_alpha_upper(1e7), r"m_alpha_upper is evaluated only at alpha <= 1e\+06"),
+    ], ids=["m_1e-20", "g_5e-324", "k_9e307", "k_4e17", "k_1e7", "m_1e7"])
     def test_extreme_alpha_evaluation_refused(self, build, match):
-        # The rule's panel counts divide by zero or overflow; at huge alpha
-        # the powers of u overflow from u's roundoff alone.
+        # The rule's panel counts divide by zero or overflow; past alpha = 1e6
+        # the powers of u scale its roundoff beyond 1e-6.
         f = build()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
-                f.eval(0.5)
+                f.evaluator(0.5)
 
     def test_evaluator_vectorized(self):
         f = f3(0.5, 0.2)
         z = np.array([0.1, 0.2j, -0.3 + 0.1j])
-        fv, fpv, fppv = f.eval(z)
+        fv, fpv, fppv = f.evaluator(z)
         for i, p in enumerate(z):
-            s = f.eval(complex(p))
+            s = f.evaluator(complex(p))
             assert s[0] == pytest.approx(fv[i], abs=1e-15)
             assert s[1] == pytest.approx(fpv[i], abs=1e-15)
             assert s[2] == pytest.approx(fppv[i], abs=1e-15)
@@ -312,13 +302,18 @@ class TestRotation:
         g = rotate(f3(0.5, 0.0), 0.9)
         h = f3(0.5, 1.8)
         for z in (0.3, 0.2 - 0.4j):
-            gv = g.eval(z)
-            hv = h.eval(z)
+            gv = g.evaluator(z)
+            hv = h.evaluator(z)
             for a, b in zip(gv, hv):
                 assert abs(a - b) < 1e-12
 
     def test_rotation_records_angle(self):
         assert rotate(f2(0.0), 0.25).params["rotated_by"] == 0.25
+
+    def test_repeated_rotation_records_total_angle(self):
+        f = rotate(rotate(koebe(), 0.3), 0.4)
+        assert f.params["rotated_by"] == pytest.approx(0.7, abs=1e-15)
+        assert f.a(2) == pytest.approx(koebe(0.7).a(2), abs=1e-15)
 
 
 class TestPoleLocation:
@@ -358,6 +353,29 @@ class TestPoleLocation:
         with pytest.raises(ValueError, match="degree"):
             poles_outside_disk([1, 1, 1, 1])
 
+    @pytest.mark.parametrize("coeffs", [[math.nan], [1, math.nan], [1, -1, math.inf]])
+    def test_non_finite_coefficient_refused(self, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficients must be finite"):
+                poles_outside_disk(coeffs)
+
+    def test_huge_coefficients(self):
+        # (1 - z/2)^2 scaled by 1e300: the discriminant's terms would overflow.
+        ok, m = poles_outside_disk([1e300, -1e300, 0.25e300])
+        assert ok and m == pytest.approx(2.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=3))
+    def test_finite_or_refused(self, coeffs):
+        # The modulus is inf only for a root beyond the float range, or for a
+        # constant, which has no root.
+        try:
+            ok, m = poles_outside_disk(coeffs)
+        except ValueError:
+            return
+        assert m >= 0.0 and ok == (m > 1.0)
+
     def test_against_numpy_roots(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -367,69 +385,37 @@ class TestPoleLocation:
             assert m == pytest.approx(want, rel=1e-9)
 
 
+def identity(z):
+    return z, z * 0.0 + 1.0, z * 0.0
+
+
 class TestNormalization:
-    """An entry refuses a series unless a_0 = 0, a_1 = 1 and every coefficient is finite."""
+    """An entry refuses a series unless a_0 = 0, a_1 = 1 and every coefficient
+    is finite, and an evaluator that is not callable."""
 
     def test_accepts_normalized(self):
-        f = AnalyticFunction("adhoc", TruncatedSeries([0, 1, 5], order=4))
+        f = AnalyticFunction("adhoc", TruncatedSeries([0, 1, 5], order=4), {}, identity)
         assert f.series.order == 4
         assert f.a(2) == 5
         assert f.series(0.5) == pytest.approx(0.5 + 5 * 0.25)
 
     def test_rejects_wrong_constant(self):
         with pytest.raises(ValueError, match="normalized"):
-            AnalyticFunction("adhoc", TruncatedSeries([1e-17, 1], order=4))
+            AnalyticFunction("adhoc", TruncatedSeries([1e-17, 1], order=4), {}, identity)
 
     def test_rejects_wrong_linear_term(self):
         with pytest.raises(ValueError, match="normalized"):
-            AnalyticFunction("adhoc", TruncatedSeries([0, 0.999], order=4))
+            AnalyticFunction("adhoc", TruncatedSeries([0, 0.999], order=4), {}, identity)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_rejects_non_finite_coefficient(self, bad):
         with pytest.raises(ValueError, match=r"coefficient a_3 = .* is not finite"):
-            AnalyticFunction("adhoc", TruncatedSeries([0, 1, 2, bad, bad], order=6))
+            AnalyticFunction("adhoc", TruncatedSeries([0, 1, 2, bad, bad], order=6), {}, identity)
 
-
-def bare_k(order=64):
-    """k_theta_alpha(0, 0.5) without its evaluator, so eval reads the series."""
-    return dataclasses.replace(k_theta_alpha(0.0, 0.5, order=order), evaluator=None)
-
-
-class TestSeriesGate:
-    """eval is the one path from points to (f, f', f''): an entry without an
-    evaluator reads its series, refused where the tail estimate at max |z|
-    exceeds the budget."""
-
-    RING = 0.99 * np.exp(2j * np.pi * np.arange(256) / 256)
-
-    @pytest.mark.parametrize("f", [bare_k(), rotate(bare_k(), 0.7)], ids=["bare", "rotated"])
-    @pytest.mark.parametrize("z", [-0.99, RING], ids=["point", "ring"])
-    def test_refused_near_the_circle(self, f, z):
-        with pytest.raises(ValueError, match="cannot be trusted"):
-            f.eval(z)
-
-    def test_message_is_the_margin_refusal(self):
-        message = (
-            "series of order 64 cannot be trusted at radius 0.99 (tail estimate "
-            "1.26e+07 > 1e-06); rebuild the entry with a higher order"
-        )
-        f = bare_k()
-        for call in (lambda: f.eval(-0.99),
-                     lambda: membership_margin(f, ClassSpec("M", alpha=0.5), -0.99)):
-            with pytest.raises(ValueError) as refused:
-                call()
-            assert str(refused.value) == message
-
-    @pytest.mark.parametrize("f", [bare_k(), rotate(bare_k(), 0.7)], ids=["bare", "rotated"])
-    def test_series_values_inside(self, f):
-        s = f.series
-        d1 = s.deriv()
-        assert f.eval(0.3) == (s(0.3), d1(0.3), d1.deriv()(0.3))
-
-    @pytest.mark.parametrize("z", [1.0, -1.5j, complex(math.nan, 0.0)], ids=["1", "-1.5j", "nan"])
-    def test_refused_off_the_disk(self, z):
-        with pytest.raises(ValueError, match=r"needs \|z\| < 1"):
-            bare_k().eval(z)
+    @pytest.mark.parametrize("evaluator", [None, 1.0])
+    def test_rejects_missing_evaluator(self, evaluator):
+        with pytest.raises(ValueError, match="evaluator must be callable"):
+            AnalyticFunction("adhoc", TruncatedSeries([0, 1], order=4), {}, evaluator)
 
 
 class TestValidation:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     LABELS,
-    SERIES_TAIL_BUDGET,
     AnalyticFunction,
     f1,
     f3,
@@ -44,7 +43,11 @@ from logcoef.series import TruncatedSeries
 
 
 def entry_from_coeffs(coeffs, order=24):
-    return AnalyticFunction("adhoc", TruncatedSeries(coeffs, order=order), {})
+    """The polynomial with these coefficients, evaluated exactly by Horner."""
+    s = TruncatedSeries(coeffs, order=order)
+    d1 = s.deriv()
+    d2 = d1.deriv()
+    return AnalyticFunction("adhoc", s, {}, lambda z: (s(z), d1(z), d2(z)))
 
 
 class TestClassSpec:
@@ -231,37 +234,6 @@ class TestFailClosed:
         assert math.isfinite(v)
 
 
-def k_series_only(order=64):
-    """k_theta_alpha(0, 0.5) as bare series, without its quadrature evaluator."""
-    return entry_from_coeffs(k_theta_alpha(0.0, 0.5, order=order).series.coeffs, order=order)
-
-
-class TestTailGate:
-    def test_low_order_series_refused_near_boundary(self):
-        f = k_series_only()
-        with pytest.raises(ValueError, match="cannot be trusted"):
-            membership_margin(f, ClassSpec("M", alpha=0.5), 0.99)
-
-    def test_same_series_fine_at_small_radius(self):
-        f = k_series_only()
-        assert membership_margin(f, ClassSpec("M", alpha=0.5), 0.3) > 0
-
-    def test_short_series_window_is_clipped(self):
-        # The estimate window is longer than this whole series; the gate must
-        # still work (conservatively refusing, since the head coefficients
-        # dominate the window).
-        f = entry_from_coeffs([0, 1, -0.5], order=6)
-        with pytest.raises(ValueError, match="cannot be trusted"):
-            membership_margin(f, ClassSpec("G", alpha=1.0), 0.5)
-
-    def test_evaluator_bypasses_gate(self):
-        # Same function with a closed form runs at any radius.
-        assert membership_margin(g_quadratic(), ClassSpec("G", alpha=1.0), 0.99) > 0
-
-    def test_budget_is_strict(self):
-        assert SERIES_TAIL_BUDGET == 1e-6
-
-
 class TestQuadratureMargins:
     """The integral-defined extremals against their exact margins.
 
@@ -318,11 +290,26 @@ class TestQuadratureMargins:
     @pytest.mark.parametrize("r", [0.25, 0.5])
     def test_u_margin_agrees_with_series(self, r):
         # The U margin reads f itself, so it checks the branch of v^alpha.
+        # At r <= 0.5 the order-64 series' dropped tail is negligible.
         f = k_theta_alpha(0.7, 0.5, order=64)
-        bare = entry_from_coeffs(f.series.coeffs, order=64)
+        s = f.series
+        d1 = s.deriv()
         spec = ClassSpec("U", lam=1.0)
         for z in r * self.RING[::4]:
-            assert abs(membership_margin(f, spec, z) - membership_margin(bare, spec, z)) <= 1e-10
+            want = 1.0 - abs((z / s(z)) ** 2 * d1(z) - 1.0)
+            assert abs(membership_margin(f, spec, z) - want) <= 1e-10
+
+    @pytest.mark.parametrize("label", ["k_theta_alpha", "m_alpha_upper"])
+    def test_m_margin_at_largest_alpha(self, label):
+        # At the evaluation cap, alpha = 1e6, the margin's relative error
+        # (about 4e-13 alpha) is still below 1e-6.
+        alpha = 1e6
+        f = make(label, alpha=alpha)
+        z = 0.99 * self.RING
+        w = z if label == "k_theta_alpha" else z * z
+        exact = ((1.0 + w) / (1.0 - w)).real
+        got = [membership_margin(f, ClassSpec("M", alpha=alpha), p) for p in z]
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-6
 
 
 class TestMembershipTest:

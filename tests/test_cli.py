@@ -305,12 +305,17 @@ class TestBounds:
         assert "not lambda" in err
 
     def test_overflowing_bound_is_usage_error(self, run):
-        # The large-alpha lower bound's denominator overflows past alpha ~ 2.8e102,
+        # The large-alpha lower bound's denominator overflows past alpha ~ 2.2e307,
         # which would print a false -0.0.
-        code, out, err = run("bounds", "--class", "M", "--alpha", "1e105")
+        code, out, err = run("bounds", "--class", "M", "--alpha", "1e308")
         assert code == 2
         assert out == ""
-        assert err == "error: m_lower_large_alpha overflows at alpha = 1e+105\n"
+        assert err == "error: m_lower_large_alpha overflows at alpha = 1e+308\n"
+
+    def test_large_alpha_bound_stays_finite(self, run):
+        code, out, _ = run("bounds", "--class", "M", "--alpha", "1e105", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["lower"] == pytest.approx(-7.5e-106, rel=1e-12)
 
 
 class TestVerify:
@@ -646,6 +651,17 @@ class TestMembership:
         assert code == 2
         assert out == ""
         assert "error: the M(1e+308) margin overflows at z = (0.5+0j)" in err
+
+    def test_alpha_above_evaluation_cap_is_refused(self, run):
+        # Past alpha = 1e6 the quadrature entries' margins lose accuracy, so
+        # they are refused rather than reported.
+        code, out, err = run(
+            "membership", "--function", "k_theta_alpha", "--class", "M", "--alpha", "1e7",
+            "--radii", "0.99",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: k_theta_alpha is evaluated only at alpha <= 1e+06" in err
 
     def test_angular_cap(self, run):
         # Refused before any sample is taken.

@@ -26,7 +26,11 @@ from logcoef.series import TruncatedSeries, log_unit
 
 
 def entry_from_coeffs(coeffs, order=16):
-    return AnalyticFunction("adhoc", TruncatedSeries(coeffs, order=order), {})
+    """The polynomial with these coefficients, evaluated exactly by Horner."""
+    s = TruncatedSeries(coeffs, order=order)
+    d1 = s.deriv()
+    d2 = d1.deriv()
+    return AnalyticFunction("adhoc", s, {}, lambda z: (s(z), d1(z), d2(z)))
 
 
 class TestLogCoefficients:
