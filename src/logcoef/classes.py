@@ -15,13 +15,14 @@ from `f.evaluator`, the entry's one evaluation path, closed form or
 quadrature, and pass on its refusals.  Full-disk membership (class S) has no
 pointwise criterion of this kind and is rejected explicitly.
 
-Each class also has a coefficient body, one row of `_body`: a body point
-(m, w) with 0 <= |m| <= reach and |w| <= cap(|m|) maps to a_2 = s m and
-a_3 = q a_2^2 + t w.  For U(lam) (and S, read as U(1)) the point is
-(|a_2|, a_3 - a_2^2) with cap lam; for M and G it is the Schwarz coefficients
-(c_1, c_2) with cap 1 - |c_1|^2.  The Schwarz maps, the coefficient slacks
-|t| cap(|a_2/s|) - |a_3 - q a_2^2| and the search module's body all read
-that row.
+Each class also has a coefficient body, one row (s, q, t, reach, c0, c2) of
+`_body`: a body point (m, w) with 0 <= |m| <= reach and
+|w| <= cap(|m|) = c0 + c2 |m|^2 maps to a_2 = s m and a_3 = q a_2^2 + t w.
+For U(lam) (and S, read as U(1)) the point is (|a_2|, a_3 - a_2^2) with the
+constant cap lam, (c0, c2) = (lam, 0); for M and G it is the Schwarz
+coefficients (c_1, c_2) with cap 1 - |c_1|^2, (c0, c2) = (1, -1).  The
+Schwarz maps, the coefficient slacks |t| cap(|a_2/s|) - |a_3 - q a_2^2| and
+the search module's body all read that row.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
             v = j.real
             singular = (F == 0) | (F1 == 0)
         elif spec.kind == "G":
-            a = spec.alpha
-            v = 1.0 + 0.5 * a - (1.0 + zs * F2 / F1).real
+            # The 1s of 1 + alpha/2 and 1 + z f''/f' cancel; kept, they would swallow a tiny alpha.
+            v = 0.5 * spec.alpha - (zs * F2 / F1).real
             singular = F1 == 0
         else:
             raise ValueError("class S has no pointwise membership criterion")
@@ -217,37 +218,21 @@ def membership_test(
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
 
     angles = 2.0 * np.pi * np.arange(angular) / angular
-    ring = np.exp(1j * angles)
-
-    rows = [_margins(f, spec, r * ring) for r in radii]
-
-    worst = np.inf
-    witness = complex(radii[0] * ring[0])
-    skipped = 0
-    per_radius = []
-    for r, margins in zip(radii, rows):
-        finite = np.isfinite(margins)
-        skipped += int(np.count_nonzero(~finite))
-        if not finite.any():
-            per_radius.append(float("nan"))
-            continue
-        j = int(np.nanargmin(margins))
-        m = float(margins[j])
-        per_radius.append(m)
-        if m < worst:
-            worst = m
-            witness = complex(r * ring[j])
-    if not per_radius or not np.isfinite(worst):
-        worst = float("nan")
+    grid = np.asarray(radii)[:, None] * np.exp(1j * angles)
+    margins = np.stack([_margins(f, spec, zs) for zs in grid])
+    finite = np.isfinite(margins)
+    worst = np.unravel_index(np.argmin(np.where(finite, margins, np.inf)), margins.shape)
     return MembershipReport(
         spec=spec,
         label=f.label,
         radii=radii,
         angular=angular,
-        worst_margin=float(worst),
-        witness=witness,
-        margin_by_radius=tuple(per_radius),
-        skipped=skipped,
+        worst_margin=float(margins[worst]) if finite.any() else math.nan,
+        witness=complex(grid[worst]),
+        margin_by_radius=tuple(
+            float(np.nanmin(row)) if ok.any() else math.nan for row, ok in zip(margins, finite)
+        ),
+        skipped=int(np.count_nonzero(~finite)),
     )
 
 
@@ -257,18 +242,19 @@ def membership_test(
 @dataclass(frozen=True)
 class _Body:
     """A class's coefficient body: the body point (m, w), 0 <= |m| <= reach and
-    |w| <= cap(|m|), maps to a_2 = s m and a_3 = q a_2^2 + t w.  `lam` is U's
-    constant cap; None stands for the Schwarz cap 1 - |m|^2."""
+    |w| <= cap(|m|) = c0 + c2 |m|^2, maps to a_2 = s m and a_3 = q a_2^2 + t w.
+    (c0, c2) is (lam, 0) for U(lam) and (1, -1), the Schwarz cap 1 - |m|^2, for M and G."""
 
     s: float
     q: float
     t: float
     reach: float
-    lam: float | None
+    c0: float
+    c2: float
 
     def cap(self, m):
         m = np.asarray(m, dtype=float)
-        return 1.0 - m * m if self.lam is None else np.full_like(m, self.lam)
+        return self.c0 + self.c2 * m * m
 
     def coefficients(self, m, w):
         """(a_2, a_3) at body points; broadcasts over ndarrays."""
@@ -293,12 +279,12 @@ def _body(spec: ClassSpec) -> _Body:
     a = spec.alpha
     if spec.kind == "M":
         q = (a * a + 8.0 * a + 3.0) / (4.0 * (1.0 + 2.0 * a))
-        body = _Body(-2.0 / (1.0 + a), q, -1.0 / (1.0 + 2.0 * a), 1.0, None)
+        body = _Body(-2.0 / (1.0 + a), q, -1.0 / (1.0 + 2.0 * a), 1.0, 1.0, -1.0)
     elif spec.kind == "G":
-        body = _Body(0.5 * a, -2.0 * (1.0 - a) / (3.0 * a), a / 6.0, 1.0, None)
+        body = _Body(0.5 * a, -2.0 * (1.0 - a) / (3.0 * a), a / 6.0, 1.0, 1.0, -1.0)
     else:
         lam = 1.0 if spec.kind == "S" else spec.lam
-        body = _Body(1.0, 1.0, 1.0, 1.0 + lam, lam)
+        body = _Body(1.0, 1.0, 1.0, 1.0 + lam, lam, 0.0)
     if not all(map(math.isfinite, (body.s, body.q, body.t))):
         raise ValueError(f"the coefficient map of {spec.label()} overflows")
     return body

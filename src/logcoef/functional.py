@@ -2,9 +2,9 @@
 
 For a normalized analytic f the logarithmic coefficients gamma_n are defined
 by log(f(z)/z) = 2 * sum_{n>=1} gamma_n z^n.  The first two reduce to
-gamma_1 = a_2 / 2 and gamma_2 = (a_3 - a_2^2 / 2) / 2; this module computes
-them from the series logarithm and keeps the closed coefficient formulas as a
-separate route so each can cross-check the other.
+gamma_1 = a_2 / 2 and gamma_2 = (a_3 - mu a_2^2) / 2 with mu = `MU` = 1/2;
+this module computes them from the series logarithm and keeps the closed
+coefficient formulas as a separate route so each can cross-check the other.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import MIN_ORDER, TruncatedSeries, log_unit
+
+# The one mu of gamma_2 = (a_3 - mu a_2^2) / 2.
+MU = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ def gamma_from_a(a2: complex, a3: complex) -> LogPair:
     Raises ValueError unless a2, a3, gamma_1, gamma_2 and delta are finite.
     """
     a2, a3 = complex(a2), complex(a3)
-    pair = LogPair(0.5 * a2, 0.5 * (a3 - 0.5 * a2 * a2))
+    pair = LogPair(0.5 * a2, 0.5 * (a3 - MU * a2 * a2))
     if not all(map(cmath.isfinite, (a2, a3, pair.gamma1, pair.gamma2, pair.delta))):
         raise ValueError(f"a2 = {a2} and a3 = {a3} must be finite and give a finite delta")
     return pair

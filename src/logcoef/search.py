@@ -26,6 +26,8 @@ from .classes import ClassSpec, _body
 # The searched set is a relaxation of the class, not the class itself.
 BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class"
 
+# Roundoff a scanned delta may pass the bounds by, times the larger bound in modulus,
+# since the bounds shrink with the class parameter and a fixed margin would hide errors there.
 SCAN_TOLERANCE = 1e-9
 
 # Largest m1 grid accepted by body_search.
@@ -58,7 +60,7 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
             f"0 <= m2 <= cap(m1) for {spec.label()}"
         )
     a2, a3 = body.coefficients(m1, m2 * np.exp(1j * phase))
-    return 0.5 * np.abs(a3 - 0.5 * a2 * a2) - 0.5 * np.abs(a2)
+    return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
 
 
 @dataclass(frozen=True)
@@ -95,35 +97,28 @@ class SearchResult:
         }
 
 
-def _reduction(spec: ClassSpec, m1):
-    """(|a_2|, P, L, cap) at m1, where a_3 - a_2^2/2 = P + L w over |w| <= cap:
-    P = (q - 1/2) a_2^2 and L = t, from the class's body map."""
-    body = _body(spec)
+def _reduction(body, m1):
+    """(P, cap) at m1, where a_3 - mu a_2^2 = P + t w over |w| <= cap:
+    P = (q - mu) a_2^2 with mu = `functional.MU`, from the body row."""
     a2 = body.s * np.asarray(m1, dtype=float)
-    return np.abs(a2), (body.q - 0.5) * a2 * a2, body.t, body.cap(m1)
+    return (body.q - functional.MU) * a2 * a2, body.cap(m1)
 
 
-def _critical_m1(spec: ClassSpec, xmax: float) -> np.ndarray:
-    """Vertices and kinks of the reduced extremes as functions of m1.
+def _critical_m1(body) -> np.ndarray:
+    """Vertices and kink of the reduced extremes in m1, in closed form from the body row.
 
-    |a_2| is linear in m1, P a multiple of m1^2 and the cap constant or
-    1 - m1^2, so 2 delta_max = |P| + |L| cap - |a_2| is a quadratic, and so
-    is 2 delta_min = |P| - |L| cap - |a_2| up to the kink |P| = |L| cap
-    (beyond it, -|a_2|).  Three nodes recover each quadratic exactly.
+    With p = |q - mu| s^2, |P| = p m1^2 and cap = c0 + c2 m1^2, so
+    2 delta_max = |P| + |t| cap - |s| m1 is a quadratic with vertex
+    |s| / (2 (p + |t| c2)), and 2 delta_min = max(|P| - |t| cap, 0) - |s| m1
+    is one with vertex |s| / (2 (p - |t| c2)) where |P| > |t| cap, with its
+    kink at sqrt(|t| c0 / (p - |t| c2)).  Each is kept where finite, clipped to [0, reach].
     """
-    h = 0.5 * xmax
-    a2, p, lin, cap = _reduction(spec, np.array([0.0, h, xmax]))
-    top = np.abs(p) + np.abs(lin) * cap - a2
-    kink = np.abs(p) - np.abs(lin) * cap
-    # y_k holds the values at m1 = k h of the three quadratics top, low, kink.
-    y0, y1, y2 = np.stack([top, kink - a2, kink], axis=1)
-    a = (y0 - 2.0 * y1 + y2) / (2.0 * h * h)
-    b = (4.0 * y1 - 3.0 * y0 - y2) / (2.0 * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = -b[:2] / (2.0 * a[:2])
-        root = np.sqrt(b[2] * b[2] - 4.0 * a[2] * y0[2])
-        r = np.concatenate((vertex, (-b[2] + np.array([-root, root])) / (2.0 * a[2])))
-    return np.clip(r[np.isfinite(r)], 0.0, xmax)
+    s, t = abs(body.s), abs(body.t)
+    p = abs(body.q - functional.MU) * s * s
+    curv = p + t * np.array([body.c2, -body.c2])  # m1^2 terms of 2 delta_max, 2 delta_min
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.append(s / (2.0 * curv), np.sqrt(t * body.c0 / curv[1]))
+    return np.clip(r[np.isfinite(r)], 0.0, body.reach)
 
 
 def _pick(values, closed: int, sign: float) -> tuple:
@@ -144,8 +139,8 @@ def _pick(values, closed: int, sign: float) -> tuple:
 def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
     """Exact extremes of delta over the body, by a one-variable reduction.
 
-    For fixed m1 the maximum over (m2, phase) puts m2 at the cap with L w
-    aligned with P; the minimum puts m2 at min(cap, |P|/|L|), anti-aligned.
+    For fixed m1 the maximum over (m2, phase) puts m2 at the cap with t w
+    aligned with P; the minimum puts m2 at min(cap, |P|/|t|), anti-aligned.
     In m1 the extremes sit at the endpoints, the kink or a vertex (see
     `_critical_m1`); a uniform m1 grid with `resolution` intervals is added
     as a guard.  Every candidate goes through `body_delta`, and ties go to
@@ -153,15 +148,15 @@ def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
     """
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
-    xmax = _body(spec).reach
-    closed = np.concatenate(([0.0, xmax], _critical_m1(spec, xmax)))
-    x = np.concatenate((closed, np.linspace(0.0, xmax, resolution + 1)))
-    _, p, lin, cap = _reduction(spec, x)
-    # P and L are real, so L w lies along P or against it on the real axis.  Their
+    body = _body(spec)
+    closed = np.concatenate(([0.0, body.reach], _critical_m1(body)))
+    x = np.concatenate((closed, np.linspace(0.0, body.reach, resolution + 1)))
+    p, cap = _reduction(body, x)
+    # P and t are real, so t w lies along P or against it on the real axis.  Their
     # signs decide which: the product underflows at tiny alpha.
-    phase_max = np.where(np.sign(p) * np.sign(lin) < 0.0, math.pi, 0.0)
+    phase_max = np.where(np.sign(p) * np.sign(body.t) < 0.0, math.pi, 0.0)
     phase_min = math.pi - phase_max
-    m2_min = np.minimum(cap, np.abs(p) / np.abs(lin))
+    m2_min = np.minimum(cap, np.abs(p) / abs(body.t))
     hi = body_delta(spec, x, cap, phase_max)
     lo = body_delta(spec, x, m2_min, phase_min)
     i, exact_max = _pick(hi, closed.size, 1.0)
@@ -245,8 +240,9 @@ class ScanResult:
 
 def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0) -> ScanResult:
     """Sample the body uniformly and count samples whose delta escapes the
-    closed-form bounds by more than SCAN_TOLERANCE.  Deterministic for a
-    fixed seed (permuted congruential generator)."""
+    closed-form bounds by more than SCAN_TOLERANCE times the larger bound in
+    modulus.  Deterministic for a fixed seed (permuted congruential
+    generator)."""
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
     body = _body(spec)
@@ -256,8 +252,9 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     phase = rng.uniform(0.0, 2.0 * math.pi, samples)
     d = body_delta(spec, m1, m2, phase)
     pair = bound_delta(spec)
-    violations = int(np.count_nonzero(d < pair.lower - SCAN_TOLERANCE)) + int(
-        np.count_nonzero(d > pair.upper + SCAN_TOLERANCE)
+    slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
+    violations = int(np.count_nonzero(d < pair.lower - slack)) + int(
+        np.count_nonzero(d > pair.upper + slack)
     )
     return ScanResult(
         spec=spec,

@@ -278,6 +278,19 @@ class TestQuadratureMargins:
             rep = membership_test(f, spec, radii=(r,), angular=64)
             assert abs(rep.worst_margin - exact.min()) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", [1e-15, 1e-300])
+    def test_g_margin_keeps_tiny_alpha(self, alpha):
+        # The margin is alpha/2 - Re(z f''/f'), with no 1s for alpha to be
+        # lost against: g_alpha_upper passes however small alpha is.
+        f = g_alpha_upper(alpha)
+        spec = ClassSpec("G", alpha=alpha)
+        assert membership_test(f, spec).passed
+        for r in (0.5, 0.9, 0.99):
+            z = r * self.RING
+            exact = alpha * (0.5 + (z * z / (1.0 - z * z)).real)
+            got = [membership_margin(f, spec, p) for p in z]
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.001])
     def test_m_margin_small_alpha(self, alpha):
         # The integrand's peak over sigma lies far from the bulk of its weight
@@ -328,6 +341,28 @@ class TestMembershipTest:
         rep = membership_test(f3(0.8, 0.0), ClassSpec("U", lam=0.8), angular=32)
         want = [0.8 * (1 - r * r) for r in (0.5, 0.9, 0.99)]
         np.testing.assert_allclose(rep.margin_by_radius, want, atol=1e-12)
+
+    @pytest.mark.parametrize("f, spec", [
+        (koebe(), ClassSpec("M", alpha=0.0)),
+        (g_quadratic(), ClassSpec("G", alpha=1.0)),
+        # f = z has the margin lam at every point: all samples tie.
+        (entry_from_coeffs([0, 1]), ClassSpec("U", lam=0.5)),
+    ], ids=["koebe", "g_quadratic", "tie"])
+    def test_reduction_matches_a_loop_over_points(self, f, spec):
+        # The reference reduction: one point at a time, in (radius, angle)
+        # order, keeping the first of equal margins.
+        radii = (0.5, 0.9, 0.99)
+        ring = np.exp(1j * (2.0 * np.pi * np.arange(16) / 16))
+        worst, witness, per_radius = math.inf, None, []
+        for r in radii:
+            row = [(membership_margin(f, spec, z), complex(z)) for z in r * ring]
+            per_radius.append(min(m for m, _ in row))
+            for m, z in row:
+                if m < worst:
+                    worst, witness = m, z
+        rep = membership_test(f, spec, radii=radii, angular=16)
+        assert (rep.worst_margin, rep.witness) == (worst, witness)
+        assert rep.margin_by_radius == tuple(per_radius)
 
     def test_failing_membership(self):
         rep = membership_test(koebe(), ClassSpec("G", alpha=1.0), radii=(0.5,), angular=64)

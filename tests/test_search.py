@@ -1,5 +1,6 @@
 """Tests for body searches, family sweeps, and randomized scans."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,7 +168,7 @@ class TestBodySearch:
     def test_guard_grid_catches_a_missed_extreme(self, monkeypatch):
         # Without the vertices and kinks only the endpoints are closed-form
         # candidates; the interior minimum of M(2) must then come from the grid.
-        monkeypatch.setattr(search, "_critical_m1", lambda spec, xmax: np.empty(0))
+        monkeypatch.setattr(search, "_critical_m1", lambda body: np.empty(0))
         spec = ClassSpec("M", alpha=2.0)
         res = body_search(spec, resolution=400)
         assert not res.refined
@@ -245,6 +246,26 @@ class TestBodySearchOracle:
         b = body_search(spec, resolution=200)
         assert (a.min_delta, a.max_delta) == (b.min_delta, b.max_delta)
         assert (a.argmin, a.argmax) == (b.argmin, b.argmax)
+
+
+def log_uniform(low, high):
+    """Floats 10^e with the exponent e drawn from [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.one_of(
+    log_uniform(-300.0, 0.0).map(lambda lam: ClassSpec("U", lam=lam)),
+    st.one_of(st.just(0.0), log_uniform(-300.0, 150.0)).map(lambda a: ClassSpec("M", alpha=a)),
+    log_uniform(-300.0, 0.0).map(lambda a: ClassSpec("G", alpha=a)),
+))
+def test_body_search_attains_bounds_across_parameters(spec):
+    res = body_search(spec, resolution=2)
+    pair = bound_delta(spec)
+    tol = 1e-12 * max(abs(pair.lower), abs(pair.upper))
+    assert res.refined
+    assert abs(res.min_delta - pair.lower) <= tol
+    assert abs(res.max_delta - pair.upper) <= tol
 
 
 @pytest.mark.parametrize(
@@ -382,6 +403,25 @@ class TestViolationScan:
             assert res.violations == 0
             assert res.min_delta >= pair.lower - SCAN_TOLERANCE
             assert res.max_delta <= pair.upper + SCAN_TOLERANCE
+
+    @pytest.mark.parametrize("spec", [
+        ClassSpec("G", alpha=0.5),
+        ClassSpec("G", alpha=1e-12),
+        ClassSpec("G", alpha=1e-300),
+        ClassSpec("U", lam=1e-300),
+        ClassSpec("M", alpha=1e-300),
+        ClassSpec("M", alpha=1e150),
+    ], ids=mesh_id)
+    def test_halved_bounds_are_caught(self, monkeypatch, spec):
+        # The tolerance scales with the bounds: the true bounds read clean and
+        # halved ones do not, also where the bounds are as small as 1e-150.
+        def halved(spec):
+            pair = bound_delta(spec)
+            return dataclasses.replace(pair, lower=pair.lower / 2.0, upper=pair.upper / 2.0)
+
+        assert bound_violation_scan(spec, samples=20_000).violations == 0
+        monkeypatch.setattr(search, "bound_delta", halved)
+        assert bound_violation_scan(spec, samples=20_000).violations > 0
 
     def test_same_seed_reproduces(self):
         a = bound_violation_scan(ClassSpec("M", alpha=1.0), samples=5_000, seed=42)
