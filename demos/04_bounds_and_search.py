@@ -65,10 +65,13 @@ for spec in [ClassSpec("S"), ClassSpec("U", lam=0.8), ClassSpec("M", alpha=2.0)]
     )
 print()
 
-print("== a gap the search exposes honestly ==")
+print("== the G(1) lower bound is reached on the body's edge ==")
 b = bound_delta(ClassSpec("G", alpha=1.0))
+res = body_search(ClassSpec("G", alpha=1.0))
+m1, m2 = res.argmin["m1"], res.argmin["m2"]
+print(f"G(1) lower bound -4/21:  {b.lower:+.10f}")
+print(f"body search minimum:     {res.min_delta:+.10f}  at (m1, m2) = ({m1:.10f}, {m2:.10f})")
+print(f"                         (6/7, 13/49) = ({6 / 7:.10f}, {13 / 49:.10f})")
 d = delta(g_quadratic())
-print(f"G(1) lower bound:        {b.lower:+.10f}")
-print(f"best known member value: {d:+.10f}  (z - z^2/2)")
-print(f"gap 4/21 - 3/16 = 1/336 = {d - b.lower:.10f}")
-print(f"note: {b.note}")
+tag = "ok " if b.lower < d < b.upper else "BAD"
+print(f"{tag} the member z - z^2/2 lies strictly inside [{b.lower:+.6f}, {b.upper:+.6f}]: {d:+.10f} = -3/16")

@@ -133,15 +133,13 @@ class BoundPair:
     """Two-sided bound on delta with its witnesses.
 
     A side is sharp exactly when it names a witness, the catalog label of a
-    member attaining it (built with the class's own parameter); the optional
-    note records caveats about a side that is not claimed sharp.
+    member attaining it (built with the class's own parameter).
     """
 
     lower: float
     upper: float
     lower_witness: str | None = None
     upper_witness: str | None = None
-    note: str | None = None
 
     @property
     def lower_sharp(self) -> bool:
@@ -152,7 +150,7 @@ class BoundPair:
         return self.upper_witness is not None
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "lower": self.lower,
             "upper": self.upper,
             "lower_sharp": self.lower_sharp,
@@ -160,9 +158,6 @@ class BoundPair:
             "lower_witness": self.lower_witness,
             "upper_witness": self.upper_witness,
         }
-        if self.note is not None:
-            d["note"] = self.note
-        return d
 
 
 def bound_delta(spec: ClassSpec) -> BoundPair:
@@ -187,16 +182,5 @@ def bound_delta(spec: ClassSpec) -> BoundPair:
         return BoundPair(lower, m_upper_bound(alpha), upper_witness="m_alpha_upper")
     if spec.kind == "G":
         alpha = spec.alpha
-        note = None
-        if alpha == 1.0:
-            note = (
-                "lower bound not known to be attained: the member z - z^2/2 "
-                "reaches -3/16 = -0.1875, above the bound -4/21"
-            )
-        return BoundPair(
-            lower=g_lower_bound(alpha),
-            upper=g_upper_bound(alpha),
-            upper_witness="g_alpha_upper",
-            note=note,
-        )
+        return BoundPair(g_lower_bound(alpha), g_upper_bound(alpha), upper_witness="g_alpha_upper")
     raise ValueError(f"unknown class kind {spec.kind!r}")

@@ -165,7 +165,6 @@ def _cmd_bounds(args) -> int:
     spec = _class_spec(args)
     row = {"class": spec.label(), **bounds.bound_delta(spec).as_dict()}
     payload = {"command": "bounds", **row}
-    row.setdefault("note", None)  # a csv column always, a json key only when set
     _emit(args, payload, [f"class: {row['class']}", *_fields(row, "class")], [row])
     return 0
 

@@ -1,13 +1,16 @@
 """Truncated complex power series and the coefficient recurrences built on them.
 
-A :class:`TruncatedSeries` holds the coefficients ``a_0 .. a_N`` of a power
-series cut off at a fixed order ``N``.  Every operation is exact through order
-``N``: products are Cauchy products with the tail discarded, quotients come
-from the triangular back-substitution for ``q * b = a``, and logarithms,
-exponentials and real powers of series with unit constant term use the
-classical differentiate-and-solve recurrences (for ``L = log a``, the relation
-``L' a = a'`` is solved term by term).  No series composition is involved
-anywhere, and the principal branch is pinned by ``log(1) = 0``.
+A series gives each catalog entry the coefficients a_2, a_3, ... that
+`functional` reads, and is the tests' Horner oracle; entries are evaluated by
+their own evaluators, never by a series.  A :class:`TruncatedSeries` holds
+``a_0 .. a_N`` cut off at a fixed order ``N`` and keeps only what the catalog
+and the tests use, each exact through order ``N``: the Cauchy product
+series * series, the back-substitution for ``q * b = a`` behind
+series / series, and Horner evaluation ``s(z)``.  `log_unit`, `exp_unit` and
+`pow_real` act on series with unit constant term by the classical
+differentiate-and-solve recurrences (for ``L = log a``, ``L' a = a'`` is
+solved term by term); no composition is involved, and the principal branch is
+pinned by ``log(1) = 0``.
 
 Coefficients are double precision complex numbers.  Instances are immutable.
 A series here carries no normalization: a catalog entry's a_0 = 0, a_1 = 1
@@ -23,7 +26,12 @@ MIN_ORDER = 2
 
 
 class TruncatedSeries:
-    """Polynomial view a_0 + a_1 z + ... + a_N z^N of a power series."""
+    """Polynomial view a_0 + a_1 z + ... + a_N z^N of a power series.
+
+    Holds an entry's coefficients and serves as the tests' Horner oracle.  Its
+    operations are ``coeffs``, ``order``, ``coefficient``, series * series,
+    series / series (both at equal orders) and evaluation ``s(z)``.
+    """
 
     __slots__ = ("_c",)
 
@@ -62,93 +70,24 @@ class TruncatedSeries:
         tail = ", ..." if len(self._c) > 5 else ""
         return f"TruncatedSeries({head}{tail}, order={self.order})"
 
-    # -- ring operations ----------------------------------------------------
+    # -- product and quotient of two series of one order ---------------------
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries(self._c + other._c, order=self.order)
-        try:
-            s = complex(other)
-        except TypeError:
-            return NotImplemented
-        c = self._c.copy()
-        c[0] += s
-        return TruncatedSeries(c, order=self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(-self._c, order=self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries(self._c - other._c, order=self.order)
-        try:
-            s = complex(other)
-        except TypeError:
-            return NotImplemented
-        c = self._c.copy()
-        c[0] -= s
-        return TruncatedSeries(c, order=self.order)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            full = np.convolve(self._c, other._c)
-            return TruncatedSeries(full[: self.order + 1], order=self.order)
-        try:
-            s = complex(other)
-        except TypeError:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(self._c * s, order=self.order)
-
-    __rmul__ = __mul__
+        self._check_order(other)
+        full = np.convolve(self._c, other._c)
+        return TruncatedSeries(full[: self.order + 1], order=self.order)
 
     def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return TruncatedSeries(_div_coeffs(self._c, other._c), order=self.order)
-        try:
-            s = complex(other)
-        except TypeError:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if s == 0:
-            raise ZeroDivisionError("division of a series by zero")
-        return TruncatedSeries(self._c / s, order=self.order)
-
-    def __rtruediv__(self, other):
-        try:
-            s = complex(other)
-        except TypeError:
-            return NotImplemented
-        num = np.zeros(self.order + 1, dtype=complex)
-        num[0] = s
-        return TruncatedSeries(_div_coeffs(num, self._c), order=self.order)
-
-    # -- calculus -----------------------------------------------------------
-
-    def deriv(self) -> "TruncatedSeries":
-        """Termwise derivative; the lost top order is padded with zero."""
-        c = self._c
-        out = np.zeros_like(c)
-        out[:-1] = c[1:] * np.arange(1, len(c))
-        return TruncatedSeries(out, order=self.order)
-
-    def integ(self) -> "TruncatedSeries":
-        """Termwise antiderivative with zero constant, truncated at the order."""
-        c = self._c
-        out = np.zeros_like(c)
-        out[1:] = c[:-1] / np.arange(1, len(c))
-        return TruncatedSeries(out, order=self.order)
+        self._check_order(other)
+        return TruncatedSeries(_div_coeffs(self._c, other._c), order=self.order)
 
     def __call__(self, z):
         """Horner evaluation at z (scalar or ndarray).

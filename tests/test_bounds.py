@@ -200,16 +200,17 @@ class TestWitnesses:
 
 
 class TestNotes:
-    def test_g_one_carries_gap_note(self):
-        b = bound_delta(ClassSpec("G", alpha=1.0))
-        assert b.note is not None
-        assert "0.1875" in b.note
-        assert "note" in b.as_dict()
-
     def test_other_instances_have_no_note(self):
-        assert bound_delta(ClassSpec("G", alpha=0.5)).note is None
-        assert bound_delta(ClassSpec("M", alpha=1.0)).note is None
-        assert "note" not in bound_delta(ClassSpec("S")).as_dict()
+        # G(1) included: its lower bound -4/21 is attained by the member with
+        # f' = (1 + 12z/7 + z^2)^(1/2), so it carries no caveat either.
+        mesh = (
+            [ClassSpec("S")]
+            + [ClassSpec("U", lam=x) for x in (0.1, 0.25, 0.5, 0.75, 1.0)]
+            + [ClassSpec("M", alpha=x) for x in (0.0, 0.5, 1.0, M_BRANCH_ALPHA, 2.0, 5.0)]
+            + [ClassSpec("G", alpha=x) for x in (0.25, 0.5, 0.75, 1.0)]
+        )
+        for spec in mesh:
+            assert "note" not in bound_delta(spec).as_dict(), spec.label()
 
     def test_as_dict_round_trip(self):
         d = bound_delta(ClassSpec("U", lam=0.5)).as_dict()

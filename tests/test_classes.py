@@ -45,8 +45,8 @@ from logcoef.series import TruncatedSeries
 def entry_from_coeffs(coeffs, order=24):
     """The polynomial with these coefficients, evaluated exactly by Horner."""
     s = TruncatedSeries(coeffs, order=order)
-    d1 = s.deriv()
-    d2 = d1.deriv()
+    d1 = TruncatedSeries(s.coeffs[1:] * np.arange(1, order + 1), order=order)
+    d2 = TruncatedSeries(d1.coeffs[1:] * np.arange(1, order + 1), order=order)
     return AnalyticFunction("adhoc", s, {}, lambda z: (s(z), d1(z), d2(z)))
 
 
@@ -306,7 +306,7 @@ class TestQuadratureMargins:
         # At r <= 0.5 the order-64 series' dropped tail is negligible.
         f = k_theta_alpha(0.7, 0.5, order=64)
         s = f.series
-        d1 = s.deriv()
+        d1 = TruncatedSeries(s.coeffs[1:] * np.arange(1, s.order + 1), order=s.order)
         spec = ClassSpec("U", lam=1.0)
         for z in r * self.RING[::4]:
             want = 1.0 - abs((z / s(z)) ** 2 * d1(z) - 1.0)

@@ -107,11 +107,6 @@ class TestFormatsAgree:
         self.check(lines, rows, doc)
         assert lines[0] == f"class: {doc['class']}" == f"class: {rows[0]['class']}"
 
-    def test_bounds_note(self, run):
-        lines, rows, doc = self.three(run, ("bounds", "--class", "G", "--alpha", "1"), 0)
-        assert f"note = {doc['note']}" in lines
-        assert rows[0]["note"] == doc["note"]
-
     def test_body_search(self, run):
         argv = ("search", "--class", "M", "--alpha", "2.5", "--resolution", "40")
         lines, rows, doc = self.three(run, argv, 0)
@@ -282,11 +277,6 @@ class TestBounds:
         code, out, _ = run("bounds", "--class", "G", "--alpha", "0.123456789", "--format", "json")
         assert code == 0
         assert json.loads(out)["class"] == "G(0.123456789)"
-
-    def test_note_round_trips(self, run):
-        code, out, _ = run("bounds", "--class", "G", "--alpha", "1", "--format", "json")
-        assert code == 0
-        assert "0.1875" in json.loads(out)["note"]
 
     def test_missing_class_parameter(self, run):
         code, _, err = run("bounds", "--class", "U")

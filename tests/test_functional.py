@@ -28,8 +28,8 @@ from logcoef.series import TruncatedSeries, log_unit
 def entry_from_coeffs(coeffs, order=16):
     """The polynomial with these coefficients, evaluated exactly by Horner."""
     s = TruncatedSeries(coeffs, order=order)
-    d1 = s.deriv()
-    d2 = d1.deriv()
+    d1 = TruncatedSeries(s.coeffs[1:] * np.arange(1, order + 1), order=order)
+    d2 = TruncatedSeries(d1.coeffs[1:] * np.arange(1, order + 1), order=order)
     return AnalyticFunction("adhoc", s, {}, lambda z: (s(z), d1(z), d2(z)))
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the truncated-series arithmetic layer."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -76,14 +77,6 @@ class TestRingOperations:
         sq = TruncatedSeries([1, 1], order=2) * TruncatedSeries([1, 1], order=2)
         np.testing.assert_array_equal(sq.coeffs, [1, 2, 1])
 
-    def test_scalar_mix(self):
-        s = TruncatedSeries([1, 2], order=3)
-        np.testing.assert_array_equal((2 * s).coeffs, [2, 4, 0, 0])
-        np.testing.assert_array_equal((s + 1).coeffs, [2, 2, 0, 0])
-        np.testing.assert_array_equal((1 - s).coeffs, [0, -2, 0, 0])
-        np.testing.assert_array_equal((-s).coeffs, [-1, -2, 0, 0])
-        np.testing.assert_array_equal((s / 2).coeffs, [0.5, 1, 0, 0])
-
     def test_geometric_series_by_division(self):
         np.testing.assert_allclose(geometric(8).coeffs, np.ones(9), atol=1e-15)
 
@@ -100,42 +93,24 @@ class TestRingOperations:
             (num / den).coeffs, [0, 1, 1, 0.5, 0, -0.25], atol=1e-15
         )
 
-    def test_reciprocal_via_rtruediv(self):
-        inv = 1 / TruncatedSeries([1, -1], order=6)
-        np.testing.assert_allclose(inv.coeffs, np.ones(7), atol=1e-15)
-
     def test_division_by_zero_constant_term(self):
         with pytest.raises(ValueError, match="zero constant term"):
             TruncatedSeries([1], order=4) / TruncatedSeries([0, 1], order=4)
 
-    def test_division_by_scalar_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            TruncatedSeries([1], order=4) / 0
-
     def test_order_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="order mismatch"):
-            TruncatedSeries([1], order=4) + TruncatedSeries([1], order=5)
+        for op in (operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="order mismatch"):
+                op(TruncatedSeries([1], order=4), TruncatedSeries([1], order=5))
 
     def test_unsupported_operand(self):
-        with pytest.raises(TypeError):
-            TruncatedSeries([1], order=4) + object()
+        s = TruncatedSeries([1], order=4)
+        for op in (operator.mul, operator.truediv):
+            for a, b in ((s, object()), (object(), s), (s, 2.0), (2.0, s)):
+                with pytest.raises(TypeError):
+                    op(a, b)
 
 
 class TestCalculus:
-    def test_deriv(self):
-        s = TruncatedSeries([0, 1, 0, 3], order=3)
-        np.testing.assert_array_equal(s.deriv().coeffs, [1, 0, 9, 0])
-
-    def test_integ(self):
-        s = TruncatedSeries([1, 0, 9], order=3)
-        np.testing.assert_array_equal(s.integ().coeffs, [0, 1, 0, 3])
-
-    def test_deriv_after_integ_drops_only_top_term(self):
-        s = TruncatedSeries([2, -1, 0.5, 7], order=3)
-        got = s.integ().deriv().coeffs
-        np.testing.assert_allclose(got[:3], s.coeffs[:3], atol=1e-15)
-        assert got[3] == 0
-
     def test_evaluation_scalar(self):
         assert geometric(8)(0.5) == pytest.approx(2 - 1 / 256, abs=1e-15)
         assert isinstance(geometric(8)(0.5), complex)
