@@ -421,7 +421,9 @@ def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> Ana
 
     The coefficients of h grow like n^(2/alpha - 1), so at very small
     positive alpha a high-order series leaves double-precision range and the
-    build is refused with ValueError; the evaluator has no such limit.
+    build is refused with ValueError; the evaluator has no such limit.  The
+    refusal depends on the order built: a low-order build is not refused, and
+    its a_2 and a_3 lose digits at such alpha instead.
     """
     _check_finite(("theta", theta))
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range

@@ -525,6 +525,11 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
+        # Every command that takes --theta refuses a non-finite one, also where
+        # the entry or the sweep does not read it.
+        theta = getattr(args, "theta", None)
+        if theta is not None and not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,6 +19,12 @@ from .series import MIN_ORDER, TruncatedSeries, log_unit
 # The one mu of gamma_2 = (a_3 - mu a_2^2) / 2.
 MU = 0.5
 
+# The series order delta needs: `log_pair` reads gamma_1 and gamma_2, which
+# `log_coefficients(f, 2)` takes from a_1..a_3.  Every recurrence that builds a
+# series is triangular, so a_2 and a_3 of a series cut here are those of any
+# longer build, bit for bit.
+PAIR_ORDER = 3
+
 
 @dataclass(frozen=True)
 class LogPair:

@@ -8,8 +8,9 @@ body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form and
 searching what is left in m1; `bound_violation_scan` samples the whole body
 at random as a brute-force check, and `family_sweep` records the delta
-values a one-parameter catalog family actually attains; which parameter a
-family sweeps, and over what range, is read from `catalog.FAMILIES`.
+values a one-parameter catalog family actually attains, building each member
+only through a_3, the last coefficient delta reads; which parameter a family
+sweeps, and over what range, is read from `catalog.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -188,7 +189,9 @@ def family_sweep(label, param_grid, theta_grid=(0.0,)):
     The swept parameter is the entry's class parameter, or theta for an entry
     without one (see `catalog.FAMILIES`).  For families that also carry a
     rotation angle, each parameter value is evaluated at every angle in
-    theta_grid and the row records the spread.
+    theta_grid and the row records the spread.  Each member is built only
+    through a_3 (`functional.PAIR_ORDER`), which gives the same delta, bit for
+    bit, as a build at `series.DEFAULT_ORDER`.
     """
     family = catalog.FAMILIES.get(label)
     if family is None or family.sweep is None:
@@ -198,11 +201,14 @@ def family_sweep(label, param_grid, theta_grid=(0.0,)):
     for param in param_grid:
         if family.kind is None:
             # The swept parameter is the rotation angle itself.
-            members = [catalog.make(label, theta=param)]
+            members = [catalog.make(label, theta=param, order=functional.PAIR_ORDER)]
         else:
             # make reads whichever of lam and alpha the entry takes.
             thetas = theta_grid if family.rotated else (0.0,)
-            members = [catalog.make(label, th, lam=param, alpha=param) for th in thetas]
+            members = [
+                catalog.make(label, th, lam=param, alpha=param, order=functional.PAIR_ORDER)
+                for th in thetas
+            ]
         values = [functional.delta(f) for f in members]
         rows.append(SweepRow(param=float(param), delta_min=min(values), delta_max=max(values)))
     return rows

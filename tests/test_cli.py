@@ -234,6 +234,21 @@ class TestGamma:
 
 
 @pytest.mark.parametrize("argv", [
+    ("sweep", "--function", "koebe", "--step", "3"),
+    ("sweep", "--function", "f4", "--step", "0.3"),
+    ("gamma", "--function", "f4", "--lambda", "0.7"),
+    ("membership", "--function", "f4", "--lambda", "0.7", "--class", "U"),
+])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_non_finite_theta_is_refused_where_it_is_not_read(run, argv, theta):
+    # koebe sweeps theta itself, and f4 takes no theta.
+    code, out, err = run(*argv, f"--theta={theta}")
+    assert code == 2
+    assert out == ""
+    assert f"error: theta must be finite, got {theta}" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("gamma", "--function", "k_theta_alpha", "--alpha", "0.7"),
     ("sweep", "--function", "k_theta_alpha"),
     ("membership", "--function", "k_theta_alpha", "--alpha", "0.7", "--class", "M"),

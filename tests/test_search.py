@@ -24,6 +24,7 @@ from logcoef.classes import (
     m_coefficients_from_schwarz,
 )
 from logcoef.functional import delta
+from logcoef.series import DEFAULT_ORDER
 from logcoef.search import (
     BODY_NOTE,
     MAX_RESOLUTION,
@@ -375,10 +376,29 @@ class TestFamilySweep:
 
     @pytest.mark.parametrize("label,step,length,first,last", GRIDS)
     def test_family_grid_endpoints_build(self, label, step, length, first, last):
-        kind = catalog.FAMILIES[label].kind
-        key = {None: "theta", "U": "lam"}.get(kind, "alpha")
-        for p in (first, last):
-            assert math.isfinite(delta(catalog.make(label, order=32, **{key: p})))
+        for row in family_sweep(label, [first, last]):
+            assert math.isfinite(row.delta_min) and math.isfinite(row.delta_max)
+
+    @pytest.mark.parametrize("label", sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep))
+    def test_sweep_equals_a_full_order_build(self, label):
+        # The sweep builds each member through a_3 only; its rows must be those
+        # of a DEFAULT_ORDER build exactly, down to the finest grid's first
+        # value (alpha = 3e-4 for the M families) and at several rotations.
+        family = catalog.FAMILIES[label]
+        lo, hi, ends = family.sweep
+        grid = catalog.sweep_grid(lo, hi, ends, (hi - lo) / 18)
+        grid.append(lo + (hi - lo) / catalog.MAX_SWEEP_STEPS)
+        thetas = (0.0, 1.3, 4.0) if family.rotated and family.kind else (0.0,)
+        rows = family_sweep(label, grid, theta_grid=thetas)
+        for p, row in zip(grid, rows):
+            if family.kind is None:
+                values = [delta(catalog.make(label, theta=p, order=DEFAULT_ORDER))]
+            else:
+                values = [
+                    delta(catalog.make(label, th, lam=p, alpha=p, order=DEFAULT_ORDER))
+                    for th in thetas
+                ]
+            assert (row.delta_min, row.delta_max) == (min(values), max(values))
 
 
 class TestViolationScan:
