@@ -1,12 +1,15 @@
 """A tour of the extremal catalog.
 
 Each entry is a concrete normalized function attaining (or approaching) one
-of the sharp bounds.  The quadratic-rational entries carry closed-form
-evaluators.  The integral-defined extremals (k_theta_alpha, m_alpha_upper,
-g_alpha_upper) are one builder over a table of power factors,
-f = z (integral_0^1 h(z t^alpha) dt)^alpha with h = prod P^e: their
-coefficients come from series recurrences on h, and their values from
-f' = u^(alpha - 1) h(z) with u, and u'/u, by graded Gauss-Legendre quadrature.
+of the sharp bounds.  Every evaluator returns the three ratios
+(f/z, z f'/f, z f''/f') that the class inequalities read.  The
+quadratic-rational entries carry closed-form evaluators.  The
+integral-defined extremals (k_theta_alpha, m_alpha_upper, g_alpha_upper) are
+one builder over a table of power factors, f = z u^alpha with
+u = integral_0^1 h(z t^alpha) dt and h = prod P^e: their coefficients come
+from series recurrences on h, and their ratios from f/z = u^alpha,
+z f'/f = h(z)/u and z f''/f' = z ((alpha - 1) u'/u + h'/h), with u and u'/u
+by graded Gauss-Legendre quadrature.
 """
 
 import numpy as np
@@ -76,10 +79,10 @@ gap = np.abs(f4(1.0).series.coeffs - f1(0.0).series.coeffs).max()
 print(f"f4 at lambda = 1 and f1 at theta = 0 are the same function; max gap {gap:.2e}")
 print()
 
-print("== g_alpha_upper has closed derivatives; its primitive comes by quadrature ==")
+print("== g_alpha_upper has a closed z f''/f'; its primitive comes by quadrature ==")
 f = g_alpha_upper(1.0)
-fv, fpv, fppv = f.evaluator(0.3 + 0.2j)
-print(f"value      f (0.3+0.2i) = {fv:.12f}")
-print(f"derivative f'(0.3+0.2i) = {fpv:.12f}")
-print(f"curvature  f''(0.3+0.2i) = {fppv:.12f}")
+q, p, r = f.evaluator(0.3 + 0.2j)
+print(f"f/z      at 0.3+0.2i = {q:.12f}")
+print(f"z f'/f   at 0.3+0.2i = {p:.12f}")
+print(f"z f''/f' at 0.3+0.2i = {r:.12f}")
 print(f"a3 = {f.a(3).real:+.12f} (equals -alpha/6), delta = {delta(f):+.12f} (equals alpha/12)")

@@ -2,11 +2,12 @@
 
 Every entry is an :class:`AnalyticFunction`: a Taylor series, which the
 entry refuses unless it is normalized (f(0) = 0, f'(0) = 1) and finite, plus
-an evaluator, which every entry must have, that returns (f, f', f'') at a
-point or at an ndarray of points of the open unit disk.  The series is the
-source of the coefficient functionals; the evaluator is the one path from
-points to values.  Rational entries evaluate in closed form.  The entries
-defined by integrals are f = z u^alpha with u = integral_0^1 h(z t^alpha) dt
+an evaluator, which every entry must have, that returns the three ratios
+every class inequality reads, (f/z, z f'/f, z f''/f'), at a point or at an
+ndarray of points of the open unit disk; they are (1, 1, 0) at z = 0.  The
+series is the source of the coefficient functionals; the evaluator is the
+one path from points to values.  Rational entries evaluate in closed form.
+The entries defined by integrals are f = z u^alpha with u = integral_0^1 h(z t^alpha) dt
 and h = prod P^e over a table of power factors, each P of degree <= 2 with
 P(0) = 1 and its roots on |z| = 1:
 
@@ -15,9 +16,10 @@ P(0) = 1 and its roots on |z| = 1:
     g_alpha_upper   ((1, 0, -1), alpha/2)           outer power 1, so f' = h
 
 Their series expands h and integrates it termwise.  Their evaluator uses
-f' = u^(alpha - 1) h(z) and f''/f' = (alpha - 1) u'/u + h'/h(z), so only u
-and, for alpha != 1, u'/u come by composite Gauss-Legendre quadrature, on
-panels graded toward both ends from alpha and the largest |z| asked for.
+f/z = u^alpha, z f'/f = h(z)/u and z f''/f' = z ((alpha - 1) u'/u + h'/h(z)),
+so only u and, for alpha != 1, u'/u come by composite Gauss-Legendre
+quadrature, on panels graded toward both ends from alpha and the largest |z|
+asked for.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ MAX_SWEEP_STEPS = 10**4
 
 
 def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
-    """lo + k step for k = 0, 1, ... across the interval, the last value clipped to hi.
+    """lo + k step for k = 0, 1, ... across the interval.
 
-    `ends` is in interval notation: "(" drops lo, ")" stops short of hi.
+    `ends` is in interval notation: "(" drops lo, ")" stops short of hi.  A
+    value past hi, or short of it by at most 1e-9 step, is hi itself.
     """
     if not (0.0 < step < math.inf and (hi - lo) / step <= MAX_SWEEP_STEPS):
         raise ValueError(
@@ -85,7 +88,8 @@ def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
         n = math.ceil((hi - lo) / step - 1e-9)
     else:
         n = math.floor((hi - lo) / step + 1e-9) + 1
-    return [min(lo + k * step, hi) for k in range(1 if ends[0] == "(" else 0, n)]
+    ks = range(1 if ends[0] == "(" else 0, n)
+    return [hi if hi - (lo + k * step) <= 1e-9 * step else lo + k * step for k in ks]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +98,9 @@ class AnalyticFunction:
 
     Refuses, with ValueError, a series unless a_0 = 0, a_1 = 1 and every
     coefficient is finite, so a build that overflowed is refused here, and
-    an evaluator that is not callable.  evaluator(z) returns (f, f', f'')
-    at z, a point or an ndarray of points of the open disk.
+    an evaluator that is not callable.  evaluator(z) returns
+    (f/z, z f'/f, z f''/f') at z, a point or an ndarray of points of the
+    open disk; at z = 0 these are (1, 1, 0).
     """
 
     label: str
@@ -138,14 +143,14 @@ def _stable_roots(c0, c1, c2):
 
 
 def _quadratic_rational(label, b, c, params, order):
-    """z / (1 + b z + c z^2) with its closed-form derivatives.
+    """z / (1 + b z + c z^2) with its ratios in closed form.
 
     The evaluator works in factored form, 1 + b z + c z^2 = u_1 u_2 with
-    u_j = 1 - p_j z over the reciprocal roots p_j, and f' = (1 - c z^2) /
-    (u_1 u_2)^2 with 1 - c z^2 = (1 - s z)(1 + s z), s^2 = c, so f, f' and
-    f''/f' = 2 (p_1/u_1 + p_2/u_2) - s/(1 - s z) + s/(1 + s z) keep their
-    relative precision next to a root on the circle.  The series is built
-    from (b, c) directly.
+    u_j = 1 - p_j z over the reciprocal roots p_j, and 1 - c z^2 =
+    (1 - s z)(1 + s z), s^2 = c: f/z = 1/(u_1 u_2), z f'/f = (1 - s z)
+    (1 + s z)/(u_1 u_2) and z f''/f' = z (2 (p_1/u_1 + p_2/u_2) - s/(1 - s z)
+    + s/(1 + s z)) keep their relative precision next to a root on the
+    circle.  The series is built from (b, c) directly.
     """
     den = TruncatedSeries([1.0, b, c], order=order)
     num = TruncatedSeries([0.0, 1.0], order=order)
@@ -157,8 +162,7 @@ def _quadratic_rational(label, b, c, params, order):
         u1, u2 = 1.0 - p1 * z, 1.0 - p2 * z
         v1, v2 = 1.0 - s * z, 1.0 + s * z
         q = u1 * u2
-        fp = v1 * v2 / (q * q)
-        return z / q, fp, fp * (2.0 * (p1 / u1 + p2 / u2) - s / v1 + s / v2)
+        return 1.0 / q, v1 * v2 / q, z * (2.0 * (p1 / u1 + p2 / u2) - s / v1 + s / v2)
 
     return AnalyticFunction(label, series, params, ev)
 
@@ -381,6 +385,8 @@ def _integral_entry(label, factors, alpha, params, order):
     result to the alpha power.  Numpy overflow is silenced during the build:
     at small alpha and high order the coefficients overflow, and
     AnalyticFunction refuses the result, naming the first bad coefficient.
+    The evaluator returns f/z = u^alpha, z f'/f = 1/v with v = u/h(z), and
+    z f''/f' = z ((alpha - 1) u'/u + h'/h).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         h = functools.reduce(
@@ -399,9 +405,7 @@ def _integral_entry(label, factors, alpha, params, order):
         # A value that is not finite is refused rather than returned.
         with np.errstate(all="ignore"):
             lh, dh, logv, du = _integral_logs(factors, alpha, flat)
-            logu = lh + logv
-            fp = np.exp(lh + (alpha - 1.0) * logu)
-            values = (flat * np.exp(alpha * logu), fp, fp * ((alpha - 1.0) * du + dh))
+            values = (np.exp(alpha * (lh + logv)), np.exp(-logv), flat * ((alpha - 1.0) * du + dh))
         if not all(np.isfinite(x).all() for x in values):
             raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
         if np.ndim(z) == 0:
@@ -421,9 +425,11 @@ def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> Ana
 
     The coefficients of h grow like n^(2/alpha - 1), so at very small
     positive alpha a high-order series leaves double-precision range and the
-    build is refused with ValueError; the evaluator has no such limit.  The
-    refusal depends on the order built: a low-order build is not refused, and
-    its a_2 and a_3 lose digits at such alpha instead.
+    build is refused with ValueError.  The refusal depends on the order
+    built: a low-order build is not refused, and its a_2 and a_3 lose digits
+    at such alpha instead.  The evaluator has its own floor: below
+    alpha ~ 3.51e-4 its quadrature rule would need more than _MAX_NODES
+    nodes, and it refuses with ValueError at every |z| up to 0.999.
     """
     _check_finite(("theta", theta))
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
@@ -438,7 +444,9 @@ def m_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """Odd extremal z + z^3/(1+2 alpha) + ... for the alpha-convex family.
 
     The integral entry with the one factor (1 - z^2)^{-1/alpha} and outer
-    power alpha.  At alpha = 0 it is z / (1 - z^2) in closed form.
+    power alpha.  At alpha = 0 it is z / (1 - z^2) in closed form.  Below
+    alpha ~ 1.88e-4 the evaluator refuses with ValueError, as its quadrature
+    rule would need more than _MAX_NODES nodes, at every |z| up to 0.999.
     """
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     if alpha == 0:
@@ -463,7 +471,7 @@ def g_quadratic(order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """z - z^2/2, the polynomial member with delta = -3/16."""
 
     def ev(z):
-        return z - 0.5 * z * z, 1.0 - z, z * 0.0 - 1.0
+        return 1.0 - 0.5 * z, (1.0 - z) / (1.0 - 0.5 * z), -z / (1.0 - z)
 
     return AnalyticFunction("g_quadratic", TruncatedSeries([0.0, 1.0, -0.5], order=order), {}, ev)
 
@@ -471,7 +479,8 @@ def g_quadratic(order: int = DEFAULT_ORDER) -> AnalyticFunction:
 def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     """Disk rotation e^{-i theta} f(e^{i theta} z): a_n -> e^{i(n-1) theta} a_n.
 
-    Preserves membership in every rotation-invariant class and each |gamma_n|.
+    Preserves membership in every rotation-invariant class and each |gamma_n|:
+    f/z, z f'/f and z f''/f' at z are those of f at e^{i theta} z.
     params["rotated_by"] adds up the angles of repeated rotations.
     """
     _check_finite(("theta", theta))
@@ -482,8 +491,7 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     base, wc = f.evaluator, complex(w)
 
     def ev(z):
-        fv, fpv, fppv = base(wc * z)
-        return fv / wc, fpv, wc * fppv
+        return base(wc * z)
 
     params = dict(f.params)
     params["rotated_by"] = params.get("rotated_by", 0.0) + float(theta)

@@ -3,17 +3,18 @@
 Supported classes, each described by the defining inequality its margin
 function measures:
 
-* ``U(lam)``:   |(z/f(z))^2 f'(z) - 1| < lam on the disk, 0 < lam <= 1;
+* ``U(lam)``:   |(z/f(z))^2 f'(z) - 1| < lam on the disk, 0 < lam <= 1,
+  where (z/f)^2 f' = (z f'/f) / (f/z);
 * ``M(alpha)``: Re[(1 - alpha) z f'/f + alpha (1 + z f''/f')] > 0, alpha >= 0
   (alpha = 0 is the starlike case, alpha = 1 the convex case);
 * ``G(alpha)``: Re[1 + z f''/f'] < 1 + alpha/2, 0 < alpha <= 1.
 
 The margin is positive where the inequality holds with room to spare and
 negative where it fails; a membership test reports the worst margin seen on a
-polar grid together with the witness point.  The margins read (f, f', f'')
-from `f.evaluator`, the entry's one evaluation path, closed form or
-quadrature, and pass on its refusals.  Full-disk membership (class S) has no
-pointwise criterion of this kind and is rejected explicitly.
+polar grid together with the witness point.  The margins read the ratios
+(f/z, z f'/f, z f''/f') from `f.evaluator`, the entry's one evaluation path,
+closed form or quadrature, and pass on its refusals.  Full-disk membership
+(class S) has no pointwise criterion of this kind and is rejected explicitly.
 
 Each class also has a coefficient body, one row (s, q, t, reach, c0, c2) of
 `_body`: a body point (m, w) with 0 <= |m| <= reach and
@@ -28,7 +29,6 @@ the search module's body all read that row.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +37,6 @@ KINDS = ("S", "U", "M", "G")
 
 # Most angular samples per radius accepted by membership_test.
 MAX_ANGULAR = 10**4
-
-# Smallest nonzero |z| sampled, the smallest normal float: below it the
-# quotients z/f and z f'/f overflow.
-_MIN_RADIUS = sys.float_info.min
 
 
 def format_number(x: float) -> str:
@@ -142,34 +138,29 @@ class MembershipReport:
 
 
 def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
-    """Margins at an array of sample points, from (f, f', f'') by `f.evaluator`.
+    """Margins at an array of sample points, from (f/z, z f'/f, z f''/f') by `f.evaluator`.
 
-    A sample where the margin divides by zero, at f = 0 for U and M or at
-    f' = 0 for M and G, is singular and becomes NaN.  Any other margin that
-    is not finite is refused with ValueError, naming the first such point.
+    A sample where the margin divides by zero, at f = 0 (f/z = 0) for U and M
+    or at f' = 0 (z f'/f = 0) for M and G, is singular and becomes NaN.  Any
+    other margin that is not finite is refused with ValueError, naming the
+    first such point.
     """
-    F, F1, F2 = (np.asarray(x, dtype=complex) for x in f.evaluator(zs))
+    q, p, r = (np.asarray(x, dtype=complex) for x in f.evaluator(zs))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if spec.kind == "U":
-            v = spec.lam - np.abs((zs / F) ** 2 * F1 - 1.0)
-            singular = F == 0
+            v = spec.lam - np.abs(p / q - 1.0)
+            singular = q == 0
         elif spec.kind == "M":
             a = spec.alpha
-            j = (1.0 - a) * zs * F1 / F + a * (1.0 + zs * F2 / F1)
-            v = j.real
-            singular = (F == 0) | (F1 == 0)
+            v = ((1.0 - a) * p + a * (1.0 + r)).real
+            singular = (q == 0) | (p == 0)
         elif spec.kind == "G":
             # The 1s of 1 + alpha/2 and 1 + z f''/f' cancel; kept, they would swallow a tiny alpha.
-            v = 0.5 * spec.alpha - (zs * F2 / F1).real
-            singular = F1 == 0
+            v = 0.5 * spec.alpha - r.real
+            singular = p == 0
         else:
             raise ValueError("class S has no pointwise membership criterion")
     v = np.where(singular, np.nan, v)
-    # At z = 0 every margin has a removable limit: lam for U, 1 for M, alpha/2 for G.
-    at0 = zs == 0
-    if np.any(at0):
-        limit = {"U": spec.lam, "M": 1.0, "G": 0.5 * (spec.alpha or 0.0)}[spec.kind]
-        v = np.where(at0, limit, v)
     over = np.flatnonzero(~np.isfinite(v) & ~singular)
     if over.size:
         raise ValueError(f"the {spec.label()} margin overflows at z = {complex(zs[over[0]])}")
@@ -180,16 +171,14 @@ def membership_margin(f, spec: ClassSpec, z: complex) -> float:
     """Margin of the defining inequality at one point.
 
     Raises SingularSampleError where the margin divides by zero (see
-    `_margins`), and ValueError where it overflows.  z must be 0 or lie in
-    the open unit disk at least the smallest normal float from 0, as
-    membership_test's radii do.
+    `_margins`), and ValueError where it overflows.  z must lie in the open
+    unit disk; at z = 0 the margin is its limit, lam for U, 1 for M and
+    alpha/2 for G.
     """
     z = complex(z)
     # The parts first: abs overflows on parts near the float maximum.
     if not (abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0):
         raise ValueError(f"z must lie inside the unit disk, got {z}")
-    if 0.0 < abs(z) < _MIN_RADIUS:
-        raise ValueError(f"|z| = {abs(z)!r} is below {_MIN_RADIUS!r}, where the margins overflow")
     v = float(_margins(f, spec, np.asarray([z]))[0])
     if math.isnan(v):
         raise SingularSampleError(f"f or f' vanished at z = {z}")
@@ -211,8 +200,8 @@ def membership_test(
     (radius, angle) order.
     """
     radii = tuple(float(r) for r in radii)
-    if not radii or any(not _MIN_RADIUS <= r < 1.0 for r in radii):
-        raise ValueError(f"radii must lie in (0, 1), none below {_MIN_RADIUS!r}, got {radii}")
+    if not radii or any(not 0.0 < r < 1.0 for r in radii):
+        raise ValueError(f"radii must lie in (0, 1), got {radii}")
     angular = int(angular)
     if not 1 <= angular <= MAX_ANGULAR:
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")

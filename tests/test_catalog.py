@@ -1,9 +1,9 @@
 """Tests for the extremal-function catalog.
 
 Coefficients are checked two independent ways: against hand-derived closed
-forms, and against the contour-integral oracle applied to each entry's
-evaluator (closed form or quadrature).  Derivatives are checked by finite
-differences.
+forms, and against the contour-integral oracle applied to f = z (f/z) from
+each entry's evaluator (closed form or quadrature).  The ratios z f'/f and
+z f''/f' are checked by finite differences of that same f.
 """
 
 import math
@@ -145,27 +145,35 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_contour_oracle_agrees_with_series(self, f):
-        got = contour_coefficients(lambda z: f.evaluator(z)[0], 8, radius=0.5)
+        got = contour_coefficients(lambda z: z * f.evaluator(z)[0], 8, radius=0.5)
         np.testing.assert_allclose(got, f.series.coeffs[:9], atol=1e-9)
 
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_fd_oracle_agrees_with_derivatives(self, f):
         z = 0.1 + 0.1j
-        fv, fpv, fppv = f.evaluator(z)
-        of, ofp, ofpp = fd_derivatives(lambda t: f.evaluator(t)[0], z)
-        assert fv == of
-        assert abs(fpv - ofp) < 1e-9
-        assert abs(fppv - ofpp) < 1e-6
+        q, p, r = f.evaluator(z)
+        of, ofp, ofpp = fd_derivatives(lambda t: t * f.evaluator(t)[0], z)
+        assert z * q == of
+        assert abs(p - z * ofp / of) < 1e-9
+        assert abs(r - z * ofpp / ofp) < 1e-6
+
+    @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
+    def test_ratios_at_origin(self, f):
+        np.testing.assert_allclose(f.evaluator(0.0), (1.0, 1.0, 0.0), rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("f", INTEGRAL_CASES, ids=lambda f: f.label)
     def test_contour_oracle_near_boundary(self, f):
-        got = contour_coefficients(lambda z: f.evaluator(z)[0], 10, radius=0.95)
+        got = contour_coefficients(lambda z: z * f.evaluator(z)[0], 10, radius=0.95)
         np.testing.assert_allclose(got, f.series.coeffs[:11], rtol=0, atol=1e-8)
 
     def test_quadrature_node_cap(self):
-        # Refused before any node is built.
-        with pytest.raises(ValueError, match="more than 100000; the integrand"):
-            k_theta_alpha(0.0, 1e-5).evaluator(0.5)
+        # Refused before any node is built, below alpha ~ 3.51e-4 for
+        # k_theta_alpha and ~ 1.88e-4 for m_alpha_upper, as their docstrings state.
+        for f in (k_theta_alpha(0.0, 1e-5), k_theta_alpha(0.0, 3.4e-4), m_alpha_upper(1.8e-4)):
+            with pytest.raises(ValueError, match="more than 100000; the integrand"):
+                f.evaluator(0.5)
+        for f in (k_theta_alpha(0.0, 3.6e-4), m_alpha_upper(2.0e-4)):
+            assert np.isfinite(f.evaluator(0.5)).all()
 
     def test_quadrature_evaluator_needs_open_disk(self):
         f = k_theta_alpha(0.0, 0.5)
@@ -224,12 +232,12 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("z", [1.0 - 1e-6, -(1.0 - 1e-6), 1.0 - 1e-9])
     def test_rational_keeps_precision_next_to_pole(self, z):
-        # koebe's pole at 1 and the zero of f' at -1, against
-        # z/(1 - z)^2, (1 + z)/(1 - z)^3 and (4 + 2z)/(1 - z)^4.
-        fv, fpv, fppv = koebe(0.0).evaluator(z)
-        assert fv == pytest.approx(z / (1.0 - z) ** 2, rel=1e-12)
-        assert fpv == pytest.approx((1.0 + z) / (1.0 - z) ** 3, rel=1e-12)
-        assert fppv == pytest.approx((4.0 + 2.0 * z) / (1.0 - z) ** 4, rel=1e-12)
+        # koebe's pole at 1 and the zero of f' at -1, against f/z = 1/(1 - z)^2,
+        # z f'/f = (1 + z)/(1 - z) and z f''/f' = z (4 + 2z)/((1 - z)(1 + z)).
+        q, p, r = koebe(0.0).evaluator(z)
+        assert q == pytest.approx(1.0 / (1.0 - z) ** 2, rel=1e-12)
+        assert p == pytest.approx((1.0 + z) / (1.0 - z), rel=1e-12)
+        assert r == pytest.approx(z * (4.0 + 2.0 * z) / ((1.0 - z) * (1.0 + z)), rel=1e-12)
 
     @pytest.mark.parametrize("build, match", [
         (lambda: m_alpha_upper(1e-20), "rule out of range"),
@@ -251,12 +259,10 @@ class TestEvaluators:
     def test_evaluator_vectorized(self):
         f = f3(0.5, 0.2)
         z = np.array([0.1, 0.2j, -0.3 + 0.1j])
-        fv, fpv, fppv = f.evaluator(z)
+        values = f.evaluator(z)
         for i, p in enumerate(z):
-            s = f.evaluator(complex(p))
-            assert s[0] == pytest.approx(fv[i], abs=1e-15)
-            assert s[1] == pytest.approx(fpv[i], abs=1e-15)
-            assert s[2] == pytest.approx(fppv[i], abs=1e-15)
+            for one, many in zip(f.evaluator(complex(p)), values):
+                assert one == pytest.approx(many[i], abs=1e-15)
 
 
 class TestRotation:
@@ -386,7 +392,7 @@ class TestPoleLocation:
 
 
 def identity(z):
-    return z, z * 0.0 + 1.0, z * 0.0
+    return z * 0.0 + 1.0, z * 0.0 + 1.0, z * 0.0
 
 
 class TestNormalization:
@@ -464,7 +470,8 @@ class TestValidation:
 
     def test_default_order_builds_stay_finite_at_small_alpha(self):
         # The coefficients grow faster as alpha falls; 1e-4 lies below every
-        # alpha whose quadrature rule fits under the node cap (about 4e-4).
+        # alpha whose quadrature rule fits under the node cap (about 3.5e-4
+        # for k_theta_alpha and 1.9e-4 for m_alpha_upper).
         for f in (k_theta_alpha(0.7, 1e-4), m_alpha_upper(1e-4)):
             assert np.isfinite(f.series.coeffs).all()
 

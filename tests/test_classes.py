@@ -43,11 +43,18 @@ from logcoef.series import TruncatedSeries
 
 
 def entry_from_coeffs(coeffs, order=24):
-    """The polynomial with these coefficients, evaluated exactly by Horner."""
+    """The polynomial with these coefficients; f/z, f' and f'' come exactly by Horner."""
     s = TruncatedSeries(coeffs, order=order)
-    d1 = TruncatedSeries(s.coeffs[1:] * np.arange(1, order + 1), order=order)
-    d2 = TruncatedSeries(d1.coeffs[1:] * np.arange(1, order + 1), order=order)
-    return AnalyticFunction("adhoc", s, {}, lambda z: (s(z), d1(z), d2(z)))
+    n = np.arange(1, order + 1)
+    q = TruncatedSeries(s.coeffs[1:], order=order)
+    d1 = TruncatedSeries(s.coeffs[1:] * n, order=order)
+    d2 = TruncatedSeries(d1.coeffs[1:] * n, order=order)
+
+    def ratios(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return q(z), d1(z) / q(z), z * d2(z) / d1(z)
+
+    return AnalyticFunction("adhoc", s, {}, ratios)
 
 
 class TestClassSpec:
@@ -157,6 +164,26 @@ class TestMargins:
         assert membership_margin(koebe(), ClassSpec("M", alpha=2.0), 0.0) == 1.0
         assert membership_margin(g_quadratic(), ClassSpec("G", alpha=1.0), 0.0) == 0.5
 
+    @pytest.mark.parametrize("z", [5e-324, 1e-310, 1e-310j, 2.2e-308])
+    def test_subnormal_point_gives_origin_limit(self, z):
+        # The ratios f/z, z f'/f and z f''/f' stay finite down to the
+        # smallest subnormal, so the margins there are their z -> 0 limits.
+        for f, spec, limit in [
+            (koebe(), ClassSpec("M", alpha=0.0), 1.0),
+            (f3(0.7, 0.0), ClassSpec("U", lam=0.7), 0.7),
+            (g_alpha_upper(0.5), ClassSpec("G", alpha=0.5), 0.25),
+            (k_theta_alpha(0.0, 0.5), ClassSpec("M", alpha=0.5), 1.0),
+        ]:
+            assert abs(membership_margin(f, spec, z) - limit) <= 1e-14
+
+    def test_subnormal_radius_accepted(self):
+        spec = ClassSpec("U", lam=1.0)
+        for r in (5e-324, 0.5 * sys.float_info.min):
+            rep = membership_test(koebe(), spec, radii=(r,), angular=8)
+            assert rep.passed and abs(rep.worst_margin - 1.0) <= 1e-14
+        with pytest.raises(ValueError, match="radii"):
+            membership_test(koebe(), spec, radii=(0.0,))
+
     def test_class_s_has_no_pointwise_test(self):
         with pytest.raises(ValueError, match="class S"):
             membership_margin(f1(), ClassSpec("S"), 0.5)
@@ -198,21 +225,10 @@ class TestClosedFormNearPoles:
 
 
 class TestFailClosed:
-    @pytest.mark.parametrize("z", [1e-310, 1e-310j])
-    def test_subnormal_point_refused(self, z):
-        with pytest.raises(ValueError, match="margins overflow"):
-            membership_margin(koebe(), ClassSpec("U", lam=1.0), z)
-
     def test_overflowing_margin_refused(self):
         # f and f' are finite and nonzero; the M(1e308) margin's terms overflow.
         with pytest.raises(ValueError, match=r"M\(1e\+308\) margin overflows"):
             membership_margin(koebe(), ClassSpec("M", alpha=1e308), 0.5)
-
-    def test_subnormal_radius_refused(self):
-        tiny = sys.float_info.min  # the smallest normal float
-        with pytest.raises(ValueError, match="radii"):
-            membership_test(koebe(), ClassSpec("U", lam=1.0), radii=(0.5 * tiny,))
-        assert membership_test(koebe(), ClassSpec("U", lam=1.0), radii=(tiny,), angular=8).passed
 
     @settings(max_examples=300, deadline=None)
     @given(

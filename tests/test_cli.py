@@ -248,6 +248,21 @@ def test_non_finite_theta_is_refused_where_it_is_not_read(run, argv, theta):
     assert f"error: theta must be finite, got {theta}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bounds",), "--class is required for this command"),
+    (("gamma",), "--function is required for this command"),
+    (("membership", "--function", "f1", "--class", "S"),
+     "class S has no pointwise membership criterion"),
+    (("membership", "--function", "f1", "--class", "M", "--alpha", "0", "--radii", ","),
+     "--radii expects at least one radius"),
+])
+def test_missing_or_unusable_input_is_refused(run, argv, message):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("gamma", "--function", "k_theta_alpha", "--alpha", "0.7"),
     ("sweep", "--function", "k_theta_alpha"),

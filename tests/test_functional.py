@@ -26,11 +26,18 @@ from logcoef.series import TruncatedSeries, log_unit
 
 
 def entry_from_coeffs(coeffs, order=16):
-    """The polynomial with these coefficients, evaluated exactly by Horner."""
+    """The polynomial with these coefficients; f/z, f' and f'' come exactly by Horner."""
     s = TruncatedSeries(coeffs, order=order)
-    d1 = TruncatedSeries(s.coeffs[1:] * np.arange(1, order + 1), order=order)
-    d2 = TruncatedSeries(d1.coeffs[1:] * np.arange(1, order + 1), order=order)
-    return AnalyticFunction("adhoc", s, {}, lambda z: (s(z), d1(z), d2(z)))
+    n = np.arange(1, order + 1)
+    q = TruncatedSeries(s.coeffs[1:], order=order)
+    d1 = TruncatedSeries(s.coeffs[1:] * n, order=order)
+    d2 = TruncatedSeries(d1.coeffs[1:] * n, order=order)
+
+    def ratios(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return q(z), d1(z) / q(z), z * d2(z) / d1(z)
+
+    return AnalyticFunction("adhoc", s, {}, ratios)
 
 
 class TestLogCoefficients:

@@ -352,6 +352,7 @@ class TestFamilySweep:
         ("f5", 0.3, 1, 0.3, 0.3),
         ("k_theta_alpha", 0.05, 61, 0.0, 3.0),
         ("k_theta_alpha", 0.3, 11, 0.0, 3.0),
+        ("k_theta_alpha", 0.0003, 10001, 0.0, 3.0),
         ("m_alpha_upper", 0.05, 61, 0.0, 3.0),
         ("m_alpha_upper", 0.3, 11, 0.0, 3.0),
         ("g_alpha_upper", 0.05, 20, 0.05, 1.0),
