@@ -1,6 +1,6 @@
 """Parameter sweeps and machine-readable reports.
 
-family_sweep walks a catalog family and records the delta values attained;
+family_sweep walks a catalog family and records the delta at each value;
 the command line wraps the same machinery and emits text, json, or csv with
 floats serialized via repr, so a re-parsed file reproduces the doubles
 exactly.  This script drives both, ending with files in a temp directory.
@@ -17,22 +17,21 @@ from logcoef.cli import main
 print("== delta along the f3 family (attains the U upper bound) ==")
 for row in family_sweep("f3", [0.2, 0.4, 0.6, 0.8, 1.0]):
     upper = bound_delta(ClassSpec("U", lam=row.param)).upper
-    print(f"lambda = {row.param:3.1f}: delta = {row.delta_max:+.9f}   bound {upper:+.9f}")
+    print(f"lambda = {row.param:3.1f}: delta = {row.delta:+.9f}   bound {upper:+.9f}")
 print()
 
 print("== delta along f5 then f4 (attains the U lower bound, branch and all) ==")
 for label, grid in [("f5", [0.1, 0.3, 0.5]), ("f4", [0.5, 0.75, 1.0])]:
     for row in family_sweep(label, grid):
         lower = bound_delta(ClassSpec("U", lam=row.param)).lower
-        print(f"{label} lambda = {row.param:4.2f}: delta = {row.delta_min:+.9f}   bound {lower:+.9f}")
+        print(f"{label} lambda = {row.param:4.2f}: delta = {row.delta:+.9f}   bound {lower:+.9f}")
 print()
 
 out_dir = Path(tempfile.mkdtemp(prefix="logcoef_demo_"))
 
 print("== the same sweep through the command line, as csv ==")
 g_csv = out_dir / "g_sweep.csv"
-main(["sweep", "--class", "G", "--step", "0.1", "--resolution", "48",
-      "--format", "csv", "--out", str(g_csv)])
+main(["sweep", "--class", "G", "--step", "0.1", "--format", "csv", "--out", str(g_csv)])
 with open(g_csv, newline="") as fh:
     rows = list(csv.reader(fh))
 print(f"wrote {g_csv} ({len(rows) - 1} rows)")

@@ -301,8 +301,7 @@ def _cmd_search(args) -> int:
         _emit(args, {"command": "scan", **row}, lines, [row])
         return 0 if res.passed else 1
 
-    resolution = args.resolution if args.resolution is not None else 200
-    res = search.body_search(spec, resolution=resolution)
+    res = search.body_search(spec, resolution=args.resolution)
     pair = bounds.bound_delta(spec)
     row = {
         "class": spec.label(),
@@ -335,20 +334,17 @@ def _class_param_grid(kind: str, step: float) -> list:
 def _cmd_sweep(args) -> int:
     if (args.klass is None) == (args.function is None):
         raise ValueError("sweep needs exactly one of --class or --function")
-    step = args.step if args.step is not None else 0.05
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"--step must be positive and finite, got {step}")
+    step = args.step  # catalog.sweep_grid refuses a step it cannot walk
 
     if args.klass is not None:
         kind = args.klass
         if kind == "S":
             raise ValueError("class S has no parameter to sweep; choose U, M, or G")
-        resolution = args.resolution if args.resolution is not None else 64
         table = []
         for p in _class_param_grid(kind, step):
             spec = ClassSpec.of(kind, p)
             pair = bounds.bound_delta(spec)
-            res = search.body_search(spec, resolution=resolution)
+            res = search.body_search(spec)
             table.append((p, pair.lower, pair.upper, res.min_delta, res.max_delta))
         header = ["param", "bound_lower", "bound_upper", "search_min", "search_max"]
         payload = {
@@ -356,24 +352,23 @@ def _cmd_sweep(args) -> int:
             "mode": "class",
             "class": kind,
             "step": step,
-            "resolution": resolution,
             "rows": [dict(zip(header, row)) for row in table],
         }
-        lines = [f"sweep: class {kind} step={step!r} resolution={resolution}"]
+        lines = [f"sweep: class {kind} step={step!r}"]
     else:
         label = args.function
-        theta_grid = (args.theta,) if args.theta is not None else (0.0,)
         family = catalog.FAMILIES.get(label)
         # family_sweep refuses a label that is not sweepable.
         params = catalog.sweep_grid(*family.sweep, step) if family and family.sweep else []
-        sweep_rows = search.family_sweep(label, params, theta_grid=theta_grid)
         table = []
-        for r in sweep_rows:
+        for r in search.family_sweep(label, params):
             lo = hi = None
             if family.kind is not None:
                 pair = bounds.bound_delta(ClassSpec.of(family.kind, r.param))
                 lo, hi = pair.lower, pair.upper
-            table.append((r.param, r.delta_min, r.delta_max, lo, hi))
+            # One delta fills both columns, since bench/reference.py and users
+            # read delta_min and delta_max.
+            table.append((r.param, r.delta, r.delta, lo, hi))
         header = ["param", "delta_min", "delta_max", "bound_lower", "bound_upper"]
         payload = {
             "command": "sweep",
@@ -472,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="body search (or randomized scan with --samples)")
     _add_class_flags(sp)
     sp.add_argument(
-        "--resolution", type=int, metavar="R",
+        "--resolution", type=int, default=search.DEFAULT_RESOLUTION, metavar="R",
         help=f"guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION}; extremes are "
-        "exact at any value (default 200)",
+        "exact at any value (default %(default)s)",
     )
     sp.add_argument(
         "--samples", type=int, metavar="N",
@@ -490,12 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--function", metavar="LABEL",
         help=", ".join(label for label, family in catalog.FAMILIES.items() if family.sweep),
     )
-    sp.add_argument("--step", type=float, metavar="X", help="parameter step (default 0.05)")
     sp.add_argument(
-        "--resolution", type=int, metavar="R",
-        help=f"per-row guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION} (default 64)",
+        "--step", type=float, default=0.05, metavar="X",
+        help="parameter step (default %(default)s)",
     )
-    sp.add_argument("--theta", type=float, metavar="X")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_sweep)
 
@@ -526,7 +519,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         # Every command that takes --theta refuses a non-finite one, also where
-        # the entry or the sweep does not read it.
+        # the entry does not read it.
         theta = getattr(args, "theta", None)
         if theta is not None and not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")

@@ -8,9 +8,10 @@ body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form and
 searching what is left in m1; `bound_violation_scan` samples the whole body
 at random as a brute-force check, and `family_sweep` records the delta
-values a one-parameter catalog family actually attains, building each member
-only through a_3, the last coefficient delta reads; which parameter a family
-sweeps, and over what range, is read from `catalog.FAMILIES`.
+a one-parameter catalog family actually attains at each parameter value,
+building each member only through a_3, the last coefficient delta reads;
+which parameter a family sweeps, and over what range, is read from
+`catalog.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class
 # since the bounds shrink with the class parameter and a fixed margin would hide errors there.
 SCAN_TOLERANCE = 1e-9
 
-# Largest m1 grid accepted by body_search.
+# Default and largest m1 grid of body_search.
+DEFAULT_RESOLUTION = 200
 MAX_RESOLUTION = 10**6
 
 # Most samples accepted by bound_violation_scan.
@@ -137,7 +139,7 @@ def _pick(values, closed: int, sign: float) -> tuple:
     return i, True
 
 
-def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
+def body_search(spec: ClassSpec, resolution: int = DEFAULT_RESOLUTION) -> SearchResult:
     """Exact extremes of delta over the body, by a one-variable reduction.
 
     For fixed m1 the maximum over (m2, phase) puts m2 at the cap with t w
@@ -179,19 +181,17 @@ def body_search(spec: ClassSpec, resolution: int = 200) -> SearchResult:
 @dataclass(frozen=True)
 class SweepRow:
     param: float
-    delta_min: float
-    delta_max: float
+    delta: float
 
 
-def family_sweep(label, param_grid, theta_grid=(0.0,)):
-    """delta range attained along a one-parameter catalog family.
+def family_sweep(label, param_grid):
+    """delta along a one-parameter catalog family, one row per parameter value.
 
     The swept parameter is the entry's class parameter, or theta for an entry
-    without one (see `catalog.FAMILIES`).  For families that also carry a
-    rotation angle, each parameter value is evaluated at every angle in
-    theta_grid and the row records the spread.  Each member is built only
-    through a_3 (`functional.PAIR_ORDER`), which gives the same delta, bit for
-    bit, as a build at `series.DEFAULT_ORDER`.
+    without one (see `catalog.FAMILIES`).  delta is rotation invariant, so a
+    family that also carries a rotation angle is built at theta = 0.  Each
+    member is built only through a_3 (`functional.PAIR_ORDER`), which gives
+    the same delta, bit for bit, as a build at `series.DEFAULT_ORDER`.
     """
     family = catalog.FAMILIES.get(label)
     if family is None or family.sweep is None:
@@ -199,18 +199,11 @@ def family_sweep(label, param_grid, theta_grid=(0.0,)):
         raise ValueError(f"{label!r} is not sweepable; choose one of {sweepable}")
     rows = []
     for param in param_grid:
-        if family.kind is None:
-            # The swept parameter is the rotation angle itself.
-            members = [catalog.make(label, theta=param, order=functional.PAIR_ORDER)]
-        else:
-            # make reads whichever of lam and alpha the entry takes.
-            thetas = theta_grid if family.rotated else (0.0,)
-            members = [
-                catalog.make(label, th, lam=param, alpha=param, order=functional.PAIR_ORDER)
-                for th in thetas
-            ]
-        values = [functional.delta(f) for f in members]
-        rows.append(SweepRow(param=float(param), delta_min=min(values), delta_max=max(values)))
+        # Without a class parameter the swept one is theta; make reads only
+        # the parameters the entry takes.
+        theta = param if family.kind is None else 0.0
+        f = catalog.make(label, theta, lam=param, alpha=param, order=functional.PAIR_ORDER)
+        rows.append(SweepRow(param=float(param), delta=functional.delta(f)))
     return rows
 
 

@@ -159,9 +159,11 @@ def exp_unit(a: TruncatedSeries) -> TruncatedSeries:
 def pow_real(a: TruncatedSeries, beta: float) -> TruncatedSeries:
     """Principal power a**beta for real beta, constant term of a exactly 1.
 
-    Uses the classical recurrence obtained from a p' = beta a' p:
-    p_n = (1/n) sum_{j=1}^{n} ((beta+1) j - n) a_j p_{n-j}.
-    Equivalent to exp_unit(beta * log_unit(a)) but in a single pass.
+    Solves a p' = beta a' p triangularly:
+    n p_n = beta sum_{j=1}^{n} j a_j p_{n-j} - sum_{i=1}^{n-1} i p_i a_{n-i}.
+    Both terms are O(beta) when beta is small, since p_i is for i >= 1, so
+    no two O(1) terms cancel and p keeps its relative precision.  Equivalent
+    to exp_unit(beta * log_unit(a)) but in a single pass.
     """
     c = a.coeffs
     if c[0] != 1:
@@ -169,11 +171,13 @@ def pow_real(a: TruncatedSeries, beta: float) -> TruncatedSeries:
     beta = float(beta)
     n1 = len(c)
     crev = np.ascontiguousarray(c[::-1])
-    wrev = np.ascontiguousarray((c * np.arange(n1) * (beta + 1.0))[::-1])
+    jrev = np.ascontiguousarray((c * np.arange(n1))[::-1])
     p = np.zeros(n1, dtype=complex)
+    w = np.zeros(n1, dtype=complex)  # w[i] = i * p[i]
     p[0] = 1.0
     for n in range(1, n1):
-        t1 = np.dot(p[:n], wrev[n1 - 1 - n : n1 - 1])
-        t2 = np.dot(p[:n], crev[n1 - 1 - n : n1 - 1])
-        p[n] = t1 / n - t2
+        t1 = np.dot(p[:n], jrev[n1 - 1 - n : n1 - 1])
+        t2 = np.dot(w[1:n], crev[n1 - n : n1 - 1])
+        p[n] = (beta * t1 - t2) / n
+        w[n] = n * p[n]
     return TruncatedSeries(p, order=a.order)

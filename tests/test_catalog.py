@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcoef import catalog
+from logcoef import catalog, functional
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
@@ -117,6 +117,13 @@ class TestClosedFormCoefficients:
         assert f.a(2) == pytest.approx(0.0, abs=1e-15)
         assert f.a(3) == pytest.approx(-1.0 / 6.0, abs=1e-15)
         assert f.a(5) == pytest.approx(-1.0 / 40.0, abs=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-12, 1e-16])
+    def test_g_upper_delta_keeps_relative_precision(self, alpha):
+        # delta = alpha/12 comes from a_3 = -alpha/6 of the series power
+        # (1 - z^2)^(alpha/2), whose every coefficient past a_0 is O(alpha).
+        d = functional.delta(g_alpha_upper(alpha))
+        assert d == pytest.approx(alpha / 12.0, rel=1e-15, abs=0.0)
 
     def test_g_quadratic_is_polynomial(self):
         f = g_quadratic()

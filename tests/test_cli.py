@@ -5,6 +5,7 @@ stdout are both observable.  Numeric output is round-tripped with float() to
 confirm the repr serialization reproduces the in-memory doubles.
 """
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -14,11 +15,11 @@ import re
 
 import pytest
 
-from logcoef import bounds, catalog, functional
+from logcoef import bounds, catalog, functional, search
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.catalog import f4, f5
 from logcoef.classes import ClassSpec
-from logcoef.cli import main
+from logcoef.cli import build_parser, main
 
 
 @pytest.fixture
@@ -241,11 +242,14 @@ class TestGamma:
 ])
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
 def test_non_finite_theta_is_refused_where_it_is_not_read(run, argv, theta):
-    # koebe sweeps theta itself, and f4 takes no theta.
+    # f4 takes no theta, and sweep takes no --theta at all.
     code, out, err = run(*argv, f"--theta={theta}")
     assert code == 2
     assert out == ""
-    assert f"error: theta must be finite, got {theta}" in err
+    if argv[0] == "sweep":
+        assert f"unrecognized arguments: --theta={theta}" in err
+    else:
+        assert f"error: theta must be finite, got {theta}" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -480,8 +484,7 @@ class TestSearch:
 class TestSweep:
     def test_u_class_sweep_row_count(self, run):
         code, out, _ = run(
-            "sweep", "--class", "U", "--step", "0.05", "--resolution", "24",
-            "--format", "csv",
+            "sweep", "--class", "U", "--step", "0.05", "--format", "csv",
         )
         assert code == 0
         header, rows = parse_csv(out)
@@ -493,8 +496,7 @@ class TestSweep:
 
     def test_g_class_sweep_example_row(self, run):
         code, out, _ = run(
-            "sweep", "--class", "G", "--step", "0.1", "--resolution", "24",
-            "--format", "csv",
+            "sweep", "--class", "G", "--step", "0.1", "--format", "csv",
         )
         assert code == 0
         _, rows = parse_csv(out)
@@ -506,8 +508,7 @@ class TestSweep:
 
     def test_m_class_sweep_includes_breakpoint(self, run):
         code, out, _ = run(
-            "sweep", "--class", "M", "--step", "0.5", "--resolution", "24",
-            "--format", "csv",
+            "sweep", "--class", "M", "--step", "0.5", "--format", "csv",
         )
         assert code == 0
         _, rows = parse_csv(out)
@@ -554,7 +555,7 @@ class TestSweep:
     def test_step_validated(self, run):
         code, _, err = run("sweep", "--class", "U", "--step", "-0.1")
         assert code == 2
-        assert "--step" in err
+        assert "step must be finite and at least 1/10000 of the range, got -0.1" in err
 
     @pytest.mark.parametrize("mode", [("--class", "M"), ("--function", "f3")])
     @pytest.mark.parametrize("step", ["nan", "inf"])
@@ -562,7 +563,7 @@ class TestSweep:
         code, out, err = run("sweep", *mode, "--step", step)
         assert code == 2
         assert out == ""
-        assert f"error: --step must be positive and finite, got {step}" in err
+        assert f"error: step must be finite and at least 1/10000 of the range, got {step}" in err
 
     @pytest.mark.parametrize("mode, step", [
         (("--class", "U"), "9.99e-05"),  # 10010 steps across (0, 1]
@@ -576,10 +577,32 @@ class TestSweep:
         assert out == ""
         assert f"step must be finite and at least 1/10000 of the range, got {step}" in err
 
-    def test_resolution_cap(self, run):
-        code, _, err = run("sweep", "--class", "U", "--resolution", str(10**6 + 1))
+    @pytest.mark.parametrize("argv", [
+        ("--function", "f3", "--theta", "1"),
+        ("--class", "U", "--resolution", "24"),
+    ], ids=["theta", "resolution"])
+    def test_removed_option_is_unrecognized(self, run, argv):
+        # Neither could change a row: delta is rotation invariant, and the
+        # body search is exact at every resolution.
+        code, out, err = run("sweep", *argv)
         assert code == 2
-        assert "resolution must lie in [2, 1000000]" in err
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[2:])}" in err
+
+    @pytest.mark.parametrize("kind", ["U", "M", "G"])
+    def test_class_sweep_is_the_search(self, run, kind):
+        # Each row is body_search at its default and at the coarsest grid, and
+        # bound_delta, bit for bit: no row depends on a resolution.
+        code, out, _ = run("sweep", "--class", kind, "--step", "0.05", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert "resolution" not in doc and doc["rows"]
+        for row in doc["rows"]:
+            spec = ClassSpec.of(kind, row["param"])
+            pair = bound_delta(spec)
+            assert (row["bound_lower"], row["bound_upper"]) == (pair.lower, pair.upper)
+            for res in (search.body_search(spec), search.body_search(spec, resolution=2)):
+                assert (row["search_min"], row["search_max"]) == (res.min_delta, res.max_delta)
 
     @pytest.mark.parametrize(
         "label", [label for label, fam in catalog.FAMILIES.items() if fam.sweep]
@@ -762,3 +785,31 @@ class TestPlumbing:
         doc = json.loads(out)
         pair = bound_delta(ClassSpec("M", alpha=0.5))
         assert doc["lower"] == pair.lower and doc["upper"] == pair.upper
+
+
+# Every option of every subcommand, in parser order.  Adding or removing a
+# knob has to edit this table, so the change shows in review.
+OPTIONS = {
+    "gamma": ("--function", "--theta", "--lambda", "--alpha", "--format", "--out"),
+    "bounds": ("--class", "--lambda", "--alpha", "--format", "--out"),
+    "verify": ("--all", "--format", "--out"),
+    "search": (
+        "--class", "--lambda", "--alpha", "--resolution", "--samples", "--seed",
+        "--format", "--out",
+    ),
+    "sweep": ("--class", "--function", "--step", "--format", "--out"),
+    "membership": (
+        "--function", "--theta", "--class", "--lambda", "--alpha", "--radii", "--angular",
+        "--format", "--out",
+    ),
+}
+
+
+def test_option_inventory():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: tuple(o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, sp in sub.choices.items()
+    }
+    assert got == OPTIONS

@@ -288,46 +288,47 @@ class TestFamilySweep:
         rows = family_sweep("f3", [0.2, 0.5, 1.0])
         for row in rows:
             assert isinstance(row, SweepRow)
-            assert row.delta_min == pytest.approx(row.param / 2.0, abs=1e-15)
-            assert row.delta_max == pytest.approx(row.param / 2.0, abs=1e-15)
+            assert row.delta == pytest.approx(row.param / 2.0, abs=1e-15)
 
     def test_f3_rotation_spread_is_zero(self):
-        rows = family_sweep("f3", [0.7], theta_grid=(0.0, 1.0, 2.5))
-        assert rows[0].delta_max - rows[0].delta_min < 1e-12
+        # The sweep builds at theta = 0 only; a rotated member gives its delta.
+        (row,) = family_sweep("f3", [0.7])
+        for th in (1.0, 2.5):
+            assert abs(delta(catalog.make("f3", th, lam=0.7)) - row.delta) < 1e-12
 
     def test_f4_attains_lower_bound_curve(self):
         for row in family_sweep("f4", [0.5, 0.75, 1.0]):
-            assert row.delta_min == pytest.approx(
+            assert row.delta == pytest.approx(
                 -math.sqrt(2.0 * row.param) / 2.0, abs=1e-12
             )
 
     def test_f5_attains_lower_bound_curve(self):
         for row in family_sweep("f5", [0.1, 0.3, 0.5]):
-            assert row.delta_min == pytest.approx(
+            assert row.delta == pytest.approx(
                 -(2.0 * row.param + 1.0) / 4.0, abs=1e-12
             )
 
     def test_koebe_sweep_is_constant(self):
         for row in family_sweep("koebe", [0.0, 1.0, 2.5]):
-            assert row.delta_min == pytest.approx(-0.5, abs=1e-12)
-            assert row.delta_max == pytest.approx(-0.5, abs=1e-12)
+            assert row.delta == pytest.approx(-0.5, abs=1e-12)
 
     def test_k_family_theta_invariant(self):
-        rows = family_sweep("k_theta_alpha", [0.0, 1.0], theta_grid=(0.0, 1.3))
+        rows = family_sweep("k_theta_alpha", [0.0, 1.0])
         for row in rows:
-            assert row.delta_max - row.delta_min < 1e-12
-        assert rows[0].delta_min == pytest.approx(-0.5, abs=1e-12)
-        assert rows[1].delta_min == pytest.approx(-0.25, abs=1e-12)
+            rotated = delta(catalog.make("k_theta_alpha", 1.3, alpha=row.param))
+            assert abs(rotated - row.delta) < 1e-12
+        assert rows[0].delta == pytest.approx(-0.5, abs=1e-12)
+        assert rows[1].delta == pytest.approx(-0.25, abs=1e-12)
 
     def test_m_upper_family_attains_bound(self):
         for row in family_sweep("m_alpha_upper", [0.0, 0.5, 2.0]):
-            assert row.delta_max == pytest.approx(
+            assert row.delta == pytest.approx(
                 0.5 / (1.0 + 2.0 * row.param), abs=1e-9
             )
 
     def test_g_upper_family_attains_bound(self):
         for row in family_sweep("g_alpha_upper", [0.25, 1.0]):
-            assert row.delta_max == pytest.approx(row.param / 12.0, abs=1e-9)
+            assert row.delta == pytest.approx(row.param / 12.0, abs=1e-9)
 
     def test_not_sweepable(self):
         with pytest.raises(ValueError, match="not sweepable"):
@@ -378,28 +379,21 @@ class TestFamilySweep:
     @pytest.mark.parametrize("label,step,length,first,last", GRIDS)
     def test_family_grid_endpoints_build(self, label, step, length, first, last):
         for row in family_sweep(label, [first, last]):
-            assert math.isfinite(row.delta_min) and math.isfinite(row.delta_max)
+            assert math.isfinite(row.delta)
 
     @pytest.mark.parametrize("label", sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep))
     def test_sweep_equals_a_full_order_build(self, label):
         # The sweep builds each member through a_3 only; its rows must be those
         # of a DEFAULT_ORDER build exactly, down to the finest grid's first
-        # value (alpha = 3e-4 for the M families) and at several rotations.
+        # value (alpha = 3e-4 for the M families).
         family = catalog.FAMILIES[label]
         lo, hi, ends = family.sweep
         grid = catalog.sweep_grid(lo, hi, ends, (hi - lo) / 18)
         grid.append(lo + (hi - lo) / catalog.MAX_SWEEP_STEPS)
-        thetas = (0.0, 1.3, 4.0) if family.rotated and family.kind else (0.0,)
-        rows = family_sweep(label, grid, theta_grid=thetas)
-        for p, row in zip(grid, rows):
-            if family.kind is None:
-                values = [delta(catalog.make(label, theta=p, order=DEFAULT_ORDER))]
-            else:
-                values = [
-                    delta(catalog.make(label, th, lam=p, alpha=p, order=DEFAULT_ORDER))
-                    for th in thetas
-                ]
-            assert (row.delta_min, row.delta_max) == (min(values), max(values))
+        for p, row in zip(grid, family_sweep(label, grid)):
+            theta = p if family.kind is None else 0.0
+            f = catalog.make(label, theta, lam=p, alpha=p, order=DEFAULT_ORDER)
+            assert row.delta == delta(f)
 
 
 class TestViolationScan:

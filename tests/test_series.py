@@ -149,6 +149,13 @@ class TestTranscendental:
         want = [1, 0, -1 / 2, 0, -1 / 8, 0, -1 / 16]
         np.testing.assert_allclose(p.coeffs, want, atol=1e-15)
 
+    @pytest.mark.parametrize("beta", [1e-8, 1e-12, 1e-16])
+    def test_small_power_keeps_relative_precision(self, beta):
+        # (1 - z^2)^beta = 1 - beta z^2 + beta (beta - 1)/2 z^4 - ...
+        p = pow_real(TruncatedSeries([1, 0, -1], order=6), beta)
+        want = [1, 0, -beta, 0, beta * (beta - 1) / 2, 0, -beta * (beta - 1) * (beta - 2) / 6]
+        np.testing.assert_allclose(p.coeffs, want, rtol=1e-15, atol=0)
+
     def test_negative_power_gives_derivative_of_geometric(self):
         p = pow_real(TruncatedSeries([1, -1], order=7), -2.0)
         np.testing.assert_allclose(p.coeffs, np.arange(1, 9), atol=1e-13)
