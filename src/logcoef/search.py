@@ -7,10 +7,12 @@ relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form and
 searching what is left in m1; `bound_violation_scan` samples the whole body
-at random as a brute-force check, and `family_sweep` records the delta
-a one-parameter catalog family actually attains at each parameter value,
-building each member only through a_3, the last coefficient delta reads;
-which parameter a family sweeps, and over what range, is read from
+at random as a brute-force check, one cache-sized block of samples at a
+time, and `family_sweep` records the delta a one-parameter catalog family
+actually attains at each parameter value, building each member only through
+a_3, the last coefficient delta reads.  delta is rotation invariant, so a
+family whose only parameter is the rotation angle is built once.  Which
+parameter a family sweeps, and over what range, is read from
 `catalog.FAMILIES`.
 """
 
@@ -38,6 +40,10 @@ MAX_RESOLUTION = 10**6
 
 # Most samples accepted by bound_violation_scan.
 MAX_SAMPLES = 10**6
+
+# Samples bound_violation_scan evaluates at once: small enough that the
+# temporaries of body_delta stay in cache, large enough to amortize its checks.
+_SCAN_BLOCK = 8192
 
 # How far a guard-grid value may pass the closed-form extremes as roundoff.
 GUARD_SLACK = 1e-12
@@ -188,10 +194,13 @@ def family_sweep(label, param_grid):
     """delta along a one-parameter catalog family, one row per parameter value.
 
     The swept parameter is the entry's class parameter, or theta for an entry
-    without one (see `catalog.FAMILIES`).  delta is rotation invariant, so a
-    family that also carries a rotation angle is built at theta = 0.  Each
-    member is built only through a_3 (`functional.PAIR_ORDER`), which gives
-    the same delta, bit for bit, as a build at `series.DEFAULT_ORDER`.
+    without one (see `catalog.FAMILIES`).  delta is rotation invariant, so
+    every member is built at theta = 0, and a family whose only parameter is
+    theta is built once: each row carries that one member's delta, and an
+    empty grid builds nothing.  A theta that is not finite is refused as its
+    build would refuse it.  Each member is built only through a_3
+    (`functional.PAIR_ORDER`), which gives the same delta, bit for bit, as a
+    build at `series.DEFAULT_ORDER`.
     """
     family = catalog.FAMILIES.get(label)
     if family is None or family.sweep is None:
@@ -199,11 +208,15 @@ def family_sweep(label, param_grid):
         raise ValueError(f"{label!r} is not sweepable; choose one of {sweepable}")
     rows = []
     for param in param_grid:
-        # Without a class parameter the swept one is theta; make reads only
-        # the parameters the entry takes.
-        theta = param if family.kind is None else 0.0
-        f = catalog.make(label, theta, lam=param, alpha=param, order=functional.PAIR_ORDER)
-        rows.append(SweepRow(param=float(param), delta=functional.delta(f)))
+        if family.kind is None:
+            catalog._check_finite(("theta", param))
+        if family.kind is None and rows:
+            d = rows[0].delta  # theta is the only parameter, and delta does not see it
+        else:
+            # make reads only the parameters the entry takes.
+            f = catalog.make(label, lam=param, alpha=param, order=functional.PAIR_ORDER)
+            d = functional.delta(f)
+        rows.append(SweepRow(param=float(param), delta=d))
     return rows
 
 
@@ -241,25 +254,34 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     """Sample the body uniformly and count samples whose delta escapes the
     closed-form bounds by more than SCAN_TOLERANCE times the larger bound in
     modulus.  Deterministic for a fixed seed (permuted congruential
-    generator)."""
+    generator).
+
+    The three coordinates are drawn whole, then evaluated _SCAN_BLOCK samples
+    at a time, so that the temporaries of `body_delta` stay small; every step
+    is elementwise or an exact reduction, so the result is that of one call
+    over all samples, bit for bit.
+    """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
     body = _body(spec)
     rng = np.random.Generator(np.random.PCG64(seed))
     m1 = rng.uniform(0.0, body.reach, samples)
-    m2 = rng.uniform(0.0, 1.0, samples) * body.cap(m1)
+    u2 = rng.uniform(0.0, 1.0, samples)
     phase = rng.uniform(0.0, 2.0 * math.pi, samples)
-    d = body_delta(spec, m1, m2, phase)
     pair = bound_delta(spec)
     slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
-    violations = int(np.count_nonzero(d < pair.lower - slack)) + int(
-        np.count_nonzero(d > pair.upper + slack)
-    )
+    lower, upper = pair.lower - slack, pair.upper + slack
+    lo, hi, violations = math.inf, -math.inf, 0
+    for start in range(0, samples, _SCAN_BLOCK):
+        b = slice(start, start + _SCAN_BLOCK)
+        d = body_delta(spec, m1[b], u2[b] * body.cap(m1[b]), phase[b])
+        lo, hi = min(lo, float(d.min())), max(hi, float(d.max()))
+        violations += int(np.count_nonzero(d < lower)) + int(np.count_nonzero(d > upper))
     return ScanResult(
         spec=spec,
         samples=samples,
         seed=seed,
         violations=violations,
-        min_delta=float(d.min()),
-        max_delta=float(d.max()),
+        min_delta=lo,
+        max_delta=hi,
     )

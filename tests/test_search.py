@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,17 +384,50 @@ class TestFamilySweep:
 
     @pytest.mark.parametrize("label", sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep))
     def test_sweep_equals_a_full_order_build(self, label):
-        # The sweep builds each member through a_3 only; its rows must be those
-        # of a DEFAULT_ORDER build exactly, down to the finest grid's first
-        # value (alpha = 3e-4 for the M families).
+        # The sweep builds each member through a_3 only, at theta = 0; its rows
+        # must be those of a DEFAULT_ORDER build at theta = 0 exactly, down to
+        # the finest grid's first value (alpha = 3e-4 for the M families).
         family = catalog.FAMILIES[label]
         lo, hi, ends = family.sweep
         grid = catalog.sweep_grid(lo, hi, ends, (hi - lo) / 18)
         grid.append(lo + (hi - lo) / catalog.MAX_SWEEP_STEPS)
         for p, row in zip(grid, family_sweep(label, grid)):
-            theta = p if family.kind is None else 0.0
-            f = catalog.make(label, theta, lam=p, alpha=p, order=DEFAULT_ORDER)
+            f = catalog.make(label, 0.0, lam=p, alpha=p, order=DEFAULT_ORDER)
             assert row.delta == delta(f)
+
+    # The exact delta of each family whose only parameter is theta.
+    ROTATION_ONLY = {"koebe": -0.5, "f1": -math.sqrt(0.5), "f2": 0.5}
+
+    @pytest.mark.parametrize("label", sorted(ROTATION_ONLY))
+    def test_rotation_only_sweep_is_exact_and_rotation_invariant(self, label):
+        # One member serves every row, and its delta is the exact value to the
+        # last bit; a build at each theta of the grid lands within 4 ulp of it.
+        assert catalog.FAMILIES[label].kind is None
+        grid = catalog.sweep_grid(*catalog.FAMILIES[label].sweep, 0.01)
+        rows = family_sweep(label, grid)
+        assert [row.param for row in rows] == grid
+        want = self.ROTATION_ONLY[label]
+        assert {row.delta for row in rows} == {want}
+        for theta in grid:
+            got = delta(catalog.make(label, theta, order=DEFAULT_ORDER))
+            assert abs(got - want) <= 4.0 * math.ulp(want)
+
+    def test_rotation_only_sweep_builds_one_member(self, monkeypatch):
+        built = []
+        make = catalog.make
+
+        def counting_make(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "make", counting_make)
+        assert family_sweep("f2", []) == []
+        assert built == []
+        assert len(family_sweep("f2", [0.0, 1.0, 2.0])) == 3
+        assert len(built) == 1
+        # A theta that is not finite is refused, as its build would refuse it.
+        with pytest.raises(ValueError, match="theta must be finite"):
+            family_sweep("f1", [0.0, math.nan])
 
 
 class TestViolationScan:
@@ -403,8 +437,8 @@ class TestViolationScan:
         assert res.violations == 0
         assert res.passed
         # Frozen values for the fixed generator stream.
-        assert res.min_delta == pytest.approx(-0.6907675765, abs=1e-6)
-        assert res.max_delta == pytest.approx(0.4983413813, abs=1e-6)
+        assert res.min_delta == -0.6907680166535525
+        assert res.max_delta == 0.4983414109258834
 
     def test_scan_respects_bounds_with_tolerance(self):
         for spec in [
@@ -448,6 +482,43 @@ class TestViolationScan:
         a = bound_violation_scan(ClassSpec("M", alpha=1.0), samples=5_000, seed=0)
         b = bound_violation_scan(ClassSpec("M", alpha=1.0), samples=5_000, seed=1)
         assert a.min_delta != b.min_delta
+
+    @pytest.mark.parametrize("samples", [
+        1, search._SCAN_BLOCK - 1, search._SCAN_BLOCK, search._SCAN_BLOCK + 1, 100_000,
+    ])
+    @pytest.mark.parametrize("spec", [
+        ClassSpec("S"),
+        ClassSpec("U", lam=0.1),
+        ClassSpec("M", alpha=0.0),
+        ClassSpec("M", alpha=1e150),
+        ClassSpec("G", alpha=1e-300),
+    ], ids=mesh_id)
+    def test_blocked_scan_is_the_one_shot_scan(self, spec, samples):
+        # The scan evaluates its samples block by block; it must report what
+        # one body_delta call over the same draws gives, bit for bit.
+        body = search._body(spec)
+        rng = np.random.Generator(np.random.PCG64(7))
+        m1 = rng.uniform(0.0, body.reach, samples)
+        m2 = rng.uniform(0.0, 1.0, samples) * body.cap(m1)
+        d = body_delta(spec, m1, m2, rng.uniform(0.0, 2.0 * math.pi, samples))
+        pair = bound_delta(spec)
+        slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
+        violations = np.count_nonzero(d < pair.lower - slack) + np.count_nonzero(
+            d > pair.upper + slack
+        )
+        res = bound_violation_scan(spec, samples=samples, seed=7)
+        assert (res.min_delta, res.max_delta, res.violations) == (d.min(), d.max(), violations)
+
+    def test_scan_memory_stays_blocked(self):
+        # The three draws of 10^6 samples take 22.9 MiB; a scan that evaluated
+        # them in one call would peak near 70 MiB.
+        tracemalloc.start()
+        try:
+            bound_violation_scan(ClassSpec.of("M", 1.0), samples=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_as_dict(self):
         d = bound_violation_scan(ClassSpec("G", alpha=1.0), samples=1_000, seed=0).as_dict()
