@@ -301,7 +301,8 @@ def _cmd_search(args) -> int:
         _emit(args, {"command": "scan", **row}, lines, [row])
         return 0 if res.passed else 1
 
-    res = search.body_search(spec, resolution=args.resolution)
+    resolution = search.DEFAULT_RESOLUTION if args.resolution is None else args.resolution
+    res = search.body_search(spec, resolution=resolution)
     pair = bounds.bound_delta(spec)
     row = {
         "class": spec.label(),
@@ -466,16 +467,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="body search (or randomized scan with --samples)")
     _add_class_flags(sp)
-    sp.add_argument(
-        "--resolution", type=int, default=search.DEFAULT_RESOLUTION, metavar="R",
+    # A scan has no grid.  The default is None so that argparse sees every
+    # explicit --resolution, also one equal to the default, as a conflict.
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--resolution", type=int, metavar="R",
         help=f"guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION}; extremes are "
-        "exact at any value (default %(default)s)",
+        f"exact at any value (default {search.DEFAULT_RESOLUTION})",
     )
-    sp.add_argument(
+    mode.add_argument(
         "--samples", type=int, metavar="N",
         help=f"run a randomized scan of N samples instead, 1 to {search.MAX_SAMPLES}",
     )
-    sp.add_argument("--seed", type=int, default=0, metavar="S")
+    sp.add_argument(
+        "--seed", type=int, default=0, metavar="S",
+        help="scan seed, 0 to 2**64 - 1 (default %(default)s)",
+    )
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_search)
 

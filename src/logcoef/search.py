@@ -7,10 +7,11 @@ relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form and
 searching what is left in m1; `bound_violation_scan` samples the whole body
-at random as a brute-force check, one cache-sized block of samples at a
-time, and `family_sweep` records the delta a one-parameter catalog family
-actually attains at each parameter value, building each member only through
-a_3, the last coefficient delta reads.  delta is rotation invariant, so a
+at random as a brute-force check, from a SplitMix64 stream of its own that
+it draws one cache-sized block of samples at a time; and `family_sweep`
+records the delta a one-parameter catalog family actually attains at each
+parameter value, building each member only through a_3, the last
+coefficient delta reads.  delta is rotation invariant, so a
 family whose only parameter is the rotation angle is built once.  Which
 parameter a family sweeps, and over what range, is read from
 `catalog.FAMILIES`.
@@ -41,9 +42,13 @@ MAX_RESOLUTION = 10**6
 # Most samples accepted by bound_violation_scan.
 MAX_SAMPLES = 10**6
 
-# Samples bound_violation_scan evaluates at once: small enough that the
-# temporaries of body_delta stay in cache, large enough to amortize its checks.
+# Samples bound_violation_scan draws and evaluates at once: small enough that
+# the temporaries of body_delta stay in cache, large enough to amortize its checks.
 _SCAN_BLOCK = 8192
+
+# The scan's generator and its seeds, [0, SEED_LIMIT).
+SCAN_GENERATOR = "splitmix64"
+SEED_LIMIT = 2**64
 
 # How far a guard-grid value may pass the closed-form extremes as roundoff.
 GUARD_SLACK = 1e-12
@@ -222,6 +227,45 @@ def family_sweep(label, param_grid):
 
 # -- randomized bound checks -------------------------------------------------
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) with Vigna's finaliser:
+# output k of seed s is mix(s + (k + 1) gamma mod 2^64), so any stretch of the
+# stream is drawn without the outputs before it.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+
+
+def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start, ..., start + count - 1 of the SplitMix64 stream of seed.
+
+    Every step is in place on uint64 arrays, which wrap modulo 2^64 without
+    a warning, where numpy scalars would overflow with one.
+    """
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    t = np.empty_like(x)
+    x *= _GAMMA
+    x += np.uint64(seed)
+    for shift, mult in _MIX:
+        np.right_shift(x, shift, out=t)
+        x ^= t
+        x *= mult
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
+    return x
+
+
+def _unit_doubles(seed: int, start: int, count: int) -> np.ndarray:
+    """The same outputs as doubles in [0, 1): the top 53 bits times 2^-53.
+
+    After the shift every output is below 2^53, so its int64 view converts
+    exactly, and faster than a uint64 cast.
+    """
+    x = _splitmix64(seed, start, count)
+    x >>= np.uint64(11)
+    return x.view(np.int64) * 2.0**-53
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -243,6 +287,7 @@ class ScanResult:
             "class": self.spec.label(),
             "samples": self.samples,
             "seed": self.seed,
+            "generator": SCAN_GENERATOR,
             "violations": self.violations,
             "min_delta": self.min_delta,
             "max_delta": self.max_delta,
@@ -251,30 +296,36 @@ class ScanResult:
 
 
 def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0) -> ScanResult:
-    """Sample the body uniformly and count samples whose delta escapes the
+    """Sample the body at random and count samples whose delta escapes the
     closed-form bounds by more than SCAN_TOLERANCE times the larger bound in
-    modulus.  Deterministic for a fixed seed (permuted congruential
-    generator).
+    modulus.
 
-    The three coordinates are drawn whole, then evaluated _SCAN_BLOCK samples
-    at a time, so that the temporaries of `body_delta` stay small; every step
-    is elementwise or an exact reduction, so the result is that of one call
-    over all samples, bit for bit.
+    The draw is uniform in (m1, m2 / cap(m1), phase), not uniform over the
+    body's area.  Sample i reads outputs 3i, 3i + 1 and 3i + 2 of the
+    SplitMix64 stream of seed (see `_splitmix64`) as m1 / reach,
+    m2 / cap(m1) and phase / (2 pi).  The seed alone fixes the samples, on
+    every numpy version, and a scan of N samples is the first N samples of
+    any longer scan with the same seed.  Each block of _SCAN_BLOCK samples
+    draws its own outputs and is evaluated at once, so no array spans the
+    whole scan; every step is elementwise or an exact reduction, so the
+    result is that of one call over all samples, bit for bit.  A seed that
+    is not an integer in [0, 2^64) is refused with ValueError.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
+    # np.uint64 would truncate a fractional seed, aliasing it to an integer one.
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
+        raise ValueError(f"seed must be an integer in [0, {SEED_LIMIT - 1}], got {seed}")
     body = _body(spec)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    m1 = rng.uniform(0.0, body.reach, samples)
-    u2 = rng.uniform(0.0, 1.0, samples)
-    phase = rng.uniform(0.0, 2.0 * math.pi, samples)
     pair = bound_delta(spec)
     slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
     lower, upper = pair.lower - slack, pair.upper + slack
     lo, hi, violations = math.inf, -math.inf, 0
     for start in range(0, samples, _SCAN_BLOCK):
-        b = slice(start, start + _SCAN_BLOCK)
-        d = body_delta(spec, m1[b], u2[b] * body.cap(m1[b]), phase[b])
+        n = min(_SCAN_BLOCK, samples - start)
+        u = _unit_doubles(seed, 3 * start, 3 * n)
+        m1 = u[0::3] * body.reach
+        d = body_delta(spec, m1, u[1::3] * body.cap(m1), u[2::3] * (2.0 * math.pi))
         lo, hi = min(lo, float(d.min())), max(hi, float(d.max()))
         violations += int(np.count_nonzero(d < lower)) + int(np.count_nonzero(d > upper))
     return ScanResult(

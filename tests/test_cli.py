@@ -473,6 +473,29 @@ class TestSearch:
         assert out == ""
         assert "samples must lie in [1, 1000000]" in err
 
+    @pytest.mark.parametrize("resolution", ["1", str(search.DEFAULT_RESOLUTION)])
+    def test_scan_refuses_a_resolution(self, run, resolution):
+        # A scan has no grid, so --resolution would be ignored; also the default value.
+        code, out, err = run("search", "--class", "S", "--samples", "10",
+                             "--resolution", resolution)
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument --samples" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_generator_is_usage_error(self, run, seed):
+        code, out, err = run("search", "--class", "S", "--samples", "10", "--seed", str(seed))
+        assert code == 2
+        assert out == ""
+        assert "seed must be an integer in [0, 18446744073709551615]" in err
+
+    def test_largest_seed_scans(self, run):
+        code, out, _ = run("search", "--class", "S", "--samples", "10",
+                           "--seed", str(2**64 - 1), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["seed"], doc["generator"]) == (2**64 - 1, "splitmix64")
+
     def test_non_finite_parameter_is_usage_error(self, run):
         # NaN deltas fail both bound comparisons, so a scan would count no violations.
         code, out, err = run("search", "--class", "M", "--alpha", "nan", "--samples", "1000")

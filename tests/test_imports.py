@@ -57,6 +57,19 @@ def test_package_loads_only_the_standard_library_and_numpy():
     assert not [name for name in loaded if (name + ".").startswith("numpy.polynomial.")]
 
 
+def test_scan_does_not_load_numpy_random():
+    # The scan draws its own SplitMix64 stream; numpy.random would cost the
+    # command more start-up time than the scan itself takes.
+    loaded = run(
+        "-c",
+        "import sys\n"
+        "from logcoef import cli\n"
+        "assert cli.main(['search', '--class', 'S', '--samples', '1000']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    ).split()
+    assert loaded[-1] == "False"
+
+
 def test_main_module_runs_the_command_line(capsys):
     assert main(["bounds", "--class", "S"]) == 0
     assert run("-m", "logcoef", "bounds", "--class", "S") == capsys.readouterr().out

@@ -436,9 +436,9 @@ class TestViolationScan:
         assert isinstance(res, ScanResult)
         assert res.violations == 0
         assert res.passed
-        # Frozen values for the fixed generator stream.
-        assert res.min_delta == -0.6907680166535525
-        assert res.max_delta == 0.4983414109258834
+        # Frozen values for the SplitMix64 stream of seed 0.
+        assert res.min_delta == -0.6949800760457365
+        assert res.max_delta == 0.49766812747567113
 
     def test_scan_respects_bounds_with_tolerance(self):
         for spec in [
@@ -494,13 +494,12 @@ class TestViolationScan:
         ClassSpec("G", alpha=1e-300),
     ], ids=mesh_id)
     def test_blocked_scan_is_the_one_shot_scan(self, spec, samples):
-        # The scan evaluates its samples block by block; it must report what
-        # one body_delta call over the same draws gives, bit for bit.
+        # The scan draws and evaluates its samples block by block; it must
+        # report what one body_delta call over the whole stream gives, bit for bit.
         body = search._body(spec)
-        rng = np.random.Generator(np.random.PCG64(7))
-        m1 = rng.uniform(0.0, body.reach, samples)
-        m2 = rng.uniform(0.0, 1.0, samples) * body.cap(m1)
-        d = body_delta(spec, m1, m2, rng.uniform(0.0, 2.0 * math.pi, samples))
+        u = search._unit_doubles(7, 0, 3 * samples).reshape(samples, 3)
+        m1 = u[:, 0] * body.reach
+        d = body_delta(spec, m1, u[:, 1] * body.cap(m1), u[:, 2] * (2.0 * math.pi))
         pair = bound_delta(spec)
         slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
         violations = np.count_nonzero(d < pair.lower - slack) + np.count_nonzero(
@@ -510,21 +509,46 @@ class TestViolationScan:
         assert (res.min_delta, res.max_delta, res.violations) == (d.min(), d.max(), violations)
 
     def test_scan_memory_stays_blocked(self):
-        # The three draws of 10^6 samples take 22.9 MiB; a scan that evaluated
-        # them in one call would peak near 70 MiB.
+        # Each block draws its own samples, so the scan peaks near 1 MiB; the
+        # three draws of 10^6 samples whole would take 22.9 MiB.
         tracemalloc.start()
         try:
             bound_violation_scan(ClassSpec.of("M", 1.0), samples=10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 4 * 2**20
 
     def test_as_dict(self):
         d = bound_violation_scan(ClassSpec("G", alpha=1.0), samples=1_000, seed=0).as_dict()
         assert d["class"] == "G(1)"
         assert d["samples"] == 1000
         assert d["passed"] is True
+
+    @pytest.mark.parametrize("samples", [
+        1, search._SCAN_BLOCK - 1, search._SCAN_BLOCK, search._SCAN_BLOCK + 1,
+    ])
+    def test_scan_is_a_prefix_of_longer_scans(self, samples):
+        # Sample i reads outputs 3i .. 3i + 2 whatever the block it falls in.
+        spec = ClassSpec("U", lam=0.5)
+        u = search._unit_doubles(11, 0, 3 * (samples + 10_000)).reshape(-1, 3)[:samples]
+        body = search._body(spec)
+        m1 = u[:, 0] * body.reach
+        d = body_delta(spec, m1, u[:, 1] * body.cap(m1), u[:, 2] * (2.0 * math.pi))
+        res = bound_violation_scan(spec, samples=samples, seed=11)
+        assert (res.min_delta, res.max_delta) == (d.min(), d.max())
+
+    def test_seed_domain(self):
+        spec = ClassSpec("S")
+        assert bound_violation_scan(spec, samples=100, seed=2**64 - 1).passed
+        refusal = r"seed must be an integer in \[0, 18446744073709551615\]"
+        for seed in (-1, 2**64, 1.5):
+            with pytest.raises(ValueError, match=refusal):
+                bound_violation_scan(spec, samples=100, seed=seed)
+
+    def test_as_dict_names_the_generator(self):
+        d = bound_violation_scan(ClassSpec("S"), samples=10).as_dict()
+        assert d["generator"] == "splitmix64"
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="samples"):
@@ -534,6 +558,40 @@ class TestViolationScan:
         # Refused before any sample is drawn.
         with pytest.raises(ValueError, match=r"samples must lie in \[1, 1000000\]"):
             bound_violation_scan(ClassSpec("S"), samples=MAX_SAMPLES + 1)
+
+
+def _splitmix64_reference(seed, k):
+    """Output k of the SplitMix64 stream of seed, in Python ints."""
+    mask = 2**64 - 1
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestSplitMix64:
+    def test_published_outputs(self):
+        # The first five outputs published for seed 1234567.
+        assert search._splitmix64(1234567, 0, 5).tolist() == [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+            4593380528125082431,
+            16408922859458223821,
+        ]
+
+    @pytest.mark.parametrize("start", [0, 3 * search._SCAN_BLOCK, 3 * MAX_SAMPLES - 64])
+    def test_wraparound_matches_python_ints(self, start):
+        # At the largest seed the very first addition wraps modulo 2^64.
+        seed = 2**64 - 1
+        got = search._splitmix64(seed, start, 64).tolist()
+        assert got == [_splitmix64_reference(seed, k) for k in range(start, start + 64)]
+
+    def test_unit_doubles_are_the_top_53_bits(self):
+        u = search._unit_doubles(2**64 - 1, 100, 64)
+        want = [(_splitmix64_reference(2**64 - 1, k) >> 11) / 2**53 for k in range(100, 164)]
+        assert u.tolist() == want
+        assert ((0.0 <= u) & (u < 1.0)).all()
 
 
 def test_g_quadratic_sits_strictly_inside_interval():
