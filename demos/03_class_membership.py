@@ -41,7 +41,7 @@ print("(the convexity quotient of the koebe function blows up near the boundary)
 print()
 
 print("== the alpha-convex extremal k_theta_alpha(0, 0.5), evaluated by quadrature ==")
-k = k_theta_alpha(0.0, 0.5, order=64)
+k = k_theta_alpha(0.0, 0.5)
 spec = ClassSpec("M", alpha=0.5)
 # At z = -r the exact margin is (1 - r)/(1 + r); the entry's evaluator holds
 # it all the way out to the circle.
@@ -49,9 +49,9 @@ for z in (-0.3, -0.99):
     r = abs(z)
     print(f"margin at z = {z:5.2f}: {membership_margin(k, spec, z):.12f}"
           f"   exact {(1 - r) / (1 + r):.12f}")
-# The series is where the coefficients come from; well inside the disk its
-# Horner value agrees with z (f/z) from the evaluator.
-print(f"f(-0.3): series (order 64) {k.series(-0.3).real:.12f}"
+# The series is where the Taylor coefficients come from; well inside the disk
+# the Horner value of an order-64 build agrees with z (f/z) from the evaluator.
+print(f"f(-0.3): series (order 64) {k.series(64)(-0.3).real:.12f}"
       f"   evaluator {(-0.3 * k.evaluator(-0.3)[0]).real:.12f}")
 print()
 

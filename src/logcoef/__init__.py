@@ -65,7 +65,6 @@ from .search import (
     family_sweep,
 )
 from .series import (
-    DEFAULT_ORDER,
     TruncatedSeries,
     exp_unit,
     log_unit,
@@ -79,7 +78,6 @@ __all__ = [
     "BODY_NOTE",
     "BoundPair",
     "ClassSpec",
-    "DEFAULT_ORDER",
     "LABELS",
     "LogPair",
     "M_BRANCH_ALPHA",

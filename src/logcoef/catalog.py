@@ -1,25 +1,21 @@
 """Catalog of normalized analytic functions used as extremal witnesses.
 
-Every entry is an :class:`AnalyticFunction`: a Taylor series, which the
-entry refuses unless it is normalized (f(0) = 0, f'(0) = 1) and finite, plus
-an evaluator, which every entry must have, that returns the three ratios
-every class inequality reads, (f/z, z f'/f, z f''/f'), at a point or at an
-ndarray of points of the open unit disk; they are (1, 1, 0) at z = 0.  The
-series is the source of the coefficient functionals; the evaluator is the
-one path from points to values.  Rational entries evaluate in closed form.
-The entries defined by integrals are f = z u^alpha with u = integral_0^1 h(z t^alpha) dt
-and h = prod P^e over a table of power factors, each P of degree <= 2 with
-P(0) = 1 and its roots on |z| = 1:
+Every entry is an :class:`AnalyticFunction`: one factor row and an evaluator.
+The row (factors, a, beta) is f = z u^beta with u = integral_0^1 h(z t^a) dt
+and h = prod P^e, each P of degree <= 2 with P(0) = 1, so f(0) = 0 and
+f'(0) = 1 by construction:
 
-    k_theta_alpha   ((1, -e^{i theta}), -2/alpha)   outer power alpha
-    m_alpha_upper   ((1, 0, -1), -1/alpha)          outer power alpha
-    g_alpha_upper   ((1, 0, -1), alpha/2)           outer power 1, so f' = h
+    koebe, f1..f5   ((1, b, c), -1)                 a = 0, beta = 1: f = z / P
+    g_quadratic     ((1, -1/2), 1)                  a = 0, beta = 1: f = z P
+    k_theta_alpha   ((1, -e^{i theta}), -2/alpha)   a = beta = alpha
+    m_alpha_upper   ((1, 0, -1), -1/alpha)          a = beta = alpha
+    g_alpha_upper   ((1, 0, -1), alpha/2)           a = beta = 1, so f' = h
 
-Their series expands h and integrates it termwise.  Their evaluator uses
-f/z = u^alpha, z f'/f = h(z)/u and z f''/f' = z ((alpha - 1) u'/u + h'/h(z)),
-so only u and, for alpha != 1, u'/u come by composite Gauss-Legendre
-quadrature, on panels graded toward both ends from alpha and the largest |z|
-asked for.
+`functional` reads the log coefficients from the row; Taylor coefficients
+are built from it only when asked for, to the order asked.  The evaluator
+returns the three ratios every class inequality reads: in closed form for the
+a = 0 entries, and for the others by composite Gauss-Legendre quadrature of u
+and u'/u (`_integral_entry`).
 """
 
 from __future__ import annotations
@@ -29,12 +25,12 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .classes import ClassSpec
-from .series import DEFAULT_ORDER, TruncatedSeries, exp_unit, log_unit, pow_real
+from .series import MIN_ORDER, TruncatedSeries, exp_unit, log_unit, pow_real
 
 
 @dataclass(frozen=True)
@@ -92,36 +88,73 @@ def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
     return [hi if hi - (lo + k * step) <= 1e-9 * step else lo + k * step for k in ks]
 
 
+class Row(NamedTuple):
+    """f = z u^beta, u = integral_0^1 h(z t^a) dt, h = prod P^e over factors ((P, e), ...)."""
+
+    factors: tuple
+    a: float
+    beta: float
+
+    @property
+    def closed(self) -> bool:
+        """Whether f = z prod P^e with every e = +-1, exact by products and quotients."""
+        return self.a == 0 and self.beta == 1 and all(abs(e) == 1 for _, e in self.factors)
+
+
 @dataclass(frozen=True, eq=False)
 class AnalyticFunction:
-    """A catalog entry: a normalized series, parameters and an evaluator.
+    """A catalog entry: its row, parameters and an evaluator.
 
-    Refuses, with ValueError, a series unless a_0 = 0, a_1 = 1 and every
-    coefficient is finite, so a build that overflowed is refused here, and
-    an evaluator that is not callable.  evaluator(z) returns
-    (f/z, z f'/f, z f''/f') at z, a point or an ndarray of points of the
-    open disk; at z = 0 these are (1, 1, 0).
+    Refuses, with ValueError, a row unless every P has degree <= 2 and
+    P(0) = 1 exactly, every value is finite and a >= 0, and an evaluator that
+    is not callable.  evaluator(z) returns (f/z, z f'/f, z f''/f') at z, a
+    point or an ndarray of points of the open disk; at z = 0 these are
+    (1, 1, 0).
     """
 
     label: str
-    series: TruncatedSeries
+    row: Row
     params: dict
     evaluator: Callable = field(repr=False)
 
     def __post_init__(self):
-        c = self.series.coeffs
-        if c[0] != 0 or c[1] != 1:
-            raise ValueError("series is not normalized: need a_0 = 0 and a_1 = 1 exactly")
-        bad = np.flatnonzero(~np.isfinite(c))
-        if bad.size:
-            n = int(bad[0])
-            raise ValueError(f"series coefficient a_{n} = {c[n]} is not finite")
+        factors, a, beta = self.row
+        values = [*(c for P, _ in factors for c in P), *(e for _, e in factors), a, beta]
+        if not all(map(cmath.isfinite, values)) or not a >= 0:
+            raise ValueError(f"{self.label} {self.params}: row values must be finite and a >= 0")
+        if not all(1 <= len(P) <= 3 and P[0] == 1 for P, _ in factors):
+            raise ValueError(f"{self.label} row needs P(0) = 1 and degree <= 2, got {factors}")
         if not callable(self.evaluator):
             raise ValueError(f"evaluator must be callable, got {self.evaluator!r}")
 
+    def series(self, n: int) -> TruncatedSeries:
+        """Taylor coefficients a_0..a_n, built from the row to order n.
+
+        Refuses, with ValueError and no numpy warning, a coefficient that is
+        not finite: at small a and large n the coefficients of h overflow.
+        """
+        factors, a, beta = self.row
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.row.closed:
+                s = TruncatedSeries([0.0, 1.0], order=n)
+                for P, e in factors:
+                    s = (operator.mul if e > 0 else operator.truediv)(s, TruncatedSeries(P, n))
+            else:
+                h = functools.reduce(
+                    operator.mul, [pow_real(TruncatedSeries(P, order=n), e) for P, e in factors]
+                )
+                u = log_unit(TruncatedSeries(h.coeffs / (1.0 + a * np.arange(n + 1)), order=n))
+                # u^beta as exp(beta log u), which does not cancel as u's coefficients grow.
+                u = exp_unit(TruncatedSeries(beta * u.coeffs, order=n))
+                s = TruncatedSeries(np.concatenate(([0.0], u.coeffs[:-1])), order=n)
+        bad = np.flatnonzero(~np.isfinite(s.coeffs))
+        if bad.size:
+            raise ValueError(f"series coefficient a_{bad[0]} = {s.coeffs[bad[0]]} is not finite")
+        return s
+
     def a(self, n: int) -> complex:
-        """Taylor coefficient a_n."""
-        return self.series.coefficient(n)
+        """Taylor coefficient a_n, from a build to order n."""
+        return self.series(max(n, MIN_ORDER)).coefficient(n)
 
 
 def _check_finite(*named):
@@ -142,19 +175,16 @@ def _stable_roots(c0, c1, c2):
     return (q / c2, c0 / q) if q else (0j, 0j)
 
 
-def _quadratic_rational(label, b, c, params, order):
-    """z / (1 + b z + c z^2) with its ratios in closed form.
+def _quadratic_rational(label, b, c, params):
+    """z / (1 + b z + c z^2), the row ((1, b, c), -1) at a = 0, with its ratios in closed form.
 
     The evaluator works in factored form, 1 + b z + c z^2 = u_1 u_2 with
     u_j = 1 - p_j z over the reciprocal roots p_j, and 1 - c z^2 =
     (1 - s z)(1 + s z), s^2 = c: f/z = 1/(u_1 u_2), z f'/f = (1 - s z)
     (1 + s z)/(u_1 u_2) and z f''/f' = z (2 (p_1/u_1 + p_2/u_2) - s/(1 - s z)
     + s/(1 + s z)) keep their relative precision next to a root on the
-    circle.  The series is built from (b, c) directly.
+    circle.
     """
-    den = TruncatedSeries([1.0, b, c], order=order)
-    num = TruncatedSeries([0.0, 1.0], order=order)
-    series = num / den
     p1, p2 = _stable_roots(c, b, 1.0)
     s = cmath.sqrt(c)
 
@@ -164,17 +194,17 @@ def _quadratic_rational(label, b, c, params, order):
         q = u1 * u2
         return 1.0 / q, v1 * v2 / q, z * (2.0 * (p1 / u1 + p2 / u2) - s / v1 + s / v2)
 
-    return AnalyticFunction(label, series, params, ev)
+    return AnalyticFunction(label, Row((((1.0, b, c), -1.0),), 0.0, 1.0), params, ev)
 
 
-def koebe(theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def koebe(theta: float = 0.0) -> AnalyticFunction:
     """z / (1 - e^{i theta} z)^2, coefficients a_n = n e^{i(n-1) theta}."""
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
-    return _quadratic_rational("koebe", -2.0 * w, w * w, {"theta": float(theta)}, order)
+    return _quadratic_rational("koebe", -2.0 * w, w * w, {"theta": float(theta)})
 
 
-def f1(theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def f1(theta: float = 0.0) -> AnalyticFunction:
     """z / (1 - sqrt(2) e^{i theta} z + e^{2 i theta} z^2).
 
     Starts z + sqrt(2) e^{i theta} z^2 + e^{2 i theta} z^3; gamma_2 vanishes,
@@ -183,17 +213,17 @@ def f1(theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     """
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
-    return _quadratic_rational("f1", -math.sqrt(2.0) * w, w * w, {"theta": float(theta)}, order)
+    return _quadratic_rational("f1", -math.sqrt(2.0) * w, w * w, {"theta": float(theta)})
 
 
-def f2(theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def f2(theta: float = 0.0) -> AnalyticFunction:
     """z / (1 + e^{i theta} z^2): odd, a_2 = 0, a_3 = -e^{i theta}."""
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
-    return _quadratic_rational("f2", 0.0, w, {"theta": float(theta)}, order)
+    return _quadratic_rational("f2", 0.0, w, {"theta": float(theta)})
 
 
-def f3(lam: float, theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def f3(lam: float, theta: float = 0.0) -> AnalyticFunction:
     """z / (1 - lam e^{i theta} z^2) = z + lam e^{i theta} z^3 + lam^2 e^{2 i theta} z^5 + ...
 
     Requires 0 < lam <= 1.
@@ -201,12 +231,10 @@ def f3(lam: float, theta: float = 0.0, order: int = DEFAULT_ORDER) -> AnalyticFu
     _check_finite(("theta", theta))
     ClassSpec.of("U", lam)  # refuses lam outside U's range
     w = np.exp(1j * theta)
-    return _quadratic_rational(
-        "f3", 0.0, -lam * w, {"lam": float(lam), "theta": float(theta)}, order
-    )
+    return _quadratic_rational("f3", 0.0, -lam * w, {"lam": float(lam), "theta": float(theta)})
 
 
-def f4(lam: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def f4(lam: float) -> AnalyticFunction:
     """z / (1 - sqrt(2 lam) z + lam z^2) = z + sqrt(2 lam) z^2 + lam z^3 + ...
 
     Requires 1/2 <= lam <= 1; below 1/2 a pole enters the disk.
@@ -214,12 +242,10 @@ def f4(lam: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     _check_finite(("lambda", lam))
     if not 0.5 <= lam <= 1.0:
         raise ValueError(f"f4 requires 1/2 <= lambda <= 1, got {lam}")
-    return _quadratic_rational(
-        "f4", -math.sqrt(2.0 * lam), lam, {"lam": float(lam)}, order
-    )
+    return _quadratic_rational("f4", -math.sqrt(2.0 * lam), lam, {"lam": float(lam)})
 
 
-def f5(lam: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def f5(lam: float) -> AnalyticFunction:
     """z / (1 - z + lam z^2) = z + z^2 + (1 - lam) z^3 + ...
 
     Requires 0 < lam <= 1/2 so that both poles stay outside the open disk.
@@ -227,19 +253,7 @@ def f5(lam: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
     _check_finite(("lambda", lam))
     if not 0.0 < lam <= 0.5:
         raise ValueError(f"f5 requires 0 < lambda <= 1/2, got {lam}")
-    return _quadratic_rational("f5", -1.0, lam, {"lam": float(lam)}, order)
-
-
-def _stable_pow(a: TruncatedSeries, beta: float) -> TruncatedSeries:
-    """a^beta computed as exp(beta log a).
-
-    The direct power recurrence cancels badly when a's coefficients grow
-    (relative error ~ n^3.5 at coefficient n); the log coefficients are
-    O(1/n) and the exp recurrence is cancellation-free, so this route keeps
-    high-order coefficients usable.
-    """
-    logs = log_unit(a)
-    return exp_unit(TruncatedSeries(beta * logs.coeffs, order=a.order))
+    return _quadratic_rational("f5", -1.0, lam, {"lam": float(lam)})
 
 
 # -- quadrature for the integral-defined entries -------------------------------
@@ -378,25 +392,10 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
 _MAX_ALPHA = 1e6
 
 
-def _integral_entry(label, factors, alpha, params, order):
-    """The entry f = z u^alpha, u = integral_0^1 h(z t^alpha) dt, h = prod P^e over `factors`.
-
-    The series divides h's coefficient b_k by 1 + alpha k and raises the
-    result to the alpha power.  Numpy overflow is silenced during the build:
-    at small alpha and high order the coefficients overflow, and
-    AnalyticFunction refuses the result, naming the first bad coefficient.
-    The evaluator returns f/z = u^alpha, z f'/f = 1/v with v = u/h(z), and
-    z f''/f' = z ((alpha - 1) u'/u + h'/h).
+def _integral_entry(label, factors, alpha, params):
+    """The entry with row (factors, alpha, alpha), whose evaluator returns f/z = u^alpha,
+    z f'/f = 1/v with v = u/h(z), and z f''/f' = z ((alpha - 1) u'/u + h'/h).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = functools.reduce(
-            operator.mul, [pow_real(TruncatedSeries(P, order=order), e) for P, e in factors]
-        )
-        k = np.arange(order + 1)
-        u = _stable_pow(TruncatedSeries(h.coeffs / (1.0 + alpha * k), order=order), alpha)
-    c = np.zeros(order + 1, dtype=complex)
-    c[1:] = u.coeffs[:-1]
-    series = TruncatedSeries(c, order=order)
 
     def ev(z):
         if alpha > _MAX_ALPHA:
@@ -412,90 +411,91 @@ def _integral_entry(label, factors, alpha, params, order):
             return tuple(complex(x[0]) for x in values)
         return tuple(np.reshape(x, np.shape(z)) for x in values)
 
-    return AnalyticFunction(label, series, params, ev)
+    return AnalyticFunction(label, Row(tuple(factors), alpha, alpha), params, ev)
 
 
-def k_theta_alpha(theta: float, alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     """Generalized koebe function, the extremal of the alpha-convex class M(alpha).
 
     f = ((1/alpha) integral_0^z t^{1/alpha - 1} (1 - e^{i theta} t)^{-2/alpha} dt)^alpha,
-    the integral entry with the one factor (1 - e^{i theta} z)^{-2/alpha} and
-    outer power alpha.  Reduces to the koebe function at alpha = 0;
+    the row with the one factor (1 - e^{i theta} z)^{-2/alpha} and
+    a = beta = alpha.  Reduces to the koebe function at alpha = 0;
     a_2 = 2 e^{i theta} / (1 + alpha).
 
-    The coefficients of h grow like n^(2/alpha - 1), so at very small
-    positive alpha a high-order series leaves double-precision range and the
-    build is refused with ValueError.  The refusal depends on the order
-    built: a low-order build is not refused, and its a_2 and a_3 lose digits
-    at such alpha instead.  The evaluator has its own floor: below
-    alpha ~ 3.51e-4 its quadrature rule would need more than _MAX_NODES
-    nodes, and it refuses with ValueError at every |z| up to 0.999.
+    gamma, read from the row, is accurate at every alpha up to about 4.7e153,
+    where the row's terms underflow and `functional.log_coefficients`
+    refuses.  a_3 from the power series is not: |a_3 - exact| of
+    k_theta_alpha(0, alpha) is 4.0e-8 at alpha = 1e-8, 2.0e-11 at 1e-5 and
+    9.5e-13 at 1e-3, and no command reads it.  The evaluator has its own
+    floor: below alpha ~ 3.51e-4 its quadrature rule would need more than
+    _MAX_NODES nodes, and it refuses with ValueError at every |z| up to 0.999.
     """
     _check_finite(("theta", theta))
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     if alpha == 0:
-        return koebe(theta, order=order)
+        return koebe(theta)
     params = {"theta": float(theta), "alpha": float(alpha)}
     factors = [((1.0, -np.exp(1j * theta)), -2.0 / alpha)]
-    return _integral_entry("k_theta_alpha", factors, alpha, params, order)
+    return _integral_entry("k_theta_alpha", factors, alpha, params)
 
 
-def m_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def m_alpha_upper(alpha: float) -> AnalyticFunction:
     """Odd extremal z + z^3/(1+2 alpha) + ... for the alpha-convex family.
 
-    The integral entry with the one factor (1 - z^2)^{-1/alpha} and outer
-    power alpha.  At alpha = 0 it is z / (1 - z^2) in closed form.  Below
-    alpha ~ 1.88e-4 the evaluator refuses with ValueError, as its quadrature
-    rule would need more than _MAX_NODES nodes, at every |z| up to 0.999.
+    The row with the one factor (1 - z^2)^{-1/alpha} and a = beta = alpha.
+    At alpha = 0 it is z / (1 - z^2) in closed form.  As for k_theta_alpha,
+    gamma is accurate at every alpha up to about 4.7e153, where it is refused.
+    Below alpha ~ 1.88e-4 the evaluator refuses with ValueError, as its
+    quadrature rule would need more than _MAX_NODES nodes, at every |z| up to
+    0.999.
     """
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     if alpha == 0:
-        return _quadratic_rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0}, order)
+        return _quadratic_rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0})
     factors = [((1.0, 0.0, -1.0), -1.0 / alpha)]
-    return _integral_entry("m_alpha_upper", factors, alpha, {"alpha": float(alpha)}, order)
+    return _integral_entry("m_alpha_upper", factors, alpha, {"alpha": float(alpha)})
 
 
-def g_alpha_upper(alpha: float, order: int = DEFAULT_ORDER) -> AnalyticFunction:
+def g_alpha_upper(alpha: float) -> AnalyticFunction:
     """Primitive of (1 - z^2)^(alpha/2): starts z - (alpha/6) z^3.
 
-    Requires 0 < alpha <= 1.  The integral entry with the one factor
-    (1 - z^2)^(alpha/2) and outer power 1, so f' = h and f''/f' = h'/h are
+    Requires 0 < alpha <= 1.  The row with the one factor
+    (1 - z^2)^(alpha/2) and a = beta = 1, so f' = h and f''/f' = h'/h are
     closed forms and only f comes by quadrature.
     """
     ClassSpec.of("G", alpha)  # refuses alpha outside G's range
     factors = [((1.0, 0.0, -1.0), 0.5 * alpha)]
-    return _integral_entry("g_alpha_upper", factors, 1.0, {"alpha": float(alpha)}, order)
+    return _integral_entry("g_alpha_upper", factors, 1.0, {"alpha": float(alpha)})
 
 
-def g_quadratic(order: int = DEFAULT_ORDER) -> AnalyticFunction:
-    """z - z^2/2, the polynomial member with delta = -3/16."""
+def g_quadratic() -> AnalyticFunction:
+    """z - z^2/2, the polynomial member with delta = -3/16: the row ((1, -1/2), 1) at a = 0."""
 
     def ev(z):
         return 1.0 - 0.5 * z, (1.0 - z) / (1.0 - 0.5 * z), -z / (1.0 - z)
 
-    return AnalyticFunction("g_quadratic", TruncatedSeries([0.0, 1.0, -0.5], order=order), {}, ev)
+    return AnalyticFunction("g_quadratic", Row((((1.0, -0.5), 1.0),), 0.0, 1.0), {}, ev)
 
 
 def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     """Disk rotation e^{-i theta} f(e^{i theta} z): a_n -> e^{i(n-1) theta} a_n.
 
-    Preserves membership in every rotation-invariant class and each |gamma_n|:
-    f/z, z f'/f and z f''/f' at z are those of f at e^{i theta} z.
-    params["rotated_by"] adds up the angles of repeated rotations.
+    Preserves membership in every rotation-invariant class and each |gamma_n|.
+    The row's polynomials become P(e^{i theta} z), and f/z, z f'/f and
+    z f''/f' at z are those of f at e^{i theta} z.  params["rotated_by"] adds
+    up the angles of repeated rotations.
     """
     _check_finite(("theta", theta))
-    w = np.exp(1j * theta)
-    c = f.series.coeffs.copy()
-    n = np.arange(len(c))
-    c[1:] = c[1:] * w ** (n[1:] - 1)
-    base, wc = f.evaluator, complex(w)
+    w = complex(np.exp(1j * theta))
+    factors = tuple((tuple(c * w**k for k, c in enumerate(P)), e) for P, e in f.row.factors)
+    base = f.evaluator
 
     def ev(z):
-        return base(wc * z)
+        return base(w * z)
 
     params = dict(f.params)
     params["rotated_by"] = params.get("rotated_by", 0.0) + float(theta)
-    return AnalyticFunction(f.label, TruncatedSeries(c, order=f.series.order), params, ev)
+    return AnalyticFunction(f.label, f.row._replace(factors=factors), params, ev)
 
 
 def poles_outside_disk(coeffs) -> tuple[bool, float]:
@@ -530,11 +530,7 @@ def poles_outside_disk(coeffs) -> tuple[bool, float]:
 
 
 def make(
-    label: str,
-    theta: float = 0.0,
-    lam: float | None = None,
-    alpha: float | None = None,
-    order: int = DEFAULT_ORDER,
+    label: str, theta: float = 0.0, lam: float | None = None, alpha: float | None = None
 ) -> AnalyticFunction:
     """Build a catalog entry by label string; used by the command line.
 
@@ -553,4 +549,4 @@ def make(
     for name, value in kwargs.items():
         if value is None:
             raise ValueError(f"{label} requires {'lambda' if name == 'lam' else name}")
-    return globals()[label](order=order, **kwargs)
+    return globals()[label](**kwargs)

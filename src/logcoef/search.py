@@ -10,8 +10,7 @@ searching what is left in m1; `bound_violation_scan` samples the whole body
 at random as a brute-force check, from a SplitMix64 stream of its own that
 it draws one cache-sized block of samples at a time; and `family_sweep`
 records the delta a one-parameter catalog family actually attains at each
-parameter value, building each member only through a_3, the last
-coefficient delta reads.  delta is rotation invariant, so a
+parameter value, from each member's row.  delta is rotation invariant, so a
 family whose only parameter is the rotation angle is built once.  Which
 parameter a family sweeps, and over what range, is read from
 `catalog.FAMILIES`.
@@ -203,9 +202,7 @@ def family_sweep(label, param_grid):
     every member is built at theta = 0, and a family whose only parameter is
     theta is built once: each row carries that one member's delta, and an
     empty grid builds nothing.  A theta that is not finite is refused as its
-    build would refuse it.  Each member is built only through a_3
-    (`functional.PAIR_ORDER`), which gives the same delta, bit for bit, as a
-    build at `series.DEFAULT_ORDER`.
+    build would refuse it.
     """
     family = catalog.FAMILIES.get(label)
     if family is None or family.sweep is None:
@@ -219,8 +216,7 @@ def family_sweep(label, param_grid):
             d = rows[0].delta  # theta is the only parameter, and delta does not see it
         else:
             # make reads only the parameters the entry takes.
-            f = catalog.make(label, lam=param, alpha=param, order=functional.PAIR_ORDER)
-            d = functional.delta(f)
+            d = functional.delta(catalog.make(label, lam=param, alpha=param))
         rows.append(SweepRow(param=float(param), delta=d))
     return rows
 

@@ -1,7 +1,7 @@
 """Truncated complex power series and the coefficient recurrences built on them.
 
-A series gives each catalog entry the coefficients a_2, a_3, ... that
-`functional` reads, and is the tests' Horner oracle; entries are evaluated by
+A series gives each catalog entry its coefficients a_2, a_3, ... on demand,
+and is the tests' Horner oracle; entries are evaluated by
 their own evaluators, never by a series.  A :class:`TruncatedSeries` holds
 ``a_0 .. a_N`` cut off at a fixed order ``N`` and keeps only what the catalog
 and the tests use, each exact through order ``N``: the Cauchy product
@@ -13,15 +13,13 @@ solved term by term); no composition is involved, and the principal branch is
 pinned by ``log(1) = 0``.
 
 Coefficients are double precision complex numbers.  Instances are immutable.
-A series here carries no normalization: a catalog entry's a_0 = 0, a_1 = 1
-is checked by `catalog.AnalyticFunction`, which holds a plain series.
+A series here carries no normalization: a catalog entry's row fixes a_0 = 0, a_1 = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_ORDER = 32
 MIN_ORDER = 2
 
 
@@ -64,11 +62,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient index {n} outside 0..{self.order}")
         return complex(self._c[n])
-
-    def __repr__(self):
-        head = np.array2string(self._c[: min(5, len(self._c))], precision=6)
-        tail = ", ..." if len(self._c) > 5 else ""
-        return f"TruncatedSeries({head}{tail}, order={self.order})"
 
     # -- product and quotient of two series of one order ---------------------
 

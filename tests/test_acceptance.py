@@ -48,21 +48,21 @@ def test_criterion_1_golden_delta_table():
 def test_criterion_2_series_built_extremals():
     failures = []
     for alpha in (0.0, 0.5, 1.0, 2.0):
-        got = functional.delta(catalog.m_alpha_upper(alpha, order=64))
+        got = functional.delta(catalog.m_alpha_upper(alpha))
         want = 0.5 / (1.0 + 2.0 * alpha)
         if abs(got - want) > 1e-12:
             failures.append(f"m_alpha_upper({alpha}): delta={got!r} want={want!r}")
     for alpha in (0.25, 0.5, 1.0):
-        got = functional.delta(catalog.g_alpha_upper(alpha, order=64))
+        got = functional.delta(catalog.g_alpha_upper(alpha))
         want = alpha / 12.0
         if abs(got - want) > 1e-12:
             failures.append(f"g_alpha_upper({alpha}): delta={got!r} want={want!r}")
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        got = catalog.k_theta_alpha(0.0, alpha, order=64).a(2)
+        got = catalog.k_theta_alpha(0.0, alpha).a(2)
         want = 2.0 / (1.0 + alpha)
         if abs(got - want) > 1e-12:
             failures.append(f"k_theta_alpha(0,{alpha}): a2={got!r} want={want!r}")
-    _finish(2, "series-built extremals at order 64, 1e-12", failures)
+    _finish(2, "series-built extremals at 1e-12", failures)
 
 
 def test_criterion_3_bound_formula_identities():
@@ -232,8 +232,8 @@ def test_criterion_8_module_invariants():
         catalog.f3(0.35, 0.8),
         catalog.f4(0.75),
         catalog.f5(0.3),
-        catalog.k_theta_alpha(0.4, 1.5, order=64),
-        catalog.m_alpha_upper(1.0, order=64),
+        catalog.k_theta_alpha(0.4, 1.5),
+        catalog.m_alpha_upper(1.0),
         catalog.g_alpha_upper(0.6),
         catalog.g_quadratic(),
     ]
@@ -252,7 +252,7 @@ def test_criterion_8_module_invariants():
         ):
             failures.append(f"two-route gamma disagreement for {f.label}")
 
-    coincide = np.abs(catalog.f4(1.0).series.coeffs - catalog.f1(0.0).series.coeffs).max()
+    coincide = np.abs(catalog.f4(1.0).series(32).coeffs - catalog.f1(0.0).series(32).coeffs).max()
     if coincide > 1e-12:
         failures.append(f"f4(1) vs f1(0): coefficient gap {coincide!r}")
 

@@ -186,12 +186,12 @@ class TestWitnesses:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     def test_m_upper_witness_attains(self, alpha):
         b = bound_delta(ClassSpec("M", alpha=alpha))
-        assert delta(m_alpha_upper(alpha, order=64)) == pytest.approx(b.upper, abs=1e-9)
+        assert delta(m_alpha_upper(alpha)) == pytest.approx(b.upper, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
     def test_g_upper_witness_attains(self, alpha):
         b = bound_delta(ClassSpec("G", alpha=alpha))
-        assert delta(g_alpha_upper(alpha, order=64)) == pytest.approx(b.upper, abs=1e-9)
+        assert delta(g_alpha_upper(alpha)) == pytest.approx(b.upper, abs=1e-9)
 
     def test_witness_label_buildable(self):
         b = bound_delta(ClassSpec("U", lam=0.8))

@@ -19,6 +19,7 @@ from logcoef.catalog import (
     FAMILIES,
     LABELS,
     AnalyticFunction,
+    Row,
     f1,
     f2,
     f3,
@@ -33,14 +34,13 @@ from logcoef.catalog import (
     poles_outside_disk,
     rotate,
 )
-from logcoef.series import TruncatedSeries
 
 from _oracles import contour_coefficients, fd_derivatives
 
 
 class TestClosedFormCoefficients:
     def test_koebe(self):
-        np.testing.assert_allclose(koebe().series.coeffs[:9], np.arange(9), atol=1e-13)
+        np.testing.assert_allclose(koebe().series(32).coeffs[:9], np.arange(9), atol=1e-13)
 
     def test_koebe_rotated(self):
         th = 0.77
@@ -48,7 +48,7 @@ class TestClosedFormCoefficients:
         n = np.arange(9)
         want = n * np.exp(1j * (n - 1) * th)
         want[0] = 0
-        np.testing.assert_allclose(f.series.coeffs[:9], want, atol=1e-12)
+        np.testing.assert_allclose(f.series(32).coeffs[:9], want, atol=1e-12)
 
     def test_f1_head(self):
         f = f1()
@@ -58,22 +58,22 @@ class TestClosedFormCoefficients:
     def test_f2_is_odd_alternating(self):
         f = f2()
         np.testing.assert_allclose(
-            f.series.coeffs[:8], [0, 1, 0, -1, 0, 1, 0, -1], atol=1e-14
+            f.series(32).coeffs[:8], [0, 1, 0, -1, 0, 1, 0, -1], atol=1e-14
         )
 
     def test_f3_lacunary(self):
         f = f3(0.5)
         np.testing.assert_allclose(
-            f.series.coeffs[:6], [0, 1, 0, 0.5, 0, 0.25], atol=1e-15
+            f.series(32).coeffs[:6], [0, 1, 0, 0.5, 0, 0.25], atol=1e-15
         )
 
     def test_f4_head(self):
         f = f4(0.5)
-        np.testing.assert_allclose(f.series.coeffs[:4], [0, 1, 1, 0.5], atol=1e-15)
+        np.testing.assert_allclose(f.series(32).coeffs[:4], [0, 1, 1, 0.5], atol=1e-15)
 
     def test_f4_at_one_equals_f1_at_zero(self):
         np.testing.assert_allclose(
-            f4(1.0).series.coeffs, f1(0.0).series.coeffs, atol=1e-12
+            f4(1.0).series(32).coeffs, f1(0.0).series(32).coeffs, atol=1e-12
         )
 
     def test_f5_head(self):
@@ -83,32 +83,32 @@ class TestClosedFormCoefficients:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
     def test_k_second_coefficient_law(self, alpha):
-        f = k_theta_alpha(0.0, alpha, order=64)
+        f = k_theta_alpha(0.0, alpha)
         assert f.a(2) == pytest.approx(2.0 / (1.0 + alpha), abs=1e-12)
 
     def test_k_at_alpha_zero_is_koebe(self):
         f = k_theta_alpha(0.3, 0.0)
         assert f.label == "koebe"
-        np.testing.assert_allclose(f.series.coeffs, koebe(0.3).series.coeffs, atol=0)
+        np.testing.assert_allclose(f.series(32).coeffs, koebe(0.3).series(32).coeffs, atol=0)
 
     def test_k_at_alpha_one_is_half_plane_map(self):
         # alpha = 1 gives z/(1-z); every coefficient is 1.
-        f = k_theta_alpha(0.0, 1.0, order=32)
-        np.testing.assert_allclose(f.series.coeffs[1:], np.ones(32), atol=1e-12)
+        f = k_theta_alpha(0.0, 1.0)
+        np.testing.assert_allclose(f.series(32).coeffs[1:], np.ones(32), atol=1e-12)
 
     def test_m_alpha_zero_closed_form(self):
         f = m_alpha_upper(0.0)
-        np.testing.assert_allclose(f.series.coeffs[:6], [0, 1, 0, 1, 0, 1], atol=1e-14)
+        np.testing.assert_allclose(f.series(32).coeffs[:6], [0, 1, 0, 1, 0, 1], atol=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_m_third_coefficient(self, alpha):
-        f = m_alpha_upper(alpha, order=64)
+        f = m_alpha_upper(alpha)
         assert f.a(2) == pytest.approx(0.0, abs=1e-13)
         assert f.a(3) == pytest.approx(1.0 / (1.0 + 2.0 * alpha), abs=1e-12)
 
     def test_m_alpha_one_is_arctanh_like(self):
         # inner factor collapses, leaving z + z^3/3 + z^5/5 + ...
-        f = m_alpha_upper(1.0, order=16)
+        f = m_alpha_upper(1.0)
         assert f.a(5) == pytest.approx(0.2, abs=1e-13)
         assert f.a(4) == pytest.approx(0.0, abs=1e-14)
 
@@ -120,14 +120,14 @@ class TestClosedFormCoefficients:
 
     @pytest.mark.parametrize("alpha", [1e-8, 1e-12, 1e-16])
     def test_g_upper_delta_keeps_relative_precision(self, alpha):
-        # delta = alpha/12 comes from a_3 = -alpha/6 of the series power
-        # (1 - z^2)^(alpha/2), whose every coefficient past a_0 is O(alpha).
+        # delta = alpha/12 comes from the row's log L = (alpha/2) log(1 - z^2)
+        # and v = u/h, whose every coefficient past the first is O(alpha).
         d = functional.delta(g_alpha_upper(alpha))
         assert d == pytest.approx(alpha / 12.0, rel=1e-15, abs=0.0)
 
     def test_g_quadratic_is_polynomial(self):
         f = g_quadratic()
-        c = f.series.coeffs
+        c = f.series(32).coeffs
         np.testing.assert_array_equal(c[:3], [0, 1, -0.5])
         assert not c[3:].any()
 
@@ -153,7 +153,7 @@ class TestEvaluators:
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_contour_oracle_agrees_with_series(self, f):
         got = contour_coefficients(lambda z: z * f.evaluator(z)[0], 8, radius=0.5)
-        np.testing.assert_allclose(got, f.series.coeffs[:9], atol=1e-9)
+        np.testing.assert_allclose(got, f.series(32).coeffs[:9], atol=1e-9)
 
     @pytest.mark.parametrize("f", CASES, ids=lambda f: f.label)
     def test_fd_oracle_agrees_with_derivatives(self, f):
@@ -171,7 +171,7 @@ class TestEvaluators:
     @pytest.mark.parametrize("f", INTEGRAL_CASES, ids=lambda f: f.label)
     def test_contour_oracle_near_boundary(self, f):
         got = contour_coefficients(lambda z: z * f.evaluator(z)[0], 10, radius=0.95)
-        np.testing.assert_allclose(got, f.series.coeffs[:11], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(got, f.series(32).coeffs[:11], rtol=0, atol=1e-8)
 
     def test_quadrature_node_cap(self):
         # Refused before any node is built, below alpha ~ 3.51e-4 for
@@ -276,31 +276,31 @@ class TestRotation:
     def test_rotate_matches_rotated_constructor(self):
         th = 1.3
         np.testing.assert_allclose(
-            rotate(koebe(0.0), th).series.coeffs, koebe(th).series.coeffs, atol=1e-12
+            rotate(koebe(0.0), th).series(32).coeffs, koebe(th).series(32).coeffs, atol=1e-12
         )
 
     def test_f1_family_closure(self):
         np.testing.assert_allclose(
-            rotate(f1(0.5), 0.7).series.coeffs, f1(1.2).series.coeffs, atol=1e-12
+            rotate(f1(0.5), 0.7).series(32).coeffs, f1(1.2).series(32).coeffs, atol=1e-12
         )
 
     def test_f2_family_closure(self):
         # rotating by phi shifts theta by 2 phi for the odd families
         np.testing.assert_allclose(
-            rotate(f2(0.4), 0.6).series.coeffs, f2(1.6).series.coeffs, atol=1e-12
+            rotate(f2(0.4), 0.6).series(32).coeffs, f2(1.6).series(32).coeffs, atol=1e-12
         )
 
     def test_f3_family_closure(self):
         np.testing.assert_allclose(
-            rotate(f3(0.7, 0.4), 0.6).series.coeffs,
-            f3(0.7, 1.6).series.coeffs,
+            rotate(f3(0.7, 0.4), 0.6).series(32).coeffs,
+            f3(0.7, 1.6).series(32).coeffs,
             atol=1e-12,
         )
 
     def test_k_family_closure(self):
         np.testing.assert_allclose(
-            rotate(k_theta_alpha(0.0, 0.7), 1.1).series.coeffs,
-            k_theta_alpha(1.1, 0.7).series.coeffs,
+            rotate(k_theta_alpha(0.0, 0.7), 1.1).series(32).coeffs,
+            k_theta_alpha(1.1, 0.7).series(32).coeffs,
             atol=1e-12,
         )
 
@@ -308,7 +308,7 @@ class TestRotation:
         f = f4(0.8)
         ab = rotate(rotate(f, 0.3), 0.9)
         np.testing.assert_allclose(
-            ab.series.coeffs, rotate(f, 1.2).series.coeffs, atol=1e-12
+            ab.series(32).coeffs, rotate(f, 1.2).series(32).coeffs, atol=1e-12
         )
 
     def test_rotated_evaluator_consistent(self):
@@ -403,32 +403,58 @@ def identity(z):
 
 
 class TestNormalization:
-    """An entry refuses a series unless a_0 = 0, a_1 = 1 and every coefficient
-    is finite, and an evaluator that is not callable."""
+    """An entry refuses a row unless every factor has degree <= 2 and P(0) = 1
+    exactly, every value is finite and a >= 0, and an evaluator that is not
+    callable."""
 
     def test_accepts_normalized(self):
-        f = AnalyticFunction("adhoc", TruncatedSeries([0, 1, 5], order=4), {}, identity)
-        assert f.series.order == 4
+        f = AnalyticFunction("adhoc", Row((((1, 5), 1),), 0.0, 1.0), {}, identity)
+        assert f.series(4).order == 4
         assert f.a(2) == 5
-        assert f.series(0.5) == pytest.approx(0.5 + 5 * 0.25)
+        assert f.series(4)(0.5) == pytest.approx(0.5 + 5 * 0.25)
 
     def test_rejects_wrong_constant(self):
-        with pytest.raises(ValueError, match="normalized"):
-            AnalyticFunction("adhoc", TruncatedSeries([1e-17, 1], order=4), {}, identity)
+        # z / z = 1 has a_0 = 1.
+        with pytest.raises(ValueError, match=r"row needs P\(0\) = 1 and degree <= 2"):
+            AnalyticFunction("adhoc", Row((((0, 1), -1),), 0.0, 1.0), {}, identity)
 
     def test_rejects_wrong_linear_term(self):
-        with pytest.raises(ValueError, match="normalized"):
-            AnalyticFunction("adhoc", TruncatedSeries([0, 0.999], order=4), {}, identity)
+        # z / (0.999 + z) has a_1 = 1/0.999.
+        with pytest.raises(ValueError, match=r"row needs P\(0\) = 1 and degree <= 2"):
+            AnalyticFunction("adhoc", Row((((0.999, 1), -1),), 0.0, 1.0), {}, identity)
+
+    @pytest.mark.parametrize("row, match", [
+        (Row((((1, 0, 0, 1), -1),), 0.0, 1.0), "degree <= 2"),
+        (Row((((1, -1), -1),), -0.5, 1.0), "a >= 0"),
+    ], ids=["cubic", "negative_a"])
+    def test_rejects_row_outside_the_form(self, row, match):
+        with pytest.raises(ValueError, match=match):
+            AnalyticFunction("adhoc", row, {}, identity)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_rejects_non_finite_coefficient(self, bad):
-        with pytest.raises(ValueError, match=r"coefficient a_3 = .* is not finite"):
-            AnalyticFunction("adhoc", TruncatedSeries([0, 1, 2, bad, bad], order=6), {}, identity)
+        for row in [
+            Row((((1, 2, bad), -1),), 0.0, 1.0),
+            Row((((1, 2), bad),), 0.5, 0.5),
+            Row((((1, 2), -1),), 0.5, bad),
+        ]:
+            with pytest.raises(ValueError, match="row values must be finite and a >= 0"):
+                AnalyticFunction("adhoc", row, {}, identity)
 
     @pytest.mark.parametrize("evaluator", [None, 1.0])
     def test_rejects_missing_evaluator(self, evaluator):
         with pytest.raises(ValueError, match="evaluator must be callable"):
-            AnalyticFunction("adhoc", TruncatedSeries([0, 1], order=4), {}, evaluator)
+            AnalyticFunction("adhoc", Row((), 0.0, 1.0), {}, evaluator)
+
+
+def assert_reads_finite_or_refused(f):
+    """The order-32 series and gamma_1, gamma_2 of f are finite, or refused with ValueError."""
+    for read in (lambda: f.series(32).coeffs, lambda: functional.log_coefficients(f, 2)):
+        try:
+            values = read()
+        except ValueError:
+            continue
+        assert np.isfinite(values).all()
 
 
 class TestValidation:
@@ -463,9 +489,9 @@ class TestValidation:
             m_alpha_upper(-1.0)
 
     @pytest.mark.parametrize("build", [
-        lambda: k_theta_alpha(0.0, 0.05, order=2048),
-        lambda: k_theta_alpha(0.0, 0.01, order=512),
-        lambda: m_alpha_upper(0.01, order=1024),
+        lambda: k_theta_alpha(0.0, 0.05).series(2048),
+        lambda: k_theta_alpha(0.0, 0.01).series(512),
+        lambda: m_alpha_upper(0.01).series(1024),
     ], ids=["k_0.05_2048", "k_0.01_512", "m_0.01_1024"])
     def test_overflowing_series_build_refused(self, build):
         # Refused by name of the first bad coefficient, and silently: no
@@ -476,11 +502,11 @@ class TestValidation:
                 build()
 
     def test_default_order_builds_stay_finite_at_small_alpha(self):
-        # The coefficients grow faster as alpha falls; 1e-4 lies below every
-        # alpha whose quadrature rule fits under the node cap (about 3.5e-4
-        # for k_theta_alpha and 1.9e-4 for m_alpha_upper).
+        # Order-32 builds: the coefficients grow faster as alpha falls; 1e-4
+        # lies below every alpha whose quadrature rule fits under the node cap
+        # (about 3.5e-4 for k_theta_alpha and 1.9e-4 for m_alpha_upper).
         for f in (k_theta_alpha(0.7, 1e-4), m_alpha_upper(1e-4)):
-            assert np.isfinite(f.series.coeffs).all()
+            assert np.isfinite(f.series(32).coeffs).all()
 
     CONSTRUCTORS = {
         "koebe": lambda x, y: koebe(x),
@@ -501,7 +527,7 @@ class TestValidation:
             f = self.CONSTRUCTORS[name](x, y)
         except ValueError:
             return
-        assert np.isfinite(f.series.coeffs).all()
+        assert_reads_finite_or_refused(f)
 
     @settings(max_examples=300, deadline=None)
     @given(label=st.sampled_from(LABELS), theta=st.floats(), lam=st.floats(), alpha=st.floats())
@@ -510,7 +536,7 @@ class TestValidation:
             f = make(label, theta=theta, lam=lam, alpha=alpha)
         except ValueError:
             return
-        assert np.isfinite(f.series.coeffs).all()
+        assert_reads_finite_or_refused(f)
 
 
 class TestMake:

@@ -12,6 +12,7 @@ from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     LABELS,
     AnalyticFunction,
+    Row,
     f1,
     f3,
     f4,
@@ -43,7 +44,8 @@ from logcoef.series import TruncatedSeries
 
 
 def entry_from_coeffs(coeffs, order=24):
-    """The polynomial with these coefficients; f/z, f' and f'' come exactly by Horner."""
+    """The polynomial z P with these coefficients, P of degree <= 2 and P(0) = 1;
+    f/z, f' and f'' come exactly by Horner."""
     s = TruncatedSeries(coeffs, order=order)
     n = np.arange(1, order + 1)
     q = TruncatedSeries(s.coeffs[1:], order=order)
@@ -54,7 +56,7 @@ def entry_from_coeffs(coeffs, order=24):
         with np.errstate(divide="ignore", invalid="ignore"):
             return q(z), d1(z) / q(z), z * d2(z) / d1(z)
 
-    return AnalyticFunction("adhoc", s, {}, ratios)
+    return AnalyticFunction("adhoc", Row(((tuple(coeffs[1:]), 1.0),), 0.0, 1.0), {}, ratios)
 
 
 class TestClassSpec:
@@ -320,8 +322,8 @@ class TestQuadratureMargins:
     def test_u_margin_agrees_with_series(self, r):
         # The U margin reads f itself, so it checks the branch of v^alpha.
         # At r <= 0.5 the order-64 series' dropped tail is negligible.
-        f = k_theta_alpha(0.7, 0.5, order=64)
-        s = f.series
+        f = k_theta_alpha(0.7, 0.5)
+        s = f.series(64)
         d1 = TruncatedSeries(s.coeffs[1:] * np.arange(1, s.order + 1), order=s.order)
         spec = ClassSpec("U", lam=1.0)
         for z in r * self.RING[::4]:
@@ -432,13 +434,13 @@ class TestSchwarzMaps:
         assert a3 == pytest.approx(1.0 / 2.4, abs=1e-15)
 
     def test_m_map_head_matches_series_extremal(self):
-        f = m_alpha_upper(1.5, order=64)
+        f = m_alpha_upper(1.5)
         a2, a3 = m_coefficients_from_schwarz(0.0, -1.0, 1.5)
         assert abs(f.a(2) - a2) < 1e-12
         assert abs(f.a(3) - a3) < 1e-12
 
     def test_m_map_head_matches_k_family(self):
-        f = k_theta_alpha(0.0, 0.8, order=64)
+        f = k_theta_alpha(0.0, 0.8)
         a2, _ = m_coefficients_from_schwarz(-1.0, 0.0, 0.8)
         assert abs(f.a(2) - a2) < 1e-12
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -217,6 +218,24 @@ class TestGamma:
         assert code == 2
         assert out == ""
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("alpha", ["1e-11", "1e-8"])
+    def test_small_alpha_prints_the_exact_delta(self, run, alpha):
+        # delta = -(3 a^2 + 2 a + 1) / (2 (1 + 2 a) (1 + a)^2), here in exact
+        # rational arithmetic at the float alpha.
+        a = Fraction(float(alpha))
+        want = float(-(3 * a * a + 2 * a + 1) / (2 * (1 + 2 * a) * (1 + a) ** 2))
+        code, out, err = run("gamma", "--function", "k_theta_alpha", "--alpha", alpha)
+        assert code == 0 and err == ""
+        (got,) = re.findall(r"^delta = (\S+)$", out, re.M)
+        assert abs(float(got) - want) <= 4e-16
+
+    @pytest.mark.parametrize("label", ["k_theta_alpha", "m_alpha_upper"])
+    def test_underflowing_row_is_usage_error(self, run, label):
+        code, out, err = run("gamma", "--function", label, "--alpha", "1e200")
+        assert code == 2
+        assert out == ""
+        assert "underflow" in err
 
     def test_unknown_function(self, run):
         code, _, err = run("gamma", "--function", "zeta")

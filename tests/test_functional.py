@@ -1,13 +1,16 @@
 """Tests for the logarithmic-coefficient functional."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from logcoef.catalog import (
+    FAMILIES,
     LABELS,
     AnalyticFunction,
+    Row,
     f1,
     f2,
     f3,
@@ -22,11 +25,12 @@ from logcoef.catalog import (
     rotate,
 )
 from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
-from logcoef.series import TruncatedSeries, log_unit
+from logcoef.series import TruncatedSeries
 
 
 def entry_from_coeffs(coeffs, order=16):
-    """The polynomial with these coefficients; f/z, f' and f'' come exactly by Horner."""
+    """The polynomial z P with these coefficients, P of degree <= 2 and P(0) = 1;
+    f/z, f' and f'' come exactly by Horner."""
     s = TruncatedSeries(coeffs, order=order)
     n = np.arange(1, order + 1)
     q = TruncatedSeries(s.coeffs[1:], order=order)
@@ -37,7 +41,7 @@ def entry_from_coeffs(coeffs, order=16):
         with np.errstate(divide="ignore", invalid="ignore"):
             return q(z), d1(z) / q(z), z * d2(z) / d1(z)
 
-    return AnalyticFunction("adhoc", s, {}, ratios)
+    return AnalyticFunction("adhoc", Row(((tuple(coeffs[1:]), 1.0),), 0.0, 1.0), {}, ratios)
 
 
 class TestLogCoefficients:
@@ -50,24 +54,66 @@ class TestLogCoefficients:
         g = log_coefficients(entry_from_coeffs([0, 1]), 8)
         np.testing.assert_array_equal(g, np.zeros(8))
 
-    def test_order_bookkeeping(self):
-        f = entry_from_coeffs([0, 1], order=8)
-        assert len(log_coefficients(f, 7)) == 7
-        with pytest.raises(ValueError, match="order"):
-            log_coefficients(f, 8)
+    def test_n_below_one_refused(self):
         with pytest.raises(ValueError, match="n >= 1"):
-            log_coefficients(f, 0)
+            log_coefficients(entry_from_coeffs([0, 1]), 0)
 
     @pytest.mark.parametrize("label", LABELS)
     def test_cut_series_is_bit_identical(self, label):
-        # gamma_1..gamma_n read only a_1..a_{n+1}, so the full-order log must
-        # give the same bits.
-        f = make(label, theta=0.7, lam=0.5, alpha=0.6)
-        s = f.series
-        full = 0.5 * log_unit(TruncatedSeries(s.coeffs[1:], order=s.order - 1)).coeffs
-        for n in range(1, s.order):
-            got = log_coefficients(f, n)
-            np.testing.assert_array_equal(got.view(np.uint64), full[1 : n + 1].view(np.uint64))
+        # Every recurrence behind gamma is triangular, so the gammas of n
+        # terms are the first n of those of n + k terms, bit for bit; the M
+        # entries are checked on both sides of the a = 1 split.
+        for alpha in (0.6, 2.5) if FAMILIES[label].kind == "M" else (0.6,):
+            f = make(label, theta=0.7, lam=0.5, alpha=alpha)
+            full = log_coefficients(f, 40)
+            for n in (1, 2, 3, 7, 16, 39):
+                got = log_coefficients(f, n)
+                np.testing.assert_array_equal(got.view(np.uint64), full[:n].view(np.uint64))
+
+
+def k_gammas_exact(alpha):
+    """|gamma_1|, |gamma_2| and delta of k_theta_alpha, exact at the float alpha."""
+    a = Fraction(alpha)
+    g1 = 1 / (1 + a)
+    g2 = (a * a + 4 * a + 1) / (2 * (1 + 2 * a) * (1 + a) ** 2)
+    return float(g1), float(g2), float(g2 - g1)
+
+
+class TestRowAccuracy:
+    """gamma from the row against exact values, across the whole alpha range."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-8, 1e-5, 0.01, 0.3, 1.0, 1.5, 10.0, 1e3, 1e6])
+    def test_k_gammas_to_4e16(self, theta, alpha):
+        g1, g2, _ = k_gammas_exact(alpha)
+        got = log_coefficients(k_theta_alpha(theta, alpha), 2)
+        assert abs(abs(got[0]) - g1) <= 4e-16
+        assert abs(abs(got[1]) - g2) <= 4e-16
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_k_delta_relative_at_large_alpha(self, theta):
+        for alpha in np.geomspace(1e6, 1e150, 73):
+            want = k_gammas_exact(float(alpha))[2]
+            assert abs(delta(k_theta_alpha(theta, float(alpha))) - want) <= 1e-15 * abs(want)
+
+    def test_m_delta_relative(self):
+        for alpha in np.geomspace(1e-12, 1e150, 82):
+            want = float(Fraction(1, 2) / (1 + 2 * Fraction(float(alpha))))
+            assert abs(delta(m_alpha_upper(float(alpha))) - want) <= 1e-15 * want
+
+    def test_g_delta_relative(self):
+        for alpha in np.geomspace(1e-300, 1.0, 61):
+            want = float(Fraction(float(alpha)) / 12)
+            assert abs(delta(g_alpha_upper(float(alpha))) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("label", ["k_theta_alpha", "m_alpha_upper"])
+    @pytest.mark.parametrize("alpha", [1e160, 1e200, 1e300])
+    def test_underflowing_row_refused(self, label, alpha):
+        # Past alpha ~ 4.7e153 the terms u_k fall below the normal range: at
+        # 1e200 they are 0 and delta would read 0.0 against an exact -7.5e-201.
+        f = make(label, alpha=alpha)
+        with pytest.raises(ValueError, match="underflow"):
+            log_pair(f)
 
 
 class TestGammaFromA:
@@ -104,8 +150,8 @@ TWO_ROUTE_CASES = [
     f3(0.35, 0.8),
     f4(0.75),
     f5(0.5),
-    k_theta_alpha(0.4, 1.5, order=64),
-    m_alpha_upper(2.0, order=64),
+    k_theta_alpha(0.4, 1.5),
+    m_alpha_upper(2.0),
     g_alpha_upper(0.6),
     g_quadratic(),
 ]

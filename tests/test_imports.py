@@ -3,9 +3,13 @@
 Every module imports on its own, so no import cycle hides behind the order
 in which the package imports them, and the runtime stays numpy-only.
 `python -m logcoef` runs the command line, `__all__` lists every public
-name, and the version matches pyproject.toml.
+name, the version matches pyproject.toml, and every name the benchmark's
+span tracer wraps still exists.
 """
 
+import dataclasses
+import importlib
+import importlib.util
 import inspect
 import os
 import re
@@ -16,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import logcoef
+from logcoef.catalog import AnalyticFunction
+from logcoef.classes import membership_test
 from logcoef.cli import main
 
 PACKAGE = Path(logcoef.__file__).resolve().parent
@@ -86,3 +92,22 @@ def test_all_lists_every_public_name():
 def test_version_matches_pyproject():
     text = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert logcoef.__version__ == re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # bench/tracer.py wraps these names for traced runs; a rename would break
+    # `bench/run.py --trace 1` without failing any other test.
+    path = PACKAGE.parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for modname, attr_path, _, _ in tracer.TARGETS:
+        owner = importlib.import_module(modname)
+        for part in attr_path.split("."):
+            # vars, not getattr: every class has a __call__ through its metaclass.
+            assert part in vars(owner), f"{modname}.{attr_path}"
+            owner = vars(owner)[part]
+        assert callable(owner), f"{modname}.{attr_path}"
+    # The membership hook binds f, radii and angular and reads f.evaluator.
+    assert {"f", "radii", "angular"} <= set(inspect.signature(membership_test).parameters)
+    assert "evaluator" in {field.name for field in dataclasses.fields(AnalyticFunction)}

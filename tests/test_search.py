@@ -24,8 +24,7 @@ from logcoef.classes import (
     g_coefficients_from_schwarz,
     m_coefficients_from_schwarz,
 )
-from logcoef.functional import delta
-from logcoef.series import DEFAULT_ORDER
+from logcoef.functional import delta, log_coefficients
 from logcoef.search import (
     BODY_NOTE,
     MAX_RESOLUTION,
@@ -384,16 +383,16 @@ class TestFamilySweep:
 
     @pytest.mark.parametrize("label", sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep))
     def test_sweep_equals_a_full_order_build(self, label):
-        # The sweep builds each member through a_3 only, at theta = 0; its rows
-        # must be those of a DEFAULT_ORDER build at theta = 0 exactly, down to
-        # the finest grid's first value (alpha = 3e-4 for the M families).
+        # The sweep reads gamma_1 and gamma_2 of each member at theta = 0; its
+        # rows must be those of the first two of 32 log coefficients exactly,
+        # down to the finest grid's first value (alpha = 3e-4 for the M families).
         family = catalog.FAMILIES[label]
         lo, hi, ends = family.sweep
         grid = catalog.sweep_grid(lo, hi, ends, (hi - lo) / 18)
         grid.append(lo + (hi - lo) / catalog.MAX_SWEEP_STEPS)
         for p, row in zip(grid, family_sweep(label, grid)):
-            f = catalog.make(label, 0.0, lam=p, alpha=p, order=DEFAULT_ORDER)
-            assert row.delta == delta(f)
+            g = log_coefficients(catalog.make(label, 0.0, lam=p, alpha=p), 32)
+            assert row.delta == abs(g[1]) - abs(g[0])
 
     # The exact delta of each family whose only parameter is theta.
     ROTATION_ONLY = {"koebe": -0.5, "f1": -math.sqrt(0.5), "f2": 0.5}
@@ -409,7 +408,7 @@ class TestFamilySweep:
         want = self.ROTATION_ONLY[label]
         assert {row.delta for row in rows} == {want}
         for theta in grid:
-            got = delta(catalog.make(label, theta, order=DEFAULT_ORDER))
+            got = delta(catalog.make(label, theta))
             assert abs(got - want) <= 4.0 * math.ulp(want)
 
     def test_rotation_only_sweep_builds_one_member(self, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcoef.series import (
-    DEFAULT_ORDER,
     MIN_ORDER,
     TruncatedSeries,
     exp_unit,
@@ -63,9 +62,6 @@ class TestConstruction:
         s = TruncatedSeries([1, 2, 3])
         with pytest.raises(ValueError):
             s.coeffs[0] = 9
-
-    def test_default_order_constant(self):
-        assert DEFAULT_ORDER == 32
 
 
 class TestRingOperations:
