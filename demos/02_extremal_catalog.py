@@ -2,9 +2,10 @@
 
 Each entry is a concrete normalized function attaining (or approaching) one
 of the sharp bounds, and each is one factor row: f = z u^beta with
-u = integral_0^1 h(z t^a) dt and h = prod P^e.  Every evaluator returns the
-three ratios (f/z, z f'/f, z f''/f') that the class inequalities read.  The
-quadratic-rational entries (a = 0) carry closed-form evaluators.  The
+u = integral_0^1 h(z t^a) dt and h = prod P^e.  Each entry's evaluator comes
+from its row and returns the three ratios (f/z, z f'/f, z f''/f') that the
+class inequalities read.  At a = 0, f = z P^e, and the ratios are closed
+forms over the reciprocal roots of P and of P + e z P'.  The
 integral-defined extremals (k_theta_alpha, m_alpha_upper, g_alpha_upper)
 take their ratios from f/z = u^alpha, z f'/f = h(z)/u and
 z f''/f' = z ((alpha - 1) u'/u + h'/h), with u and u'/u by graded

@@ -1,8 +1,8 @@
 """Catalog of normalized analytic functions used as extremal witnesses.
 
-Every entry is an :class:`AnalyticFunction`: one factor row and an evaluator.
-The row (factors, a, beta) is f = z u^beta with u = integral_0^1 h(z t^a) dt
-and h = prod P^e, each P of degree <= 2 with P(0) = 1, so f(0) = 0 and
+Every entry is an :class:`AnalyticFunction`, one factor row.  The row
+(factors, a, beta) is f = z u^beta with u = integral_0^1 h(z t^a) dt and
+h = prod P^e, each P of degree <= 2 with P(0) = 1, so f(0) = 0 and
 f'(0) = 1 by construction:
 
     koebe, f1..f5   ((1, b, c), -1)                 a = 0, beta = 1: f = z / P
@@ -13,9 +13,9 @@ f'(0) = 1 by construction:
 
 `functional` reads the log coefficients from the row; Taylor coefficients
 are built from it only when asked for, to the order asked.  The evaluator
-returns the three ratios every class inequality reads: in closed form for the
-a = 0 entries, and for the others by composite Gauss-Legendre quadrature of u
-and u'/u (`_integral_entry`).
+comes from the row too and returns the three ratios every class inequality
+reads: in closed form at a = 0 (`_closed_evaluator`), and otherwise by
+Gauss-Legendre quadrature of u and u'/u (`_quadrature_evaluator`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .classes import ClassSpec
-from .series import MIN_ORDER, TruncatedSeries, exp_unit, log_unit, pow_real
+from .series import MIN_ORDER, TruncatedSeries, _div_coeffs, exp_unit, log_unit, pow_real
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,19 @@ class Row(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class AnalyticFunction:
-    """A catalog entry: its row, parameters and an evaluator.
+    """A catalog entry: its row, its parameters and the evaluator the row gives.
 
     Refuses, with ValueError, a row unless every P has degree <= 2 and
-    P(0) = 1 exactly, every value is finite and a >= 0, and an evaluator that
-    is not callable.  evaluator(z) returns (f/z, z f'/f, z f''/f') at z, a
-    point or an ndarray of points of the open disk; at z = 0 these are
-    (1, 1, 0).
+    P(0) = 1 exactly, every value is finite, and beta = a > 0 with a factor
+    or a = 0, beta = 1 with one factor.  evaluator(z) returns (f/z, z f'/f,
+    z f''/f') at z, a point or an ndarray of points of the open disk; at
+    z = 0 these are (1, 1, 0).
     """
 
     label: str
     row: Row
     params: dict
-    evaluator: Callable = field(repr=False)
+    evaluator: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         factors, a, beta = self.row
@@ -124,8 +124,14 @@ class AnalyticFunction:
             raise ValueError(f"{self.label} {self.params}: row values must be finite and a >= 0")
         if not all(1 <= len(P) <= 3 and P[0] == 1 for P, _ in factors):
             raise ValueError(f"{self.label} row needs P(0) = 1 and degree <= 2, got {factors}")
-        if not callable(self.evaluator):
-            raise ValueError(f"evaluator must be callable, got {self.evaluator!r}")
+        if a > 0 and beta == a and factors:
+            ev = _quadrature_evaluator(self.label, factors, a)
+        elif a == 0 and beta == 1 and len(factors) == 1:
+            ev = _closed_evaluator(*factors[0])
+        else:
+            raise ValueError(f"{self.label} row has no evaluator: it needs factors and "
+                             f"beta = a > 0, or a = 0, beta = 1 and one factor, got {self.row}")
+        object.__setattr__(self, "evaluator", ev)
 
     def series(self, n: int) -> TruncatedSeries:
         """Taylor coefficients a_0..a_n, built from the row to order n.
@@ -136,17 +142,18 @@ class AnalyticFunction:
         factors, a, beta = self.row
         with np.errstate(over="ignore", invalid="ignore"):
             if self.row.closed:
-                s = TruncatedSeries([0.0, 1.0], order=n)
+                c = TruncatedSeries([0.0, 1.0], order=n).coeffs
                 for P, e in factors:
-                    s = (operator.mul if e > 0 else operator.truediv)(s, TruncatedSeries(P, n))
+                    p = TruncatedSeries(P, order=n).coeffs
+                    c = np.convolve(c, p)[: n + 1] if e > 0 else _div_coeffs(c, p)
             else:
-                h = functools.reduce(
-                    operator.mul, [pow_real(TruncatedSeries(P, order=n), e) for P, e in factors]
-                )
-                u = log_unit(TruncatedSeries(h.coeffs / (1.0 + a * np.arange(n + 1)), order=n))
+                hs = [pow_real(TruncatedSeries(P, order=n), e).coeffs for P, e in factors]
+                h = functools.reduce(lambda x, y: np.convolve(x, y)[: n + 1], hs)
+                u = log_unit(TruncatedSeries(h / (1.0 + a * np.arange(n + 1)), order=n))
                 # u^beta as exp(beta log u), which does not cancel as u's coefficients grow.
                 u = exp_unit(TruncatedSeries(beta * u.coeffs, order=n))
-                s = TruncatedSeries(np.concatenate(([0.0], u.coeffs[:-1])), order=n)
+                c = np.concatenate(([0.0], u.coeffs[:-1]))
+        s = TruncatedSeries(c, order=n)
         bad = np.flatnonzero(~np.isfinite(s.coeffs))
         if bad.size:
             raise ValueError(f"series coefficient a_{bad[0]} = {s.coeffs[bad[0]]} is not finite")
@@ -164,44 +171,69 @@ def _check_finite(*named):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _stable_roots(c0, c1, c2):
-    """Both roots of c0 + c1 z + c2 z^2 (c2 != 0) as (q / c2, c0 / q), q = -(c1 + s)/2
-    with s the discriminant's square root aligned with c1, so that neither comes
-    from a cancelling difference; q = 0 only for the double root 0."""
+def _roots(c):
+    """Roots of c_0 + c_1 z + c_2 z^2 of degree len(c) - 1 <= 2: +-sqrt(-c_0/c_2) if
+    c_1 = 0, else (q / c_2, c_0 / q), q = -(c_1 + s)/2 with s the discriminant's square
+    root aligned with c_1, so that neither comes from a cancelling difference."""
+    if len(c) < 3:
+        return (-c[0] / c[1],) if len(c) == 2 else ()
+    c0, c1, c2 = c
+    if c1 == 0:
+        s = cmath.sqrt(-c0 / c2)
+        return s, -s
     s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
     if (c1.conjugate() * s).real < 0.0:
         s = -s
     q = -0.5 * (c1 + s)
-    return (q / c2, c0 / q) if q else (0j, 0j)
+    return q / c2, c0 / q
 
 
-def _quadratic_rational(label, b, c, params):
-    """z / (1 + b z + c z^2), the row ((1, b, c), -1) at a = 0, with its ratios in closed form.
+def _shaped(z, values):
+    """Values at the flattened points of z, in z's shape; complex numbers for a point z."""
+    if np.ndim(z) == 0:
+        return tuple(complex(x[0]) for x in values)
+    return tuple(np.reshape(x, np.shape(z)) for x in values)
 
-    The evaluator works in factored form, 1 + b z + c z^2 = u_1 u_2 with
-    u_j = 1 - p_j z over the reciprocal roots p_j, and 1 - c z^2 =
-    (1 - s z)(1 + s z), s^2 = c: f/z = 1/(u_1 u_2), z f'/f = (1 - s z)
-    (1 + s z)/(u_1 u_2) and z f''/f' = z (2 (p_1/u_1 + p_2/u_2) - s/(1 - s z)
-    + s/(1 + s z)) keep their relative precision next to a root on the
-    circle.
+
+def _closed_evaluator(P, e):
+    """(f/z, z f'/f, z f''/f') of f = z P^e, in factored form.
+
+    With N = P + e z P', z f'/f = N/P.  Over the reciprocal roots p of P and
+    n of N (the roots of the reversed polynomials), u = 1 - p z and v = 1 - n z:
+    f/z = (prod u)^e, z f'/f = prod v / prod u and z f''/f' = z ((1 - e) sum p/u
+    - sum n/v), which keep their relative precision next to a root on the
+    circle.  Where f or f' vanishes the ratios are inf or nan, without a warning.
     """
-    p1, p2 = _stable_roots(c, b, 1.0)
-    s = cmath.sqrt(c)
+    ps = _roots(P[::-1])
+    ns = _roots(tuple((1.0 + e * k) * c for k, c in enumerate(P))[::-1])
 
     def ev(z):
-        u1, u2 = 1.0 - p1 * z, 1.0 - p2 * z
-        v1, v2 = 1.0 - s * z, 1.0 + s * z
-        q = u1 * u2
-        return 1.0 / q, v1 * v2 / q, z * (2.0 * (p1 / u1 + p2 / u2) - s / v1 + s / v2)
+        flat = np.ravel(np.asarray(z, dtype=complex))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            us = [1.0 - p * flat for p in ps]
+            vs = [1.0 - n * flat for n in ns]
+            q = functools.reduce(operator.mul, us, np.ones_like(flat))
+            # The p terms first and one at a time, which keeps the quadratics' bits.
+            pu = [p / u for p, u in zip(ps, us)]
+            d = (1.0 - e) * functools.reduce(operator.add, pu) if pu else np.zeros_like(flat)
+            for n, v in zip(ns, vs):
+                d = d - n / v
+            values = (q**e, functools.reduce(operator.mul, vs, np.ones_like(flat)) / q, flat * d)
+        return _shaped(z, values)
 
-    return AnalyticFunction(label, Row((((1.0, b, c), -1.0),), 0.0, 1.0), params, ev)
+    return ev
+
+
+def _rational(label, b, c, params):
+    """z / (1 + b z + c z^2), the row ((1, b, c), -1) at a = 0."""
+    return AnalyticFunction(label, Row((((1.0, b, c), -1.0),), 0.0, 1.0), params)
 
 
 def koebe(theta: float = 0.0) -> AnalyticFunction:
     """z / (1 - e^{i theta} z)^2, coefficients a_n = n e^{i(n-1) theta}."""
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
-    return _quadratic_rational("koebe", -2.0 * w, w * w, {"theta": float(theta)})
+    return _rational("koebe", -2.0 * w, w * w, {"theta": float(theta)})
 
 
 def f1(theta: float = 0.0) -> AnalyticFunction:
@@ -213,14 +245,14 @@ def f1(theta: float = 0.0) -> AnalyticFunction:
     """
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
-    return _quadratic_rational("f1", -math.sqrt(2.0) * w, w * w, {"theta": float(theta)})
+    return _rational("f1", -math.sqrt(2.0) * w, w * w, {"theta": float(theta)})
 
 
 def f2(theta: float = 0.0) -> AnalyticFunction:
     """z / (1 + e^{i theta} z^2): odd, a_2 = 0, a_3 = -e^{i theta}."""
     _check_finite(("theta", theta))
     w = np.exp(1j * theta)
-    return _quadratic_rational("f2", 0.0, w, {"theta": float(theta)})
+    return _rational("f2", 0.0, w, {"theta": float(theta)})
 
 
 def f3(lam: float, theta: float = 0.0) -> AnalyticFunction:
@@ -231,7 +263,7 @@ def f3(lam: float, theta: float = 0.0) -> AnalyticFunction:
     _check_finite(("theta", theta))
     ClassSpec.of("U", lam)  # refuses lam outside U's range
     w = np.exp(1j * theta)
-    return _quadratic_rational("f3", 0.0, -lam * w, {"lam": float(lam), "theta": float(theta)})
+    return _rational("f3", 0.0, -lam * w, {"lam": float(lam), "theta": float(theta)})
 
 
 def f4(lam: float) -> AnalyticFunction:
@@ -242,7 +274,7 @@ def f4(lam: float) -> AnalyticFunction:
     _check_finite(("lambda", lam))
     if not 0.5 <= lam <= 1.0:
         raise ValueError(f"f4 requires 1/2 <= lambda <= 1, got {lam}")
-    return _quadratic_rational("f4", -math.sqrt(2.0 * lam), lam, {"lam": float(lam)})
+    return _rational("f4", -math.sqrt(2.0 * lam), lam, {"lam": float(lam)})
 
 
 def f5(lam: float) -> AnalyticFunction:
@@ -253,7 +285,7 @@ def f5(lam: float) -> AnalyticFunction:
     _check_finite(("lambda", lam))
     if not 0.0 < lam <= 0.5:
         raise ValueError(f"f5 requires 0 < lambda <= 1/2, got {lam}")
-    return _quadratic_rational("f5", -1.0, lam, {"lam": float(lam)})
+    return _rational("f5", -1.0, lam, {"lam": float(lam)})
 
 
 # -- quadrature for the integral-defined entries -------------------------------
@@ -392,8 +424,8 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
 _MAX_ALPHA = 1e6
 
 
-def _integral_entry(label, factors, alpha, params):
-    """The entry with row (factors, alpha, alpha), whose evaluator returns f/z = u^alpha,
+def _quadrature_evaluator(label, factors, alpha):
+    """(f/z, z f'/f, z f''/f') of the row (factors, alpha, alpha): f/z = u^alpha,
     z f'/f = 1/v with v = u/h(z), and z f''/f' = z ((alpha - 1) u'/u + h'/h).
     """
 
@@ -407,11 +439,9 @@ def _integral_entry(label, factors, alpha, params):
             values = (np.exp(alpha * (lh + logv)), np.exp(-logv), flat * ((alpha - 1.0) * du + dh))
         if not all(np.isfinite(x).all() for x in values):
             raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
-        if np.ndim(z) == 0:
-            return tuple(complex(x[0]) for x in values)
-        return tuple(np.reshape(x, np.shape(z)) for x in values)
+        return _shaped(z, values)
 
-    return AnalyticFunction(label, Row(tuple(factors), alpha, alpha), params, ev)
+    return ev
 
 
 def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
@@ -419,8 +449,7 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
 
     f = ((1/alpha) integral_0^z t^{1/alpha - 1} (1 - e^{i theta} t)^{-2/alpha} dt)^alpha,
     the row with the one factor (1 - e^{i theta} z)^{-2/alpha} and
-    a = beta = alpha.  Reduces to the koebe function at alpha = 0;
-    a_2 = 2 e^{i theta} / (1 + alpha).
+    a = beta = alpha.  At alpha = 0 it is koebe's row; a_2 = 2 e^{i theta} / (1 + alpha).
 
     gamma, read from the row, is accurate at every alpha up to about 4.7e153,
     where the row's terms underflow and `functional.log_coefficients`
@@ -432,11 +461,11 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     """
     _check_finite(("theta", theta))
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
-    if alpha == 0:
-        return koebe(theta)
     params = {"theta": float(theta), "alpha": float(alpha)}
-    factors = [((1.0, -np.exp(1j * theta)), -2.0 / alpha)]
-    return _integral_entry("k_theta_alpha", factors, alpha, params)
+    if alpha == 0:
+        return AnalyticFunction("k_theta_alpha", koebe(theta).row, params)
+    row = Row((((1.0, -np.exp(1j * theta)), -2.0 / alpha),), alpha, alpha)
+    return AnalyticFunction("k_theta_alpha", row, params)
 
 
 def m_alpha_upper(alpha: float) -> AnalyticFunction:
@@ -451,9 +480,9 @@ def m_alpha_upper(alpha: float) -> AnalyticFunction:
     """
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     if alpha == 0:
-        return _quadratic_rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0})
-    factors = [((1.0, 0.0, -1.0), -1.0 / alpha)]
-    return _integral_entry("m_alpha_upper", factors, alpha, {"alpha": float(alpha)})
+        return _rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0})
+    row = Row((((1.0, 0.0, -1.0), -1.0 / alpha),), alpha, alpha)
+    return AnalyticFunction("m_alpha_upper", row, {"alpha": float(alpha)})
 
 
 def g_alpha_upper(alpha: float) -> AnalyticFunction:
@@ -461,48 +490,39 @@ def g_alpha_upper(alpha: float) -> AnalyticFunction:
 
     Requires 0 < alpha <= 1.  The row with the one factor
     (1 - z^2)^(alpha/2) and a = beta = 1, so f' = h and f''/f' = h'/h are
-    closed forms and only f comes by quadrature.
+    closed forms and only f comes by quadrature.  Below alpha = 1e-323 the
+    factor's power alpha/2 is 0, and `functional.log_coefficients` refuses.
     """
     ClassSpec.of("G", alpha)  # refuses alpha outside G's range
-    factors = [((1.0, 0.0, -1.0), 0.5 * alpha)]
-    return _integral_entry("g_alpha_upper", factors, 1.0, {"alpha": float(alpha)})
+    row = Row((((1.0, 0.0, -1.0), 0.5 * alpha),), 1.0, 1.0)
+    return AnalyticFunction("g_alpha_upper", row, {"alpha": float(alpha)})
 
 
 def g_quadratic() -> AnalyticFunction:
     """z - z^2/2, the polynomial member with delta = -3/16: the row ((1, -1/2), 1) at a = 0."""
-
-    def ev(z):
-        return 1.0 - 0.5 * z, (1.0 - z) / (1.0 - 0.5 * z), -z / (1.0 - z)
-
-    return AnalyticFunction("g_quadratic", Row((((1.0, -0.5), 1.0),), 0.0, 1.0), {}, ev)
+    return AnalyticFunction("g_quadratic", Row((((1.0, -0.5), 1.0),), 0.0, 1.0), {})
 
 
 def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     """Disk rotation e^{-i theta} f(e^{i theta} z): a_n -> e^{i(n-1) theta} a_n.
 
     Preserves membership in every rotation-invariant class and each |gamma_n|.
-    The row's polynomials become P(e^{i theta} z), and f/z, z f'/f and
-    z f''/f' at z are those of f at e^{i theta} z.  params["rotated_by"] adds
-    up the angles of repeated rotations.
+    The row's polynomials become P(e^{i theta} z), and so does the evaluator.
+    params["rotated_by"] adds up the angles of repeated rotations.
     """
     _check_finite(("theta", theta))
     w = complex(np.exp(1j * theta))
     factors = tuple((tuple(c * w**k for k, c in enumerate(P)), e) for P, e in f.row.factors)
-    base = f.evaluator
-
-    def ev(z):
-        return base(w * z)
-
     params = dict(f.params)
     params["rotated_by"] = params.get("rotated_by", 0.0) + float(theta)
-    return AnalyticFunction(f.label, f.row._replace(factors=factors), params, ev)
+    return AnalyticFunction(f.label, f.row._replace(factors=factors), params)
 
 
 def poles_outside_disk(coeffs) -> tuple[bool, float]:
     """Whether every root of a degree <= 2 polynomial lies strictly outside |z| = 1.
 
-    Returns (all_outside, smallest_root_modulus).  Quadratic roots come from
-    `_stable_roots`.  Non-finite coefficients are refused with ValueError.
+    Returns (all_outside, smallest_root_modulus), the roots from `_roots`.
+    Non-finite coefficients are refused with ValueError.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if not np.isfinite(c).all():
@@ -510,22 +530,16 @@ def poles_outside_disk(coeffs) -> tuple[bool, float]:
     if c.size == 0 or not c.any():
         raise ValueError("zero polynomial has no pole locations")
     # Scaling by a power of two is exact and moves no root; with every real
-    # and imaginary part below 1, no product in _stable_roots overflows.
+    # and imaginary part below 1, no product in _roots overflows.
     e = math.frexp(max(np.abs(c.real).max(), np.abs(c.imag).max()))[1]
     c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
     while len(c) > 1 and c[-1] == 0:
         c = c[:-1]
     if len(c) > 3:
         raise ValueError("only polynomial degree <= 2 is supported")
-    if len(c) == 1:
-        return True, math.inf
     # Python complex arithmetic, unlike numpy's, gives inf without a warning
     # when a root lies beyond the float range (a subnormal leading coefficient).
-    c = [complex(v) for v in c]
-    if len(c) == 2:
-        m = abs(c[0] / c[1])
-    else:
-        m = min(map(abs, _stable_roots(*c)))
+    m = min(map(abs, _roots([complex(v) for v in c])), default=math.inf)
     return bool(m > 1.0), float(m)
 
 

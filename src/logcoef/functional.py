@@ -42,7 +42,8 @@ def log_coefficients(f, n: int) -> np.ndarray:
     keeps the large L of small a exact; for a >= 1, u_k = exp(L)_k/(1 + a k),
     where L and log v would cancel.  The recurrences are triangular, so gamma_k
     does not depend on n.  Refuses, with ValueError, a row whose terms
-    underflow (alpha past ~ 4.7e153) and gammas that are not finite.
+    underflow (alpha past ~ 4.7e153, or a power that underflowed to 0) and
+    gammas that are not finite.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -63,7 +64,9 @@ def log_coefficients(f, n: int) -> np.ndarray:
             else:
                 h = exp_unit(TruncatedSeries(ell, order=order)).coeffs
                 u = h / (1.0 + a * k)
-                if np.any((np.abs(u) < np.finfo(float).tiny) & (h != 0)):
+                # A power of 0 is one that underflowed: g_alpha_upper's alpha/2 below 1e-323.
+                lost = any(e == 0 for _, e in factors)
+                if lost or np.any((np.abs(u) < np.finfo(float).tiny) & (h != 0)):
                     raise ValueError(f"{f.label} {f.params}: the row's terms underflow")
                 logu = log_unit(TruncatedSeries(u, order=order)).coeffs
         gammas = 0.5 * beta * logu[1 : n + 1]

@@ -1,16 +1,15 @@
 """Truncated complex power series and the coefficient recurrences built on them.
 
 A series gives each catalog entry its coefficients a_2, a_3, ... on demand,
-and is the tests' Horner oracle; entries are evaluated by
-their own evaluators, never by a series.  A :class:`TruncatedSeries` holds
-``a_0 .. a_N`` cut off at a fixed order ``N`` and keeps only what the catalog
-and the tests use, each exact through order ``N``: the Cauchy product
-series * series, the back-substitution for ``q * b = a`` behind
-series / series, and Horner evaluation ``s(z)``.  `log_unit`, `exp_unit` and
-`pow_real` act on series with unit constant term by the classical
-differentiate-and-solve recurrences (for ``L = log a``, ``L' a = a'`` is
-solved term by term); no composition is involved, and the principal branch is
-pinned by ``log(1) = 0``.
+and is the tests' Horner oracle; entries are evaluated by the evaluators
+their rows give, never by a series.  A :class:`TruncatedSeries` holds
+``a_0 .. a_N`` cut off at a fixed order ``N`` and keeps only what the
+recurrences and the tests use: its coefficients and Horner evaluation
+``s(z)``.  `_div_coeffs` solves ``q * b = a`` by back-substitution, exact
+through order ``N``.  `log_unit`, `exp_unit` and `pow_real` act on series
+with unit constant term by the classical differentiate-and-solve recurrences
+(for ``L = log a``, ``L' a = a'`` is solved term by term); no composition is
+involved, and the principal branch is pinned by ``log(1) = 0``.
 
 Coefficients are double precision complex numbers.  Instances are immutable.
 A series here carries no normalization: a catalog entry's row fixes a_0 = 0, a_1 = 1.
@@ -27,8 +26,8 @@ class TruncatedSeries:
     """Polynomial view a_0 + a_1 z + ... + a_N z^N of a power series.
 
     Holds an entry's coefficients and serves as the tests' Horner oracle.  Its
-    operations are ``coeffs``, ``order``, ``coefficient``, series * series,
-    series / series (both at equal orders) and evaluation ``s(z)``.
+    operations are ``coeffs``, ``order``, ``coefficient`` and evaluation
+    ``s(z)``.
     """
 
     __slots__ = ("_c",)
@@ -63,25 +62,6 @@ class TruncatedSeries:
             raise ValueError(f"coefficient index {n} outside 0..{self.order}")
         return complex(self._c[n])
 
-    # -- product and quotient of two series of one order ---------------------
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        full = np.convolve(self._c, other._c)
-        return TruncatedSeries(full[: self.order + 1], order=self.order)
-
-    def __truediv__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
-        return TruncatedSeries(_div_coeffs(self._c, other._c), order=self.order)
-
     def __call__(self, z):
         """Horner evaluation at z (scalar or ndarray).
 
@@ -99,6 +79,7 @@ class TruncatedSeries:
 
 
 def _div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the series a / b, to the length of a; b_0 must not be 0."""
     if b[0] == 0:
         raise ValueError("division by a series with zero constant term")
     n1 = len(a)

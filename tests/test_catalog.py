@@ -2,10 +2,11 @@
 
 Coefficients are checked two independent ways: against hand-derived closed
 forms, and against the contour-integral oracle applied to f = z (f/z) from
-each entry's evaluator (closed form or quadrature).  The ratios z f'/f and
-z f''/f' are checked by finite differences of that same f.
+the evaluator each entry's row gives (closed form or quadrature).  The
+ratios z f'/f and z f''/f' are checked by finite differences of that same f.
 """
 
+import cmath
 import math
 import warnings
 
@@ -87,9 +88,13 @@ class TestClosedFormCoefficients:
         assert f.a(2) == pytest.approx(2.0 / (1.0 + alpha), abs=1e-12)
 
     def test_k_at_alpha_zero_is_koebe(self):
-        f = k_theta_alpha(0.3, 0.0)
-        assert f.label == "koebe"
-        np.testing.assert_allclose(f.series(32).coeffs, koebe(0.3).series(32).coeffs, atol=0)
+        # koebe's row under its own label: the series and the ratios bit for bit.
+        f, k = k_theta_alpha(0.3, 0.0), koebe(0.3)
+        assert (f.label, f.params) == ("k_theta_alpha", {"theta": 0.3, "alpha": 0.0})
+        assert f.series(32).coeffs.tobytes() == k.series(32).coeffs.tobytes()
+        z = 0.99 * np.exp(2j * np.pi * np.arange(64) / 64)
+        for x, y in zip(f.evaluator(z), k.evaluator(z)):
+            assert x.tobytes() == y.tobytes()
 
     def test_k_at_alpha_one_is_half_plane_map(self):
         # alpha = 1 gives z/(1-z); every coefficient is 1.
@@ -263,6 +268,29 @@ class TestEvaluators:
             with pytest.raises(ValueError, match=match):
                 f.evaluator(0.5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        roots=st.lists(
+            st.builds(cmath.rect, st.floats(0.0, 0.9), st.floats(-math.pi, math.pi)),
+            min_size=1,
+            max_size=2,
+        ),
+        e=st.sampled_from([-1.0, 1.0, -2.0, 0.5, -1.0 / 3.0]),
+    )
+    def test_closed_row_agrees_with_oracles(self, roots, e):
+        # f = z P^e with P = prod (1 - p z) over the reciprocal roots p: the
+        # evaluator the row gives, against the oracles at this class's tolerances.
+        P = (1.0, -sum(roots)) + ((roots[0] * roots[1],) if len(roots) == 2 else ())
+        f = AnalyticFunction("adhoc", Row(((P, e),), 0.0, 1.0), {})
+        got = contour_coefficients(lambda z: z * f.evaluator(z)[0], 8, radius=0.5)
+        np.testing.assert_allclose(got, f.series(32).coeffs[:9], atol=1e-9)
+        z = 0.1 + 0.1j
+        q, p, r = f.evaluator(z)
+        of, ofp, ofpp = fd_derivatives(lambda t: t * f.evaluator(t)[0], z)
+        assert abs(p - z * ofp / of) < 1e-9
+        assert abs(r - z * ofpp / ofp) < 1e-6
+        np.testing.assert_allclose(f.evaluator(0.0), (1.0, 1.0, 0.0), rtol=0, atol=1e-14)
+
     def test_evaluator_vectorized(self):
         f = f3(0.5, 0.2)
         z = np.array([0.1, 0.2j, -0.3 + 0.1j])
@@ -319,6 +347,32 @@ class TestRotation:
             hv = h.evaluator(z)
             for a, b in zip(gv, hv):
                 assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("build", [koebe, f1])
+    @pytest.mark.parametrize("theta", [0.7, 1.3, 2.5, -1.0])
+    def test_single_rotation_is_the_constructor(self, build, theta):
+        # Bit for bit: the rotated row is the constructor's row.
+        f, g = rotate(build(0.0), theta), build(theta)
+        assert f.series(32).coeffs.tobytes() == g.series(32).coeffs.tobytes()
+        z = 0.999 * np.exp(2j * np.pi * np.arange(64) / 64)
+        for x, y in zip(f.evaluator(z), g.evaluator(z)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_twice_rotated_koebe_keeps_its_precision(self):
+        # The row of rotate(koebe(2.5), 0.7) splits the double root of
+        # (1 - w z)^2, w = e^{3.2 i}.  On membership_test's rings its ratios
+        # stay within 1e-11 of the exact ones (4.6e-12 at r = 0.999).
+        f = rotate(koebe(2.5), 0.7)
+        for r in (0.5, 0.9, 0.99, 0.999):
+            z = r * np.exp(2j * np.pi * np.arange(256) / 256)
+            w = np.exp(3.2j) * z
+            exact = (
+                1.0 / (1.0 - w) ** 2,
+                (1.0 + w) / (1.0 - w),
+                w * (4.0 + 2.0 * w) / ((1.0 - w) * (1.0 + w)),
+            )
+            for got, want in zip(f.evaluator(z), exact):
+                np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
 
     def test_rotation_records_angle(self):
         assert rotate(f2(0.0), 0.25).params["rotated_by"] == 0.25
@@ -398,30 +452,27 @@ class TestPoleLocation:
             assert m == pytest.approx(want, rel=1e-9)
 
 
-def identity(z):
-    return z * 0.0 + 1.0, z * 0.0 + 1.0, z * 0.0
-
-
 class TestNormalization:
     """An entry refuses a row unless every factor has degree <= 2 and P(0) = 1
-    exactly, every value is finite and a >= 0, and an evaluator that is not
-    callable."""
+    exactly, every value is finite and a >= 0, and an evaluator implements
+    the row."""
 
     def test_accepts_normalized(self):
-        f = AnalyticFunction("adhoc", Row((((1, 5), 1),), 0.0, 1.0), {}, identity)
+        f = AnalyticFunction("adhoc", Row((((1, 5), 1),), 0.0, 1.0), {})
         assert f.series(4).order == 4
         assert f.a(2) == 5
         assert f.series(4)(0.5) == pytest.approx(0.5 + 5 * 0.25)
+        assert f.evaluator(0.5)[0] == pytest.approx(1 + 5 * 0.5)
 
     def test_rejects_wrong_constant(self):
         # z / z = 1 has a_0 = 1.
         with pytest.raises(ValueError, match=r"row needs P\(0\) = 1 and degree <= 2"):
-            AnalyticFunction("adhoc", Row((((0, 1), -1),), 0.0, 1.0), {}, identity)
+            AnalyticFunction("adhoc", Row((((0, 1), -1),), 0.0, 1.0), {})
 
     def test_rejects_wrong_linear_term(self):
         # z / (0.999 + z) has a_1 = 1/0.999.
         with pytest.raises(ValueError, match=r"row needs P\(0\) = 1 and degree <= 2"):
-            AnalyticFunction("adhoc", Row((((0.999, 1), -1),), 0.0, 1.0), {}, identity)
+            AnalyticFunction("adhoc", Row((((0.999, 1), -1),), 0.0, 1.0), {})
 
     @pytest.mark.parametrize("row, match", [
         (Row((((1, 0, 0, 1), -1),), 0.0, 1.0), "degree <= 2"),
@@ -429,7 +480,7 @@ class TestNormalization:
     ], ids=["cubic", "negative_a"])
     def test_rejects_row_outside_the_form(self, row, match):
         with pytest.raises(ValueError, match=match):
-            AnalyticFunction("adhoc", row, {}, identity)
+            AnalyticFunction("adhoc", row, {})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_rejects_non_finite_coefficient(self, bad):
@@ -439,12 +490,24 @@ class TestNormalization:
             Row((((1, 2), -1),), 0.5, bad),
         ]:
             with pytest.raises(ValueError, match="row values must be finite and a >= 0"):
-                AnalyticFunction("adhoc", row, {}, identity)
+                AnalyticFunction("adhoc", row, {})
 
     @pytest.mark.parametrize("evaluator", [None, 1.0])
-    def test_rejects_missing_evaluator(self, evaluator):
-        with pytest.raises(ValueError, match="evaluator must be callable"):
+    def test_rejects_evaluator_argument(self, evaluator):
+        # The evaluator comes from the row; it is not an argument.
+        with pytest.raises(TypeError):
             AnalyticFunction("adhoc", Row((), 0.0, 1.0), {}, evaluator)
+
+    @pytest.mark.parametrize("row", [
+        Row((((1, -1), -2.0),), 0.5, 1.0),
+        Row((((1, -1), -1.0),), 0.0, 2.0),
+        Row((((1, -1), -1.0), ((1, 0.5), 1.0)), 0.0, 1.0),
+        Row((), 0.0, 1.0),
+        Row((), 0.5, 0.5),
+    ], ids=["beta_not_a", "beta_not_one", "two_factors_at_a_0", "no_factor_at_a_0", "no_factor"])
+    def test_rejects_row_without_an_evaluator(self, row):
+        with pytest.raises(ValueError, match="row has no evaluator"):
+            AnalyticFunction("adhoc", row, {})
 
 
 def assert_reads_finite_or_refused(f):

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     LABELS,
-    AnalyticFunction,
-    Row,
     f1,
     f3,
     f4,
@@ -42,21 +40,7 @@ from logcoef.classes import (
 )
 from logcoef.series import TruncatedSeries
 
-
-def entry_from_coeffs(coeffs, order=24):
-    """The polynomial z P with these coefficients, P of degree <= 2 and P(0) = 1;
-    f/z, f' and f'' come exactly by Horner."""
-    s = TruncatedSeries(coeffs, order=order)
-    n = np.arange(1, order + 1)
-    q = TruncatedSeries(s.coeffs[1:], order=order)
-    d1 = TruncatedSeries(s.coeffs[1:] * n, order=order)
-    d2 = TruncatedSeries(d1.coeffs[1:] * n, order=order)
-
-    def ratios(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return q(z), d1(z) / q(z), z * d2(z) / d1(z)
-
-    return AnalyticFunction("adhoc", Row(((tuple(coeffs[1:]), 1.0),), 0.0, 1.0), {}, ratios)
+from _rows import entry_from_coeffs
 
 
 class TestClassSpec:

@@ -237,6 +237,19 @@ class TestGamma:
         assert out == ""
         assert "underflow" in err
 
+    @pytest.mark.parametrize("alpha", ["5e-324", "7e-324"])
+    def test_vanished_g_power_is_usage_error(self, run, alpha):
+        # alpha/2 underflows to 0 here; gamma_2 and delta would read 0.0.
+        code, out, err = run("gamma", "--function", "g_alpha_upper", "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert "the row's terms underflow" in err
+
+    def test_k_at_alpha_zero_keeps_its_label(self, run):
+        code, out, _ = run("gamma", "--function", "k_theta_alpha", "--alpha", "0", "--theta", "0.3")
+        assert code == 0
+        assert "function: k_theta_alpha(alpha=0, theta=0.3)" in out
+
     def test_unknown_function(self, run):
         code, _, err = run("gamma", "--function", "zeta")
         assert code == 2

@@ -9,8 +9,6 @@ import pytest
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
-    AnalyticFunction,
-    Row,
     f1,
     f2,
     f3,
@@ -25,23 +23,8 @@ from logcoef.catalog import (
     rotate,
 )
 from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
-from logcoef.series import TruncatedSeries
 
-
-def entry_from_coeffs(coeffs, order=16):
-    """The polynomial z P with these coefficients, P of degree <= 2 and P(0) = 1;
-    f/z, f' and f'' come exactly by Horner."""
-    s = TruncatedSeries(coeffs, order=order)
-    n = np.arange(1, order + 1)
-    q = TruncatedSeries(s.coeffs[1:], order=order)
-    d1 = TruncatedSeries(s.coeffs[1:] * n, order=order)
-    d2 = TruncatedSeries(d1.coeffs[1:] * n, order=order)
-
-    def ratios(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return q(z), d1(z) / q(z), z * d2(z) / d1(z)
-
-    return AnalyticFunction("adhoc", Row(((tuple(coeffs[1:]), 1.0),), 0.0, 1.0), {}, ratios)
+from _rows import entry_from_coeffs
 
 
 class TestLogCoefficients:
@@ -114,6 +97,13 @@ class TestRowAccuracy:
         f = make(label, alpha=alpha)
         with pytest.raises(ValueError, match="underflow"):
             log_pair(f)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 7e-324])
+    def test_vanished_g_power_refused(self, alpha):
+        # alpha/2 underflows to 0, and the row would give gamma = 0; from
+        # 1e-323 up the terms u_k are refused as below the normal range.
+        with pytest.raises(ValueError, match="the row's terms underflow"):
+            log_pair(g_alpha_upper(alpha))
 
 
 class TestGammaFromA:

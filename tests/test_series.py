@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from logcoef.series import (
     MIN_ORDER,
     TruncatedSeries,
+    _div_coeffs,
     exp_unit,
     log_unit,
     pow_real,
@@ -20,8 +21,13 @@ from _oracles import contour_coefficients
 
 
 def geometric(order=8):
-    one = TruncatedSeries([1], order=order)
-    return one / TruncatedSeries([1, -1], order=order)
+    """1/(1 - z) to the given order: every coefficient is 1."""
+    return TruncatedSeries(np.ones(order + 1), order=order)
+
+
+def divide(a, b, order):
+    """Coefficients of a / b to the given order, by `_div_coeffs`."""
+    return _div_coeffs(TruncatedSeries(a, order).coeffs, TruncatedSeries(b, order).coeffs)
 
 
 class TestConstruction:
@@ -65,43 +71,27 @@ class TestConstruction:
 
 
 class TestRingOperations:
-    def test_difference_of_squares(self):
-        p = TruncatedSeries([1, 1], order=4) * TruncatedSeries([1, -1], order=4)
-        np.testing.assert_array_equal(p.coeffs, [1, 0, -1, 0, 0])
-
-    def test_product_truncates(self):
-        sq = TruncatedSeries([1, 1], order=2) * TruncatedSeries([1, 1], order=2)
-        np.testing.assert_array_equal(sq.coeffs, [1, 2, 1])
-
     def test_geometric_series_by_division(self):
-        np.testing.assert_allclose(geometric(8).coeffs, np.ones(9), atol=1e-15)
+        np.testing.assert_allclose(divide([1], [1, -1], 8), np.ones(9), atol=1e-15)
 
     def test_koebe_coefficients_by_division(self):
-        num = TruncatedSeries([0, 1], order=8)
-        den = TruncatedSeries([1, -2, 1], order=8)
-        np.testing.assert_allclose((num / den).coeffs, np.arange(9), atol=1e-14)
+        np.testing.assert_allclose(divide([0, 1], [1, -2, 1], 8), np.arange(9), atol=1e-14)
 
     def test_quadratic_denominator_prefix(self):
         # z / (1 - z + 0.5 z^2) starts 0, 1, 1, 0.5, 0, -0.25
-        num = TruncatedSeries([0, 1], order=5)
-        den = TruncatedSeries([1, -1, 0.5], order=5)
         np.testing.assert_allclose(
-            (num / den).coeffs, [0, 1, 1, 0.5, 0, -0.25], atol=1e-15
+            divide([0, 1], [1, -1, 0.5], 5), [0, 1, 1, 0.5, 0, -0.25], atol=1e-15
         )
 
     def test_division_by_zero_constant_term(self):
         with pytest.raises(ValueError, match="zero constant term"):
-            TruncatedSeries([1], order=4) / TruncatedSeries([0, 1], order=4)
-
-    def test_order_mismatch_rejected(self):
-        for op in (operator.mul, operator.truediv):
-            with pytest.raises(ValueError, match="order mismatch"):
-                op(TruncatedSeries([1], order=4), TruncatedSeries([1], order=5))
+            divide([1], [0, 1], 4)
 
     def test_unsupported_operand(self):
+        # A series has no arithmetic: products are np.convolve, quotients _div_coeffs.
         s = TruncatedSeries([1], order=4)
         for op in (operator.mul, operator.truediv):
-            for a, b in ((s, object()), (object(), s), (s, 2.0), (2.0, s)):
+            for a, b in ((s, s), (s, object()), (object(), s), (s, 2.0), (2.0, s)):
                 with pytest.raises(TypeError):
                     op(a, b)
 
@@ -159,7 +149,7 @@ class TestTranscendental:
     def test_integer_power_matches_product(self):
         a = TruncatedSeries([1, 0.3, -0.2, 0.1], order=8)
         np.testing.assert_allclose(
-            pow_real(a, 2).coeffs, (a * a).coeffs, atol=1e-14
+            pow_real(a, 2).coeffs, np.convolve(a.coeffs, a.coeffs)[:9], atol=1e-14
         )
 
     def test_log_requires_unit_constant(self):
@@ -215,10 +205,10 @@ def test_pow_agrees_with_exp_log_route(tail, beta):
 def test_mul_div_round_trip(acoeffs, b0, btail):
     # Keep b away from small constant terms so the triangular solve stays
     # well conditioned; the contraction regime |b_k| <= 0.7 |b_0| is enough.
-    a = TruncatedSeries(acoeffs)
-    b = TruncatedSeries([b0] + [b0 * 0.3 * t for t in btail])
-    back = (a * b) / b
-    np.testing.assert_allclose(back.coeffs, a.coeffs, atol=1e-12)
+    a = np.asarray(acoeffs, dtype=complex)
+    b = np.asarray([b0] + [b0 * 0.3 * t for t in btail], dtype=complex)
+    back = _div_coeffs(np.convolve(a, b)[:17], b)
+    np.testing.assert_allclose(back, a, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
