@@ -15,7 +15,12 @@ f'(0) = 1 by construction:
 are built from it only when asked for, to the order asked.  The evaluator
 comes from the row too and returns the three ratios every class inequality
 reads: in closed form at a = 0 (`_closed_evaluator`), and otherwise by
-Gauss-Legendre quadrature of u and u'/u (`_quadrature_evaluator`).
+Gauss-Legendre quadrature of u and u'/u (`_quadrature_evaluator`).  The
+quadrature is run once per orbit of the row's symmetry: a row with real
+coefficients gives conjugate values at z and conj z, and a row with no odd
+coefficient gives equal values at z and -z, so k_theta_alpha(0, alpha) is
+integrated at half the points of a symmetric grid, and m_alpha_upper and
+g_alpha_upper at a quarter.
 """
 
 from __future__ import annotations
@@ -427,19 +432,32 @@ _MAX_ALPHA = 1e6
 def _quadrature_evaluator(label, factors, alpha):
     """(f/z, z f'/f, z f''/f') of the row (factors, alpha, alpha): f/z = u^alpha,
     z f'/f = 1/v with v = u/h(z), and z f''/f' = z ((alpha - 1) u'/u + h'/h).
+
+    The points are folded by the row's symmetry and each orbit is evaluated
+    once.  If every coefficient and power is real, the ratios at conj z are
+    the conjugates of those at z, so z goes to the upper half plane; if every
+    P has no z term, the ratios are even, so z goes to the right half plane
+    first.  The distinct folded points (`np.unique`) are evaluated and the
+    values unfolded.  Folding keeps every |z|, and so the quadrature rule.
     """
+    real = all(complex(c).imag == 0 for P, e in factors for c in (*P, e))
+    even = all(len(P) < 2 or P[1] == 0 for P, _ in factors)
 
     def ev(z):
         if alpha > _MAX_ALPHA:
             raise ValueError(f"{label} is evaluated only at alpha <= {_MAX_ALPHA:g}, got {alpha!r}")
-        flat = np.ravel(np.asarray(z, dtype=complex))
+        w = np.ravel(np.asarray(z, dtype=complex))
+        if even:
+            w = np.where((w.real < 0) | ((w.real == 0) & (w.imag < 0)), -w, w)
+        flip = real & (w.imag < 0)
+        reps, back = np.unique(np.where(flip, w.conj(), w), return_inverse=True)
         # A value that is not finite is refused rather than returned.
         with np.errstate(all="ignore"):
-            lh, dh, logv, du = _integral_logs(factors, alpha, flat)
-            values = (np.exp(alpha * (lh + logv)), np.exp(-logv), flat * ((alpha - 1.0) * du + dh))
+            lh, dh, logv, du = _integral_logs(factors, alpha, reps)
+            values = (np.exp(alpha * (lh + logv)), np.exp(-logv), reps * ((alpha - 1.0) * du + dh))
         if not all(np.isfinite(x).all() for x in values):
             raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
-        return _shaped(z, values)
+        return _shaped(z, [np.where(flip, x[back].conj(), x[back]) for x in values])
 
     return ev
 

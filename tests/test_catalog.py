@@ -8,6 +8,7 @@ ratios z f'/f and z f''/f' are checked by finite differences of that same f.
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from logcoef.catalog import (
     poles_outside_disk,
     rotate,
 )
+from logcoef.classes import ClassSpec, _ring, membership_test
 
 from _oracles import contour_coefficients, fd_derivatives
 
@@ -298,6 +300,85 @@ class TestEvaluators:
         for i, p in enumerate(z):
             for one, many in zip(f.evaluator(complex(p)), values):
                 assert one == pytest.approx(many[i], abs=1e-15)
+
+
+class TestSymmetryFold:
+    """The quadrature evaluator evaluates each orbit of the row's symmetry once."""
+
+    N = 256
+    RING = 0.99 * _ring(N)
+    # Points off the ring, no two of them mirror images.
+    POINTS = np.array([0.3 + 0.4j, -0.7 + 0.1j, -0.2 - 0.9j, 0.5 - 0.5j, 0.6, -0.45j])
+
+    REAL = [k_theta_alpha(0.0, 0.3), m_alpha_upper(1.0), g_alpha_upper(0.5)]
+    EVEN = [m_alpha_upper(1.0), g_alpha_upper(0.5), rotate(m_alpha_upper(1.0), 0.4)]
+
+    @pytest.mark.parametrize("f", REAL, ids=lambda f: f.label)
+    def test_real_row_conjugates_bit_for_bit(self, f):
+        n = self.N
+        values = np.array(f.evaluator(self.RING))
+        j = np.arange(1, n)
+        assert np.array_equal(values[:, n - j], values[:, j].conj())
+        for z in (self.RING, self.POINTS):
+            assert np.array_equal(np.array(f.evaluator(z.conj())), np.conj(f.evaluator(z)))
+
+    @pytest.mark.parametrize("f", EVEN, ids=lambda f: f"{f.label}{f.params}")
+    def test_even_row_is_even_bit_for_bit(self, f):
+        n = self.N
+        values = np.array(f.evaluator(self.RING))
+        # The ring's one pair that is not opposite: ring[3n/4] = conj(ring[n/4]).
+        j = np.delete(np.arange(n // 2), n // 4)
+        assert np.array_equal(values[:, j + n // 2], values[:, j])
+        for z in (self.RING, self.POINTS):
+            assert np.array_equal(np.array(f.evaluator(-z)), np.array(f.evaluator(z)))
+
+    @pytest.mark.parametrize("f, spec, points", [
+        pytest.param(k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.3), 129, id="k(0,0.3)"),
+        pytest.param(m_alpha_upper(1.0), ClassSpec("M", alpha=1.0), 65, id="m(1)"),
+        pytest.param(k_theta_alpha(1.0, 0.3), ClassSpec("M", alpha=0.3), 256, id="k(1,0.3)"),
+    ])
+    def test_points_evaluated_per_radius(self, monkeypatch, f, spec, points):
+        sizes = []
+        logs = catalog._integral_logs
+
+        def spy(factors, alpha, z):
+            sizes.append(z.size)
+            return logs(factors, alpha, z)
+
+        monkeypatch.setattr(catalog, "_integral_logs", spy)
+        membership_test(f, spec)
+        assert sizes == [points] * 3
+
+    @pytest.mark.parametrize("f, kept", [
+        pytest.param(k_theta_alpha(0.0, 0.3), 129, id="k(0,0.3)"),
+        pytest.param(m_alpha_upper(1.0), 65, id="m(1)"),
+        pytest.param(g_alpha_upper(0.5), 65, id="g(0.5)"),
+    ])
+    def test_unfolded_points_keep_the_formula(self, f, kept):
+        # The ring points that are their own representatives, the upper half
+        # or the first quadrant, read the ratios straight from _integral_logs.
+        factors, alpha, _ = f.row
+        z = self.RING[:kept]
+        lh, dh, logv, du = catalog._integral_logs(factors, alpha, z)
+        want = (np.exp(alpha * (lh + logv)), np.exp(-logv), z * ((alpha - 1.0) * du + dh))
+        got = f.evaluator(self.RING)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[:kept], w)
+
+    DISK = "quadrature evaluation needs |z| < 1, got max |z| = "
+
+    @pytest.mark.parametrize("f, z, message", [
+        (m_alpha_upper(1.0), np.array([0.3, -1.5j, 0.2]), DISK + "1.5"),
+        (m_alpha_upper(1.0), -1.0, DISK + "1.0"),
+        (k_theta_alpha(0.0, 0.3), np.array([0.5, complex(math.nan, -0.1)]), DISK + "nan"),
+        (g_alpha_upper(0.5), np.array([0.1, -0.1 - 1j]), DISK + str(abs(-0.1 - 1j))),
+        (m_alpha_upper(1e7), np.array([0.5, -0.5]),
+         "m_alpha_upper is evaluated only at alpha <= 1e+06, got 10000000.0"),
+    ], ids=["pole", "minus_one", "nan", "outside", "alpha"])
+    def test_refusals_unchanged(self, f, z, message):
+        # Folding keeps every |z|, so a refusal names the same point as unfolded.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            f.evaluator(z)
 
 
 class TestRotation:

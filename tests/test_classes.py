@@ -28,6 +28,7 @@ from logcoef.classes import (
     ClassSpec,
     MembershipReport,
     SingularSampleError,
+    _ring,
     asserted_memberships,
     coeff_bound_A_check,
     e11_slack,
@@ -354,7 +355,7 @@ class TestMembershipTest:
         # The reference reduction: one point at a time, in (radius, angle)
         # order, keeping the first of equal margins.
         radii = (0.5, 0.9, 0.99)
-        ring = np.exp(1j * (2.0 * np.pi * np.arange(16) / 16))
+        ring = _ring(16)
         worst, witness, per_radius = math.inf, None, []
         for r in radii:
             row = [(membership_margin(f, spec, z), complex(z)) for z in r * ring]
@@ -365,6 +366,39 @@ class TestMembershipTest:
         rep = membership_test(f, spec, radii=radii, angular=16)
         assert (rep.worst_margin, rep.witness) == (worst, witness)
         assert rep.margin_by_radius == tuple(per_radius)
+
+    @pytest.mark.parametrize("angular", [1, 2, 3, 4, 6, 7, 16, 128, 255, 256, MAX_ANGULAR])
+    def test_ring_is_exactly_symmetric(self, angular):
+        n = angular
+        ring = _ring(n)
+        j = np.arange(1, n)
+        assert np.array_equal(ring[n - j], ring[j].conj())
+        if n % 2 == 0:
+            # cos(pi/2) is not 0, so only conj ties ring[n/4] to ring[3n/4].
+            j = np.array([k for k in range(n // 2) if 4 * k != n])
+            assert np.array_equal(ring[j + n // 2], -ring[j])
+        exact = np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.abs(ring - exact).max() <= 2e-15
+
+    @pytest.mark.parametrize("f, spec", [
+        pytest.param(k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.3), id="k(0,0.3)"),
+        pytest.param(m_alpha_upper(1.0), ClassSpec("M", alpha=1.0), id="m(1)"),
+        pytest.param(g_alpha_upper(0.5), ClassSpec("G", alpha=0.5), id="g(0.5)"),
+    ])
+    def test_mirror_margins_tie_to_the_first_point(self, f, spec):
+        # A real row's margins are equal at conjugate points, an even row's
+        # at opposite points; the witness is the first of them in angle order.
+        n = 64
+        ring = _ring(n)
+        margins = np.array([membership_margin(f, spec, z) for z in 0.9 * ring])
+        j = np.arange(1, n)
+        assert np.array_equal(margins[n - j], margins[j])
+        if f.label != "k_theta_alpha":
+            j = np.arange(n // 2)
+            assert np.array_equal(margins[j + n // 2], margins[j])
+        rep = membership_test(f, spec, radii=(0.9,), angular=n)
+        first = int(np.argmin(margins))
+        assert (rep.worst_margin, rep.witness) == (margins[first], 0.9 * ring[first])
 
     def test_failing_membership(self):
         rep = membership_test(koebe(), ClassSpec("G", alpha=1.0), radii=(0.5,), angular=64)

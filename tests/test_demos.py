@@ -17,7 +17,7 @@ def test_demos_present():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs_clean(path, tmp_path):
-    # Demos that write reports put them under TMPDIR.
+    # Demos that write reports put them under TMPDIR, and remove them.
     env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -26,3 +26,4 @@ def test_demo_runs_clean(path, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "BAD" not in proc.stdout
+    assert not list(tmp_path.glob("logcoef_demo_*"))
