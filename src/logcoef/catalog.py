@@ -177,20 +177,22 @@ def _check_finite(*named):
 
 
 def _roots(c):
-    """Roots of c_0 + c_1 z + c_2 z^2 of degree len(c) - 1 <= 2: +-sqrt(-c_0/c_2) if
-    c_1 = 0, else (q / c_2, c_0 / q), q = -(c_1 + s)/2 with s the discriminant's square
-    root aligned with c_1, so that neither comes from a cancelling difference."""
+    """Roots of c_0 + c_1 z + c_2 z^2 of degree len(c) - 1 <= 2: (q / c_2, c_0 / q),
+    q = -(c_1 + s)/2 with s the discriminant's square root aligned with c_1, so that
+    neither comes from a cancelling difference; +-sqrt(-c_0/c_2) if c_1 = 0, or if q
+    underflows to 0, which leaves c_1 and s subnormal and c_1 negligible."""
     if len(c) < 3:
         return (-c[0] / c[1],) if len(c) == 2 else ()
     c0, c1, c2 = c
-    if c1 == 0:
-        s = cmath.sqrt(-c0 / c2)
-        return s, -s
-    s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
-    if (c1.conjugate() * s).real < 0.0:
-        s = -s
-    q = -0.5 * (c1 + s)
-    return q / c2, c0 / q
+    if c1 != 0:
+        s = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
+        if (c1.conjugate() * s).real < 0.0:
+            s = -s
+        q = -0.5 * (c1 + s)
+        if q != 0:
+            return q / c2, c0 / q
+    s = cmath.sqrt(-c0 / c2)
+    return s, -s
 
 
 def _shaped(z, values):

@@ -17,7 +17,7 @@ closed form or quadrature, and pass on its refusals.  Full-disk membership
 (class S) has no pointwise criterion of this kind and is rejected explicitly.
 
 Each class also has a coefficient body, one row (s, q, t, reach, c0, c2) of
-`_body`: a body point (m, w) with 0 <= |m| <= reach and
+`_body_row`: a body point (m, w) with 0 <= |m| <= reach and
 |w| <= cap(|m|) = c0 + c2 |m|^2 maps to a_2 = s m and a_3 = q a_2^2 + t w.
 For U(lam) (and S, read as U(1)) the point is (|a_2|, a_3 - a_2^2) with the
 constant cap lam, (c0, c2) = (lam, 0); for M and G it is the Schwarz
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,8 +252,7 @@ def membership_test(
 # -- coefficient bodies ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Body:
+class _Body(NamedTuple):
     """A class's coefficient body: the body point (m, w), 0 <= |m| <= reach and
     |w| <= cap(|m|) = c0 + c2 |m|^2, maps to a_2 = s m and a_3 = q a_2^2 + t w.
     (c0, c2) is (lam, 0) for U(lam) and (1, -1), the Schwarz cap 1 - |m|^2, for M and G."""
@@ -280,25 +280,43 @@ class _Body:
         return abs(self.t) * self.cap(np.abs(a2 / self.s)) - free
 
 
-def _body(spec: ClassSpec) -> _Body:
-    """The coefficient body of `spec`, one row per class, S read as U(1).
+def _body_row(kind: str, param) -> _Body:
+    """The body row of class `kind` at `param`, as plain arithmetic in the parameter.
 
-    For U(lam) the body point is (|a_2|, a_3 - a_2^2); for M and G it is the
-    Schwarz coefficients (c_1, c_2), with |c_2| <= 1 - |c_1|^2.  Refuses,
-    with ValueError, a class whose map overflows: M above alpha ~ 1.3e154,
-    G below alpha ~ 3.7e-309.
+    `param` is lam for U and alpha for M and G, and S, read as U(1), does not
+    read it.  For U(lam) the body point is (|a_2|, a_3 - a_2^2); for M and G
+    it is the Schwarz coefficients (c_1, c_2), with |c_2| <= 1 - |c_1|^2.
+    `param` is a float or a 1-D array of parameters; a field that varies
+    with the parameter is then an array like it, and a constant stays a
+    float.  Nothing is checked here: see `_check_row`.
     """
-    a = spec.alpha
-    if spec.kind == "M":
+    a = param
+    if kind == "M":
         q = (a * a + 8.0 * a + 3.0) / (4.0 * (1.0 + 2.0 * a))
-        body = _Body(-2.0 / (1.0 + a), q, -1.0 / (1.0 + 2.0 * a), 1.0, 1.0, -1.0)
-    elif spec.kind == "G":
-        body = _Body(0.5 * a, -2.0 * (1.0 - a) / (3.0 * a), a / 6.0, 1.0, 1.0, -1.0)
-    else:
-        lam = 1.0 if spec.kind == "S" else spec.lam
-        body = _Body(1.0, 1.0, 1.0, 1.0 + lam, lam, 0.0)
-    if not all(map(math.isfinite, (body.s, body.q, body.t))):
-        raise ValueError(f"the coefficient map of {spec.label()} overflows")
+        return _Body(-2.0 / (1.0 + a), q, -1.0 / (1.0 + 2.0 * a), 1.0, 1.0, -1.0)
+    if kind == "G":
+        return _Body(0.5 * a, -2.0 * (1.0 - a) / (3.0 * a), a / 6.0, 1.0, 1.0, -1.0)
+    lam = 1.0 if kind == "S" else param
+    return _Body(1.0, 1.0, 1.0, 1.0 + lam, lam, 0.0)
+
+
+def _check_row(body: _Body, specs) -> None:
+    """Refuses, with ValueError, a row of `specs` whose map (s, q, t) overflows.
+
+    `body` holds the rows of `specs`, in order: the floats of one class, or
+    fields with one entry per class.  The message names the first class
+    that overflows: M above alpha ~ 1.3e154, G below alpha ~ 3.7e-309.
+    """
+    finite = np.isfinite(body.s) & np.isfinite(body.q) & np.isfinite(body.t)
+    if not finite.all():
+        first = int(np.argmin(np.broadcast_to(finite, (len(specs),))))
+        raise ValueError(f"the coefficient map of {specs[first].label()} overflows")
+
+
+def _body(spec: ClassSpec) -> _Body:
+    """The coefficient body of `spec`: its `_body_row`, refused where it overflows."""
+    body = _body_row(spec.kind, spec.param)
+    _check_row(body, (spec,))
     return body
 
 

@@ -341,11 +341,11 @@ def _cmd_sweep(args) -> int:
         kind = args.klass
         if kind == "S":
             raise ValueError("class S has no parameter to sweep; choose U, M, or G")
+        grid = _class_param_grid(kind, step)
+        specs = [ClassSpec.of(kind, p) for p in grid]
         table = []
-        for p in _class_param_grid(kind, step):
-            spec = ClassSpec.of(kind, p)
+        for p, spec, res in zip(grid, specs, search.body_searches(specs)):
             pair = bounds.bound_delta(spec)
-            res = search.body_search(spec)
             table.append((p, pair.lower, pair.upper, res.min_delta, res.max_delta))
         header = ["param", "bound_lower", "bound_upper", "search_min", "search_max"]
         payload = {
@@ -355,7 +355,7 @@ def _cmd_sweep(args) -> int:
             "step": step,
             "rows": [dict(zip(header, row)) for row in table],
         }
-        lines = [f"sweep: class {kind} step={step!r}"]
+        title = f"sweep: class {kind} step={step!r}"
     else:
         label = args.function
         family = catalog.FAMILIES.get(label)
@@ -378,11 +378,12 @@ def _cmd_sweep(args) -> int:
             "step": step,
             "rows": [dict(zip(header, row)) for row in table],
         }
-        lines = [f"sweep: function {label} step={step!r}"]
+        title = f"sweep: function {label} step={step!r}"
 
-    lines.append("  ".join(header))
-    for row in table:
-        lines.append("  ".join(_cell(x) if x is not None else "-" for x in row))
+    lines = []
+    if args.format == "text":  # json and csv never read the formatted table
+        lines = [title, "  ".join(header)]
+        lines += ["  ".join(_cell(x) if x is not None else "-" for x in row) for row in table]
     _emit(args, payload, lines, payload["rows"], header)
     return 0
 

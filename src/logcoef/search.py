@@ -6,9 +6,13 @@ of the free part of a_3 (or of the Schwarz coefficients c_1, c_2) and their
 relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form and
-searching what is left in m1; `bound_violation_scan` samples the whole body
-at random as a brute-force check, from a SplitMix64 stream of its own that
-it draws one cache-sized block of samples at a time; and `family_sweep`
+searching what is left in m1 at five closed-form candidates, where a
+missing one repeats m1 = 0 rather than being dropped, and a guard grid;
+`body_searches` runs it on many classes of one kind at once, stacked along
+a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK body
+points, as a class sweep does; `bound_violation_scan` samples the whole
+body at random as a brute-force check, from a SplitMix64 stream of its own
+that it draws one cache-sized block of samples at a time; and `family_sweep`
 records the delta a one-parameter catalog family actually attains at each
 parameter value, from each member's row.  delta is rotation invariant, so a
 family whose only parameter is the rotation angle is built once.  Which
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import catalog, functional
 from .bounds import bound_delta
-from .classes import ClassSpec, _body
+from .classes import ClassSpec, _body, _Body, _body_row, _check_row
 
 # The searched set is a relaxation of the class, not the class itself.
 BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class"
@@ -41,9 +45,14 @@ MAX_RESOLUTION = 10**6
 # Most samples accepted by bound_violation_scan.
 MAX_SAMPLES = 10**6
 
-# Samples bound_violation_scan draws and evaluates at once: small enough that
-# the temporaries of body_delta stay in cache, large enough to amortize its checks.
+# Body points evaluated at once: the samples bound_violation_scan draws per
+# block, and at most the m1 candidates of the classes body_searches stacks
+# per chunk.  Small enough that the temporaries of body_delta stay in cache,
+# large enough to amortize its checks and numpy's per-call overhead.
 _SCAN_BLOCK = 8192
+
+# Closed-form m1 candidates of body_search: both endpoints, two vertices and the kink.
+_CANDIDATES = 5
 
 # The scan's generator and its seeds, [0, SEED_LIMIT).
 SCAN_GENERATOR = "splitmix64"
@@ -51,6 +60,23 @@ SEED_LIMIT = 2**64
 
 # How far a guard-grid value may pass the closed-form extremes as roundoff.
 GUARD_SLACK = 1e-12
+
+
+def _delta(body, m1, m2, phase):
+    """delta at body points of `body`, or None if a point is not finite or lies off the body.
+
+    `body` is one row, or a stack of rows with every field a column that
+    broadcasts against the points (see `body_searches`).
+    """
+    # cap(m1) is computed only once m1 is known to be in range.
+    if not (
+        ((0.0 <= m1) & (m1 <= body.reach)).all()
+        and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
+        and np.isfinite(phase).all()
+    ):
+        return None
+    a2, a3 = body.coefficients(m1, m2 * np.exp(1j * phase))
+    return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
 
 
 def body_delta(spec: ClassSpec, m1, m2, phase):
@@ -62,18 +88,13 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
     """
     m1, m2, phase = (np.asarray(x, dtype=float) for x in (m1, m2, phase))
     body = _body(spec)
-    # cap(m1) is computed only once m1 is known to be in range.
-    if not (
-        ((0.0 <= m1) & (m1 <= body.reach)).all()
-        and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
-        and np.isfinite(phase).all()
-    ):
+    d = _delta(body, m1, m2, phase)
+    if d is None:
         raise ValueError(
             f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
             f"0 <= m2 <= cap(m1) for {spec.label()}"
         )
-    a2, a3 = body.coefficients(m1, m2 * np.exp(1j * phase))
-    return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
+    return d
 
 
 @dataclass(frozen=True)
@@ -112,41 +133,142 @@ class SearchResult:
 
 def _reduction(body, m1):
     """(P, cap) at m1, where a_3 - mu a_2^2 = P + t w over |w| <= cap:
-    P = (q - mu) a_2^2 with mu = `functional.MU`, from the body row."""
-    a2 = body.s * np.asarray(m1, dtype=float)
+    P = (q - mu) a_2^2 with mu = `functional.MU`, from the body row or stack."""
+    a2 = body.s * m1
     return (body.q - functional.MU) * a2 * a2, body.cap(m1)
 
 
 def _critical_m1(body) -> np.ndarray:
-    """Vertices and kink of the reduced extremes in m1, in closed form from the body row.
+    """Vertices and kink of the reduced extremes in m1, in closed form from the body rows.
 
     With p = |q - mu| s^2, |P| = p m1^2 and cap = c0 + c2 m1^2, so
     2 delta_max = |P| + |t| cap - |s| m1 is a quadratic with vertex
     |s| / (2 (p + |t| c2)), and 2 delta_min = max(|P| - |t| cap, 0) - |s| m1
     is one with vertex |s| / (2 (p - |t| c2)) where |P| > |t| cap, with its
-    kink at sqrt(|t| c0 / (p - |t| c2)).  Each is kept where finite, clipped to [0, reach].
+    kink at sqrt(|t| c0 / (p - |t| c2)).  `body` is a stack of rows with
+    column fields, and row k of the result holds its three candidates,
+    clipped to [0, reach].  A candidate that is not finite is missing and
+    becomes m1 = 0, which repeats the endpoint: it is kept, not dropped, so
+    that every row has the same candidates in the same places.
     """
-    s, t = abs(body.s), abs(body.t)
-    p = abs(body.q - functional.MU) * s * s
-    curv = p + t * np.array([body.c2, -body.c2])  # m1^2 terms of 2 delta_max, 2 delta_min
+    s, t = np.abs(body.s), np.abs(body.t)
+    p = np.abs(body.q - functional.MU) * s * s
+    # The m1^2 terms of 2 delta_max and 2 delta_min.
+    curv_max, curv_min = p + t * body.c2, p - t * body.c2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.append(s / (2.0 * curv), np.sqrt(t * body.c0 / curv[1]))
-    return np.clip(r[np.isfinite(r)], 0.0, body.reach)
+        r = np.concatenate(
+            (s / (2.0 * curv_max), s / (2.0 * curv_min), np.sqrt(t * body.c0 / curv_min)), axis=1
+        )
+    return np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, body.reach)
 
 
-def _pick(values, closed: int, sign: float) -> tuple:
-    """(index of the largest sign * value, whether it is a closed-form candidate).
+def _pick(values, rows, sign: float) -> tuple:
+    """Per row: (index of the largest sign * value, whether it is a closed-form candidate).
 
-    The first `closed` entries are the closed-form candidates.  A guard-grid
-    node is picked only if it beats all of them by more than GUARD_SLACK,
-    which would mean the reduction missed an extreme.
+    `rows` is np.arange(len(values)), and the first _CANDIDATES columns are
+    the closed-form candidates.  A guard-grid node is picked only if it
+    beats all of them by more than GUARD_SLACK, which would mean the
+    reduction missed an extreme.  Ties go to the first column, so a missing
+    candidate, which repeats the endpoint at column 0, never wins.
     """
     v = sign * values
-    i = int(np.argmax(v[:closed]))
-    j = closed + int(np.argmax(v[closed:]))
-    if v[j] > v[i] + GUARD_SLACK:
-        return j, False
-    return i, True
+    i = v[:, :_CANDIDATES].argmax(axis=1)
+    j = _CANDIDATES + v[:, _CANDIDATES:].argmax(axis=1)
+    guard = v[rows, j] > v[rows, i] + GUARD_SLACK
+    return np.where(guard, j, i), ~guard
+
+
+def _chunk_rows(resolution: int) -> int:
+    """Classes body_searches evaluates at once: at most _SCAN_BLOCK body points, at least one."""
+    return max(1, _SCAN_BLOCK // (_CANDIDATES + resolution + 1))
+
+
+def _evaluate(specs, body, m1, m2, phase):
+    """`_delta` on a stack of rows; an off-body point is refused as body_delta refuses it."""
+    d = _delta(body, m1, m2, phase)
+    if d is None:
+        for k, spec in enumerate(specs):  # names the first class with a point off its body
+            body_delta(spec, m1[k], m2[k], phase[k])
+    return d
+
+
+def _search_rows(specs, body, resolution: int) -> list:
+    """body_search of each of `specs`, whose rows are the columns of `body`, at once."""
+    x = np.zeros((len(specs), _CANDIDATES + resolution + 1))  # column 0 is the endpoint m1 = 0
+    x[:, 1:2] = body.reach
+    x[:, 2:_CANDIDATES] = _critical_m1(body)
+    # The guard grid, np.linspace(0, reach, resolution + 1) of each row in
+    # linspace's own arithmetic: node k is k (reach / resolution), the last is reach.
+    x[:, _CANDIDATES:] = np.arange(resolution + 1) * (body.reach / resolution)
+    x[:, -1:] = body.reach
+    p, cap = _reduction(body, x)
+    # P and t are real, so t w lies along P or against it on the real axis.  Their
+    # signs decide which: the product underflows at tiny alpha.
+    phase_max = np.where(np.sign(p) * np.sign(body.t) < 0.0, math.pi, 0.0)
+    phase_min = math.pi - phase_max
+    m2_min = np.minimum(cap, np.abs(p) / np.abs(body.t))
+    hi = _evaluate(specs, body, x, cap, phase_max)
+    lo = _evaluate(specs, body, x, m2_min, phase_min)
+    k = np.arange(len(specs))
+    i, exact_max = _pick(hi, k, 1.0)
+    j, exact_min = _pick(lo, k, -1.0)
+    columns = zip(
+        specs,
+        lo[k, j].tolist(), x[k, j].tolist(), m2_min[k, j].tolist(), phase_min[k, j].tolist(),
+        hi[k, i].tolist(), x[k, i].tolist(), cap[k, i].tolist(), phase_max[k, i].tolist(),
+        (exact_min & exact_max).tolist(),
+    )
+    return [
+        SearchResult(
+            spec=spec,
+            min_delta=d_min,
+            max_delta=d_max,
+            argmin={"m1": m1_min, "m2": m2_lo, "phase": ph_min},
+            argmax={"m1": m1_max, "m2": m2_hi, "phase": ph_max},
+            resolution=resolution,
+            refined=refined,
+        )
+        for spec, d_min, m1_min, m2_lo, ph_min, d_max, m1_max, m2_hi, ph_max, refined in columns
+    ]
+
+
+def body_searches(specs, resolution: int = DEFAULT_RESOLUTION) -> list:
+    """`body_search` of each class in `specs`, all of one kind, in one vectorised pass.
+
+    Returns one SearchResult per spec, in order, each the same bit for bit
+    as a search of that spec alone, since every step is elementwise along
+    the parameter axis.  The rows of all specs are stacked, parameters along
+    the leading axis and m1 candidates along the second, and evaluated in
+    chunks of at most _SCAN_BLOCK body points, with at least one class per
+    chunk, so no array spans a long sweep.  Refuses, with ValueError, a
+    resolution outside [2, MAX_RESOLUTION], specs of more than one kind and
+    a class whose map overflows, naming the first.  No specs give [].
+    """
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
+    specs = list(specs)
+    kinds = sorted({spec.kind for spec in specs})
+    if len(kinds) > 1:
+        raise ValueError(f"body_searches takes classes of one kind, got {kinds}")
+    if not specs:
+        return []
+    n = len(specs)
+    # S has no parameter (nan here), and its row does not read one.
+    params = np.array([spec.param for spec in specs], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _body_row(kinds[0], params)
+    # Field k of class i at [k, i], constants repeated.
+    table = np.empty((len(row), n))
+    for field_row, value in zip(table, row):
+        field_row[:] = value
+    _check_row(_Body._make(table), specs)
+    size = _chunk_rows(resolution)
+    results = []
+    for lo in range(0, n, size):
+        # Every field as a column, so that it broadcasts along each class's candidates.
+        chunk = _Body._make(table[:, lo:lo + size, None])
+        results += _search_rows(specs[lo:lo + size], chunk, resolution)
+    return results
 
 
 def body_search(spec: ClassSpec, resolution: int = DEFAULT_RESOLUTION) -> SearchResult:
@@ -155,34 +277,13 @@ def body_search(spec: ClassSpec, resolution: int = DEFAULT_RESOLUTION) -> Search
     For fixed m1 the maximum over (m2, phase) puts m2 at the cap with t w
     aligned with P; the minimum puts m2 at min(cap, |P|/|t|), anti-aligned.
     In m1 the extremes sit at the endpoints, the kink or a vertex (see
-    `_critical_m1`); a uniform m1 grid with `resolution` intervals is added
-    as a guard.  Every candidate goes through `body_delta`, and ties go to
-    the closed-form candidates, so the result does not depend on resolution.
+    `_critical_m1`; a missing one repeats m1 = 0); a uniform m1 grid with
+    `resolution` intervals is added as a guard.  Every candidate goes
+    through the checks of `body_delta`, and ties go to the closed-form
+    candidates, so the result does not depend on resolution.  This is
+    `body_searches([spec], resolution)[0]`.
     """
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
-    body = _body(spec)
-    closed = np.concatenate(([0.0, body.reach], _critical_m1(body)))
-    x = np.concatenate((closed, np.linspace(0.0, body.reach, resolution + 1)))
-    p, cap = _reduction(body, x)
-    # P and t are real, so t w lies along P or against it on the real axis.  Their
-    # signs decide which: the product underflows at tiny alpha.
-    phase_max = np.where(np.sign(p) * np.sign(body.t) < 0.0, math.pi, 0.0)
-    phase_min = math.pi - phase_max
-    m2_min = np.minimum(cap, np.abs(p) / abs(body.t))
-    hi = body_delta(spec, x, cap, phase_max)
-    lo = body_delta(spec, x, m2_min, phase_min)
-    i, exact_max = _pick(hi, closed.size, 1.0)
-    j, exact_min = _pick(lo, closed.size, -1.0)
-    return SearchResult(
-        spec=spec,
-        min_delta=float(lo[j]),
-        max_delta=float(hi[i]),
-        argmin={"m1": float(x[j]), "m2": float(m2_min[j]), "phase": float(phase_min[j])},
-        argmax={"m1": float(x[i]), "m2": float(cap[i]), "phase": float(phase_max[i])},
-        resolution=resolution,
-        refined=exact_min and exact_max,
-    )
+    return body_searches([spec], resolution)[0]
 
 
 # -- catalog family sweeps ---------------------------------------------------

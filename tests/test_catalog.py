@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logcoef import catalog, functional
@@ -279,6 +279,8 @@ class TestEvaluators:
         ),
         e=st.sampled_from([-1.0, 1.0, -2.0, 0.5, -1.0 / 3.0]),
     )
+    # q underflows to 0 in catalog._roots: c_1 = -5e-324 and s = 0.
+    @example(roots=[0j, 5e-324 + 0j], e=-1.0)
     def test_closed_row_agrees_with_oracles(self, roots, e):
         # f = z P^e with P = prod (1 - p z) over the reciprocal roots p: the
         # evaluator the row gives, against the oracles at this class's tolerances.

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcoef import bounds, catalog, functional, search
+from logcoef import bounds, catalog, cli, functional, search
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.catalog import f4, f5
 from logcoef.classes import ClassSpec
@@ -658,6 +658,36 @@ class TestSweep:
             assert (row["bound_lower"], row["bound_upper"]) == (pair.lower, pair.upper)
             for res in (search.body_search(spec), search.body_search(spec, resolution=2)):
                 assert (row["search_min"], row["search_max"]) == (res.min_delta, res.max_delta)
+
+    def test_class_sweep_searches_once_per_chunk(self, run, monkeypatch):
+        # The stack evaluates its maximum and minimum once per chunk of
+        # classes; one search per class would evaluate 2 per class.
+        calls = []
+        delta = search._delta
+        monkeypatch.setattr(search, "_delta", lambda *a: calls.append(1) or delta(*a))
+        code, _, _ = run("sweep", "--class", "M", "--step", "0.05", "--format", "json")
+        assert code == 0
+        classes = len(cli._class_param_grid("M", 0.05))
+        chunks = -(-classes // search._chunk_rows(search.DEFAULT_RESOLUTION))
+        assert (classes, chunks) == (62, 2)
+        assert len(calls) == 2 * chunks
+
+    def test_empty_class_grid(self, run):
+        # A step past the range leaves no parameter: only the header.
+        code, out, _ = run("sweep", "--class", "U", "--step", "2", "--format", "csv")
+        assert (code, out) == (0, "param,bound_lower,bound_upper,search_min,search_max\n")
+        code, out, _ = run("sweep", "--class", "U", "--step", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"] == []
+        assert '"rows": []' in out
+
+    @pytest.mark.parametrize("mode", [("--class", "G"), ("--function", "f3")])
+    def test_only_text_formats_the_table(self, run, monkeypatch, mode):
+        code, text, _ = run("sweep", *mode, "--step", "0.25")
+        assert code == 0 and len(text.splitlines()) == 6
+        monkeypatch.setattr(cli, "_cell", None)  # json never calls it
+        code, _, _ = run("sweep", *mode, "--step", "0.25", "--format", "json")
+        assert code == 0
 
     @pytest.mark.parametrize(
         "label", [label for label, fam in catalog.FAMILIES.items() if fam.sweep]

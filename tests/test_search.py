@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcoef import catalog, search
+from logcoef import catalog, cli, search
 from logcoef.bounds import (
     M_BRANCH_ALPHA,
     bound_delta,
@@ -35,6 +35,7 @@ from logcoef.search import (
     SweepRow,
     body_delta,
     body_search,
+    body_searches,
     bound_violation_scan,
     family_sweep,
 )
@@ -167,9 +168,10 @@ class TestBodySearch:
             body_search(ClassSpec("S"), resolution=MAX_RESOLUTION + 1)
 
     def test_guard_grid_catches_a_missed_extreme(self, monkeypatch):
-        # Without the vertices and kinks only the endpoints are closed-form
-        # candidates; the interior minimum of M(2) must then come from the grid.
-        monkeypatch.setattr(search, "_critical_m1", lambda body: np.empty(0))
+        # With the vertices and kink missing, each repeating m1 = 0, only the
+        # endpoints are closed-form candidates; the interior minimum of M(2)
+        # must then come from the grid.
+        monkeypatch.setattr(search, "_critical_m1", lambda body: np.zeros((len(body.s), 3)))
         spec = ClassSpec("M", alpha=2.0)
         res = body_search(spec, resolution=400)
         assert not res.refined
@@ -186,6 +188,58 @@ class TestBodySearch:
         fine = body_delta(spec, m1, m2, np.linspace(0, 2 * math.pi, 400, endpoint=False))
         assert abs(coarse.min() - fine.min()) < 1e-4
         assert abs(coarse.max() - fine.max()) < 1e-4
+
+
+def _chunk_edge_grid(kind, resolution):
+    """2 chunks and 1 class of `kind` at `resolution`, across its parameter range; on M
+    the grid includes the branch point."""
+    n = 2 * search._chunk_rows(resolution) + 1
+    if kind == "M":
+        return sorted(np.linspace(0.0, 3.0, n - 1).tolist() + [M_BRANCH_ALPHA])
+    return np.linspace(0.0, 1.0, n + 1)[1:].tolist()  # U and G exclude 0
+
+
+class TestBodySearches:
+    @pytest.mark.parametrize("resolution", [2, 200, 10**4])
+    @pytest.mark.parametrize("kind", ["U", "M", "G"])
+    def test_stack_equals_a_loop_across_chunk_edges(self, kind, resolution):
+        # repr prints every field, floats in round-trip form, so this compares
+        # min_delta, max_delta, argmin, argmax and refined bit for bit.
+        specs = [ClassSpec.of(kind, p) for p in _chunk_edge_grid(kind, resolution)]
+        loop = [repr(body_search(spec, resolution)) for spec in specs]
+        assert list(map(repr, body_searches(specs, resolution))) == loop
+
+    def test_empty(self):
+        assert body_searches([]) == []
+
+    def test_mixed_kinds_refused(self):
+        with pytest.raises(ValueError, match=r"one kind, got \['G', 'M'\]"):
+            body_searches([ClassSpec.of("M", 1.0), ClassSpec.of("G", 1.0)])
+
+    def test_first_overflow_named(self):
+        specs = [ClassSpec.of("M", a) for a in (1.0, 1e155, 1e200)]
+        with pytest.raises(ValueError, match=r"^the coefficient map of M\(1e\+155\) overflows$"):
+            body_searches(specs)
+
+    def test_resolution_validated(self):
+        with pytest.raises(ValueError, match=r"resolution must lie in \[2, 1000000\]"):
+            body_searches([], resolution=1)
+
+    def test_memory_stays_chunked(self):
+        # The finest M sweep: 10002 classes, whose stack unchunked peaks near
+        # 220 MiB.  A loop of body_search peaks at least at the results it
+        # holds at its end, so peaking at most 4 MiB above the same results
+        # bounds the stack by the loop's peak plus 4 MiB, without running the
+        # loop, which takes 13 s traced.
+        specs = [ClassSpec.of("M", a) for a in cli._class_param_grid("M", 0.0003)]
+        tracemalloc.start()
+        try:
+            results = body_searches(specs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(results) == len(specs) == 10002
+        assert peak <= held + 4 * 2**20
 
 
 # S plus the class instances of acceptance criterion 5.
