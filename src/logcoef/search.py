@@ -5,8 +5,9 @@ The closed-form bounds in `bounds` are extremes of delta = |gamma_2| -
 of the free part of a_3 (or of the Schwarz coefficients c_1, c_2) and their
 relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
-`body_search` finds them exactly by solving (m2, phase) in closed form and
-searching what is left in m1 at five closed-form candidates, where a
+`body_search` finds them exactly by solving (m2, phase) in closed form, the
+phase 0 or pi and its unit e^{i phase} exactly +-1, and searching what is
+left in m1 at five closed-form candidates, where a
 missing one repeats m1 = 0 rather than being dropped, and a guard grid;
 `body_searches` runs it on many classes of one kind at once, stacked along
 a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK body
@@ -14,7 +15,8 @@ points, as a class sweep does; `bound_violation_scan` samples the whole
 body at random as a brute-force check, from a SplitMix64 stream of its own
 that it draws one cache-sized block of samples at a time; and `family_sweep`
 records the delta a one-parameter catalog family actually attains at each
-parameter value, from each member's row.  delta is rotation invariant, so a
+parameter value: it builds every member and reads the gammas of the whole
+grid in one stacked call of `functional`.  delta is rotation invariant, so a
 family whose only parameter is the rotation angle is built once.  Which
 parameter a family sweeps, and over what range, is read from
 `catalog.FAMILIES`.
@@ -62,20 +64,22 @@ SEED_LIMIT = 2**64
 GUARD_SLACK = 1e-12
 
 
-def _delta(body, m1, m2, phase):
+def _delta(body, m1, m2, unit):
     """delta at body points of `body`, or None if a point is not finite or lies off the body.
 
-    `body` is one row, or a stack of rows with every field a column that
-    broadcasts against the points (see `body_searches`).
+    A point is (m1, m2, phase), given by its unit e^{i phase}: a complex
+    array, or the floats +-1 where the phase is 0 or pi.  `body` is one row,
+    or a stack of rows with every field a column that broadcasts against the
+    points (see `body_searches`).
     """
     # cap(m1) is computed only once m1 is known to be in range.
     if not (
         ((0.0 <= m1) & (m1 <= body.reach)).all()
         and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
-        and np.isfinite(phase).all()
+        and np.isfinite(unit).all()
     ):
         return None
-    a2, a3 = body.coefficients(m1, m2 * np.exp(1j * phase))
+    a2, a3 = body.coefficients(m1, m2 * unit)
     return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
 
 
@@ -88,7 +92,9 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
     """
     m1, m2, phase = (np.asarray(x, dtype=float) for x in (m1, m2, phase))
     body = _body(spec)
-    d = _delta(body, m1, m2, phase)
+    with np.errstate(invalid="ignore"):
+        unit = np.exp(1j * phase)  # not finite where the phase is not
+    d = _delta(body, m1, m2, unit)
     if d is None:
         raise ValueError(
             f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
@@ -184,8 +190,12 @@ def _chunk_rows(resolution: int) -> int:
 
 
 def _evaluate(specs, body, m1, m2, phase):
-    """`_delta` on a stack of rows; an off-body point is refused as body_delta refuses it."""
-    d = _delta(body, m1, m2, phase)
+    """`_delta` on a stack of rows; an off-body point is refused as body_delta refuses it.
+
+    Every phase is 0 or pi, whose unit e^{i phase} is cos(phase) = +-1 exactly;
+    np.exp(1j * pi) would carry an imaginary part of 1.2e-16.
+    """
+    d = _delta(body, m1, m2, np.cos(phase))
     if d is None:
         for k, spec in enumerate(specs):  # names the first class with a point off its body
             body_delta(spec, m1[k], m2[k], phase[k])
@@ -303,22 +313,34 @@ def family_sweep(label, param_grid):
     every member is built at theta = 0, and a family whose only parameter is
     theta is built once: each row carries that one member's delta, and an
     empty grid builds nothing.  A theta that is not finite is refused as its
-    build would refuse it.
+    build would refuse it.  Any other family builds each member through
+    `catalog.make` and reads gamma_1 and gamma_2 of the whole grid from one
+    `functional._stacked_log_coefficients` call, which gives every member the
+    bits of `functional.delta` on it alone.  A refusal, from a build or from
+    the gammas, names the first parameter in grid order that a loop of single
+    builds and deltas would refuse.
     """
     family = catalog.FAMILIES.get(label)
     if family is None or family.sweep is None:
         sweepable = sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep)
         raise ValueError(f"{label!r} is not sweepable; choose one of {sweepable}")
-    rows = []
-    for param in param_grid:
-        if family.kind is None:
-            catalog._check_finite(("theta", param))
-        if family.kind is None and rows:
-            d = rows[0].delta  # theta is the only parameter, and delta does not see it
-        else:
+    grid = list(map(float, param_grid))
+    if family.kind is None:
+        for theta in grid:
+            catalog._check_finite(("theta", theta))
+        d = functional.delta(catalog.make(label)) if grid else None
+        return list(map(SweepRow, grid, [d] * len(grid)))
+    members = []
+    try:
+        for param in grid:
             # make reads only the parameters the entry takes.
-            d = functional.delta(catalog.make(label, lam=param, alpha=param))
-        rows.append(SweepRow(param=float(param), delta=d))
+            members.append(catalog.make(label, lam=param, alpha=param))
+    except ValueError:
+        functional._stacked_log_coefficients(members, 2)  # a member before it is refused first
+        raise
+    rows = []
+    for param, (g1, g2) in zip(grid, functional._stacked_log_coefficients(members, 2).tolist()):
+        rows.append(SweepRow(param, functional.LogPair(g1, g2).delta))
     return rows
 
 

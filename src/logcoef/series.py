@@ -11,6 +11,17 @@ with unit constant term by the classical differentiate-and-solve recurrences
 (for ``L = log a``, ``L' a = a'`` is solved term by term); no composition is
 involved, and the principal branch is pinned by ``log(1) = 0``.
 
+The division, log and exp recurrences also run on stacks: `_div_coeffs`
+divides row by row when given (K, N+1) arrays, and `_log_stack` and
+`_exp_stack` take a complex (K, N+1) array; each solves every row at once,
+one coefficient per step, so that K series cost about what one does.
+`log_unit` and `exp_unit` are these cores on a stack of one.  A step's inner
+products are one matmul of a (K, 1, m) stack of rows by a (K, m, 1) stack
+of columns, which reaches np.dot's kernel for every length m, strided slices
+included: each row gets the value np.dot gives it, and the same bits in a
+stack of any size.  At m = 1 matmul adds the one product to +0, so an exact
+zero part comes out +0 where np.dot gives -0.
+
 Coefficients are double precision complex numbers.  Instances are immutable.
 A series here carries no normalization: a catalog entry's row fixes a_0 = 0, a_1 = 1.
 """
@@ -79,18 +90,57 @@ class TruncatedSeries:
 
 
 def _div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the series a / b, to the length of a; b_0 must not be 0."""
-    if b[0] == 0:
+    """Coefficients of the series a / b along the last axis, to the length of a.
+
+    a and b are (N+1,) arrays, or (K, N+1) stacks divided row by row; no b_0
+    may be 0.  q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0.
+    """
+    if not np.all(b[..., 0] != 0):
         raise ValueError("division by a series with zero constant term")
-    n1 = len(a)
-    brev = np.ascontiguousarray(b[::-1])
-    q = np.zeros(n1, dtype=complex)
-    q[0] = a[0] / b[0]
+    a2, b2 = np.atleast_2d(a, b)
+    n1 = a2.shape[1]
+    brev = np.ascontiguousarray(b2[:, ::-1])[:, :, None]
+    q = np.zeros(a2.shape, dtype=complex)
+    q3 = q[:, None, :]
+    q[:, 0] = a2[:, 0] / b2[:, 0]
     for n in range(1, n1):
-        # q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0
-        acc = np.dot(q[:n], brev[n1 - 1 - n : n1 - 1])
-        q[n] = (a[n] - acc) / b[0]
-    return q
+        acc = np.matmul(q3[:, :, :n], brev[:, n1 - 1 - n : n1 - 1])[:, 0, 0]
+        q[:, n] = (a2[:, n] - acc) / b2[:, 0]
+    return q.reshape(np.shape(a))
+
+
+def _log_stack(c: np.ndarray) -> np.ndarray:
+    """Series log of each row of a complex (K, N+1) array whose column 0 is exactly 1.
+
+    n L_n = n c_n - sum_{i=1}^{n-1} i L_i c_{n-i}, so L_1 = c_1.
+    """
+    n1 = c.shape[1]
+    k = np.arange(n1, dtype=complex)
+    crev = np.ascontiguousarray(c[:, ::-1])[:, :, None]
+    L = np.zeros(c.shape, dtype=complex)
+    w = np.zeros((len(c), 1, n1), dtype=complex)  # w[:, 0, j] = j L[:, j]
+    L[:, 1:2] = c[:, 1:2]
+    w[:, 0, 1:2] = k[1] * L[:, 1:2]
+    for n in range(2, n1):
+        L[:, n] = c[:, n] - np.matmul(w[:, :, 1:n], crev[:, n1 - n : n1 - 1])[:, 0, 0] / k[n]
+        w[:, 0, n] = k[n] * L[:, n]
+    return L
+
+
+def _exp_stack(c: np.ndarray) -> np.ndarray:
+    """Series exponential of each row of a complex (K, N+1) array whose column 0 is exactly 0.
+
+    n E_n = sum_{i=1}^{n} i c_i E_{n-i}.
+    """
+    n1 = c.shape[1]
+    k = np.arange(n1, dtype=complex)
+    wrev = np.ascontiguousarray((c * k)[:, ::-1])[:, :, None]
+    E = np.zeros(c.shape, dtype=complex)
+    E3 = E[:, None, :]
+    E[:, 0] = 1.0
+    for n in range(1, n1):
+        E[:, n] = np.matmul(E3[:, :, :n], wrev[:, n1 - 1 - n : n1 - 1])[:, 0, 0] / k[n]
+    return E
 
 
 def log_unit(a: TruncatedSeries) -> TruncatedSeries:
@@ -99,18 +149,9 @@ def log_unit(a: TruncatedSeries) -> TruncatedSeries:
     Solves L' a = a' triangularly:
     n L_n = n a_n - sum_{i=1}^{n-1} i L_i a_{n-i}.
     """
-    c = a.coeffs
-    if c[0] != 1:
+    if a.coeffs[0] != 1:
         raise ValueError("log_unit requires constant term exactly 1")
-    n1 = len(c)
-    crev = np.ascontiguousarray(c[::-1])
-    L = np.zeros(n1, dtype=complex)
-    w = np.zeros(n1, dtype=complex)  # w[k] = k * L[k]
-    for n in range(1, n1):
-        acc = np.dot(w[1:n], crev[n1 - n : n1 - 1])
-        L[n] = c[n] - acc / n
-        w[n] = n * L[n]
-    return TruncatedSeries(L, order=a.order)
+    return TruncatedSeries(_log_stack(a.coeffs[None])[0], order=a.order)
 
 
 def exp_unit(a: TruncatedSeries) -> TruncatedSeries:
@@ -118,16 +159,9 @@ def exp_unit(a: TruncatedSeries) -> TruncatedSeries:
 
     Solves E' = a' E triangularly: n E_n = sum_{i=1}^{n} i a_i E_{n-i}.
     """
-    c = a.coeffs
-    if c[0] != 0:
+    if a.coeffs[0] != 0:
         raise ValueError("exp_unit requires constant term exactly 0")
-    n1 = len(c)
-    wrev = np.ascontiguousarray((c * np.arange(n1))[::-1])
-    E = np.zeros(n1, dtype=complex)
-    E[0] = 1.0
-    for n in range(1, n1):
-        E[n] = np.dot(E[:n], wrev[n1 - 1 - n : n1 - 1]) / n
-    return TruncatedSeries(E, order=a.order)
+    return TruncatedSeries(_exp_stack(a.coeffs[None])[0], order=a.order)
 
 
 def pow_real(a: TruncatedSeries, beta: float) -> TruncatedSeries:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcoef import catalog, cli, search
+from logcoef import catalog, cli, functional, search
 from logcoef.bounds import (
     M_BRANCH_ALPHA,
     bound_delta,
@@ -125,6 +125,13 @@ class TestBodySearch:
             pair = bound_delta(spec)
             assert res.min_delta == pytest.approx(pair.lower, abs=1e-12)
             assert res.max_delta == pytest.approx(pair.upper, abs=1e-12)
+
+    def test_phase_pi_is_minus_one_exactly(self):
+        # The search evaluates e^{i pi} as -1; np.exp(1j * pi), with its
+        # imaginary part of 1.2e-16, left these minima 1 ulp above the bounds.
+        for lam in (0.5, 0.9500000000000001):
+            spec = ClassSpec("U", lam=lam)
+            assert body_search(spec).min_delta == bound_delta(spec).lower
 
     def test_extremes_reproducible_from_reported_args(self):
         res = body_search(ClassSpec("M", alpha=2.0), resolution=50)
@@ -435,18 +442,101 @@ class TestFamilySweep:
         for row in family_sweep(label, [first, last]):
             assert math.isfinite(row.delta)
 
-    @pytest.mark.parametrize("label", sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep))
-    def test_sweep_equals_a_full_order_build(self, label):
-        # The sweep reads gamma_1 and gamma_2 of each member at theta = 0; its
-        # rows must be those of the first two of 32 log coefficients exactly,
-        # down to the finest grid's first value (alpha = 3e-4 for the M families).
-        family = catalog.FAMILIES[label]
-        lo, hi, ends = family.sweep
-        grid = catalog.sweep_grid(lo, hi, ends, (hi - lo) / 18)
-        grid.append(lo + (hi - lo) / catalog.MAX_SWEEP_STEPS)
-        for p, row in zip(grid, family_sweep(label, grid)):
-            g = log_coefficients(catalog.make(label, 0.0, lam=p, alpha=p), 32)
-            assert row.delta == abs(g[1]) - abs(g[0])
+    SWEEPABLE = sorted(k for k, fam in catalog.FAMILIES.items() if fam.sweep)
+
+    # One stack of every kind of row: closed (z/P and z P), a < 1, a >= 1 and rotated.
+    MIXED = (
+        catalog.koebe(),
+        g_quadratic(),
+        catalog.k_theta_alpha(0.0, 0.4),
+        catalog.k_theta_alpha(0.0, 1.7),
+        catalog.rotate(catalog.k_theta_alpha(0.0, 0.9), 2.3),
+        catalog.m_alpha_upper(2.0),
+        catalog.g_alpha_upper(0.5),
+    )
+
+    @staticmethod
+    def _grid(label, grid):
+        """The parameters of one of a family's grids: its range in 18 steps
+        with the finest grid's first value added, step 0.01, or the finest."""
+        lo, hi, ends = catalog.FAMILIES[label].sweep
+        if grid == "eighteenths":
+            return catalog.sweep_grid(lo, hi, ends, (hi - lo) / 18) + [
+                lo + (hi - lo) / catalog.MAX_SWEEP_STEPS
+            ]
+        step = 0.01 if grid == "hundredths" else (hi - lo) / catalog.MAX_SWEEP_STEPS
+        return catalog.sweep_grid(lo, hi, ends, step)
+
+    @pytest.mark.parametrize("label,grid", [
+        *(pytest.param(label, grid, id=label if grid == "eighteenths" else f"{label}-{grid}")
+          for label in SWEEPABLE for grid in ("eighteenths", "hundredths", "finest")),
+        pytest.param("mixed", None, id="mixed"),
+    ])
+    def test_sweep_equals_a_full_order_build(self, label, grid):
+        # The sweep reads gamma_1 and gamma_2 of its whole grid at theta = 0 in
+        # one stacked call; its rows must be those of the first two of 32 log
+        # coefficients of each member built alone, exactly, down to the finest
+        # grid's first value (alpha = 3e-4 for the M families).  Every row of a
+        # stack at n = 1, 2, 6 and 32 is the call on its entry alone, bit for
+        # bit; on the finest grids every 97th row and the last are called alone.
+        if label == "mixed":
+            members, rows = list(self.MIXED), None
+        else:
+            params = self._grid(label, grid)
+            rows = family_sweep(label, params)
+            assert [row.param for row in rows] == params
+            if catalog.FAMILIES[label].kind is None:
+                params = params[:1]  # theta is the only parameter: one member serves every row
+            members = [catalog.make(label, 0.0, lam=p, alpha=p) for p in params]
+        alone = range(len(members)) if grid != "finest" else [*range(0, len(members), 97), -1]
+        for n in (1, 2, 6, 32):
+            stack = functional._stacked_log_coefficients(members, n)
+            assert stack.shape == (len(members), n)
+            for k in alone:
+                want = log_coefficients(members[k], n)
+                np.testing.assert_array_equal(stack[k].view(np.uint64), want.view(np.uint64))
+        if rows is not None:
+            want = np.abs(stack[:, 1]) - np.abs(stack[:, 0])
+            assert [row.delta for row in rows] == np.broadcast_to(want, len(rows)).tolist()
+
+    @pytest.mark.parametrize("label,grid,message", [
+        ("g_alpha_upper", [0.5, 5e-324, 1e-323],
+         "g_alpha_upper {'alpha': 5e-324}: the row's terms underflow"),
+        ("g_alpha_upper", [0.5, 1e-323, 5e-324],
+         "g_alpha_upper {'alpha': 1e-323}: the row's terms underflow"),
+        ("k_theta_alpha", [1.0, 1e160, 1e170],
+         "k_theta_alpha {'theta': 0.0, 'alpha': 1e+160}: the row's terms underflow"),
+        # A member refused by its delta comes before a later one refused by its build.
+        ("k_theta_alpha", [1e160, -1.0],
+         "k_theta_alpha {'theta': 0.0, 'alpha': 1e+160}: the row's terms underflow"),
+        ("m_alpha_upper", [0.5, -1.0, 1e200], "M requires alpha >= 0, got -1.0"),
+    ])
+    def test_refusals_in_grid_order(self, label, grid, message):
+        # The refusal is the one a loop of single builds and deltas meets first.
+        with pytest.raises(ValueError) as stacked:
+            family_sweep(label, grid)
+        with pytest.raises(ValueError) as looped:
+            for p in grid:
+                delta(catalog.make(label, lam=p, alpha=p))
+        assert str(stacked.value) == str(looped.value) == message
+
+    def test_empty_stack(self):
+        assert family_sweep("m_alpha_upper", []) == []
+        assert functional._stacked_log_coefficients([], 2).shape == (0, 2)
+
+    def test_grid_is_one_stacked_call(self, monkeypatch):
+        # A return to one call per member fails here, whatever it costs.
+        stacked = functional._stacked_log_coefficients
+        sizes = []
+
+        def spy(fs, n):
+            sizes.append(len(fs))
+            return stacked(fs, n)
+
+        monkeypatch.setattr(functional, "_stacked_log_coefficients", spy)
+        grid = self._grid("m_alpha_upper", "hundredths")
+        assert len(family_sweep("m_alpha_upper", grid)) == 301
+        assert sizes == [301]
 
     # The exact delta of each family whose only parameter is theta.
     ROTATION_ONLY = {"koebe": -0.5, "f1": -math.sqrt(0.5), "f2": 0.5}
