@@ -11,13 +11,13 @@ violation, failed verify), 2 on usage errors including numeric flags that a
 module rejects.
 
 Output formats: text (human-readable key = value lines), json (one top-level
-object), csv (comma-separated, header row, LF endings).  Text and csv read one
-record per output row, a dict from column to value: the csv header is its
-keys, and each `key = value` text line renders one of its fields.  Json
-serializes the report, built from the row where both hold the same flat
-fields.  Floats are serialized with repr, so re-parsing reproduces the
-in-memory doubles bit for bit; parameters and radii in labels print in the
-same shortest form, with a trailing ".0" dropped.
+object on one line, keys sorted), csv (comma-separated, header row, LF
+endings).  Text and csv read one record per output row, a dict from column to
+value: the csv header is its keys, and each `key = value` text line renders
+one of its fields.  Json serializes the report, built from the row where both
+hold the same flat fields.  Floats are serialized with repr, so re-parsing
+reproduces the in-memory doubles bit for bit; parameters and radii in labels
+print in the same shortest form, with a trailing ".0" dropped.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def _emit(args, payload, text_lines, rows, header=None) -> None:
     """Write the report: json serializes `payload`, csv writes `rows` (dicts
     from column to value) under `header`, by default the first row's keys."""
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # No indent: an indented dump runs in Python, a flat one in json's C encoder.
+        out = json.dumps(payload, sort_keys=True) + "\n"
     elif args.format == "csv":
         out = _csv_text(list(rows[0]) if header is None else header, rows)
     else:

@@ -12,8 +12,10 @@ missing one repeats m1 = 0 rather than being dropped, and a guard grid;
 `body_searches` runs it on many classes of one kind at once, stacked along
 a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK body
 points, as a class sweep does; `bound_violation_scan` samples the whole
-body at random as a brute-force check, from a SplitMix64 stream of its own
-that it draws one cache-sized block of samples at a time; and `family_sweep`
+body at random as a brute-force check, from a SplitMix64 stream of its own:
+one cache-sized block of samples at a time, each coordinate of a block one
+contiguous draw, and delta in real arithmetic with one trig call per sample
+(`_half_angle_delta`, which `body_delta` evaluates too); and `family_sweep`
 records the delta a one-parameter catalog family actually attains at each
 parameter value: it builds every member and reads the gammas of the whole
 grid in one stacked call of `functional`.  delta is rotation invariant, so a
@@ -48,9 +50,10 @@ MAX_RESOLUTION = 10**6
 MAX_SAMPLES = 10**6
 
 # Body points evaluated at once: the samples bound_violation_scan draws per
-# block, and at most the m1 candidates of the classes body_searches stacks
-# per chunk.  Small enough that the temporaries of body_delta stay in cache,
-# large enough to amortize its checks and numpy's per-call overhead.
+# block, three contiguous draws of this length, and at most the m1
+# candidates of the classes body_searches stacks per chunk.  Small enough
+# that the few arrays of _half_angle_delta and _delta stay in cache, large
+# enough to amortize their checks and numpy's per-call overhead.
 _SCAN_BLOCK = 8192
 
 # Closed-form m1 candidates of body_search: both endpoints, two vertices and the kink.
@@ -64,43 +67,83 @@ SEED_LIMIT = 2**64
 GUARD_SLACK = 1e-12
 
 
-def _delta(body, m1, m2, unit):
-    """delta at body points of `body`, or None if a point is not finite or lies off the body.
+def _on_body(body, m1, m2, phase) -> bool:
+    """Whether every point (m1, m2, phase) is finite and on `body`: m1 in
+    [0, reach] and m2 in [0, cap(m1)].
 
-    A point is (m1, m2, phase), given by its unit e^{i phase}: a complex
-    array, or the floats +-1 where the phase is 0 or pi.  `body` is one row,
-    or a stack of rows with every field a column that broadcasts against the
-    points (see `body_searches`).
+    `phase` may be the phase or any function of it that is finite where it
+    is, such as its half or its unit e^{i phase}.  `body` is one row, or a
+    stack of rows with every field a column that broadcasts against the
+    points (see `body_searches`).  cap(m1) is computed only once m1 is known
+    to be in range.
     """
-    # cap(m1) is computed only once m1 is known to be in range.
-    if not (
+    return bool(
         ((0.0 <= m1) & (m1 <= body.reach)).all()
         and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
-        and np.isfinite(unit).all()
-    ):
-        return None
-    a2, a3 = body.coefficients(m1, m2 * unit)
-    return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
+        and np.isfinite(phase).all()
+    )
+
+
+def _half_angle_delta(spec: ClassSpec, body, m1, m2, half):
+    """delta at the body points (m1, m2, phase = 2 half) of `spec`, in real arithmetic.
+
+    `body` is the row of `spec`, and m1, m2 and half are float arrays of one
+    shape, at least 1-D, since the steps work in place and a 0-d array
+    would turn into a scalar.  a_3 - mu a_2^2 = P + T e^{i phase} with
+    P = (q - mu) a_2^2 and T = t m2 both real, so
+
+        |P + T e^{i phase}|^2 = (|P| - |T|)^2 + 4 |P| |T| k^2,
+
+    where k is cos(half) if P and T share a sign and sin(half) if they do
+    not: one trig call per point, and no complex number.  Those signs are the
+    signs of q - mu and t, fixed per class.  At each point |P| and |T| are
+    scaled by 2^-e, e the binary exponent of the larger, into [0, 1) before
+    they are squared, and the modulus back by 2^e.  The scaling is exact, so no
+    square under- or overflows anywhere from G(3.8e-309) to M(1.3e154), and
+    the bits are those of the unscaled formula wherever it stays in range.
+    A point that is not finite or lies off the body is refused as
+    `body_delta` refuses it.
+    """
+    if not _on_body(body, m1, m2, half):
+        raise ValueError(
+            f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
+            f"0 <= m2 <= cap(m1) for {spec.label()}"
+        )
+    a2 = abs(body.s) * m1  # |a_2|, as m1 >= 0
+    p = abs(body.q - functional.MU) * a2
+    p *= a2  # |P|
+    t = abs(body.t) * m2  # |T|
+    e = np.frexp(np.maximum(p, t))[1]
+    np.negative(e, out=e)
+    np.ldexp(p, e, out=p)
+    np.ldexp(t, e, out=t)
+    np.negative(e, out=e)
+    k = np.cos(half) if (body.q > functional.MU) == (body.t > 0.0) else np.sin(half)
+    k *= k
+    k *= p
+    k *= t
+    k *= 4.0  # 4 |P| |T| k^2, scaled
+    p -= t
+    p *= p
+    p += k
+    r = np.sqrt(p, out=p)
+    np.ldexp(r, e, out=r)  # |a_3 - mu a_2^2|
+    r -= a2
+    r *= 0.5
+    return r
 
 
 def body_delta(spec: ClassSpec, m1, m2, phase):
     """delta at body points; broadcasts over array inputs.
 
-    The body of each class, and its map to (a_2, a_3), is `classes._body`.
-    Refuses with ValueError a coordinate that is not finite and a point
+    The body of each class, and its map to (a_2, a_3), is `classes._body`;
+    delta is evaluated by `_half_angle_delta`, as the random scan evaluates
+    it.  Refuses with ValueError a coordinate that is not finite and a point
     outside the body: m1 outside [0, m1 range] or m2 outside [0, cap(m1)].
     """
-    m1, m2, phase = (np.asarray(x, dtype=float) for x in (m1, m2, phase))
-    body = _body(spec)
-    with np.errstate(invalid="ignore"):
-        unit = np.exp(1j * phase)  # not finite where the phase is not
-    d = _delta(body, m1, m2, unit)
-    if d is None:
-        raise ValueError(
-            f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
-            f"0 <= m2 <= cap(m1) for {spec.label()}"
-        )
-    return d
+    m1, m2, phase = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m1, m2, phase)))
+    d = _half_angle_delta(spec, _body(spec), m1.ravel(), m2.ravel(), 0.5 * phase.ravel())
+    return d.reshape(m1.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -187,6 +230,18 @@ def _pick(values, rows, sign: float) -> tuple:
 def _chunk_rows(resolution: int) -> int:
     """Classes body_searches evaluates at once: at most _SCAN_BLOCK body points, at least one."""
     return max(1, _SCAN_BLOCK // (_CANDIDATES + resolution + 1))
+
+
+def _delta(body, m1, m2, unit):
+    """delta at body points whose phase is 0 or pi, or None if a point lies off the body.
+
+    `unit` is e^{i phase} = cos(phase) = +-1, a float, so a_3 is real.
+    `body` is a stack of rows, as in `_on_body`.
+    """
+    if not _on_body(body, m1, m2, unit):
+        return None
+    a2, a3 = body.coefficients(m1, m2 * unit)
+    return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
 
 
 def _evaluate(specs, body, m1, m2, phase):
@@ -356,13 +411,14 @@ _MIX = (
 )
 
 
-def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start, ..., start + count - 1 of the SplitMix64 stream of seed.
+def _splitmix64(seed: int, start: int, count: int, step: int = 1) -> np.ndarray:
+    """Outputs start, start + step, ..., start + (count - 1) step of the
+    SplitMix64 stream of seed.
 
     Every step is in place on uint64 arrays, which wrap modulo 2^64 without
     a warning, where numpy scalars would overflow with one.
     """
-    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x = np.arange(start + 1, start + step * count + 1, step, dtype=np.uint64)
     t = np.empty_like(x)
     x *= _GAMMA
     x += np.uint64(seed)
@@ -375,13 +431,13 @@ def _splitmix64(seed: int, start: int, count: int) -> np.ndarray:
     return x
 
 
-def _unit_doubles(seed: int, start: int, count: int) -> np.ndarray:
+def _unit_doubles(seed: int, start: int, count: int, step: int = 1) -> np.ndarray:
     """The same outputs as doubles in [0, 1): the top 53 bits times 2^-53.
 
     After the shift every output is below 2^53, so its int64 view converts
     exactly, and faster than a uint64 cast.
     """
-    x = _splitmix64(seed, start, count)
+    x = _splitmix64(seed, start, count, step)
     x >>= np.uint64(11)
     return x.view(np.int64) * 2.0**-53
 
@@ -425,10 +481,12 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     m2 / cap(m1) and phase / (2 pi).  The seed alone fixes the samples, on
     every numpy version, and a scan of N samples is the first N samples of
     any longer scan with the same seed.  Each block of _SCAN_BLOCK samples
-    draws its own outputs and is evaluated at once, so no array spans the
-    whole scan; every step is elementwise or an exact reduction, so the
-    result is that of one call over all samples, bit for bit.  A seed that
-    is not an integer in [0, 2^64) is refused with ValueError.
+    draws its own outputs, each coordinate as every third output from its
+    own offset, and is evaluated at once by `_half_angle_delta`, the kernel
+    of `body_delta`, so no array spans the whole scan.  Every step is
+    elementwise or an exact reduction, so the result is that of one
+    `body_delta` call over all samples, bit for bit.  A seed that is not an
+    integer in [0, 2^64) is refused with ValueError.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
@@ -442,9 +500,12 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     lo, hi, violations = math.inf, -math.inf, 0
     for start in range(0, samples, _SCAN_BLOCK):
         n = min(_SCAN_BLOCK, samples - start)
-        u = _unit_doubles(seed, 3 * start, 3 * n)
-        m1 = u[0::3] * body.reach
-        d = body_delta(spec, m1, u[1::3] * body.cap(m1), u[2::3] * (2.0 * math.pi))
+        # Coordinate j of sample i is output 3i + j: three contiguous draws.
+        m1, m2, half = (_unit_doubles(seed, 3 * start + j, n, 3) for j in range(3))
+        m1 *= body.reach
+        m2 *= body.cap(m1)
+        half *= math.pi  # phase / 2, the bits of 0.5 * (u * 2 pi)
+        d = _half_angle_delta(spec, body, m1, m2, half)
         lo, hi = min(lo, float(d.min())), max(hi, float(d.max()))
         violations += int(np.count_nonzero(d < lower)) + int(np.count_nonzero(d > upper))
     return ScanResult(
