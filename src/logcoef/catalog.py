@@ -1,15 +1,17 @@
 """Catalog of normalized analytic functions used as extremal witnesses.
 
 Every entry is an :class:`AnalyticFunction`, one factor row.  The row
-(factors, a, beta) is f = z u^beta with u = integral_0^1 h(z t^a) dt and
-h = prod P^e, each P of degree <= 2 with P(0) = 1, so f(0) = 0 and
-f'(0) = 1 by construction:
+(factors, a, beta, theta) is f = z u^beta with u = integral_0^1 h(z t^a) dt,
+h = prod P^e, each P real of degree <= 2 with P(0) = 1, so f(0) = 0 and
+f'(0) = 1 by construction, rotated to e^{-i theta} f(e^{i theta} z); koebe,
+f1 and k_theta_alpha put their theta there, f2 and f3 theta/2, and `rotate`
+adds to it:
 
-    koebe, f1..f5   ((1, b, c), -1)                 a = 0, beta = 1: f = z / P
-    g_quadratic     ((1, -1/2), 1)                  a = 0, beta = 1: f = z P
-    k_theta_alpha   ((1, -e^{i theta}), -2/alpha)   a = beta = alpha
-    m_alpha_upper   ((1, 0, -1), -1/alpha)          a = beta = alpha
-    g_alpha_upper   ((1, 0, -1), alpha/2)           a = beta = 1, so f' = h
+    koebe, f1..f5   ((1, b, c), -1)         a = 0, beta = 1: f = z / P
+    g_quadratic     ((1, -1/2), 1)          a = 0, beta = 1: f = z P
+    k_theta_alpha   ((1, -1), -2/alpha)     a = beta = alpha
+    m_alpha_upper   ((1, 0, -1), -1/alpha)  a = beta = alpha
+    g_alpha_upper   ((1, 0, -1), alpha/2)   a = beta = 1, so f' = h
 
 `functional` reads the log coefficients from the row; Taylor coefficients
 are built from it only when asked for, to the order asked.  The evaluator
@@ -94,11 +96,13 @@ def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
 
 
 class Row(NamedTuple):
-    """f = z u^beta, u = integral_0^1 h(z t^a) dt, h = prod P^e over factors ((P, e), ...)."""
+    """f = z u^beta, u = integral_0^1 h(z t^a) dt, h = prod P^e over factors ((P, e), ...),
+    rotated by theta: the entry is e^{-i theta} f(e^{i theta} z)."""
 
     factors: tuple
     a: float
     beta: float
+    theta: float = 0.0
 
     @property
     def closed(self) -> bool:
@@ -110,11 +114,12 @@ class Row(NamedTuple):
 class AnalyticFunction:
     """A catalog entry: its row, its parameters and the evaluator the row gives.
 
-    Refuses, with ValueError, a row unless every P has degree <= 2 and
-    P(0) = 1 exactly, every value is finite, and beta = a > 0 with a factor
-    or a = 0, beta = 1 with one factor.  evaluator(z) returns (f/z, z f'/f,
-    z f''/f') at z, a point or an ndarray of points of the open disk; at
-    z = 0 these are (1, 1, 0).
+    Refuses, with ValueError, a row unless theta and then every other value
+    is finite, every P has degree <= 2 and P(0) = 1 exactly, and beta = a > 0
+    with a factor or a = 0, beta = 1 with one factor.  evaluator(z) returns
+    (f/z, z f'/f, z f''/f') at z, a point or an ndarray of points of the
+    open disk, (1, 1, 0) at z = 0; for a rotated row, the unrotated row's at
+    e^{i theta} z.
     """
 
     label: str
@@ -123,7 +128,8 @@ class AnalyticFunction:
     evaluator: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        factors, a, beta = self.row
+        factors, a, beta, theta = self.row
+        _check_finite(("theta", theta))
         values = [*(c for P, _ in factors for c in P), *(e for _, e in factors), a, beta]
         if not all(map(cmath.isfinite, values)) or not a >= 0:
             raise ValueError(f"{self.label} {self.params}: row values must be finite and a >= 0")
@@ -136,15 +142,19 @@ class AnalyticFunction:
         else:
             raise ValueError(f"{self.label} row has no evaluator: it needs factors and "
                              f"beta = a > 0, or a = 0, beta = 1 and one factor, got {self.row}")
+        if theta:
+            base, w = ev, cmath.exp(1j * theta)
+            ev = lambda z: base(w * np.asarray(z))
         object.__setattr__(self, "evaluator", ev)
 
     def series(self, n: int) -> TruncatedSeries:
         """Taylor coefficients a_0..a_n, built from the row to order n.
 
-        Refuses, with ValueError and no numpy warning, a coefficient that is
-        not finite: at small a and large n the coefficients of h overflow.
+        Those of the unrotated row, times e^{i(n-1) theta} for a_n.  Refuses,
+        with ValueError and no numpy warning, a coefficient that is not
+        finite: at small a and large n the coefficients of h overflow.
         """
-        factors, a, beta = self.row
+        factors, a, beta, theta = self.row
         with np.errstate(over="ignore", invalid="ignore"):
             if self.row.closed:
                 c = TruncatedSeries([0.0, 1.0], order=n).coeffs
@@ -158,6 +168,8 @@ class AnalyticFunction:
                 # u^beta as exp(beta log u), which does not cancel as u's coefficients grow.
                 u = exp_unit(TruncatedSeries(beta * u.coeffs, order=n))
                 c = np.concatenate(([0.0], u.coeffs[:-1]))
+            if theta:
+                c = c * np.exp(1j * theta * np.arange(-1.0, n))
         s = TruncatedSeries(c, order=n)
         bad = np.flatnonzero(~np.isfinite(s.coeffs))
         if bad.size:
@@ -231,16 +243,14 @@ def _closed_evaluator(P, e):
     return ev
 
 
-def _rational(label, b, c, params):
-    """z / (1 + b z + c z^2), the row ((1, b, c), -1) at a = 0."""
-    return AnalyticFunction(label, Row((((1.0, b, c), -1.0),), 0.0, 1.0), params)
+def _rational(label, b, c, params, theta=0.0):
+    """z / (1 + b z + c z^2), the row ((1, b, c), -1) at a = 0, rotated by theta."""
+    return AnalyticFunction(label, Row((((1.0, b, c), -1.0),), 0.0, 1.0, float(theta)), params)
 
 
 def koebe(theta: float = 0.0) -> AnalyticFunction:
-    """z / (1 - e^{i theta} z)^2, coefficients a_n = n e^{i(n-1) theta}."""
-    _check_finite(("theta", theta))
-    w = np.exp(1j * theta)
-    return _rational("koebe", -2.0 * w, w * w, {"theta": float(theta)})
+    """z / (1 - e^{i theta} z)^2, a_n = n e^{i(n-1) theta}: z / (1 - z)^2 rotated by theta."""
+    return _rational("koebe", -2.0, 1.0, {"theta": float(theta)}, theta)
 
 
 def f1(theta: float = 0.0) -> AnalyticFunction:
@@ -248,29 +258,25 @@ def f1(theta: float = 0.0) -> AnalyticFunction:
 
     Starts z + sqrt(2) e^{i theta} z^2 + e^{2 i theta} z^3; gamma_2 vanishes,
     so it attains the most negative value of |gamma_2| - |gamma_1| possible
-    for a univalent function.
+    for a univalent function.  It is f1(0) rotated by theta.
     """
-    _check_finite(("theta", theta))
-    w = np.exp(1j * theta)
-    return _rational("f1", -math.sqrt(2.0) * w, w * w, {"theta": float(theta)})
+    # Held as a complex: the sign of its zero imaginary part fixes the order in
+    # which `_roots` gives the conjugate roots, and so the evaluator's last bits.
+    return _rational("f1", complex(-math.sqrt(2.0)), 1.0, {"theta": float(theta)}, theta)
 
 
 def f2(theta: float = 0.0) -> AnalyticFunction:
-    """z / (1 + e^{i theta} z^2): odd, a_2 = 0, a_3 = -e^{i theta}."""
-    _check_finite(("theta", theta))
-    w = np.exp(1j * theta)
-    return _rational("f2", 0.0, w, {"theta": float(theta)})
+    """z / (1 + e^{i theta} z^2): odd, a_2 = 0, a_3 = -e^{i theta}; f2(0) rotated by theta/2."""
+    return _rational("f2", 0.0, 1.0, {"theta": float(theta)}, 0.5 * theta)
 
 
 def f3(lam: float, theta: float = 0.0) -> AnalyticFunction:
     """z / (1 - lam e^{i theta} z^2) = z + lam e^{i theta} z^3 + lam^2 e^{2 i theta} z^5 + ...
 
-    Requires 0 < lam <= 1.
+    Requires 0 < lam <= 1.  It is f3(lam, 0) rotated by theta/2.
     """
-    _check_finite(("theta", theta))
     ClassSpec.of("U", lam)  # refuses lam outside U's range
-    w = np.exp(1j * theta)
-    return _rational("f3", 0.0, -lam * w, {"lam": float(lam), "theta": float(theta)})
+    return _rational("f3", 0.0, -lam, {"lam": float(lam), "theta": float(theta)}, 0.5 * theta)
 
 
 def f4(lam: float) -> AnalyticFunction:
@@ -468,8 +474,8 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     """Generalized koebe function, the extremal of the alpha-convex class M(alpha).
 
     f = ((1/alpha) integral_0^z t^{1/alpha - 1} (1 - e^{i theta} t)^{-2/alpha} dt)^alpha,
-    the row with the one factor (1 - e^{i theta} z)^{-2/alpha} and
-    a = beta = alpha.  At alpha = 0 it is koebe's row; a_2 = 2 e^{i theta} / (1 + alpha).
+    the row with the one factor (1 - z)^{-2/alpha}, a = beta = alpha,
+    rotated by theta.  At alpha = 0 it is koebe's row; a_2 = 2 e^{i theta} / (1 + alpha).
 
     gamma, read from the row, is accurate at every alpha up to about 4.7e153,
     where the row's terms underflow and `functional.log_coefficients`
@@ -479,12 +485,11 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     floor: below alpha ~ 3.51e-4 its quadrature rule would need more than
     _MAX_NODES nodes, and it refuses with ValueError at every |z| up to 0.999.
     """
-    _check_finite(("theta", theta))
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     params = {"theta": float(theta), "alpha": float(alpha)}
     if alpha == 0:
-        return AnalyticFunction("k_theta_alpha", koebe(theta).row, params)
-    row = Row((((1.0, -np.exp(1j * theta)), -2.0 / alpha),), alpha, alpha)
+        return _rational("k_theta_alpha", -2.0, 1.0, params, theta)
+    row = Row((((1.0, -1.0), -2.0 / alpha),), alpha, alpha, float(theta))
     return AnalyticFunction("k_theta_alpha", row, params)
 
 
@@ -527,15 +532,12 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     """Disk rotation e^{-i theta} f(e^{i theta} z): a_n -> e^{i(n-1) theta} a_n.
 
     Preserves membership in every rotation-invariant class and each |gamma_n|.
-    The row's polynomials become P(e^{i theta} z), and so does the evaluator.
-    params["rotated_by"] adds up the angles of repeated rotations.
+    Adds theta to the row's angle and leaves its coefficients and params as
+    they are, so rotate(rotate(f, s), t) has the row of rotate(f, s + t) for
+    an unrotated f.
     """
-    _check_finite(("theta", theta))
-    w = complex(np.exp(1j * theta))
-    factors = tuple((tuple(c * w**k for k, c in enumerate(P)), e) for P, e in f.row.factors)
-    params = dict(f.params)
-    params["rotated_by"] = params.get("rotated_by", 0.0) + float(theta)
-    return AnalyticFunction(f.label, f.row._replace(factors=factors), params)
+    row = f.row._replace(theta=f.row.theta + float(theta))
+    return AnalyticFunction(f.label, row, dict(f.params))
 
 
 def poles_outside_disk(coeffs) -> tuple[bool, float]:

@@ -116,6 +116,8 @@ def _stacked_log_coefficients(fs, n: int) -> np.ndarray:
                     why[i] = f"{fs[i].label} {fs[i].params}: the row's terms underflow"
             logu[large] = _log_stack(u)
         gammas = (0.5 * beta)[:, None] * logu[:, 1 : n + 1]
+        for i in np.flatnonzero([f.row.theta for f in fs]):
+            gammas[i] *= np.exp(1j * fs[i].row.theta * k[1 : n + 1])  # k theta exact at k <= 2
     for i in np.flatnonzero(~np.isfinite(gammas).all(axis=1)):
         why.setdefault(i, f"log coefficients of {fs[i].label} {fs[i].params} are not finite")
     if why:
@@ -132,11 +134,12 @@ def log_coefficients(f, n: int) -> np.ndarray:
     (1 + a k) v_k = [k = 0] - sum_{j>=1} a j L_j v_{k-j} and log u = L + log v
     keeps the large L of small a exact; for a >= 1, u_k = exp(L)_k/(1 + a k),
     where L and log v would cancel.  The recurrences are triangular, so gamma_k
-    does not depend on n.  Refuses, with ValueError, a row whose terms
-    underflow (alpha past ~ 4.7e153, or a power that underflowed to 0) and
-    gammas that are not finite.  This is row 0 of `_stacked_log_coefficients`
-    on [f]: the three cases are that function's three groups, and a stack
-    is refused for the first of its entries that this call refuses.
+    does not depend on n.  A row rotated by theta multiplies gamma_k by
+    e^{i k theta}.  Refuses, with ValueError, a row whose terms underflow
+    (alpha past ~ 4.7e153, or a power that underflowed to 0) and gammas
+    that are not finite.  This is row 0 of `_stacked_log_coefficients` on
+    [f]: the three cases are that function's three groups, and a stack is
+    refused for the first of its entries that this call refuses.
     """
     return _stacked_log_coefficients([f], n)[0]
 

@@ -71,11 +71,10 @@ def _on_body(body, m1, m2, phase) -> bool:
     """Whether every point (m1, m2, phase) is finite and on `body`: m1 in
     [0, reach] and m2 in [0, cap(m1)].
 
-    `phase` may be the phase or any function of it that is finite where it
-    is, such as its half or its unit e^{i phase}.  `body` is one row, or a
-    stack of rows with every field a column that broadcasts against the
-    points (see `body_searches`).  cap(m1) is computed only once m1 is known
-    to be in range.
+    `phase` may also be its unit e^{i phase}.  `body` is one row, or a stack
+    of rows with every field a column that broadcasts against the points
+    (see `body_searches`).  cap(m1) is computed only once m1 is known to be
+    in range.
     """
     return bool(
         ((0.0 <= m1) & (m1 <= body.reach)).all()
@@ -84,10 +83,10 @@ def _on_body(body, m1, m2, phase) -> bool:
     )
 
 
-def _half_angle_delta(spec: ClassSpec, body, m1, m2, half):
-    """delta at the body points (m1, m2, phase = 2 half) of `spec`, in real arithmetic.
+def _half_angle_delta(body, m1, m2, half):
+    """delta at the body points (m1, m2, phase = 2 half) of a class, in real arithmetic.
 
-    `body` is the row of `spec`, and m1, m2 and half are float arrays of one
+    `body` is the class's row, and m1, m2 and half are float arrays of one
     shape, at least 1-D, since the steps work in place and a 0-d array
     would turn into a scalar.  a_3 - mu a_2^2 = P + T e^{i phase} with
     P = (q - mu) a_2^2 and T = t m2 both real, so
@@ -101,14 +100,8 @@ def _half_angle_delta(spec: ClassSpec, body, m1, m2, half):
     they are squared, and the modulus back by 2^e.  The scaling is exact, so no
     square under- or overflows anywhere from G(3.8e-309) to M(1.3e154), and
     the bits are those of the unscaled formula wherever it stays in range.
-    A point that is not finite or lies off the body is refused as
-    `body_delta` refuses it.
+    `body_delta` checks its points; the scan's are on the body by construction.
     """
-    if not _on_body(body, m1, m2, half):
-        raise ValueError(
-            f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
-            f"0 <= m2 <= cap(m1) for {spec.label()}"
-        )
     a2 = abs(body.s) * m1  # |a_2|, as m1 >= 0
     p = abs(body.q - functional.MU) * a2
     p *= a2  # |P|
@@ -142,7 +135,11 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
     outside the body: m1 outside [0, m1 range] or m2 outside [0, cap(m1)].
     """
     m1, m2, phase = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m1, m2, phase)))
-    d = _half_angle_delta(spec, _body(spec), m1.ravel(), m2.ravel(), 0.5 * phase.ravel())
+    body = _body(spec)
+    if not _on_body(body, m1, m2, phase):
+        raise ValueError(f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
+                         f"0 <= m2 <= cap(m1) for {spec.label()}")
+    d = _half_angle_delta(body, m1.ravel(), m2.ravel(), 0.5 * phase.ravel())
     return d.reshape(m1.shape)[()]
 
 
@@ -485,8 +482,9 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     own offset, and is evaluated at once by `_half_angle_delta`, the kernel
     of `body_delta`, so no array spans the whole scan.  Every step is
     elementwise or an exact reduction, so the result is that of one
-    `body_delta` call over all samples, bit for bit.  A seed that is not an
-    integer in [0, 2^64) is refused with ValueError.
+    `body_delta` call over all samples, bit for bit.  The samples are on the
+    body by construction; a block whose min or max delta is not finite is
+    refused with ValueError, as is a seed that is not an integer in [0, 2^64).
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
@@ -505,8 +503,11 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
         m1 *= body.reach
         m2 *= body.cap(m1)
         half *= math.pi  # phase / 2, the bits of 0.5 * (u * 2 pi)
-        d = _half_angle_delta(spec, body, m1, m2, half)
-        lo, hi = min(lo, float(d.min())), max(hi, float(d.max()))
+        d = _half_angle_delta(body, m1, m2, half)
+        d_min, d_max = float(d.min()), float(d.max())  # a NaN carries through both
+        if not (math.isfinite(d_min) and math.isfinite(d_max)):
+            raise ValueError(f"{spec.label()} scan: delta not finite in block from sample {start}")
+        lo, hi = min(lo, d_min), max(hi, d_max)
         violations += int(np.count_nonzero(d < lower)) + int(np.count_nonzero(d > upper))
     return ScanResult(
         spec=spec,

@@ -304,6 +304,11 @@ class TestEvaluators:
                 assert one == pytest.approx(many[i], abs=1e-15)
 
 
+def _entry_id(f):
+    """An entry's label and params, and its row's angle where it is rotated."""
+    return f"{f.label}{dict(f.params, theta=f.row.theta) if f.row.theta else f.params}"
+
+
 class TestSymmetryFold:
     """The quadrature evaluator evaluates each orbit of the row's symmetry once."""
 
@@ -324,7 +329,7 @@ class TestSymmetryFold:
         for z in (self.RING, self.POINTS):
             assert np.array_equal(np.array(f.evaluator(z.conj())), np.conj(f.evaluator(z)))
 
-    @pytest.mark.parametrize("f", EVEN, ids=lambda f: f"{f.label}{f.params}")
+    @pytest.mark.parametrize("f", EVEN, ids=_entry_id)
     def test_even_row_is_even_bit_for_bit(self, f):
         n = self.N
         values = np.array(f.evaluator(self.RING))
@@ -359,9 +364,9 @@ class TestSymmetryFold:
     def test_unfolded_points_keep_the_formula(self, f, kept):
         # The ring points that are their own representatives, the upper half
         # or the first quadrant, read the ratios straight from _integral_logs.
-        factors, alpha, _ = f.row
+        alpha = f.row.a
         z = self.RING[:kept]
-        lh, dh, logv, du = catalog._integral_logs(factors, alpha, z)
+        lh, dh, logv, du = catalog._integral_logs(f.row.factors, alpha, z)
         want = (np.exp(alpha * (lh + logv)), np.exp(-logv), z * ((alpha - 1.0) * du + dh))
         got = f.evaluator(self.RING)
         for g, w in zip(got, want):
@@ -442,9 +447,10 @@ class TestRotation:
             assert x.tobytes() == y.tobytes()
 
     def test_twice_rotated_koebe_keeps_its_precision(self):
-        # The row of rotate(koebe(2.5), 0.7) splits the double root of
-        # (1 - w z)^2, w = e^{3.2 i}.  On membership_test's rings its ratios
-        # stay within 1e-11 of the exact ones (4.6e-12 at r = 0.999).
+        # rotate(koebe(2.5), 0.7) is the real row of (1 - z)^2 read at
+        # e^{3.2 i} z, whose double root `_roots` finds exactly.  On
+        # membership_test's rings its ratios stay within 1e-14 of the exact
+        # ones at the same rounded points (4.7e-16 at r = 0.999).
         f = rotate(koebe(2.5), 0.7)
         for r in (0.5, 0.9, 0.99, 0.999):
             z = r * np.exp(2j * np.pi * np.arange(256) / 256)
@@ -455,15 +461,33 @@ class TestRotation:
                 w * (4.0 + 2.0 * w) / ((1.0 - w) * (1.0 + w)),
             )
             for got, want in zip(f.evaluator(z), exact):
-                np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_rotation_records_angle(self):
-        assert rotate(f2(0.0), 0.25).params["rotated_by"] == 0.25
+        f = f2(0.0)
+        g = rotate(f, 0.25)
+        assert g.row == f.row._replace(theta=0.25)
+        assert g.params == f.params
 
     def test_repeated_rotation_records_total_angle(self):
         f = rotate(rotate(koebe(), 0.3), 0.4)
-        assert f.params["rotated_by"] == pytest.approx(0.7, abs=1e-15)
+        assert f.row.theta == 0.3 + 0.4
         assert f.a(2) == pytest.approx(koebe(0.7).a(2), abs=1e-15)
+        for g in (koebe(), f3(0.5), f4(0.8), k_theta_alpha(0.0, 0.7), m_alpha_upper(1.0)):
+            for s, t in ((0.3, 0.4), (2.5, 0.7), (-1.0, 100.0)):
+                assert rotate(rotate(g, s), t).row == rotate(g, s + t).row
+
+    @pytest.mark.parametrize("label", [k for k, fam in FAMILIES.items() if fam.rotated])
+    def test_rotated_rows_keep_real_coefficients(self, label):
+        # The angle sits on the row; the coefficients are the unrotated ones.
+        # f2 and f3 put half of theta there: f2(theta) is f2(0) rotated by theta/2.
+        base = make(label, 0.0, lam=0.5, alpha=0.7).row
+        half = 0.5 if label in ("f2", "f3") else 1.0
+        for theta in (0.7, -2.0, 100.0):
+            f = make(label, theta, lam=0.5, alpha=0.7)
+            assert f.row == base._replace(theta=half * theta)
+            assert rotate(f, 0.4).row.factors == base.factors
+            assert all(complex(c).imag == 0 for P, e in f.row.factors for c in (*P, e))
 
 
 class TestPoleLocation:

@@ -24,6 +24,7 @@ from logcoef.catalog import (
 )
 from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
 
+from _oracles import expi
 from _rows import entry_from_coeffs
 
 
@@ -32,6 +33,25 @@ class TestLogCoefficients:
         # log(koebe/z) = -2 log(1-z), so gamma_n = 1/n
         g = log_coefficients(koebe(), 6)
         np.testing.assert_allclose(g, 1.0 / np.arange(1, 7), atol=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.7, 3.2, -1.0, 100.0])
+    def test_rotated_koebe_is_e_in_theta_over_n(self, theta):
+        # gamma_n = e^{i n theta}/n.  At n = 1, 2, 4, 8 the unrotated row's
+        # gamma_n is 1/n exactly and n theta is exact too.
+        got = log_coefficients(koebe(theta), 8)
+        for n in (1, 2, 4, 8):
+            assert abs(got[n - 1] - expi(theta, n) / n) <= 3e-16
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 2.5])
+    @pytest.mark.parametrize("theta", [0.7, 3.2, -1.0, 100.0])
+    def test_rotated_k_is_the_unrotated_times_e_in_theta(self, theta, alpha):
+        # e^{i n theta} is taken at the rounded n theta, half an ulp of it off,
+        # plus two roundings: of the exponential and of the product.
+        base = log_coefficients(k_theta_alpha(0.0, alpha), 8)
+        got = log_coefficients(k_theta_alpha(theta, alpha), 8)
+        for n, (g, b) in enumerate(zip(got, base), 1):
+            tol = abs(b) * (0.5 * math.ulp(n * theta) + 2.0 * np.finfo(float).eps)
+            assert abs(g - expi(theta, n) * b) <= tol
 
     def test_identity_function_all_zero(self):
         g = log_coefficients(entry_from_coeffs([0, 1]), 8)

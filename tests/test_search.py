@@ -544,7 +544,7 @@ class TestFamilySweep:
     @pytest.mark.parametrize("label", sorted(ROTATION_ONLY))
     def test_rotation_only_sweep_is_exact_and_rotation_invariant(self, label):
         # One member serves every row, and its delta is the exact value to the
-        # last bit; a build at each theta of the grid lands within 4 ulp of it.
+        # last bit; a build at each theta of the grid lands within 1 ulp of it.
         assert catalog.FAMILIES[label].kind is None
         grid = catalog.sweep_grid(*catalog.FAMILIES[label].sweep, 0.01)
         rows = family_sweep(label, grid)
@@ -553,7 +553,7 @@ class TestFamilySweep:
         assert {row.delta for row in rows} == {want}
         for theta in grid:
             got = delta(catalog.make(label, theta))
-            assert abs(got - want) <= 4.0 * math.ulp(want)
+            assert abs(got - want) <= math.ulp(want)
 
     def test_rotation_only_sweep_builds_one_member(self, monkeypatch):
         built = []
@@ -698,6 +698,29 @@ class TestViolationScan:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="samples"):
             bound_violation_scan(ClassSpec("S"), samples=0)
+
+    @pytest.mark.parametrize("where, start", [
+        (0, 0),
+        (search._SCAN_BLOCK + 5, search._SCAN_BLOCK),
+        (3 * search._SCAN_BLOCK - 1, 2 * search._SCAN_BLOCK),
+    ])
+    def test_nan_in_a_block_is_refused(self, monkeypatch, where, start):
+        # The samples are not checked one by one: a NaN delta anywhere in a
+        # block carries through the block's min and max, and the scan refuses it.
+        kernel, done = search._half_angle_delta, []
+
+        def poisoned(body, m1, m2, half):
+            d = kernel(body, m1, m2, half)
+            first = sum(done)
+            done.append(d.size)
+            if first <= where < first + d.size:
+                d[where - first] = math.nan
+            return d
+
+        monkeypatch.setattr(search, "_half_angle_delta", poisoned)
+        refusal = rf"^M\(1\) scan: delta not finite in block from sample {start}$"
+        with pytest.raises(ValueError, match=refusal):
+            bound_violation_scan(ClassSpec("M", alpha=1.0), samples=3 * search._SCAN_BLOCK)
 
     def test_sample_count_capped(self):
         # Refused before any sample is drawn.
