@@ -13,6 +13,13 @@ adds to it:
     m_alpha_upper   ((1, 0, -1), -1/alpha)  a = beta = alpha
     g_alpha_upper   ((1, 0, -1), alpha/2)   a = beta = 1, so f' = h
 
+with k_theta_alpha and m_alpha_upper at alpha = 0 the closed rows of koebe
+and z / (1 - z^2).  The rows of the families with a class parameter (f3,
+f4, f5 and the last three) are written once each, as plain arithmetic in
+the parameter (`Family.row`): a constructor calls the row on its float, and
+a family sweep calls it on the whole grid as an array, a stack of rows that
+`functional` reads without an entry built per parameter.
+
 `functional` reads the log coefficients from the row; Taylor coefficients
 are built from it only when asked for, to the order asked.  The evaluator
 comes from the row too and returns the three ratios every class inequality
@@ -36,23 +43,92 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .classes import ClassSpec
-from .series import MIN_ORDER, TruncatedSeries, _div_coeffs, exp_unit, log_unit, pow_real
+from .classes import ClassSpec, admits
+from .series import MIN_ORDER, TruncatedSeries, _div_coeffs, _expi, exp_unit, log_unit, pow_real
 
 
-@dataclass(frozen=True)
-class Family:
+class Row(NamedTuple):
+    """f = z u^beta, u = integral_0^1 h(z t^a) dt, h = prod P^e over factors ((P, e), ...),
+    rotated by theta: the entry is e^{-i theta} f(e^{i theta} z).
+
+    A value may also be an array, one entry per row of a stack of rows with
+    the same number of factors (see `Family.row`); the properties are then
+    arrays too, elementwise.
+    """
+
+    factors: tuple
+    a: float
+    beta: float
+    theta: float = 0.0
+
+    @property
+    def closed(self):
+        """Whether f = z prod P^e with every e = +-1, exact by products and quotients."""
+        at0 = (self.a == 0) & (self.beta == 1)
+        return functools.reduce(operator.and_, (abs(e) == 1 for _, e in self.factors), at0)
+
+    @property
+    def finite(self):
+        """Whether every value but theta is finite, and a >= 0."""
+        values = [*(c for P, _ in self.factors for c in P), *(e for _, e in self.factors)]
+        return functools.reduce(operator.and_, map(np.isfinite, [*values, self.a, self.beta]),
+                                self.a >= 0)
+
+
+# The factor row of each family with a class parameter, as plain arithmetic in
+# it: a float gives the row of one entry, and an array of parameters a stack
+# of rows, a value that varies with the parameter an array like it.  Nothing
+# is checked here; the constructors check.
+
+
+def _f3_row(lam):
+    return Row((((1.0, 0.0, -lam), -1.0),), 0.0, 1.0)
+
+
+def _f4_row(lam):
+    return Row((((1.0, -np.sqrt(2.0 * lam), lam), -1.0),), 0.0, 1.0)
+
+
+def _f5_row(lam):
+    return Row((((1.0, -1.0, lam), -1.0),), 0.0, 1.0)
+
+
+def _k_row(alpha):
+    # At alpha = 0, where at0 = 1 and a = 0, beta = 1, it is koebe's row (1 - z)^2 to the -1.
+    at0 = 1.0 * (alpha == 0)
+    beta = alpha + at0
+    return Row((((1.0, -1.0 - at0, at0), (at0 - 2.0) / beta),), alpha, beta)
+
+
+def _m_row(alpha):
+    # At alpha = 0, where a = 0 and beta = 1, it is z / (1 - z^2).
+    beta = alpha + 1.0 * (alpha == 0)
+    return Row((((1.0, 0.0, -1.0), -1.0 / beta),), alpha, beta)
+
+
+def _g_row(alpha):
+    return Row((((1.0, 0.0, -1.0), 0.5 * alpha),), 1.0, 1.0)
+
+
+class Family(NamedTuple):
     """What a catalog entry's constructor takes, and the range a sweep walks.
 
     kind: the class (U, M or G) whose parameter the entry takes, or None.
     rotated: whether the entry takes a rotation angle theta.
     sweep: (lo, hi, ends) over the class parameter, or over theta when kind
     is None, with ends in interval notation such as "(]"; None if not swept.
+    row: the entry's factor row at theta = 0 as a function of the class
+    parameter, a float or an array (see `Row`); None when kind is None.
+    inside: whether the constructor takes a class parameter, elementwise:
+    finite and in the range it checks.  The row there is then checked only
+    for finiteness (`Row.finite`).
     """
 
     kind: Optional[str]
     rotated: bool
     sweep: Optional[tuple]
+    row: Optional[Callable] = None
+    inside: Optional[Callable] = None
 
 
 # Keyed by the constructor's name in this module.  `make` looks the
@@ -62,12 +138,14 @@ FAMILIES = {
     "koebe": Family(None, True, (0.0, 2.0 * math.pi, "[)")),
     "f1": Family(None, True, (0.0, 2.0 * math.pi, "[)")),
     "f2": Family(None, True, (0.0, 2.0 * math.pi, "[)")),
-    "f3": Family("U", True, (0.0, 1.0, "(]")),
-    "f4": Family("U", False, (0.5, 1.0, "[]")),
-    "f5": Family("U", False, (0.0, 0.5, "(]")),
-    "k_theta_alpha": Family("M", True, (0.0, 3.0, "[]")),
-    "m_alpha_upper": Family("M", False, (0.0, 3.0, "[]")),
-    "g_alpha_upper": Family("G", False, (0.0, 1.0, "(]")),
+    "f3": Family("U", True, (0.0, 1.0, "(]"), _f3_row, lambda lam: admits("U", lam)),
+    "f4": Family("U", False, (0.5, 1.0, "[]"), _f4_row,
+                 lambda lam: np.isfinite(lam) & (0.5 <= lam) & (lam <= 1.0)),
+    "f5": Family("U", False, (0.0, 0.5, "(]"), _f5_row,
+                 lambda lam: np.isfinite(lam) & (0.0 < lam) & (lam <= 0.5)),
+    "k_theta_alpha": Family("M", True, (0.0, 3.0, "[]"), _k_row, lambda a: admits("M", a)),
+    "m_alpha_upper": Family("M", False, (0.0, 3.0, "[]"), _m_row, lambda a: admits("M", a)),
+    "g_alpha_upper": Family("G", False, (0.0, 1.0, "(]"), _g_row, lambda a: admits("G", a)),
     "g_quadratic": Family(None, False, None),
 }
 
@@ -95,21 +173,6 @@ def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
     return [hi if hi - (lo + k * step) <= 1e-9 * step else lo + k * step for k in ks]
 
 
-class Row(NamedTuple):
-    """f = z u^beta, u = integral_0^1 h(z t^a) dt, h = prod P^e over factors ((P, e), ...),
-    rotated by theta: the entry is e^{-i theta} f(e^{i theta} z)."""
-
-    factors: tuple
-    a: float
-    beta: float
-    theta: float = 0.0
-
-    @property
-    def closed(self) -> bool:
-        """Whether f = z prod P^e with every e = +-1, exact by products and quotients."""
-        return self.a == 0 and self.beta == 1 and all(abs(e) == 1 for _, e in self.factors)
-
-
 @dataclass(frozen=True, eq=False)
 class AnalyticFunction:
     """A catalog entry: its row, its parameters and the evaluator the row gives.
@@ -130,8 +193,7 @@ class AnalyticFunction:
     def __post_init__(self):
         factors, a, beta, theta = self.row
         _check_finite(("theta", theta))
-        values = [*(c for P, _ in factors for c in P), *(e for _, e in factors), a, beta]
-        if not all(map(cmath.isfinite, values)) or not a >= 0:
+        if not self.row.finite:
             raise ValueError(f"{self.label} {self.params}: row values must be finite and a >= 0")
         if not all(1 <= len(P) <= 3 and P[0] == 1 for P, _ in factors):
             raise ValueError(f"{self.label} row needs P(0) = 1 and degree <= 2, got {factors}")
@@ -150,9 +212,10 @@ class AnalyticFunction:
     def series(self, n: int) -> TruncatedSeries:
         """Taylor coefficients a_0..a_n, built from the row to order n.
 
-        Those of the unrotated row, times e^{i(n-1) theta} for a_n.  Refuses,
-        with ValueError and no numpy warning, a coefficient that is not
-        finite: at small a and large n the coefficients of h overflow.
+        Those of the unrotated row, times e^{i(n-1) theta} for a_n, from
+        `series._expi`.  Refuses, with ValueError and no numpy warning, a
+        coefficient that is not finite: at small a and large n the
+        coefficients of h overflow.
         """
         factors, a, beta, theta = self.row
         with np.errstate(over="ignore", invalid="ignore"):
@@ -169,7 +232,7 @@ class AnalyticFunction:
                 u = exp_unit(TruncatedSeries(beta * u.coeffs, order=n))
                 c = np.concatenate(([0.0], u.coeffs[:-1]))
             if theta:
-                c = c * np.exp(1j * theta * np.arange(-1.0, n))
+                c = c * _expi(theta, np.arange(-1.0, n))
         s = TruncatedSeries(c, order=n)
         bad = np.flatnonzero(~np.isfinite(s.coeffs))
         if bad.size:
@@ -248,6 +311,14 @@ def _rational(label, b, c, params, theta=0.0):
     return AnalyticFunction(label, Row((((1.0, b, c), -1.0),), 0.0, 1.0, float(theta)), params)
 
 
+def _member(label, param, params, theta=0.0):
+    """The entry of family `label` at the class parameter `param`, which its
+    constructor has checked: the family's row, in floats, rotated by theta."""
+    factors, a, beta, _ = FAMILIES[label].row(param)
+    factors = tuple((tuple(map(float, P)), float(e)) for P, e in factors)
+    return AnalyticFunction(label, Row(factors, float(a), float(beta), float(theta)), params)
+
+
 def koebe(theta: float = 0.0) -> AnalyticFunction:
     """z / (1 - e^{i theta} z)^2, a_n = n e^{i(n-1) theta}: z / (1 - z)^2 rotated by theta."""
     return _rational("koebe", -2.0, 1.0, {"theta": float(theta)}, theta)
@@ -276,7 +347,7 @@ def f3(lam: float, theta: float = 0.0) -> AnalyticFunction:
     Requires 0 < lam <= 1.  It is f3(lam, 0) rotated by theta/2.
     """
     ClassSpec.of("U", lam)  # refuses lam outside U's range
-    return _rational("f3", 0.0, -lam, {"lam": float(lam), "theta": float(theta)}, 0.5 * theta)
+    return _member("f3", lam, {"lam": float(lam), "theta": float(theta)}, 0.5 * theta)
 
 
 def f4(lam: float) -> AnalyticFunction:
@@ -285,9 +356,9 @@ def f4(lam: float) -> AnalyticFunction:
     Requires 1/2 <= lam <= 1; below 1/2 a pole enters the disk.
     """
     _check_finite(("lambda", lam))
-    if not 0.5 <= lam <= 1.0:
+    if not FAMILIES["f4"].inside(lam):
         raise ValueError(f"f4 requires 1/2 <= lambda <= 1, got {lam}")
-    return _rational("f4", -math.sqrt(2.0 * lam), lam, {"lam": float(lam)})
+    return _member("f4", lam, {"lam": float(lam)})
 
 
 def f5(lam: float) -> AnalyticFunction:
@@ -296,9 +367,9 @@ def f5(lam: float) -> AnalyticFunction:
     Requires 0 < lam <= 1/2 so that both poles stay outside the open disk.
     """
     _check_finite(("lambda", lam))
-    if not 0.0 < lam <= 0.5:
+    if not FAMILIES["f5"].inside(lam):
         raise ValueError(f"f5 requires 0 < lambda <= 1/2, got {lam}")
-    return _rational("f5", -1.0, lam, {"lam": float(lam)})
+    return _member("f5", lam, {"lam": float(lam)})
 
 
 # -- quadrature for the integral-defined entries -------------------------------
@@ -486,11 +557,7 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     _MAX_NODES nodes, and it refuses with ValueError at every |z| up to 0.999.
     """
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
-    params = {"theta": float(theta), "alpha": float(alpha)}
-    if alpha == 0:
-        return _rational("k_theta_alpha", -2.0, 1.0, params, theta)
-    row = Row((((1.0, -1.0), -2.0 / alpha),), alpha, alpha, float(theta))
-    return AnalyticFunction("k_theta_alpha", row, params)
+    return _member("k_theta_alpha", alpha, {"theta": float(theta), "alpha": float(alpha)}, theta)
 
 
 def m_alpha_upper(alpha: float) -> AnalyticFunction:
@@ -504,10 +571,8 @@ def m_alpha_upper(alpha: float) -> AnalyticFunction:
     0.999.
     """
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
-    if alpha == 0:
-        return _rational("m_alpha_upper", 0.0, -1.0, {"alpha": 0.0})
-    row = Row((((1.0, 0.0, -1.0), -1.0 / alpha),), alpha, alpha)
-    return AnalyticFunction("m_alpha_upper", row, {"alpha": float(alpha)})
+    # + 0.0 turns alpha = -0.0 into the 0.0 the entry has always reported there.
+    return _member("m_alpha_upper", alpha, {"alpha": float(alpha) + 0.0})
 
 
 def g_alpha_upper(alpha: float) -> AnalyticFunction:
@@ -519,8 +584,7 @@ def g_alpha_upper(alpha: float) -> AnalyticFunction:
     factor's power alpha/2 is 0, and `functional.log_coefficients` refuses.
     """
     ClassSpec.of("G", alpha)  # refuses alpha outside G's range
-    row = Row((((1.0, 0.0, -1.0), 0.5 * alpha),), 1.0, 1.0)
-    return AnalyticFunction("g_alpha_upper", row, {"alpha": float(alpha)})
+    return _member("g_alpha_upper", alpha, {"alpha": float(alpha)})
 
 
 def g_quadratic() -> AnalyticFunction:

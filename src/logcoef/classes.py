@@ -50,6 +50,20 @@ class SingularSampleError(ArithmeticError):
     """f or f' vanished at a sample point, so the margin is undefined there."""
 
 
+def _in_range(kind: str, param):
+    """Whether `param`, a float or an array, lies in the range of class `kind`,
+    elementwise: 0 < lam <= 1 for U, alpha >= 0 for M and 0 < alpha <= 1 for G."""
+    if kind == "M":
+        return param >= 0.0
+    return (0.0 < param) & (param <= 1.0)
+
+
+def admits(kind: str, param):
+    """Whether ClassSpec.of(kind, param) accepts `param`, a float or an array of
+    parameters, elementwise: a finite parameter in the class's range."""
+    return np.isfinite(param) & _in_range(kind, param)
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     """Which class, with its parameter: U carries lam, M and G carry alpha."""
@@ -65,17 +79,17 @@ class ClassSpec:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.kind == "U":
-            if self.lam is None or not 0.0 < self.lam <= 1.0:
+            if self.lam is None or not _in_range("U", self.lam):
                 raise ValueError(f"U requires 0 < lambda <= 1, got {self.lam}")
             if self.alpha is not None:
                 raise ValueError("U takes lambda, not alpha")
         elif self.kind == "M":
-            if self.alpha is None or self.alpha < 0.0:
+            if self.alpha is None or not _in_range("M", self.alpha):
                 raise ValueError(f"M requires alpha >= 0, got {self.alpha}")
             if self.lam is not None:
                 raise ValueError("M takes alpha, not lambda")
         elif self.kind == "G":
-            if self.alpha is None or not 0.0 < self.alpha <= 1.0:
+            if self.alpha is None or not _in_range("G", self.alpha):
                 raise ValueError(f"G requires 0 < alpha <= 1, got {self.alpha}")
             if self.lam is not None:
                 raise ValueError("G takes alpha, not lambda")

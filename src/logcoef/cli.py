@@ -23,11 +23,12 @@ print in the same shortest form, with a trailing ".0" dropped.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import bounds, catalog, classes, functional, search
 from .bounds import M_BRANCH_ALPHA
@@ -50,6 +51,8 @@ def _cell(x) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    import csv  # only a csv report needs it: the others skip its import and its objects
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -344,10 +347,10 @@ def _cmd_sweep(args) -> int:
             raise ValueError("class S has no parameter to sweep; choose U, M, or G")
         grid = _class_param_grid(kind, step)
         specs = [ClassSpec.of(kind, p) for p in grid]
-        table = []
-        for p, spec, res in zip(grid, specs, search.body_searches(specs)):
-            pair = bounds.bound_delta(spec)
-            table.append((p, pair.lower, pair.upper, res.min_delta, res.max_delta))
+        results = search.body_searches(specs)
+        lower, upper = (x.tolist() for x in bounds.bound_table(kind, np.array(grid)))
+        table = [(p, lo, hi, res.min_delta, res.max_delta)
+                 for p, lo, hi, res in zip(grid, lower, upper, results)]
         header = ["param", "bound_lower", "bound_upper", "search_min", "search_max"]
         payload = {
             "command": "sweep",
@@ -362,15 +365,13 @@ def _cmd_sweep(args) -> int:
         family = catalog.FAMILIES.get(label)
         # family_sweep refuses a label that is not sweepable.
         params = catalog.sweep_grid(*family.sweep, step) if family and family.sweep else []
-        table = []
-        for r in search.family_sweep(label, params):
-            lo = hi = None
-            if family.kind is not None:
-                pair = bounds.bound_delta(ClassSpec.of(family.kind, r.param))
-                lo, hi = pair.lower, pair.upper
-            # One delta fills both columns, since bench/reference.py and users
-            # read delta_min and delta_max.
-            table.append((r.param, r.delta, r.delta, lo, hi))
+        rows = search.family_sweep(label, params)
+        lower = upper = [None] * len(rows)
+        if family.kind is not None:
+            lower, upper = (x.tolist() for x in bounds.bound_table(family.kind, np.array(params)))
+        # One delta fills both columns, since bench/reference.py and users
+        # read delta_min and delta_max.
+        table = [(r.param, r.delta, r.delta, lo, hi) for r, lo, hi in zip(rows, lower, upper)]
         header = ["param", "delta_min", "delta_max", "bound_lower", "bound_upper"]
         payload = {
             "command": "sweep",

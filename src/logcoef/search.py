@@ -17,17 +17,18 @@ one cache-sized block of samples at a time, each coordinate of a block one
 contiguous draw, and delta in real arithmetic with one trig call per sample
 (`_half_angle_delta`, which `body_delta` evaluates too); and `family_sweep`
 records the delta a one-parameter catalog family actually attains at each
-parameter value: it builds every member and reads the gammas of the whole
-grid in one stacked call of `functional`.  delta is rotation invariant, so a
-family whose only parameter is the rotation angle is built once.  Which
-parameter a family sweeps, and over what range, is read from
-`catalog.FAMILIES`.
+parameter value: it builds no member, but takes the family's row on the
+whole grid as an array and reads the gammas of that stack of rows in one
+call of `functional`.  delta is rotation invariant, so a family whose only
+parameter is the rotation angle is built once.  Which parameter a family
+sweeps, over what range, and its row are read from `catalog.FAMILIES`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,8 +352,7 @@ def body_search(spec: ClassSpec, resolution: int = DEFAULT_RESOLUTION) -> Search
 # -- catalog family sweeps ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     param: float
     delta: float
 
@@ -362,15 +362,18 @@ def family_sweep(label, param_grid):
 
     The swept parameter is the entry's class parameter, or theta for an entry
     without one (see `catalog.FAMILIES`).  delta is rotation invariant, so
-    every member is built at theta = 0, and a family whose only parameter is
+    every member is taken at theta = 0, and a family whose only parameter is
     theta is built once: each row carries that one member's delta, and an
     empty grid builds nothing.  A theta that is not finite is refused as its
-    build would refuse it.  Any other family builds each member through
-    `catalog.make` and reads gamma_1 and gamma_2 of the whole grid from one
+    build would refuse it.  Any other family builds no member: its row
+    (`catalog.Family.row`) is taken on the whole grid as an array, and
+    gamma_1 and gamma_2 of that stack of rows come from one
     `functional._stacked_log_coefficients` call, which gives every member the
-    bits of `functional.delta` on it alone.  A refusal, from a build or from
-    the gammas, names the first parameter in grid order that a loop of single
-    builds and deltas would refuse.
+    bits of `functional.delta` on it alone.  A refusal names the first
+    parameter in grid order that a loop of single builds and deltas would
+    refuse, in that loop's words: a parameter the constructor refuses
+    (`catalog.Family.inside`, `catalog.Row.finite`) is refused by a build at
+    it, after the gammas of the members before it.
     """
     family = catalog.FAMILIES.get(label)
     if family is None or family.sweep is None:
@@ -382,18 +385,18 @@ def family_sweep(label, param_grid):
             catalog._check_finite(("theta", theta))
         d = functional.delta(catalog.make(label)) if grid else None
         return list(map(SweepRow, grid, [d] * len(grid)))
-    members = []
-    try:
-        for param in grid:
-            # make reads only the parameters the entry takes.
-            members.append(catalog.make(label, lam=param, alpha=param))
-    except ValueError:
-        functional._stacked_log_coefficients(members, 2)  # a member before it is refused first
-        raise
-    rows = []
-    for param, (g1, g2) in zip(grid, functional._stacked_log_coefficients(members, 2).tolist()):
-        rows.append(SweepRow(param, functional.LogPair(g1, g2).delta))
-    return rows
+    params = np.array(grid)
+    with np.errstate(all="ignore"):
+        built = family.inside(params) & family.row(params).finite
+    stop = len(grid) if built.all() else int(built.argmin())
+
+    def name(i):
+        return functional._named(catalog.make(label, lam=grid[i], alpha=grid[i]))
+
+    g = functional._stacked_log_coefficients(family.row(params[:stop]), 2, name)
+    if stop < len(grid):
+        catalog.make(label, lam=grid[stop], alpha=grid[stop])  # refuses it, in its own words
+    return list(map(SweepRow, grid, (np.abs(g[:, 1]) - np.abs(g[:, 0])).tolist()))
 
 
 # -- randomized bound checks -------------------------------------------------

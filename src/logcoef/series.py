@@ -22,6 +22,9 @@ included: each row gets the value np.dot gives it, and the same bits in a
 stack of any size.  At m = 1 matmul adds the one product to +0, so an exact
 zero part comes out +0 where np.dot gives -0.
 
+`_expi` is the rotation factor e^{i k theta} that a row rotated by theta
+puts on its coefficients, from k theta split exactly in two doubles.
+
 Coefficients are double precision complex numbers.  Instances are immutable.
 A series here carries no normalization: a catalog entry's row fixes a_0 = 0, a_1 = 1.
 """
@@ -141,6 +144,21 @@ def _exp_stack(c: np.ndarray) -> np.ndarray:
     for n in range(1, n1):
         E[:, n] = np.matmul(E3[:, :, :n], wrev[:, n1 - 1 - n : n1 - 1])[:, 0, 0] / k[n]
     return E
+
+
+def _expi(theta, k):
+    """e^{i k theta} for integer k with |k| < 2^26; theta and k broadcast.
+
+    k theta is split exactly as hi + lo, hi its nearest double, by Dekker's
+    product on the top 26 bits of theta, so the factor is e^{i hi} e^{i lo}
+    and not e^{i fl(k theta)}, which is off by up to |lo|.  At k = 1 and 2
+    lo = 0, and the factor is the bits of e^{i k theta}.
+    """
+    m, e = np.frexp(theta)
+    top = np.ldexp(np.round(np.ldexp(m, 26)), e - 26)
+    hi = k * theta
+    lo = (k * top - hi) + k * (theta - top)
+    return np.exp(1j * hi) * np.exp(1j * lo)
 
 
 def log_unit(a: TruncatedSeries) -> TruncatedSeries:

@@ -13,6 +13,7 @@ from logcoef.bounds import (
     M_BRANCH_ALPHA,
     BoundPair,
     bound_delta,
+    bound_table,
     g_lower_bound,
     g_lower_minimizer,
     g_upper_bound,
@@ -297,3 +298,82 @@ class TestFailClosed:
         except ValueError:
             return
         assert all(map(cmath.isfinite, (pair.gamma1, pair.gamma2, pair.delta)))
+
+
+def _around(x):
+    """x and its two neighbouring doubles."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Grids of each class through its branch point, one ulp either side, and its ends.
+GRIDS = {
+    "U": [5e-324, 1e-300, 0.1, *_around(0.5), 0.75, 1.0],
+    "M": [0.0, 5e-324, 1e-300, 0.5, 1.0, *_around(M_BRANCH_ALPHA),
+          *_around(M_BRANCH_ALPHA - 1e-12), 2.0, 1e10, 1e150, 1e154, 1e300],
+    "G": [5e-324, 1e-300, 0.25, 0.5, 1.0],
+}
+CLASS_OF = {fn: fn.__name__[0].upper() for fn in BOUND_FUNCTIONS}
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+class TestArrayBounds:
+    """Each bound formula on an array is the scalar function on each element, bit for bit."""
+
+    @pytest.mark.parametrize("fn", BOUND_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_elementwise_equals_the_scalar_calls(self, fn):
+        grid = []
+        for x in GRIDS[CLASS_OF[fn]]:
+            try:
+                fn(x)
+            except ValueError:
+                continue
+            grid.append(x)
+        got = fn(np.array(grid))
+        assert isinstance(got, np.ndarray) and got.shape == (len(grid),)
+        assert _hex(got) == _hex(fn(x) for x in grid)
+        assert all(type(fn(x)) is float for x in grid)
+
+    @pytest.mark.parametrize("kind", ["U", "M", "G"])
+    def test_table_is_bound_delta_on_each_class(self, kind):
+        grid = [x for x in GRIDS[kind] if kind != "M" or x < 1e300]
+        lower, upper = bound_table(kind, np.array(grid))
+        pairs = [bound_delta(ClassSpec.of(kind, x)) for x in grid]
+        assert _hex(lower) == _hex(p.lower for p in pairs)
+        assert _hex(upper) == _hex(p.upper for p in pairs)
+        for x, pair in zip(grid, pairs):
+            assert bound_table(kind, x) == (pair.lower, pair.upper)
+
+    @pytest.mark.parametrize("fn, grid", [
+        *((fn, [1.0, 1e154, 1e308]) for fn in BOUND_FUNCTIONS if CLASS_OF[fn] == "M"),
+        (m_upper_bound, [2.0, 1e308, -1.0, math.nan]),
+        (m_upper_bound, [2.0, -1.0, 1e308]),
+        (m_lower_large_alpha, [2.0, 1e308, 1.0]),
+        (u_lower_large_lambda, [0.5, 2.0, math.nan, -1.0]),
+        (g_lower_bound, [0.5, math.inf, 8.0]),
+        (g_lower_minimizer, [0.5, 0.0]),
+    ], ids=lambda x: getattr(x, "__name__", None) or str(x))
+    def test_refusal_is_the_first_a_loop_meets(self, fn, grid):
+        with pytest.raises(ValueError) as looped:
+            for x in grid:
+                fn(x)
+        with pytest.raises(ValueError) as stacked:
+            fn(np.array(grid))
+        assert str(stacked.value) == str(looped.value)
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("M", [1.0, 1e154, 1e308]),
+        ("M", [1.0, 1e308, -1.0]),
+        ("M", [1.0, math.nan, 1e308]),
+        ("U", [0.5, 0.0, 2.0]),
+        ("G", [0.5, 1.5]),
+    ])
+    def test_table_refusal_is_the_first_a_loop_of_bound_delta_meets(self, kind, grid):
+        with pytest.raises(ValueError) as looped:
+            for x in grid:
+                bound_delta(ClassSpec.of(kind, x))
+        with pytest.raises(ValueError) as stacked:
+            bound_table(kind, np.array(grid))
+        assert str(stacked.value) == str(looped.value)

@@ -12,8 +12,10 @@ import io
 import json
 import math
 import re
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from logcoef import bounds, catalog, cli, functional, search
@@ -700,6 +702,67 @@ class TestSweep:
         has_class = catalog.FAMILIES[label].kind is not None
         for r in rows:
             assert (r[3] != "", r[4] != "") == (has_class, has_class)
+
+    SWEEPABLE = [label for label, fam in catalog.FAMILIES.items() if fam.sweep]
+
+    @staticmethod
+    def _loops(monkeypatch):
+        """Replace the sweep's stacked delta and bound table by loops of single
+        calls: each member built at theta = 0 and read alone, and bound_delta
+        on each class.  Each loop runs once per grid, for every format."""
+        seen = {}
+
+        def family_sweep(label, params):
+            fam = catalog.FAMILIES[label]
+            if (label, tuple(params)) not in seen:
+                built = [catalog.make(label, lam=p, alpha=p) if fam.kind else catalog.make(label)
+                         for p in params]
+                seen[label, tuple(params)] = list(map(search.SweepRow, params,
+                                                      map(functional.delta, built)))
+            return seen[label, tuple(params)]
+
+        def bound_table(kind, params):
+            if (kind, tuple(params)) not in seen:
+                pairs = [bound_delta(ClassSpec.of(kind, p)) for p in params.tolist()]
+                seen[kind, tuple(params)] = tuple(np.array([getattr(p, side) for p in pairs])
+                                                  for side in ("lower", "upper"))
+            return seen[kind, tuple(params)]
+
+        monkeypatch.setattr(search, "family_sweep", family_sweep)
+        # bound_delta reads bounds.bound_table itself, so only cli sees the loop.
+        monkeypatch.setattr(cli, "bounds", types.SimpleNamespace(bound_table=bound_table))
+
+    @pytest.mark.parametrize("mode, name, step", [
+        *(("--function", label, step) for label in SWEEPABLE for step in ("0.05", "0.3")),
+        ("--function", "k_theta_alpha", "0.0003"),
+        *(("--class", kind, "0.05") for kind in ("U", "M", "G")),
+    ])
+    def test_sweep_is_a_loop_of_single_calls(self, run, monkeypatch, mode, name, step):
+        # Every output byte, in every format: the rows of one stacked call and
+        # the bounds of one table are those of a build, a delta and a
+        # bound_delta per row.
+        argv = ("sweep", mode, name, "--step", step, "--format")
+        got = [run(*argv, fmt) for fmt in ("text", "json", "csv")]
+        self._loops(monkeypatch)
+        want = [run(*argv, fmt) for fmt in ("text", "json", "csv")]
+        assert got[0][0] == 0 and '"param"' in got[1][1]
+        assert got == want
+
+    def test_sweep_builds_no_member_and_no_bound_pair_per_row(self, run, monkeypatch):
+        # A return to a build or a bound_delta per row fails here, whatever it costs.
+        calls = []
+        for label in catalog.LABELS:
+            real = getattr(catalog, label)
+            monkeypatch.setattr(catalog, label,
+                                lambda *a, _real=real, **k: calls.append(_real) or _real(*a, **k))
+        real = bounds.bound_delta
+        monkeypatch.setattr(bounds, "bound_delta", lambda spec: calls.append(spec) or real(spec))
+        code, out, _ = run("sweep", "--function", "m_alpha_upper", "--step", "0.01",
+                           "--format", "json")
+        assert code == 0 and len(json.loads(out)["rows"]) == 301
+        code, out, _ = run("sweep", "--class", "M", "--step", "0.05", "--format", "json")
+        assert code == 0 and len(json.loads(out)["rows"]) == 62
+        assert calls == []
 
     def test_function_help_lists_sweepable_labels(self, run):
         code, out, _ = run("sweep", "--help")

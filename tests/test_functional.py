@@ -23,6 +23,7 @@ from logcoef.catalog import (
     rotate,
 )
 from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
+from logcoef.series import _expi
 
 from _oracles import expi
 from _rows import entry_from_coeffs
@@ -124,6 +125,32 @@ class TestRowAccuracy:
         # 1e-323 up the terms u_k are refused as below the normal range.
         with pytest.raises(ValueError, match="the row's terms underflow"):
             log_pair(g_alpha_upper(alpha))
+
+
+class TestRotationFactor:
+    """e^{i k theta} from k theta split exactly, as the oracle takes it."""
+
+    THETAS = [0.7, 3.2, -1.0, 100.3, 1000.1]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_is_the_oracle_to_the_bit(self, theta):
+        k = np.arange(-1.0, 9.0)
+        assert _expi(theta, k).tolist() == [expi(theta, int(n)) for n in k]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("label", ["koebe", "f1", "f3", "k_theta_alpha", "m_alpha_upper"])
+    def test_gammas_and_series_take_it(self, label, theta):
+        # gamma_k of the rotated row is the unrotated row's times expi(theta, k),
+        # and a_m of its series the unrotated a_m times expi(theta, m - 1), bit
+        # for bit.  At k = 1 and 2, k theta is exact and the factor is the bits
+        # of np.exp(1j k theta), so gamma_1, gamma_2 and delta keep theirs.
+        f = make(label, 0.0, lam=0.6, alpha=0.6)
+        g = rotate(f, theta)
+        base, got = log_coefficients(f, 8), log_coefficients(g, 8)
+        assert got.tolist() == [b * expi(theta, k) for k, b in enumerate(base.tolist(), 1)]
+        assert got[:2].tolist() == (base[:2] * np.exp(1j * theta * np.arange(1.0, 3.0))).tolist()
+        a, rotated = f.series(8).coeffs, g.series(8).coeffs
+        assert rotated.tolist() == [c * expi(theta, m - 1) for m, c in enumerate(a.tolist())]
 
 
 class TestGammaFromA:

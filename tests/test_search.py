@@ -40,6 +40,8 @@ from logcoef.search import (
     family_sweep,
 )
 
+from _rows import stack_rows
+
 
 class TestBodyDelta:
     def test_u_lower_extreme_point(self):
@@ -481,16 +483,20 @@ class TestFamilySweep:
         # bit; on the finest grids every 97th row and the last are called alone.
         if label == "mixed":
             members, rows = list(self.MIXED), None
+            stacked = stack_rows(members)
         else:
             params = self._grid(label, grid)
             rows = family_sweep(label, params)
             assert [row.param for row in rows] == params
-            if catalog.FAMILIES[label].kind is None:
+            family = catalog.FAMILIES[label]
+            if family.kind is None:
                 params = params[:1]  # theta is the only parameter: one member serves every row
             members = [catalog.make(label, 0.0, lam=p, alpha=p) for p in params]
+            # The family's row on the grid as an array, as the sweep takes it.
+            stacked = members[0].row if family.kind is None else family.row(np.array(params))
         alone = range(len(members)) if grid != "finest" else [*range(0, len(members), 97), -1]
         for n in (1, 2, 6, 32):
-            stack = functional._stacked_log_coefficients(members, n)
+            stack = functional._stacked_log_coefficients(stacked, n, None)
             assert stack.shape == (len(members), n)
             for k in alone:
                 want = log_coefficients(members[k], n)
@@ -522,16 +528,17 @@ class TestFamilySweep:
 
     def test_empty_stack(self):
         assert family_sweep("m_alpha_upper", []) == []
-        assert functional._stacked_log_coefficients([], 2).shape == (0, 2)
+        empty = catalog.FAMILIES["m_alpha_upper"].row(np.array([]))
+        assert functional._stacked_log_coefficients(empty, 2, None).shape == (0, 2)
 
     def test_grid_is_one_stacked_call(self, monkeypatch):
         # A return to one call per member fails here, whatever it costs.
         stacked = functional._stacked_log_coefficients
         sizes = []
 
-        def spy(fs, n):
-            sizes.append(len(fs))
-            return stacked(fs, n)
+        def spy(row, n, name):
+            sizes.append(len(row.a))
+            return stacked(row, n, name)
 
         monkeypatch.setattr(functional, "_stacked_log_coefficients", spy)
         grid = self._grid("m_alpha_upper", "hundredths")
