@@ -18,11 +18,18 @@ one of its fields.  Json serializes the report, built from the row where both
 hold the same flat fields.  Floats are serialized with repr, so re-parsing
 reproduces the in-memory doubles bit for bit; parameters and radii in labels
 print in the same shortest form, with a trailing ".0" dropped.
+
+The parser is built once per process: `build_parser` returns the same object
+on every call and `main` parses with it, so an in-process caller of `main`
+pays for one build, as a shell run does.  Parsing never changes the parser.
+Callers must not mutate it either (add an argument, change a default): every
+later `main` call in the process would see the change.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -121,9 +128,13 @@ def _function_from_args(args):
     label = getattr(args, "function", None)
     if label is None:
         raise ValueError("--function is required for this command")
+    theta = getattr(args, "theta", 0.0) or 0.0
+    family = catalog.FAMILIES.get(label)  # catalog.make refuses an unknown label
+    if theta and family is not None and not family.rotated:
+        raise ValueError(f"{label} takes no rotation; --theta must be 0, got {theta}")
     return catalog.make(
         label,
-        theta=getattr(args, "theta", 0.0) or 0.0,
+        theta=theta,
         lam=getattr(args, "lam", None),
         alpha=getattr(args, "alpha", None),
     )
@@ -295,7 +306,7 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     spec = _class_spec(args)
     if args.samples is not None:
-        res = search.bound_violation_scan(spec, samples=args.samples, seed=args.seed)
+        res = search.bound_violation_scan(spec, samples=args.samples, seed=args.seed or 0)
         row = res.as_dict()
         lines = [
             f"class: {row['class']}",
@@ -305,6 +316,8 @@ def _cmd_search(args) -> int:
         _emit(args, {"command": "scan", **row}, lines, [row])
         return 0 if res.passed else 1
 
+    if args.seed is not None:
+        raise ValueError("--seed is read only by a scan; add --samples")
     resolution = search.DEFAULT_RESOLUTION if args.resolution is None else args.resolution
     res = search.body_search(spec, resolution=resolution)
     pair = bounds.bound_delta(spec)
@@ -443,7 +456,15 @@ def _add_param_flags(sp) -> None:
     sp.add_argument("--alpha", type=float, metavar="X")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    Every call returns the same object, which `main` parses with.  Callers
+    must not mutate it: a change would reach every later call.  argparse
+    reads the terminal width (COLUMNS) when it formats help, not here, so a
+    width set after the build still applies.
+    """
     p = argparse.ArgumentParser(
         prog="logcoef",
         description="Logarithmic-coefficient functionals, bounds, and searches "
@@ -482,9 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, metavar="N",
         help=f"run a randomized scan of N samples instead, 1 to {search.MAX_SAMPLES}",
     )
+    # A body search draws nothing.  The default is None so that it can refuse
+    # every explicit --seed, also --seed 0; a scan reads None as seed 0.
     sp.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="scan seed, 0 to 2**64 - 1 (default %(default)s)",
+        "--seed", type=int, metavar="S", help="scan seed, 0 to 2**64 - 1 (default 0)",
     )
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_search)
@@ -519,9 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command line (sys.argv[1:] when argv is None); return the exit
+    status.  Parses with the shared parser of `build_parser`."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         if code is None:

@@ -286,6 +286,47 @@ def test_non_finite_theta_is_refused_where_it_is_not_read(run, argv, theta):
         assert f"error: theta must be finite, got {theta}" in err
 
 
+# Each catalog entry without a rotation: its parameter flags, and the class
+# flags of a class it belongs to.
+UNROTATED = {
+    "f4": (("--lambda", "0.7"), ("--class", "U")),
+    "f5": (("--lambda", "0.3"), ("--class", "U")),
+    "m_alpha_upper": (("--alpha", "0.5"), ("--class", "M")),
+    "g_alpha_upper": (("--alpha", "0.5"), ("--class", "G")),
+    "g_quadratic": ((), ("--class", "G", "--alpha", "1")),
+}
+
+
+def _theta_argv(command, label):
+    params, klass = UNROTATED[label]
+    if command == "gamma":
+        return ("gamma", "--function", label, *params)
+    return ("membership", "--function", label, *params, *klass, "--radii", "0.5", "--angular", "16")
+
+
+def test_unrotated_lists_every_entry_without_rotation():
+    assert sorted(UNROTATED) == sorted(k for k, f in catalog.FAMILIES.items() if not f.rotated)
+
+
+@pytest.mark.parametrize("command", ["gamma", "membership"])
+@pytest.mark.parametrize("label", sorted(UNROTATED))
+def test_nonzero_theta_is_refused_where_it_is_not_read(run, command, label):
+    argv = _theta_argv(command, label)
+    assert run(*argv)[0] == 0
+    code, out, err = run(*argv, "--theta", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {label} takes no rotation; --theta must be 0, got 1.0\n"
+
+
+@pytest.mark.parametrize("command", ["gamma", "membership"])
+@pytest.mark.parametrize("theta", ["0", "0.0", "-0.0"])
+def test_zero_theta_is_accepted_where_it_is_not_read(run, command, theta):
+    for label in UNROTATED:
+        argv = _theta_argv(command, label)
+        assert run(*argv, "--theta", theta) == run(*argv)
+
+
 @pytest.mark.parametrize("argv, message", [
     (("bounds",), "--class is required for this command"),
     (("gamma",), "--function is required for this command"),
@@ -515,6 +556,20 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "not allowed with argument --samples" in err
+
+    @pytest.mark.parametrize("seed", ["5", "0"])
+    def test_body_search_refuses_a_seed(self, run, seed):
+        # A body search draws nothing, so --seed would be ignored; also the scan's default 0.
+        code, out, err = run("search", "--class", "S", "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --seed is read only by a scan; add --samples\n"
+
+    def test_scan_seed_defaults_to_zero(self, run):
+        argv = ("search", "--class", "S", "--samples", "10", "--format", "json")
+        assert run(*argv) == run(*argv, "--seed", "0")
+        _, out, _ = run("search", "--help")
+        assert "scan seed, 0 to 2**64 - 1 (default 0)" in " ".join(out.split())
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_the_generator_is_usage_error(self, run, seed):
@@ -933,6 +988,70 @@ class TestPlumbing:
         doc = json.loads(out)
         pair = bound_delta(ClassSpec("M", alpha=0.5))
         assert doc["lower"] == pair.lower and doc["upper"] == pair.upper
+
+
+# One cheap command line per subcommand.
+ONE_OF_EACH = (
+    ("gamma", "--function", "koebe", "--theta", "0.5"),
+    ("bounds", "--class", "M", "--alpha", "1"),
+    ("verify", "--format", "json"),
+    ("search", "--class", "G", "--alpha", "0.5", "--samples", "100"),
+    ("sweep", "--class", "U", "--step", "0.5"),
+    ("membership", "--function", "f3", "--lambda", "0.5", "--class", "U", "--radii", "0.5",
+     "--angular", "16"),
+)
+
+
+class TestOneParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_main_builds_no_parser(self, run, monkeypatch):
+        build_parser()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert sorted(argv[0] for argv in ONE_OF_EACH) == sorted(OPTIONS)
+        for argv in ONE_OF_EACH:
+            assert run(*argv)[0] == 0, argv
+        assert built == []
+
+    def test_reuse_leaks_nothing(self, run):
+        # A usage error, help, a refusal from a module and three commands that
+        # read defaults: each outcome is the same on a parser's first use and
+        # after every other command line ran.
+        argvs = [
+            ("search", "--class", "S", "--samples", "10", "--resolution", "4"),
+            ("search", "--help"),
+            ("bounds", "--class", "M", "--alpha", "-1"),
+            ("membership", "--function", "k_theta_alpha", "--alpha", "0.5", "--class", "M"),
+            ("search", "--class", "S", "--samples", "10"),
+            ("sweep", "--class", "U"),
+        ]
+        first = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            first.append(run(*argv))
+        assert [code for code, _, _ in first] == [2, 0, 2, 0, 0, 0]
+        forward = [run(*argv) for argv in argvs]
+        backward = [run(*argv) for argv in reversed(argvs)][::-1]
+        assert forward == first
+        assert backward == first
+
+    def test_help_width_is_read_when_formatting(self, run, monkeypatch):
+        build_parser()
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = run("search", "--help")
+        monkeypatch.setenv("COLUMNS", "60")
+        code, out, _ = run("search", "--help")
+        assert code == 0
+        assert max(map(len, out.splitlines())) <= 60
+        assert max(map(len, wide[1].splitlines())) > 60
 
 
 # Every option of every subcommand, in parser order.  Adding or removing a
