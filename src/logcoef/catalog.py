@@ -24,12 +24,12 @@ a family sweep calls it on the whole grid as an array, a stack of rows that
 are built from it only when asked for, to the order asked.  The evaluator
 comes from the row too and returns the three ratios every class inequality
 reads: in closed form at a = 0 (`_closed_evaluator`), and otherwise by
-Gauss-Legendre quadrature of u and u'/u (`_quadrature_evaluator`).  The
-quadrature is run once per orbit of the row's symmetry: a row with real
-coefficients gives conjugate values at z and conj z, and a row with no odd
-coefficient gives equal values at z and -z, so k_theta_alpha(0, alpha) is
-integrated at half the points of a symmetric grid, and m_alpha_upper and
-g_alpha_upper at a quarter.
+Gauss-Legendre quadrature of u alone, with z u'/u from an exact identity in
+u (`_quadrature_evaluator`).  The quadrature is run once per orbit of the
+row's symmetry: a row with real coefficients gives conjugate values at z and
+conj z, and a row with no odd coefficient gives equal values at z and -z, so
+k_theta_alpha(0, alpha) is integrated at half the points of a symmetric
+grid, and m_alpha_upper and g_alpha_upper at a quarter.
 """
 
 from __future__ import annotations
@@ -439,17 +439,26 @@ def _graded_rule(gap: float, power: float, gamma: float):
 
 
 def _integral_logs(factors, alpha: float, z: np.ndarray):
-    """(log h, h'/h, log v, u'/u) at the flat points z, for u = integral_0^1 h(z t^alpha) dt.
+    """(log h, h'/h, log v) at the flat points z, for u = integral_0^1 h(z t^alpha) dt.
 
     v = u/h(z) is what is left once the singular factor comes out; its terms
     h(z sigma)/h(z), sigma = t^alpha, are summed in logs, so v cannot
     overflow.  v stays off the negative real axis (|Arg v| < 0.5 pi for the
     k_theta_alpha and m_alpha_upper rows and < 0.25 pi for g_alpha_upper's,
     measured over alpha from 0.01 to 30 and |z| up to 0.9999), so its
-    principal log is the continued branch.  u'/u, the average of
-    sigma h'/h(z sigma) under the integrand, is summed only for alpha != 1
-    (else 0).  For alpha <= 1 the integral runs over s = sigma, where the
-    weight s^(1/alpha - 1)/alpha is bounded; for alpha > 1 over t.
+    principal log is the continued branch.  For alpha <= 1 the integral runs
+    over s = sigma, where the weight s^(1/alpha - 1)/alpha is bounded; for
+    alpha > 1 over t.
+
+    The sum is taken in real arithmetic, from the real and imaginary parts
+    x, y of each P(z sigma).  A term's log has the real part
+    log w + sum (e/2) log(x^2 + y^2), w its weight, and half its phase is
+    phi/2 = sum (e/2) arctan2(y, x); with t = tan(phi/2), e^{i phi} =
+    (1 - t^2 + 2 i t)/(1 + t^2), so the real and imaginary sums take one
+    tan per term and no complex exp.  x^2 + y^2 costs less than the modulus
+    of a complex P; it stays in range while 1e-154 < |P| < 1e154, which holds
+    for the catalog's rows at every |z| < 1, and one that overflows gives a
+    value that is not finite, which the evaluator refuses.
     """
     r = float(np.abs(z).max(initial=0.0))
     if not r < 1.0:
@@ -468,49 +477,55 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
         t, rest, lw = _graded_rule(gap / alpha, power, alpha * lead)
         sigma, rest = t**alpha, -np.expm1(alpha * np.log1p(-rest))
     # P(z sigma) = P(z) + sum_k c_k z^k (sigma^k - 1), with sigma^k - 1 taken
-    # from rest = 1 - sigma so that it keeps its precision near sigma = 1, and
-    # sigma P'(z sigma) = sum_k k c_k z^(k-1) sigma^k.
-    powers = (None, sigma, sigma * sigma)
+    # from rest = 1 - sigma so that it keeps its precision near sigma = 1.
     drops = (None, -rest, -rest * (1.0 + sigma))
     rows = []  # e, P(z) and (k, c_k z^k, e k c_k z^(k-1)) for each c_k != 0
     for P, e in factors:
         ks = [(k, c * z**k, e * k * c * z ** (k - 1)) for k, c in enumerate(P) if k and c]
         rows.append((e, 1.0 + sum(a for _, a, _ in ks), ks))
-    moment = alpha != 1.0
     # The terms are scaled by exp(-top), top the largest Re of their logs so
     # far at each point, so that none overflows; the sums are rescaled as top
     # grows.  _BLOCK node-point pairs go at a time.
     step = max(1, _BLOCK // max(z.size, 1))
-    top, v, mv = np.full(z.size, -np.inf), 0.0, 0.0
+    top, re, im = np.full(z.size, -np.inf), 0.0, 0.0
     for j in range(0, len(lw), step):
         i = slice(j, j + step)
-        e, m = lw[i], 0.0
-        for ex, pz, ks in rows:
-            P = sum((a[:, None] * drops[k][i] for k, a, _ in ks), pz[:, None])
-            # The principal log by parts: numpy's complex log is several times slower.
-            e = e + ex * (np.log(np.abs(P)) + 1j * np.angle(P))
-            if moment:
-                m = m + sum(b[:, None] * powers[k][i] for k, _, b in ks) / P
-        new = np.maximum(top, e.real.max(1))
-        h, scale = np.exp(e - new[:, None]), np.exp(top - new)
-        v, top = v * scale + h.sum(1), new
-        if moment:
-            mv = mv * scale + (h * m).sum(1)
+        mag, half = lw[i], 0.0
+        for e, pz, ks in rows:
+            x = sum((a.real[:, None] * drops[k][i] for k, a, _ in ks), pz.real[:, None])
+            y = sum((a.imag[:, None] * drops[k][i] for k, a, _ in ks), pz.imag[:, None])
+            mag = mag + 0.5 * e * np.log(x * x + y * y)
+            half = half + 0.5 * e * np.arctan2(y, x)
+        new = np.maximum(top, mag.max(1))
+        t, scale = np.tan(half), np.exp(top - new)
+        tt = t * t
+        w = np.exp(mag - new[:, None]) / (1.0 + tt)
+        re = re * scale + ((1.0 - tt) * w).sum(1)
+        im = im * scale + (2.0 * t * w).sum(1)
+        top = new
     lh = sum(e * np.log(pz) for e, pz, _ in rows)
     # h(z)'s modulus comes off top, and its phase off the sum.
-    logv = top - lh.real + np.log(v * np.exp(-1j * lh.imag))
+    logv = top - lh.real + np.log((re + 1j * im) * np.exp(-1j * lh.imag))
     dh = sum(b / pz for _, pz, ks in rows for _, _, b in ks)
-    return lh, dh, logv, mv / v
+    return lh, dh, logv
 
 
-# Largest alpha the integral entries are evaluated at: u^alpha and u^(alpha - 1)
-# scale u's roundoff by alpha, and the M margin's relative error is about 4e-13 alpha.
+# Largest alpha the integral entries are evaluated at: u^alpha scales u's
+# roundoff by alpha, and the M margin at the entry's own alpha, Re(1 + alpha z h'/h),
+# comes out of terms (1 - alpha) p and (alpha - 1)(p - 1) that cancel, so its
+# relative error is about 4e-13 alpha at |z| <= 0.999.
 _MAX_ALPHA = 1e6
 
 
 def _quadrature_evaluator(label, factors, alpha):
     """(f/z, z f'/f, z f''/f') of the row (factors, alpha, alpha): f/z = u^alpha,
-    z f'/f = 1/v with v = u/h(z), and z f''/f' = z ((alpha - 1) u'/u + h'/h).
+    p = z f'/f = 1/v with v = u/h(z), and z f''/f' = (alpha - 1) z u'/u + z h'/h.
+
+    z u'/u needs no second quadrature.  With s = z t^alpha,
+    z^(1/alpha) u = (1/alpha) integral_0^z s^(1/alpha - 1) h(s) ds, whose
+    derivative gives z u' = (h - u)/alpha, so z u'/u = (p - 1)/alpha and
+    z f''/f' = (alpha - 1)/alpha (p - 1) + z h'/h.  The M(alpha) margin at the
+    entry's own alpha is then Re(1 + alpha z h'/h), whatever the error of p.
 
     The points are folded by the row's symmetry and each orbit is evaluated
     once.  If every coefficient and power is real, the ratios at conj z are
@@ -532,8 +547,9 @@ def _quadrature_evaluator(label, factors, alpha):
         reps, back = np.unique(np.where(flip, w.conj(), w), return_inverse=True)
         # A value that is not finite is refused rather than returned.
         with np.errstate(all="ignore"):
-            lh, dh, logv, du = _integral_logs(factors, alpha, reps)
-            values = (np.exp(alpha * (lh + logv)), np.exp(-logv), reps * ((alpha - 1.0) * du + dh))
+            lh, dh, logv = _integral_logs(factors, alpha, reps)
+            p = np.exp(-logv)
+            values = (np.exp(alpha * (lh + logv)), p, (alpha - 1.0) / alpha * (p - 1.0) + reps * dh)
         if not all(np.isfinite(x).all() for x in values):
             raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
         return _shaped(z, [np.where(flip, x[back].conj(), x[back]) for x in values])

@@ -108,6 +108,10 @@ def _emit(args, payload, text_lines, rows, header=None) -> None:
 # -- flag interpretation -----------------------------------------------------
 
 
+# The parsed flag that carries the parameter of a class of each kind.
+_PARAM_DEST = {"U": "lam", "M": "alpha", "G": "alpha"}
+
+
 def _class_spec(args, shared: bool = False) -> ClassSpec:
     """Class instance from flags.  With shared=True the parameter flags also
     feed the --function being tested, so only the one matching the class kind
@@ -121,10 +125,13 @@ def _class_spec(args, shared: bool = False) -> ClassSpec:
         return ClassSpec(kind, lam=lam, alpha=alpha)
     if kind == "S":
         return ClassSpec("S")
-    return ClassSpec.of(kind, lam if kind == "U" else alpha)
+    return ClassSpec.of(kind, getattr(args, _PARAM_DEST[kind]))
 
 
 def _function_from_args(args):
+    """The --function entry.  Refuses a nonzero --theta that the entry does
+    not take, and a --lambda or --alpha that neither the entry nor the
+    --class under test reads."""
     label = getattr(args, "function", None)
     if label is None:
         raise ValueError("--function is required for this command")
@@ -132,6 +139,14 @@ def _function_from_args(args):
     family = catalog.FAMILIES.get(label)  # catalog.make refuses an unknown label
     if theta and family is not None and not family.rotated:
         raise ValueError(f"{label} takes no rotation; --theta must be 0, got {theta}")
+    kind = getattr(args, "klass", None)
+    if family is not None:
+        read = {_PARAM_DEST.get(family.kind), _PARAM_DEST.get(kind)}
+        for dest, flag in (("lam", "--lambda"), ("alpha", "--alpha")):
+            value = getattr(args, dest, None)
+            if value is not None and dest not in read:
+                who = f"neither {label} nor class {kind} takes" if kind else f"{label} takes no"
+                raise ValueError(f"{who} {flag}, got {value}")
     return catalog.make(
         label,
         theta=theta,

@@ -11,12 +11,13 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logcoef import catalog, functional
+from logcoef import catalog, classes, functional
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
@@ -366,8 +367,9 @@ class TestSymmetryFold:
         # or the first quadrant, read the ratios straight from _integral_logs.
         alpha = f.row.a
         z = self.RING[:kept]
-        lh, dh, logv, du = catalog._integral_logs(f.row.factors, alpha, z)
-        want = (np.exp(alpha * (lh + logv)), np.exp(-logv), z * ((alpha - 1.0) * du + dh))
+        lh, dh, logv = catalog._integral_logs(f.row.factors, alpha, z)
+        p = np.exp(-logv)
+        want = (np.exp(alpha * (lh + logv)), p, (alpha - 1.0) / alpha * (p - 1.0) + z * dh)
         got = f.evaluator(self.RING)
         for g, w in zip(got, want):
             assert np.array_equal(g[:kept], w)
@@ -386,6 +388,93 @@ class TestSymmetryFold:
         # Folding keeps every |z|, so a refusal names the same point as unfolded.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             f.evaluator(z)
+
+
+class TestQuadratureAccuracy:
+    """The quadrature entries against exact values: their M and G margins,
+    which have closed forms, and f/z and z f'/f against mpmath's 2F1."""
+
+    RADII = (0.5, 0.9, 0.99, 0.999)
+    MARGIN_ALPHAS = (0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 2.0, 5.0, 30.0)
+
+    # Relative error allowed in the margin of each (label, alpha), on 256-point
+    # rings at RADII: about twice the worst measured.
+    @staticmethod
+    def margin_tol(label, alpha):
+        if label == "k_theta_alpha":
+            return {0.05: 1.8e-12, 5.0: 3e-12, 30.0: 2e-11}.get(alpha, 1.2e-12)
+        if label == "m_alpha_upper":
+            return {5.0: 1.5e-12, 30.0: 8e-12}.get(alpha, 6e-13)
+        return 8e-13
+
+    def worst_margin_error(self, f, spec, exact):
+        worst = 0.0
+        for r in self.RADII:
+            z = r * _ring(256)
+            want = exact(z)
+            worst = max(worst, np.max(np.abs(classes._margins(f, spec, z) - want) / np.abs(want)))
+        return worst
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", MARGIN_ALPHAS)
+    def test_k_margin_is_exact(self, theta, alpha):
+        # The M(alpha) margin of k_theta_alpha is Re((1 + w)/(1 - w)), w = e^{i theta} z.
+        rot = cmath.exp(1j * theta)
+        err = self.worst_margin_error(k_theta_alpha(theta, alpha), ClassSpec("M", alpha=alpha),
+                                      lambda z: ((1.0 + rot * z) / (1.0 - rot * z)).real)
+        assert err <= self.margin_tol("k_theta_alpha", alpha)
+
+    @pytest.mark.parametrize("alpha", MARGIN_ALPHAS)
+    def test_m_margin_is_exact(self, alpha):
+        err = self.worst_margin_error(m_alpha_upper(alpha), ClassSpec("M", alpha=alpha),
+                                      lambda z: ((1.0 + z * z) / (1.0 - z * z)).real)
+        assert err <= self.margin_tol("m_alpha_upper", alpha)
+
+    @pytest.mark.parametrize("alpha", [a for a in MARGIN_ALPHAS if a <= 1.0] + [1.0])
+    def test_g_margin_is_exact(self, alpha):
+        # z f''/f' = z h'/h = -alpha z^2/(1 - z^2), so the margin is
+        # alpha/2 + alpha Re(z^2/(1 - z^2)).
+        err = self.worst_margin_error(g_alpha_upper(alpha), ClassSpec("G", alpha=alpha),
+                                      lambda z: 0.5 * alpha + alpha * (z * z / (1.0 - z * z)).real)
+        assert err <= self.margin_tol("g_alpha_upper", alpha)
+
+    # u = integral_0^1 h(z t^a) dt in closed form, as (2F1 parameters, its
+    # argument, P, e, beta), h = P^e and f/z = u^beta.
+    @staticmethod
+    def hyp(label, alpha, z):
+        a, one = mpmath.mpf(alpha), mpmath.mpf(1)
+        if label == "k_theta_alpha":
+            return (2 / a, 1 / a, 1 + 1 / a), z, 1 - z, -2 / a, a
+        if label == "m_alpha_upper":
+            return (1 / a, 1 / (2 * a), 1 + 1 / (2 * a)), z * z, 1 - z * z, -1 / a, a
+        return (-a / 2, one / 2, 3 * one / 2), z * z, 1 - z * z, a / 2, one
+
+    @pytest.mark.parametrize("f, tol", [
+        pytest.param(k_theta_alpha(0.0, 0.3), 3e-14, id="k(0.3)"),
+        pytest.param(k_theta_alpha(0.0, 30.0), 1.5e-13, id="k(30)"),
+        pytest.param(m_alpha_upper(30.0), 1.5e-13, id="m(30)"),
+        pytest.param(g_alpha_upper(1.0), 6e-15, id="g(1)"),
+    ])
+    def test_q_and_p_against_hypergeometric_oracle(self, f, tol):
+        # The M margin at the entry's own alpha no longer reads p = z f'/f,
+        # so p and q = f/z are checked against 2F1 at 40 digits, on the
+        # evaluator's branch: log u = log h + log v, v = u/h off the negative axis.
+        alpha = f.params["alpha"]
+        ring = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
+        for r in self.RADII:
+            z = r * ring
+            q, p, _ = f.evaluator(z)
+            want_q, want_p = [], []
+            with mpmath.workdps(40):
+                for x in z:
+                    abc, arg, P, e, beta = self.hyp(f.label, alpha, mpmath.mpc(x))
+                    u = mpmath.hyp2f1(*abc, arg)
+                    lh = e * mpmath.log(P)
+                    h = mpmath.exp(lh)
+                    want_q.append(complex(mpmath.exp(beta * (lh + mpmath.log(u / h)))))
+                    want_p.append(complex(h / u))
+            for got, want in ((q, np.array(want_q)), (p, np.array(want_p))):
+                assert np.max(np.abs(got - want) / np.abs(want)) <= tol
 
 
 class TestRotation:

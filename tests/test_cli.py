@@ -8,12 +8,14 @@ confirm the repr serialization reproduces the in-memory doubles.
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import re
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +327,57 @@ def test_zero_theta_is_accepted_where_it_is_not_read(run, command, theta):
     for label in UNROTATED:
         argv = _theta_argv(command, label)
         assert run(*argv, "--theta", theta) == run(*argv)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gamma", "--function", "koebe", "--alpha", "5", "--lambda", "0.3"),
+     "koebe takes no --lambda, got 0.3"),
+    (("gamma", "--function", "f4", "--lambda", "0.7", "--alpha", "2"),
+     "f4 takes no --alpha, got 2.0"),
+    (("gamma", "--function", "k_theta_alpha", "--alpha", "0.5", "--lambda", "0.3"),
+     "k_theta_alpha takes no --lambda, got 0.3"),
+    (("gamma", "--function", "g_quadratic", "--alpha", "1"), "g_quadratic takes no --alpha, got 1.0"),
+    (("membership", "--function", "koebe", "--class", "S", "--alpha", "1"),
+     "neither koebe nor class S takes --alpha, got 1.0"),
+    (("membership", "--function", "f4", "--class", "U", "--lambda", "0.7", "--alpha", "2"),
+     "neither f4 nor class U takes --alpha, got 2.0"),
+    (("membership", "--function", "m_alpha_upper", "--class", "M", "--alpha", "0.5",
+      "--lambda", "0.3"), "neither m_alpha_upper nor class M takes --lambda, got 0.3"),
+])
+def test_parameter_flag_that_nothing_reads_is_refused(run, argv, message):
+    assert run(*argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("membership", "--function", "koebe", "--class", "G", "--alpha", "1"),
+    ("membership", "--function", "f3", "--class", "M", "--alpha", "0.5", "--lambda", "0.3"),
+    ("membership", "--function", "k_theta_alpha", "--class", "U", "--lambda", "0.5",
+     "--alpha", "0.3"),
+])
+def test_parameter_flag_that_the_class_reads_is_accepted(run, argv):
+    code, out, err = run(*argv, "--radii", "0.5", "--angular", "8")
+    assert code in (0, 1) and out and err == ""
+
+
+def test_every_benchmark_argv_is_accepted(monkeypatch):
+    # The benchmark's workloads name their flags per job; none may hit a
+    # refusal of the flags alone.
+    root = Path(cli.__file__).resolve().parents[2] / "bench"
+    monkeypatch.syspath_prepend(str(root))  # workloads imports reference
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seen = set()
+    for workload in workloads.WORKLOADS:
+        for seed in range(1, 6):
+            for job in workloads.jobs_for(workload, seed):
+                args = build_parser().parse_args(job["argv"])
+                if args.command in ("gamma", "membership"):
+                    cli._function_from_args(args)
+                    seen.add(args.command)
+                if args.command == "membership":
+                    cli._class_spec(args, shared=True)
+    assert seen == {"gamma", "membership"}
 
 
 @pytest.mark.parametrize("argv, message", [
