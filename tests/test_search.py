@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -592,6 +593,17 @@ class TestViolationScan:
         assert res.min_delta == -0.6949800760457365
         assert res.max_delta == 0.49766812747567124
 
+    @pytest.mark.parametrize("spec, want", [
+        (ClassSpec("M", alpha=1.0), (-0.31559042172034774, 0.16550245170252983)),
+        (ClassSpec("G", alpha=1.0), (-0.19024367135330078, 0.08275126884258899)),
+    ], ids=["M(1)", "G(1)"])
+    def test_sin_branch_scans_clean_and_frozen(self, spec, want):
+        # U reads k^2 as cos^2(phase / 2), M and G as sin^2(phase / 2):
+        # frozen values of the other branch, for the same stream of seed 0.
+        res = bound_violation_scan(spec, samples=100_000, seed=0)
+        assert res.violations == 0
+        assert (res.min_delta, res.max_delta) == want
+
     def test_scan_respects_bounds_with_tolerance(self):
         for spec in [
             ClassSpec("U", lam=0.3),
@@ -693,6 +705,10 @@ class TestViolationScan:
     def test_seed_domain(self):
         spec = ClassSpec("S")
         assert bound_violation_scan(spec, samples=100, seed=2**64 - 1).passed
+        # A numpy integer seed draws the stream of the same Python int.
+        assert bound_violation_scan(spec, samples=100, seed=np.uint64(2**64 - 1)) == (
+            bound_violation_scan(spec, samples=100, seed=2**64 - 1)
+        )
         refusal = r"seed must be an integer in \[0, 18446744073709551615\]"
         for seed in (-1, 2**64, 1.5):
             with pytest.raises(ValueError, match=refusal):
@@ -789,6 +805,39 @@ class TestHalfAngleKernel:
         err = np.abs(body_delta(spec, m1, m2, phase) - want)
         assert (err <= 4.0 * np.spacing(scale)).all()
 
+    # Classes of both forms of k^2: cos^2 where q - mu and t share a sign, sin^2 where not.
+    @pytest.mark.parametrize("spec, cos_form", [
+        (ClassSpec("S"), True),
+        (ClassSpec("U", lam=0.1), True),
+        (ClassSpec("U", lam=1.0), True),
+        (ClassSpec("M", alpha=0.0), False),
+        (ClassSpec("M", alpha=1.0), False),
+        (ClassSpec("M", alpha=1e150), False),
+        (ClassSpec("G", alpha=1.0), False),
+        (ClassSpec("G", alpha=1e-300), False),
+    ], ids=lambda v: mesh_id(v) if isinstance(v, ClassSpec) else ("cos" if v else "sin"))
+    def test_within_one_ulp_of_the_exact_delta(self, spec, cos_form):
+        # Against delta at the points' own doubles in 200-bit arithmetic, at
+        # stream points and at phases 1e-15 to 1e-3 off 0, pi and 2 pi, where
+        # k^2 is near 0 or 1 and tan(phase / 2) near 0 or a pole.
+        body = search._body(spec)
+        assert ((body.q > functional.MU) == (body.t > 0.0)) == cos_form
+        m1, m2, phase = self._stream_points(spec, 200)
+        eps = np.logspace(-15.0, -3.0, 13)
+        near = np.concatenate([eps, -eps, math.pi - eps, math.pi + eps, 2.0 * math.pi - eps])
+        m1 = np.concatenate([m1, m1[:near.size]])
+        m2 = np.concatenate([m2, m2[:near.size]])
+        phase = np.concatenate([phase, near])
+        got = body_delta(spec, m1, m2, phase)
+        scale = self._complex_form(spec, m1, m2, phase)[1]
+        with mpmath.workprec(200):
+            s, q, t, mu = (mpmath.mpf(float(v)) for v in (body.s, body.q, body.t, functional.MU))
+            for d, x, y, ph, ulp in zip(got.tolist(), m1.tolist(), m2.tolist(), phase.tolist(),
+                                        np.spacing(scale).tolist()):
+                a2 = s * x
+                exact = abs((q - mu) * a2 * a2 + t * y * mpmath.expj(ph)) / 2 - abs(a2) / 2
+                assert abs(d - exact) <= ulp, (x, y, ph)
+
     @pytest.mark.parametrize("lam, m2", [
         (1.0, 1e-200), (1e-300, 1e-300), (1e-300, 1e-310),
     ])
@@ -847,6 +896,38 @@ class TestSplitMix64:
         for j in range(3):
             got = search._unit_doubles(seed, 3 * start + j, n, 3)
             assert got.view(np.int64).tolist() == whole[j::3].view(np.int64).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_last_partial_block_with_the_scan_index(self, seed):
+        # A scan of 1e5 samples ends in a block of 1696; its draws read the
+        # first entries of the scan's full-block index.
+        start = 100_000 - 100_000 % search._SCAN_BLOCK
+        n = 100_000 - start
+        assert n == 1696
+        index = search._stream_index(search._SCAN_BLOCK, 3)
+        for j in range(3):
+            got = search._splitmix64(seed, 3 * start + j, n, 3, index).tolist()
+            assert got == [_splitmix64_reference(seed, 3 * (start + i) + j) for i in range(n)]
+
+    def test_scan_index_is_built_once_and_read_only(self, monkeypatch):
+        built, make = [], search._stream_index
+
+        def recording(count, step=1):
+            built.append(make(count, step))
+            return built[-1]
+
+        spec = ClassSpec("G", alpha=0.5)
+        first = bound_violation_scan(spec, samples=3 * search._SCAN_BLOCK + 5, seed=9)
+        monkeypatch.setattr(search, "_stream_index", recording)
+        bound_violation_scan(spec, samples=search._SCAN_BLOCK - 3, seed=2**64 - 1)
+        again = bound_violation_scan(spec, samples=3 * search._SCAN_BLOCK + 5, seed=9)
+        assert again == first
+        # One index per scan, whatever its number of blocks.
+        assert [x.size for x in built] == [search._SCAN_BLOCK - 3, search._SCAN_BLOCK]
+        for x in built:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0
 
     def test_unit_doubles_are_the_top_53_bits(self):
         u = search._unit_doubles(2**64 - 1, 100, 64)
