@@ -20,16 +20,20 @@ the parameter (`Family.row`): a constructor calls the row on its float, and
 a family sweep calls it on the whole grid as an array, a stack of rows that
 `functional` reads without an entry built per parameter.
 
-`functional` reads the log coefficients from the row; Taylor coefficients
-are built from it only when asked for, to the order asked.  The evaluator
-comes from the row too and returns the three ratios every class inequality
-reads: in closed form at a = 0 (`_closed_evaluator`), and otherwise by
-Gauss-Legendre quadrature of u alone, with z u'/u from an exact identity in
-u (`_quadrature_evaluator`).  The quadrature is run once per orbit of the
-row's symmetry: a row with real coefficients gives conjugate values at z and
-conj z, and a row with no odd coefficient gives equal values at z and -z, so
-k_theta_alpha(0, alpha) is integrated at half the points of a symmetric
-grid, and m_alpha_upper and g_alpha_upper at a quarter.
+Coefficients come from the row by one route, `_stacked_log_u`: log u of a
+stack of rows, from L = sum e log P and, for a < 1, v = u/h, so that the
+large L of small a never passes through h's coefficients.  `functional`
+reads gamma = beta (log u)/2 from it, and `AnalyticFunction.series` the
+Taylor coefficients z exp(beta log u), only when asked for, to the order
+asked; a closed row's series is its exact products and quotients.  The
+evaluator comes from the row too and returns the three ratios every class
+inequality reads: in closed form at a = 0 (`_closed_evaluator`), and
+otherwise by Gauss-Legendre quadrature of u alone, with z u'/u from an exact
+identity in u (`_quadrature_evaluator`).  The quadrature is run once per
+orbit of the row's symmetry: a row with real coefficients gives conjugate
+values at z and conj z, and a row with no odd coefficient gives equal values
+at z and -z, so k_theta_alpha(0, alpha) is integrated at half the points of
+a symmetric grid, and m_alpha_upper and g_alpha_upper at a quarter.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .classes import ClassSpec, admits
-from .series import MIN_ORDER, TruncatedSeries, _div_coeffs, _expi, exp_unit, log_unit, pow_real
+from .series import MIN_ORDER, TruncatedSeries, _div_coeffs, _exp_stack, _expi, _is_integer
+from .series import _log_stack
+from .series import exp_unit, log_unit, pow_real  # noqa: F401  bench/tracer.py wraps them here too
 
 
 class Row(NamedTuple):
@@ -52,8 +58,8 @@ class Row(NamedTuple):
     rotated by theta: the entry is e^{-i theta} f(e^{i theta} z).
 
     A value may also be an array, one entry per row of a stack of rows with
-    the same number of factors (see `Family.row`); the properties are then
-    arrays too, elementwise.
+    the same number of factors (see `Family.row`); `finite` is then an array
+    too, elementwise.
     """
 
     factors: tuple
@@ -64,8 +70,7 @@ class Row(NamedTuple):
     @property
     def closed(self):
         """Whether f = z prod P^e with every e = +-1, exact by products and quotients."""
-        at0 = (self.a == 0) & (self.beta == 1)
-        return functools.reduce(operator.and_, (abs(e) == 1 for _, e in self.factors), at0)
+        return self.a == 0 and self.beta == 1 and all(abs(e) == 1 for _, e in self.factors)
 
     @property
     def finite(self):
@@ -73,6 +78,56 @@ class Row(NamedTuple):
         values = [*(c for P, _ in self.factors for c in P), *(e for _, e in self.factors)]
         return functools.reduce(operator.and_, map(np.isfinite, [*values, self.a, self.beta]),
                                 self.a >= 0)
+
+
+def _stacked_log_u(row, order: int):
+    """log u of each row of a stack of rows to z^order, a (K, order + 1) array, and refusals.
+
+    `row` is a `Row` whose values are floats or (K,) arrays, the floats
+    shared by every row of the stack.  L = log h = sum e log P.  For a < 1,
+    v = u/h solves (1 + a m) v_m = [m = 0] - sum_{j>=1} a j L_j v_{m-j}, and
+    log u = L + log v keeps the large L of small a exact (at a = 0, log u =
+    L); for a >= 1, u_m = exp(L)_m/(1 + a m), where L and log v would cancel.
+    Every step acts on each row alone (see `series`), so a row has the bits
+    it has alone, and log u_m does not depend on order.  The refusals map
+    each row whose terms underflow (a u_m below the smallest normal double,
+    or a power that underflowed to 0) to its words, {} for its name.
+    """
+    k = np.arange(order + 1)
+    values = [row.a, row.beta, row.theta, *(x for P, e in row.factors for x in (*P, e))]
+    size = np.broadcast(*values).size
+    a = np.full(size, row.a, dtype=float)
+    slots = len(row.factors)
+    # Factor s of row j: P[s, j] and its power e[s, j].
+    P = np.zeros((slots, size, order + 1), dtype=complex)
+    e = np.zeros((slots, size, 1))
+    for s, (poly, power) in enumerate(row.factors):
+        for j, c in enumerate(poly[: order + 1]):
+            P[s, :, j] = c
+        e[s, :, 0] = power
+    small, large = (a < 1.0).nonzero()[0], (~(a < 1.0)).nonzero()[0]
+    logu = np.empty((size, order + 1), dtype=complex)  # each group fills its rows
+    why = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Slot by slot, in a sum that starts from 0: an exact zero part comes out +0.
+        L = sum(e * _log_stack(P.reshape(-1, order + 1)).reshape(slots, size, order + 1), 0)
+        if small.size:
+            ak = a[small, None] * k
+            crev = np.ascontiguousarray((ak * L[small])[:, ::-1])[:, :, None]
+            v = np.zeros((small.size, 1, order + 1), dtype=complex)
+            v[:, 0, 0] = 1.0
+            for m in range(1, order + 1):
+                acc = np.matmul(v[:, :, :m], crev[:, order - m : order])[:, 0, 0]
+                v[:, 0, m] = (0 - acc) / (1.0 + ak[:, m])
+            logu[small] = L[small] + _log_stack(v[:, 0])
+        if large.size:
+            h = _exp_stack(L[large])
+            u = h / (1.0 + a[large, None] * k)
+            lost = ((np.abs(u) < np.finfo(float).tiny) & (h != 0)).any(axis=1)
+            lost |= (e[:, large, 0] == 0).any(axis=0)
+            why = dict.fromkeys(large[lost], "{}: the row's terms underflow")
+            logu[large] = _log_stack(u)
+    return logu, why
 
 
 # The factor row of each family with a class parameter, as plain arithmetic in
@@ -212,12 +267,17 @@ class AnalyticFunction:
     def series(self, n: int) -> TruncatedSeries:
         """Taylor coefficients a_0..a_n, built from the row to order n.
 
-        Those of the unrotated row, times e^{i(n-1) theta} for a_n, from
-        `series._expi`.  Refuses, with ValueError and no numpy warning, a
-        coefficient that is not finite: at small a and large n the
-        coefficients of h overflow.
+        A closed row (`Row.closed`) gives f exactly, by products and
+        quotients, any other z exp(beta log u) (`_stacked_log_u`); a_n is
+        the unrotated row's times e^{i(n-1) theta} (`series._expi`).
+        Refuses, with ValueError and no numpy warning, an n that is not an
+        integer of at least MIN_ORDER, a row whose terms underflow, as gamma
+        does, and a coefficient that is not finite, as where u^beta
+        overflows at large n and large powers.
         """
-        factors, a, beta, theta = self.row
+        if not (_is_integer(n) and n >= MIN_ORDER):
+            raise ValueError(f"order must be an integer of at least {MIN_ORDER}, got {n!r}")
+        factors, _, beta, theta = self.row
         with np.errstate(over="ignore", invalid="ignore"):
             if self.row.closed:
                 c = TruncatedSeries([0.0, 1.0], order=n).coeffs
@@ -225,12 +285,10 @@ class AnalyticFunction:
                     p = TruncatedSeries(P, order=n).coeffs
                     c = np.convolve(c, p)[: n + 1] if e > 0 else _div_coeffs(c, p)
             else:
-                hs = [pow_real(TruncatedSeries(P, order=n), e).coeffs for P, e in factors]
-                h = functools.reduce(lambda x, y: np.convolve(x, y)[: n + 1], hs)
-                u = log_unit(TruncatedSeries(h / (1.0 + a * np.arange(n + 1)), order=n))
-                # u^beta as exp(beta log u), which does not cancel as u's coefficients grow.
-                u = exp_unit(TruncatedSeries(beta * u.coeffs, order=n))
-                c = np.concatenate(([0.0], u.coeffs[:-1]))
+                logu, why = _stacked_log_u(self.row, n - 1)
+                if why:
+                    raise ValueError(why[0].format(f"{self.label} {self.params}"))
+                c = np.concatenate(([0.0], _exp_stack(beta * logu)[0]))
             if theta:
                 c = c * _expi(theta, np.arange(-1.0, n))
         s = TruncatedSeries(c, order=n)
@@ -564,13 +622,11 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     the row with the one factor (1 - z)^{-2/alpha}, a = beta = alpha,
     rotated by theta.  At alpha = 0 it is koebe's row; a_2 = 2 e^{i theta} / (1 + alpha).
 
-    gamma, read from the row, is accurate at every alpha up to about 4.7e153,
-    where the row's terms underflow and `functional.log_coefficients`
-    refuses.  a_3 from the power series is not: |a_3 - exact| of
-    k_theta_alpha(0, alpha) is 4.0e-8 at alpha = 1e-8, 2.0e-11 at 1e-5 and
-    9.5e-13 at 1e-3, and no command reads it.  The evaluator has its own
-    floor: below alpha ~ 3.51e-4 its quadrature rule would need more than
-    _MAX_NODES nodes, and it refuses with ValueError at every |z| up to 0.999.
+    gamma and the power series, both read from the row's log u, are accurate
+    at every alpha up to about 4.7e153, where the row's terms underflow and
+    both refuse.  The evaluator has its own floor: below alpha ~ 3.51e-4 its
+    quadrature rule would need more than _MAX_NODES nodes, and it refuses
+    with ValueError at every |z| up to 0.999.
     """
     ClassSpec.of("M", alpha)  # refuses alpha outside M's range
     return _member("k_theta_alpha", alpha, {"theta": float(theta), "alpha": float(alpha)}, theta)

@@ -36,6 +36,7 @@ import numpy as np
 from . import catalog, functional
 from .bounds import bound_delta
 from .classes import ClassSpec, _body, _Body, _body_row, _check_row
+from .series import _is_integer
 
 # The searched set is a relaxation of the class, not the class itself.
 BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class"
@@ -527,14 +528,18 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     scan.  Every step is elementwise or an exact reduction, so the result is
     that of one `body_delta` call over all samples, bit for bit.  The
     samples are on the body by construction; a block whose min or max delta
-    is not finite is refused with ValueError, as is a seed that is not an
-    integer in [0, 2^64).
+    is not finite is refused with ValueError, as are samples that are not an
+    integer in [1, MAX_SAMPLES] and a seed that is not an integer in
+    [0, 2^64); a bool is not an integer here.
     """
+    if not _is_integer(samples):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
     # np.uint64 would truncate a fractional seed, aliasing it to an integer one.
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
+    if not (_is_integer(seed) and 0 <= seed < SEED_LIMIT):
         raise ValueError(f"seed must be an integer in [0, {SEED_LIMIT - 1}], got {seed}")
+    samples, seed = int(samples), int(seed)  # as_dict's values are then JSON's
     body = _body(spec)
     pair = bound_delta(spec)
     slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))

@@ -1,19 +1,18 @@
 """Truncated complex power series and the coefficient recurrences built on them.
 
-A series gives each catalog entry its coefficients a_2, a_3, ... on demand,
-and is the tests' Horner oracle; entries are evaluated by the evaluators
-their rows give, never by a series.  A :class:`TruncatedSeries` holds
-``a_0 .. a_N`` cut off at a fixed order ``N`` and keeps only what the
-recurrences and the tests use: its coefficients and Horner evaluation
-``s(z)``.  `_div_coeffs` solves ``q * b = a`` by back-substitution, exact
-through order ``N``.  `log_unit`, `exp_unit` and `pow_real` act on series
-with unit constant term by the classical differentiate-and-solve recurrences
-(for ``L = log a``, ``L' a = a'`` is solved term by term); no composition is
-involved, and the principal branch is pinned by ``log(1) = 0``.
+A :class:`TruncatedSeries` holds ``a_0 .. a_N`` of a catalog entry, cut off
+at a fixed order ``N`` and built on demand, and is the tests' Horner oracle;
+entries are evaluated by their rows' evaluators, never by a series.  Every
+coefficient is read through the stacked recurrences here: `_log_stack` gives
+`catalog._stacked_log_u` the log u that gamma is read from, a series is
+z `_exp_stack`(beta log u), and `_div_coeffs` gives a closed row's series
+its exact quotients by back-substitution.  `log_unit`, `exp_unit` and
+`pow_real` act on one series with unit constant term by the classical
+differentiate-and-solve recurrences (for ``L = log a``, ``L' a = a'`` is
+solved term by term), and the principal branch is pinned by ``log(1) = 0``.
 
-The division, log and exp recurrences also run on stacks: `_div_coeffs`
-divides row by row when given (K, N+1) arrays, and `_log_stack` and
-`_exp_stack` take a complex (K, N+1) array; each solves every row at once,
+The log and exp recurrences run on stacks: `_log_stack` and `_exp_stack`
+take a complex (K, N+1) array, and each solves every row at once,
 one coefficient per step, so that K series cost about what one does.
 `log_unit` and `exp_unit` are these cores on a stack of one.  A step's inner
 products are one matmul of a (K, 1, m) stack of rows by a (K, m, 1) stack
@@ -71,9 +70,9 @@ class TruncatedSeries:
         return len(self._c) - 1
 
     def coefficient(self, n: int) -> complex:
-        """Coefficient of z^n, 0 <= n <= order."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside 0..{self.order}")
+        """Coefficient of z^n, n an integer in 0..order."""
+        if not (_is_integer(n) and 0 <= n <= self.order):
+            raise ValueError(f"coefficient index {n!r} outside 0..{self.order}")
         return complex(self._c[n])
 
     def __call__(self, z):
@@ -93,23 +92,19 @@ class TruncatedSeries:
 
 
 def _div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the series a / b along the last axis, to the length of a.
+    """Coefficients of the series a / b, (N+1,) arrays, to the length of a; b_0 may not be 0.
 
-    a and b are (N+1,) arrays, or (K, N+1) stacks divided row by row; no b_0
-    may be 0.  q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0.
+    q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0.
     """
-    if not np.all(b[..., 0] != 0):
+    if b[0] == 0:
         raise ValueError("division by a series with zero constant term")
-    a2, b2 = np.atleast_2d(a, b)
-    n1 = a2.shape[1]
-    brev = np.ascontiguousarray(b2[:, ::-1])[:, :, None]
-    q = np.zeros(a2.shape, dtype=complex)
-    q3 = q[:, None, :]
-    q[:, 0] = a2[:, 0] / b2[:, 0]
+    n1 = len(a)
+    brev = np.ascontiguousarray(b[::-1])
+    q = np.zeros(n1, dtype=complex)
+    q[0] = a[0] / b[0]
     for n in range(1, n1):
-        acc = np.matmul(q3[:, :, :n], brev[:, n1 - 1 - n : n1 - 1])[:, 0, 0]
-        q[:, n] = (a2[:, n] - acc) / b2[:, 0]
-    return q.reshape(np.shape(a))
+        q[n] = (a[n] - np.dot(q[:n], brev[n1 - 1 - n : n1 - 1])) / b[0]
+    return q
 
 
 def _log_stack(c: np.ndarray) -> np.ndarray:
@@ -159,6 +154,11 @@ def _expi(theta, k):
     hi = k * theta
     lo = (k * top - hi) + k * (theta - top)
     return np.exp(1j * hi) * np.exp(1j * lo)
+
+
+def _is_integer(x) -> bool:
+    """Whether x is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def log_unit(a: TruncatedSeries) -> TruncatedSeries:

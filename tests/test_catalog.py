@@ -39,7 +39,7 @@ from logcoef.catalog import (
 )
 from logcoef.classes import ClassSpec, _ring, membership_test
 
-from _oracles import contour_coefficients, fd_derivatives
+from _oracles import contour_coefficients, expi, fd_derivatives, power_coefficients
 
 
 class TestClosedFormCoefficients:
@@ -747,25 +747,59 @@ class TestValidation:
         with pytest.raises(ValueError):
             m_alpha_upper(-1.0)
 
-    @pytest.mark.parametrize("build", [
-        lambda: k_theta_alpha(0.0, 0.05).series(2048),
-        lambda: k_theta_alpha(0.0, 0.01).series(512),
-        lambda: m_alpha_upper(0.01).series(1024),
-    ], ids=["k_0.05_2048", "k_0.01_512", "m_0.01_1024"])
-    def test_overflowing_series_build_refused(self, build):
-        # Refused by name of the first bad coefficient, and silently: no
-        # numpy RuntimeWarning reaches the caller.
+    @pytest.mark.parametrize("f, n", [
+        (k_theta_alpha(0.0, 0.05), 200),
+        (k_theta_alpha(0.0, 0.01), 256),
+        (m_alpha_upper(0.01), 256),
+    ], ids=["k_0.05_200", "k_0.01_256", "m_0.01_256"])
+    def test_series_matches_the_oracle_at_small_alpha(self, f, n):
+        # At small alpha the coefficients of h grow like n^(2/alpha) and
+        # cancel in u^beta, so only a route that keeps L = log h out of
+        # h's coefficients holds every a_n to a few ulps.
+        want = power_coefficients(f.row, n)
+        assert (np.abs(f.series(n).coeffs - want) <= 1e-14 * np.abs(want)).all()
+
+    def test_overflowing_series_build_refused(self):
+        # u^200 with u ~ (1 - z)^-400 overflows from a_155: refused by name
+        # of the first bad coefficient, and silently, with no numpy
+        # RuntimeWarning reaching the caller.
+        f = AnalyticFunction("adhoc", Row((((1.0, -1.0), -400.0),), 200.0, 200.0), {})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"series coefficient a_\d+ = .* is not finite"):
-                build()
+            with pytest.raises(ValueError, match=r"series coefficient a_155 = .* is not finite"):
+                f.series(2048)
 
     def test_default_order_builds_stay_finite_at_small_alpha(self):
         # Order-32 builds: the coefficients grow faster as alpha falls; 1e-4
         # lies below every alpha whose quadrature rule fits under the node cap
-        # (about 3.5e-4 for k_theta_alpha and 1.9e-4 for m_alpha_upper).
+        # (about 3.5e-4 for k_theta_alpha and 1.9e-4 for m_alpha_upper).  They
+        # are finite and, a rotation aside, the oracle's to 1e-14 relative.
         for f in (k_theta_alpha(0.7, 1e-4), m_alpha_upper(1e-4)):
-            assert np.isfinite(f.series(32).coeffs).all()
+            turn = np.array([expi(f.row.theta, n - 1) for n in range(33)])
+            want = power_coefficients(f.row, 32) * turn
+            assert (np.abs(f.series(32).coeffs - want) <= 1e-14 * np.abs(want)).all()
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-5, 1e-3])
+    def test_small_alpha_head_coefficients(self, alpha):
+        f = k_theta_alpha(0.0, alpha)
+        want = power_coefficients(f.row, 4)
+        for n in (2, 3, 4):
+            assert abs(f.a(n) - want[n]) <= 1e-15
+
+    def test_underflowing_row_refused_as_gamma_refuses_it(self):
+        f = k_theta_alpha(0.0, 1e200)
+        words = "k_theta_alpha {'theta': 0.0, 'alpha': 1e+200}: the row's terms underflow"
+        for read in (lambda: f.a(2), lambda: functional.log_coefficients(f, 2)):
+            with pytest.raises(ValueError, match=re.escape(words)):
+                read()
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+    def test_order_that_is_not_an_integer_refused(self, n):
+        with pytest.raises(ValueError, match="order must be an integer of at least 2"):
+            koebe().series(n)
+
+    def test_numpy_integer_order_accepted(self):
+        assert koebe().series(np.int64(8)).coeffs.tobytes() == koebe().series(8).coeffs.tobytes()
 
     CONSTRUCTORS = {
         "koebe": lambda x, y: koebe(x),

@@ -62,6 +62,16 @@ class TestLogCoefficients:
         with pytest.raises(ValueError, match="n >= 1"):
             log_coefficients(entry_from_coeffs([0, 1]), 0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])
+    def test_n_that_is_not_an_integer_refused(self, n):
+        with pytest.raises(ValueError, match="need an integer n >= 1"):
+            log_coefficients(koebe(), n)
+
+    def test_koebe_is_one_over_n_to_the_last_bit(self):
+        # log(f/z) = -2 log(1 - z) from the row's factor alone, with no
+        # quotient f/z in between.
+        assert log_coefficients(koebe(), 8).tolist() == [1.0 / n for n in range(1, 9)]
+
     @pytest.mark.parametrize("label", LABELS)
     def test_cut_series_is_bit_identical(self, label):
         # Every recurrence behind gamma is triangular, so the gammas of n

@@ -1,6 +1,7 @@
 """Tests for body searches, family sweeps, and randomized scans."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -546,18 +547,27 @@ class TestFamilySweep:
         assert len(family_sweep("m_alpha_upper", grid)) == 301
         assert sizes == [301]
 
-    # The exact delta of each family whose only parameter is theta.
-    ROTATION_ONLY = {"koebe": -0.5, "f1": -math.sqrt(0.5), "f2": 0.5}
+    @staticmethod
+    def _row_delta(label):
+        """The correctly rounded delta of the family's stored row z / (1 + b z + c z^2):
+        gamma_1 = -b/2 and gamma_2 = (b^2/2 - c)/2, by mpmath at 50 digits."""
+        ((P, _),) = catalog.make(label).row.factors
+        with mpmath.workdps(50):
+            b, c = (mpmath.mpf(complex(x).real) for x in P[1:])
+            return float(abs(b * b / 2 - c) / 2 - abs(b) / 2)
 
-    @pytest.mark.parametrize("label", sorted(ROTATION_ONLY))
+    @pytest.mark.parametrize("label", ["f1", "f2", "koebe"])
     def test_rotation_only_sweep_is_exact_and_rotation_invariant(self, label):
-        # One member serves every row, and its delta is the exact value to the
-        # last bit; a build at each theta of the grid lands within 1 ulp of it.
+        # One member serves every row, and its delta is the exact delta of the
+        # row as stored to the last bit; a build at each theta of the grid
+        # lands within 1 ulp of it.  f1 stores b = -fl(sqrt 2), whose delta
+        # rounds to -0.7071067811865475, one ulp from -sqrt(1/2).
         assert catalog.FAMILIES[label].kind is None
         grid = catalog.sweep_grid(*catalog.FAMILIES[label].sweep, 0.01)
         rows = family_sweep(label, grid)
         assert [row.param for row in rows] == grid
-        want = self.ROTATION_ONLY[label]
+        want = self._row_delta(label)
+        assert want == {"f1": -0.7071067811865475, "f2": 0.5, "koebe": -0.5}[label]
         assert {row.delta for row in rows} == {want}
         for theta in grid:
             got = delta(catalog.make(label, theta))
@@ -713,6 +723,26 @@ class TestViolationScan:
         for seed in (-1, 2**64, 1.5):
             with pytest.raises(ValueError, match=refusal):
                 bound_violation_scan(spec, samples=100, seed=seed)
+
+    @pytest.mark.parametrize("samples, seed, refusal", [
+        (10.0, 0, "samples must be an integer, got 10.0"),
+        (True, 0, "samples must be an integer, got True"),
+        (np.float64(10.0), 0, "samples must be an integer"),
+        (10, True, r"seed must be an integer in \[0, 18446744073709551615\], got True"),
+        (10, np.float64(1.0), "seed must be an integer"),
+    ], ids=["float_samples", "bool_samples", "numpy_float_samples", "bool_seed",
+            "numpy_float_seed"])
+    def test_arguments_that_are_not_integers_refused(self, samples, seed, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            bound_violation_scan(ClassSpec("S"), samples=samples, seed=seed)
+
+    def test_numpy_integer_arguments_are_stored_as_ints(self):
+        # The result and its JSON are those of the same Python ints.
+        spec = ClassSpec("S")
+        res = bound_violation_scan(spec, samples=np.int64(100), seed=np.uint64(2**64 - 1))
+        assert (type(res.samples), type(res.seed)) == (int, int)
+        assert res == bound_violation_scan(spec, samples=100, seed=2**64 - 1)
+        assert json.loads(json.dumps(res.as_dict()))["seed"] == 2**64 - 1
 
     def test_as_dict_names_the_generator(self):
         d = bound_violation_scan(ClassSpec("S"), samples=10).as_dict()

@@ -63,6 +63,11 @@ class TestConstruction:
             s.coefficient(3)
         with pytest.raises(ValueError):
             s.coefficient(-1)
+        # Only an integer indexes: a bool or a float is refused, not cast.
+        for n in (True, 1.0):
+            with pytest.raises(ValueError, match="coefficient index"):
+                s.coefficient(n)
+        assert s.coefficient(np.int64(2)) == 3
 
     def test_coefficients_immutable(self):
         s = TruncatedSeries([1, 2, 3])
