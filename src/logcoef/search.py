@@ -6,22 +6,24 @@ of the free part of a_3 (or of the Schwarz coefficients c_1, c_2) and their
 relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form, the
-phase 0 or pi and its unit e^{i phase} exactly +-1, and searching what is
-left in m1 at five closed-form candidates, where a
-missing one repeats m1 = 0 rather than being dropped, and a guard grid;
-`body_searches` runs it on many classes of one kind at once, stacked along
-a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK body
-points, as a class sweep does; `bound_violation_scan` samples the whole
-body at random as a brute-force check, from a SplitMix64 stream of its own:
-one cache-sized block of samples at a time, each coordinate of a block one
-contiguous draw off a stream index built once per scan, and delta in real
-arithmetic with one tan per sample (`_half_angle_delta`, which `body_delta`
-evaluates too); and `family_sweep` records the delta a one-parameter catalog
-family actually attains at each parameter value: it builds no member, but
-takes the family's row on the whole grid as an array and reads the gammas of
-that stack of rows in one call of `functional`.  delta is rotation
-invariant, so a family whose only parameter is the rotation angle is built
-once.  Which parameter a family sweeps, over what range, and its row are
+phase 0 or pi, so that e^{i pi} = -1 exactly and T = t m2 lies along P or
+against it, and searching what is left in m1 at five closed-form
+candidates, where a missing one repeats m1 = 0 rather than being dropped,
+and a guard grid; `body_searches` runs it on many classes of one kind at
+once, stacked along a leading parameter axis and evaluated in chunks of at
+most _SCAN_BLOCK body points, as a class sweep does; `bound_violation_scan`
+samples the whole body at random as a brute-force check, from a SplitMix64
+stream of its own: one cache-sized block of samples at a time, each
+coordinate of a block one contiguous draw off a stream index built once per
+scan.  All three evaluate delta by one kernel in real arithmetic, `_delta`:
+the search at k^2 = 1 or 0, where T is aligned with P or against it, and
+`body_delta` and the scan at k^2 from one tan per point (`_half_angle_k2`).
+`family_sweep` records the delta a one-parameter catalog family actually
+attains at each parameter value: it builds no member, but takes the
+family's row on the whole grid as an array and reads the gammas of that
+stack of rows in one call of `functional`.  delta is rotation invariant, so
+a family whose only parameter is the rotation angle is built once.  Which
+parameter a family sweeps, over what range, and its row are
 read from `catalog.FAMILIES`.
 """
 
@@ -55,7 +57,7 @@ MAX_SAMPLES = 10**6
 # Body points evaluated at once: the samples bound_violation_scan draws per
 # block, three contiguous draws of this length, and at most the m1
 # candidates of the classes body_searches stacks per chunk.  Small enough
-# that the few arrays of _half_angle_delta and _delta stay in cache, large
+# that the few arrays of _half_angle_k2 and _delta stay in cache, large
 # enough to amortize their checks and numpy's per-call overhead.  A scan of
 # 1e5 samples of M(1) took a median 4.1 ms in blocks of 8192, against 5.3,
 # 4.4 and 6.1 ms in blocks of 4096, 16384 and 32768 (numpy 2.4.6 on a
@@ -77,7 +79,7 @@ def _on_body(body, m1, m2, phase) -> bool:
     """Whether every point (m1, m2, phase) is finite and on `body`: m1 in
     [0, reach] and m2 in [0, cap(m1)].
 
-    `phase` may also be its unit e^{i phase}.  `body` is one row, or a stack
+    `phase` is only checked to be finite.  `body` is one row, or a stack
     of rows with every field a column that broadcasts against the points
     (see `body_searches`).  cap(m1) is computed only once m1 is known to be
     in range.
@@ -89,35 +91,28 @@ def _on_body(body, m1, m2, phase) -> bool:
     )
 
 
-def _half_angle_delta(body, m1, m2, half):
-    """delta at the body points (m1, m2, phase = 2 half) of a class, in real arithmetic.
+def _delta(body, m1, m2, k2):
+    """delta at the body points (m1, m2) of a class with k^2 = `k2`, in real arithmetic.
 
-    `body` is the class's row, and m1, m2 and half are float arrays of one
-    shape, at least 1-D, since the steps work in place and a 0-d array
-    would turn into a scalar.  a_3 - mu a_2^2 = P + T e^{i phase} with
-    P = (q - mu) a_2^2 and T = t m2 both real, so
+    `body` is the class's row, or a stack of rows with every field a column
+    that broadcasts against the points (see `body_searches`), and m1 and m2
+    are float arrays of one shape, at least 1-D, since the steps work in
+    place and a 0-d array would turn into a scalar.  a_3 - mu a_2^2 =
+    P + T e^{i phase} with P = (q - mu) a_2^2 and T = t m2 both real, so
 
         |P + T e^{i phase}|^2 = (|P| - |T|)^2 + 4 |P| |T| k^2,
 
-    where k is cos(half) if P and T share a sign and sin(half) if they do
-    not: no complex number.  Those signs are the signs of q - mu and t, fixed
-    per class.  At each point |P| and |T| are scaled by 2^-e, e the binary
-    exponent of the larger, into [0, 1) before they are squared, and the
-    modulus back by 2^e.  The scaling is exact, so no square under- or
+    where k is cos(phase / 2) if P and T share a sign and sin(phase / 2) if
+    they do not: no complex number.  Those signs are the signs of q - mu and
+    t, fixed per class.  `k2` is k^2 at each point (`_half_angle_k2`), or 1
+    where T is aligned with P and 0 where it is against it, as at the
+    search's extremes.  At each point |P| and |T| are scaled by 2^-e, e the
+    binary exponent of the larger, into [0, 1) before they are squared, and
+    the modulus back by 2^e.  The scaling is exact, so no square under- or
     overflows anywhere from G(3.8e-309) to M(1.3e154), and the bits are those
     of the unscaled formula wherever it stays in range.
 
-    k^2 comes from one trig call per point, tan(half): cos^2 = 1 / (1 + tan^2)
-    and sin^2 = tan^2 / (1 + tan^2).  tan has period pi, as cos^2 and sin^2
-    do, and tan^2 is finite at every double half, since no double lies on a
-    pole.  numpy's float64 tan took about 23 us on an 8192-point block,
-    against 120-140 us for its cos or its sin (numpy 2.4.6, AVX-512 Xeon).
-    Either form keeps delta within 0.77 ulp of |a_2| + |P| + |T| of its exact
-    value at the point's doubles, also at phases near 0, pi and 2 pi, as
-    cos^2 and sin^2 did; at a few percent of points its bits differ from
-    theirs, by at most one such ulp.
-
-    `body_delta` checks its points; the scan's are on the body by construction.
+    The callers check their points, or draw them on the body.
     """
     a2 = abs(body.s) * m1  # |a_2|, as m1 >= 0
     p = abs(body.q - functional.MU) * a2
@@ -128,14 +123,7 @@ def _half_angle_delta(body, m1, m2, half):
     np.ldexp(p, e, out=p)
     np.ldexp(t, e, out=t)
     np.negative(e, out=e)
-    k = np.tan(half)
-    k *= k  # tan^2, finite at every double half
-    if (body.q > functional.MU) == (body.t > 0.0):
-        k += 1.0
-        np.reciprocal(k, out=k)  # cos^2 = 1 / (1 + tan^2)
-    else:
-        k /= k + 1.0  # sin^2 = tan^2 / (1 + tan^2)
-    k *= p
+    k = k2 * p
     k *= t
     k *= 4.0  # 4 |P| |T| k^2, scaled
     p -= t
@@ -148,20 +136,47 @@ def _half_angle_delta(body, m1, m2, half):
     return r
 
 
+def _half_angle_k2(body, half):
+    """k^2 of `_delta` at the phases 2 half of a class's points, from one trig call per point.
+
+    tan(half) gives cos^2 = 1 / (1 + tan^2) and sin^2 = tan^2 / (1 + tan^2).
+    tan has period pi, as cos^2 and sin^2 do, and tan^2 is finite at every
+    double half, since no double lies on a pole.  numpy's float64 tan took
+    about 23 us on an 8192-point block, against 120-140 us for its cos or
+    its sin (numpy 2.4.6, AVX-512 Xeon).  Either form keeps delta within
+    0.77 ulp of |a_2| + |P| + |T| of its exact value at the point's doubles,
+    also at phases near 0, pi and 2 pi, as cos^2 and sin^2 did; at a few
+    percent of points its bits differ from theirs, by at most one such ulp.
+    At half = fl(pi) / 2, tan^2 is 2.7e32 and cos^2 3.7e-33, not 0.
+    """
+    k = np.tan(half)
+    k *= k  # tan^2, finite at every double half
+    if (body.q > functional.MU) == (body.t > 0.0):
+        k += 1.0
+        np.reciprocal(k, out=k)  # cos^2 = 1 / (1 + tan^2)
+    else:
+        k /= k + 1.0  # sin^2 = tan^2 / (1 + tan^2)
+    return k
+
+
 def body_delta(spec: ClassSpec, m1, m2, phase):
     """delta at body points; broadcasts over array inputs.
 
     The body of each class, and its map to (a_2, a_3), is `classes._body`;
-    delta is evaluated by `_half_angle_delta`, as the random scan evaluates
-    it.  Refuses with ValueError a coordinate that is not finite and a point
-    outside the body: m1 outside [0, m1 range] or m2 outside [0, cap(m1)].
+    delta is evaluated by `_delta` with k^2 from `_half_angle_k2`, as the
+    random scan evaluates it.  At phase fl(pi), the double nearest pi,
+    cos^2(phase / 2) is 3.7e-33, not 0, so delta there is within one ulp of
+    |a_2| + |P| + |T| of the search's value at its phase pi, where
+    e^{i pi} = -1 exactly.  Refuses with ValueError a coordinate that is not
+    finite and a point outside the body: m1 outside [0, m1 range] or m2
+    outside [0, cap(m1)].
     """
     m1, m2, phase = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m1, m2, phase)))
     body = _body(spec)
     if not _on_body(body, m1, m2, phase):
         raise ValueError(f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
                          f"0 <= m2 <= cap(m1) for {spec.label()}")
-    d = _half_angle_delta(body, m1.ravel(), m2.ravel(), 0.5 * phase.ravel())
+    d = _delta(body, m1.ravel(), m2.ravel(), _half_angle_k2(body, 0.5 * phase.ravel()))
     return d.reshape(m1.shape)[()]
 
 
@@ -169,8 +184,11 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
 class SearchResult:
     """Exact extremes of delta over a coefficient body.
 
-    argmin and argmax hold the body coordinates (m1, m2, phase) of points
-    where body_delta takes the reported values, with phase in [0, 2 pi).
+    argmin and argmax hold the body coordinates (m1, m2, phase) of the
+    points where delta takes the reported values, with phase 0 or pi, and
+    phase pi meaning e^{i pi} = -1 exactly.  The values are `_delta` at
+    k^2 = 1 (max) and 0 (min); body_delta at the reported args is within one
+    ulp of |a_2| + |P| + |T| of them, since it reads phase pi as fl(pi).
     `resolution` is the number of m1 grid intervals evaluated next to the
     closed-form candidates.  `refined` is True when both extremes are
     closed-form candidates; False would mean the guard grid beat them, that
@@ -197,13 +215,6 @@ class SearchResult:
             "refined": self.refined,
             "note": self.note,
         }
-
-
-def _reduction(body, m1):
-    """(P, cap) at m1, where a_3 - mu a_2^2 = P + t w over |w| <= cap:
-    P = (q - mu) a_2^2 with mu = `functional.MU`, from the body row or stack."""
-    a2 = body.s * m1
-    return (body.q - functional.MU) * a2 * a2, body.cap(m1)
 
 
 def _critical_m1(body) -> np.ndarray:
@@ -251,31 +262,6 @@ def _chunk_rows(resolution: int) -> int:
     return max(1, _SCAN_BLOCK // (_CANDIDATES + resolution + 1))
 
 
-def _delta(body, m1, m2, unit):
-    """delta at body points whose phase is 0 or pi, or None if a point lies off the body.
-
-    `unit` is e^{i phase} = cos(phase) = +-1, a float, so a_3 is real.
-    `body` is a stack of rows, as in `_on_body`.
-    """
-    if not _on_body(body, m1, m2, unit):
-        return None
-    a2, a3 = body.coefficients(m1, m2 * unit)
-    return 0.5 * np.abs(a3 - functional.MU * a2 * a2) - 0.5 * np.abs(a2)
-
-
-def _evaluate(specs, body, m1, m2, phase, unit):
-    """`_delta` on a stack of rows; an off-body point is refused as body_delta refuses it.
-
-    Every phase is 0 or pi, and `unit` is its e^{i phase}, +-1 exactly, where
-    np.exp(1j * pi) would carry an imaginary part of 1.2e-16.
-    """
-    d = _delta(body, m1, m2, unit)
-    if d is None:
-        for k, spec in enumerate(specs):  # names the first class with a point off its body
-            body_delta(spec, m1[k], m2[k], phase[k])
-    return d
-
-
 def _search_rows(specs, body, resolution: int) -> list:
     """body_search of each of `specs`, whose rows are the columns of `body`, at once."""
     x = np.zeros((len(specs), _CANDIDATES + resolution + 1))  # column 0 is the endpoint m1 = 0
@@ -285,16 +271,23 @@ def _search_rows(specs, body, resolution: int) -> list:
     # linspace's own arithmetic: node k is k (reach / resolution), the last is reach.
     x[:, _CANDIDATES:] = np.arange(resolution + 1) * (body.reach / resolution)
     x[:, -1:] = body.reach
-    p, cap = _reduction(body, x)
+    # a_3 - mu a_2^2 = P + t w over |w| <= cap, with P = (q - mu) a_2^2.
+    a2 = body.s * x
+    p, cap = (body.q - functional.MU) * a2 * a2, body.cap(x)
     # P and t are real, so t w lies along P or against it on the real axis.  Their
-    # signs decide which: the product underflows at tiny alpha.
+    # signs decide which: the product underflows at tiny alpha.  The maximum is
+    # aligned (k^2 = 1) and the minimum against (k^2 = 0), each at phase 0 or pi,
+    # and phase pi is e^{i pi} = -1 exactly, where np.exp(1j * pi) would carry an
+    # imaginary part of 1.2e-16.
     against = np.sign(p) * np.sign(body.t) < 0.0
     phase_max = np.where(against, math.pi, 0.0)
     phase_min = math.pi - phase_max
-    unit_max = np.where(against, -1.0, 1.0)
     m2_min = np.minimum(cap, np.abs(p) / np.abs(body.t))
-    hi = _evaluate(specs, body, x, cap, phase_max, unit_max)
-    lo = _evaluate(specs, body, x, m2_min, phase_min, -unit_max)
+    for m2, phase in ((cap, phase_max), (m2_min, phase_min)):
+        if not _on_body(body, x, m2, phase):
+            for k, spec in enumerate(specs):  # names the first class with a point off its body
+                body_delta(spec, x[k], m2[k], phase[k])
+    hi, lo = _delta(body, x, cap, 1.0), _delta(body, x, m2_min, 0.0)
     k = np.arange(len(specs))
     i, exact_max = _pick(hi, k, 1.0)
     j, exact_min = _pick(lo, k, -1.0)
@@ -447,19 +440,16 @@ def _stream_index(count: int, step: int = 1) -> np.ndarray:
     return x
 
 
-def _splitmix64(seed: int, start: int, count: int, step: int = 1, index=None) -> np.ndarray:
+def _splitmix64(seed: int, start: int, index: np.ndarray) -> np.ndarray:
     """Outputs start, start + step, ..., start + (count - 1) step of the
-    SplitMix64 stream of seed.
+    SplitMix64 stream of seed, where `index` is a `_stream_index` of count
+    entries and this step.
 
-    `index` is a `_stream_index` of this step and at least count entries, or
-    None to build one.  The constant seed + (start + 1) gamma is reduced
-    modulo 2^64 in Python ints, then every step is in place on uint64 arrays,
-    which wrap modulo 2^64 without a warning, where numpy scalars would
-    overflow with one.
+    The constant seed + (start + 1) gamma is reduced modulo 2^64 in Python
+    ints, then every step is in place on uint64 arrays, which wrap modulo
+    2^64 without a warning, where numpy scalars would overflow with one.
     """
-    if index is None:
-        index = _stream_index(count, step)
-    x = np.add(index[:count], np.uint64((int(seed) + (start + 1) * _GAMMA) % 2**64))
+    x = np.add(index, np.uint64((int(seed) + (start + 1) * _GAMMA) % 2**64))
     t = np.empty_like(x)
     for shift, mult in _MIX:
         np.right_shift(x, shift, out=t)
@@ -470,13 +460,13 @@ def _splitmix64(seed: int, start: int, count: int, step: int = 1, index=None) ->
     return x
 
 
-def _unit_doubles(seed: int, start: int, count: int, step: int = 1, index=None) -> np.ndarray:
+def _unit_doubles(seed: int, start: int, index: np.ndarray) -> np.ndarray:
     """The same outputs as doubles in [0, 1): the top 53 bits times 2^-53.
 
     After the shift every output is below 2^53, so its int64 view converts
     exactly, and faster than a uint64 cast.
     """
-    x = _splitmix64(seed, start, count, step, index)
+    x = _splitmix64(seed, start, index)
     x >>= np.uint64(11)
     return x.view(np.int64) * 2.0**-53
 
@@ -523,10 +513,10 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     draws its own outputs, each coordinate as every third output from its
     own offset: one `_stream_index` of step 3, built once per scan and shared
     read-only by every block and coordinate, plus that offset's constant.  A
-    block is evaluated at once by `_half_angle_delta`, the kernel of
-    `body_delta`, with one tan per sample, so no array spans the whole
-    scan.  Every step is elementwise or an exact reduction, so the result is
-    that of one `body_delta` call over all samples, bit for bit.  The
+    block is evaluated at once by `_delta`, the kernel of `body_delta`,
+    with k^2 from one tan per sample (`_half_angle_k2`), so no array spans
+    the whole scan.  Every step is elementwise or an exact reduction, so the
+    result is that of one `body_delta` call over all samples, bit for bit.  The
     samples are on the body by construction; a block whose min or max delta
     is not finite is refused with ValueError, as are samples that are not an
     integer in [1, MAX_SAMPLES] and a seed that is not an integer in
@@ -547,13 +537,13 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     lo, hi, violations = math.inf, -math.inf, 0
     index = _stream_index(min(samples, _SCAN_BLOCK), 3)
     for start in range(0, samples, _SCAN_BLOCK):
-        n = min(_SCAN_BLOCK, samples - start)
+        block = index[:samples - start]  # the scan's last block may be shorter
         # Coordinate j of sample i is output 3i + j: three contiguous draws.
-        m1, m2, half = (_unit_doubles(seed, 3 * start + j, n, 3, index) for j in range(3))
+        m1, m2, half = (_unit_doubles(seed, 3 * start + j, block) for j in range(3))
         m1 *= body.reach
         m2 *= body.cap(m1)
         half *= math.pi  # phase / 2, the bits of 0.5 * (u * 2 pi)
-        d = _half_angle_delta(body, m1, m2, half)
+        d = _delta(body, m1, m2, _half_angle_k2(body, half))
         d_min, d_max = float(d.min()), float(d.max())  # a NaN carries through both
         if not (math.isfinite(d_min) and math.isfinite(d_max)):
             raise ValueError(f"{spec.label()} scan: delta not finite in block from sample {start}")

@@ -6,15 +6,16 @@ entries are evaluated by their rows' evaluators, never by a series.  Every
 coefficient is read through the stacked recurrences here: `_log_stack` gives
 `catalog._stacked_log_u` the log u that gamma is read from, a series is
 z `_exp_stack`(beta log u), and `_div_coeffs` gives a closed row's series
-its exact quotients by back-substitution.  `log_unit`, `exp_unit` and
-`pow_real` act on one series with unit constant term by the classical
-differentiate-and-solve recurrences (for ``L = log a``, ``L' a = a'`` is
-solved term by term), and the principal branch is pinned by ``log(1) = 0``.
+its exact quotients by back-substitution.  The log and exp are the
+classical differentiate-and-solve recurrences (for ``L = log a``,
+``L' a = a'`` is solved term by term), and the principal branch is pinned by
+``log(1) = 0``.
 
 The log and exp recurrences run on stacks: `_log_stack` and `_exp_stack`
 take a complex (K, N+1) array, and each solves every row at once,
 one coefficient per step, so that K series cost about what one does.
-`log_unit` and `exp_unit` are these cores on a stack of one.  A step's inner
+`log_unit` and `exp_unit` are these cores on a stack of one, and
+`pow_real` is exp(beta log a) by the two of them.  A step's inner
 products are one matmul of a (K, 1, m) stack of rows by a (K, m, 1) stack
 of columns, which reaches np.dot's kernel for every length m, strided slices
 included: each row gets the value np.dot gives it, and the same bits in a
@@ -185,25 +186,11 @@ def exp_unit(a: TruncatedSeries) -> TruncatedSeries:
 def pow_real(a: TruncatedSeries, beta: float) -> TruncatedSeries:
     """Principal power a**beta for real beta, constant term of a exactly 1.
 
-    Solves a p' = beta a' p triangularly:
-    n p_n = beta sum_{j=1}^{n} j a_j p_{n-j} - sum_{i=1}^{n-1} i p_i a_{n-i}.
-    Both terms are O(beta) when beta is small, since p_i is for i >= 1, so
-    no two O(1) terms cancel and p keeps its relative precision.  Equivalent
-    to exp_unit(beta * log_unit(a)) but in a single pass.
+    exp(beta log a), by the cores every coefficient is read through:
+    `_exp_stack` of beta times `_log_stack`.  Every term of the exponential's
+    recurrence carries a factor beta L_i, so no two O(1) terms cancel when
+    beta is small and the power keeps its relative precision.
     """
-    c = a.coeffs
-    if c[0] != 1:
+    if a.coeffs[0] != 1:
         raise ValueError("pow_real requires constant term exactly 1")
-    beta = float(beta)
-    n1 = len(c)
-    crev = np.ascontiguousarray(c[::-1])
-    jrev = np.ascontiguousarray((c * np.arange(n1))[::-1])
-    p = np.zeros(n1, dtype=complex)
-    w = np.zeros(n1, dtype=complex)  # w[i] = i * p[i]
-    p[0] = 1.0
-    for n in range(1, n1):
-        t1 = np.dot(p[:n], jrev[n1 - 1 - n : n1 - 1])
-        t2 = np.dot(w[1:n], crev[n1 - n : n1 - 1])
-        p[n] = (beta * t1 - t2) / n
-        w[n] = n * p[n]
-    return TruncatedSeries(p, order=a.order)
+    return TruncatedSeries(_exp_stack(float(beta) * _log_stack(a.coeffs[None]))[0], order=a.order)

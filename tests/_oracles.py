@@ -4,8 +4,8 @@ Nothing here shares code with the series recurrences under test: Taylor
 coefficients come from the Cauchy integral evaluated by the trapezoid rule
 (which the FFT performs exactly for periodic integrands), derivatives from
 central finite differences, e^{i n theta} from n theta split exactly in two
-doubles, and a row's u^beta from mpmath at 40 digits, its log h from the
-roots of each factor.
+doubles, a row's u^beta from mpmath at 40 digits, its log h from the
+roots of each factor, and a closed row's f from those roots at 50 digits.
 """
 
 import cmath
@@ -83,3 +83,30 @@ def power_coefficients(row, order, dps=40):
         for m in range(1, n1):
             E.append(mpmath.fsum(i * c[i] * E[m - i] for i in range(1, m + 1)) / m)
         return np.array([0j, *map(complex, E)])
+
+
+def closed_coefficients(row, order, dps=50):
+    """a_0 .. a_order of a closed, unrotated catalog row's f = z prod P^e,
+    every e = +-1, by mpmath at dps digits.
+
+    Each P is 1 + p1 z + p2 z^2 = (1 - r z)(1 - r' z) over its reciprocal
+    roots, and the z^m coefficient of 1/P is h_m = sum_{j=0}^{m} r^j r'^(m-j)
+    = r' h_{m-1} + r^m, which needs no r - r' and so holds at a double root;
+    a factor with e = 1 is P itself.  The factors' series are multiplied out
+    as sums.
+    """
+    with mpmath.workdps(dps):
+        c = [mpmath.mpc(0), mpmath.mpc(1)] + [mpmath.mpc(0)] * (order - 1)
+        for P, e in row.factors:
+            p1, p2 = (mpmath.mpc(complex(x)) for x in (*P[1:], 0, 0)[:2])
+            if e == 1:
+                series = [mpmath.mpc(1), p1, p2] + [mpmath.mpc(0)] * (order - 2)
+            else:
+                d = mpmath.sqrt(p1 * p1 - 4 * p2)
+                r, s = (d - p1) / 2, (-d - p1) / 2
+                series, rm = [mpmath.mpc(1)], mpmath.mpc(1)
+                for _ in range(order):
+                    rm *= r
+                    series.append(s * series[-1] + rm)
+            c = [mpmath.fsum(c[i] * series[m - i] for i in range(m + 1)) for m in range(order + 1)]
+        return np.array(list(map(complex, c)))

@@ -39,7 +39,13 @@ from logcoef.catalog import (
 )
 from logcoef.classes import ClassSpec, _ring, membership_test
 
-from _oracles import contour_coefficients, expi, fd_derivatives, power_coefficients
+from _oracles import (
+    closed_coefficients,
+    contour_coefficients,
+    expi,
+    fd_derivatives,
+    power_coefficients,
+)
 
 
 class TestClosedFormCoefficients:
@@ -138,6 +144,26 @@ class TestClosedFormCoefficients:
         c = f.series(32).coeffs
         np.testing.assert_array_equal(c[:3], [0, 1, -0.5])
         assert not c[3:].any()
+
+    @pytest.mark.parametrize("f, want", [
+        (koebe(), range(257)),
+        (m_alpha_upper(0.0), [0] + [n % 2 for n in range(1, 257)]),
+        (g_quadratic(), [0, 1, -0.5] + [0] * 254),
+    ], ids=["koebe", "m_alpha_upper_0", "g_quadratic"])
+    def test_closed_series_is_exact(self, f, want):
+        # A closed row's series is its exact products and quotients.  The
+        # route z exp(beta log u) misses these by up to 9.1e-14 relative at
+        # koebe's a_256, 2.2e-16 for m_alpha_upper(0) and 4e-33 for a zero
+        # of g_quadratic.
+        assert f.row.closed
+        assert f.series(256).coeffs.tolist() == list(want)
+
+    @pytest.mark.parametrize("f", [m_alpha_upper(0.0), g_quadratic(), f3(0.8), f5(0.3)],
+                             ids=["m_alpha_upper_0", "g_quadratic", "f3_0.8", "f5_0.3"])
+    def test_closed_series_matches_the_oracle(self, f):
+        assert f.row.closed
+        want = closed_coefficients(f.row, 256)
+        assert (np.abs(f.series(256).coeffs - want) <= 1e-15).all()
 
 
 class TestEvaluators:

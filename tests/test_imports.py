@@ -9,7 +9,6 @@ span tracer wraps still exists.
 
 import dataclasses
 import importlib
-import importlib.util
 import inspect
 import os
 import re
@@ -94,13 +93,19 @@ def test_version_matches_pyproject():
     assert logcoef.__version__ == re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
 
 
-def test_benchmark_tracer_targets_resolve():
+@pytest.fixture
+def tracer(monkeypatch):
+    """bench/tracer.py, imported through sys.path without writing its bytecode."""
+    monkeypatch.syspath_prepend(str(PACKAGE.parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    yield importlib.import_module("tracer")
+    sys.modules.pop("tracer", None)
+
+
+def test_benchmark_tracer_targets_resolve(tracer):
     # bench/tracer.py wraps these names for traced runs; a rename would break
     # `bench/run.py --trace 1` without failing any other test.
-    path = PACKAGE.parent.parent / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
     for modname, attr_path, _, _ in tracer.TARGETS:
         owner = importlib.import_module(modname)
         for part in attr_path.split("."):
@@ -111,3 +116,21 @@ def test_benchmark_tracer_targets_resolve():
     # The membership hook binds f, radii and angular and reads f.evaluator.
     assert {"f", "radii", "angular"} <= set(inspect.signature(membership_test).parameters)
     assert "evaluator" in {field.name for field in dataclasses.fields(AnalyticFunction)}
+
+
+def test_benchmark_tracer_installs_and_uninstalls(tracer):
+    # Every target is wrapped where it is defined, and every wrapper, in
+    # whichever module namespace holds the name, is undone afterwards.
+    t = tracer.Tracer()
+    t.install()
+    try:
+        wrapped = {tracer._resolve(m, path) for m, path, _, _ in tracer.TARGETS}
+        for owner, attr in wrapped:
+            assert hasattr(getattr(owner, attr), "traced_original"), attr
+        undo = list(t._undo)
+        assert len(undo) >= len(tracer.TARGETS)
+    finally:
+        t.uninstall()
+    assert not t._undo
+    for holder, key, orig in undo:
+        assert getattr(holder, key) is orig, key

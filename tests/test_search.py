@@ -45,6 +45,20 @@ from logcoef.search import (
 from _rows import stack_rows
 
 
+def assert_extremes_reproduced(res):
+    """The reported extremes of `res` are the kernel at their args, bit for
+    bit, with k^2 = 1 at the max and 0 at the min; body_delta, which reads
+    phase pi as fl(pi), is within one ulp of |a_2| + |P| + |T| of them."""
+    body = search._body(res.spec)
+    for value, arg, k2 in [(res.min_delta, res.argmin, 0.0), (res.max_delta, res.argmax, 1.0)]:
+        m1, m2 = arg["m1"], arg["m2"]
+        assert search._delta(body, np.array([m1]), np.array([m2]), k2)[0] == value
+        a2 = abs(body.s) * m1
+        scale = a2 + abs(body.q - functional.MU) * a2 * a2 + abs(body.t) * m2
+        again = body_delta(res.spec, m1, m2, arg["phase"])
+        assert abs(again - value) <= np.spacing(scale)
+
+
 class TestBodyDelta:
     def test_u_lower_extreme_point(self):
         # |a_2| = sqrt 2 with the free part of a_3 cancelling gamma_2
@@ -138,12 +152,7 @@ class TestBodySearch:
             assert body_search(spec).min_delta == bound_delta(spec).lower
 
     def test_extremes_reproducible_from_reported_args(self):
-        res = body_search(ClassSpec("M", alpha=2.0), resolution=50)
-        for value, arg in [(res.min_delta, res.argmin), (res.max_delta, res.argmax)]:
-            again = body_delta(
-                res.spec, arg["m1"], arg["m2"], arg["phase"]
-            )
-            assert float(again) == pytest.approx(value, abs=1e-12)
+        assert_extremes_reproduced(body_search(ClassSpec("M", alpha=2.0), resolution=50))
 
     def test_args_stay_inside_body(self):
         spec = ClassSpec("U", lam=0.8)
@@ -300,9 +309,8 @@ class TestBodySearchOracle:
         res = body_search(spec)
         assert res.refined
         xmax, cap = _body(spec)
-        for value, arg in [(res.min_delta, res.argmin), (res.max_delta, res.argmax)]:
-            again = float(body_delta(spec, arg["m1"], arg["m2"], arg["phase"]))
-            assert again == pytest.approx(value, abs=1e-15)
+        assert_extremes_reproduced(res)
+        for arg in (res.argmin, res.argmax):
             assert 0.0 <= arg["m1"] <= xmax
             assert 0.0 <= arg["m2"] <= cap(arg["m1"])
             assert 0.0 <= arg["phase"] < 2.0 * math.pi
@@ -332,6 +340,27 @@ def test_body_search_attains_bounds_across_parameters(spec):
     assert res.refined
     assert abs(res.min_delta - pair.lower) <= tol
     assert abs(res.max_delta - pair.upper) <= tol
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("U", catalog.sweep_grid(0.0, 1.0, "(]", 0.01)),
+    ("M", catalog.sweep_grid(0.0, 3.0, "[]", 0.03)),
+    ("G", catalog.sweep_grid(0.0, 1.0, "(]", 0.01)),
+])
+def test_search_extremes_against_exact_delta(kind, grid):
+    # Each extreme within 3e-16 relative of delta at its (m1, m2) and exact
+    # phase, e^{i pi} = -1, in 50-digit arithmetic.
+    specs = [ClassSpec.of(kind, p) for p in grid]
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(functional.MU)
+        for res in body_searches(specs):
+            body = search._body(res.spec)
+            s, q, t = (mpmath.mpf(float(v)) for v in (body.s, body.q, body.t))
+            for value, arg in [(res.min_delta, res.argmin), (res.max_delta, res.argmax)]:
+                unit = {0.0: 1, math.pi: -1}[arg["phase"]]
+                a2 = s * arg["m1"]
+                exact = abs((q - mu) * a2 * a2 + t * arg["m2"] * unit) / 2 - abs(a2) / 2
+                assert abs(value - exact) <= 3e-16 * abs(exact), res.spec.label()
 
 
 @pytest.mark.parametrize(
@@ -671,7 +700,7 @@ class TestViolationScan:
         # The scan draws and evaluates its samples block by block; it must
         # report what one body_delta call over the whole stream gives, bit for bit.
         body = search._body(spec)
-        u = search._unit_doubles(7, 0, 3 * samples).reshape(samples, 3)
+        u = search._unit_doubles(7, 0, search._stream_index(3 * samples)).reshape(samples, 3)
         m1 = u[:, 0] * body.reach
         d = body_delta(spec, m1, u[:, 1] * body.cap(m1), u[:, 2] * (2.0 * math.pi))
         pair = bound_delta(spec)
@@ -705,7 +734,8 @@ class TestViolationScan:
     def test_scan_is_a_prefix_of_longer_scans(self, samples):
         # Sample i reads outputs 3i .. 3i + 2 whatever the block it falls in.
         spec = ClassSpec("U", lam=0.5)
-        u = search._unit_doubles(11, 0, 3 * (samples + 10_000)).reshape(-1, 3)[:samples]
+        index = search._stream_index(3 * (samples + 10_000))
+        u = search._unit_doubles(11, 0, index).reshape(-1, 3)[:samples]
         body = search._body(spec)
         m1 = u[:, 0] * body.reach
         d = body_delta(spec, m1, u[:, 1] * body.cap(m1), u[:, 2] * (2.0 * math.pi))
@@ -760,17 +790,17 @@ class TestViolationScan:
     def test_nan_in_a_block_is_refused(self, monkeypatch, where, start):
         # The samples are not checked one by one: a NaN delta anywhere in a
         # block carries through the block's min and max, and the scan refuses it.
-        kernel, done = search._half_angle_delta, []
+        kernel, done = search._delta, []
 
-        def poisoned(body, m1, m2, half):
-            d = kernel(body, m1, m2, half)
+        def poisoned(body, m1, m2, k2):
+            d = kernel(body, m1, m2, k2)
             first = sum(done)
             done.append(d.size)
             if first <= where < first + d.size:
                 d[where - first] = math.nan
             return d
 
-        monkeypatch.setattr(search, "_half_angle_delta", poisoned)
+        monkeypatch.setattr(search, "_delta", poisoned)
         refusal = rf"^M\(1\) scan: delta not finite in block from sample {start}$"
         with pytest.raises(ValueError, match=refusal):
             bound_violation_scan(ClassSpec("M", alpha=1.0), samples=3 * search._SCAN_BLOCK)
@@ -813,7 +843,7 @@ class TestHalfAngleKernel:
     @staticmethod
     def _stream_points(spec, samples=4000):
         body = search._body(spec)
-        u = search._unit_doubles(0, 0, 3 * samples).reshape(samples, 3)
+        u = search._unit_doubles(0, 0, search._stream_index(3 * samples)).reshape(samples, 3)
         m1 = u[:, 0] * body.reach
         return m1, u[:, 1] * body.cap(m1), u[:, 2] * (2.0 * math.pi)
 
@@ -895,7 +925,7 @@ def _splitmix64_reference(seed, k):
 class TestSplitMix64:
     def test_published_outputs(self):
         # The first five outputs published for seed 1234567.
-        assert search._splitmix64(1234567, 0, 5).tolist() == [
+        assert search._splitmix64(1234567, 0, search._stream_index(5)).tolist() == [
             6457827717110365317,
             3203168211198807973,
             9817491932198370423,
@@ -907,7 +937,7 @@ class TestSplitMix64:
     def test_wraparound_matches_python_ints(self, start):
         # At the largest seed the very first addition wraps modulo 2^64.
         seed = 2**64 - 1
-        got = search._splitmix64(seed, start, 64).tolist()
+        got = search._splitmix64(seed, start, search._stream_index(64)).tolist()
         assert got == [_splitmix64_reference(seed, k) for k in range(start, start + 64)]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -922,9 +952,10 @@ class TestSplitMix64:
     def test_strided_draws_are_the_interleaved_stream(self, seed, start, n):
         # The scan draws coordinate j of samples start .. start + n - 1 on
         # its own: outputs 3i + j, the bits of every third output of one draw.
-        whole = search._unit_doubles(seed, 3 * start, 3 * n)
+        whole = search._unit_doubles(seed, 3 * start, search._stream_index(3 * n))
+        index = search._stream_index(n, 3)
         for j in range(3):
-            got = search._unit_doubles(seed, 3 * start + j, n, 3)
+            got = search._unit_doubles(seed, 3 * start + j, index)
             assert got.view(np.int64).tolist() == whole[j::3].view(np.int64).tolist()
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -936,7 +967,7 @@ class TestSplitMix64:
         assert n == 1696
         index = search._stream_index(search._SCAN_BLOCK, 3)
         for j in range(3):
-            got = search._splitmix64(seed, 3 * start + j, n, 3, index).tolist()
+            got = search._splitmix64(seed, 3 * start + j, index[:n]).tolist()
             assert got == [_splitmix64_reference(seed, 3 * (start + i) + j) for i in range(n)]
 
     def test_scan_index_is_built_once_and_read_only(self, monkeypatch):
@@ -960,7 +991,7 @@ class TestSplitMix64:
                 x[0] = 0
 
     def test_unit_doubles_are_the_top_53_bits(self):
-        u = search._unit_doubles(2**64 - 1, 100, 64)
+        u = search._unit_doubles(2**64 - 1, 100, search._stream_index(64))
         want = [(_splitmix64_reference(2**64 - 1, k) >> 11) / 2**53 for k in range(100, 164)]
         assert u.tolist() == want
         assert ((0.0 <= u) & (u < 1.0)).all()
