@@ -13,23 +13,23 @@ adds to it:
     m_alpha_upper   ((1, 0, -1), -1/alpha)  a = beta = alpha
     g_alpha_upper   ((1, 0, -1), alpha/2)   a = beta = 1, so f' = h
 
-with k_theta_alpha and m_alpha_upper at alpha = 0 the closed rows of koebe
+with k_theta_alpha and m_alpha_upper at alpha = 0 the a = 0 rows of koebe
 and z / (1 - z^2).  The rows of the families with a class parameter (f3,
 f4, f5 and the last three) are written once each, as plain arithmetic in
 the parameter (`Family.row`): a constructor calls the row on its float, and
 a family sweep calls it on the whole grid as an array, a stack of rows that
 `functional` reads without an entry built per parameter.
 
-Coefficients come from the row by one route, `_stacked_log_u`: log u of a
-stack of rows, from L = sum e log P and, for a < 1, v = u/h, so that the
-large L of small a never passes through h's coefficients.  `functional`
-reads gamma = beta (log u)/2 from it, and `AnalyticFunction.series` the
-Taylor coefficients z exp(beta log u), only when asked for, to the order
-asked; a closed row's series is its exact products and quotients.  The
-evaluator comes from the row too and returns the three ratios every class
-inequality reads: in closed form at a = 0 (`_closed_evaluator`), and
-otherwise by Gauss-Legendre quadrature of u alone, with z u'/u from an exact
-identity in u (`_quadrature_evaluator`).  The quadrature is run once per
+Coefficients come from the row by one route, `_stacked_dlog_u`: y_u =
+z u'/u of a stack of rows, from y = z h'/h = sum e z P'/P and, for
+0 < a < 1, v = u/h, so that the large y of small a never passes through
+h's coefficients.  `functional` reads gamma_n = beta y_n / (2n) from it,
+and `AnalyticFunction.series` the Taylor coefficients z exp(beta y_u) of
+every row, only when asked for, to the order asked.  The evaluator comes
+from the row too and returns the three ratios every class inequality reads:
+in closed form at a = 0 (`_closed_evaluator`), and otherwise by
+Gauss-Legendre quadrature of u alone, with z u'/u from an exact identity in
+u (`_quadrature_evaluator`).  The quadrature is run once per
 orbit of the row's symmetry: a row with real coefficients gives conjugate
 values at z and conj z, and a row with no odd coefficient gives equal values
 at z and -z, so k_theta_alpha(0, alpha) is integrated at half the points of
@@ -48,8 +48,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .classes import ClassSpec, admits
-from .series import MIN_ORDER, TruncatedSeries, _div_coeffs, _exp_stack, _expi, _is_integer
-from .series import _log_stack
+from .series import MIN_ORDER, TruncatedSeries, _dlog, _exp, _expi, _is_integer, _solve
 from .series import exp_unit, log_unit, pow_real  # noqa: F401  bench/tracer.py wraps them here too
 
 
@@ -68,11 +67,6 @@ class Row(NamedTuple):
     theta: float = 0.0
 
     @property
-    def closed(self):
-        """Whether f = z prod P^e with every e = +-1, exact by products and quotients."""
-        return self.a == 0 and self.beta == 1 and all(abs(e) == 1 for _, e in self.factors)
-
-    @property
     def finite(self):
         """Whether every value but theta is finite, and a >= 0."""
         values = [*(c for P, _ in self.factors for c in P), *(e for _, e in self.factors)]
@@ -80,18 +74,19 @@ class Row(NamedTuple):
                                 self.a >= 0)
 
 
-def _stacked_log_u(row, order: int):
-    """log u of each row of a stack of rows to z^order, a (K, order + 1) array, and refusals.
+def _stacked_dlog_u(row, order: int):
+    """y_1 .. y_order of y_u = z u'/u for each row of a stack of rows, a (K, order) array,
+    and refusals.
 
     `row` is a `Row` whose values are floats or (K,) arrays, the floats
-    shared by every row of the stack.  L = log h = sum e log P.  For a < 1,
-    v = u/h solves (1 + a m) v_m = [m = 0] - sum_{j>=1} a j L_j v_{m-j}, and
-    log u = L + log v keeps the large L of small a exact (at a = 0, log u =
-    L); for a >= 1, u_m = exp(L)_m/(1 + a m), where L and log v would cancel.
-    Every step acts on each row alone (see `series`), so a row has the bits
-    it has alone, and log u_m does not depend on order.  The refusals map
-    each row whose terms underflow (a u_m below the smallest normal double,
-    or a power that underflowed to 0) to its words, {} for its name.
+    shared by every row of the stack.  y = z h'/h = sum e z P'/P, and at a = 0
+    y_u = y.  For 0 < a < 1, v = u/h solves (1 + a m) v_m = [m = 0] -
+    sum_{j>=1} a y_j v_{m-j}, and y_u = y + z v'/v keeps the large y of small
+    a exact; for a >= 1, u_m = h_m/(1 + a m), where y and z v'/v would
+    cancel.  Every step acts on each row alone (see `series`), so a row has
+    the bits it has alone, and y_u,m does not depend on order.  The refusals
+    map each row whose terms underflow (a u_m below the smallest normal
+    double, or a power that underflowed to 0) to its words, {} for its name.
     """
     k = np.arange(order + 1)
     values = [row.a, row.beta, row.theta, *(x for P, e in row.factors for x in (*P, e))]
@@ -105,29 +100,22 @@ def _stacked_log_u(row, order: int):
         for j, c in enumerate(poly[: order + 1]):
             P[s, :, j] = c
         e[s, :, 0] = power
-    small, large = (a < 1.0).nonzero()[0], (~(a < 1.0)).nonzero()[0]
-    logu = np.empty((size, order + 1), dtype=complex)  # each group fills its rows
+    small, large = ((0.0 < a) & (a < 1.0)).nonzero()[0], (~(a < 1.0)).nonzero()[0]
     why = {}
     with np.errstate(over="ignore", invalid="ignore"):
         # Slot by slot, in a sum that starts from 0: an exact zero part comes out +0.
-        L = sum(e * _log_stack(P.reshape(-1, order + 1)).reshape(slots, size, order + 1), 0)
+        yu = sum(e * _dlog(P.reshape(-1, order + 1)).reshape(slots, size, order), 0)
         if small.size:
-            ak = a[small, None] * k
-            crev = np.ascontiguousarray((ak * L[small])[:, ::-1])[:, :, None]
-            v = np.zeros((small.size, 1, order + 1), dtype=complex)
-            v[:, 0, 0] = 1.0
-            for m in range(1, order + 1):
-                acc = np.matmul(v[:, :, :m], crev[:, order - m : order])[:, 0, 0]
-                v[:, 0, m] = (0 - acc) / (1.0 + ak[:, m])
-            logu[small] = L[small] + _log_stack(v[:, 0])
+            v = _solve(k == 0, a[small, None] * yu[small], 1.0 + a[small, None] * k)
+            yu[small] += _dlog(v)
         if large.size:
-            h = _exp_stack(L[large])
+            h = _exp(yu[large])
             u = h / (1.0 + a[large, None] * k)
             lost = ((np.abs(u) < np.finfo(float).tiny) & (h != 0)).any(axis=1)
             lost |= (e[:, large, 0] == 0).any(axis=0)
             why = dict.fromkeys(large[lost], "{}: the row's terms underflow")
-            logu[large] = _log_stack(u)
-    return logu, why
+            yu[large] = _dlog(u)
+    return yu, why
 
 
 # The factor row of each family with a class parameter, as plain arithmetic in
@@ -267,30 +255,22 @@ class AnalyticFunction:
     def series(self, n: int) -> TruncatedSeries:
         """Taylor coefficients a_0..a_n, built from the row to order n.
 
-        A closed row (`Row.closed`) gives f exactly, by products and
-        quotients, any other z exp(beta log u) (`_stacked_log_u`); a_n is
-        the unrotated row's times e^{i(n-1) theta} (`series._expi`).
-        Refuses, with ValueError and no numpy warning, an n that is not an
-        integer of at least MIN_ORDER, a row whose terms underflow, as gamma
-        does, and a coefficient that is not finite, as where u^beta
-        overflows at large n and large powers.
+        z exp(beta y_u) (`_stacked_dlog_u`) for every row, exact for koebe,
+        z / (1 - z^2) and z - z^2/2; a_n is the unrotated row's times
+        e^{i(n-1) theta} (`series._expi`).  Refuses, with ValueError and no
+        numpy warning, an n that is not an integer of at least MIN_ORDER, a
+        row whose terms underflow, as gamma does, and a coefficient that is
+        not finite, as where u^beta overflows at large n and large powers.
         """
         if not (_is_integer(n) and n >= MIN_ORDER):
             raise ValueError(f"order must be an integer of at least {MIN_ORDER}, got {n!r}")
-        factors, _, beta, theta = self.row
+        yu, why = _stacked_dlog_u(self.row, n - 1)
+        if why:
+            raise ValueError(why[0].format(f"{self.label} {self.params}"))
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.row.closed:
-                c = TruncatedSeries([0.0, 1.0], order=n).coeffs
-                for P, e in factors:
-                    p = TruncatedSeries(P, order=n).coeffs
-                    c = np.convolve(c, p)[: n + 1] if e > 0 else _div_coeffs(c, p)
-            else:
-                logu, why = _stacked_log_u(self.row, n - 1)
-                if why:
-                    raise ValueError(why[0].format(f"{self.label} {self.params}"))
-                c = np.concatenate(([0.0], _exp_stack(beta * logu)[0]))
-            if theta:
-                c = c * _expi(theta, np.arange(-1.0, n))
+            c = np.concatenate(([0.0], _exp(self.row.beta * yu)[0]))
+            if self.row.theta:
+                c = c * _expi(self.row.theta, np.arange(-1.0, n))
         s = TruncatedSeries(c, order=n)
         bad = np.flatnonzero(~np.isfinite(s.coeffs))
         if bad.size:
@@ -622,13 +602,13 @@ def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
     the row with the one factor (1 - z)^{-2/alpha}, a = beta = alpha,
     rotated by theta.  At alpha = 0 it is koebe's row; a_2 = 2 e^{i theta} / (1 + alpha).
 
-    gamma and the power series, both read from the row's log u, are accurate
+    gamma and the power series, both read from the row's y_u, are accurate
     at every alpha up to about 4.7e153, where the row's terms underflow and
     both refuse.  The evaluator has its own floor: below alpha ~ 3.51e-4 its
     quadrature rule would need more than _MAX_NODES nodes, and it refuses
     with ValueError at every |z| up to 0.999.
     """
-    ClassSpec.of("M", alpha)  # refuses alpha outside M's range
+    alpha = ClassSpec.of("M", alpha).alpha  # refuses alpha outside M's range
     return _member("k_theta_alpha", alpha, {"theta": float(theta), "alpha": float(alpha)}, theta)
 
 
@@ -642,9 +622,8 @@ def m_alpha_upper(alpha: float) -> AnalyticFunction:
     quadrature rule would need more than _MAX_NODES nodes, at every |z| up to
     0.999.
     """
-    ClassSpec.of("M", alpha)  # refuses alpha outside M's range
-    # + 0.0 turns alpha = -0.0 into the 0.0 the entry has always reported there.
-    return _member("m_alpha_upper", alpha, {"alpha": float(alpha) + 0.0})
+    alpha = ClassSpec.of("M", alpha).alpha  # refuses alpha outside M's range
+    return _member("m_alpha_upper", alpha, {"alpha": float(alpha)})
 
 
 def g_alpha_upper(alpha: float) -> AnalyticFunction:

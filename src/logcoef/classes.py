@@ -78,6 +78,9 @@ class ClassSpec:
         for name, value in (("lambda", self.lam), ("alpha", self.alpha)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("lam", "alpha"):
+            if getattr(self, name) == 0:  # -0.0 reads, and prints, as 0.0
+                object.__setattr__(self, name, 0.0)
         if self.kind == "U":
             if self.lam is None or not _in_range("U", self.lam):
                 raise ValueError(f"U requires 0 < lambda <= 1, got {self.lam}")

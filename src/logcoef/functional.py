@@ -6,10 +6,11 @@ from a catalog entry's factor row.  `_stacked_log_coefficients` reads them
 for a whole stack of rows at once, a row whose values are arrays: a
 family's row on a sweep's grid, with no entry built per parameter.
 `log_coefficients` is that on the entry's one row, so a family sweep and a
-single entry run the same code: gamma = beta (log u)/2, log u from
-`catalog._stacked_log_u`, which the Taylor series reads too.  Each row gets
-the bits it gets alone, and a refusal names the first row of the stack that
-a call on it alone would refuse.  `gamma_from_a` keeps the formulas gamma_1
+single entry run the same code: z (log(f/z))' = sum 2 n gamma_n z^n is
+beta y_u, y_u = z u'/u from `catalog._stacked_dlog_u`, which the Taylor
+series reads too, so gamma_n = beta y_n / (2n).  Each row gets the bits it
+gets alone, and a refusal names the first row of the stack that a call on
+it alone would refuse.  `gamma_from_a` keeps the formulas gamma_1
 = a_2 / 2 and gamma_2 = (a_3 - mu a_2^2) / 2, mu = `MU` = 1/2, fed by the
 entry's power series, to cross-check gamma through exp and back.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _stacked_log_u
+from .catalog import _stacked_dlog_u
 from .series import MIN_ORDER, _expi, _is_integer
 from .series import log_unit  # noqa: F401  bench/tracer.py wraps the name here too
 
@@ -46,19 +47,19 @@ def _stacked_log_coefficients(row, n: int, name) -> np.ndarray:
 
     `row` is a `catalog.Row` whose values are floats or (K,) arrays, the
     floats shared by every row of the stack, such as a family's row on a
-    grid of parameters (`catalog.Family.row`).  gamma = beta (log u)/2, log u
-    from `catalog._stacked_log_u`, which runs rows with a < 1 and rows with
-    a >= 1 as two groups; row k is what a call on that row alone gives, bit
-    for bit.  A stack of no rows gives a (0, n) array.  A refusal names the
-    first row that a call on it alone would refuse, in that call's words,
-    with name(k), the label and parameters of row k.
+    grid of parameters (`catalog.Family.row`).  gamma_n = beta y_n / (2n),
+    y_u from `catalog._stacked_dlog_u`, which runs rows with 0 < a < 1 and
+    rows with a >= 1 as two groups; row k is what a call on that row alone
+    gives, bit for bit.  A stack of no rows gives a (0, n) array.  A refusal
+    names the first row that a call on it alone would refuse, in that call's
+    words, with name(k), the label and parameters of row k.
     """
     if not (_is_integer(n) and n >= 1):
         raise ValueError(f"need an integer n >= 1, got {n!r}")
-    logu, why = _stacked_log_u(row, max(n, MIN_ORDER))
-    beta, theta = (np.full(len(logu), x, dtype=float) for x in (row.beta, row.theta))
+    yu, why = _stacked_dlog_u(row, max(n, MIN_ORDER))
+    beta, theta = (np.full(len(yu), x, dtype=float) for x in (row.beta, row.theta))
     with np.errstate(over="ignore", invalid="ignore"):
-        gammas = (0.5 * beta)[:, None] * logu[:, 1 : n + 1]
+        gammas = (beta[:, None] / np.arange(2.0, 2 * n + 1, 2)) * yu[:, :n]
         (turned,) = theta.nonzero()
         if turned.size:
             gammas[turned] *= _expi(theta[turned, None], np.arange(1, n + 1))
@@ -78,8 +79,8 @@ def _named(f) -> str:
 def log_coefficients(f, n: int) -> np.ndarray:
     """gamma_1..gamma_n of a catalog entry, read from its row for any integer n >= 1.
 
-    gamma = beta (log u)/2, log u from `catalog._stacked_log_u`; at a = 0 it
-    is L = sum e log P itself, so koebe's gamma_n is 1/n to the last bit.
+    gamma_n = beta y_n / (2n), y_u from `catalog._stacked_dlog_u`; at a = 0
+    it is y = sum e z P'/P itself, so koebe's gamma_n is 1/n to the last bit.
     gamma_k does not depend on n, and a row rotated by theta multiplies it by
     e^{i k theta} (`series._expi`).  Refuses, with ValueError, an n that is
     not an integer of at least 1, a row whose terms underflow (alpha past

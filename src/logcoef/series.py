@@ -3,24 +3,23 @@
 A :class:`TruncatedSeries` holds ``a_0 .. a_N`` of a catalog entry, cut off
 at a fixed order ``N`` and built on demand, and is the tests' Horner oracle;
 entries are evaluated by their rows' evaluators, never by a series.  Every
-coefficient is read through the stacked recurrences here: `_log_stack` gives
-`catalog._stacked_log_u` the log u that gamma is read from, a series is
-z `_exp_stack`(beta log u), and `_div_coeffs` gives a closed row's series
-its exact quotients by back-substitution.  The log and exp are the
-classical differentiate-and-solve recurrences (for ``L = log a``,
-``L' a = a'`` is solved term by term), and the principal branch is pinned by
-``log(1) = 0``.
+coefficient is read through one triangular solve, `_solve`: x_0 = r_0 and
+d_n x_n = r_n - sum_{j=1}^{n} g_j x_{n-j}.  A series c with c_0 = 1 is
+carried as its log-derivative y = z c'/c = z (log c)', which `_dlog`
+solves from c y = z c' with no division, and `_exp` turns back into
+exp(log c) from z E' = y E, n E_n = sum y_j E_{n-j}; the principal branch
+is pinned by log(1) = 0.  `catalog._stacked_dlog_u` gives y_u = z u'/u,
+gamma_n is beta y_n / (2n), and a series is z `_exp`(beta y_u).
 
-The log and exp recurrences run on stacks: `_log_stack` and `_exp_stack`
-take a complex (K, N+1) array, and each solves every row at once,
-one coefficient per step, so that K series cost about what one does.
-`log_unit` and `exp_unit` are these cores on a stack of one, and
-`pow_real` is exp(beta log a) by the two of them.  A step's inner
-products are one matmul of a (K, 1, m) stack of rows by a (K, m, 1) stack
-of columns, which reaches np.dot's kernel for every length m, strided slices
-included: each row gets the value np.dot gives it, and the same bits in a
-stack of any size.  At m = 1 matmul adds the one product to +0, so an exact
-zero part comes out +0 where np.dot gives -0.
+The solve runs on stacks: g is a complex (K, N) array, and every row is
+solved at once, one coefficient per step, so that K series cost about what
+one does.  `log_unit`, `exp_unit`, `pow_real` and `_div_coeffs` are a few
+lines each on it, for a stack of one.  A step's inner products are one
+matmul of a (K, 1, m) stack of rows by a (K, m, 1) stack of columns, which
+reaches np.dot's kernel for every length m, strided slices included: each
+row gets the value np.dot gives it, and the same bits in a stack of any
+size.  At m = 1 matmul adds the one product to +0, so an exact zero part
+comes out +0 where np.dot gives -0.
 
 `_expi` is the rotation factor e^{i k theta} that a row rotated by theta
 puts on its coefficients, from k theta split exactly in two doubles.
@@ -92,54 +91,49 @@ class TruncatedSeries:
         return acc
 
 
+def _solve(r, g, d=None) -> np.ndarray:
+    """x_0 .. x_N of x_0 = r_0 and d_n x_n = r_n - sum_{j=1}^{n} g_j x_{n-j}, each row of a stack.
+
+    g = (g_1 .. g_N) is a complex (K, N) array, and r broadcasts to (K, N+1),
+    as does d, real, or 1 if None, whose d_0 is not read.  Each part of x_n
+    is divided by d_n on its own, so that the quotient is correctly rounded,
+    which numpy's complex / real is not: its 2450 / 49 is 50 - 7.1e-15.
+    """
+    K, N = g.shape
+    grev = np.ascontiguousarray(g[:, ::-1])[:, :, None]  # g_N .. g_1
+    x = np.zeros((K, 1, N + 1), dtype=complex)
+    x[:, 0] = r  # x_n holds r_n until step n
+    if d is not None:
+        parts = x.view(float).reshape(K, N + 1, 2)  # x_n's real and imaginary parts
+        d = (np.zeros((K, N + 1)) + d)[:, :, None]
+    for n in range(1, N + 1):
+        x[:, 0, n] -= np.matmul(x[:, :, :n], grev[:, N - n :])[:, 0, 0]
+        if d is not None:
+            np.divide(parts[:, n], d[:, n], out=parts[:, n])
+    return x[:, 0]
+
+
+def _dlog(c: np.ndarray) -> np.ndarray:
+    """y_1 .. y_N of y = z c'/c = z (log c)' for each row of a complex (K, N+1) array
+    whose column 0 is exactly 1: y_n = n c_n - sum_{j=1}^{n-1} c_j y_{n-j}."""
+    return _solve(np.arange(1, c.shape[1]) * c[:, 1:], c[:, 1:-1])
+
+
+def _exp(y: np.ndarray) -> np.ndarray:
+    """E_0 .. E_N of E = exp(L), L(0) = 0, from y_1 .. y_N of y = z L', a complex (K, N)
+    array: E_0 = 1 and n E_n = sum_{j=1}^{n} y_j E_{n-j}."""
+    k = np.arange(y.shape[1] + 1.0)
+    return _solve(k == 0, -y, k)
+
+
 def _div_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coefficients of the series a / b, (N+1,) arrays, to the length of a; b_0 may not be 0.
 
-    q_n = (a_n - sum_{i<n} q_i b_{n-i}) / b_0.
+    `_solve`(a / b_0, b / b_0), for every b_0, complex too.  No code in `src` calls it.
     """
     if b[0] == 0:
         raise ValueError("division by a series with zero constant term")
-    n1 = len(a)
-    brev = np.ascontiguousarray(b[::-1])
-    q = np.zeros(n1, dtype=complex)
-    q[0] = a[0] / b[0]
-    for n in range(1, n1):
-        q[n] = (a[n] - np.dot(q[:n], brev[n1 - 1 - n : n1 - 1])) / b[0]
-    return q
-
-
-def _log_stack(c: np.ndarray) -> np.ndarray:
-    """Series log of each row of a complex (K, N+1) array whose column 0 is exactly 1.
-
-    n L_n = n c_n - sum_{i=1}^{n-1} i L_i c_{n-i}, so L_1 = c_1.
-    """
-    n1 = c.shape[1]
-    k = np.arange(n1, dtype=complex)
-    crev = np.ascontiguousarray(c[:, ::-1])[:, :, None]
-    L = np.zeros(c.shape, dtype=complex)
-    w = np.zeros((len(c), 1, n1), dtype=complex)  # w[:, 0, j] = j L[:, j]
-    L[:, 1:2] = c[:, 1:2]
-    w[:, 0, 1:2] = k[1] * L[:, 1:2]
-    for n in range(2, n1):
-        L[:, n] = c[:, n] - np.matmul(w[:, :, 1:n], crev[:, n1 - n : n1 - 1])[:, 0, 0] / k[n]
-        w[:, 0, n] = k[n] * L[:, n]
-    return L
-
-
-def _exp_stack(c: np.ndarray) -> np.ndarray:
-    """Series exponential of each row of a complex (K, N+1) array whose column 0 is exactly 0.
-
-    n E_n = sum_{i=1}^{n} i c_i E_{n-i}.
-    """
-    n1 = c.shape[1]
-    k = np.arange(n1, dtype=complex)
-    wrev = np.ascontiguousarray((c * k)[:, ::-1])[:, :, None]
-    E = np.zeros(c.shape, dtype=complex)
-    E3 = E[:, None, :]
-    E[:, 0] = 1.0
-    for n in range(1, n1):
-        E[:, n] = np.matmul(E3[:, :, :n], wrev[:, n1 - 1 - n : n1 - 1])[:, 0, 0] / k[n]
-    return E
+    return _solve(a[None] / b[0], b[None, 1 : len(a)] / b[0])[0]
 
 
 def _expi(theta, k):
@@ -165,32 +159,33 @@ def _is_integer(x) -> bool:
 def log_unit(a: TruncatedSeries) -> TruncatedSeries:
     """Series logarithm of a series with constant term exactly 1.
 
-    Solves L' a = a' triangularly:
-    n L_n = n a_n - sum_{i=1}^{n-1} i L_i a_{n-i}.
+    L_n = y_n / n, y = z a'/a from `_dlog`, each part divided on its own.
     """
     if a.coeffs[0] != 1:
         raise ValueError("log_unit requires constant term exactly 1")
-    return TruncatedSeries(_log_stack(a.coeffs[None])[0], order=a.order)
+    y = _dlog(a.coeffs[None])[0]
+    L = (y.view(float).reshape(-1, 2) / np.arange(1.0, a.order + 1)[:, None]).view(complex)
+    return TruncatedSeries(np.append(0.0, L), order=a.order)
 
 
 def exp_unit(a: TruncatedSeries) -> TruncatedSeries:
     """Series exponential of a series with constant term exactly 0.
 
-    Solves E' = a' E triangularly: n E_n = sum_{i=1}^{n} i a_i E_{n-i}.
+    `_exp` of y = z a', y_n = n a_n.
     """
     if a.coeffs[0] != 0:
         raise ValueError("exp_unit requires constant term exactly 0")
-    return TruncatedSeries(_exp_stack(a.coeffs[None])[0], order=a.order)
+    return TruncatedSeries(_exp(np.arange(1, a.order + 1) * a.coeffs[None, 1:])[0], order=a.order)
 
 
 def pow_real(a: TruncatedSeries, beta: float) -> TruncatedSeries:
     """Principal power a**beta for real beta, constant term of a exactly 1.
 
-    exp(beta log a), by the cores every coefficient is read through:
-    `_exp_stack` of beta times `_log_stack`.  Every term of the exponential's
-    recurrence carries a factor beta L_i, so no two O(1) terms cancel when
-    beta is small and the power keeps its relative precision.
+    exp(beta log a), by the cores every coefficient is read through: `_exp`
+    of beta times `_dlog`.  Every term of the exponential's recurrence
+    carries a factor beta y_j, so no two O(1) terms cancel when beta is
+    small and the power keeps its relative precision.
     """
     if a.coeffs[0] != 1:
         raise ValueError("pow_real requires constant term exactly 1")
-    return TruncatedSeries(_exp_stack(float(beta) * _log_stack(a.coeffs[None]))[0], order=a.order)
+    return TruncatedSeries(_exp(float(beta) * _dlog(a.coeffs[None]))[0], order=a.order)

@@ -9,6 +9,7 @@ ratios z f'/f and z f''/f' are checked by finite differences of that same f.
 import cmath
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -151,19 +152,31 @@ class TestClosedFormCoefficients:
         (g_quadratic(), [0, 1, -0.5] + [0] * 254),
     ], ids=["koebe", "m_alpha_upper_0", "g_quadratic"])
     def test_closed_series_is_exact(self, f, want):
-        # A closed row's series is its exact products and quotients.  The
-        # route z exp(beta log u) misses these by up to 9.1e-14 relative at
-        # koebe's a_256, 2.2e-16 for m_alpha_upper(0) and 4e-33 for a zero
-        # of g_quadratic.
-        assert f.row.closed
+        # The one route z exp(beta y_u) gives these exactly: y_u and the
+        # exponential's recurrence stay in integers and powers of 2, and each
+        # division by n, part by part, is exact.
         assert f.series(256).coeffs.tolist() == list(want)
 
     @pytest.mark.parametrize("f", [m_alpha_upper(0.0), g_quadratic(), f3(0.8), f5(0.3)],
                              ids=["m_alpha_upper_0", "g_quadratic", "f3_0.8", "f5_0.3"])
     def test_closed_series_matches_the_oracle(self, f):
-        assert f.row.closed
         want = closed_coefficients(f.row, 256)
         assert (np.abs(f.series(256).coeffs - want) <= 1e-15).all()
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_one_route_and_no_quotient(self, label, monkeypatch):
+        # Every row's series and gammas come from z exp(beta y_u); no module
+        # reaches the series quotient.
+        def refuse(*args):
+            raise AssertionError("series._div_coeffs called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("logcoef") and hasattr(module, "_div_coeffs"):
+                monkeypatch.setattr(module, "_div_coeffs", refuse)
+        for alpha in (0.0, 0.6, 2.5) if FAMILIES[label].kind == "M" else (0.6,):
+            f = make(label, theta=0.7, lam=0.5, alpha=alpha)
+            assert np.isfinite(f.series(64).coeffs).all()
+            assert np.isfinite(functional.log_coefficients(f, 8)).all()
 
 
 class TestEvaluators:

@@ -56,6 +56,11 @@ class TestClassSpec:
         assert ClassSpec("M", alpha=1e-7).label() == "M(1e-07)"
         assert ClassSpec("M", alpha=100.0).label() == "M(100)"
 
+    def test_negative_zero_is_zero(self):
+        spec = ClassSpec.of("M", -0.0)
+        assert math.copysign(1.0, spec.alpha) == 1.0
+        assert spec.label() == "M(0)"
+
     def test_param_accessor(self):
         assert ClassSpec("U", lam=0.3).param == 0.3
         assert ClassSpec("M", alpha=2.0).param == 2.0

@@ -329,6 +329,19 @@ def test_zero_theta_is_accepted_where_it_is_not_read(run, command, theta):
         assert run(*argv, "--theta", theta) == run(*argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--class", "M"),
+    ("gamma", "--function", "k_theta_alpha"),
+    ("gamma", "--function", "m_alpha_upper"),
+], ids=["bounds", "gamma_k_theta_alpha", "gamma_m_alpha_upper"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_negative_zero_alpha_reports_zero(run, argv, fmt):
+    # -0.0 is the class parameter 0: every report of it is the one of 0.
+    got = run(*argv, "--alpha", "-0", "--format", fmt)
+    assert got == run(*argv, "--alpha", "0", "--format", fmt)
+    assert got[0] == 0 and not re.search(r"-0(\.0)?(?![.\d])", got[1])
+
+
 @pytest.mark.parametrize("argv, message", [
     (("gamma", "--function", "koebe", "--alpha", "5", "--lambda", "0.3"),
      "koebe takes no --lambda, got 0.3"),

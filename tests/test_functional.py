@@ -69,8 +69,15 @@ class TestLogCoefficients:
 
     def test_koebe_is_one_over_n_to_the_last_bit(self):
         # log(f/z) = -2 log(1 - z) from the row's factor alone, with no
-        # quotient f/z in between.
-        assert log_coefficients(koebe(), 8).tolist() == [1.0 / n for n in range(1, 9)]
+        # quotient f/z in between: y_u = 2 in every term, and gamma_n =
+        # 2 / (2n) is the one rounding.
+        assert log_coefficients(koebe(), 256).tolist() == [1.0 / n for n in range(1, 257)]
+
+    def test_m_alpha_zero_is_exact(self):
+        # z / (1 - z^2): y_u is 2 at even n and 0 at odd n, so gamma_n is 1/n
+        # at even n and 0 at odd n, to the last bit.
+        want = [1.0 / n if n % 2 == 0 else 0.0 for n in range(1, 257)]
+        assert log_coefficients(m_alpha_upper(0.0), 256).tolist() == want
 
     @pytest.mark.parametrize("label", LABELS)
     def test_cut_series_is_bit_identical(self, label):

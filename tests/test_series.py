@@ -12,6 +12,7 @@ from logcoef.series import (
     MIN_ORDER,
     TruncatedSeries,
     _div_coeffs,
+    _solve,
     exp_unit,
     log_unit,
     pow_real,
@@ -88,6 +89,11 @@ class TestRingOperations:
             divide([0, 1], [1, -1, 0.5], 5), [0, 1, 1, 0.5, 0, -0.25], atol=1e-15
         )
 
+    def test_division_by_complex_constant_term(self):
+        # 1 / (2i - z) = sum z^n / (2i)^(n+1)
+        want = 1.0 / (2j) ** np.arange(1, 10)
+        np.testing.assert_allclose(divide([1], [2j, -1], 8), want, rtol=1e-15, atol=0)
+
     def test_division_by_zero_constant_term(self):
         with pytest.raises(ValueError, match="zero constant term"):
             divide([1], [0, 1], 4)
@@ -150,6 +156,12 @@ class TestTranscendental:
     def test_negative_power_gives_derivative_of_geometric(self):
         p = pow_real(TruncatedSeries([1, -1], order=7), -2.0)
         np.testing.assert_allclose(p.coeffs, np.arange(1, 9), atol=1e-13)
+
+    def test_negative_power_is_exact(self):
+        # y = z (log(1 - z))' is -1 in every term, and exp's n E_n = 2 sum
+        # E_{n-j} = n (n + 1) is an integer divided exactly by n.
+        p = pow_real(TruncatedSeries([1, -1], order=256), -2)
+        assert p.coeffs.tolist() == list(range(1, 258))
 
     def test_integer_power_matches_product(self):
         a = TruncatedSeries([1, 0.3, -0.2, 0.1], order=8)
@@ -214,6 +226,47 @@ def test_mul_div_round_trip(acoeffs, b0, btail):
     b = np.asarray([b0] + [b0 * 0.3 * t for t in btail], dtype=complex)
     back = _div_coeffs(np.convolve(a, b)[:17], b)
     np.testing.assert_allclose(back, a, atol=1e-12)
+
+
+def dense_solve(r, g, d):
+    """x of x_0 = r_0 and d_n x_n + sum_{j=1}^{n} g_j x_{n-j} = r_n for one row, by
+    np.linalg.solve on the dense lower-triangular matrix."""
+    n1 = len(r)
+    A = np.zeros((n1, n1), dtype=complex)
+    for n in range(n1):
+        A[n, n] = 1.0 if n == 0 else d[n]
+        for j in range(1, n + 1):
+            A[n, n - j] = g[j - 1]
+    return np.linalg.solve(A, r)
+
+
+entry = st.builds(complex, small, small)
+divisor = st.floats(min_value=0.5, max_value=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 16), st.data())
+def test_solve_matches_dense_triangular_solve(K, N, data):
+    r = np.array(data.draw(st.lists(entry, min_size=K * (N + 1), max_size=K * (N + 1))))
+    g = np.array(data.draw(st.lists(entry, min_size=K * N, max_size=K * N)))
+    r, g = r.reshape(K, N + 1), g.reshape(K, N)
+    scalar = data.draw(divisor)
+    array = np.array(data.draw(st.lists(divisor, min_size=K * (N + 1), max_size=K * (N + 1))))
+    for d in (scalar, array.reshape(K, N + 1)):
+        x = _solve(r, g, d)
+        dk = np.broadcast_to(d, (K, N + 1))
+        for k in range(K):
+            np.testing.assert_allclose(x[k], dense_solve(r[k], g[k], dk[k]), rtol=0, atol=1e-12)
+            # Row k of the stack has the bits it has alone.
+            alone = _solve(r[k : k + 1], g[k : k + 1], dk[k : k + 1])[0]
+            assert alone.tobytes() == x[k].tobytes()
+
+
+def test_solve_divides_each_part_correctly_rounded():
+    # numpy's complex / real gives 50 - 7.1e-15 for 2450 / 49; x_1 = 2450 / 49
+    # here, and its imaginary part -2450 / 49, are 50 and -50 exactly.
+    x = _solve([[0.0, 2450 - 2450j]], np.zeros((1, 1), dtype=complex), [1.0, 49.0])
+    assert x.tolist() == [[0j, 50 - 50j]]
 
 
 @settings(max_examples=40, deadline=None)
