@@ -82,11 +82,12 @@ def _stacked_dlog_u(row, order: int):
     shared by every row of the stack.  y = z h'/h = sum e z P'/P, and at a = 0
     y_u = y.  For 0 < a < 1, v = u/h solves (1 + a m) v_m = [m = 0] -
     sum_{j>=1} a y_j v_{m-j}, and y_u = y + z v'/v keeps the large y of small
-    a exact; for a >= 1, u_m = h_m/(1 + a m), where y and z v'/v would
-    cancel.  Every step acts on each row alone (see `series`), so a row has
-    the bits it has alone, and y_u,m does not depend on order.  The refusals
-    map each row whose terms underflow (a u_m below the smallest normal
-    double, or a power that underflowed to 0) to its words, {} for its name.
+    a exact; for a >= 1, u_m = h_m/(1 + a m), each part divided on its own,
+    where y and z v'/v would cancel.  Every step acts on each row alone (see
+    `series`), so a row has the bits it has alone, and y_u,m does not depend
+    on order.  The refusals map each row whose terms underflow (a u_m below
+    the smallest normal double, or a power that underflowed to 0) to its
+    words, {} for its name.
     """
     k = np.arange(order + 1)
     values = [row.a, row.beta, row.theta, *(x for P, e in row.factors for x in (*P, e))]
@@ -109,8 +110,10 @@ def _stacked_dlog_u(row, order: int):
             v = _solve(k == 0, a[small, None] * yu[small], 1.0 + a[small, None] * k)
             yu[small] += _dlog(v)
         if large.size:
-            h = _exp(yu[large])
-            u = h / (1.0 + a[large, None] * k)
+            h, d = _exp(yu[large]), 1.0 + a[large, None] * k
+            # Part by part: numpy's complex / real is not correctly rounded.
+            u = np.empty_like(h)
+            u.real, u.imag = h.real / d, h.imag / d
             lost = ((np.abs(u) < np.finfo(float).tiny) & (h != 0)).any(axis=1)
             lost |= (e[:, large, 0] == 0).any(axis=0)
             why = dict.fromkeys(large[lost], "{}: the row's terms underflow")
@@ -225,13 +228,15 @@ class AnalyticFunction:
     with a factor or a = 0, beta = 1 with one factor.  evaluator(z) returns
     (f/z, z f'/f, z f''/f') at z, a point or an ndarray of points of the
     open disk, (1, 1, 0) at z = 0; for a rotated row, the unrotated row's at
-    e^{i theta} z.
+    e^{i theta} z.  A row with a > 0 also gives dlog_h(z), z h'/h there with
+    no quadrature (`_quadrature_evaluator`); it is None at a = 0.
     """
 
     label: str
     row: Row
     params: dict
     evaluator: Callable = field(init=False, repr=False)
+    dlog_h: Optional[Callable] = field(init=False, repr=False)
 
     def __post_init__(self):
         factors, a, beta, theta = self.row
@@ -241,16 +246,18 @@ class AnalyticFunction:
         if not all(1 <= len(P) <= 3 and P[0] == 1 for P, _ in factors):
             raise ValueError(f"{self.label} row needs P(0) = 1 and degree <= 2, got {factors}")
         if a > 0 and beta == a and factors:
-            ev = _quadrature_evaluator(self.label, factors, a)
+            ev, dlog_h = _quadrature_evaluator(self.label, factors, a)
         elif a == 0 and beta == 1 and len(factors) == 1:
-            ev = _closed_evaluator(*factors[0])
+            ev, dlog_h = _closed_evaluator(*factors[0]), None
         else:
             raise ValueError(f"{self.label} row has no evaluator: it needs factors and "
                              f"beta = a > 0, or a = 0, beta = 1 and one factor, got {self.row}")
         if theta:
-            base, w = ev, cmath.exp(1j * theta)
-            ev = lambda z: base(w * np.asarray(z))
+            w = cmath.exp(1j * theta)
+            rotated = lambda g: g and (lambda z: g(w * np.asarray(z)))
+            ev, dlog_h = rotated(ev), rotated(dlog_h)
         object.__setattr__(self, "evaluator", ev)
+        object.__setattr__(self, "dlog_h", dlog_h)
 
     def series(self, n: int) -> TruncatedSeries:
         """Taylor coefficients a_0..a_n, built from the row to order n.
@@ -435,21 +442,14 @@ _MAX_NODES = 10**5
 _BLOCK = 64 * 256
 
 
-def _graded_rule(gap: float, power: float, gamma: float):
-    """Composite 16-point Gauss-Legendre nodes, their distances to 1 and log weights on [0, 1].
+def _panel_counts(gap: float, power: float, gamma: float):
+    """(ratio, n_left, n_right, n_last): the panels of `_graded_rule`'s rule, counted.
 
-    For integrands with a singularity of order `power` about `gap` beyond
-    t = 1 that behave like t**gamma at t = 0.  Toward t = 1 the panels shrink
-    geometrically down to gap/4, by a ratio that tightens as power grows, and
-    the last one is cut into ceil(power/64) equal panels; toward t = 0 they
-    shrink by 4 until the rule's error on t**gamma over the innermost panel
-    is below _ENDPOINT_TOL, which needs no panel at all for integer gamma.
-    The distances to 1 and the panel widths near t = 1 come from the panel
-    ends' own distances to 1, so that they keep their relative precision
-    where the integrand is sharpest.
+    Refuses, with ValueError, a gap or power past which the counts divide by
+    zero or overflow, and a rule of more than _MAX_NODES nodes, before any
+    node is built.
     """
     x, w = _gauss_legendre()
-    # Past these the panel counts divide by zero or overflow.
     if not (0.0 < power <= 64.0 * _MAX_NODES and 0.0 < gap and 2.0 / gap < math.inf):
         raise ValueError(f"quadrature rule out of range: gap {gap:g}, power {power:g}")
     ratio = 1.0 + min(3.0, 8.0 / power)
@@ -466,6 +466,24 @@ def _graded_rule(gap: float, power: float, gamma: float):
             f"quadrature would need {nodes} nodes, more than {_MAX_NODES}; "
             f"the integrand (power {power:g}) is too sharp"
         )
+    return ratio, n_left, n_right, n_last
+
+
+def _graded_rule(gap: float, power: float, gamma: float):
+    """Composite 16-point Gauss-Legendre nodes, their distances to 1 and log weights on [0, 1].
+
+    For integrands with a singularity of order `power` about `gap` beyond
+    t = 1 that behave like t**gamma at t = 0.  Toward t = 1 the panels shrink
+    geometrically down to gap/4, by a ratio that tightens as power grows, and
+    the last one is cut into ceil(power/64) equal panels; toward t = 0 they
+    shrink by 4 until the rule's error on t**gamma over the innermost panel
+    is below _ENDPOINT_TOL, which needs no panel at all for integer gamma
+    (`_panel_counts`).  The distances to 1 and the panel widths near t = 1
+    come from the panel ends' own distances to 1, so that they keep their
+    relative precision where the integrand is sharpest.
+    """
+    ratio, n_left, n_right, n_last = _panel_counts(gap, power, gamma)
+    x, w = _gauss_legendre()
     left = 0.5 * 4.0 ** -np.arange(float(n_left), 0.0, -1.0)
     right = 0.5 * ratio ** -np.arange(1.0, n_right + 1)
     right = np.concatenate((right, right[-1] * np.arange(n_last - 1.0, 0.0, -1.0) / n_last))
@@ -476,6 +494,41 @@ def _graded_rule(gap: float, power: float, gamma: float):
     return t, (c[1:, None] + half * (1.0 - x)).ravel(), np.log(half * w).ravel()
 
 
+def _rule_shape(factors, alpha: float, z: np.ndarray):
+    """(gap, power, gamma) of the rule that integrates u = integral_0^1 h(z t^alpha) dt
+    at the flat points z; refuses, with ValueError, a point with |z| >= 1.
+
+    For alpha <= 1 the integral runs over s = t^alpha, where the weight
+    s^(1/alpha - 1)/alpha is bounded, and for alpha > 1 over t.
+    """
+    r = float(np.abs(z).max(initial=0.0))
+    if not r < 1.0:
+        raise ValueError(f"quadrature evaluation needs |z| < 1, got max |z| = {r}")
+    gap, power = 1.0 - r, max(abs(e) for _, e in factors)
+    if alpha <= 1.0:
+        # The weight s^gamma falls off within about alpha of s = 1.
+        return min(gap, alpha), power, 1.0 / alpha - 1.0
+    # In t the singularity sits about gap/alpha beyond t = 1.  At t = 0 the
+    # integrand goes like t^(alpha lead), lead the index of h's first
+    # non-constant term.
+    lead = 1 if sum(e * P[1] for P, e in factors) != 0 else 2
+    return gap / alpha, power, alpha * lead
+
+
+def _factor_terms(factors, z: np.ndarray):
+    """h = prod P^e at the flat points z, term by term, and h'/h.
+
+    Returns ([(e, P(z), ks), ...], h'/h) with ks the (k, c_k z^k,
+    e k c_k z^(k-1)) of each coefficient c_k != 0 of P, k >= 1, and
+    h'/h = sum e P'/P; where some P(z) = 0 it is not finite.
+    """
+    rows = []
+    for P, e in factors:
+        ks = [(k, c * z**k, e * k * c * z ** (k - 1)) for k, c in enumerate(P) if k and c]
+        rows.append((e, 1.0 + sum(a for _, a, _ in ks), ks))
+    return rows, sum(b / pz for _, pz, ks in rows for _, _, b in ks)
+
+
 def _integral_logs(factors, alpha: float, z: np.ndarray):
     """(log h, h'/h, log v) at the flat points z, for u = integral_0^1 h(z t^alpha) dt.
 
@@ -484,9 +537,8 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
     overflow.  v stays off the negative real axis (|Arg v| < 0.5 pi for the
     k_theta_alpha and m_alpha_upper rows and < 0.25 pi for g_alpha_upper's,
     measured over alpha from 0.01 to 30 and |z| up to 0.9999), so its
-    principal log is the continued branch.  For alpha <= 1 the integral runs
-    over s = sigma, where the weight s^(1/alpha - 1)/alpha is bounded; for
-    alpha > 1 over t.
+    principal log is the continued branch.  The rule is `_rule_shape`'s, in
+    s = sigma for alpha <= 1 and in t for alpha > 1; h'/h is `_factor_terms`'.
 
     The sum is taken in real arithmetic, from the real and imaginary parts
     x, y of each P(z sigma).  A term's log has the real part
@@ -498,29 +550,16 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
     for the catalog's rows at every |z| < 1, and one that overflows gives a
     value that is not finite, which the evaluator refuses.
     """
-    r = float(np.abs(z).max(initial=0.0))
-    if not r < 1.0:
-        raise ValueError(f"quadrature evaluation needs |z| < 1, got max |z| = {r}")
-    gap, power = 1.0 - r, max(abs(e) for _, e in factors)
+    gap, power, gamma = _rule_shape(factors, alpha, z)
+    sigma, rest, lw = _graded_rule(gap, power, gamma)
     if alpha <= 1.0:
-        # The weight s^gamma falls off within about alpha of s = 1.
-        gamma = 1.0 / alpha - 1.0
-        sigma, rest, lw = _graded_rule(min(gap, alpha), power, gamma)
         lw = lw + gamma * np.log(sigma) - math.log(alpha)
     else:
-        # In t the singularity sits about gap/alpha beyond t = 1.  At t = 0 the
-        # integrand goes like t^(alpha lead), lead the index of h's first
-        # non-constant term.
-        lead = 1 if sum(e * P[1] for P, e in factors) != 0 else 2
-        t, rest, lw = _graded_rule(gap / alpha, power, alpha * lead)
-        sigma, rest = t**alpha, -np.expm1(alpha * np.log1p(-rest))
+        sigma, rest = sigma**alpha, -np.expm1(alpha * np.log1p(-rest))
     # P(z sigma) = P(z) + sum_k c_k z^k (sigma^k - 1), with sigma^k - 1 taken
     # from rest = 1 - sigma so that it keeps its precision near sigma = 1.
     drops = (None, -rest, -rest * (1.0 + sigma))
-    rows = []  # e, P(z) and (k, c_k z^k, e k c_k z^(k-1)) for each c_k != 0
-    for P, e in factors:
-        ks = [(k, c * z**k, e * k * c * z ** (k - 1)) for k, c in enumerate(P) if k and c]
-        rows.append((e, 1.0 + sum(a for _, a, _ in ks), ks))
+    rows, dh = _factor_terms(factors, z)
     # The terms are scaled by exp(-top), top the largest Re of their logs so
     # far at each point, so that none overflows; the sums are rescaled as top
     # grows.  _BLOCK node-point pairs go at a time.
@@ -544,55 +583,77 @@ def _integral_logs(factors, alpha: float, z: np.ndarray):
     lh = sum(e * np.log(pz) for e, pz, _ in rows)
     # h(z)'s modulus comes off top, and its phase off the sum.
     logv = top - lh.real + np.log((re + 1j * im) * np.exp(-1j * lh.imag))
-    dh = sum(b / pz for _, pz, ks in rows for _, _, b in ks)
     return lh, dh, logv
 
 
-# Largest alpha the integral entries are evaluated at: u^alpha scales u's
-# roundoff by alpha, and the M margin at the entry's own alpha, Re(1 + alpha z h'/h),
-# comes out of terms (1 - alpha) p and (alpha - 1)(p - 1) that cancel, so its
-# relative error is about 4e-13 alpha at |z| <= 0.999.
+# Largest alpha the integral entries are evaluated at.  u^alpha scales u's
+# roundoff by alpha, which f/z, p and so every margin that reads them sees:
+# the U margins and M(alpha') with alpha' != alpha.  The margins at the
+# entry's own class read z h'/h alone, but are capped too, so that whether an
+# entry is evaluated does not depend on the class it is tested in.
 _MAX_ALPHA = 1e6
 
 
 def _quadrature_evaluator(label, factors, alpha):
-    """(f/z, z f'/f, z f''/f') of the row (factors, alpha, alpha): f/z = u^alpha,
-    p = z f'/f = 1/v with v = u/h(z), and z f''/f' = (alpha - 1) z u'/u + z h'/h.
+    """The evaluator and z h'/h of the row (factors, alpha, alpha).
 
+    The evaluator gives (f/z, z f'/f, z f''/f'): f/z = u^alpha,
+    p = z f'/f = 1/v with v = u/h(z), and z f''/f' = (alpha - 1) z u'/u + z h'/h.
     z u'/u needs no second quadrature.  With s = z t^alpha,
     z^(1/alpha) u = (1/alpha) integral_0^z s^(1/alpha - 1) h(s) ds, whose
     derivative gives z u' = (h - u)/alpha, so z u'/u = (p - 1)/alpha and
-    z f''/f' = (alpha - 1)/alpha (p - 1) + z h'/h.  The M(alpha) margin at the
-    entry's own alpha is then Re(1 + alpha z h'/h), whatever the error of p.
+    z f''/f' = (alpha - 1)/alpha (p - 1) + z h'/h.
+
+    z h'/h = sum e z P'/P is a closed form in the row, from which
+    `classes._margins` forms a margin whose p - 1 term has the coefficient 0:
+    it runs no quadrature, and gives NaN where h = 0.  It refuses what the
+    evaluator refuses at the same points, alpha above _MAX_ALPHA, |z| >= 1
+    and a rule out of range or of too many nodes (`_panel_counts`), so that
+    whether a point is evaluated does not depend on which of the two reads it.
 
     The points are folded by the row's symmetry and each orbit is evaluated
-    once.  If every coefficient and power is real, the ratios at conj z are
+    once.  If every coefficient and power is real, the values at conj z are
     the conjugates of those at z, so z goes to the upper half plane; if every
-    P has no z term, the ratios are even, so z goes to the right half plane
+    P has no z term, the values are even, so z goes to the right half plane
     first.  The distinct folded points (`np.unique`) are evaluated and the
     values unfolded.  Folding keeps every |z|, and so the quadrature rule.
+    Every value that is not finite, but z h'/h where h = 0, is refused.
     """
     real = all(complex(c).imag == 0 for P, e in factors for c in (*P, e))
     even = all(len(P) < 2 or P[1] == 0 for P, _ in factors)
 
-    def ev(z):
-        if alpha > _MAX_ALPHA:
-            raise ValueError(f"{label} is evaluated only at alpha <= {_MAX_ALPHA:g}, got {alpha!r}")
-        w = np.ravel(np.asarray(z, dtype=complex))
-        if even:
-            w = np.where((w.real < 0) | ((w.real == 0) & (w.imag < 0)), -w, w)
-        flip = real & (w.imag < 0)
-        reps, back = np.unique(np.where(flip, w.conj(), w), return_inverse=True)
-        # A value that is not finite is refused rather than returned.
-        with np.errstate(all="ignore"):
-            lh, dh, logv = _integral_logs(factors, alpha, reps)
-            p = np.exp(-logv)
-            values = (np.exp(alpha * (lh + logv)), p, (alpha - 1.0) / alpha * (p - 1.0) + reps * dh)
-        if not all(np.isfinite(x).all() for x in values):
-            raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
-        return _shaped(z, [np.where(flip, x[back].conj(), x[back]) for x in values])
+    def folded(values):
+        def ev(z):
+            if alpha > _MAX_ALPHA:
+                raise ValueError(
+                    f"{label} is evaluated only at alpha <= {_MAX_ALPHA:g}, got {alpha!r}")
+            w = np.ravel(np.asarray(z, dtype=complex))
+            if even:
+                w = np.where((w.real < 0) | ((w.real == 0) & (w.imag < 0)), -w, w)
+            flip = real & (w.imag < 0)
+            reps, back = np.unique(np.where(flip, w.conj(), w), return_inverse=True)
+            with np.errstate(all="ignore"):
+                out, singular = values(reps)
+            if not all((np.isfinite(x) | singular).all() for x in out):
+                raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
+            return _shaped(z, [np.where(flip, x[back].conj(), x[back]) for x in out])
 
-    return ev
+        return ev
+
+    def ratios(reps):
+        lh, dh, logv = _integral_logs(factors, alpha, reps)
+        p = np.exp(-logv)
+        r = (alpha - 1.0) / alpha * (p - 1.0) + reps * dh
+        return (np.exp(alpha * (lh + logv)), p, r), False
+
+    def dlog_h(reps):
+        _panel_counts(*_rule_shape(factors, alpha, reps))
+        rows, dh = _factor_terms(factors, reps)
+        zero = functools.reduce(operator.or_, [pz == 0 for e, pz, _ in rows if e > 0], False)
+        return (np.where(zero, np.nan, reps * dh),), zero
+
+    one = folded(dlog_h)
+    return folded(ratios), lambda z: one(z)[0]
 
 
 def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:

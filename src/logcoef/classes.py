@@ -13,8 +13,12 @@ The margin is positive where the inequality holds with room to spare and
 negative where it fails; a membership test reports the worst margin seen on a
 polar grid together with the witness point.  The margins read the ratios
 (f/z, z f'/f, z f''/f') from `f.evaluator`, the entry's one evaluation path,
-closed form or quadrature, and pass on its refusals.  Full-disk membership
-(class S) has no pointwise criterion of this kind and is rejected explicitly.
+closed form or quadrature, and pass on its refusals.  The M margin at a
+quadrature row's own alpha and the G margin of a row with a = 1 do not
+depend on z f'/f; they read z h'/h, a closed form in the row, from
+`f.dlog_h`, which runs no quadrature but refuses what the evaluator refuses.
+Full-disk membership (class S) has no pointwise criterion of this kind and
+is rejected explicitly.
 
 Each class also has a coefficient body, one row (s, q, t, reach, c0, c2) of
 `_body_row`: a body point (m, w) with 0 <= |m| <= reach and
@@ -158,31 +162,45 @@ class MembershipReport:
 def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
     """Margins at an array of sample points, from (f/z, z f'/f, z f''/f') by `f.evaluator`.
 
+    For a row with a > 0, z f''/f' = (a - 1)/a (p - 1) + z h'/h with
+    p = z f'/f, so the M(alpha) margin is Re[(1 - alpha/a)(p - 1) + 1 +
+    alpha z h'/h] and the G(alpha) margin alpha/2 - Re[(a - 1)/a (p - 1) +
+    z h'/h].  Where the coefficient of p - 1 is 0, M at alpha = a and G at
+    a = 1, the margin is read from z h'/h alone (`f.dlog_h`), which needs no
+    quadrature and does not cancel.
+
     A sample where the margin divides by zero, at f = 0 (f/z = 0) for U and M
-    or at f' = 0 (z f'/f = 0) for M and G, is singular and becomes NaN.  Any
-    other margin that is not finite is refused with ValueError, naming the
-    first such point.
+    or at f' = 0 (z f'/f = 0, or h = 0) for M and G, is singular and becomes
+    NaN.  Any other margin that is not finite is refused with ValueError,
+    naming the first such point.
     """
-    q, p, r = (np.asarray(x, dtype=complex) for x in f.evaluator(zs))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if spec.kind == "U":
-            v = spec.lam - np.abs(p / q - 1.0)
-            singular = q == 0
-        elif spec.kind == "M":
-            a = spec.alpha
-            v = ((1.0 - a) * p + a * (1.0 + r)).real
-            singular = (q == 0) | (p == 0)
-        elif spec.kind == "G":
-            # The 1s of 1 + alpha/2 and 1 + z f''/f' cancel; kept, they would swallow a tiny alpha.
-            v = 0.5 * spec.alpha - r.real
-            singular = p == 0
-        else:
-            raise ValueError("class S has no pointwise membership criterion")
+    a = f.row.a
+    if a > 0 and (spec.kind == "M" and spec.alpha == a or spec.kind == "G" and a == 1.0):
+        d = np.asarray(f.dlog_h(zs), dtype=complex)  # NaN only where h = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = 1.0 + a * d.real if spec.kind == "M" else 0.5 * spec.alpha - d.real
+        singular = np.isnan(d)
+    else:
+        v, singular = _ratio_margins(spec, *(np.asarray(x, dtype=complex) for x in f.evaluator(zs)))
     v = np.where(singular, np.nan, v)
     over = np.flatnonzero(~np.isfinite(v) & ~singular)
     if over.size:
         raise ValueError(f"the {spec.label()} margin overflows at z = {complex(zs[over[0]])}")
     return v
+
+
+def _ratio_margins(spec: ClassSpec, q, p, r):
+    """(margins, singular) of `spec` from the ratios q = f/z, p = z f'/f, r = z f''/f'."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if spec.kind == "U":
+            return spec.lam - np.abs(p / q - 1.0), q == 0
+        if spec.kind == "M":
+            a = spec.alpha
+            return ((1.0 - a) * p + a * (1.0 + r)).real, (q == 0) | (p == 0)
+        if spec.kind == "G":
+            # The 1s of 1 + alpha/2 and 1 + z f''/f' cancel; kept, they would swallow a tiny alpha.
+            return 0.5 * spec.alpha - r.real, p == 0
+    raise ValueError("class S has no pointwise membership criterion")
 
 
 def membership_margin(f, spec: ClassSpec, z: complex) -> float:

@@ -38,7 +38,7 @@ from logcoef.catalog import (
     poles_outside_disk,
     rotate,
 )
-from logcoef.classes import ClassSpec, _ring, membership_test
+from logcoef.classes import ClassSpec, _ring, membership_margin, membership_test
 
 from _oracles import (
     closed_coefficients,
@@ -379,12 +379,9 @@ class TestSymmetryFold:
         for z in (self.RING, self.POINTS):
             assert np.array_equal(np.array(f.evaluator(-z)), np.array(f.evaluator(z)))
 
-    @pytest.mark.parametrize("f, spec, points", [
-        pytest.param(k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.3), 129, id="k(0,0.3)"),
-        pytest.param(m_alpha_upper(1.0), ClassSpec("M", alpha=1.0), 65, id="m(1)"),
-        pytest.param(k_theta_alpha(1.0, 0.3), ClassSpec("M", alpha=0.3), 256, id="k(1,0.3)"),
-    ])
-    def test_points_evaluated_per_radius(self, monkeypatch, f, spec, points):
+    @staticmethod
+    def spy_sizes(monkeypatch):
+        """The number of points of each call of `catalog._integral_logs`, as it is called."""
         sizes = []
         logs = catalog._integral_logs
 
@@ -393,6 +390,47 @@ class TestSymmetryFold:
             return logs(factors, alpha, z)
 
         monkeypatch.setattr(catalog, "_integral_logs", spy)
+        return sizes
+
+    # The U margin reads f/z and p, so it runs the quadrature at every radius.
+    @pytest.mark.parametrize("f, points", [
+        pytest.param(k_theta_alpha(0.0, 0.3), 129, id="k(0,0.3)"),
+        pytest.param(m_alpha_upper(1.0), 65, id="m(1)"),
+        pytest.param(k_theta_alpha(1.0, 0.3), 256, id="k(1,0.3)"),
+    ])
+    def test_points_evaluated_per_radius(self, monkeypatch, f, points):
+        sizes = self.spy_sizes(monkeypatch)
+        membership_test(f, ClassSpec("U", lam=1.0))
+        assert sizes == [points] * 3
+
+    @pytest.mark.parametrize("f, spec", [
+        pytest.param(k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.3), id="k(0,0.3)"),
+        pytest.param(k_theta_alpha(1.0, 0.3), ClassSpec("M", alpha=0.3), id="k(1,0.3)"),
+        pytest.param(k_theta_alpha(0.0, 2.5), ClassSpec("M", alpha=2.5), id="k(0,2.5)"),
+        pytest.param(m_alpha_upper(1.0), ClassSpec("M", alpha=1.0), id="m(1)"),
+        pytest.param(m_alpha_upper(0.5), ClassSpec("M", alpha=0.5), id="m(0.5)"),
+        pytest.param(g_alpha_upper(0.5), ClassSpec("G", alpha=0.5), id="g(0.5)"),
+        pytest.param(g_alpha_upper(1.0), ClassSpec("G", alpha=1.0), id="g(1)"),
+        # G reads z h'/h alone wherever a = 1, whichever entry the row is.
+        pytest.param(k_theta_alpha(0.4, 1.0), ClassSpec("G", alpha=0.5), id="k(0.4,1)-G"),
+    ])
+    def test_own_class_runs_no_quadrature(self, monkeypatch, f, spec):
+        # The coefficient of p - 1 in the margin is 0: M at the row's own
+        # alpha and G at a = 1 read z h'/h, a closed form in the row.
+        sizes = self.spy_sizes(monkeypatch)
+        membership_test(f, spec)
+        membership_margin(f, spec, 0.3 - 0.6j)
+        assert sizes == []
+
+    @pytest.mark.parametrize("f, spec, points", [
+        pytest.param(k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.5), 129, id="k(0,0.3)-M(0.5)"),
+        pytest.param(m_alpha_upper(1.0), ClassSpec("M", alpha=2.0), 65, id="m(1)-M(2)"),
+        pytest.param(m_alpha_upper(2.0), ClassSpec("M", alpha=0.0), 65, id="m(2)-M(0)"),
+        pytest.param(g_alpha_upper(0.5), ClassSpec("M", alpha=0.5), 65, id="g(0.5)-M(0.5)"),
+        pytest.param(k_theta_alpha(0.4, 0.5), ClassSpec("G", alpha=0.5), 256, id="k(0.4,0.5)-G"),
+    ])
+    def test_other_classes_run_the_quadrature_per_radius(self, monkeypatch, f, spec, points):
+        sizes = self.spy_sizes(monkeypatch)
         membership_test(f, spec)
         assert sizes == [points] * 3
 
@@ -429,6 +467,63 @@ class TestSymmetryFold:
             f.evaluator(z)
 
 
+class TestGeneratorLogDerivative:
+    """dlog_h, z h'/h of a row with a > 0: a closed form in the row that refuses
+    what the evaluator refuses."""
+
+    RING = 0.99 * _ring(64)
+
+    @pytest.mark.parametrize("f, exact", [
+        pytest.param(k_theta_alpha(0.0, 0.3), lambda z: (2.0 / 0.3) * z / (1.0 - z), id="k(0,0.3)"),
+        pytest.param(k_theta_alpha(1.0, 2.0),
+                     lambda z: cmath.exp(1j) * z / (1.0 - cmath.exp(1j) * z), id="k(1,2)"),
+        pytest.param(m_alpha_upper(0.5), lambda z: 4.0 * z * z / (1.0 - z * z), id="m(0.5)"),
+        pytest.param(g_alpha_upper(0.5), lambda z: -0.5 * z * z / (1.0 - z * z), id="g(0.5)"),
+    ])
+    def test_matches_exact(self, f, exact):
+        want = exact(self.RING)
+        np.testing.assert_allclose(f.dlog_h(self.RING), want, rtol=4e-15, atol=0)
+        assert f.dlog_h(0.0) == 0.0
+
+    @pytest.mark.parametrize("f", [g_alpha_upper(0.3), m_alpha_upper(1.0), k_theta_alpha(0.7, 1.0)],
+                             ids=_entry_id)
+    def test_is_the_evaluators_term_at_a_one(self, f):
+        # At a = 1, z f''/f' = 0 (p - 1) + z h'/h: the same bits.
+        assert np.array_equal(f.dlog_h(self.RING), f.evaluator(self.RING)[2])
+
+    def test_none_at_a_zero(self):
+        for f in (koebe(0.3), f3(0.5), m_alpha_upper(0.0), g_quadratic()):
+            assert f.dlog_h is None
+
+    @pytest.mark.parametrize("f, z", [
+        (m_alpha_upper(1.0), np.array([0.3, -1.5j, 0.2])),
+        (k_theta_alpha(0.0, 0.3), np.array([0.5, complex(math.nan, -0.1)])),
+        (g_alpha_upper(0.5), np.array([0.1, -0.1 - 1j])),
+        (k_theta_alpha(0.0, 1e7), 0.5),
+        (m_alpha_upper(1e7), np.array([0.5, -0.5])),
+        (k_theta_alpha(0.0, 1e-4), 0.5),
+        (m_alpha_upper(1.8e-4), 0.5),
+        (m_alpha_upper(1e-20), 0.5),
+        (g_alpha_upper(5e-324), 0.5),
+    ], ids=["pole", "nan", "outside", "k_1e7", "m_1e7", "k_nodes", "m_nodes", "m_range", "g_range"])
+    def test_refuses_what_the_evaluator_refuses(self, f, z):
+        with pytest.raises(ValueError) as refused:
+            f.evaluator(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+                f.dlog_h(z)
+
+    def test_nan_where_h_vanishes(self):
+        # h = 1 - 2z vanishes at 1/2; a pole of h, e < 0, is refused.
+        f = AnalyticFunction("adhoc", Row((((1.0, -2.0), 1.0),), 1.0, 1.0), {})
+        got = f.dlog_h(np.array([0.5, 0.25]))
+        assert math.isnan(got[0].real) and got[1] == pytest.approx(-1.0, rel=1e-15)
+        g = AnalyticFunction("adhoc", Row((((1.0, -2.0), -1.0),), 1.0, 1.0), {})
+        with pytest.raises(ValueError, match="^adhoc values overflow at alpha = 1.0$"):
+            g.dlog_h(0.5)
+
+
 class TestQuadratureAccuracy:
     """The quadrature entries against exact values: their M and G margins,
     which have closed forms, and f/z and z f'/f against mpmath's 2F1."""
@@ -436,15 +531,9 @@ class TestQuadratureAccuracy:
     RADII = (0.5, 0.9, 0.99, 0.999)
     MARGIN_ALPHAS = (0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 2.0, 5.0, 30.0)
 
-    # Relative error allowed in the margin of each (label, alpha), on 256-point
-    # rings at RADII: about twice the worst measured.
-    @staticmethod
-    def margin_tol(label, alpha):
-        if label == "k_theta_alpha":
-            return {0.05: 1.8e-12, 5.0: 3e-12, 30.0: 2e-11}.get(alpha, 1.2e-12)
-        if label == "m_alpha_upper":
-            return {5.0: 1.5e-12, 30.0: 8e-12}.get(alpha, 6e-13)
-        return 8e-13
+    # Relative error allowed in the margin of each entry at its own class, on
+    # 256-point rings at RADII, at every alpha: about twice the worst measured.
+    MARGIN_TOL = {"k_theta_alpha": 1.2e-12, "m_alpha_upper": 6e-13, "g_alpha_upper": 8e-13}
 
     def worst_margin_error(self, f, spec, exact):
         worst = 0.0
@@ -461,13 +550,13 @@ class TestQuadratureAccuracy:
         rot = cmath.exp(1j * theta)
         err = self.worst_margin_error(k_theta_alpha(theta, alpha), ClassSpec("M", alpha=alpha),
                                       lambda z: ((1.0 + rot * z) / (1.0 - rot * z)).real)
-        assert err <= self.margin_tol("k_theta_alpha", alpha)
+        assert err <= self.MARGIN_TOL["k_theta_alpha"]
 
     @pytest.mark.parametrize("alpha", MARGIN_ALPHAS)
     def test_m_margin_is_exact(self, alpha):
         err = self.worst_margin_error(m_alpha_upper(alpha), ClassSpec("M", alpha=alpha),
                                       lambda z: ((1.0 + z * z) / (1.0 - z * z)).real)
-        assert err <= self.margin_tol("m_alpha_upper", alpha)
+        assert err <= self.MARGIN_TOL["m_alpha_upper"]
 
     @pytest.mark.parametrize("alpha", [a for a in MARGIN_ALPHAS if a <= 1.0] + [1.0])
     def test_g_margin_is_exact(self, alpha):
@@ -475,7 +564,7 @@ class TestQuadratureAccuracy:
         # alpha/2 + alpha Re(z^2/(1 - z^2)).
         err = self.worst_margin_error(g_alpha_upper(alpha), ClassSpec("G", alpha=alpha),
                                       lambda z: 0.5 * alpha + alpha * (z * z / (1.0 - z * z)).real)
-        assert err <= self.margin_tol("g_alpha_upper", alpha)
+        assert err <= self.MARGIN_TOL["g_alpha_upper"]
 
     # u = integral_0^1 h(z t^a) dt in closed form, as (2F1 parameters, its
     # argument, P, e, beta), h = P^e and f/z = u^beta.

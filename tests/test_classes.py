@@ -1,6 +1,7 @@
 """Tests for class specifications, membership margins, and coefficient checks."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     LABELS,
+    AnalyticFunction,
+    Row,
     f1,
     f3,
     f4,
@@ -268,9 +271,11 @@ class TestQuadratureMargins:
             w = np.exp(1j * theta) * z if label == "k_theta_alpha" else z * z
             exact = ((1.0 + w) / (1.0 - w)).real
             got = [membership_margin(f, spec, p) for p in z[::8]]
-            np.testing.assert_allclose(got, exact[::8], rtol=0, atol=1e-9)
+            # The margin is 1 + alpha Re(z h'/h), read without the quadrature:
+            # a few ulps of its largest term.
+            np.testing.assert_allclose(got, exact[::8], rtol=2e-15, atol=1e-15)
             rep = membership_test(f, spec, radii=(r,), angular=64)
-            assert abs(rep.worst_margin - exact.min()) <= 1e-9
+            assert abs(rep.worst_margin - exact.min()) <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
     def test_g_margin_matches_exact(self, alpha):
@@ -322,15 +327,51 @@ class TestQuadratureMargins:
 
     @pytest.mark.parametrize("label", ["k_theta_alpha", "m_alpha_upper"])
     def test_m_margin_at_largest_alpha(self, label):
-        # At the evaluation cap, alpha = 1e6, the margin's relative error
-        # (about 4e-13 alpha) is still below 1e-6.
+        # At the evaluation cap, alpha = 1e6, the margin 1 + alpha Re(z h'/h)
+        # keeps the relative error it has at alpha = 1 (5.4e-14 measured).
         alpha = 1e6
         f = make(label, alpha=alpha)
         z = 0.99 * self.RING
         w = z if label == "k_theta_alpha" else z * z
         exact = ((1.0 + w) / (1.0 - w)).real
         got = [membership_margin(f, ClassSpec("M", alpha=alpha), p) for p in z]
-        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-6
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 2e-13
+
+    # The refusals of the quadrature stay on the closed-form margins, with the
+    # same words as the evaluator's.
+    @pytest.mark.parametrize("f, alpha, message", [
+        (k_theta_alpha(0.0, 1e-4), 1e-4, "quadrature would need 401248 nodes, more than 100000; "
+                                         "the integrand (power 20000) is too sharp"),
+        (k_theta_alpha(0.0, 1e7), 1e7, "k_theta_alpha is evaluated only at alpha <= 1e+06, "
+                                       "got 10000000.0"),
+        (m_alpha_upper(1e7), 1e7, "m_alpha_upper is evaluated only at alpha <= 1e+06, "
+                                  "got 10000000.0"),
+    ], ids=["k_nodes", "k_alpha", "m_alpha"])
+    def test_own_class_refusals_kept(self, f, alpha, message):
+        spec = ClassSpec("M", alpha=alpha)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            membership_test(f, spec)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            membership_margin(f, spec, 0.5)
+
+    @pytest.mark.parametrize("f, spec", [
+        (k_theta_alpha(0.0, 0.5), ClassSpec("M", alpha=0.5)),
+        (g_alpha_upper(0.5), ClassSpec("G", alpha=0.5)),
+    ], ids=["k-M", "g-G"])
+    @pytest.mark.parametrize("z", [1.0, -1j, 0.6 + 0.8j])
+    def test_own_class_margin_needs_the_open_disk(self, f, spec, z):
+        message = f"z must lie inside the unit disk, got {complex(z)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            membership_margin(f, spec, z)
+
+    def test_vanishing_h_is_a_singular_sample(self):
+        # f' = h = 1 - 2z vanishes at 1/2 (a = 1), where the G margin reads z h'/h.
+        f = AnalyticFunction("adhoc", Row((((1.0, -2.0), 1.0),), 1.0, 1.0), {})
+        spec = ClassSpec("G", alpha=1.0)
+        with pytest.raises(SingularSampleError):
+            membership_margin(f, spec, 0.5)
+        rep = membership_test(f, spec, radii=(0.5,), angular=4)
+        assert rep.skipped == 1 and not rep.passed
 
 
 class TestMembershipTest:

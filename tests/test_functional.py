@@ -9,6 +9,8 @@ import pytest
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
+    AnalyticFunction,
+    Row,
     f1,
     f2,
     f3,
@@ -126,6 +128,19 @@ class TestRowAccuracy:
         for alpha in np.geomspace(1e-300, 1.0, 61):
             want = float(Fraction(float(alpha)) / 12)
             assert abs(delta(g_alpha_upper(float(alpha))) - want) <= 1e-15 * want
+
+    def test_large_a_quotient_is_correctly_rounded(self):
+        # For a >= 1, u_m = h_m / (1 + a m): here u = 1 + (2450/49) z = 1 + 50 z,
+        # so gamma_1 = beta u_1 / 2 = 1200 exactly, where numpy's complex / real
+        # gives 2450/49 = 50 - 7.1e-15.
+        f = AnalyticFunction("adhoc", Row((((1.0, 2450.0), 1.0),), 48.0, 48.0), {})
+        assert log_coefficients(f, 1)[0] == 1200.0
+
+    def test_g_delta_correctly_rounded_on_the_sweep_grid(self):
+        # g_alpha_upper's delta is alpha/12; the quotient u_m = h_m/(1 + m),
+        # divided part by part, gives it correctly rounded at every grid point.
+        for alpha in np.arange(1, 101) / 100:
+            assert delta(g_alpha_upper(float(alpha))) == float(Fraction(float(alpha)) / 12)
 
     @pytest.mark.parametrize("label", ["k_theta_alpha", "m_alpha_upper"])
     @pytest.mark.parametrize("alpha", [1e160, 1e200, 1e300])
