@@ -27,6 +27,15 @@ for r, m in zip(rep.radii, rep.margin_by_radius):
 print(f"overall: worst {rep.worst_margin:.9f} at z = {rep.witness:.4f}  -> {'PASS' if rep.passed else 'FAIL'}")
 print()
 
+print("== the same entry at lambda = 1e-15: a margin far below one ulp of 1 ==")
+# For z/P the U expression is -c z^2 exactly, so the margin lam - |c| |z|^2 is
+# read from the row with no cancellation: about 2e-17 at r = 0.99.
+rep = membership_test(f3(1e-15), ClassSpec("U", lam=1e-15))
+for r, m in zip(rep.radii, rep.margin_by_radius):
+    print(f"radius {r:4.2f}: worst margin {m:.6e}   closed form {1e-15 * (1 - r * r):.6e}")
+print(f"-> {'PASS' if rep.passed else 'FAIL'}")
+print()
+
 print("== margins at single points ==")
 print(f"koebe in M(0) at z = 0.5:      {membership_margin(koebe(), ClassSpec('M', alpha=0.0), 0.5):.6f}")
 print(f"koebe in M(0) at z = -0.99:    {membership_margin(koebe(), ClassSpec('M', alpha=0.0), -0.99):.6f}")

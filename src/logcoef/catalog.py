@@ -229,7 +229,8 @@ class AnalyticFunction:
     (f/z, z f'/f, z f''/f') at z, a point or an ndarray of points of the
     open disk, (1, 1, 0) at z = 0; for a rotated row, the unrotated row's at
     e^{i theta} z.  A row with a > 0 also gives dlog_h(z), z h'/h there with
-    no quadrature (`_quadrature_evaluator`); it is None at a = 0.
+    no quadrature (`_quadrature_evaluator`); it is None at a = 0.  A 2-D z
+    is a stack of rings, one per row, each under its own quadrature rule.
     """
 
     label: str
@@ -618,6 +619,9 @@ def _quadrature_evaluator(label, factors, alpha):
     first.  The distinct folded points (`np.unique`) are evaluated and the
     values unfolded.  Folding keeps every |z|, and so the quadrature rule.
     Every value that is not finite, but z h'/h where h = 0, is refused.
+    The rule comes from a call's largest |z|, so the evaluator takes a 2-D z
+    as a stack of rings, one per row, each folded and integrated under its
+    own rule, with the bits it has alone; z h'/h takes the stack at once.
     """
     real = all(complex(c).imag == 0 for P, e in factors for c in (*P, e))
     even = all(len(P) < 2 or P[1] == 0 for P, _ in factors)
@@ -652,8 +656,15 @@ def _quadrature_evaluator(label, factors, alpha):
         zero = functools.reduce(operator.or_, [pz == 0 for e, pz, _ in rows if e > 0], False)
         return (np.where(zero, np.nan, reps * dh),), zero
 
-    one = folded(dlog_h)
-    return folded(ratios), lambda z: one(z)[0]
+    flat, one = folded(ratios), folded(dlog_h)
+
+    def ev(z):
+        if np.ndim(z) < 2:
+            return flat(z)
+        rings = [flat(ring) for ring in np.reshape(z, (-1, np.shape(z)[-1]))]
+        return tuple(np.reshape(x, np.shape(z)) for x in zip(*rings))
+
+    return ev, lambda z: one(z)[0]
 
 
 def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:

@@ -11,12 +11,13 @@ function measures:
 
 The margin is positive where the inequality holds with room to spare and
 negative where it fails; a membership test reports the worst margin seen on a
-polar grid together with the witness point.  The margins read the ratios
-(f/z, z f'/f, z f''/f') from `f.evaluator`, the entry's one evaluation path,
-closed form or quadrature, and pass on its refusals.  The M margin at a
-quadrature row's own alpha and the G margin of a row with a = 1 do not
-depend on z f'/f; they read z h'/h, a closed form in the row, from
-`f.dlog_h`, which runs no quadrature but refuses what the evaluator refuses.
+polar grid together with the witness point, from one margin call over the
+whole grid.  The margins read the ratios (f/z, z f'/f, z f''/f') from
+`f.evaluator`, the entry's one evaluation path, closed form or quadrature,
+and pass on its refusals.  The M margin at a quadrature row's own alpha and
+the G margin of a row with a = 1 do not depend on z f'/f; they read z h'/h,
+a closed form in the row, from `f.dlog_h`, which runs no quadrature but
+refuses what the evaluator refuses.  The U margin of z/P reads neither.
 Full-disk membership (class S) has no pointwise criterion of this kind and
 is rejected explicitly.
 
@@ -32,6 +33,7 @@ the search module's body all read that row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -167,15 +169,21 @@ def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
     alpha z h'/h] and the G(alpha) margin alpha/2 - Re[(a - 1)/a (p - 1) +
     z h'/h].  Where the coefficient of p - 1 is 0, M at alpha = a and G at
     a = 1, the margin is read from z h'/h alone (`f.dlog_h`), which needs no
-    quadrature and does not cancel.
+    quadrature and does not cancel.  For f = z/P (a = 0, power -1),
+    (z/f)^2 f' - 1 = P - z P' - 1 = -c z^2, c the z^2 coefficient of P, so
+    the U margin is lam - |c| |z|^2 at any theta, with no evaluator call.
 
     A sample where the margin divides by zero, at f = 0 (f/z = 0) for U and M
     or at f' = 0 (z f'/f = 0, or h = 0) for M and G, is singular and becomes
     NaN.  Any other margin that is not finite is refused with ValueError,
-    naming the first such point.
+    naming the first such point of `zs` in flat order.  The margins have the
+    shape of `zs`; a 2-D `zs` is a stack of rings (see `AnalyticFunction`).
     """
-    a = f.row.a
-    if a > 0 and (spec.kind == "M" and spec.alpha == a or spec.kind == "G" and a == 1.0):
+    (P, e), a = f.row.factors[0], f.row.a
+    if spec.kind == "U" and a == 0 and e == -1.0:
+        c = abs(P[2]) if len(P) > 2 else 0.0
+        v, singular = spec.lam - c * (zs.real**2 + zs.imag**2), False
+    elif a > 0 and (spec.kind == "M" and spec.alpha == a or spec.kind == "G" and a == 1.0):
         d = np.asarray(f.dlog_h(zs), dtype=complex)  # NaN only where h = 0
         with np.errstate(over="ignore", invalid="ignore"):
             v = 1.0 + a * d.real if spec.kind == "M" else 0.5 * spec.alpha - d.real
@@ -185,7 +193,8 @@ def _margins(f, spec: ClassSpec, zs: np.ndarray) -> np.ndarray:
     v = np.where(singular, np.nan, v)
     over = np.flatnonzero(~np.isfinite(v) & ~singular)
     if over.size:
-        raise ValueError(f"the {spec.label()} margin overflows at z = {complex(zs[over[0]])}")
+        z = complex(np.ravel(zs)[over[0]])
+        raise ValueError(f"the {spec.label()} margin overflows at z = {z}")
     return v
 
 
@@ -221,8 +230,10 @@ def membership_margin(f, spec: ClassSpec, z: complex) -> float:
     return v
 
 
+@functools.lru_cache(maxsize=16)  # bounded: a ring of MAX_ANGULAR points takes 160 kB
 def _ring(angular: int) -> np.ndarray:
-    """The points e^{2 pi i j / n}, j = 0..n-1 with n = angular, as exact mirror images.
+    """The points e^{2 pi i j / n}, j = 0..n-1 with n = angular, as exact mirror images;
+    cached for the last 16 n, and read-only.
 
     ring[n - j] == conj(ring[j]) for every j, and for even n ring[j + n/2] ==
     -ring[j], except that ring[3n/4] is conj(ring[n/4]), which is not
@@ -239,6 +250,7 @@ def _ring(angular: int) -> np.ndarray:
         ring[n // 2] = -ring[0]
     j = np.arange(1, (n + 1) // 2)
     ring[n - j] = ring[j].conj()
+    ring.setflags(write=False)  # cached and shared by every caller
     return ring
 
 
@@ -254,10 +266,13 @@ def membership_test(
     grid is exactly symmetric under z -> conj z and, for even `angular`,
     z -> -z: an evaluator that folds by its row's symmetry evaluates each
     orbit once, and the margins of a symmetric row are equal at mirror
-    points.  Singular samples are skipped, counted, and force a failed report;
-    a margin that overflows is refused with ValueError (see `_margins`).  The
-    reduction is deterministic: ties on the worst margin, such as those
-    mirror points, resolve to the first point in (radius, angle) order.
+    points.  The test is one `_margins` call over the whole grid, with the
+    bits of one call per radius.  Singular samples are skipped, counted, and
+    force a failed report; a margin that overflows is refused with
+    ValueError (see `_margins`), and a refusal has the words of the first
+    radius that refuses alone.  The reduction is deterministic: ties on the
+    worst margin, such as those mirror points, resolve to the first point in
+    (radius, angle) order.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
@@ -267,7 +282,12 @@ def membership_test(
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
 
     grid = np.asarray(radii)[:, None] * _ring(angular)
-    margins = np.stack([_margins(f, spec, zs) for zs in grid])
+    try:
+        margins = _margins(f, spec, grid)
+    except ValueError:
+        for zs in grid:  # the first radius that refuses alone names the refusal
+            _margins(f, spec, zs)
+        raise
     finite = np.isfinite(margins)
     worst = np.unravel_index(np.argmin(np.where(finite, margins, np.inf)), margins.shape)
     return MembershipReport(
@@ -277,9 +297,7 @@ def membership_test(
         angular=angular,
         worst_margin=float(margins[worst]) if finite.any() else math.nan,
         witness=complex(grid[worst]),
-        margin_by_radius=tuple(
-            float(np.nanmin(row)) if ok.any() else math.nan for row, ok in zip(margins, finite)
-        ),
+        margin_by_radius=tuple(np.fmin.reduce(margins, axis=1).tolist()),
         skipped=int(np.count_nonzero(~finite)),
     )
 

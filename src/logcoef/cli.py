@@ -225,15 +225,19 @@ def _verify_checks(full: bool):
         ok = abs(d - expected) <= 1e-10 and pair.lower - 1e-10 <= d <= pair.upper + 1e-10
         add(f"delta {_desc(f)}", ok, f"delta={d!r} expected={expected!r} bounds={spec.label()}")
 
-    for spec in _WITNESS_MESH:
-        pair = bounds.bound_delta(spec)
-        for side in ("lower", "upper"):
-            label, bound = getattr(pair, f"{side}_witness"), getattr(pair, side)
-            if label is not None:
-                f = catalog.make(label, lam=spec.lam, alpha=spec.alpha)
-                d = functional.delta(f)
-                name = f"{spec.label()} {side} witness {_desc(f)}"
-                add(name, abs(d - bound) <= 1e-12, f"delta={d!r} bound={bound!r}")
+    witnesses = [(spec, side, getattr(pair, f"{side}_witness"), getattr(pair, side))
+                 for spec in _WITNESS_MESH for pair in [bounds.bound_delta(spec)]
+                 for side in ("lower", "upper") if getattr(pair, f"{side}_witness")]
+    # One family sweep per label, each delta with the bits of functional.delta
+    # on its entry alone; a family with no class parameter sweeps theta = 0.
+    grids = {}
+    for spec, _, label, _ in witnesses:
+        grids.setdefault(label, []).append(0.0 if spec.param is None else spec.param)
+    deltas = {label: iter(search.family_sweep(label, grid)) for label, grid in grids.items()}
+    for spec, side, label, bound in witnesses:
+        f, d = catalog.make(label, lam=spec.lam, alpha=spec.alpha), next(deltas[label]).delta
+        add(f"{spec.label()} {side} witness {_desc(f)}", abs(d - bound) <= 1e-12,
+            f"delta={d!r} bound={bound!r}")
 
     for alpha in (0.5, 1.0, 2.0, 5.0):
         a2 = catalog.k_theta_alpha(0.0, alpha).a(2)

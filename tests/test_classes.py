@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from logcoef.catalog import (
     AnalyticFunction,
     Row,
     f1,
+    f2,
     f3,
     f4,
     f5,
@@ -31,6 +33,7 @@ from logcoef.classes import (
     ClassSpec,
     MembershipReport,
     SingularSampleError,
+    _margins,
     _ring,
     asserted_memberships,
     coeff_bound_A_check,
@@ -128,6 +131,39 @@ class TestMargins:
             for z in (0.5j, -0.3 + 0.2j):
                 want = lam - mag * abs(z) ** 2
                 assert membership_margin(f, spec, z) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("f, lam, c", [
+        pytest.param(f1(0.0), 1.0, 1.0, id="f1"),
+        pytest.param(f1(1.1), 1.0, 1.0, id="f1-rotated"),
+        pytest.param(f2(0.3), 1.0, 1.0, id="f2"),
+        pytest.param(f3(0.8, 0.0), 0.8, 0.8, id="f3"),
+        pytest.param(f3(0.6, 2.0), 0.6, 0.6, id="f3-rotated"),
+        pytest.param(f3(1e-15, 0.0), 1e-15, 1e-15, id="f3-tiny"),
+        pytest.param(f4(0.5), 0.5, 0.5, id="f4(0.5)"),
+        pytest.param(f4(0.77), 0.77, 0.77, id="f4(0.77)"),
+        pytest.param(f5(0.25), 0.25, 0.25, id="f5(0.25)"),
+        pytest.param(f5(0.01), 0.01, 0.01, id="f5(0.01)"),
+    ])
+    def test_u_margin_of_z_over_p_is_exact(self, f, lam, c):
+        # For f = z/P, (z/f)^2 f' - 1 = P - z P' - 1 = -c z^2: the margin is
+        # lam - |c| |z|^2 at every sample, to 2 ulps of lam (1.3 measured).
+        spec = ClassSpec("U", lam=lam)
+        radii = (0.5, 0.9, 0.99, 0.999)
+        grid = np.asarray(radii)[:, None] * _ring(256)
+        got = _margins(f, spec, grid)
+        exact = [[float(Fraction(lam) - Fraction(c) * (Fraction(z.real) ** 2 + Fraction(z.imag) ** 2))
+                  for z in ring] for ring in grid]
+        assert np.abs(got - exact).max() <= 2.0 * np.spacing(lam)
+        rep = membership_test(f, spec, radii=radii)
+        assert rep.passed and rep.skipped == 0
+        assert rep.margin_by_radius == tuple(got.min(axis=1))
+
+    def test_u_margin_of_z_over_p_keeps_a_tiny_lambda(self):
+        # lam (1 - r^2) = 1.99e-17 at r = 0.99: once lost to cancellation in
+        # |(z/f)^2 f' - 1|, which read -1.35e-16 and failed.
+        rep = membership_test(f3(1e-15, 0.0), ClassSpec("U", lam=1e-15))
+        assert rep.passed
+        assert rep.margin_by_radius[-1] == pytest.approx(1e-15 * (1.0 - 0.99**2), rel=1e-14)
 
     def test_koebe_starlike_margin(self):
         # z k'/k = (1+z)/(1-z), margin at z=1/2 is 3
@@ -426,6 +462,10 @@ class TestMembershipTest:
         exact = np.exp(2j * np.pi * np.arange(n) / n)
         assert np.abs(ring - exact).max() <= 2e-15
 
+    def test_ring_is_built_once_and_read_only(self):
+        assert _ring(64) is _ring(64)
+        assert not _ring(64).flags.writeable
+
     @pytest.mark.parametrize("f, spec", [
         pytest.param(k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.3), id="k(0,0.3)"),
         pytest.param(m_alpha_upper(1.0), ClassSpec("M", alpha=1.0), id="m(1)"),
@@ -445,6 +485,106 @@ class TestMembershipTest:
         rep = membership_test(f, spec, radii=(0.9,), angular=n)
         first = int(np.argmin(margins))
         assert (rep.worst_margin, rep.witness) == (margins[first], 0.9 * ring[first])
+
+    @staticmethod
+    def per_radius(f, spec, radii, angular):
+        """(worst, witness, margin_by_radius, skipped) from one `_margins` call per
+        radius, reduced as membership_test reduces its grid."""
+        grid = np.asarray(radii)[:, None] * _ring(angular)
+        margins = np.stack([_margins(f, spec, zs) for zs in grid])
+        finite = np.isfinite(margins)
+        worst = np.unravel_index(np.argmin(np.where(finite, margins, np.inf)), margins.shape)
+        by_radius = tuple(float(np.nanmin(m)) if ok.any() else math.nan
+                          for m, ok in zip(margins, finite))
+        worst_margin = float(margins[worst]) if finite.any() else math.nan
+        return worst_margin, complex(grid[worst]), by_radius, int(np.count_nonzero(~finite))
+
+    # The five quadrature memberships that read the ratios, and a grid whose
+    # first ring is all singular.
+    RATIO_PATH = [
+        (k_theta_alpha(0.0, 0.3), ClassSpec("M", alpha=0.5)),
+        (m_alpha_upper(1.0), ClassSpec("M", alpha=2.0)),
+        (m_alpha_upper(2.0), ClassSpec("M", alpha=0.0)),
+        (g_alpha_upper(0.5), ClassSpec("M", alpha=0.5)),
+        (k_theta_alpha(0.4, 0.5), ClassSpec("G", alpha=0.5)),
+    ]
+    SINGULAR = (AnalyticFunction("adhoc", Row((((1.0, -2.0), 1.0),), 1.0, 1.0), {}),
+                ClassSpec("G", alpha=1.0))
+
+    @pytest.mark.parametrize("radii, angular", [((0.5, 0.9, 0.99), 256), ((0.99, 0.5), 7)],
+                             ids=["default", "reversed-7"])
+    @pytest.mark.parametrize("f, spec", [
+        pytest.param(f, spec, id=f"{f.label}{tuple(f.params.values())}-{spec.label()}")
+        for f, spec in [*asserted_memberships(), *RATIO_PATH, SINGULAR]
+    ])
+    def test_one_call_per_grid_matches_one_call_per_radius(self, f, spec, radii, angular):
+        rep = membership_test(f, spec, radii=radii, angular=angular)
+        got = (rep.worst_margin, rep.witness, rep.margin_by_radius, rep.skipped)
+        assert repr(got) == repr(self.per_radius(f, spec, radii, angular))
+
+    def test_all_singular_ring_reads_nan(self):
+        f, spec = self.SINGULAR
+        rep = membership_test(f, spec, radii=(0.5, 0.9), angular=1)
+        assert math.isnan(rep.margin_by_radius[0]) and math.isfinite(rep.margin_by_radius[1])
+        assert rep.skipped == 1 and not rep.passed
+        got = (rep.worst_margin, rep.witness, rep.margin_by_radius, rep.skipped)
+        assert repr(got) == repr(self.per_radius(f, spec, (0.5, 0.9), 1))
+
+    @staticmethod
+    def spied(f):
+        """A copy of entry f whose evaluator and dlog_h record which was called, on what shape."""
+        g = AnalyticFunction(f.label, f.row, f.params)
+        calls = []
+        for name in ("evaluator", "dlog_h"):
+            inner = getattr(g, name)
+            if inner is not None:
+                def spy(z, inner=inner, name=name):
+                    calls.append((name, np.shape(z)))
+                    return inner(z)
+
+                object.__setattr__(g, name, spy)
+        return g, calls
+
+    @pytest.mark.parametrize("f, spec, called", [
+        pytest.param(koebe(0.0), ClassSpec("M", alpha=0.0), "evaluator", id="koebe-M"),
+        pytest.param(koebe(2.5), ClassSpec("G", alpha=1.0), "evaluator", id="koebe-G"),
+        pytest.param(g_quadratic(), ClassSpec("G", alpha=1.0), "evaluator", id="g_quadratic-G"),
+        pytest.param(g_quadratic(), ClassSpec("U", lam=1.0), "evaluator", id="g_quadratic-U"),
+        pytest.param(m_alpha_upper(0.0), ClassSpec("M", alpha=0.0), "evaluator", id="m(0)-M"),
+        pytest.param(k_theta_alpha(0.0, 0.5), ClassSpec("M", alpha=0.5), "dlog_h", id="k-M"),
+        pytest.param(k_theta_alpha(1.0, 2.0), ClassSpec("M", alpha=2.0), "dlog_h", id="k-rotated-M"),
+        pytest.param(m_alpha_upper(2.0), ClassSpec("M", alpha=2.0), "dlog_h", id="m-M"),
+        pytest.param(g_alpha_upper(0.5), ClassSpec("G", alpha=0.5), "dlog_h", id="g-G"),
+        pytest.param(k_theta_alpha(0.4, 1.0), ClassSpec("G", alpha=0.5), "dlog_h", id="k(1)-G"),
+        pytest.param(f3(0.6, 2.0), ClassSpec("U", lam=0.6), None, id="f3-U"),
+        pytest.param(koebe(0.0), ClassSpec("U", lam=1.0), None, id="koebe-U"),
+    ])
+    def test_one_evaluation_per_test(self, f, spec, called):
+        # Closed and own-class margins depend on their own point alone, so the
+        # grid goes to the evaluator, or to z h'/h, in one call; the U margin
+        # of z/P calls neither.
+        g, calls = self.spied(f)
+        membership_test(g, spec)
+        assert calls == ([(called, (3, 256))] if called else [])
+
+    # k_theta_alpha(0, 3.6e-4) refuses from r = 0.9999 on, with a node count
+    # that grows with r; M(1e308)'s margin overflows on every ring.
+    @pytest.mark.parametrize("spec", [ClassSpec("M", alpha=3.6e-4), ClassSpec("U", lam=1.0),
+                                      ClassSpec("M", alpha=1e308)], ids=lambda s: s.label())
+    @pytest.mark.parametrize("radii, nodes", [((0.5, 0.99999, 0.9999), 137136),
+                                              ((0.5, 0.9999, 0.99999), 111536)])
+    def test_refusal_names_the_first_refusing_ring(self, spec, radii, nodes):
+        f = k_theta_alpha(0.0, 3.6e-4)
+        with pytest.raises(ValueError) as first:
+            for r in radii:
+                _margins(f, spec, r * _ring(64))
+        message = (f"quadrature would need {nodes} nodes, more than 100000; the integrand "
+                   f"(power 5555.56) is too sharp")
+        if spec.alpha == 1e308:
+            message = "the M(1e+308) margin overflows at z = (0.5+0j)"
+        assert str(first.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            membership_test(f, spec, radii=radii, angular=64)
 
     def test_failing_membership(self):
         rep = membership_test(koebe(), ClassSpec("G", alpha=1.0), radii=(0.5,), angular=64)

@@ -531,6 +531,30 @@ class TestVerify:
             d, bound = (float(v.split("=")[1]) for v in r["detail"].split())
             assert r["passed"] and abs(d - bound) <= 1e-12
 
+    @pytest.mark.parametrize("flags", [(), ("--all",)], ids=["quick", "all"])
+    def test_witness_deltas_are_each_entrys_own(self, run, flags):
+        # verify reads the witness deltas from one family sweep per label; each
+        # check keeps its name, its place and the bits of functional.delta on
+        # its entry alone.
+        code, out, _ = run("verify", *flags, "--format", "json")
+        assert code == 0
+        checks = [(c["name"], c["detail"]) for c in json.loads(out)["checks"]]
+        want = []
+        for kind, param in self.WITNESS_MESH:
+            spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, param)
+            pair = bound_delta(spec)
+            for side in ("lower", "upper"):
+                label = getattr(pair, f"{side}_witness")
+                if label is not None:
+                    f = catalog.make(label, lam=spec.lam, alpha=spec.alpha)
+                    d = functional.delta(f)
+                    want.append((f"{spec.label()} {side} witness {cli._desc(f)}",
+                                 f"delta={d!r} bound={getattr(pair, side)!r}"))
+        assert len(want) == 22
+        assert [n for n, _ in checks[:2]] == ["delta koebe(theta=0)", "delta g_quadratic"]
+        assert checks[2:2 + len(want)] == want
+        assert checks[2 + len(want)][0].startswith("series a2 ")
+
     def test_wrong_witness_fails_only_its_rows(self, run, monkeypatch):
         real = bounds.bound_delta
 
