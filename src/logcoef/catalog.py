@@ -201,6 +201,11 @@ LABELS = tuple(FAMILIES)
 MAX_SWEEP_STEPS = 10**4
 
 
+# How far inside the circle a zero of a factor may be found and still be
+# read as on it, by `AnalyticFunction.check_analytic`.
+_ZERO_TOL = 1e-12
+
+
 def sweep_grid(lo: float, hi: float, ends: str, step: float) -> list:
     """lo + k step for k = 0, 1, ... across the interval.
 
@@ -289,6 +294,32 @@ class AnalyticFunction:
         """Taylor coefficient a_n, from a build to order n."""
         return self.series(max(n, MIN_ORDER)).coefficient(n)
 
+    def check_analytic(self) -> None:
+        """Refuses, with ValueError naming the zero, an entry not analytic in the open disk.
+
+        A factor P^e whose power e is not a nonnegative integer has a pole or
+        a branch point at each zero of P, and so has u, as z t^a sweeps the
+        segment from 0 to z.  Such a zero strictly inside the disk is refused;
+        the zeros come from `_poly_roots`, with no numpy call.  A zero with
+        |zeta| >= 1 - _ZERO_TOL (1e-12) is read as on the circle, where the
+        extremals put theirs: `_roots` gives a simple zero on the circle
+        within a few ulps of it (every catalog row's reads exactly 1), and the
+        tolerance leaves room for coefficients that were rounded themselves.
+        The zeros of a polynomial factor leave f analytic; the margins read
+        them as singular samples where f or f' vanishes.
+        """
+        for P, e in self.row.factors:
+            if e >= 0 and float(e).is_integer():
+                continue
+            for zeta in _poly_roots([complex(c) for c in P]):
+                # A root's parts can be finite and its modulus not: hypot gives
+                # inf there, where abs raises OverflowError.
+                if math.hypot(zeta.real, zeta.imag) < 1.0 - _ZERO_TOL:
+                    zeta *= cmath.exp(-1j * self.row.theta)
+                    raise ValueError(
+                        f"{self.label} {self.params} is not analytic in the unit disk: its "
+                        f"factor {P}^{e} has a zero at z = {zeta}, |z| = {abs(zeta)!r}")
+
 
 def _check_finite(*named):
     """Raise ValueError unless every (name, value) pair has a finite value."""
@@ -314,6 +345,26 @@ def _roots(c):
             return q / c2, c0 / q
     s = cmath.sqrt(-c0 / c2)
     return s, -s
+
+
+def _poly_roots(c):
+    """The roots of c_0 + c_1 z + c_2 z^2 by `_roots`, none for a constant, in Python
+    complex arithmetic: no numpy call.
+
+    `c` holds at most three finite complex numbers, not all 0, up to trailing
+    zeros, which are dropped; more refuses with ValueError.  Scaling by a
+    power of two is exact and moves no root; with every real and imaginary
+    part below 1, no product in `_roots` overflows.  Python complex
+    arithmetic, unlike numpy's, gives inf without a warning when a root lies
+    beyond the float range (a subnormal leading coefficient).
+    """
+    e = math.frexp(max(abs(x) for v in c for x in (v.real, v.imag)))[1]
+    c = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e)) for v in c]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    if len(c) > 3:
+        raise ValueError("only polynomial degree <= 2 is supported")
+    return _roots(c)
 
 
 def _shaped(z, values):
@@ -421,16 +472,34 @@ def f5(lam: float) -> AnalyticFunction:
 # -- quadrature for the integral-defined entries -------------------------------
 
 
-@functools.cache
+_GL_NODES = np.array([
+    -0.9894009349916495, -0.9445750230732327, -0.8656312023878319, -0.7554044083550033,
+    -0.6178762444026443, -0.4580167776572275, -0.2816035507792588, -0.0950125098376372,
+    0.09501250983763725, 0.28160355077925897, 0.4580167776572271, 0.617876244402644,
+    0.7554044083550031, 0.8656312023878318, 0.9445750230732326, 0.9894009349916498,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754565, 0.06225352393864702, 0.09515851168249262, 0.12462897125553422,
+    0.14959598881657638, 0.16915651939500279, 0.1826034150449246, 0.18945061045506828,
+    0.1894506104550689, 0.18260341504492386, 0.16915651939500284, 0.1495959888165774,
+    0.12462897125553483, 0.09515851168249245, 0.06225352393864806, 0.02715245941175439,
+])
+_GL_NODES.setflags(write=False)  # shared by every caller
+_GL_WEIGHTS.setflags(write=False)
+
+
 def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [-1, 1], by Golub-Welsch."""
-    k = np.arange(1.0, 16.0)
-    b = k / np.sqrt(4.0 * k * k - 1.0)
-    x, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
-    w = 2.0 * v[0] ** 2
-    x.setflags(write=False)  # cached and shared by every caller
-    w.setflags(write=False)
-    return x, w
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    The table holds the doubles of a Golub-Welsch build, the eigenvalues x of
+    the Jacobi matrix with off-diagonal k / sqrt(4 k^2 - 1), k = 1..15, and
+    w = 2 v_0^2 from its eigenvectors v, as numpy 2.4.6's LAPACK (`eigh`)
+    gave them, printed with repr.  They are kept bit for bit, so that no
+    quadrature output moves, and are not mirror-symmetric to the last bit:
+    x[7] = -0.0950125098376372 but x[8] = 0.09501250983763725.  Kept as
+    literals, the rule costs no eigensolve in any process.
+    """
+    return _GL_NODES, _GL_WEIGHTS
 
 
 # Error allowed on the innermost panel at t = 0, relative to the integral.
@@ -611,14 +680,19 @@ def _quadrature_evaluator(label, factors, alpha):
     evaluator refuses at the same points, alpha above _MAX_ALPHA, |z| >= 1
     and a rule out of range or of too many nodes (`_panel_counts`), so that
     whether a point is evaluated does not depend on which of the two reads it.
+    Every value that is not finite, but z h'/h where h = 0, is refused.
 
-    The points are folded by the row's symmetry and each orbit is evaluated
+    Only the ratios are folded by the row's symmetry, each orbit integrated
     once.  If every coefficient and power is real, the values at conj z are
     the conjugates of those at z, so z goes to the upper half plane; if every
     P has no z term, the values are even, so z goes to the right half plane
     first.  The distinct folded points (`np.unique`) are evaluated and the
     values unfolded.  Folding keeps every |z|, and so the quadrature rule.
-    Every value that is not finite, but z h'/h where h = 0, is refused.
+    z h'/h is evaluated at the points it is given: a few products and
+    quotients per point cost less than the fold's sort, and the arithmetic
+    keeps the symmetry by itself, as conj and z -> -z commute exactly with
+    each product and quotient of a real, or even, row's terms (up to the
+    sign of an exact zero, which no margin reads).
     The rule comes from a call's largest |z|, so the evaluator takes a 2-D z
     as a stack of rings, one per row, each folded and integrated under its
     own rule, with the bits it has alone; z h'/h takes the stack at once.
@@ -626,37 +700,24 @@ def _quadrature_evaluator(label, factors, alpha):
     real = all(complex(c).imag == 0 for P, e in factors for c in (*P, e))
     even = all(len(P) < 2 or P[1] == 0 for P, _ in factors)
 
-    def folded(values):
-        def ev(z):
-            if alpha > _MAX_ALPHA:
-                raise ValueError(
-                    f"{label} is evaluated only at alpha <= {_MAX_ALPHA:g}, got {alpha!r}")
-            w = np.ravel(np.asarray(z, dtype=complex))
-            if even:
-                w = np.where((w.real < 0) | ((w.real == 0) & (w.imag < 0)), -w, w)
-            flip = real & (w.imag < 0)
-            reps, back = np.unique(np.where(flip, w.conj(), w), return_inverse=True)
-            with np.errstate(all="ignore"):
-                out, singular = values(reps)
-            if not all((np.isfinite(x) | singular).all() for x in out):
-                raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
-            return _shaped(z, [np.where(flip, x[back].conj(), x[back]) for x in out])
+    def refused_alpha():
+        if alpha > _MAX_ALPHA:
+            raise ValueError(f"{label} is evaluated only at alpha <= {_MAX_ALPHA:g}, got {alpha!r}")
 
-        return ev
-
-    def ratios(reps):
-        lh, dh, logv = _integral_logs(factors, alpha, reps)
-        p = np.exp(-logv)
-        r = (alpha - 1.0) / alpha * (p - 1.0) + reps * dh
-        return (np.exp(alpha * (lh + logv)), p, r), False
-
-    def dlog_h(reps):
-        _panel_counts(*_rule_shape(factors, alpha, reps))
-        rows, dh = _factor_terms(factors, reps)
-        zero = functools.reduce(operator.or_, [pz == 0 for e, pz, _ in rows if e > 0], False)
-        return (np.where(zero, np.nan, reps * dh),), zero
-
-    flat, one = folded(ratios), folded(dlog_h)
+    def flat(z):
+        refused_alpha()
+        w = np.ravel(np.asarray(z, dtype=complex))
+        if even:
+            w = np.where((w.real < 0) | ((w.real == 0) & (w.imag < 0)), -w, w)
+        flip = real & (w.imag < 0)
+        reps, back = np.unique(np.where(flip, w.conj(), w), return_inverse=True)
+        with np.errstate(all="ignore"):
+            lh, dh, logv = _integral_logs(factors, alpha, reps)
+            p = np.exp(-logv)
+            out = (np.exp(alpha * (lh + logv)), p, (alpha - 1.0) / alpha * (p - 1.0) + reps * dh)
+        if not all(np.isfinite(x).all() for x in out):
+            raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
+        return _shaped(z, [np.where(flip, x[back].conj(), x[back]) for x in out])
 
     def ev(z):
         if np.ndim(z) < 2:
@@ -664,7 +725,19 @@ def _quadrature_evaluator(label, factors, alpha):
         rings = [flat(ring) for ring in np.reshape(z, (-1, np.shape(z)[-1]))]
         return tuple(np.reshape(x, np.shape(z)) for x in zip(*rings))
 
-    return ev, lambda z: one(z)[0]
+    def dlog_h(z):
+        refused_alpha()
+        w = np.ravel(np.asarray(z, dtype=complex))
+        with np.errstate(all="ignore"):
+            _panel_counts(*_rule_shape(factors, alpha, w))
+            rows, dh = _factor_terms(factors, w)
+            zero = functools.reduce(operator.or_, [pz == 0 for e, pz, _ in rows if e > 0], False)
+            d = np.where(zero, np.nan, w * dh)
+        if not (np.isfinite(d) | zero).all():
+            raise ValueError(f"{label} values overflow at alpha = {alpha!r}")
+        return _shaped(z, (d,))[0]
+
+    return ev, dlog_h
 
 
 def k_theta_alpha(theta: float, alpha: float) -> AnalyticFunction:
@@ -730,7 +803,7 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
 def poles_outside_disk(coeffs) -> tuple[bool, float]:
     """Whether every root of a degree <= 2 polynomial lies strictly outside |z| = 1.
 
-    Returns (all_outside, smallest_root_modulus), the roots from `_roots`.
+    Returns (all_outside, smallest_root_modulus), the roots from `_poly_roots`.
     Non-finite coefficients are refused with ValueError.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
@@ -738,17 +811,7 @@ def poles_outside_disk(coeffs) -> tuple[bool, float]:
         raise ValueError(f"polynomial coefficients must be finite, got {coeffs!r}")
     if c.size == 0 or not c.any():
         raise ValueError("zero polynomial has no pole locations")
-    # Scaling by a power of two is exact and moves no root; with every real
-    # and imaginary part below 1, no product in _roots overflows.
-    e = math.frexp(max(np.abs(c.real).max(), np.abs(c.imag).max()))[1]
-    c = np.ldexp(c.real, -e) + 1j * np.ldexp(c.imag, -e)
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    if len(c) > 3:
-        raise ValueError("only polynomial degree <= 2 is supported")
-    # Python complex arithmetic, unlike numpy's, gives inf without a warning
-    # when a root lies beyond the float range (a subnormal leading coefficient).
-    m = min(map(abs, _roots([complex(v) for v in c])), default=math.inf)
+    m = min(map(abs, _poly_roots(c.tolist())), default=math.inf)
     return bool(m > 1.0), float(m)
 
 

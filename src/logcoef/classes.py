@@ -18,6 +18,8 @@ and pass on its refusals.  The M margin at a quadrature row's own alpha and
 the G margin of a row with a = 1 do not depend on z f'/f; they read z h'/h,
 a closed form in the row, from `f.dlog_h`, which runs no quadrature but
 refuses what the evaluator refuses.  The U margin of z/P reads neither.
+A membership test first refuses an f with a pole or a branch point inside
+the disk (`AnalyticFunction.check_analytic`), which no grid could see.
 Full-disk membership (class S) has no pointwise criterion of this kind and
 is rejected explicitly.
 
@@ -216,14 +218,16 @@ def membership_margin(f, spec: ClassSpec, z: complex) -> float:
     """Margin of the defining inequality at one point.
 
     Raises SingularSampleError where the margin divides by zero (see
-    `_margins`), and ValueError where it overflows.  z must lie in the open
-    unit disk; at z = 0 the margin is its limit, lam for U, 1 for M and
-    alpha/2 for G.
+    `_margins`), and ValueError where it overflows, or for an f that is not
+    analytic in the disk (`f.check_analytic`, as in `membership_test`).  z
+    must lie in the open unit disk; at z = 0 the margin is its limit, lam
+    for U, 1 for M and alpha/2 for G.
     """
     z = complex(z)
     # The parts first: abs overflows on parts near the float maximum.
     if not (abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0):
         raise ValueError(f"z must lie inside the unit disk, got {z}")
+    f.check_analytic()
     v = float(_margins(f, spec, np.asarray([z]))[0])
     if math.isnan(v):
         raise SingularSampleError(f"f or f' vanished at z = {z}")
@@ -273,6 +277,12 @@ def membership_test(
     radius that refuses alone.  The reduction is deterministic: ties on the
     worst margin, such as those mirror points, resolve to the first point in
     (radius, angle) order.
+
+    An f that is not analytic in the open disk, with a pole or a branch
+    point strictly inside it, is refused with ValueError naming that zero
+    (`f.check_analytic`), before any sample: the margins on the grid could
+    pass it, as they never see what lies between the rings.  A zero on the
+    circle, within the roundoff tolerance stated there, passes.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
@@ -280,6 +290,7 @@ def membership_test(
     angular = int(angular)
     if not 1 <= angular <= MAX_ANGULAR:
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
+    f.check_analytic()
 
     grid = np.asarray(radii)[:, None] * _ring(angular)
     try:

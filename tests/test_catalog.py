@@ -15,10 +15,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from logcoef import catalog, classes, functional
+from logcoef import catalog, classes, cli, functional
 from logcoef.catalog import (
     FAMILIES,
     LABELS,
@@ -522,6 +522,74 @@ class TestGeneratorLogDerivative:
         g = AnalyticFunction("adhoc", Row((((1.0, -2.0), -1.0),), 1.0, 1.0), {})
         with pytest.raises(ValueError, match="^adhoc values overflow at alpha = 1.0$"):
             g.dlog_h(0.5)
+
+    # z h'/h is evaluated at the points it is given, with no fold, so its
+    # arithmetic must keep the row's symmetry by itself.  "Bit for bit" is
+    # np.array_equal, as for the evaluator's fold: an exact zero's sign may
+    # differ on the real axis, and no margin reads the imaginary part there.
+    @settings(max_examples=350, deadline=None)
+    @given(b=st.floats(-1.0, 1.0), c=st.floats(-1.0, 1.0), e=st.floats(-6.0, 6.0),
+           a=st.floats(0.05, 20.0), theta=st.floats(-7.0, 7.0), r=st.floats(0.01, 0.999),
+           n=st.integers(1, 300))
+    def test_keeps_the_rows_symmetry_bit_for_bit(self, b, c, e, a, theta, r, n):
+        # |b| + |c| <= 1 keeps every zero of P off the open disk; e = 0 has no rule.
+        assume(abs(b) + abs(c) <= 1.0 and e != 0.0)
+        z = np.array([[0.5 * r], [r]]) * _ring(n)  # a stack of two rings
+        real = AnalyticFunction("adhoc", Row((((1.0, b, c), e),), a, a), {})
+        d = real.dlog_h(z)
+        assert np.array_equal(real.dlog_h(z.conj()), d.conj())
+        for theta in (0.0, theta):
+            even = AnalyticFunction("adhoc", Row((((1.0, 0.0, c), e),), a, a, theta), {})
+            assert np.array_equal(even.dlog_h(-z), even.dlog_h(z))
+
+    # The own-class margins run no quadrature, so neither the rule's
+    # eigensolve nor the fold's deduplication may be reached from them.
+    @pytest.mark.parametrize("f, spec", [
+        pytest.param(k_theta_alpha(0.0, 0.5), ClassSpec("M", alpha=0.5), id="k-M"),
+        pytest.param(k_theta_alpha(1.0, 2.0), ClassSpec("M", alpha=2.0), id="k-rotated-M"),
+        pytest.param(m_alpha_upper(2.0), ClassSpec("M", alpha=2.0), id="m-M"),
+        pytest.param(g_alpha_upper(0.5), ClassSpec("G", alpha=0.5), id="g-G"),
+        pytest.param(None, None, id="verify"),
+    ])
+    def test_own_class_needs_no_eigensolve_and_no_fold(self, monkeypatch, capsys, f, spec):
+        def refused(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np, "unique", refused)
+        if f is None:
+            assert cli.main(["verify"]) == 0, capsys.readouterr().out
+        else:
+            assert membership_test(f, spec).passed
+            assert membership_margin(f, spec, 0.3 - 0.6j) > 0.0
+
+
+class TestGaussLegendreTable:
+    """The 16-point rule is a constant table, read where the rule is needed."""
+
+    def test_integrates_every_degree_up_to_31(self):
+        # The kept weights sum to 2 + 3.1e-15, the eigensolve's roundoff, so
+        # the bound is 4e-15; x^32, past the rule's degree, misses by 7.2e-10.
+        x, w = catalog._gauss_legendre()
+        for k in range(33):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert (abs(np.sum(w * x**k) - want) <= 4e-15) == (k < 32), k
+
+    def test_matches_golub_welsch(self):
+        # The eigenvalues of the Jacobi matrix and 2 v_0^2 of its eigenvectors.
+        # Another LAPACK may round differently, so within 2 ulps, not bitwise.
+        k = np.arange(1.0, 16.0)
+        b = k / np.sqrt(4.0 * k * k - 1.0)
+        nodes, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+        x, w = catalog._gauss_legendre()
+        np.testing.assert_array_max_ulp(x, nodes, maxulp=2)
+        np.testing.assert_array_max_ulp(w, 2.0 * v[0] ** 2, maxulp=2)
+
+    def test_read_only(self):
+        for table in catalog._gauss_legendre():
+            assert table.shape == (16,) and not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestQuadratureAccuracy:

@@ -1,5 +1,6 @@
 """Tests for class specifications, membership margins, and coefficient checks."""
 
+import cmath
 import math
 import re
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logcoef import catalog, cli
 from logcoef.bounds import M_BRANCH_ALPHA
 from logcoef.catalog import (
     LABELS,
@@ -626,6 +628,79 @@ class TestMembershipTest:
         assert {"radius", "margin"} == set(d["margin_by_radius"][0])
         rep2 = membership_test(koebe(), ClassSpec("M", alpha=0.0), angular=16)
         assert rep2.as_dict()["alpha"] == 0.0
+
+
+class TestAnalyticity:
+    """membership refuses a row with a pole or a branch point inside the disk,
+    naming the zero, and passes the zeros on the circle."""
+
+    # z / (1 - 2z), with a pole at 1/2: its U margin reads only |z|^2.
+    POLE = AnalyticFunction("adhoc", Row((((1.0, -2.0), -1.0),), 0.0, 1.0), {})
+    MESSAGE = ("adhoc {} is not analytic in the unit disk: its factor (1.0, -2.0)^-1.0 "
+               "has a zero at z = (0.5+0j), |z| = 0.5")
+
+    def test_pole_inside_refused(self):
+        spec = ClassSpec("U", lam=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            membership_test(self.POLE, spec, radii=(0.5, 0.9))
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            membership_margin(self.POLE, spec, 0.1)
+
+    def test_cli_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(catalog, "make", lambda *args, **kwargs: self.POLE)
+        argv = ["membership", "--function", "koebe", "--class", "U", "--lambda", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+    @pytest.mark.parametrize("P, e, a, theta, spec", [
+        pytest.param((1.0, 0.0, 4.0), 0.5, 1.0, 0.0, ClassSpec("G", alpha=1.0), id="branch-G"),
+        pytest.param((1.0, 0.0, 4.0), 0.5, 1.0, 0.7, ClassSpec("G", alpha=1.0), id="rotated-G"),
+        pytest.param((1.0, -1.25), -2.0, 0.5, 0.0, ClassSpec("M", alpha=0.5), id="pole-M"),
+        pytest.param((1.0, -1.25), -2.0, 0.5, 2.0, ClassSpec("U", lam=1.0), id="rotated-U"),
+    ])
+    def test_names_the_zero_in_the_entrys_own_variable(self, P, e, a, theta, spec):
+        f = AnalyticFunction("adhoc", Row(((P, e),), a, a, theta), {})
+        with pytest.raises(ValueError, match="^adhoc {} is not analytic in the unit disk") as no:
+            membership_test(f, spec)
+        zeta = complex(re.search(r"at z = (\S+),", str(no.value)).group(1))
+        # The entry is e^{-i theta} f(e^{i theta} z): P vanishes at e^{i theta} zeta.
+        w = cmath.exp(1j * theta) * zeta
+        assert abs(sum(c * w**k for k, c in enumerate(P))) < 1e-15
+        assert abs(zeta) < 1.0
+
+    @pytest.mark.parametrize("f", [
+        koebe(0.0), koebe(2.5), f1(0.0), f1(4.0), f2(1.0), f3(1.0, 0.3), f4(0.5), f4(1.0),
+        f5(0.5), k_theta_alpha(0.9, 0.5), k_theta_alpha(0.0, 3.0), m_alpha_upper(0.0),
+        m_alpha_upper(2.0), g_alpha_upper(1.0), g_alpha_upper(1e-3),
+    ], ids=lambda f: f"{f.label}{tuple(f.params.values())}")
+    def test_zeros_on_the_circle_pass(self, f):
+        f.check_analytic()
+        (P, _), = f.row.factors
+        assert min(abs(z) for z in catalog._poly_roots(P)) >= 1.0
+
+    def test_f4_at_one_reads_one(self):
+        # f4(1) = z / (1 - sqrt(2) z + z^2): its zeros come out exactly on the circle.
+        assert [abs(z) for z in catalog._poly_roots(f4(1.0).row.factors[0][0])] == [1.0, 1.0]
+        assert membership_test(f4(1.0), ClassSpec("U", lam=1.0)).passed
+
+    @pytest.mark.parametrize("depth, inside", [(1e-13, False), (1e-11, True)])
+    def test_roundoff_tolerance(self, depth, inside):
+        # A zero within 1e-12 of the circle is read as on it.
+        f = AnalyticFunction("adhoc", Row((((1.0, -1.0 / (1.0 - depth)), -1.0),), 0.0, 1.0), {})
+        if inside:
+            with pytest.raises(ValueError, match="not analytic"):
+                f.check_analytic()
+        else:
+            f.check_analytic()
+
+    def test_polynomial_factor_stays_a_singular_sample(self):
+        # z (1 - 2z) and the a = 1 row with f' = (1 - 2z)^2 are analytic: their
+        # zero inside is where f or f' vanishes, a skipped sample, not a refusal.
+        for f in (entry_from_coeffs([0, 1, -2]),
+                  AnalyticFunction("adhoc", Row((((1.0, -2.0), 2.0),), 1.0, 1.0), {})):
+            f.check_analytic()
+            rep = membership_test(f, ClassSpec("M", alpha=1.0), radii=(0.5,), angular=4)
+            assert rep.skipped == 1 and not rep.passed
 
 
 class TestSchwarzMaps:

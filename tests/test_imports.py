@@ -58,7 +58,7 @@ def test_package_loads_only_the_standard_library_and_numpy():
     tops = {name.partition(".")[0] for name in loaded}
     assert tops - set(sys.stdlib_module_names) == {"logcoef", "numpy"}
     # Loading numpy.polynomial slows every command's start-up, which is why
-    # catalog._gauss_legendre computes its rule by Golub-Welsch, not leggauss.
+    # catalog._gauss_legendre holds its rule as a table of literals, not leggauss.
     assert not [name for name in loaded if (name + ".").startswith("numpy.polynomial.")]
 
 
