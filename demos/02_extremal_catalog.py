@@ -16,6 +16,7 @@ and the Taylor coefficients from a series built to the order asked.
 import numpy as np
 
 from logcoef import (
+    AnalyticFunction,
     delta,
     f1,
     f2,
@@ -27,8 +28,8 @@ from logcoef import (
     k_theta_alpha,
     koebe,
     m_alpha_upper,
-    poles_outside_disk,
 )
+from logcoef.catalog import Row
 
 print("== the golden delta table ==")
 rows = [
@@ -46,17 +47,22 @@ for name, f, want in rows:
 print()
 
 print("== pole locations guard univalence of the rational entries ==")
-# denominator coefficients (c0, c1, c2) of z / q(z)
-for name, q in [
-    ("f4(0.5)", [1.0, -1.0, 0.5]),
-    ("f5(0.5)", [1.0, -1.0, 0.5]),
-    ("f3(1.0)", [1.0, 0.0, -1.0]),
-    ("koebe", [1.0, -2.0, 1.0]),
+# Each is z / P, with P's zeros on or outside the circle: check_analytic
+# refuses, with ValueError naming it, a zero strictly inside the disk.
+for name, f in [
+    ("f4(0.5)", f4(0.5)),
+    ("f5(0.5)", f5(0.5)),
+    ("f3(1.0)", f3(1.0)),
+    ("koebe", koebe()),
 ]:
-    outside, modulus = poles_outside_disk(q)
-    where = "outside" if outside else "on/inside the boundary"
-    print(f"{name:10s} nearest pole modulus {modulus:.6f}  ({where})")
+    f.check_analytic()
+    print(f"{name:10s} P = {f.row.factors[0][0]}: analytic in the disk")
 print("(the koebe pole sits exactly on |z| = 1, as it must for a full mapping)")
+try:
+    AnalyticFunction("adhoc", Row((((1.0, -2.0), -1.0),), 0.0, 1.0), {}).check_analytic()
+    print("BAD: z/(1 - 2z) passed, with its pole at z = 1/2")
+except ValueError as err:
+    print(f"z/(1 - 2z) is refused: {err}")
 print()
 
 print("== the alpha-convex extremals: series coefficients ==")

@@ -38,7 +38,6 @@ from .catalog import (
     koebe,
     m_alpha_upper,
     make,
-    poles_outside_disk,
     rotate,
 )
 from .classes import (
@@ -122,7 +121,6 @@ __all__ = [
     "make",
     "membership_margin",
     "membership_test",
-    "poles_outside_disk",
     "pow_real",
     "rotate",
     "u_aux_check",

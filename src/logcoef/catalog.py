@@ -472,6 +472,14 @@ def f5(lam: float) -> AnalyticFunction:
 # -- quadrature for the integral-defined entries -------------------------------
 
 
+# 16-point Gauss-Legendre nodes and weights on [-1, 1], read-only.  The table
+# holds the doubles of a Golub-Welsch build, the eigenvalues x of the Jacobi
+# matrix with off-diagonal k / sqrt(4 k^2 - 1), k = 1..15, and w = 2 v_0^2 from
+# its eigenvectors v, as numpy 2.4.6's LAPACK (`eigh`) gave them, printed with
+# repr.  They are kept bit for bit, so that no quadrature output moves, and are
+# not mirror-symmetric to the last bit: x[7] = -0.0950125098376372 but
+# x[8] = 0.09501250983763725.  Kept as literals, the rule costs no eigensolve
+# in any process.
 _GL_NODES = np.array([
     -0.9894009349916495, -0.9445750230732327, -0.8656312023878319, -0.7554044083550033,
     -0.6178762444026443, -0.4580167776572275, -0.2816035507792588, -0.0950125098376372,
@@ -486,20 +494,6 @@ _GL_WEIGHTS = np.array([
 ])
 _GL_NODES.setflags(write=False)  # shared by every caller
 _GL_WEIGHTS.setflags(write=False)
-
-
-def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
-
-    The table holds the doubles of a Golub-Welsch build, the eigenvalues x of
-    the Jacobi matrix with off-diagonal k / sqrt(4 k^2 - 1), k = 1..15, and
-    w = 2 v_0^2 from its eigenvectors v, as numpy 2.4.6's LAPACK (`eigh`)
-    gave them, printed with repr.  They are kept bit for bit, so that no
-    quadrature output moves, and are not mirror-symmetric to the last bit:
-    x[7] = -0.0950125098376372 but x[8] = 0.09501250983763725.  Kept as
-    literals, the rule costs no eigensolve in any process.
-    """
-    return _GL_NODES, _GL_WEIGHTS
 
 
 # Error allowed on the innermost panel at t = 0, relative to the integral.
@@ -519,7 +513,7 @@ def _panel_counts(gap: float, power: float, gamma: float):
     zero or overflow, and a rule of more than _MAX_NODES nodes, before any
     node is built.
     """
-    x, w = _gauss_legendre()
+    x, w = _GL_NODES, _GL_WEIGHTS
     if not (0.0 < power <= 64.0 * _MAX_NODES and 0.0 < gap and 2.0 / gap < math.inf):
         raise ValueError(f"quadrature rule out of range: gap {gap:g}, power {power:g}")
     ratio = 1.0 + min(3.0, 8.0 / power)
@@ -553,7 +547,7 @@ def _graded_rule(gap: float, power: float, gamma: float):
     relative precision where the integrand is sharpest.
     """
     ratio, n_left, n_right, n_last = _panel_counts(gap, power, gamma)
-    x, w = _gauss_legendre()
+    x, w = _GL_NODES, _GL_WEIGHTS
     left = 0.5 * 4.0 ** -np.arange(float(n_left), 0.0, -1.0)
     right = 0.5 * ratio ** -np.arange(1.0, n_right + 1)
     right = np.concatenate((right, right[-1] * np.arange(n_last - 1.0, 0.0, -1.0) / n_last))
@@ -798,21 +792,6 @@ def rotate(f: AnalyticFunction, theta: float) -> AnalyticFunction:
     """
     row = f.row._replace(theta=f.row.theta + float(theta))
     return AnalyticFunction(f.label, row, dict(f.params))
-
-
-def poles_outside_disk(coeffs) -> tuple[bool, float]:
-    """Whether every root of a degree <= 2 polynomial lies strictly outside |z| = 1.
-
-    Returns (all_outside, smallest_root_modulus), the roots from `_poly_roots`.
-    Non-finite coefficients are refused with ValueError.
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if not np.isfinite(c).all():
-        raise ValueError(f"polynomial coefficients must be finite, got {coeffs!r}")
-    if c.size == 0 or not c.any():
-        raise ValueError("zero polynomial has no pole locations")
-    m = min(map(abs, _poly_roots(c.tolist())), default=math.inf)
-    return bool(m > 1.0), float(m)
 
 
 def make(

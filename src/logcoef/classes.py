@@ -29,8 +29,8 @@ Each class also has a coefficient body, one row (s, q, t, reach, c0, c2) of
 For U(lam) (and S, read as U(1)) the point is (|a_2|, a_3 - a_2^2) with the
 constant cap lam, (c0, c2) = (lam, 0); for M and G it is the Schwarz
 coefficients (c_1, c_2) with cap 1 - |c_1|^2, (c0, c2) = (1, -1).  The
-Schwarz maps, the coefficient slacks |t| cap(|a_2/s|) - |a_3 - q a_2^2| and
-the search module's body all read that row.
+coefficient slacks |t| cap(|a_2/s|) - |a_3 - q a_2^2| and the search
+module's body both read that row.
 """
 
 from __future__ import annotations
@@ -332,11 +332,6 @@ class _Body(NamedTuple):
         m = np.asarray(m, dtype=float)
         return self.c0 + self.c2 * m * m
 
-    def coefficients(self, m, w):
-        """(a_2, a_3) at body points; broadcasts over ndarrays."""
-        a2 = self.s * np.asarray(m)
-        return a2, self.q * a2 * a2 + self.t * np.asarray(w)
-
     def slack(self, a2, a3):
         """|t| cap(|a_2/s|) - |a_3 - q a_2^2|, nonnegative on the body's image."""
         a2 = np.asarray(a2)
@@ -395,34 +390,13 @@ def u_aux_check(f, lam: float) -> tuple[float, float]:
     return float(body.slack(a2, f.a(3))), body.reach - abs(a2 / body.s)
 
 
-def m_coefficients_from_schwarz(c1, c2, alpha: float):
-    """(a_2, a_3) of the alpha-convex candidate driven by Schwarz data.
-
-    Inverts the coefficient relations of the defining functional:
-    c_1 = -(1 + alpha) a_2 / 2 and
-    c_2 = -[(1 + 2 alpha) a_3 - (alpha^2 + 8 alpha + 3)/4 * a_2^2].
-    Accepts scalars or ndarrays.
-    """
-    return _body(ClassSpec.of("M", alpha)).coefficients(c1, c2)
-
-
-def g_coefficients_from_schwarz(c1, c2, alpha: float):
-    """(a_2, a_3) of the G(alpha) candidate driven by Schwarz data.
-
-    Inverts c_1 = (2/alpha) a_2 and
-    c_2 = (6/alpha) (a_3 + (2/3) ((1 - alpha)/alpha) a_2^2).
-    Accepts scalars or ndarrays.
-    """
-    return _body(ClassSpec.of("G", alpha)).coefficients(c1, c2)
-
-
 def eq10_slack(a2, a3, alpha: float):
     """Slack of the alpha-convex coefficient inequality
 
     |a_3 - (alpha^2 + 8 alpha + 3)/(4 (1 + 2 alpha)) a_2^2|
         <= 1/(1 + 2 alpha) - (1 + alpha)^2 / (4 (1 + 2 alpha)) |a_2|^2.
 
-    Nonnegative on the image of the Schwarz body.  Accepts ndarrays.
+    Nonnegative for every member of M(alpha).  Accepts ndarrays.
     """
     return _body(ClassSpec.of("M", alpha)).slack(a2, a3)
 
@@ -432,7 +406,7 @@ def e11_slack(a2, a3, alpha: float):
 
     |a_3 + 2 (1 - alpha) / (3 alpha) a_2^2| <= (alpha^2 - 4 |a_2|^2) / (6 alpha).
 
-    Nonnegative on the image of the Schwarz body.  Accepts ndarrays.
+    Nonnegative for every member of G(alpha).  Accepts ndarrays.
     """
     return _body(ClassSpec.of("G", alpha)).slack(a2, a3)
 

@@ -3,6 +3,7 @@
 Each test prints a single PASS/FAIL line on the real stdout (so the line is
 visible even while pytest captures output) and then asserts that no
 sub-check failed.  Tolerances are the contract tolerances, not looser ones.
+One more test shows that criterion 7's member check fails on a wrong body map.
 """
 
 import math
@@ -15,6 +16,8 @@ from logcoef import bounds, catalog, classes, functional, search
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.classes import ClassSpec
 from logcoef.series import TruncatedSeries, exp_unit, log_unit, pow_real
+
+from _rows import herglotz_rows
 
 
 def _finish(num, title, failures):
@@ -157,43 +160,55 @@ def test_criterion_6_zero_violation_scans():
     _finish(6, "zero-violation scans, 1e5 samples per instance", failures)
 
 
-def _schwarz_samples(count, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    r1 = np.sqrt(rng.uniform(size=count))
-    c1 = r1 * np.exp(2j * np.pi * rng.uniform(size=count))
-    r2 = rng.uniform(size=count) * (1.0 - r1 * r1)
-    c2 = r2 * np.exp(2j * np.pi * rng.uniform(size=count))
-    return c1, c2
+# The classes of criterion 7's member check, each with its inequality: (10) for M, (11) for G.
+MEMBER_CLASSES = [ClassSpec("M", alpha=a) for a in (0.0, 1.0, 3.0)] + [
+    ClassSpec("G", alpha=a) for a in (0.5, 1.0)
+]
+
+
+def _measures(rng, count, k):
+    """`count` Herglotz measures of k points: x_k uniform on the circle, t ~ Dirichlet(1..1)."""
+    x = np.exp(2j * np.pi * rng.uniform(size=(count, k)))
+    return x, rng.dirichlet(np.ones(k), size=count)
+
+
+def _member_failures():
+    """The failures of inequalities (10) and (11) on members of M(alpha) and G(alpha).
+
+    Each member is a Herglotz row (`herglotz_rows`), and its a_2 = 2 gamma_1
+    and a_3 = 2 gamma_2 + 2 gamma_1^2 come from the row's own log
+    coefficients, one stacked call per class and measure size, not from the
+    body map `_body_row` that the slacks read.  Members of three points lie
+    inside the Schwarz body, with slack >= -1e-12; those of one and two
+    points lie on its cap |c_2| = 1 - |c_1|^2, with |slack| <= 1e-12.  Each
+    failure starts with its class's label.
+    """
+    rng = np.random.Generator(np.random.PCG64(2))
+    inside = _measures(rng, 10_000, 3)
+    caps = [_measures(rng, 2_000, k) for k in (1, 2)]
+    failures = []
+    for spec in MEMBER_CLASSES:
+        if spec.kind == "M":
+            name, slack_of = "eq10", classes.eq10_slack
+        else:
+            name, slack_of = "e11", classes.e11_slack
+
+        def slack(x, t):
+            row = herglotz_rows(spec.kind, spec.alpha, x, t)
+            g1, g2 = functional._stacked_log_coefficients(row, 2, "member {}".format).T
+            return slack_of(2.0 * g1, 2.0 * g2 + 2.0 * g1 * g1, spec.alpha)
+
+        low = slack(*inside).min()
+        if low < -1e-12:
+            failures.append(f"{spec.label()} {name}: min slack {low!r}")
+        edge = max(np.abs(slack(*measure)).max() for measure in caps)
+        if edge > 1e-12:
+            failures.append(f"{spec.label()} {name}: cap slack {edge!r}")
+    return failures
 
 
 def test_criterion_7_intermediate_inequalities():
-    failures = []
-    c1, c2 = _schwarz_samples(10_000, seed=2)
-    # boundary subset: |c2| = 1 - |c1|^2 exactly
-    th = np.linspace(0.0, 2.0 * np.pi, 64)
-    b1 = 0.5 * np.exp(1j * th)
-    b2 = 0.75 * np.exp(2j * th)
-
-    for alpha in (0.0, 1.0, 3.0):
-        a2, a3 = classes.m_coefficients_from_schwarz(c1, c2, alpha)
-        slack = classes.eq10_slack(a2, a3, alpha)
-        if slack.min() < -1e-12:
-            failures.append(f"eq10 alpha={alpha}: min slack {slack.min()!r}")
-        e2, e3 = classes.m_coefficients_from_schwarz(b1, b2, alpha)
-        edge = np.abs(classes.eq10_slack(e2, e3, alpha)).max()
-        if edge > 1e-12:
-            failures.append(f"eq10 alpha={alpha}: boundary slack {edge!r}")
-
-    for alpha in (0.5, 1.0):
-        a2, a3 = classes.g_coefficients_from_schwarz(c1, c2, alpha)
-        slack = classes.e11_slack(a2, a3, alpha)
-        if slack.min() < -1e-12:
-            failures.append(f"e11 alpha={alpha}: min slack {slack.min()!r}")
-        e2, e3 = classes.g_coefficients_from_schwarz(b1, b2, alpha)
-        edge = np.abs(classes.e11_slack(e2, e3, alpha)).max()
-        if edge > 1e-12:
-            failures.append(f"e11 alpha={alpha}: boundary slack {edge!r}")
-
+    failures = _member_failures()
     for f, lam in [
         (catalog.f3(0.8, 0.0), 0.8),
         (catalog.f3(0.25, 0.0), 0.25),
@@ -206,6 +221,21 @@ def test_criterion_7_intermediate_inequalities():
         if not s2 > 0.0:
             failures.append(f"u_aux {f.label}({lam}): second slack {s2!r}")
     _finish(7, "intermediate-inequality suite", failures)
+
+
+def test_criterion_7_member_check_catches_a_wrong_body_map(monkeypatch):
+    # The members' coefficients do not come from _body_row, so a q that is off
+    # by 1e-6 in M's and G's body map fails the member check in every class.
+    assert _member_failures() == []
+    body_row = classes._body_row
+
+    def moved(kind, param):
+        body = body_row(kind, param)
+        return body._replace(q=body.q + 1e-6) if kind in ("M", "G") else body
+
+    monkeypatch.setattr(classes, "_body_row", moved)
+    failed = {failure.split()[0] for failure in _member_failures()}
+    assert failed == {spec.label() for spec in MEMBER_CLASSES}
 
 
 def test_criterion_8_module_invariants():

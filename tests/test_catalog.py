@@ -35,7 +35,6 @@ from logcoef.catalog import (
     koebe,
     m_alpha_upper,
     make,
-    poles_outside_disk,
     rotate,
 )
 from logcoef.classes import ClassSpec, _ring, membership_margin, membership_test
@@ -570,7 +569,7 @@ class TestGaussLegendreTable:
     def test_integrates_every_degree_up_to_31(self):
         # The kept weights sum to 2 + 3.1e-15, the eigensolve's roundoff, so
         # the bound is 4e-15; x^32, past the rule's degree, misses by 7.2e-10.
-        x, w = catalog._gauss_legendre()
+        x, w = catalog._GL_NODES, catalog._GL_WEIGHTS
         for k in range(33):
             want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert (abs(np.sum(w * x**k) - want) <= 4e-15) == (k < 32), k
@@ -581,12 +580,12 @@ class TestGaussLegendreTable:
         k = np.arange(1.0, 16.0)
         b = k / np.sqrt(4.0 * k * k - 1.0)
         nodes, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
-        x, w = catalog._gauss_legendre()
+        x, w = catalog._GL_NODES, catalog._GL_WEIGHTS
         np.testing.assert_array_max_ulp(x, nodes, maxulp=2)
         np.testing.assert_array_max_ulp(w, 2.0 * v[0] ** 2, maxulp=2)
 
     def test_read_only(self):
-        for table in catalog._gauss_legendre():
+        for table in (catalog._GL_NODES, catalog._GL_WEIGHTS):
             assert table.shape == (16,) and not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 0.0
@@ -775,73 +774,66 @@ class TestRotation:
             assert all(complex(c).imag == 0 for P, e in f.row.factors for c in (*P, e))
 
 
+def nearest_zero(c):
+    """The least modulus of a root of c_0 + c_1 z + c_2 z^2 from `catalog._poly_roots`,
+    taken by math.hypot as `check_analytic` takes it; inf for a constant."""
+    roots = catalog._poly_roots([complex(x) for x in c])
+    return min((math.hypot(r.real, r.imag) for r in roots), default=math.inf)
+
+
 class TestPoleLocation:
+    """The zeros that `check_analytic` reads, from `_poly_roots`."""
+
     def test_double_root_outside(self):
-        ok, m = poles_outside_disk([1, -1, 0.25])
-        assert ok and m == pytest.approx(2.0, abs=1e-12)
+        assert nearest_zero([1, -1, 0.25]) == pytest.approx(2.0, abs=1e-12)
 
     def test_conjugate_pair(self):
-        ok, m = poles_outside_disk([1, -1, 0.4])
-        assert ok and m == pytest.approx(math.sqrt(2.5), abs=1e-12)
+        assert nearest_zero([1, -1, 0.4]) == pytest.approx(math.sqrt(2.5), abs=1e-12)
 
     def test_boundary_root_not_outside(self):
-        ok, m = poles_outside_disk([1, -2, 1])
-        assert not ok and m == pytest.approx(1.0, abs=1e-12)
+        assert nearest_zero([1, -2, 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear(self):
-        ok, m = poles_outside_disk([1, -0.5])
-        assert ok and m == pytest.approx(2.0)
+        assert nearest_zero([1, -0.5]) == pytest.approx(2.0)
 
     def test_trailing_zero_reduces_degree(self):
-        ok, m = poles_outside_disk([1, -0.5, 0])
-        assert ok and m == pytest.approx(2.0)
+        assert nearest_zero([1, -0.5, 0]) == pytest.approx(2.0)
 
     def test_constant_has_no_roots(self):
-        ok, m = poles_outside_disk([3])
-        assert ok and m == math.inf
+        assert nearest_zero([3]) == math.inf
 
     def test_root_at_origin(self):
-        ok, m = poles_outside_disk([0, 0, 0.5])
-        assert not ok and m == 0.0
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError, match="zero polynomial"):
-            poles_outside_disk([0, 0])
+        assert nearest_zero([0, 0, 0.5]) == 0.0
 
     def test_cubic_rejected(self):
         with pytest.raises(ValueError, match="degree"):
-            poles_outside_disk([1, 1, 1, 1])
-
-    @pytest.mark.parametrize("coeffs", [[math.nan], [1, math.nan], [1, -1, math.inf]])
-    def test_non_finite_coefficient_refused(self, coeffs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="coefficients must be finite"):
-                poles_outside_disk(coeffs)
+            catalog._poly_roots([1, 1, 1, 1])
 
     def test_huge_coefficients(self):
         # (1 - z/2)^2 scaled by 1e300: the discriminant's terms would overflow.
-        ok, m = poles_outside_disk([1e300, -1e300, 0.25e300])
-        assert ok and m == pytest.approx(2.0, abs=1e-12)
+        assert nearest_zero([1e300, -1e300, 0.25e300]) == pytest.approx(2.0, abs=1e-12)
+
+    def test_root_beyond_the_float_range(self):
+        # The root's parts are finite and its modulus is not: hypot gives inf,
+        # where abs raises OverflowError.
+        assert nearest_zero([1.7e308 + 1.7e308j, 1]) == math.inf
+        row = Row((((1.0, 3e-309 + 3e-309j), -1.0),), 0.0, 1.0)
+        AnalyticFunction("adhoc", row, {}).check_analytic()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(), min_size=1, max_size=3))
-    def test_finite_or_refused(self, coeffs):
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3))
+    def test_finite_or_inf(self, coeffs):
         # The modulus is inf only for a root beyond the float range, or for a
-        # constant, which has no root.
-        try:
-            ok, m = poles_outside_disk(coeffs)
-        except ValueError:
-            return
-        assert m >= 0.0 and ok == (m > 1.0)
+        # constant, which has no root; it is never NaN.
+        assume(any(coeffs))
+        assert nearest_zero(coeffs) >= 0.0
 
     def test_against_numpy_roots(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             c = rng.normal(size=3) + 1j * rng.normal(size=3)
-            _, m = poles_outside_disk(c)
             want = np.abs(np.roots(c[::-1])).min()
-            assert m == pytest.approx(want, rel=1e-9)
+            assert nearest_zero(c) == pytest.approx(want, rel=1e-9)
 
 
 class TestNormalization:

@@ -35,14 +35,13 @@ from logcoef.classes import (
     ClassSpec,
     MembershipReport,
     SingularSampleError,
+    _body,
     _margins,
     _ring,
     asserted_memberships,
     coeff_bound_A_check,
     e11_slack,
     eq10_slack,
-    g_coefficients_from_schwarz,
-    m_coefficients_from_schwarz,
     membership_margin,
     membership_test,
     u_aux_check,
@@ -703,34 +702,42 @@ class TestAnalyticity:
             assert rep.skipped == 1 and not rep.passed
 
 
+def body_map(kind, c1, c2, alpha):
+    """(a_2, a_3) = (s c_1, q a_2^2 + t c_2) at Schwarz coefficients (c_1, c_2), with
+    (s, q, t) the body row of M(alpha) or G(alpha), the map `search` reads."""
+    body = _body(ClassSpec.of(kind, alpha))
+    a2 = body.s * np.asarray(c1)
+    return a2, body.q * a2 * a2 + body.t * np.asarray(c2)
+
+
 class TestSchwarzMaps:
     def test_m_map_recovers_koebe(self):
-        assert m_coefficients_from_schwarz(-1.0, 0.0, 0.0) == (2.0, 3.0)
+        assert body_map("M", -1.0, 0.0, 0.0) == (2.0, 3.0)
 
     def test_m_map_odd_direction(self):
-        a2, a3 = m_coefficients_from_schwarz(0.0, -1.0, 0.7)
+        a2, a3 = body_map("M", 0.0, -1.0, 0.7)
         assert a2 == 0.0
         assert a3 == pytest.approx(1.0 / 2.4, abs=1e-15)
 
     def test_m_map_head_matches_series_extremal(self):
         f = m_alpha_upper(1.5)
-        a2, a3 = m_coefficients_from_schwarz(0.0, -1.0, 1.5)
+        a2, a3 = body_map("M", 0.0, -1.0, 1.5)
         assert abs(f.a(2) - a2) < 1e-12
         assert abs(f.a(3) - a3) < 1e-12
 
     def test_m_map_head_matches_k_family(self):
         f = k_theta_alpha(0.0, 0.8)
-        a2, _ = m_coefficients_from_schwarz(-1.0, 0.0, 0.8)
+        a2, _ = body_map("M", -1.0, 0.0, 0.8)
         assert abs(f.a(2) - a2) < 1e-12
 
     def test_g_map_example(self):
-        a2, a3 = g_coefficients_from_schwarz(1.0, 0.0, 0.5)
+        a2, a3 = body_map("G", 1.0, 0.0, 0.5)
         assert a2 == 0.25
         assert a3 == pytest.approx(-1.0 / 24.0, abs=1e-16)
 
     def test_g_map_head_matches_series_extremal(self):
         f = g_alpha_upper(0.6)
-        a2, a3 = g_coefficients_from_schwarz(0.0, -1.0, 0.6)
+        a2, a3 = body_map("G", 0.0, -1.0, 0.6)
         assert abs(f.a(2) - a2) < 1e-15
         assert abs(f.a(3) - a3) < 1e-15
 
@@ -740,18 +747,11 @@ class TestSchwarzMaps:
         w = np.exp(0.9j)
         c1 = np.array([0.4 + 0.1j, -0.2j, 0.9])
         c2 = np.array([0.3 - 0.2j, 0.5, 0.1j])
-        maps = [(m_coefficients_from_schwarz, 1.3), (g_coefficients_from_schwarz, 0.7)]
-        for mapper, alpha in maps:
-            a2, a3 = mapper(c1, c2, alpha)
-            b2, b3 = mapper(w * c1, w * w * c2, alpha)
+        for kind, alpha in [("M", 1.3), ("G", 0.7)]:
+            a2, a3 = body_map(kind, c1, c2, alpha)
+            b2, b3 = body_map(kind, w * c1, w * w * c2, alpha)
             assert np.all(np.abs(b2 - w * a2) < 1e-14)
             assert np.all(np.abs(b3 - w * w * a3) < 1e-14)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            m_coefficients_from_schwarz(0.0, 0.0, -1.0)
-        with pytest.raises(ValueError):
-            g_coefficients_from_schwarz(0.0, 0.0, 1.5)
 
 
 def schwarz_samples(count, seed):
@@ -769,7 +769,7 @@ class TestSlackIdentities:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 3.0])
     def test_eq10_slack_formula_on_body(self, alpha):
         c1, c2 = schwarz_samples(500, seed=11)
-        a2, a3 = m_coefficients_from_schwarz(c1, c2, alpha)
+        a2, a3 = body_map("M", c1, c2, alpha)
         slack = eq10_slack(a2, a3, alpha)
         want = (1 - np.abs(c1) ** 2 - np.abs(c2)) / (1 + 2 * alpha)
         np.testing.assert_allclose(slack, want, atol=1e-13)
@@ -778,7 +778,7 @@ class TestSlackIdentities:
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_e11_slack_formula_on_body(self, alpha):
         c1, c2 = schwarz_samples(500, seed=12)
-        a2, a3 = g_coefficients_from_schwarz(c1, c2, alpha)
+        a2, a3 = body_map("G", c1, c2, alpha)
         slack = e11_slack(a2, a3, alpha)
         want = alpha / 6.0 * (1 - np.abs(c1) ** 2 - np.abs(c2))
         np.testing.assert_allclose(slack, want, atol=1e-13)
@@ -788,9 +788,9 @@ class TestSlackIdentities:
         th = np.linspace(0, 2 * np.pi, 40)
         c1 = 0.6 * np.exp(1j * th)
         c2 = (1 - 0.36) * np.exp(2j * th)  # |c2| = 1 - |c1|^2
-        a2, a3 = m_coefficients_from_schwarz(c1, c2, 1.0)
+        a2, a3 = body_map("M", c1, c2, 1.0)
         assert np.abs(eq10_slack(a2, a3, 1.0)).max() < 1e-12
-        b2, b3 = g_coefficients_from_schwarz(c1, c2, 0.5)
+        b2, b3 = body_map("G", c1, c2, 0.5)
         assert np.abs(e11_slack(b2, b3, 0.5)).max() < 1e-12
 
     def test_slack_validation(self):
@@ -800,11 +800,7 @@ class TestSlackIdentities:
             e11_slack(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "check",
-        [m_coefficients_from_schwarz, eq10_slack, g_coefficients_from_schwarz, e11_slack],
-        ids=["m_map", "eq10", "g_map", "e11"],
-    )
+    @pytest.mark.parametrize("check", [eq10_slack, e11_slack], ids=["eq10", "e11"])
     def test_non_finite_alpha_refused(self, check, alpha):
         # Each check reads its parameter through ClassSpec, with no NaN result.
         with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):

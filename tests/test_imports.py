@@ -3,8 +3,9 @@
 Every module imports on its own, so no import cycle hides behind the order
 in which the package imports them, and the runtime stays numpy-only.
 `python -m logcoef` runs the command line, `__all__` lists every public
-name, the version matches pyproject.toml, and every name the benchmark's
-span tracer wraps still exists.
+name, every public function or class that it does not list has a use in
+the package or a demo, the version matches pyproject.toml, and every name
+the benchmark's span tracer wraps still exists.
 """
 
 import dataclasses
@@ -58,7 +59,7 @@ def test_package_loads_only_the_standard_library_and_numpy():
     tops = {name.partition(".")[0] for name in loaded}
     assert tops - set(sys.stdlib_module_names) == {"logcoef", "numpy"}
     # Loading numpy.polynomial slows every command's start-up, which is why
-    # catalog._gauss_legendre holds its rule as a table of literals, not leggauss.
+    # catalog._GL_NODES and _GL_WEIGHTS hold the rule as literals, not leggauss.
     assert not [name for name in loaded if (name + ".").startswith("numpy.polynomial.")]
 
 
@@ -86,6 +87,28 @@ def test_all_lists_every_public_name():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(logcoef.__all__) == sorted(public)
+
+
+def test_public_names_outside_all_are_used():
+    # A public function or class that the package does not export must have a
+    # use in the package or a demo besides its definition: one that only the
+    # tests call keeps code alive that no user of the package runs.
+    root = PACKAGE.parent.parent
+    files = (*PACKAGE.glob("*.py"), *root.glob("demos/*.py"))
+    texts = [p.read_text(encoding="utf-8") for p in files]
+    unused = []
+    for module in MODULES:
+        namespace = importlib.import_module(f"logcoef.{module}")
+        for name, value in vars(namespace).items():
+            if name.startswith("_") or name in logcoef.__all__:
+                continue
+            if not (inspect.isfunction(value) or inspect.isclass(value)):
+                continue
+            if value.__module__ != namespace.__name__:
+                continue  # imported, and checked where it is defined
+            if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) < 2:
+                unused.append(f"{module}.{name}")
+    assert not unused
 
 
 def test_version_matches_pyproject():

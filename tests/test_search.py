@@ -20,12 +20,7 @@ from logcoef.bounds import (
     m_upper_bound,
 )
 from logcoef.catalog import g_quadratic
-from logcoef.classes import (
-    KINDS,
-    ClassSpec,
-    g_coefficients_from_schwarz,
-    m_coefficients_from_schwarz,
-)
+from logcoef.classes import KINDS, ClassSpec
 from logcoef.functional import delta, log_coefficients
 from logcoef.search import (
     BODY_NOTE,
@@ -369,12 +364,10 @@ def test_search_extremes_against_exact_delta(kind, grid):
     ids=mesh_id,
 )
 def test_argmin_at_known_minimizer(spec):
+    # |a_2| = |s| m1 on the body row that the search reads.
     m1 = body_search(spec).argmin["m1"]
-    if spec.kind == "M":
-        a2, want = m_coefficients_from_schwarz(m1, 0.0, spec.alpha)[0], m_lower_minimizer
-    else:
-        a2, want = g_coefficients_from_schwarz(m1, 0.0, spec.alpha)[0], g_lower_minimizer
-    assert abs(a2) == pytest.approx(want(spec.alpha), abs=1e-15)
+    want = m_lower_minimizer if spec.kind == "M" else g_lower_minimizer
+    assert abs(search._body(spec).s * m1) == pytest.approx(want(spec.alpha), abs=1e-15)
 
 
 class TestFamilySweep:
