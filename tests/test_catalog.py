@@ -805,9 +805,23 @@ class TestPoleLocation:
     def test_root_at_origin(self):
         assert nearest_zero([0, 0, 0.5]) == 0.0
 
+    def test_zero_polynomial_rejected(self):
+        # A zero factor never reaches `check_analytic`: the row needs P(0) = 1.
+        with pytest.raises(ValueError, match=r"row needs P\(0\) = 1"):
+            AnalyticFunction("adhoc", Row((((0.0, 0.0), -1.0),), 0.0, 1.0), {})
+
     def test_cubic_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             catalog._poly_roots([1, 1, 1, 1])
+
+    @pytest.mark.parametrize("coeffs", [[math.nan], [1, math.nan], [1, -1, math.inf]])
+    def test_non_finite_coefficient_refused(self, coeffs):
+        # A factor with a non-finite coefficient is refused by the row's own
+        # check, before `check_analytic` reads its zeros.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row values must be finite"):
+                AnalyticFunction("adhoc", Row(((tuple(coeffs), -1.0),), 0.0, 1.0), {})
 
     def test_huge_coefficients(self):
         # (1 - z/2)^2 scaled by 1e300: the discriminant's terms would overflow.

@@ -1,6 +1,7 @@
 """Tests for class specifications, membership margins, and coefficient checks."""
 
 import cmath
+import functools
 import math
 import re
 import sys
@@ -753,6 +754,13 @@ class TestSchwarzMaps:
             assert np.all(np.abs(b2 - w * a2) < 1e-14)
             assert np.all(np.abs(b3 - w * w * a3) < 1e-14)
 
+    def test_alpha_validation(self):
+        # The body row reads alpha through ClassSpec, which refuses it out of range.
+        with pytest.raises(ValueError):
+            body_map("M", 0.0, 0.0, -1.0)
+        with pytest.raises(ValueError):
+            body_map("G", 0.0, 0.0, 1.5)
+
 
 def schwarz_samples(count, seed):
     rng = np.random.default_rng(seed)
@@ -800,7 +808,12 @@ class TestSlackIdentities:
             e11_slack(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("check", [eq10_slack, e11_slack], ids=["eq10", "e11"])
+    @pytest.mark.parametrize(
+        "check",
+        [functools.partial(body_map, "M"), eq10_slack, functools.partial(body_map, "G"),
+         e11_slack],
+        ids=["m_map", "eq10", "g_map", "e11"],
+    )
     def test_non_finite_alpha_refused(self, check, alpha):
         # Each check reads its parameter through ClassSpec, with no NaN result.
         with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
