@@ -18,7 +18,8 @@ and z / (1 - z^2).  The rows of the families with a class parameter (f3,
 f4, f5 and the last three) are written once each, as plain arithmetic in
 the parameter (`Family.row`): a constructor calls the row on its float, and
 a family sweep calls it on the whole grid as an array, a stack of rows that
-`functional` reads without an entry built per parameter.
+`functional` reads without an entry built per parameter.  `_stack_rows`
+stacks the rows of any entries with equally many factors the same way.
 
 Coefficients come from the row by one route, `_stacked_dlog_u`: y_u =
 z u'/u of a stack of rows, from y = z h'/h = sum e z P'/P and, for
@@ -119,6 +120,24 @@ def _stacked_dlog_u(row, order: int):
             why = dict.fromkeys(large[lost], "{}: the row's terms underflow")
             yu[large] = _dlog(u)
     return yu, why
+
+
+def _stack_rows(rows) -> Row:
+    """One row or more as one stack of rows, row k at index k of every value, a (K,) array.
+
+    Each P is padded with zero coefficients to degree 2.  Rows whose factor
+    counts differ are refused with ValueError: `_stacked_dlog_u` reads an
+    e = 0 factor, which would pad them, as underflow.
+    """
+    if len({len(row.factors) for row in rows}) > 1:
+        raise ValueError("rows with different numbers of factors do not stack")
+    factors = tuple(
+        (tuple(map(np.array, zip(*(P + (0.0,) * (3 - len(P)) for P, _ in slot)))),
+         np.array([e for _, e in slot], dtype=float))
+        for slot in zip(*(row.factors for row in rows))
+    )
+    a, beta, theta = (np.array(x, dtype=float) for x in zip(*(row[1:] for row in rows)))
+    return Row(factors, a, beta, theta)
 
 
 # The factor row of each family with a class parameter, as plain arithmetic in

@@ -12,7 +12,9 @@ function measures:
 The margin is positive where the inequality holds with room to spare and
 negative where it fails; a membership test reports the worst margin seen on a
 polar grid together with the witness point, from one margin call over the
-whole grid.  The margins read the ratios (f/z, z f'/f, z f''/f') from
+whole grid.  `membership_tests` tests a list of (f, spec) pairs on one grid,
+their margins stacked and reduced at once; `membership_test` is its one-pair
+case.  The margins read the ratios (f/z, z f'/f, z f''/f') from
 `f.evaluator`, the entry's one evaluation path, closed form or quadrature,
 and pass on its refusals.  The M margin at a quadrature row's own alpha and
 the G margin of a row with a = 1 do not depend on z f'/f; they read z h'/h,
@@ -283,6 +285,18 @@ def membership_test(
     (`f.check_analytic`), before any sample: the margins on the grid could
     pass it, as they never see what lies between the rings.  A zero on the
     circle, within the roundoff tolerance stated there, passes.
+
+    This is `membership_tests` on the one pair (f, spec).
+    """
+    return membership_tests([(f, spec)], radii, angular)[0]
+
+
+def membership_tests(pairs, radii=(0.5, 0.9, 0.99), angular: int = 256) -> list:
+    """The `membership_test` report of each (f, spec) pair in a list, on one grid.
+
+    Each pair's margins are one `_margins` call over the grid; they are stacked
+    and reduced at once.  A refusal is the first that a loop of
+    `membership_test` calls over the pairs would meet, in its words.
     """
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
@@ -290,27 +304,31 @@ def membership_test(
     angular = int(angular)
     if not 1 <= angular <= MAX_ANGULAR:
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
-    f.check_analytic()
 
     grid = np.asarray(radii)[:, None] * _ring(angular)
-    try:
-        margins = _margins(f, spec, grid)
-    except ValueError:
-        for zs in grid:  # the first radius that refuses alone names the refusal
-            _margins(f, spec, zs)
-        raise
-    finite = np.isfinite(margins)
-    worst = np.unravel_index(np.argmin(np.where(finite, margins, np.inf)), margins.shape)
-    return MembershipReport(
-        spec=spec,
-        label=f.label,
-        radii=radii,
-        angular=angular,
-        worst_margin=float(margins[worst]) if finite.any() else math.nan,
-        witness=complex(grid[worst]),
-        margin_by_radius=tuple(np.fmin.reduce(margins, axis=1).tolist()),
-        skipped=int(np.count_nonzero(~finite)),
-    )
+    margins = np.empty((len(pairs), *grid.shape))
+    for k, (f, spec) in enumerate(pairs):
+        f.check_analytic()
+        try:
+            margins[k] = _margins(f, spec, grid)
+        except ValueError:
+            for zs in grid:  # the first radius that refuses alone names the refusal
+                _margins(f, spec, zs)
+            raise
+    flat = margins.reshape(len(pairs), grid.size)
+    finite = np.isfinite(flat)
+    worst = np.argmin(np.where(finite, flat, np.inf), axis=1)
+    return [
+        MembershipReport(spec, f.label, radii, angular, m if skipped < grid.size else math.nan,
+                         z, tuple(by_radius), skipped)
+        for (f, spec), m, z, by_radius, skipped in zip(
+            pairs,
+            flat[np.arange(len(pairs)), worst].tolist(),
+            grid.ravel()[worst].tolist(),
+            np.fmin.reduce(margins, axis=2).tolist(),
+            (grid.size - finite.sum(axis=1)).tolist(),
+        )
+    ]
 
 
 # -- coefficient bodies ------------------------------------------------------

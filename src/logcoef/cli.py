@@ -6,6 +6,11 @@ search (body search or randomized scan), sweep (bound/search curves over a
 parameter range, or delta along a catalog family), membership (polar-grid
 class test for one function).
 
+verify reads every delta it checks from one stacked gamma call on the rows of
+the entries it builds, and every membership from one `classes.membership_tests`
+call; each detail is what `functional.delta` on the entry alone, or
+`membership_test` on the pair alone, gives.
+
 Exit status: 0 on success, 1 when a check fails (membership failure, scan
 violation, failed verify), 2 on usage errors including numeric flags that a
 module rejects.
@@ -215,27 +220,30 @@ def _verify_checks(full: bool):
     def add(name: str, passed, detail: str = "") -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
+    pairs = {spec: bounds.bound_delta(spec) for spec in _WITNESS_MESH}
+    koebe = catalog.koebe(0.0)
     # Members that attain no bound: a known delta, inside the bounds.
-    for f, expected, spec in (
-        (catalog.koebe(0.0), -0.5, ClassSpec("S")),
+    known = (
+        (koebe, -0.5, ClassSpec("S")),
         (catalog.g_quadratic(), -3.0 / 16.0, ClassSpec("G", alpha=1.0)),
-    ):
-        d = functional.delta(f)
-        pair = bounds.bound_delta(spec)
+    )
+    witnesses = [(spec, side, getattr(pair, f"{side}_witness"), getattr(pair, side))
+                 for spec, pair in pairs.items()
+                 for side in ("lower", "upper") if getattr(pair, f"{side}_witness")]
+    # Every delta from one stacked gamma call on the rows of the built entries,
+    # each with the bits of functional.delta on its entry alone.
+    entries = [f for f, _, _ in known]
+    entries += [catalog.make(label, lam=spec.lam, alpha=spec.alpha)
+                for spec, _, label, _ in witnesses]
+    gammas = functional._stacked_log_coefficients(
+        catalog._stack_rows([f.row for f in entries]), 2, lambda k: functional._named(entries[k]))
+    deltas = [functional.LogPair(*pair).delta for pair in gammas.tolist()]
+    for (f, expected, spec), d in zip(known, deltas):
+        pair = pairs[spec]
         ok = abs(d - expected) <= 1e-10 and pair.lower - 1e-10 <= d <= pair.upper + 1e-10
         add(f"delta {_desc(f)}", ok, f"delta={d!r} expected={expected!r} bounds={spec.label()}")
-
-    witnesses = [(spec, side, getattr(pair, f"{side}_witness"), getattr(pair, side))
-                 for spec in _WITNESS_MESH for pair in [bounds.bound_delta(spec)]
-                 for side in ("lower", "upper") if getattr(pair, f"{side}_witness")]
-    # One family sweep per label, each delta with the bits of functional.delta
-    # on its entry alone; a family with no class parameter sweeps theta = 0.
-    grids = {}
-    for spec, _, label, _ in witnesses:
-        grids.setdefault(label, []).append(0.0 if spec.param is None else spec.param)
-    deltas = {label: iter(search.family_sweep(label, grid)) for label, grid in grids.items()}
-    for spec, side, label, bound in witnesses:
-        f, d = catalog.make(label, lam=spec.lam, alpha=spec.alpha), next(deltas[label]).delta
+    n = len(known)
+    for (spec, side, _, bound), f, d in zip(witnesses, entries[n:], deltas[n:]):
         add(f"{spec.label()} {side} witness {_desc(f)}", abs(d - bound) <= 1e-12,
             f"delta={d!r} bound={bound!r}")
 
@@ -258,39 +266,32 @@ def _verify_checks(full: bool):
         abs(bounds.m_lower_small_alpha(brk) - bounds.m_lower_large_alpha(brk)) <= 1e-12,
         f"small={bounds.m_lower_small_alpha(brk)!r} large={bounds.m_lower_large_alpha(brk)!r}",
     )
-    s_pair = bounds.bound_delta(ClassSpec("S"))
-    m0 = bounds.bound_delta(ClassSpec("M", alpha=0.0))
+    s_pair, m0 = pairs[ClassSpec("S")], pairs[ClassSpec("M", alpha=0.0)]
     add(
         "M(0) bounds equal S bounds",
         abs(m0.lower - s_pair.lower) <= 1e-12 and abs(m0.upper - s_pair.upper) <= 1e-12,
         f"M0=({m0.lower!r},{m0.upper!r}) S=({s_pair.lower!r},{s_pair.upper!r})",
     )
-    m1 = bounds.bound_delta(ClassSpec("M", alpha=1.0))
+    m1 = pairs[ClassSpec("M", alpha=1.0)]
     add(
         "M(1) bounds",
         abs(m1.lower + 1.0 / math.sqrt(10.0)) <= 1e-12 and abs(m1.upper - 1.0 / 6.0) <= 1e-12,
         f"({m1.lower!r},{m1.upper!r})",
     )
-    g1 = bounds.bound_delta(ClassSpec("G", alpha=1.0))
+    g1 = pairs[ClassSpec("G", alpha=1.0)]
     add(
         "G(1) bounds",
         abs(g1.lower + 4.0 / 21.0) <= 1e-12 and abs(g1.upper - 1.0 / 12.0) <= 1e-12,
         f"({g1.lower!r},{g1.upper!r})",
     )
 
+    # Every membership, and the probe last, in one stacked reduction.
+    tests = [*classes.asserted_memberships(), (koebe, ClassSpec("G", alpha=1.0))]
     radii = (0.5, 0.9, 0.99) if full else (0.5, 0.9)
-    angular = 256 if full else 128
-    for f, spec in classes.asserted_memberships():
-        rep = classes.membership_test(f, spec, radii=radii, angular=angular)
-        add(
-            f"membership {_desc(f)} in {spec.label()}",
-            rep.passed,
-            f"worst_margin={rep.worst_margin!r}",
-        )
-
-    probe = classes.membership_test(
-        catalog.koebe(0.0), ClassSpec("G", alpha=1.0), radii=radii, angular=angular
-    )
+    *reports, probe = classes.membership_tests(tests, radii, 256 if full else 128)
+    for (f, spec), rep in zip(tests, reports):
+        add(f"membership {_desc(f)} in {spec.label()}", rep.passed,
+            f"worst_margin={rep.worst_margin!r}")
     add(
         "probe koebe(theta=0) rejected by G(1)",
         (not probe.passed) and probe.worst_margin < 0.0,

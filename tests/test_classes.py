@@ -1,6 +1,7 @@
 """Tests for class specifications, membership margins, and coefficient checks."""
 
 import cmath
+import dataclasses
 import functools
 import math
 import re
@@ -45,6 +46,7 @@ from logcoef.classes import (
     eq10_slack,
     membership_margin,
     membership_test,
+    membership_tests,
     u_aux_check,
 )
 from logcoef.series import TruncatedSeries
@@ -523,6 +525,51 @@ class TestMembershipTest:
         rep = membership_test(f, spec, radii=radii, angular=angular)
         got = (rep.worst_margin, rep.witness, rep.margin_by_radius, rep.skipped)
         assert repr(got) == repr(self.per_radius(f, spec, radii, angular))
+
+    # Both verify grids, and the pairs verify tests on them.
+    VERIFY_GRIDS = [((0.5, 0.9), 128), ((0.5, 0.9, 0.99), 256)]
+    VERIFY_PAIRS = [*asserted_memberships(), (koebe(0.0), ClassSpec("G", alpha=1.0))]
+
+    @pytest.mark.parametrize("radii, angular", VERIFY_GRIDS, ids=["quick", "all"])
+    def test_stacked_reports_are_each_pairs_own(self, radii, angular):
+        # One stacked reduction gives every pair the report of its own
+        # membership_test, field for field; NaN reads as NaN in a repr.  The
+        # singular pair has skipped samples and a NaN ring.
+        pairs = [*self.VERIFY_PAIRS, *self.RATIO_PATH, self.SINGULAR]
+        reports = membership_tests(pairs, radii, angular)
+        assert len(reports) == len(pairs)
+        assert reports[-1].skipped > 0
+        for (f, spec), rep in zip(pairs, reports):
+            alone = membership_test(f, spec, radii=radii, angular=angular)
+            assert repr(dataclasses.astuple(rep)) == repr(dataclasses.astuple(alone))
+            got = (rep.worst_margin, rep.witness, rep.margin_by_radius, rep.skipped)
+            assert repr(got) == repr(self.per_radius(f, spec, radii, angular))
+        assert membership_tests([], radii, angular) == []
+
+    def test_all_singular_ring_in_a_stack(self):
+        f, spec = self.SINGULAR
+        rep = membership_tests([(koebe(0.0), ClassSpec("M", alpha=0.0)), self.SINGULAR],
+                               (0.5, 0.9), 1)[1]
+        assert repr(dataclasses.astuple(rep)) == repr(
+            dataclasses.astuple(membership_test(f, spec, radii=(0.5, 0.9), angular=1)))
+        assert math.isnan(rep.margin_by_radius[0]) and rep.skipped == 1
+
+    def test_stack_refuses_as_the_first_single_call_would(self):
+        # k_theta_alpha at alpha = 1e7 is past the evaluator's cap; the pole
+        # after it, and the radius check before any pair, refuse in their own words.
+        refused = (k_theta_alpha(0.0, 1e7), ClassSpec("M", alpha=1e7))
+        with pytest.raises(ValueError) as alone:
+            membership_test(*refused, radii=(0.5, 0.9), angular=128)
+        message = "k_theta_alpha is evaluated only at alpha <= 1e+06, got 10000000.0"
+        assert str(alone.value) == message
+        pairs = [*asserted_memberships()[:3], refused,
+                 (TestAnalyticity.POLE, ClassSpec("U", lam=1.0))]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            membership_tests(pairs, (0.5, 0.9), 128)
+        with pytest.raises(ValueError, match=f"^{re.escape(TestAnalyticity.MESSAGE)}$"):
+            membership_tests(pairs[:3] + pairs[4:], (0.5, 0.9), 128)
+        with pytest.raises(ValueError, match="radii"):
+            membership_tests(pairs, (0.5, 1.0), 128)
 
     def test_all_singular_ring_reads_nan(self):
         f, spec = self.SINGULAR

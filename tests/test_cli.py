@@ -23,7 +23,7 @@ import pytest
 from logcoef import bounds, catalog, cli, functional, search
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.catalog import f4, f5
-from logcoef.classes import ClassSpec
+from logcoef.classes import ClassSpec, asserted_memberships, membership_test
 from logcoef.cli import build_parser, main
 
 
@@ -532,14 +532,21 @@ class TestVerify:
             assert r["passed"] and abs(d - bound) <= 1e-12
 
     @pytest.mark.parametrize("flags", [(), ("--all",)], ids=["quick", "all"])
-    def test_witness_deltas_are_each_entrys_own(self, run, flags):
-        # verify reads the witness deltas from one family sweep per label; each
-        # check keeps its name, its place and the bits of functional.delta on
-        # its entry alone.
+    def test_details_match_the_per_entry_route(self, run, flags):
+        # verify reads every delta from one stacked gamma call and every
+        # membership from one stacked reduction; each check keeps its name, its
+        # place, and the detail that functional.delta on its entry alone, or
+        # membership_test on its pair alone, gives.
         code, out, _ = run("verify", *flags, "--format", "json")
         assert code == 0
-        checks = [(c["name"], c["detail"]) for c in json.loads(out)["checks"]]
-        want = []
+        checks = [(c["name"], c["passed"], c["detail"]) for c in json.loads(out)["checks"]]
+        known = []
+        for f, expected, spec in ((catalog.koebe(0.0), -0.5, ClassSpec("S")),
+                                  (catalog.g_quadratic(), -3.0 / 16.0, ClassSpec("G", alpha=1.0))):
+            d = functional.delta(f)
+            known.append((f"delta {cli._desc(f)}", True,
+                          f"delta={d!r} expected={expected!r} bounds={spec.label()}"))
+        witnesses = []
         for kind, param in self.WITNESS_MESH:
             spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, param)
             pair = bound_delta(spec)
@@ -548,12 +555,22 @@ class TestVerify:
                 if label is not None:
                     f = catalog.make(label, lam=spec.lam, alpha=spec.alpha)
                     d = functional.delta(f)
-                    want.append((f"{spec.label()} {side} witness {cli._desc(f)}",
-                                 f"delta={d!r} bound={getattr(pair, side)!r}"))
-        assert len(want) == 22
-        assert [n for n, _ in checks[:2]] == ["delta koebe(theta=0)", "delta g_quadratic"]
-        assert checks[2:2 + len(want)] == want
-        assert checks[2 + len(want)][0].startswith("series a2 ")
+                    witnesses.append((f"{spec.label()} {side} witness {cli._desc(f)}", True,
+                                      f"delta={d!r} bound={getattr(pair, side)!r}"))
+        radii, angular = ((0.5, 0.9, 0.99), 256) if flags else ((0.5, 0.9), 128)
+        members = []
+        for f, spec in asserted_memberships():
+            rep = membership_test(f, spec, radii=radii, angular=angular)
+            members.append((f"membership {cli._desc(f)} in {spec.label()}", rep.passed,
+                            f"worst_margin={rep.worst_margin!r}"))
+        probe = membership_test(catalog.koebe(0.0), ClassSpec("G", alpha=1.0),
+                                radii=radii, angular=angular)
+        members.append(("probe koebe(theta=0) rejected by G(1)", not probe.passed,
+                        f"worst_margin={probe.worst_margin!r}"))
+        assert (len(known), len(witnesses), len(members)) == (2, 22, 21)
+        assert checks[:24] == known + witnesses
+        assert checks[24][0].startswith("series a2 ")
+        assert checks[-21:] == members
 
     def test_wrong_witness_fails_only_its_rows(self, run, monkeypatch):
         real = bounds.bound_delta

@@ -21,10 +21,19 @@ from logcoef.catalog import (
     k_theta_alpha,
     koebe,
     m_alpha_upper,
+    _stack_rows,
     make,
     rotate,
 )
-from logcoef.functional import LogPair, delta, gamma_from_a, log_coefficients, log_pair
+from logcoef.functional import (
+    LogPair,
+    _named,
+    _stacked_log_coefficients,
+    delta,
+    gamma_from_a,
+    log_coefficients,
+    log_pair,
+)
 from logcoef.series import _expi
 
 from _oracles import expi
@@ -258,3 +267,60 @@ class TestDelta:
         p = log_pair(f)
         assert delta(f) == p.delta
         assert isinstance(p, LogPair)
+
+
+class TestStackedRows:
+    """Entries of every label stacked into one row give each entry's own gammas."""
+
+    # a = 0, 0 < a < 1 and a >= 1; linear P (k_theta_alpha, g_quadratic) and
+    # quadratic P; theta != 0, from a constructor and from `rotate`.
+    ENTRIES = [
+        koebe(0.4), f1(1.0), f2(2.0), f3(0.6, 2.0), f4(0.7), f5(0.3),
+        k_theta_alpha(0.0, 0.0), k_theta_alpha(0.7, 0.5), k_theta_alpha(1.3, 2.0),
+        m_alpha_upper(0.0), m_alpha_upper(0.3), m_alpha_upper(2.0),
+        g_alpha_upper(0.5), g_alpha_upper(1.0), g_quadratic(), rotate(g_quadratic(), -0.9),
+    ]
+
+    def test_covers_every_label_and_kind_of_row(self):
+        rows = [f.row for f in self.ENTRIES]
+        assert {f.label for f in self.ENTRIES} == set(LABELS)
+        assert {r.a == 0 for r in rows} == {True, False}
+        assert any(0 < r.a < 1 for r in rows) and any(r.a >= 1 for r in rows)
+        assert {len(r.factors[0][0]) for r in rows} == {2, 3}
+        assert any(r.theta for r in rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_each_row_has_its_own_bits(self, n):
+        fs = self.ENTRIES
+        g = _stacked_log_coefficients(_stack_rows([f.row for f in fs]), n, None)
+        for k, f in enumerate(fs):
+            assert g[k].tobytes() == log_coefficients(f, n).tobytes()
+        if n == 2:
+            assert [LogPair(*pair).delta for pair in g.tolist()] == [delta(f) for f in fs]
+
+    def test_rows_of_two_factors_stack(self):
+        rows = [Row((((1.0, -x), -1.0), ((1.0, x, 0.5), -0.5)), a, a)
+                for x, a in ((0.3, 0.5), (-0.8, 2.0))]
+        g = _stacked_log_coefficients(_stack_rows(rows), 4, None)
+        for k, row in enumerate(rows):
+            assert g[k].tobytes() == _stacked_log_coefficients(row, 4, None)[0].tobytes()
+
+    def test_different_factor_counts_refused(self):
+        two = Row((((1.0, -1.0), -1.0), ((1.0, 1.0), -1.0)), 0.5, 0.5)
+        with pytest.raises(ValueError, match="^rows with different numbers of factors"):
+            _stack_rows([koebe().row, two])
+
+    def test_refusal_names_the_entry_as_its_own_delta_would(self):
+        # g_alpha_upper(5e-324)'s power alpha/2 is 0, and k_theta_alpha(0, 1e160)'s
+        # terms underflow: the first of them in the stack is named.
+        fs = [koebe(), g_alpha_upper(5e-324), k_theta_alpha(0.0, 1e160), f5(0.3)]
+        for bad in (1, 2):
+            with pytest.raises(ValueError) as alone:
+                delta(fs[bad])
+            stack = fs[:1] + fs[bad:]
+            with pytest.raises(ValueError) as stacked:
+                _stacked_log_coefficients(_stack_rows([f.row for f in stack]), 2,
+                                          lambda k: _named(stack[k]))
+            assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == ("k_theta_alpha {'theta': 0.0, 'alpha': 1e+160}: "
+                                    "the row's terms underflow")

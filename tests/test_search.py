@@ -37,8 +37,6 @@ from logcoef.search import (
     family_sweep,
 )
 
-from _rows import stack_rows
-
 
 def assert_extremes_reproduced(res):
     """The reported extremes of `res` are the kernel at their args, bit for
@@ -507,7 +505,7 @@ class TestFamilySweep:
         # bit; on the finest grids every 97th row and the last are called alone.
         if label == "mixed":
             members, rows = list(self.MIXED), None
-            stacked = stack_rows(members)
+            stacked = catalog._stack_rows([f.row for f in members])
         else:
             params = self._grid(label, grid)
             rows = family_sweep(label, params)
