@@ -29,12 +29,27 @@ on every call and `main` parses with it, so an in-process caller of `main`
 pays for one build, as a shell run does.  Parsing never changes the parser.
 Callers must not mutate it either (add an argument, change a default): every
 later `main` call in the process would see the change.
+
+`main` freezes the garbage collector's heap on entry (`gc.freeze`) and
+unfreezes it on every way out: a return, argparse's exit and any exception.
+The objects that exist before the command (modules, functions, the parser, a
+caller's objects) then sit in the permanent generation, so the collections a
+command triggers scan only objects the command made.  Without it, a process
+enters `main` with a few hundred young objects pending, and the command's
+first collection escalates to generation 1 and rescans the several thousand
+objects the imports left there: for a short command, a larger cost than most
+of its own steps.  A caller that has frozen objects of its own
+(`gc.get_freeze_count() > 0`) keeps its frozen set as it is: `main` then
+neither freezes nor unfreezes.  An in-process caller's objects that were
+young at entry go to the oldest generation on exit, as `gc.unfreeze` puts
+every frozen object there.  No other module touches `gc`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import math
@@ -562,24 +577,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] when argv is None); return the exit
-    status.  Parses with the shared parser of `build_parser`."""
+    status.  Parses with the shared parser of `build_parser`, with the heap it
+    starts with frozen (see the module docstring)."""
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        code = e.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
-        # Every command that takes --theta refuses a non-finite one, also where
-        # the entry does not read it.
-        theta = getattr(args, "theta", None)
-        if theta is not None and not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
-        return args.func(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            code = e.code
+            if code is None:
+                return 0
+            return code if isinstance(code, int) else 2
+        try:
+            # Every command that takes --theta refuses a non-finite one, also
+            # where the entry does not read it.
+            theta = getattr(args, "theta", None)
+            if theta is not None and not math.isfinite(theta):
+                raise ValueError(f"theta must be finite, got {theta}")
+            return args.func(args)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ confirm the repr serialization reproduces the in-memory doubles.
 import argparse
 import csv
 import dataclasses
+import gc
 import importlib.util
 import io
 import json
 import math
 import re
 import types
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -1187,3 +1189,92 @@ def test_option_inventory():
         for name, sp in sub.choices.items()
     }
     assert got == OPTIONS
+
+
+class TestCollector:
+    """`main` freezes the heap it starts with and unfreezes it on every way out."""
+
+    @staticmethod
+    def _spy(monkeypatch, seen, effect=None):
+        # bounds.bound_delta stands in for the command's own work: `effect`
+        # runs inside the command, with the collector as main left it.
+        real = bounds.bound_delta
+
+        def bound_delta(spec):
+            seen.append(gc.get_freeze_count())
+            if effect is not None:
+                effect()
+            return real(spec)
+
+        monkeypatch.setattr(bounds, "bound_delta", bound_delta)
+
+    @pytest.mark.parametrize("argv, code", [
+        (("gamma", "--function", "koebe"), 0),
+        (("membership", "--function", "koebe", "--class", "G", "--alpha", "1"), 1),
+        (("bounds", "--class", "M", "--alpha", "-1"), 2),
+        (("--help",), 0),
+        (("bounds", "--class", "S", "--bogus"), 2),
+    ])
+    def test_every_exit_unfreezes(self, run, argv, code):
+        entry = gc.get_freeze_count()
+        assert run(*argv)[0] == code
+        assert gc.get_freeze_count() == entry
+
+    def test_an_exception_unfreezes_and_propagates(self, run, monkeypatch):
+        seen = []
+
+        def fail():
+            raise RuntimeError("inside the command")
+
+        self._spy(monkeypatch, seen, fail)
+        entry = gc.get_freeze_count()
+        with pytest.raises(RuntimeError, match="inside the command"):
+            run("bounds", "--class", "S")
+        assert gc.get_freeze_count() == entry
+        (inside,) = seen
+        assert inside > entry
+
+    def test_a_callers_frozen_set_is_left_as_it_is(self, run, monkeypatch):
+        seen = []
+        self._spy(monkeypatch, seen)
+        assert gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            assert run("bounds", "--class", "S")[0] == 0
+            assert gc.get_freeze_count() == frozen
+            assert seen == [frozen]  # neither frozen further nor thawed
+        finally:
+            gc.unfreeze()
+
+    def test_a_cycle_made_by_the_command_is_collected(self, run, monkeypatch):
+        refs, collected = [], []
+
+        class Node:  # weakly referenceable, unlike SimpleNamespace
+            pass
+
+        def cycle():
+            node = Node()
+            node.self = node
+            refs.append(weakref.ref(node))
+            del node
+            gc.collect()
+            collected.append(refs[-1]() is None)
+
+        self._spy(monkeypatch, [], cycle)
+        assert run("bounds", "--class", "S")[0] == 0
+        assert collected == [True]
+
+    def test_the_command_does_not_see_the_heap_it_started_with(self, run, monkeypatch):
+        # The objects the collector would scan inside the command: those of
+        # generations 0-2.  The deterministic stand-in for "a collection does
+        # not rescan the import-time heap".
+        def tracked():
+            return sum(len(gc.get_objects(g)) for g in range(3))
+
+        inside = []
+        self._spy(monkeypatch, [], lambda: inside.append(tracked()))
+        before = tracked()
+        assert run("bounds", "--class", "S")[0] == 0
+        assert inside[0] < before / 20

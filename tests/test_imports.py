@@ -4,10 +4,12 @@ Every module imports on its own, so no import cycle hides behind the order
 in which the package imports them, and the runtime stays numpy-only.
 `python -m logcoef` runs the command line, `__all__` lists every public
 name, every public function or class that it does not list has a use in
-the package or a demo, the version matches pyproject.toml, and every name
-the benchmark's span tracer wraps still exists.
+the package or a demo, only `cli.main` touches the garbage collector, the
+version matches pyproject.toml, and every name the benchmark's span tracer
+wraps still exists.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -109,6 +111,26 @@ def test_public_names_outside_all_are_used():
             if sum(len(re.findall(rf"\b{name}\b", text)) for text in texts) < 2:
                 unused.append(f"{module}.{name}")
     assert not unused
+
+
+def test_only_cli_main_touches_the_collector():
+    # A library import must never freeze or disable its caller's collector:
+    # `cli` imports gc, and only `main` calls it, around one command.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+
+    def imports_gc(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "gc"
+        return isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+
+    users = sorted(m for m, tree in trees.items() if any(map(imports_gc, ast.walk(tree))))
+    assert users == ["cli"]
+    cli = trees["cli"]
+    (main_def,) = (n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    inside = {id(n) for n in ast.walk(main_def)}
+    uses = [n for n in ast.walk(cli) if isinstance(n, ast.Name) and n.id == "gc"]
+    assert uses
+    assert all(id(n) in inside for n in uses)
 
 
 def test_version_matches_pyproject():
