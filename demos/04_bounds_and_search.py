@@ -46,7 +46,7 @@ print()
 
 print("== exact body search against the formulas ==")
 for spec in [ClassSpec("U", lam=0.5), ClassSpec("M", alpha=1.0), ClassSpec("G", alpha=1.0)]:
-    res = body_search(spec, resolution=200)
+    res = body_search(spec)
     b = bound_delta(spec)
     print(
         f"{spec.label():8s} search [{res.min_delta:+.6f}, {res.max_delta:+.6f}]"

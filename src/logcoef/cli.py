@@ -353,12 +353,10 @@ def _cmd_search(args) -> int:
 
     if args.seed is not None:
         raise ValueError("--seed is read only by a scan; add --samples")
-    resolution = search.DEFAULT_RESOLUTION if args.resolution is None else args.resolution
-    res = search.body_search(spec, resolution=resolution)
+    res = search.body_search(spec)
     pair = bounds.bound_delta(spec)
     row = {
         "class": spec.label(),
-        "resolution": res.resolution,
         "min_delta": res.min_delta,
         "max_delta": res.max_delta,
         "bound_lower": pair.lower,
@@ -526,13 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="body search (or randomized scan with --samples)")
     _add_class_flags(sp)
-    # A scan has no grid.  The default is None so that argparse sees every
-    # explicit --resolution, also one equal to the default, as a conflict.
+    # --resolution is read by nothing: it still parses, so that command lines
+    # written for the grid the search no longer evaluates keep working, and
+    # it still conflicts with --samples.  The default is None so that
+    # argparse sees every explicit --resolution as a conflict.
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument(
         "--resolution", type=int, metavar="R",
-        help=f"guard-grid intervals in m1, 2 to {search.MAX_RESOLUTION}; extremes are "
-        f"exact at any value (default {search.DEFAULT_RESOLUTION})",
+        help="ignored: the search evaluates only its five closed-form m1 candidates, "
+        "which contain the extremes, so it has no grid to size",
     )
     mode.add_argument(
         "--samples", type=int, metavar="N",

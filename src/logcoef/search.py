@@ -7,17 +7,19 @@ relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form, the
 phase 0 or pi, so that e^{i pi} = -1 exactly and T = t m2 lies along P or
-against it, and searching what is left in m1 at five closed-form
-candidates, where a missing one repeats m1 = 0 rather than being dropped,
-and a guard grid; `body_searches` runs it on many classes of one kind at
-once, stacked along a leading parameter axis and evaluated in chunks of at
-most _SCAN_BLOCK body points, as a class sweep does; `bound_violation_scan`
-samples the whole body at random as a brute-force check, from a SplitMix64
-stream of its own: one cache-sized block of samples at a time, each
-coordinate of a block one contiguous draw off a stream index built once per
-scan.  All three evaluate delta by one kernel in real arithmetic, `_delta`:
-the search at k^2 = 1 or 0, where T is aligned with P or against it, and
-`body_delta` and the scan at k^2 from one tan per point (`_half_angle_k2`).
+against it.  What is left is piecewise quadratic in m1, so its extremes sit
+at one of five closed-form candidates: both endpoints, two vertices and the
+kink, where a missing one repeats m1 = 0 rather than being dropped
+(`tests/test_symbolic.py` proves that these contain the extremes).
+`body_searches` runs it on many classes of one kind at once, stacked along
+a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK
+body points, as a class sweep does; `bound_violation_scan` samples the
+whole body at random as a brute-force check, from a SplitMix64 stream of
+its own: one cache-sized block of samples at a time, each coordinate of a
+block one contiguous draw off a stream index built once per scan.  All
+three evaluate delta by one kernel in real arithmetic, `_delta`: the search
+at k^2 = 1 or 0, where T is aligned with P or against it, and `body_delta`
+and the scan at k^2 from one tan per point (`_half_angle_k2`).
 `family_sweep` records the delta a one-parameter catalog family actually
 attains at each parameter value: it builds no member, but takes the
 family's row on the whole grid as an array and reads the gammas of that
@@ -47,10 +49,6 @@ BODY_NOTE = "proof-relaxation body: contains the coefficient region of the class
 # since the bounds shrink with the class parameter and a fixed margin would hide errors there.
 SCAN_TOLERANCE = 1e-9
 
-# Default and largest m1 grid of body_search.
-DEFAULT_RESOLUTION = 200
-MAX_RESOLUTION = 10**6
-
 # Most samples accepted by bound_violation_scan.
 MAX_SAMPLES = 10**6
 
@@ -70,9 +68,6 @@ _CANDIDATES = 5
 # The scan's generator and its seeds, [0, SEED_LIMIT).
 SCAN_GENERATOR = "splitmix64"
 SEED_LIMIT = 2**64
-
-# How far a guard-grid value may pass the closed-form extremes as roundoff.
-GUARD_SLACK = 1e-12
 
 
 def _on_body(body, m1, m2, phase) -> bool:
@@ -189,10 +184,6 @@ class SearchResult:
     phase pi meaning e^{i pi} = -1 exactly.  The values are `_delta` at
     k^2 = 1 (max) and 0 (min); body_delta at the reported args is within one
     ulp of |a_2| + |P| + |T| of them, since it reads phase pi as fl(pi).
-    `resolution` is the number of m1 grid intervals evaluated next to the
-    closed-form candidates.  `refined` is True when both extremes are
-    closed-form candidates; False would mean the guard grid beat them, that
-    is, the reduction missed an extreme.
     """
 
     spec: ClassSpec
@@ -200,8 +191,6 @@ class SearchResult:
     max_delta: float
     argmin: dict
     argmax: dict
-    resolution: int
-    refined: bool
     note: str = field(default=BODY_NOTE)
 
     def as_dict(self) -> dict:
@@ -211,8 +200,6 @@ class SearchResult:
             "max_delta": self.max_delta,
             "argmin": dict(self.argmin),
             "argmax": dict(self.argmax),
-            "resolution": self.resolution,
-            "refined": self.refined,
             "note": self.note,
         }
 
@@ -241,36 +228,11 @@ def _critical_m1(body) -> np.ndarray:
     return np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, body.reach)
 
 
-def _pick(values, rows, sign: float) -> tuple:
-    """Per row: (index of the largest sign * value, whether it is a closed-form candidate).
-
-    `rows` is np.arange(len(values)), and the first _CANDIDATES columns are
-    the closed-form candidates.  A guard-grid node is picked only if it
-    beats all of them by more than GUARD_SLACK, which would mean the
-    reduction missed an extreme.  Ties go to the first column, so a missing
-    candidate, which repeats the endpoint at column 0, never wins.
-    """
-    v = sign * values
-    i = v[:, :_CANDIDATES].argmax(axis=1)
-    j = _CANDIDATES + v[:, _CANDIDATES:].argmax(axis=1)
-    guard = v[rows, j] > v[rows, i] + GUARD_SLACK
-    return np.where(guard, j, i), ~guard
-
-
-def _chunk_rows(resolution: int) -> int:
-    """Classes body_searches evaluates at once: at most _SCAN_BLOCK body points, at least one."""
-    return max(1, _SCAN_BLOCK // (_CANDIDATES + resolution + 1))
-
-
-def _search_rows(specs, body, resolution: int) -> list:
+def _search_rows(specs, body) -> list:
     """body_search of each of `specs`, whose rows are the columns of `body`, at once."""
-    x = np.zeros((len(specs), _CANDIDATES + resolution + 1))  # column 0 is the endpoint m1 = 0
+    x = np.zeros((len(specs), _CANDIDATES))  # column 0 is the endpoint m1 = 0
     x[:, 1:2] = body.reach
-    x[:, 2:_CANDIDATES] = _critical_m1(body)
-    # The guard grid, np.linspace(0, reach, resolution + 1) of each row in
-    # linspace's own arithmetic: node k is k (reach / resolution), the last is reach.
-    x[:, _CANDIDATES:] = np.arange(resolution + 1) * (body.reach / resolution)
-    x[:, -1:] = body.reach
+    x[:, 2:] = _critical_m1(body)
     # a_3 - mu a_2^2 = P + t w over |w| <= cap, with P = (q - mu) a_2^2.
     a2 = body.s * x
     p, cap = (body.q - functional.MU) * a2 * a2, body.cap(x)
@@ -288,14 +250,14 @@ def _search_rows(specs, body, resolution: int) -> list:
             for k, spec in enumerate(specs):  # names the first class with a point off its body
                 body_delta(spec, x[k], m2[k], phase[k])
     hi, lo = _delta(body, x, cap, 1.0), _delta(body, x, m2_min, 0.0)
+    # Ties go to the first column, so a missing candidate, which repeats the
+    # endpoint at column 0, never wins.
     k = np.arange(len(specs))
-    i, exact_max = _pick(hi, k, 1.0)
-    j, exact_min = _pick(lo, k, -1.0)
+    i, j = hi.argmax(axis=1), lo.argmin(axis=1)
     columns = zip(
         specs,
         lo[k, j].tolist(), x[k, j].tolist(), m2_min[k, j].tolist(), phase_min[k, j].tolist(),
         hi[k, i].tolist(), x[k, i].tolist(), cap[k, i].tolist(), phase_max[k, i].tolist(),
-        (exact_min & exact_max).tolist(),
     )
     return [
         SearchResult(
@@ -304,27 +266,23 @@ def _search_rows(specs, body, resolution: int) -> list:
             max_delta=d_max,
             argmin={"m1": m1_min, "m2": m2_lo, "phase": ph_min},
             argmax={"m1": m1_max, "m2": m2_hi, "phase": ph_max},
-            resolution=resolution,
-            refined=refined,
         )
-        for spec, d_min, m1_min, m2_lo, ph_min, d_max, m1_max, m2_hi, ph_max, refined in columns
+        for spec, d_min, m1_min, m2_lo, ph_min, d_max, m1_max, m2_hi, ph_max in columns
     ]
 
 
-def body_searches(specs, resolution: int = DEFAULT_RESOLUTION) -> list:
+def body_searches(specs) -> list:
     """`body_search` of each class in `specs`, all of one kind, in one vectorised pass.
 
     Returns one SearchResult per spec, in order, each the same bit for bit
     as a search of that spec alone, since every step is elementwise along
     the parameter axis.  The rows of all specs are stacked, parameters along
-    the leading axis and m1 candidates along the second, and evaluated in
-    chunks of at most _SCAN_BLOCK body points, with at least one class per
-    chunk, so no array spans a long sweep.  Refuses, with ValueError, a
-    resolution outside [2, MAX_RESOLUTION], specs of more than one kind and
-    a class whose map overflows, naming the first.  No specs give [].
+    the leading axis and the _CANDIDATES m1 candidates along the second, and
+    evaluated _SCAN_BLOCK // _CANDIDATES classes at a time, so no array
+    spans a long sweep.  Refuses, with ValueError, specs of more than one
+    kind and a class whose map overflows, naming the first.  No specs give
+    [].
     """
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], got {resolution}")
     specs = list(specs)
     kinds = sorted({spec.kind for spec in specs})
     if len(kinds) > 1:
@@ -341,28 +299,29 @@ def body_searches(specs, resolution: int = DEFAULT_RESOLUTION) -> list:
     for field_row, value in zip(table, row):
         field_row[:] = value
     _check_row(_Body._make(table), specs)
-    size = _chunk_rows(resolution)
+    size = _SCAN_BLOCK // _CANDIDATES
     results = []
     for lo in range(0, n, size):
         # Every field as a column, so that it broadcasts along each class's candidates.
         chunk = _Body._make(table[:, lo:lo + size, None])
-        results += _search_rows(specs[lo:lo + size], chunk, resolution)
+        results += _search_rows(specs[lo:lo + size], chunk)
     return results
 
 
-def body_search(spec: ClassSpec, resolution: int = DEFAULT_RESOLUTION) -> SearchResult:
+def body_search(spec: ClassSpec) -> SearchResult:
     """Exact extremes of delta over the body, by a one-variable reduction.
 
     For fixed m1 the maximum over (m2, phase) puts m2 at the cap with t w
     aligned with P; the minimum puts m2 at min(cap, |P|/|t|), anti-aligned.
-    In m1 the extremes sit at the endpoints, the kink or a vertex (see
-    `_critical_m1`; a missing one repeats m1 = 0); a uniform m1 grid with
-    `resolution` intervals is added as a guard.  Every candidate goes
-    through the checks of `body_delta`, and ties go to the closed-form
-    candidates, so the result does not depend on resolution.  This is
-    `body_searches([spec], resolution)[0]`.
+    What is left in m1 is piecewise quadratic, so its extremes sit at the
+    endpoints, the kink or a vertex (see `_critical_m1`; a missing one
+    repeats m1 = 0), and these five m1 are all the search evaluates;
+    `tests/test_symbolic.py` proves that they contain the extremes.  Every
+    candidate goes through the checks of `body_delta`, and ties go to the
+    endpoint m1 = 0, then to reach, the vertices and the kink in that
+    order.  This is `body_searches([spec])[0]`.
     """
-    return body_searches([spec], resolution)[0]
+    return body_searches([spec])[0]
 
 
 # -- catalog family sweeps ---------------------------------------------------

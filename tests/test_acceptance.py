@@ -135,7 +135,7 @@ def test_criterion_5_relaxation_oracle_agreement():
     failures = []
     start = time.perf_counter()
     for spec in MESH:
-        res = search.body_search(spec, resolution=200)
+        res = search.body_search(spec)
         pair = bound_delta(spec)
         if abs(res.min_delta - pair.lower) > 1e-12:
             failures.append(

@@ -116,7 +116,7 @@ class TestFormatsAgree:
         assert lines[0] == f"class: {doc['class']}" == f"class: {rows[0]['class']}"
 
     def test_body_search(self, run):
-        argv = ("search", "--class", "M", "--alpha", "2.5", "--resolution", "40")
+        argv = ("search", "--class", "M", "--alpha", "2.5")
         lines, rows, doc = self.three(run, argv, 0)
         self.check(lines, rows, doc)
         assert lines[0] == f"class: {doc['class']}"
@@ -374,25 +374,46 @@ def test_parameter_flag_that_the_class_reads_is_accepted(run, argv):
     assert code in (0, 1) and out and err == ""
 
 
-def test_every_benchmark_argv_is_accepted(monkeypatch):
-    # The benchmark's workloads name their flags per job; none may hit a
-    # refusal of the flags alone.
+def _benchmark_jobs(monkeypatch):
+    """The job lists of the benchmark's workloads, under seeds 1 to 5."""
     root = Path(cli.__file__).resolve().parents[2] / "bench"
     monkeypatch.syspath_prepend(str(root))  # workloads imports reference
     spec = importlib.util.spec_from_file_location("bench_workloads", root / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return [job for workload in workloads.WORKLOADS for seed in range(1, 6)
+            for job in workloads.jobs_for(workload, seed)]
+
+
+def test_every_benchmark_argv_is_accepted(monkeypatch):
+    # The benchmark's workloads name their flags per job; none may hit a
+    # refusal of the flags alone.
     seen = set()
-    for workload in workloads.WORKLOADS:
-        for seed in range(1, 6):
-            for job in workloads.jobs_for(workload, seed):
-                args = build_parser().parse_args(job["argv"])
-                if args.command in ("gamma", "membership"):
-                    cli._function_from_args(args)
-                    seen.add(args.command)
-                if args.command == "membership":
-                    cli._class_spec(args, shared=True)
-    assert seen == {"gamma", "membership"}
+    for job in _benchmark_jobs(monkeypatch):
+        args = build_parser().parse_args(job["argv"])
+        if args.command in ("gamma", "membership"):
+            cli._function_from_args(args)
+            seen.add(args.command)
+        if args.command == "membership":
+            cli._class_spec(args, shared=True)
+        if args.command == "search":
+            cli._class_spec(args)
+            seen.add(args.command)
+    assert seen == {"gamma", "membership", "search"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_benchmark_search_resolution_is_inert(run, monkeypatch, fmt):
+    # The benchmark's body searches pass --resolution, which the search
+    # ignores: each prints, byte for byte, what it prints without the flag.
+    argvs = {tuple(job["argv"]) for job in _benchmark_jobs(monkeypatch)
+             if job["argv"][0] == "search" and "--resolution" in job["argv"]}
+    assert len(argvs) == 16
+    for argv in sorted(argvs):
+        i = argv.index("--resolution")
+        bare = argv[:i] + argv[i + 2:]
+        with_flag = run(*argv, "--format", fmt)
+        assert with_flag[0] == 0 and with_flag == run(*bare, "--format", fmt), argv
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -592,8 +613,7 @@ class TestVerify:
 class TestSearch:
     def test_body_search_csv(self, run):
         code, out, _ = run(
-            "search", "--class", "U", "--lambda", "0.5", "--resolution", "80",
-            "--format", "csv",
+            "search", "--class", "U", "--lambda", "0.5", "--format", "csv",
         )
         assert code == 0
         header, rows = parse_csv(out)
@@ -606,12 +626,11 @@ class TestSearch:
         assert float(row["argmin_m2"]) >= 0.0
 
     def test_body_search_json_note(self, run):
-        code, out, _ = run("search", "--class", "G", "--alpha", "0.5", "--resolution", "40",
-                           "--format", "json")
+        code, out, _ = run("search", "--class", "G", "--alpha", "0.5", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert "relaxation" in doc["note"]
-        assert doc["resolution"] == 40
+        assert "resolution" not in doc and "refined" not in doc
 
     def test_scan_mode(self, run):
         code, out, _ = run(
@@ -635,7 +654,7 @@ class TestSearch:
         assert a != c
 
     def test_text_mode_mentions_body(self, run):
-        code, out, _ = run("search", "--class", "S", "--resolution", "30")
+        code, out, _ = run("search", "--class", "S")
         assert code == 0
         assert "note: proof-relaxation body" in out
 
@@ -644,11 +663,13 @@ class TestSearch:
         assert code == 2
         assert "--parallel" in err
 
-    def test_resolution_cap(self, run):
-        # Rejected before any grid is built.
-        code, _, err = run("search", "--class", "S", "--resolution", str(10**6 + 1))
-        assert code == 2
-        assert "resolution must lie in [2, 1000000]" in err
+    @pytest.mark.parametrize("resolution", ["-1", "1", "200", str(10**6 + 1)])
+    def test_resolution_is_ignored(self, run, resolution):
+        # The search has no grid, so no value is out of range, also those
+        # once refused below 2 and above 10**6: each gives the output of a
+        # search without the flag.
+        argv = ("search", "--class", "M", "--alpha", "2", "--format", "json")
+        assert run(*argv, "--resolution", resolution) == run(*argv)
 
     def test_samples_cap(self, run):
         # Rejected before any sample is drawn.
@@ -657,9 +678,9 @@ class TestSearch:
         assert out == ""
         assert "samples must lie in [1, 1000000]" in err
 
-    @pytest.mark.parametrize("resolution", ["1", str(search.DEFAULT_RESOLUTION)])
+    @pytest.mark.parametrize("resolution", ["1", "200"])
     def test_scan_refuses_a_resolution(self, run, resolution):
-        # A scan has no grid, so --resolution would be ignored; also the default value.
+        # --resolution is ignored, and a scan refuses it, as it did when it sized a grid.
         code, out, err = run("search", "--class", "S", "--samples", "10",
                              "--resolution", resolution)
         assert code == 2
@@ -804,7 +825,7 @@ class TestSweep:
     ], ids=["theta", "resolution"])
     def test_removed_option_is_unrecognized(self, run, argv):
         # Neither could change a row: delta is rotation invariant, and the
-        # body search is exact at every resolution.
+        # body search has no grid.
         code, out, err = run("sweep", *argv)
         assert code == 2
         assert out == ""
@@ -812,8 +833,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["U", "M", "G"])
     def test_class_sweep_is_the_search(self, run, kind):
-        # Each row is body_search at its default and at the coarsest grid, and
-        # bound_delta, bit for bit: no row depends on a resolution.
+        # Each row is body_search and bound_delta, bit for bit.
         code, out, _ = run("sweep", "--class", kind, "--step", "0.05", "--format", "json")
         assert code == 0
         doc = json.loads(out)
@@ -822,8 +842,8 @@ class TestSweep:
             spec = ClassSpec.of(kind, row["param"])
             pair = bound_delta(spec)
             assert (row["bound_lower"], row["bound_upper"]) == (pair.lower, pair.upper)
-            for res in (search.body_search(spec), search.body_search(spec, resolution=2)):
-                assert (row["search_min"], row["search_max"]) == (res.min_delta, res.max_delta)
+            res = search.body_search(spec)
+            assert (row["search_min"], row["search_max"]) == (res.min_delta, res.max_delta)
 
     def test_class_sweep_searches_once_per_chunk(self, run, monkeypatch):
         # The stack evaluates its maximum and minimum once per chunk of
@@ -831,11 +851,11 @@ class TestSweep:
         calls = []
         delta = search._delta
         monkeypatch.setattr(search, "_delta", lambda *a: calls.append(1) or delta(*a))
-        code, _, _ = run("sweep", "--class", "M", "--step", "0.05", "--format", "json")
+        code, _, _ = run("sweep", "--class", "M", "--step", "0.001", "--format", "json")
         assert code == 0
-        classes = len(cli._class_param_grid("M", 0.05))
-        chunks = -(-classes // search._chunk_rows(search.DEFAULT_RESOLUTION))
-        assert (classes, chunks) == (62, 2)
+        classes = len(cli._class_param_grid("M", 0.001))
+        chunks = -(-classes // (search._SCAN_BLOCK // search._CANDIDATES))
+        assert (classes, chunks) == (3002, 2)
         assert len(calls) == 2 * chunks
 
     def test_empty_class_grid(self, run):

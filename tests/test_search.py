@@ -20,11 +20,10 @@ from logcoef.bounds import (
     m_upper_bound,
 )
 from logcoef.catalog import g_quadratic
-from logcoef.classes import KINDS, ClassSpec
+from logcoef.classes import KINDS, ClassSpec, _Body, _body_row
 from logcoef.functional import delta, log_coefficients
 from logcoef.search import (
     BODY_NOTE,
-    MAX_RESOLUTION,
     MAX_SAMPLES,
     SCAN_TOLERANCE,
     ScanResult,
@@ -126,13 +125,13 @@ class TestBodyDelta:
 
 
 class TestBodySearch:
-    def test_reaches_bounds_at_modest_resolution(self):
+    def test_reaches_bounds(self):
         for spec in [
             ClassSpec("U", lam=0.5),
             ClassSpec("M", alpha=1.0),
             ClassSpec("G", alpha=1.0),
         ]:
-            res = body_search(spec, resolution=60)
+            res = body_search(spec)
             pair = bound_delta(spec)
             assert res.min_delta == pytest.approx(pair.lower, abs=1e-12)
             assert res.max_delta == pytest.approx(pair.upper, abs=1e-12)
@@ -145,11 +144,11 @@ class TestBodySearch:
             assert body_search(spec).min_delta == bound_delta(spec).lower
 
     def test_extremes_reproducible_from_reported_args(self):
-        assert_extremes_reproduced(body_search(ClassSpec("M", alpha=2.0), resolution=50))
+        assert_extremes_reproduced(body_search(ClassSpec("M", alpha=2.0)))
 
     def test_args_stay_inside_body(self):
         spec = ClassSpec("U", lam=0.8)
-        res = body_search(spec, resolution=40)
+        res = body_search(spec)
         for arg in (res.argmin, res.argmax):
             assert 0.0 <= arg["m1"] <= 1.8 + 1e-12
             assert 0.0 <= arg["m2"] <= 0.8 + 1e-9
@@ -157,39 +156,38 @@ class TestBodySearch:
 
     def test_deterministic(self):
         spec = ClassSpec("G", alpha=0.5)
-        a = body_search(spec, resolution=40)
-        b = body_search(spec, resolution=40)
+        a = body_search(spec)
+        b = body_search(spec)
         assert a.min_delta == b.min_delta
         assert a.max_delta == b.max_delta
         assert a.argmin == b.argmin
         assert a.argmax == b.argmax
 
     def test_result_metadata(self):
-        res = body_search(ClassSpec("U", lam=1.0), resolution=30)
+        res = body_search(ClassSpec("U", lam=1.0))
         assert isinstance(res, SearchResult)
-        assert res.refined
-        assert res.resolution == 30
         assert res.note == BODY_NOTE
+        fields = ["class", "min_delta", "max_delta", "argmin", "argmax", "note"]
+        assert list(res.as_dict()) == fields
         assert res.as_dict()["note"] == BODY_NOTE
         assert res.as_dict()["class"] == "U(1)"
 
-    def test_resolution_validated(self):
-        with pytest.raises(ValueError, match="resolution"):
-            body_search(ClassSpec("S"), resolution=1)
-        # The cap is rejected before any grid is built.
-        with pytest.raises(ValueError, match=r"resolution must lie in \[2, 1000000\]"):
-            body_search(ClassSpec("S"), resolution=MAX_RESOLUTION + 1)
+    def test_evaluates_only_the_candidates(self, monkeypatch):
+        # Each class's maximum and minimum are _delta at its _CANDIDATES m1
+        # values, one row of the stack per class and nothing else.
+        shapes = []
+        delta = search._delta
 
-    def test_guard_grid_catches_a_missed_extreme(self, monkeypatch):
-        # With the vertices and kink missing, each repeating m1 = 0, only the
-        # endpoints are closed-form candidates; the interior minimum of M(2)
-        # must then come from the grid.
-        monkeypatch.setattr(search, "_critical_m1", lambda body: np.zeros((len(body.s), 3)))
-        spec = ClassSpec("M", alpha=2.0)
-        res = body_search(spec, resolution=400)
-        assert not res.refined
-        assert res.min_delta == pytest.approx(bound_delta(spec).lower, abs=1e-5)
-        assert res.min_delta >= bound_delta(spec).lower
+        def spy(body, m1, *rest):
+            shapes.append(m1.shape)
+            return delta(body, m1, *rest)
+
+        monkeypatch.setattr(search, "_delta", spy)
+        body_search(ClassSpec("M", alpha=2.0))
+        assert shapes == [(1, search._CANDIDATES)] * 2 == [(1, 5)] * 2
+        shapes.clear()
+        body_searches([ClassSpec("G", alpha=a) for a in (0.25, 0.5, 1.0)])
+        assert shapes == [(3, 5)] * 2
 
     def test_phase_grid_doubling_barely_moves_extremes(self):
         # Only the relative phase enters delta, so refining the phase grid
@@ -203,24 +201,23 @@ class TestBodySearch:
         assert abs(coarse.max() - fine.max()) < 1e-4
 
 
-def _chunk_edge_grid(kind, resolution):
-    """2 chunks and 1 class of `kind` at `resolution`, across its parameter range; on M
-    the grid includes the branch point."""
-    n = 2 * search._chunk_rows(resolution) + 1
+def _chunk_edge_grid(kind):
+    """2 chunks and 1 class of `kind`, across its parameter range; on M the grid
+    includes the branch point."""
+    n = 2 * (search._SCAN_BLOCK // search._CANDIDATES) + 1
     if kind == "M":
         return sorted(np.linspace(0.0, 3.0, n - 1).tolist() + [M_BRANCH_ALPHA])
     return np.linspace(0.0, 1.0, n + 1)[1:].tolist()  # U and G exclude 0
 
 
 class TestBodySearches:
-    @pytest.mark.parametrize("resolution", [2, 200, 10**4])
     @pytest.mark.parametrize("kind", ["U", "M", "G"])
-    def test_stack_equals_a_loop_across_chunk_edges(self, kind, resolution):
+    def test_stack_equals_a_loop_across_chunk_edges(self, kind):
         # repr prints every field, floats in round-trip form, so this compares
-        # min_delta, max_delta, argmin, argmax and refined bit for bit.
-        specs = [ClassSpec.of(kind, p) for p in _chunk_edge_grid(kind, resolution)]
-        loop = [repr(body_search(spec, resolution)) for spec in specs]
-        assert list(map(repr, body_searches(specs, resolution))) == loop
+        # min_delta, max_delta, argmin and argmax bit for bit.
+        specs = [ClassSpec.of(kind, p) for p in _chunk_edge_grid(kind)]
+        loop = [repr(body_search(spec)) for spec in specs]
+        assert list(map(repr, body_searches(specs))) == loop
 
     def test_empty(self):
         assert body_searches([]) == []
@@ -233,10 +230,6 @@ class TestBodySearches:
         specs = [ClassSpec.of("M", a) for a in (1.0, 1e155, 1e200)]
         with pytest.raises(ValueError, match=r"^the coefficient map of M\(1e\+155\) overflows$"):
             body_searches(specs)
-
-    def test_resolution_validated(self):
-        with pytest.raises(ValueError, match=r"resolution must lie in \[2, 1000000\]"):
-            body_searches([], resolution=1)
 
     def test_memory_stays_chunked(self):
         # The finest M sweep: 10002 classes, whose stack unchunked peaks near
@@ -300,19 +293,12 @@ class TestBodySearchOracle:
 
     def test_args_reproduce_extremes_inside_body(self, spec):
         res = body_search(spec)
-        assert res.refined
         xmax, cap = _body(spec)
         assert_extremes_reproduced(res)
         for arg in (res.argmin, res.argmax):
             assert 0.0 <= arg["m1"] <= xmax
             assert 0.0 <= arg["m2"] <= cap(arg["m1"])
             assert 0.0 <= arg["phase"] < 2.0 * math.pi
-
-    def test_result_independent_of_resolution(self, spec):
-        a = body_search(spec, resolution=2)
-        b = body_search(spec, resolution=200)
-        assert (a.min_delta, a.max_delta) == (b.min_delta, b.max_delta)
-        assert (a.argmin, a.argmax) == (b.argmin, b.argmax)
 
 
 def log_uniform(low, high):
@@ -327,12 +313,45 @@ def log_uniform(low, high):
     log_uniform(-300.0, 0.0).map(lambda a: ClassSpec("G", alpha=a)),
 ))
 def test_body_search_attains_bounds_across_parameters(spec):
-    res = body_search(spec, resolution=2)
+    res = body_search(spec)
     pair = bound_delta(spec)
     tol = 1e-12 * max(abs(pair.lower), abs(pair.upper))
-    assert res.refined
     assert abs(res.min_delta - pair.lower) <= tol
     assert abs(res.max_delta - pair.upper) <= tol
+
+
+# Class grids that reach each kind's range ends: U and G down to lam, alpha
+# = 1e-4 and 1e-300, M from 0 to 1e100.
+GUARD_GRIDS = {
+    "S": [None],
+    "U": np.logspace(-4.0, 0.0, 10**4).tolist(),
+    "M": [0.0, *np.logspace(-6.0, math.log10(3.0), 10**4).tolist(), 1e3, 1e6, 1e100],
+    "G": np.logspace(-300.0, 0.0, 10**4).tolist(),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_grid_node_beats_the_candidates(kind):
+    # The search evaluates only its five closed-form m1 candidates.  At every
+    # node of a uniform 201-node m1 grid on [0, reach], the extremes over
+    # (m2, phase), in closed form as the search takes them, stay within
+    # 1e-12 of the search's: no extreme lies off the candidates.
+    specs = [ClassSpec.of(kind, p) for p in GUARD_GRIDS[kind]]
+    results = body_searches(specs)
+    lo = np.array([res.min_delta for res in results])[:, None]
+    hi = np.array([res.max_delta for res in results])[:, None]
+    params = np.array([spec.param for spec in specs], dtype=float)
+    for start in range(0, len(specs), 1000):
+        rows = slice(start, start + 1000)
+        row = _body_row(kind, params[rows])
+        body = _Body(*(np.broadcast_to(field, len(params[rows]))[:, None] for field in row))
+        m1 = np.arange(201) * (body.reach / 200)
+        m1[:, -1:] = body.reach
+        a2 = body.s * m1
+        cap = body.cap(m1)
+        m2_min = np.minimum(cap, np.abs((body.q - functional.MU) * a2 * a2 / body.t))
+        assert (search._delta(body, m1, cap, 1.0) <= hi[rows] + 1e-12).all()
+        assert (search._delta(body, m1, m2_min, 0.0) >= lo[rows] - 1e-12).all()
 
 
 @pytest.mark.parametrize("kind, grid", [
