@@ -44,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .series import _is_integer
+
 KINDS = ("S", "U", "M", "G")
 
 # Most angular samples per radius accepted by membership_test.
@@ -284,7 +286,8 @@ def membership_test(
     point strictly inside it, is refused with ValueError naming that zero
     (`f.check_analytic`), before any sample: the margins on the grid could
     pass it, as they never see what lies between the rings.  A zero on the
-    circle, within the roundoff tolerance stated there, passes.
+    circle, within the roundoff tolerance stated there, passes.  `angular`
+    must be an integer in [1, MAX_ANGULAR], not a bool or a float.
 
     This is `membership_tests` on the one pair (f, spec).
     """
@@ -301,7 +304,9 @@ def membership_tests(pairs, radii=(0.5, 0.9, 0.99), angular: int = 256) -> list:
     radii = tuple(float(r) for r in radii)
     if not radii or any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError(f"radii must lie in (0, 1), got {radii}")
-    angular = int(angular)
+    if not _is_integer(angular):
+        raise ValueError(f"angular must be an integer, got {angular!r}")
+    angular = int(angular)  # the report's value is then JSON's
     if not 1 <= angular <= MAX_ANGULAR:
         raise ValueError(f"angular must lie in [1, {MAX_ANGULAR}], got {angular}")
 

@@ -531,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument(
         "--resolution", type=int, metavar="R",
-        help="ignored: the search evaluates only its five closed-form m1 candidates, "
-        "which contain the extremes, so it has no grid to size",
+        help="ignored: the search evaluates delta at three closed-form m1 per class, "
+        "both endpoints and one clipped vertex, so it has no grid to size",
     )
     mode.add_argument(
         "--samples", type=int, metavar="N",

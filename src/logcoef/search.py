@@ -7,10 +7,10 @@ relative phase.  The bodies are relaxations: every class member yields a
 body point, so the body extremes bracket the class extremes from outside.
 `body_search` finds them exactly by solving (m2, phase) in closed form, the
 phase 0 or pi, so that e^{i pi} = -1 exactly and T = t m2 lies along P or
-against it.  What is left is piecewise quadratic in m1, so its extremes sit
-at one of five closed-form candidates: both endpoints, two vertices and the
-kink, where a missing one repeats m1 = 0 rather than being dropped
-(`tests/test_symbolic.py` proves that these contain the extremes).
+against it.  What is left is a function of m1 in closed form: its maximum
+sits at an endpoint and its minimum at one clipped vertex (`_min_m1`), so
+the search evaluates three points per class (`tests/test_symbolic.py`
+proves that these hold the extremes).
 `body_searches` runs it on many classes of one kind at once, stacked along
 a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK
 body points, as a class sweep does; `bound_violation_scan` samples the
@@ -53,8 +53,8 @@ SCAN_TOLERANCE = 1e-9
 MAX_SAMPLES = 10**6
 
 # Body points evaluated at once: the samples bound_violation_scan draws per
-# block, three contiguous draws of this length, and at most the m1
-# candidates of the classes body_searches stacks per chunk.  Small enough
+# block, three contiguous draws of this length, and at most the points of
+# the classes body_searches stacks per chunk.  Small enough
 # that the few arrays of _half_angle_k2 and _delta stay in cache, large
 # enough to amortize their checks and numpy's per-call overhead.  A scan of
 # 1e5 samples of M(1) took a median 4.1 ms in blocks of 8192, against 5.3,
@@ -62,8 +62,8 @@ MAX_SAMPLES = 10**6
 # 2-vCPU AVX-512 Xeon VM, 64 KiB of float64 per array).
 _SCAN_BLOCK = 8192
 
-# Closed-form m1 candidates of body_search: both endpoints, two vertices and the kink.
-_CANDIDATES = 5
+# Body points body_search evaluates per class: two endpoints and one clipped vertex.
+_POINTS_PER_CLASS = 3
 
 # The scan's generator and its seeds, [0, SEED_LIMIT).
 SCAN_GENERATOR = "splitmix64"
@@ -181,9 +181,10 @@ class SearchResult:
 
     argmin and argmax hold the body coordinates (m1, m2, phase) of the
     points where delta takes the reported values, with phase 0 or pi, and
-    phase pi meaning e^{i pi} = -1 exactly.  The values are `_delta` at
-    k^2 = 1 (max) and 0 (min); body_delta at the reported args is within one
-    ulp of |a_2| + |P| + |T| of them, since it reads phase pi as fl(pi).
+    phase pi meaning e^{i pi} = -1 exactly.  argmax has m1 = 0 or the
+    body's reach, and argmin the m1 of `_min_m1`.  The values are `_delta`
+    at k^2 = 1 (max) and 0 (min); body_delta at the reported args is within
+    one ulp of |a_2| + |P| + |T| of them, since it reads phase pi as fl(pi).
     """
 
     spec: ClassSpec
@@ -204,35 +205,29 @@ class SearchResult:
         }
 
 
-def _critical_m1(body) -> np.ndarray:
-    """Vertices and kink of the reduced extremes in m1, in closed form from the body rows.
+def _min_m1(body) -> np.ndarray:
+    """m1 of the minimum of delta over the body, in closed form from the body rows.
 
-    With p = |q - mu| s^2, |P| = p m1^2 and cap = c0 + c2 m1^2, so
-    2 delta_max = |P| + |t| cap - |s| m1 is a quadratic with vertex
-    |s| / (2 (p + |t| c2)), and 2 delta_min = max(|P| - |t| cap, 0) - |s| m1
-    is one with vertex |s| / (2 (p - |t| c2)) where |P| > |t| cap, with its
-    kink at sqrt(|t| c0 / (p - |t| c2)).  `body` is a stack of rows with
-    column fields, and row k of the result holds its three candidates,
-    clipped to [0, reach].  A candidate that is not finite is missing and
-    becomes m1 = 0, which repeats the endpoint: it is kept, not dropped, so
-    that every row has the same candidates in the same places.
+    With p = |q - mu| s^2, |P| = p m1^2 and cap = c0 + c2 m1^2,
+    2 delta_min = max(|P| - |t| cap, 0) - |s| m1.  Up to its kink at
+    sqrt(|t| c0 / D), D = p - |t| c2 > 0, that is -|s| m1, which decreases;
+    beyond it, |P| - |t| cap - |s| m1, convex with its vertex at |s| / (2 D).
+    So the minimum on [0, reach] is at the vertex clipped to
+    [min(kink, reach), reach].  `body` is a stack of rows with column
+    fields, and row k of the result holds the point of class k.
     """
     s, t = np.abs(body.s), np.abs(body.t)
-    p = np.abs(body.q - functional.MU) * s * s
-    # The m1^2 terms of 2 delta_max and 2 delta_min.
-    curv_max, curv_min = p + t * body.c2, p - t * body.c2
+    d = np.abs(body.q - functional.MU) * s * s - t * body.c2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = np.concatenate(
-            (s / (2.0 * curv_max), s / (2.0 * curv_min), np.sqrt(t * body.c0 / curv_min)), axis=1
-        )
-    return np.clip(np.where(np.isfinite(r), r, 0.0), 0.0, body.reach)
+        kink = np.sqrt(t * body.c0 / d)
+        return np.clip(s / (2.0 * d), np.minimum(kink, body.reach), body.reach)
 
 
 def _search_rows(specs, body) -> list:
     """body_search of each of `specs`, whose rows are the columns of `body`, at once."""
-    x = np.zeros((len(specs), _CANDIDATES))  # column 0 is the endpoint m1 = 0
+    x = np.zeros((len(specs), _POINTS_PER_CLASS))  # the maximum's 0 and reach, the minimum's m1
     x[:, 1:2] = body.reach
-    x[:, 2:] = _critical_m1(body)
+    x[:, 2:] = _min_m1(body)
     # a_3 - mu a_2^2 = P + t w over |w| <= cap, with P = (q - mu) a_2^2.
     a2 = body.s * x
     p, cap = (body.q - functional.MU) * a2 * a2, body.cap(x)
@@ -245,18 +240,16 @@ def _search_rows(specs, body) -> list:
     phase_max = np.where(against, math.pi, 0.0)
     phase_min = math.pi - phase_max
     m2_min = np.minimum(cap, np.abs(p) / np.abs(body.t))
-    for m2, phase in ((cap, phase_max), (m2_min, phase_min)):
-        if not _on_body(body, x, m2, phase):
+    top, bottom = np.s_[:, :2], np.s_[:, 2:]
+    for cols, m2, phase in ((top, cap, phase_max), (bottom, m2_min, phase_min)):
+        if not _on_body(body, x[cols], m2[cols], phase[cols]):
             for k, spec in enumerate(specs):  # names the first class with a point off its body
-                body_delta(spec, x[k], m2[k], phase[k])
-    hi, lo = _delta(body, x, cap, 1.0), _delta(body, x, m2_min, 0.0)
-    # Ties go to the first column, so a missing candidate, which repeats the
-    # endpoint at column 0, never wins.
-    k = np.arange(len(specs))
-    i, j = hi.argmax(axis=1), lo.argmin(axis=1)
+                body_delta(spec, x[cols][k], m2[cols][k], phase[cols][k])
+    hi, lo = _delta(body, x[top], cap[top], 1.0), _delta(body, x[bottom], m2_min[bottom], 0.0)
+    k, i = np.arange(len(specs)), hi.argmax(axis=1)  # ties go to m1 = 0
     columns = zip(
         specs,
-        lo[k, j].tolist(), x[k, j].tolist(), m2_min[k, j].tolist(), phase_min[k, j].tolist(),
+        lo[:, 0].tolist(), x[:, 2].tolist(), m2_min[:, 2].tolist(), phase_min[:, 2].tolist(),
         hi[k, i].tolist(), x[k, i].tolist(), cap[k, i].tolist(), phase_max[k, i].tolist(),
     )
     return [
@@ -277,9 +270,9 @@ def body_searches(specs) -> list:
     Returns one SearchResult per spec, in order, each the same bit for bit
     as a search of that spec alone, since every step is elementwise along
     the parameter axis.  The rows of all specs are stacked, parameters along
-    the leading axis and the _CANDIDATES m1 candidates along the second, and
-    evaluated _SCAN_BLOCK // _CANDIDATES classes at a time, so no array
-    spans a long sweep.  Refuses, with ValueError, specs of more than one
+    the leading axis and each class's _POINTS_PER_CLASS m1 along the second,
+    and evaluated _SCAN_BLOCK // _POINTS_PER_CLASS classes at a time, so no
+    array spans a long sweep.  Refuses, with ValueError, specs of more than one
     kind and a class whose map overflows, naming the first.  No specs give
     [].
     """
@@ -299,10 +292,10 @@ def body_searches(specs) -> list:
     for field_row, value in zip(table, row):
         field_row[:] = value
     _check_row(_Body._make(table), specs)
-    size = _SCAN_BLOCK // _CANDIDATES
+    size = _SCAN_BLOCK // _POINTS_PER_CLASS
     results = []
     for lo in range(0, n, size):
-        # Every field as a column, so that it broadcasts along each class's candidates.
+        # Every field as a column, so that it broadcasts along each class's points.
         chunk = _Body._make(table[:, lo:lo + size, None])
         results += _search_rows(specs[lo:lo + size], chunk)
     return results
@@ -313,13 +306,14 @@ def body_search(spec: ClassSpec) -> SearchResult:
 
     For fixed m1 the maximum over (m2, phase) puts m2 at the cap with t w
     aligned with P; the minimum puts m2 at min(cap, |P|/|t|), anti-aligned.
-    What is left in m1 is piecewise quadratic, so its extremes sit at the
-    endpoints, the kink or a vertex (see `_critical_m1`; a missing one
-    repeats m1 = 0), and these five m1 are all the search evaluates;
-    `tests/test_symbolic.py` proves that they contain the extremes.  Every
-    candidate goes through the checks of `body_delta`, and ties go to the
-    endpoint m1 = 0, then to reach, the vertices and the kink in that
-    order.  This is `body_searches([spec])[0]`.
+    What is left of the maximum is a quadratic in m1 with negative slope at
+    0, so it sits at m1 = 0 or reach, and a tie goes to m1 = 0.  What is left
+    of the minimum decreases up to its kink and is a convex quadratic beyond
+    it, so it sits at that quadratic's vertex clipped to [min(kink, reach),
+    reach] (`_min_m1`).  These three m1 are all the search evaluates, and
+    `tests/test_symbolic.py` proves that they hold the extremes.  Each point
+    goes through the checks of `body_delta`, so a point that is not finite
+    is refused with ValueError.  This is `body_searches([spec])[0]`.
     """
     return body_searches([spec])[0]
 

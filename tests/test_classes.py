@@ -661,6 +661,18 @@ class TestMembershipTest:
         with pytest.raises(ValueError, match="angular"):
             membership_test(f1(), ClassSpec("U", lam=1.0), angular=0)
 
+    @pytest.mark.parametrize("angular", [2.9, True, 4.0], ids=["float", "bool", "whole_float"])
+    def test_angular_must_be_an_integer(self, angular):
+        # int() would truncate 2.9 to 2 and read True as 1.
+        with pytest.raises(ValueError, match=r"^angular must be an integer, got "):
+            membership_test(koebe(), ClassSpec("M", alpha=0.0), radii=(0.5,), angular=angular)
+
+    def test_numpy_integer_angular_accepted(self):
+        rep = membership_test(koebe(), ClassSpec("M", alpha=0.0), radii=(0.5,), angular=np.int64(4))
+        assert rep.angular == 4 and type(rep.angular) is int
+        assert repr(rep) == repr(membership_test(koebe(), ClassSpec("M", alpha=0.0),
+                                                 radii=(0.5,), angular=4))
+
     def test_angular_cap(self):
         # Refused before any sample is taken.
         with pytest.raises(ValueError, match=r"angular must lie in \[1, 10000\]"):

@@ -854,7 +854,7 @@ class TestSweep:
         code, _, _ = run("sweep", "--class", "M", "--step", "0.001", "--format", "json")
         assert code == 0
         classes = len(cli._class_param_grid("M", 0.001))
-        chunks = -(-classes // (search._SCAN_BLOCK // search._CANDIDATES))
+        chunks = -(-classes // (search._SCAN_BLOCK // search._POINTS_PER_CLASS))
         assert (classes, chunks) == (3002, 2)
         assert len(calls) == 2 * chunks
 

@@ -173,8 +173,8 @@ class TestBodySearch:
         assert res.as_dict()["class"] == "U(1)"
 
     def test_evaluates_only_the_candidates(self, monkeypatch):
-        # Each class's maximum and minimum are _delta at its _CANDIDATES m1
-        # values, one row of the stack per class and nothing else.
+        # Each class's maximum is _delta at its two endpoints and its minimum
+        # _delta at one point, one row of the stack per class and nothing else.
         shapes = []
         delta = search._delta
 
@@ -184,10 +184,10 @@ class TestBodySearch:
 
         monkeypatch.setattr(search, "_delta", spy)
         body_search(ClassSpec("M", alpha=2.0))
-        assert shapes == [(1, search._CANDIDATES)] * 2 == [(1, 5)] * 2
+        assert shapes == [(1, 2), (1, 1)]
         shapes.clear()
         body_searches([ClassSpec("G", alpha=a) for a in (0.25, 0.5, 1.0)])
-        assert shapes == [(3, 5)] * 2
+        assert shapes == [(3, 2), (3, 1)]
 
     def test_phase_grid_doubling_barely_moves_extremes(self):
         # Only the relative phase enters delta, so refining the phase grid
@@ -204,7 +204,7 @@ class TestBodySearch:
 def _chunk_edge_grid(kind):
     """2 chunks and 1 class of `kind`, across its parameter range; on M the grid
     includes the branch point."""
-    n = 2 * (search._SCAN_BLOCK // search._CANDIDATES) + 1
+    n = 2 * (search._SCAN_BLOCK // search._POINTS_PER_CLASS) + 1
     if kind == "M":
         return sorted(np.linspace(0.0, 3.0, n - 1).tolist() + [M_BRANCH_ALPHA])
     return np.linspace(0.0, 1.0, n + 1)[1:].tolist()  # U and G exclude 0
@@ -231,12 +231,28 @@ class TestBodySearches:
         with pytest.raises(ValueError, match=r"^the coefficient map of M\(1e\+155\) overflows$"):
             body_searches(specs)
 
+    def test_a_point_off_the_body_is_refused(self, monkeypatch):
+        # Every searched point goes through body_delta's checks, which name
+        # the first class with a point that is not finite.
+        min_m1 = search._min_m1
+
+        def spoiled(body):
+            m1 = min_m1(body)
+            m1[1:] = math.nan
+            return m1
+
+        monkeypatch.setattr(search, "_min_m1", spoiled)
+        specs = [ClassSpec.of("G", a) for a in (0.25, 0.5, 1.0)]
+        with pytest.raises(ValueError, match=r"^body points must be finite .* for G\(0\.5\)$"):
+            body_searches(specs)
+
     def test_memory_stays_chunked(self):
-        # The finest M sweep: 10002 classes, whose stack unchunked peaks near
-        # 220 MiB.  A loop of body_search peaks at least at the results it
-        # holds at its end, so peaking at most 4 MiB above the same results
-        # bounds the stack by the loop's peak plus 4 MiB, without running the
-        # loop, which takes 13 s traced.
+        # The finest M sweep: 10002 classes, whose stack peaks 1.3 MiB above
+        # the results it holds, and 3.4 MiB unchunked (numpy 2.4.6).  A loop
+        # of body_search peaks at least at the results it holds at its end,
+        # so peaking at most 2 MiB above the same results bounds the stack by
+        # the loop's peak plus 2 MiB, without running the loop, which takes
+        # 13 s traced.
         specs = [ClassSpec.of("M", a) for a in cli._class_param_grid("M", 0.0003)]
         tracemalloc.start()
         try:
@@ -245,7 +261,7 @@ class TestBodySearches:
         finally:
             tracemalloc.stop()
         assert len(results) == len(specs) == 10002
-        assert peak <= held + 4 * 2**20
+        assert peak <= held + 2 * 2**20
 
 
 # S plus the class instances of acceptance criterion 5.
@@ -332,10 +348,11 @@ GUARD_GRIDS = {
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_no_grid_node_beats_the_candidates(kind):
-    # The search evaluates only its five closed-form m1 candidates.  At every
-    # node of a uniform 201-node m1 grid on [0, reach], the extremes over
-    # (m2, phase), in closed form as the search takes them, stay within
-    # 1e-12 of the search's: no extreme lies off the candidates.
+    # The search evaluates only three closed-form m1: both endpoints for its
+    # maximum and one clipped vertex for its minimum.  At every node of a
+    # uniform 201-node m1 grid on [0, reach], the extremes over (m2, phase),
+    # in closed form as the search takes them, stay within 1e-12 of the
+    # search's: no extreme lies off those points.
     specs = [ClassSpec.of(kind, p) for p in GUARD_GRIDS[kind]]
     results = body_searches(specs)
     lo = np.array([res.min_delta for res in results])[:, None]

@@ -1,4 +1,4 @@
-"""Proof that the body search's five m1 candidates contain its extremes.
+"""Proof that the body search's three m1 points hold its extremes.
 
 `search.body_search` takes the extremes of 2 delta = |a_3 - mu a_2^2| - |a_2|
 over a class's body (`classes._Body`): a_2 = s m and a_3 - mu a_2^2 =
@@ -9,18 +9,15 @@ over (m2, phase) are
     2 delta_max(m) = p m^2 + |t| (c0 + c2 m^2) - |s| m,
     2 delta_min(m) = max(p m^2 - |t| (c0 + c2 m^2), 0) - |s| m,
 
-with p = |q - mu| s^2.  Each is continuous in m and made of polynomial
-pieces.  On [0, reach] it therefore takes its extremes at an endpoint, at a
-stationary point of a piece, or where two pieces meet.  The tests prove
-that each piece has at most one stationary point, the vertex that
-`search._critical_m1` uses, and that the pieces of delta_min meet only at
-its kink.  They prove that the kink exists on every body that
-`classes._body_row` gives, and they check that `_critical_m1` returns the
-derived points.  A vertex or kink outside [0, reach] is clipped to the
-nearer endpoint, since the piece is monotone on the interval then, and a
-vertex of a piece with no m^2 term does not exist.  With the endpoints 0 and
-reach these are the search's five candidates.  The bounds of `bounds` are
-not proven here.
+with p = |q - mu| s^2.  2 delta_max is one quadratic with slope -|s| < 0 at
+m = 0: concave, it decreases on [0, reach], and convex, it lies below its
+chord, so its maximum is at m = 0 or reach.  2 delta_min is -|s| m, which
+decreases, up to its kink, and a convex quadratic beyond it, whose m^2 term
+D = p - |t| c2 is positive on every body that `classes._body_row` gives.
+So its minimum is at the quadratic's vertex clipped to
+[min(kink, reach), reach].  The tests prove these facts, and check that
+the search reads its maximum at the endpoints and its minimum at that
+point (`search._min_m1`).  The bounds of `bounds` are not proven here.
 """
 
 import itertools
@@ -32,7 +29,7 @@ import sympy as sp
 
 from logcoef import functional, search
 from logcoef.bounds import M_BRANCH_ALPHA
-from logcoef.classes import _Body, _body_row
+from logcoef.classes import ClassSpec, _Body, _body_row
 
 MU = sp.Rational(functional.MU)
 
@@ -51,10 +48,12 @@ HI = p * m**2 + T * CAP - S * m
 FLAT = -S * m
 QUAD = p * m**2 - T * CAP - S * m
 
-# The points of _critical_m1, in its column order.
-VERTEX_MAX = S / (2 * (p + T * c2))
+# The vertex of QUAD, the kink, where FLAT and QUAD meet, and the point of
+# search._min_m1: the vertex clipped to [min(kink, reach), reach].
 VERTEX_MIN = S / (2 * (p - T * c2))
 KINK = sp.sqrt(T * c0 / (p - T * c2))
+REACH = sp.Symbol("reach", positive=True)
+LOWEST = sp.Min(sp.Max(VERTEX_MIN, sp.Min(KINK, REACH)), REACH)
 
 
 def test_phase_extremes_are_aligned_and_against():
@@ -108,13 +107,43 @@ def test_reduced_problem_is_its_pieces():
     assert sp.simplify(-sp.Abs(a2) - FLAT.subs(fields)) == 0
 
 
-@pytest.mark.parametrize("piece, vertex", [(HI, VERTEX_MAX), (FLAT, None), (QUAD, VERTEX_MIN)],
-                         ids=["max", "min_flat", "min_quadratic"])
+def test_max_is_at_an_endpoint():
+    # HI = a m^2 - |s| m + |t| c0, a = p + |t| c2 of either sign, slope -|s| at 0.
+    a = sp.Symbol("a", real=True)
+    hi = HI.subs(p, a - T * c2)
+    assert sp.expand(hi - (a * m**2 - S * m + T * c0)) == 0
+    assert sp.diff(hi, m).subs(m, 0) == -S
+    # a = -n <= 0 (concave or linear): HI(m) - HI(0) = -m (n m + |s|) < 0 at m > 0.
+    n, m_pos = sp.Symbol("n", nonnegative=True), sp.Symbol("m_pos", positive=True)
+    assert (hi - hi.subs(m, 0)).subs({a: -n, m: m_pos}).expand().is_negative
+    # a > 0 (convex): at m = x in [0, r], r = x + e, the chord from (0, HI(0)) to
+    # (r, HI(r)) lies a x e >= 0 above HI, and the chord is at most
+    # max(HI(0), HI(r)).
+    x, e = sp.symbols("x e", nonnegative=True)
+    r = x + e
+    chord = hi.subs(m, 0) + (hi.subs(m, r) - hi.subs(m, 0)) * x / r
+    gap = sp.factor(sp.together(chord - hi.subs(m, x)))
+    assert sp.simplify(gap - a * x * e) == 0
+    assert gap.subs(a, sp.Symbol("a_pos", positive=True)).is_nonnegative
+
+
+@pytest.mark.parametrize("piece, vertex", [(FLAT, None), (QUAD, VERTEX_MIN)],
+                         ids=["min_flat", "min_quadratic"])
 def test_each_piece_has_only_its_vertex(piece, vertex):
     # FLAT has slope -|s| < 0 and no stationary point.
     roots = sp.solve(sp.diff(piece, m), m)
     assert len(roots) == (vertex is not None)
     assert all(sp.simplify(root - vertex) == 0 for root in roots)
+
+
+def test_min_is_at_the_clipped_vertex():
+    # With D = p - |t| c2 > 0 (test_every_body_has_its_kink), QUAD is convex:
+    # on [kink, reach] its minimum is its vertex clipped to that interval.
+    # FLAT decreases, so on [0, min(kink, reach)] its minimum is at the right
+    # end, where it meets QUAD if kink < reach (test_pieces_meet_only_at_the_kink).
+    D = sp.Symbol("D", positive=True)
+    assert sp.diff(QUAD.subs(p, D + T * c2), m, 2) == 2 * D
+    assert sp.diff(FLAT, m).is_negative
 
 
 def test_pieces_meet_only_at_the_kink():
@@ -163,18 +192,27 @@ GRIDS = {
 
 
 @pytest.mark.parametrize("kind", list(GRIDS))
-def test_critical_m1_is_the_derived_points(kind):
+def test_search_reads_the_derived_points(kind):
     params = np.array(GRIDS[kind], dtype=float)
     body = _Body(*(np.broadcast_to(v, params.shape)[:, None] for v in _body_row(kind, params)))
     s, t = np.abs(body.s), np.abs(body.t)
-    # p in the order _critical_m1 forms it: |q - mu| s before the second s,
-    # so that s^2 does not underflow at G(1e-300).
+    # p in the order _min_m1 forms it: |q - mu| s before the second s, so
+    # that s^2 does not underflow at G(1e-300).
     fields = (s, t, np.abs(body.q - functional.MU) * s * s, body.c0, body.c2)
-    points = sp.lambdify((S, T, p, c0, c2), [VERTEX_MAX, VERTEX_MIN, KINK], "numpy")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        want = np.concatenate(np.broadcast_arrays(*points(*fields)), axis=1)
-    # A point that is not finite does not exist and becomes m1 = 0.
-    want = np.clip(np.where(np.isfinite(want), want, 0.0), 0.0, body.reach)
-    # Within 4 ulps: sympy prints each point in its own order of operations.
+    point = sp.lambdify((S, T, p, c0, c2, REACH), LOWEST, "numpy")
+    with np.errstate(divide="ignore", over="ignore"):
+        want = np.broadcast_to(point(*fields, body.reach), body.reach.shape)
+    # Within 4 ulps: sympy prints the point in its own order of operations.
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(search._critical_m1(body), want, rtol=4 * eps, atol=0)
+    np.testing.assert_allclose(search._min_m1(body), want, rtol=4 * eps, atol=0)
+    # The maximum is at an endpoint, and at the larger one where HI tells them
+    # apart by more than roundoff.
+    hi = sp.lambdify((S, T, p, c0, c2, m), HI, "numpy")
+    at_0, at_reach = (np.broadcast_to(hi(*fields, x), params.shape + (1,))[:, 0]
+                      for x in (0.0, body.reach))
+    specs = [ClassSpec.of(kind, None if kind == "S" else a) for a in params.tolist()]
+    m1 = np.array([res.argmax["m1"] for res in search.body_searches(specs)])
+    reach = body.reach[:, 0]
+    assert ((m1 == 0.0) | (m1 == reach)).all()
+    apart = np.abs(at_reach - at_0) > 1e-12 * np.maximum(np.abs(at_0), np.abs(at_reach))
+    assert (m1 == np.where(at_reach > at_0, reach, 0.0))[apart].all()
