@@ -16,10 +16,14 @@ a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK
 body points, as a class sweep does; `bound_violation_scan` samples the
 whole body at random as a brute-force check, from a SplitMix64 stream of
 its own: one cache-sized block of samples at a time, each coordinate of a
-block one contiguous draw off a stream index built once per scan.  All
-three evaluate delta by one kernel in real arithmetic, `_delta`: the search
-at k^2 = 1 or 0, where T is aligned with P or against it, and `body_delta`
-and the scan at k^2 from one tan per point (`_half_angle_k2`).
+block one contiguous draw off a stream index built once per scan.  delta is
+evaluated in real arithmetic by the kernel `_delta` on numpy arrays: in
+`body_searches` at k^2 = 1 or 0, where T is aligned with P or against it,
+and in `body_delta` and the scan at k^2 from one tan per point
+(`_half_angle_k2`).  `body_search` of one class runs the same steps as
+`body_searches` in Python floats instead (`_float_min_m1`, `_float_delta`),
+since numpy's first use of each operation in a process costs more than its
+three points; its results are those of the stack, bit for bit.
 `family_sweep` records the delta a one-parameter catalog family actually
 attains at each parameter value: it builds no member, but takes the
 family's row on the whole grid as an array and reads the gammas of that
@@ -268,8 +272,9 @@ def body_searches(specs) -> list:
     """`body_search` of each class in `specs`, all of one kind, in one vectorised pass.
 
     Returns one SearchResult per spec, in order, each the same bit for bit
-    as a search of that spec alone, since every step is elementwise along
-    the parameter axis.  The rows of all specs are stacked, parameters along
+    as `body_search` of that spec alone, since every step is elementwise
+    along the parameter axis and `body_search` takes the same steps in
+    Python floats.  The rows of all specs are stacked, parameters along
     the leading axis and each class's _POINTS_PER_CLASS m1 along the second,
     and evaluated _SCAN_BLOCK // _POINTS_PER_CLASS classes at a time, so no
     array spans a long sweep.  Refuses, with ValueError, specs of more than one
@@ -301,6 +306,25 @@ def body_searches(specs) -> list:
     return results
 
 
+def _float_min_m1(body) -> float:
+    """`_min_m1` of one class's row of floats, in Python floats."""
+    s, t = abs(body.s), abs(body.t)
+    d = abs(body.q - functional.MU) * s * s - t * body.c2
+    kink = math.sqrt(t * body.c0 / d)
+    return min(max(s / (2.0 * d), min(kink, body.reach)), body.reach)
+
+
+def _float_delta(body, m1: float, m2: float, k2: float) -> float:
+    """`_delta` at one point of one class, in Python floats, step for step."""
+    a2 = abs(body.s) * m1
+    p = abs(body.q - functional.MU) * a2 * a2
+    t = abs(body.t) * m2
+    e = math.frexp(max(p, t))[1]
+    p, t = math.ldexp(p, -e), math.ldexp(t, -e)
+    r = math.sqrt((p - t) * (p - t) + k2 * p * t * 4.0)
+    return (math.ldexp(r, e) - a2) * 0.5
+
+
 def body_search(spec: ClassSpec) -> SearchResult:
     """Exact extremes of delta over the body, by a one-variable reduction.
 
@@ -313,9 +337,34 @@ def body_search(spec: ClassSpec) -> SearchResult:
     reach] (`_min_m1`).  These three m1 are all the search evaluates, and
     `tests/test_symbolic.py` proves that they hold the extremes.  Each point
     goes through the checks of `body_delta`, so a point that is not finite
-    is refused with ValueError.  This is `body_searches([spec])[0]`.
+    is refused with ValueError, and so is a class whose map overflows.
+
+    One class is searched in Python floats, with no numpy call, since
+    numpy's first use of each operation in a process costs more than the
+    about 20 flops of one class: the first search of M(1) in a fresh process
+    took a median 509 us through `body_searches` and 54 us in floats (numpy
+    2.4.6, 2-vCPU Xeon VM).  Every step mirrors `_search_rows` in the same
+    order, so the result is `body_searches([spec])[0]` bit for bit
+    (`tests/test_search.py` compares their reprs on every kind's chunk edges
+    and range edges).  Many classes are faster stacked: 10^4 M classes took
+    25 ms in `body_searches` and 89 ms in a loop of this.
     """
-    return body_searches([spec])[0]
+    body = _body_row(spec.kind, spec.param)
+    if not all(map(math.isfinite, body[:3])):  # `_check_row` of one class
+        raise ValueError(f"the coefficient map of {spec.label()} overflows")
+    points = []
+    for m1, k2 in ((0.0, 1.0), (body.reach, 1.0), (_float_min_m1(body), 0.0)):
+        a2 = body.s * m1
+        p, cap = (body.q - functional.MU) * a2 * a2, body.c0 + body.c2 * m1 * m1
+        against = p < 0.0 < body.t or body.t < 0.0 < p  # from the signs, as p t underflows
+        phase = math.pi if against == (k2 == 1.0) else 0.0
+        m2 = cap if k2 == 1.0 else min(cap, abs(p) / abs(body.t))
+        if not (0.0 <= m1 <= body.reach and 0.0 <= m2 <= cap):
+            body_delta(spec, m1, m2, phase)  # refuses it, in its own words
+        points.append((_float_delta(body, m1, m2, k2), {"m1": m1, "m2": m2, "phase": phase}))
+    zero, reach, (d_min, argmin) = points
+    d_max, argmax = reach if reach[0] > zero[0] else zero  # ties go to m1 = 0
+    return SearchResult(spec=spec, min_delta=d_min, max_delta=d_max, argmin=argmin, argmax=argmax)
 
 
 # -- catalog family sweeps ---------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -49,6 +50,15 @@ def assert_extremes_reproduced(res):
         scale = a2 + abs(body.q - functional.MU) * a2 * a2 + abs(body.t) * m2
         again = body_delta(res.spec, m1, m2, arg["phase"])
         assert abs(again - value) <= np.spacing(scale)
+
+
+def _search_outcome(search_one, spec):
+    """The repr of `search_one(spec)`, which prints every float in round-trip
+    form, or the message of the ValueError it refuses `spec` with."""
+    try:
+        return repr(search_one(spec))
+    except ValueError as e:
+        return f"refused: {e}"
 
 
 class TestBodyDelta:
@@ -173,21 +183,61 @@ class TestBodySearch:
         assert res.as_dict()["class"] == "U(1)"
 
     def test_evaluates_only_the_candidates(self, monkeypatch):
-        # Each class's maximum is _delta at its two endpoints and its minimum
-        # _delta at one point, one row of the stack per class and nothing else.
-        shapes = []
-        delta = search._delta
+        # One class's maximum is the float kernel at its two endpoints, with
+        # k^2 = 1, and its minimum the kernel at one point, with k^2 = 0.  A
+        # stack evaluates the same points, one row per class, and nothing else.
+        calls, shapes = [], []
+        float_delta, delta = search._float_delta, search._delta
+
+        def float_spy(body, m1, m2, k2):
+            calls.append((m1, k2))
+            return float_delta(body, m1, m2, k2)
 
         def spy(body, m1, *rest):
             shapes.append(m1.shape)
             return delta(body, m1, *rest)
 
+        monkeypatch.setattr(search, "_float_delta", float_spy)
         monkeypatch.setattr(search, "_delta", spy)
-        body_search(ClassSpec("M", alpha=2.0))
-        assert shapes == [(1, 2), (1, 1)]
-        shapes.clear()
+        res = body_search(ClassSpec("M", alpha=2.0))
+        assert calls == [(0.0, 1.0), (1.0, 1.0), (res.argmin["m1"], 0.0)]
+        assert shapes == []
         body_searches([ClassSpec("G", alpha=a) for a in (0.25, 0.5, 1.0)])
         assert shapes == [(3, 2), (3, 1)]
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("kind, param", [
+        ("M", 1e155),
+        ("M", 1.3407807929942597e154),  # the smallest alpha whose map overflows
+        ("M", 1.7976931348623157e308),
+        ("G", 3.70845643084533e-309),  # the largest alpha whose map overflows
+        ("G", 5e-324),
+    ])
+    def test_an_overflowing_map_is_refused(self, kind, param):
+        # Division by zero and math's functions raise in Python floats where
+        # numpy returns inf or nan; no such error escapes, and the refusal is
+        # the stack's (test_first_overflow_named).
+        spec = ClassSpec.of(kind, param)
+        label = re.escape(spec.label())
+        with pytest.raises(ValueError, match=rf"^the coefficient map of {label} overflows$"):
+            body_search(spec)
+
+    def test_a_point_off_the_body_is_refused(self, monkeypatch):
+        # Every searched point goes through body_delta's checks, in its words.
+        monkeypatch.setattr(search, "_float_min_m1", lambda body: math.nan)
+        with pytest.raises(ValueError, match=r"^body points must be finite .* for G\(0\.5\)$"):
+            body_search(ClassSpec.of("G", 0.5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(KINDS), param=st.floats(min_value=0.0, allow_infinity=False))
+    def test_floats_search_as_the_stack(self, kind, param):
+        # Every class ClassSpec admits is searched, or refused, as the stack does.
+        try:
+            spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, param)
+        except ValueError:
+            return
+        assert _search_outcome(body_search, spec) == _search_outcome(
+            lambda spec: body_searches([spec])[0], spec)
 
     def test_phase_grid_doubling_barely_moves_extremes(self):
         # Only the relative phase enters delta, so refining the phase grid
@@ -210,12 +260,25 @@ def _chunk_edge_grid(kind):
     return np.linspace(0.0, 1.0, n + 1)[1:].tolist()  # U and G exclude 0
 
 
+# Each kind's range edges, where Python floats and numpy arrays could part:
+# subnormal parameters, and maps near their overflow: the last M and the first
+# G whose maps are finite.
+_RANGE_EDGES = {
+    "S": [None],
+    "U": [5e-324, 1.0],
+    "M": [0.0, 5e-324, M_BRANCH_ALPHA, 1e154, 1.2e154, 1.3407807929942596e154],
+    "G": [3.708456430845337e-309, 3.8e-309, 1e-300, 1.0],
+}
+
+
 class TestBodySearches:
-    @pytest.mark.parametrize("kind", ["U", "M", "G"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_stack_equals_a_loop_across_chunk_edges(self, kind):
-        # repr prints every field, floats in round-trip form, so this compares
-        # min_delta, max_delta, argmin and argmax bit for bit.
-        specs = [ClassSpec.of(kind, p) for p in _chunk_edge_grid(kind)]
+        # body_search of one class runs in Python floats and body_searches in
+        # numpy arrays.  repr prints every field, floats in round-trip form, so
+        # this compares min_delta, max_delta, argmin and argmax bit for bit.
+        grid = [] if kind == "S" else _chunk_edge_grid(kind)
+        specs = [ClassSpec.of(kind, p) for p in grid + _RANGE_EDGES[kind]]
         loop = [repr(body_search(spec)) for spec in specs]
         assert list(map(repr, body_searches(specs))) == loop
 
