@@ -8,9 +8,12 @@ expressions agree.  Each function refuses, with ClassSpec's ValueError, a
 parameter that is not finite or lies outside its class; an M function also
 refuses an alpha at which a term of its formula overflows, rather than
 return a false zero.  On an array the refusal names the first parameter
-that a loop of single calls would refuse, in that call's words.
-`bound_table` is the two sides over a whole grid of one class in one
-evaluation, and `bound_delta` is that table on one class, packaged with, for
+that a loop of single calls would refuse, in that call's words.  A Python
+float is evaluated in Python floats, anything else through numpy, whose first
+use of each operation in a process costs more than one parameter's few flops;
+both paths run the same formulas.  `bound_table` is the two sides over a
+whole grid of one class in one evaluation, for sweeps and `verify`, and
+`bound_delta` is its one class evaluated in floats, packaged with, for
 each side, the catalog label of a member attaining it.  The table is the one
 place that names these witnesses: a side is sharp exactly when it names
 one, and `verify` checks each named witness against its side.
@@ -56,9 +59,18 @@ def _refuse_first(kind, param, x, checks) -> None:
             raise ValueError(message.format(p))
 
 
+# A Python float by math, anything else (an array, a numpy scalar) by numpy.
+def _sqrt(x):
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+def _isinf(x):
+    return math.isinf(x) if type(x) is float else np.isinf(x)
+
+
 def _overflow(name, den):
     """The check that `den`, a term of `name`'s formula, does not overflow."""
-    return np.isinf(den), f"{name} overflows at alpha = {{}}"
+    return _isinf(den), f"{name} overflows at alpha = {{}}"
 
 
 # The text of a refused alpha below M's lower-bound breakpoint.
@@ -79,7 +91,7 @@ def _u_lower_small(lam):
 
 
 def _u_lower_large(lam):
-    return -0.5 * np.sqrt(2.0 * lam), ()
+    return -0.5 * _sqrt(2.0 * lam), ()
 
 
 def _m_upper(alpha):
@@ -89,15 +101,14 @@ def _m_upper(alpha):
 
 def _m_lower_small(alpha):
     den = 2.0 * (alpha * alpha + 3.0 * alpha + 1.0)
-    return -1.0 / np.sqrt(den), (_overflow("m_lower_small_alpha", den),)
+    return -1.0 / _sqrt(den), (_overflow("m_lower_small_alpha", den),)
 
 
 def _m_lower_large(alpha):
     # Numerator and denominator divided by alpha^2.
     den = 4.0 * (2.0 + 1.0 / alpha) * (alpha + 3.0 + 1.0 / alpha)
     value = -(6.0 + (10.0 + 3.0 / alpha) / alpha) / den
-    below = alpha < M_BRANCH_ALPHA - 1e-12, "m_lower_large_alpha holds " + _BELOW_BRANCH
-    return value, (below, _overflow("m_lower_large_alpha", den))
+    return value, (_overflow("m_lower_large_alpha", den),)
 
 
 def _g_upper(alpha):
@@ -108,12 +119,31 @@ def _g_lower(alpha):
     return -alpha * (17.0 - alpha) / (12.0 * (8.0 - alpha)), ()
 
 
-def _side(kind, param, formula):
+def _on_branch(alpha):
+    """Whether alpha is finite and on M's large-alpha branch, elementwise."""
+    return (M_BRANCH_ALPHA - 1e-12 <= alpha) & (alpha < math.inf)
+
+
+def _side(kind, param, formula, branch=None):
     """`formula` at `param`, a float or an array, after the checks a single call makes:
-    the class's range (none if kind is None), then the formula's own."""
+    the class's range (none if kind is None), that it is on M's large-alpha
+    branch if `branch` is the refusal's text, then the formula's own.  A Python
+    float meets the formula only once the first two checks have passed."""
+    if type(param) is float:
+        if kind is not None:
+            ClassSpec.of(kind, param)
+        if branch is not None and not _on_branch(param):
+            raise ValueError(branch.format(param))
+        value, checks = formula(param)
+        for bad, message in checks:
+            if bad:
+                raise ValueError(message.format(param))
+        return value
     x = np.asarray(param, dtype=float)[()]
     with np.errstate(all="ignore"):
         value, checks = formula(x)
+        if branch is not None:
+            checks = ((~_on_branch(x), branch), *checks)
     _refuse_first(kind, param, x, checks)
     return _plain(value)
 
@@ -160,14 +190,12 @@ def m_lower_large_alpha(alpha):
     2.2e307, where the denominator's 8 alpha overflows.  Refused below the
     breakpoint, where the formula is not the bound.
     """
-    return _side("M", alpha, _m_lower_large)
+    return _side("M", alpha, _m_lower_large, "m_lower_large_alpha holds " + _BELOW_BRANCH)
 
 
 def _m_minimizer(alpha):
     den = alpha * alpha + 3.0 * alpha + 1.0
-    on_branch = (M_BRANCH_ALPHA - 1e-12 <= alpha) & (alpha < math.inf)
-    outside = ~on_branch, "interior minimizer exists " + _BELOW_BRANCH
-    return (1.0 + 2.0 * alpha) / den, (outside, _overflow("m_lower_minimizer", den))
+    return (1.0 + 2.0 * alpha) / den, (_overflow("m_lower_minimizer", den),)
 
 
 def m_lower_minimizer(alpha):
@@ -178,7 +206,7 @@ def m_lower_minimizer(alpha):
     rather than at this interior point.  Refused with ValueError for alpha
     above about 1.3e154, where alpha^2 + 3 alpha + 1 overflows.
     """
-    return _side(None, alpha, _m_minimizer)
+    return _side(None, alpha, _m_minimizer, "interior minimizer exists " + _BELOW_BRANCH)
 
 
 def g_upper_bound(alpha):
@@ -275,15 +303,17 @@ class BoundPair:
 def bound_delta(spec: ClassSpec) -> BoundPair:
     """Best known two-sided bound on delta for the given class instance.
 
-    `bound_table` on the one class, which the spec has already checked, and
-    the witness of each side: on U's lower side the one of its branch.
+    `bound_table` on the one class, which the spec has already checked, in
+    Python floats: the lower formula of the parameter's branch, then the
+    upper one, refused in the table's order.  Each side carries its witness:
+    on U's lower side the one of its branch.
     """
     if spec.kind == "S":
         return BoundPair(-0.5 * math.sqrt(2.0), 0.5, lower_witness="f1", upper_witness="f2")
-    lower, upper = bound_table(spec.kind, spec.param)
-    brk, (_, small_witness), (_, large_witness), (_, upper_witness) = _TABLE[spec.kind]
+    brk, small, large, (upper, upper_witness) = _TABLE[spec.kind]
+    x = float(spec.param)
+    lower, lower_witness = small if x <= brk else large
     return BoundPair(
-        lower, upper,
-        lower_witness=small_witness if spec.param <= brk else large_witness,
-        upper_witness=upper_witness,
+        _side(None, x, lower), _side(None, x, upper),
+        lower_witness=lower_witness, upper_witness=upper_witness,
     )

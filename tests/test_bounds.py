@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -377,3 +378,70 @@ class TestArrayBounds:
         with pytest.raises(ValueError) as stacked:
             bound_table(kind, np.array(grid))
         assert str(stacked.value) == str(looped.value)
+
+
+def _outcome(call):
+    """The reprs of what `call()` returns, or the message of its refusal."""
+    try:
+        return [repr(v) for v in call()]
+    except ValueError as e:
+        return str(e)
+
+
+def _pair(kind, x):
+    pair = bound_delta(ClassSpec.of(kind, x))
+    assert type(pair.lower) is float and type(pair.upper) is float
+    return pair.lower, pair.upper
+
+
+# Edges of the float path: M's breakpoint and U's, one ulp either side, and
+# the last and first alpha of M's overflow thresholds (small branch, large
+# branch, upper side).
+FLOAT_EDGES = [
+    *(("M", x) for x in (*_around(M_BRANCH_ALPHA), *_around(M_BRANCH_ALPHA - 1e-12),
+                         *_around(9.480751908109176e153), *_around(2.2471164185778946e307),
+                         *_around(8.988465674311579e307))),
+    *(("U", x) for x in _around(0.5)),
+]
+
+
+BELOW = "only for alpha >= 1.366025, got"
+
+
+class TestFloatPath:
+    """One class is bounded in Python floats: the table's values and refusals, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["U", "M", "G"])
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats())
+    def test_bound_delta_is_the_table(self, kind, x):
+        assert _outcome(lambda: _pair(kind, x)) == _outcome(lambda: bound_table(kind, x))
+
+    @pytest.mark.parametrize("kind, x", FLOAT_EDGES, ids=lambda v: repr(v))
+    def test_bound_delta_is_the_table_at_the_edges(self, kind, x):
+        assert _outcome(lambda: _pair(kind, x)) == _outcome(lambda: bound_table(kind, x))
+
+    @pytest.mark.parametrize("fn", BOUND_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats())
+    def test_a_float_is_a_one_element_array(self, fn, x):
+        def scalar():
+            value = fn(x)
+            assert type(value) is float
+            return [value]
+
+        assert _outcome(scalar) == _outcome(lambda: fn(np.array([x])).tolist())
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: m_lower_large_alpha(0.0), f"m_lower_large_alpha holds {BELOW} 0.0"),
+        (lambda: m_lower_large_alpha(-0.0), f"m_lower_large_alpha holds {BELOW} -0.0"),
+        (lambda: m_lower_minimizer(0.0), f"interior minimizer exists {BELOW} 0.0"),
+        # alpha^2 + 3 alpha + 1 rounds to 0 here.
+        (lambda: m_lower_minimizer(-0.38196601125010515), f"interior minimizer exists {BELOW}"),
+        (lambda: u_lower_large_lambda(-1.0), "U requires 0 < lambda <= 1, got -1.0"),
+    ])
+    def test_a_refusal_comes_before_the_formula(self, call, message):
+        # Each formula divides or takes a square root, which a Python float
+        # refuses with its own error; the checks come first.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()

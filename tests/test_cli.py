@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logcoef import bounds, catalog, cli, functional, search
+from logcoef import bounds, catalog, classes, cli, functional, search
 from logcoef.bounds import M_BRANCH_ALPHA, bound_delta
 from logcoef.catalog import f4, f5
 from logcoef.classes import ClassSpec, asserted_memberships, membership_test
@@ -1209,6 +1209,92 @@ def test_option_inventory():
         for name, sp in sub.choices.items()
     }
     assert got == OPTIONS
+
+
+# Command lines beyond the benchmark's: help, usage errors and the argparse
+# forms (abbreviation, --opt=value, "--") that the top-level pass could treat
+# differently from the command's own parser.
+PARSE_CORPUS = (
+    (),
+    ("--help",),
+    ("-h", "search"),
+    ("frobnicate", "--class", "S"),
+    ("search", "--class", "S", "--bogus"),
+    ("search", "--class", "S", "one", "two"),
+    ("search", "--class", "M", "--alph", "2"),
+    ("search", "--class", "S", "--format=json"),
+    ("gamma", "--function", "koebe", "--", "extra"),
+    ("search", "--class", "M", "--alpha"),
+    ("--format", "json", "search", "--class", "S"),
+    ("search", "--help"),
+)
+
+
+class TestCommandParser:
+    """`main` parses a line that starts with a command by that command's parser:
+    the result is what the top-level `parse_args` gives, down to the bytes."""
+
+    @pytest.fixture
+    def corpus(self, monkeypatch):
+        bench = {tuple(job["argv"]) for job in _benchmark_jobs(monkeypatch)}
+        return [*sorted(bench), *PARSE_CORPUS]
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            result = parse(list(argv))
+        except SystemExit as e:
+            result = ("exit", e.code)
+        return result, capsys.readouterr()
+
+    def test_namespace_is_the_top_level_one(self, corpus, capsys):
+        exits = 0
+        for argv in corpus:
+            got = self._outcome(cli._parse, argv, capsys)
+            assert got == self._outcome(build_parser().parse_args, argv, capsys), argv
+            exits += isinstance(got[0], tuple)
+        assert exits == len(PARSE_CORPUS) - 2  # all but "--alph 2" and "--format=json"
+
+    def test_main_prints_what_the_top_level_parse_prints(self, corpus, run, monkeypatch):
+        ours = {argv: run(*argv) for argv in corpus}
+        monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        assert {argv: run(*argv) for argv in corpus} == ours
+        code, _, err = ours[("search", "--class", "S", "--bogus")]
+        assert code == 2 and err.endswith("logcoef: error: unrecognized arguments: --bogus\n")
+
+    def test_commands_come_from_the_cached_parser(self, run, monkeypatch):
+        # A parser rebuilt after cache_clear is the one whose command parses.
+        build_parser.cache_clear()
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        seen = []
+        search_parser = sub.choices["search"]
+        real = search_parser.parse_known_args
+        monkeypatch.setattr(search_parser, "parse_known_args",
+                            lambda *a: seen.append(a[0]) or real(*a))
+        assert run("search", "--class", "S")[0] == 0
+        assert seen == [["--class", "S"]]
+
+
+class _NoNumpy:
+    """Stands in for a module's `np`: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--class", "S"),
+    ("--class", "U", "--lambda", "0.5"),
+    ("--class", "M", "--alpha", "2"),
+    ("--class", "G", "--alpha", "1"),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_one_class_search_runs_no_numpy(run, monkeypatch, argv, fmt):
+    # The body search and the bound pair of one class are Python floats.
+    expected = run("search", *argv, "--format", fmt)
+    for module in (bounds, search, classes):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    assert run("search", *argv, "--format", fmt) == expected
 
 
 class TestCollector:
