@@ -16,7 +16,9 @@ a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK
 body points, as a class sweep does; `bound_violation_scan` samples the
 whole body at random as a brute-force check, from a SplitMix64 stream of
 its own: one cache-sized block of samples at a time, each coordinate of a
-block one contiguous draw off a stream index built once per scan.  delta is
+block one contiguous draw off a stream index built once per scan, every
+block in the same few arrays, allocated once per scan, and without the
+kernel's per-point scaling where `_scale_free` proves it exact.  delta is
 evaluated in real arithmetic by the kernel `_delta` on numpy arrays: in
 `body_searches` at k^2 = 1 or 0, where T is aligned with P or against it,
 and in `body_delta` and the scan at k^2 from one tan per point
@@ -58,12 +60,14 @@ MAX_SAMPLES = 10**6
 
 # Body points evaluated at once: the samples bound_violation_scan draws per
 # block, three contiguous draws of this length, and at most the points of
-# the classes body_searches stacks per chunk.  Small enough
-# that the few arrays of _half_angle_k2 and _delta stay in cache, large
-# enough to amortize their checks and numpy's per-call overhead.  A scan of
-# 1e5 samples of M(1) took a median 4.1 ms in blocks of 8192, against 5.3,
-# 4.4 and 6.1 ms in blocks of 4096, 16384 and 32768 (numpy 2.4.6 on a
-# 2-vCPU AVX-512 Xeon VM, 64 KiB of float64 per array).
+# the classes body_searches stacks per chunk.  Small enough that the scan's
+# arrays stay in cache and, at 64 KiB of float64 each, come from the heap
+# that a fresh process already holds; large enough to amortize numpy's
+# per-call overhead.  A cold `search --class M --alpha 0.5 --samples 100000`
+# took a median 0.087 calibration units (`bench/calibrate.py`; 3.9 ms) and
+# 13 minor faults in blocks of 8192, against 0.107 (4.7 ms, 13 faults) and
+# 0.089 (4.2 ms, 166 faults) in blocks of 4096 and 16384 (20 fresh processes
+# each, numpy 2.4.6 on a 2-vCPU AVX-512 Xeon VM).
 _SCAN_BLOCK = 8192
 
 # Body points body_search evaluates per class: two endpoints and one clipped vertex.
@@ -90,7 +94,7 @@ def _on_body(body, m1, m2, phase) -> bool:
     )
 
 
-def _delta(body, m1, m2, k2):
+def _delta(body, m1, m2, k2, scale=True, out=None):
     """delta at the body points (m1, m2) of a class with k^2 = `k2`, in real arithmetic.
 
     `body` is the class's row, or a stack of rows with every field a column
@@ -109,33 +113,57 @@ def _delta(body, m1, m2, k2):
     binary exponent of the larger, into [0, 1) before they are squared, and
     the modulus back by 2^e.  The scaling is exact, so no square under- or
     overflows anywhere from G(3.8e-309) to M(1.3e154), and the bits are those
-    of the unscaled formula wherever it stays in range.
+    of the unscaled formula wherever it stays in range; `scale=False` skips
+    it where `_scale_free` proves it changes no bit.
 
-    The callers check their points, or draw them on the body.
+    The callers check their points, or draw them on the body.  `out`, if
+    given, holds work arrays (a2, p, t, k, e) like the points, e of np.intc,
+    a2 and t possibly m1 and m2, which only they read: nothing is allocated.
     """
-    a2 = abs(body.s) * m1  # |a_2|, as m1 >= 0
-    p = abs(body.q - functional.MU) * a2
+    a2, p, t, k, e = (None,) * 5 if out is None else out
+    a2 = np.multiply(abs(body.s), m1, out=a2)  # |a_2|, as m1 >= 0
+    p = np.multiply(abs(body.q - functional.MU), a2, out=p)
     p *= a2  # |P|
-    t = abs(body.t) * m2  # |T|
-    e = np.frexp(np.maximum(p, t))[1]
-    np.negative(e, out=e)
-    np.ldexp(p, e, out=p)
-    np.ldexp(t, e, out=t)
-    np.negative(e, out=e)
-    k = k2 * p
+    t = np.multiply(abs(body.t), m2, out=t)  # |T|
+    if scale:
+        e = np.frexp(np.maximum(p, t, out=k), out=(k, e))[1]
+        np.negative(e, out=e)
+        np.ldexp(p, e, out=p)
+        np.ldexp(t, e, out=t)
+        np.negative(e, out=e)
+    k = np.multiply(k2, p, out=k)
     k *= t
     k *= 4.0  # 4 |P| |T| k^2, scaled
     p -= t
     p *= p
     p += k
     r = np.sqrt(p, out=p)
-    np.ldexp(r, e, out=r)  # |a_3 - mu a_2^2|
+    if scale:
+        np.ldexp(r, e, out=r)  # |a_3 - mu a_2^2|
     r -= a2
     r *= 0.5
     return r
 
 
-def _half_angle_k2(body, half):
+def _scale_free(body) -> bool:
+    """Whether `_delta` gives the same bits without its scaling at every
+    point `bound_violation_scan` draws on the class row `body`: where each
+    of |s|, |q - mu|, |t|, reach and c0 is 0 or in [2^-32, 2^32], as on S,
+    U(lam >= 2^-32), M(alpha <= 2147483647.5) and G(alpha >=
+    1.3969838619232178e-09).  A draw u is 0 or in [2^-53, 1) and cap(m1) is
+    c0 or at least 2^-53, so m1, m2, |a_2|, |P|, |T| and k^2 (3.7e-33 or
+    more) are 0 or in [2^-266, 2^160], and |P| - |T| is 0 or at least
+    2^-318 in modulus: every nonzero product, square and sum of `_delta`
+    lies in [2^-636, 2^322], and in [2^-958, 4] scaled by 2^-e or 2^-2e
+    (e <= 161).  Both are normal, where a scaling by a power of 2 is exact
+    and commutes with every rounding.  Elsewhere (M(1e150), G(1e-300)) the
+    scan scales, as `body_delta` and the searches, on any points, always do.
+    """
+    fields = (body.s, body.q - functional.MU, body.t, body.reach, body.c0)
+    return all(x == 0.0 or 2.0**-32 <= abs(x) <= 2.0**32 for x in fields)
+
+
+def _half_angle_k2(body, half, out=None):
     """k^2 of `_delta` at the phases 2 half of a class's points, from one trig call per point.
 
     tan(half) gives cos^2 = 1 / (1 + tan^2) and sin^2 = tan^2 / (1 + tan^2).
@@ -146,15 +174,16 @@ def _half_angle_k2(body, half):
     0.77 ulp of |a_2| + |P| + |T| of its exact value at the point's doubles,
     also at phases near 0, pi and 2 pi, as cos^2 and sin^2 did; at a few
     percent of points its bits differ from theirs, by at most one such ulp.
-    At half = fl(pi) / 2, tan^2 is 2.7e32 and cos^2 3.7e-33, not 0.
+    At half = fl(pi) / 2, tan^2 is 2.7e32 and cos^2 3.7e-33, not 0.  `out`
+    takes k^2, and `half` the sin form's 1 + tan^2: nothing is allocated.
     """
-    k = np.tan(half)
+    k = np.tan(half, out=out)
     k *= k  # tan^2, finite at every double half
     if (body.q > functional.MU) == (body.t > 0.0):
         k += 1.0
         np.reciprocal(k, out=k)  # cos^2 = 1 / (1 + tan^2)
     else:
-        k /= k + 1.0  # sin^2 = tan^2 / (1 + tan^2)
+        k /= np.add(k, 1.0, out=None if out is None else half)  # sin^2 = tan^2 / (1 + tan^2)
     return k
 
 
@@ -442,7 +471,7 @@ def _stream_index(count: int, step: int = 1) -> np.ndarray:
     return x
 
 
-def _splitmix64(seed: int, start: int, index: np.ndarray) -> np.ndarray:
+def _splitmix64(seed: int, start: int, index: np.ndarray, x=None, t=None) -> np.ndarray:
     """Outputs start, start + step, ..., start + (count - 1) step of the
     SplitMix64 stream of seed, where `index` is a `_stream_index` of count
     entries and this step.
@@ -450,9 +479,11 @@ def _splitmix64(seed: int, start: int, index: np.ndarray) -> np.ndarray:
     The constant seed + (start + 1) gamma is reduced modulo 2^64 in Python
     ints, then every step is in place on uint64 arrays, which wrap modulo
     2^64 without a warning, where numpy scalars would overflow with one.
+    `x` and `t`, if given, are uint64 arrays like `index` for the outputs
+    and the shift's scratch.
     """
-    x = np.add(index, np.uint64((int(seed) + (start + 1) * _GAMMA) % 2**64))
-    t = np.empty_like(x)
+    x = np.add(index, np.uint64((int(seed) + (start + 1) * _GAMMA) % 2**64), out=x)
+    t = np.empty_like(x) if t is None else t
     for shift, mult in _MIX:
         np.right_shift(x, shift, out=t)
         x ^= t
@@ -462,15 +493,16 @@ def _splitmix64(seed: int, start: int, index: np.ndarray) -> np.ndarray:
     return x
 
 
-def _unit_doubles(seed: int, start: int, index: np.ndarray) -> np.ndarray:
-    """The same outputs as doubles in [0, 1): the top 53 bits times 2^-53.
+def _unit_doubles(seed: int, start: int, index: np.ndarray, out=None, bits=()) -> np.ndarray:
+    """The same outputs as doubles in [0, 1): the top 53 bits times 2^-53,
+    into `out` if given, drawn in the arrays `bits` of `_splitmix64`.
 
     After the shift every output is below 2^53, so its int64 view converts
     exactly, and faster than a uint64 cast.
     """
-    x = _splitmix64(seed, start, index)
+    x = _splitmix64(seed, start, index, *bits)
     x >>= np.uint64(11)
-    return x.view(np.int64) * 2.0**-53
+    return np.multiply(x.view(np.int64), 2.0**-53, out=out)
 
 
 @dataclass(frozen=True)
@@ -517,12 +549,15 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     read-only by every block and coordinate, plus that offset's constant.  A
     block is evaluated at once by `_delta`, the kernel of `body_delta`,
     with k^2 from one tan per sample (`_half_angle_k2`), so no array spans
-    the whole scan.  Every step is elementwise or an exact reduction, so the
-    result is that of one `body_delta` call over all samples, bit for bit.  The
-    samples are on the body by construction; a block whose min or max delta
-    is not finite is refused with ValueError, as are samples that are not an
-    integer in [1, MAX_SAMPLES] and a seed that is not an integer in
-    [0, 2^64); a bool is not an integer here.
+    the whole scan.  Every step writes into eight arrays of at most 64 KiB,
+    allocated once per scan; the kernel skips its scaling where `_scale_free`
+    admits the class, and only a block whose min or max crosses a bound
+    counts its violations.  Every step is elementwise or an exact reduction,
+    so the result is that of one `body_delta` call over all samples, bit for
+    bit.  The samples are on the body by construction; a block whose min or
+    max delta is not finite is refused with ValueError, as are samples that
+    are not an integer in [1, MAX_SAMPLES] and a seed that is not an integer
+    in [0, 2^64); a bool is not an integer here.
     """
     if not _is_integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
@@ -537,20 +572,34 @@ def bound_violation_scan(spec: ClassSpec, samples: int = 100_000, seed: int = 0)
     slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
     lower, upper = pair.lower - slack, pair.upper + slack
     lo, hi, violations = math.inf, -math.inf, 0
-    index = _stream_index(min(samples, _SCAN_BLOCK), 3)
+    n, scale = min(samples, _SCAN_BLOCK), not _scale_free(body)
+    # The index, then the arrays every block runs in, allocated once per scan
+    # and one by one: as one 2-D array they were fresh pages, 142 minor faults
+    # in a cold scan job against 13.
+    arrays = [_stream_index(n, 3)]
+    arrays += [np.empty(n, dtype) for dtype in [np.uint64] * 2 + [float] * 5 + [np.intc]]
     for start in range(0, samples, _SCAN_BLOCK):
-        block = index[:samples - start]  # the scan's last block may be shorter
+        n = min(samples - start, _SCAN_BLOCK)  # the scan's last block may be shorter
+        block, *draw, m1, m2, half, k2, p, e = (x[:n] for x in arrays)
         # Coordinate j of sample i is output 3i + j: three contiguous draws.
-        m1, m2, half = (_unit_doubles(seed, 3 * start + j, block) for j in range(3))
+        _unit_doubles(seed, 3 * start, block, m1, draw)
         m1 *= body.reach
-        m2 *= body.cap(m1)
+        _unit_doubles(seed, 3 * start + 1, block, m2, draw)
+        np.multiply(m1, body.c2, out=half)  # cap(m1), in _Body.cap's order
+        half *= m1
+        half += body.c0
+        m2 *= half
+        _unit_doubles(seed, 3 * start + 2, block, half, draw)
         half *= math.pi  # phase / 2, the bits of 0.5 * (u * 2 pi)
-        d = _delta(body, m1, m2, _half_angle_k2(body, half))
+        _half_angle_k2(body, half, k2)
+        # |a_2|, |T| and 4 |P| |T| k^2 overwrite m1, m2 and half, which are not read again.
+        d = _delta(body, m1, m2, k2, scale=scale, out=(m1, p, m2, half, e))
         d_min, d_max = float(d.min()), float(d.max())  # a NaN carries through both
         if not (math.isfinite(d_min) and math.isfinite(d_max)):
             raise ValueError(f"{spec.label()} scan: delta not finite in block from sample {start}")
         lo, hi = min(lo, d_min), max(hi, d_max)
-        violations += int(np.count_nonzero(d < lower)) + int(np.count_nonzero(d > upper))
+        if d_min < lower or d_max > upper:  # a block inside both bounds adds 0
+            violations += int(np.count_nonzero(d < lower)) + int(np.count_nonzero(d > upper))
     return ScanResult(
         spec=spec,
         samples=samples,

@@ -1,6 +1,7 @@
 """Tests for body searches, family sweeps, and randomized scans."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -710,6 +711,19 @@ class TestFamilySweep:
             family_sweep("f1", [0.0, math.nan])
 
 
+# Per kind, the last class inside `search._scale_free` and the first outside
+# it: |t| of M, 1 / (1 + 2 alpha), |t| of G, alpha / 6, and c0 of U, lam, cross 2^-32.
+SCALE_FREE_EDGES = [
+    (ClassSpec("M", alpha=2147483647.5000002), ClassSpec("M", alpha=2147483647.5000005)),
+    (ClassSpec("G", alpha=1.3969838619232178e-09), ClassSpec("G", alpha=1.3969838619232176e-09)),
+    (ClassSpec("U", lam=2.0**-32), ClassSpec("U", lam=math.nextafter(2.0**-32, 0.0))),
+]
+# The edges, and U one ulp above its edge.
+SCALE_FREE_EDGE_MESH = [spec for edge in SCALE_FREE_EDGES for spec in edge] + [
+    ClassSpec("U", lam=math.nextafter(2.0**-32, 1.0)),
+]
+
+
 class TestViolationScan:
     def test_u_scan_clean_and_frozen(self):
         res = bound_violation_scan(ClassSpec("U", lam=1.0), samples=100_000, seed=0)
@@ -780,15 +794,17 @@ class TestViolationScan:
         1, search._SCAN_BLOCK - 1, search._SCAN_BLOCK, search._SCAN_BLOCK + 1, 100_000,
     ])
     @pytest.mark.parametrize("spec", [
-        ClassSpec("S"),
-        ClassSpec("U", lam=0.1),
-        ClassSpec("M", alpha=0.0),
-        ClassSpec("M", alpha=1e150),
-        ClassSpec("G", alpha=1e-300),
-    ], ids=mesh_id)
+        *(pytest.param(spec, id=mesh_id(spec)) for spec in ORACLE_MESH),
+        pytest.param(ClassSpec("M", alpha=1e150), id="M(1e+150)"),
+        pytest.param(ClassSpec("G", alpha=1e-300), id="G(1e-300)"),
+        pytest.param(ClassSpec("U", lam=1e-300), id="U(1e-300)"),
+        *(pytest.param(spec, id=spec.label()) for spec in SCALE_FREE_EDGE_MESH),
+    ])
     def test_blocked_scan_is_the_one_shot_scan(self, spec, samples):
-        # The scan draws and evaluates its samples block by block; it must
-        # report what one body_delta call over the whole stream gives, bit for bit.
+        # The scan draws and evaluates its samples block by block, without
+        # the kernel's scaling where `_scale_free` admits the class; it must
+        # report what one scaled body_delta call over the whole stream gives,
+        # bit for bit.
         body = search._body(spec)
         u = search._unit_doubles(7, 0, search._stream_index(3 * samples)).reshape(samples, 3)
         m1 = u[:, 0] * body.reach
@@ -800,6 +816,30 @@ class TestViolationScan:
         )
         res = bound_violation_scan(spec, samples=samples, seed=7)
         assert (res.min_delta, res.max_delta, res.violations) == (d.min(), d.max(), violations)
+
+    def test_only_blocks_that_cross_a_bound_are_counted(self, monkeypatch):
+        # Bounds that cut through some blocks and miss others, the short last
+        # block among those the lower bound cuts: the violations are those of
+        # one body_delta call over the whole stream.
+        spec, size, seed = ClassSpec("M", alpha=1.0), search._SCAN_BLOCK, 0
+        samples = 4 * size + 1000
+        body = search._body(spec)
+        u = search._unit_doubles(seed, 0, search._stream_index(3 * samples)).reshape(samples, 3)
+        m1 = u[:, 0] * body.reach
+        d = body_delta(spec, m1, u[:, 1] * body.cap(m1), u[:, 2] * (2.0 * math.pi))
+        lows = np.array([d[i:i + size].min() for i in range(0, samples, size)])
+        highs = np.array([d[i:i + size].max() for i in range(0, samples, size)])
+        # Midway between the 3rd and 4th lowest block minima and the 2nd and 3rd highest maxima.
+        pair = dataclasses.replace(bound_delta(spec), lower=np.sort(lows)[2:4].mean(),
+                                   upper=np.sort(highs)[-3:-1].mean())
+        monkeypatch.setattr(search, "bound_delta", lambda spec: pair)
+        slack = SCAN_TOLERANCE * max(abs(pair.lower), abs(pair.upper))
+        lower, upper = pair.lower - slack, pair.upper + slack
+        assert (lows < lower).tolist() == [False, True, False, True, True]
+        assert (highs > upper).tolist() == [False, True, False, True, False]
+        violations = np.count_nonzero(d < lower) + np.count_nonzero(d > upper)
+        assert violations > 0
+        assert bound_violation_scan(spec, samples=samples, seed=seed).violations == violations
 
     def test_scan_memory_stays_blocked(self):
         # Each block draws its own samples, so the scan peaks near 1 MiB; the
@@ -882,8 +922,8 @@ class TestViolationScan:
         # block carries through the block's min and max, and the scan refuses it.
         kernel, done = search._delta, []
 
-        def poisoned(body, m1, m2, k2):
-            d = kernel(body, m1, m2, k2)
+        def poisoned(body, m1, m2, k2, **kwargs):
+            d = kernel(body, m1, m2, k2, **kwargs)
             first = sum(done)
             done.append(d.size)
             if first <= where < first + d.size:
@@ -1001,6 +1041,53 @@ class TestHalfAngleKernel:
         got = body_delta(ClassSpec("S"), 0.5, 0.5, 0.0)
         assert isinstance(got, np.float64)
         assert body_delta(ClassSpec("S"), [[0.5]], 0.5, [0.0, 1.0]).shape == (1, 2)
+
+
+class TestScaleFreeKernel:
+    """`_delta` without its scaling, on the classes that `search._scale_free` admits."""
+
+    # The extreme draws of a scan coordinate: 0, the two least nonzero, 1/2 and the two largest.
+    EXTREME_U = [0.0, 2.0**-53, 2.0**-52, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.one_of(
+        st.sampled_from([ClassSpec("S")] + [inside for inside, _ in SCALE_FREE_EDGES]),
+        log_uniform(-9.6, 0.0).map(lambda lam: ClassSpec("U", lam=lam)),
+        st.one_of(st.just(0.0), log_uniform(-300.0, 9.33)).map(lambda a: ClassSpec("M", alpha=a)),
+        log_uniform(-8.85, 0.0).map(lambda a: ClassSpec("G", alpha=a)),
+    ))
+    def test_scaling_moves_no_bit(self, spec):
+        # At every triple of extreme draws and at 1000 stream samples, as the scan draws them.
+        body = search._body(spec)
+        assert search._scale_free(body)
+        extremes = np.array(list(itertools.product(self.EXTREME_U, repeat=3)))
+        stream = search._unit_doubles(0, 0, search._stream_index(3000)).reshape(1000, 3)
+        u = np.concatenate([extremes, stream])
+        m1 = u[:, 0] * body.reach
+        m2 = u[:, 1] * body.cap(m1)
+        k2 = search._half_angle_k2(body, u[:, 2] * math.pi)
+        scaled = search._delta(body, m1, m2, k2)
+        free = search._delta(body, m1, m2, k2, scale=False)
+        assert free.view(np.int64).tolist() == scaled.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("spec, scaled", [
+        *((spec, spec in [outside for _, outside in SCALE_FREE_EDGES])
+          for spec in SCALE_FREE_EDGE_MESH),
+        (ClassSpec("S"), False),
+        (ClassSpec("M", alpha=1e150), True),
+        (ClassSpec("G", alpha=1e-300), True),
+        (ClassSpec("U", lam=1e-300), True),
+    ], ids=lambda v: v.label() if isinstance(v, ClassSpec) else ("scaled" if v else "free"))
+    def test_the_scan_scales_outside_the_predicate(self, monkeypatch, spec, scaled):
+        kernel, scales = search._delta, []
+
+        def recording(body, m1, m2, k2, **kwargs):
+            scales.append(kwargs["scale"])
+            return kernel(body, m1, m2, k2, **kwargs)
+
+        monkeypatch.setattr(search, "_delta", recording)
+        bound_violation_scan(spec, samples=search._SCAN_BLOCK + 1)
+        assert scales == [scaled, scaled]
 
 
 def _splitmix64_reference(seed, k):
