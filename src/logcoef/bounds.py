@@ -12,11 +12,12 @@ that a loop of single calls would refuse, in that call's words.  A Python
 float is evaluated in Python floats, anything else through numpy, whose first
 use of each operation in a process costs more than one parameter's few flops;
 both paths run the same formulas.  `bound_table` is the two sides over a
-whole grid of one class in one evaluation, for sweeps and `verify`, and
-`bound_delta` is its one class evaluated in floats, packaged with, for
-each side, the catalog label of a member attaining it.  The table is the one
-place that names these witnesses: a side is sharp exactly when it names
-one, and `verify` checks each named witness against its side.
+whole grid of one class in one evaluation, for sweeps, and `bound_delta`
+is its one class evaluated in floats, packaged with, for each side, the
+catalog label of a member attaining it; `verify` reads only `bound_delta`.
+The table is the one place that names these witnesses: a side is sharp
+exactly when it names one, and `verify` checks each named witness against
+its side.
 """
 
 from __future__ import annotations

@@ -370,7 +370,7 @@ def _body_row(kind: str, param) -> _Body:
     it is the Schwarz coefficients (c_1, c_2), with |c_2| <= 1 - |c_1|^2.
     `param` is a float or a 1-D array of parameters; a field that varies
     with the parameter is then an array like it, and a constant stays a
-    float.  Nothing is checked here: see `_check_row`.
+    float.  Nothing is checked here: see `_body`.
     """
     a = param
     if kind == "M":
@@ -382,23 +382,13 @@ def _body_row(kind: str, param) -> _Body:
     return _Body(1.0, 1.0, 1.0, 1.0 + lam, lam, 0.0)
 
 
-def _check_row(body: _Body, specs) -> None:
-    """Refuses, with ValueError, a row of `specs` whose map (s, q, t) overflows.
-
-    `body` holds the rows of `specs`, in order: the floats of one class, or
-    fields with one entry per class.  The message names the first class
-    that overflows: M above alpha ~ 1.3e154, G below alpha ~ 3.7e-309.
-    """
-    finite = np.isfinite(body.s) & np.isfinite(body.q) & np.isfinite(body.t)
-    if not finite.all():
-        first = int(np.argmin(np.broadcast_to(finite, (len(specs),))))
-        raise ValueError(f"the coefficient map of {specs[first].label()} overflows")
-
-
 def _body(spec: ClassSpec) -> _Body:
-    """The coefficient body of `spec`: its `_body_row`, refused where it overflows."""
+    """The coefficient body of `spec`: its `_body_row`, refused with ValueError
+    where its map (s, q, t) overflows: M above alpha ~ 1.3e154, G below alpha
+    ~ 3.7e-309."""
     body = _body_row(spec.kind, spec.param)
-    _check_row(body, (spec,))
+    if not all(map(math.isfinite, body[:3])):
+        raise ValueError(f"the coefficient map of {spec.label()} overflows")
     return body
 
 

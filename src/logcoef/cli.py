@@ -398,8 +398,7 @@ def _cmd_sweep(args) -> int:
         if kind == "S":
             raise ValueError("class S has no parameter to sweep; choose U, M, or G")
         grid = _class_param_grid(kind, step)
-        specs = [ClassSpec.of(kind, p) for p in grid]
-        results = search.body_searches(specs)
+        results = [search.body_search(ClassSpec.of(kind, p)) for p in grid]
         lower, upper = (x.tolist() for x in bounds.bound_table(kind, np.array(grid)))
         table = [(p, lo, hi, res.min_delta, res.max_delta)
                  for p, lo, hi, res in zip(grid, lower, upper, results)]

@@ -10,22 +10,17 @@ phase 0 or pi, so that e^{i pi} = -1 exactly and T = t m2 lies along P or
 against it.  What is left is a function of m1 in closed form: its maximum
 sits at an endpoint and its minimum at one clipped vertex (`_min_m1`), so
 the search evaluates three points per class (`tests/test_symbolic.py`
-proves that these hold the extremes).
-`body_searches` runs it on many classes of one kind at once, stacked along
-a leading parameter axis and evaluated in chunks of at most _SCAN_BLOCK
-body points, as a class sweep does; `bound_violation_scan` samples the
-whole body at random as a brute-force check, from a SplitMix64 stream of
-its own: one cache-sized block of samples at a time, each coordinate of a
-block one contiguous draw off a stream index built once per scan, every
-block in the same few arrays, allocated once per scan, and without the
-kernel's per-point scaling where `_scale_free` proves it exact.  delta is
-evaluated in real arithmetic by the kernel `_delta` on numpy arrays: in
-`body_searches` at k^2 = 1 or 0, where T is aligned with P or against it,
-and in `body_delta` and the scan at k^2 from one tan per point
-(`_half_angle_k2`).  `body_search` of one class runs the same steps as
-`body_searches` in Python floats instead (`_float_min_m1`, `_float_delta`),
-since numpy's first use of each operation in a process costs more than its
-three points; its results are those of the stack, bit for bit.
+proves that these hold the extremes), in Python floats; a class sweep
+searches its classes one by one.  `bound_violation_scan` samples the whole
+body at random as a brute-force check, from a SplitMix64 stream of its own:
+one cache-sized block of samples at a time, each coordinate of a block one
+contiguous draw off a stream index built once per scan, every block in the
+same few arrays, allocated once per scan, and without the kernel's
+per-point scaling where `_scale_free` proves it exact.  delta is evaluated
+in real arithmetic: by the kernel `_delta` on numpy arrays, in `body_delta`
+and the scan, at k^2 from one tan per point (`_half_angle_k2`), and by its
+one-point form `_float_delta` in the search, at k^2 = 1 or 0, where T is
+aligned with P or against it.
 `family_sweep` records the delta a one-parameter catalog family actually
 attains at each parameter value: it builds no member, but takes the
 family's row on the whole grid as an array and reads the gammas of that
@@ -45,7 +40,7 @@ import numpy as np
 
 from . import catalog, functional
 from .bounds import bound_delta
-from .classes import ClassSpec, _body, _Body, _body_row, _check_row
+from .classes import ClassSpec, _body
 from .series import _is_integer
 
 # The searched set is a relaxation of the class, not the class itself.
@@ -58,9 +53,8 @@ SCAN_TOLERANCE = 1e-9
 # Most samples accepted by bound_violation_scan.
 MAX_SAMPLES = 10**6
 
-# Body points evaluated at once: the samples bound_violation_scan draws per
-# block, three contiguous draws of this length, and at most the points of
-# the classes body_searches stacks per chunk.  Small enough that the scan's
+# Samples bound_violation_scan draws and evaluates per block, three
+# contiguous draws of this length.  Small enough that the scan's
 # arrays stay in cache and, at 64 KiB of float64 each, come from the heap
 # that a fresh process already holds; large enough to amortize numpy's
 # per-call overhead.  A cold `search --class M --alpha 0.5 --samples 100000`
@@ -70,38 +64,19 @@ MAX_SAMPLES = 10**6
 # each, numpy 2.4.6 on a 2-vCPU AVX-512 Xeon VM).
 _SCAN_BLOCK = 8192
 
-# Body points body_search evaluates per class: two endpoints and one clipped vertex.
-_POINTS_PER_CLASS = 3
-
 # The scan's generator and its seeds, [0, SEED_LIMIT).
 SCAN_GENERATOR = "splitmix64"
 SEED_LIMIT = 2**64
 
 
-def _on_body(body, m1, m2, phase) -> bool:
-    """Whether every point (m1, m2, phase) is finite and on `body`: m1 in
-    [0, reach] and m2 in [0, cap(m1)].
-
-    `phase` is only checked to be finite.  `body` is one row, or a stack
-    of rows with every field a column that broadcasts against the points
-    (see `body_searches`).  cap(m1) is computed only once m1 is known to be
-    in range.
-    """
-    return bool(
-        ((0.0 <= m1) & (m1 <= body.reach)).all()
-        and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
-        and np.isfinite(phase).all()
-    )
-
-
 def _delta(body, m1, m2, k2, scale=True, out=None):
     """delta at the body points (m1, m2) of a class with k^2 = `k2`, in real arithmetic.
 
-    `body` is the class's row, or a stack of rows with every field a column
-    that broadcasts against the points (see `body_searches`), and m1 and m2
-    are float arrays of one shape, at least 1-D, since the steps work in
-    place and a 0-d array would turn into a scalar.  a_3 - mu a_2^2 =
-    P + T e^{i phase} with P = (q - mu) a_2^2 and T = t m2 both real, so
+    `body` is the class's row, whose fields may also be arrays that
+    broadcast against the points, and m1 and m2 are float arrays of one
+    shape, at least 1-D, since the steps work in place and a 0-d array
+    would turn into a scalar.  a_3 - mu a_2^2 = P + T e^{i phase} with
+    P = (q - mu) a_2^2 and T = t m2 both real, so
 
         |P + T e^{i phase}|^2 = (|P| - |T|)^2 + 4 |P| |T| k^2,
 
@@ -109,12 +84,13 @@ def _delta(body, m1, m2, k2, scale=True, out=None):
     they do not: no complex number.  Those signs are the signs of q - mu and
     t, fixed per class.  `k2` is k^2 at each point (`_half_angle_k2`), or 1
     where T is aligned with P and 0 where it is against it, as at the
-    search's extremes.  At each point |P| and |T| are scaled by 2^-e, e the
-    binary exponent of the larger, into [0, 1) before they are squared, and
-    the modulus back by 2^e.  The scaling is exact, so no square under- or
-    overflows anywhere from G(3.8e-309) to M(1.3e154), and the bits are those
-    of the unscaled formula wherever it stays in range; `scale=False` skips
-    it where `_scale_free` proves it changes no bit.
+    search's extremes (`_float_delta`).  At each point |P| and |T| are
+    scaled by 2^-e, e the binary exponent of the larger, into [0, 1) before
+    they are squared, and the modulus back by 2^e.  The scaling is exact, so
+    no square under- or overflows anywhere from G(3.8e-309) to M(1.3e154),
+    and the bits are those of the unscaled formula wherever it stays in
+    range; `scale=False` skips it where `_scale_free` proves it changes no
+    bit.
 
     The callers check their points, or draw them on the body.  `out`, if
     given, holds work arrays (a2, p, t, k, e) like the points, e of np.intc,
@@ -201,7 +177,13 @@ def body_delta(spec: ClassSpec, m1, m2, phase):
     """
     m1, m2, phase = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m1, m2, phase)))
     body = _body(spec)
-    if not _on_body(body, m1, m2, phase):
+    # cap(m1) is computed only once m1 is known to be in range.
+    on_body = (
+        ((0.0 <= m1) & (m1 <= body.reach)).all()
+        and ((0.0 <= m2) & (m2 <= body.cap(m1))).all()
+        and np.isfinite(phase).all()
+    )
+    if not on_body:
         raise ValueError(f"body points must be finite with 0 <= m1 <= {body.reach!r} and "
                          f"0 <= m2 <= cap(m1) for {spec.label()}")
     d = _delta(body, m1.ravel(), m2.ravel(), _half_angle_k2(body, 0.5 * phase.ravel()))
@@ -238,105 +220,17 @@ class SearchResult:
         }
 
 
-def _min_m1(body) -> np.ndarray:
-    """m1 of the minimum of delta over the body, in closed form from the body rows.
+def _min_m1(body) -> float:
+    """m1 of the minimum of delta over the body, in closed form from the class's row of floats.
 
     With p = |q - mu| s^2, |P| = p m1^2 and cap = c0 + c2 m1^2,
     2 delta_min = max(|P| - |t| cap, 0) - |s| m1.  Up to its kink at
     sqrt(|t| c0 / D), D = p - |t| c2 > 0, that is -|s| m1, which decreases;
     beyond it, |P| - |t| cap - |s| m1, convex with its vertex at |s| / (2 D).
     So the minimum on [0, reach] is at the vertex clipped to
-    [min(kink, reach), reach].  `body` is a stack of rows with column
-    fields, and row k of the result holds the point of class k.
+    [min(kink, reach), reach].  p is formed as |q - mu| s before the second
+    s, so that s^2 does not underflow at G(1e-300).
     """
-    s, t = np.abs(body.s), np.abs(body.t)
-    d = np.abs(body.q - functional.MU) * s * s - t * body.c2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kink = np.sqrt(t * body.c0 / d)
-        return np.clip(s / (2.0 * d), np.minimum(kink, body.reach), body.reach)
-
-
-def _search_rows(specs, body) -> list:
-    """body_search of each of `specs`, whose rows are the columns of `body`, at once."""
-    x = np.zeros((len(specs), _POINTS_PER_CLASS))  # the maximum's 0 and reach, the minimum's m1
-    x[:, 1:2] = body.reach
-    x[:, 2:] = _min_m1(body)
-    # a_3 - mu a_2^2 = P + t w over |w| <= cap, with P = (q - mu) a_2^2.
-    a2 = body.s * x
-    p, cap = (body.q - functional.MU) * a2 * a2, body.cap(x)
-    # P and t are real, so t w lies along P or against it on the real axis.  Their
-    # signs decide which: the product underflows at tiny alpha.  The maximum is
-    # aligned (k^2 = 1) and the minimum against (k^2 = 0), each at phase 0 or pi,
-    # and phase pi is e^{i pi} = -1 exactly, where np.exp(1j * pi) would carry an
-    # imaginary part of 1.2e-16.
-    against = np.sign(p) * np.sign(body.t) < 0.0
-    phase_max = np.where(against, math.pi, 0.0)
-    phase_min = math.pi - phase_max
-    m2_min = np.minimum(cap, np.abs(p) / np.abs(body.t))
-    top, bottom = np.s_[:, :2], np.s_[:, 2:]
-    for cols, m2, phase in ((top, cap, phase_max), (bottom, m2_min, phase_min)):
-        if not _on_body(body, x[cols], m2[cols], phase[cols]):
-            for k, spec in enumerate(specs):  # names the first class with a point off its body
-                body_delta(spec, x[cols][k], m2[cols][k], phase[cols][k])
-    hi, lo = _delta(body, x[top], cap[top], 1.0), _delta(body, x[bottom], m2_min[bottom], 0.0)
-    k, i = np.arange(len(specs)), hi.argmax(axis=1)  # ties go to m1 = 0
-    columns = zip(
-        specs,
-        lo[:, 0].tolist(), x[:, 2].tolist(), m2_min[:, 2].tolist(), phase_min[:, 2].tolist(),
-        hi[k, i].tolist(), x[k, i].tolist(), cap[k, i].tolist(), phase_max[k, i].tolist(),
-    )
-    return [
-        SearchResult(
-            spec=spec,
-            min_delta=d_min,
-            max_delta=d_max,
-            argmin={"m1": m1_min, "m2": m2_lo, "phase": ph_min},
-            argmax={"m1": m1_max, "m2": m2_hi, "phase": ph_max},
-        )
-        for spec, d_min, m1_min, m2_lo, ph_min, d_max, m1_max, m2_hi, ph_max in columns
-    ]
-
-
-def body_searches(specs) -> list:
-    """`body_search` of each class in `specs`, all of one kind, in one vectorised pass.
-
-    Returns one SearchResult per spec, in order, each the same bit for bit
-    as `body_search` of that spec alone, since every step is elementwise
-    along the parameter axis and `body_search` takes the same steps in
-    Python floats.  The rows of all specs are stacked, parameters along
-    the leading axis and each class's _POINTS_PER_CLASS m1 along the second,
-    and evaluated _SCAN_BLOCK // _POINTS_PER_CLASS classes at a time, so no
-    array spans a long sweep.  Refuses, with ValueError, specs of more than one
-    kind and a class whose map overflows, naming the first.  No specs give
-    [].
-    """
-    specs = list(specs)
-    kinds = sorted({spec.kind for spec in specs})
-    if len(kinds) > 1:
-        raise ValueError(f"body_searches takes classes of one kind, got {kinds}")
-    if not specs:
-        return []
-    n = len(specs)
-    # S has no parameter (nan here), and its row does not read one.
-    params = np.array([spec.param for spec in specs], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = _body_row(kinds[0], params)
-    # Field k of class i at [k, i], constants repeated.
-    table = np.empty((len(row), n))
-    for field_row, value in zip(table, row):
-        field_row[:] = value
-    _check_row(_Body._make(table), specs)
-    size = _SCAN_BLOCK // _POINTS_PER_CLASS
-    results = []
-    for lo in range(0, n, size):
-        # Every field as a column, so that it broadcasts along each class's points.
-        chunk = _Body._make(table[:, lo:lo + size, None])
-        results += _search_rows(specs[lo:lo + size], chunk)
-    return results
-
-
-def _float_min_m1(body) -> float:
-    """`_min_m1` of one class's row of floats, in Python floats."""
     s, t = abs(body.s), abs(body.t)
     d = abs(body.q - functional.MU) * s * s - t * body.c2
     kink = math.sqrt(t * body.c0 / d)
@@ -364,25 +258,21 @@ def body_search(spec: ClassSpec) -> SearchResult:
     of the minimum decreases up to its kink and is a convex quadratic beyond
     it, so it sits at that quadratic's vertex clipped to [min(kink, reach),
     reach] (`_min_m1`).  These three m1 are all the search evaluates, and
-    `tests/test_symbolic.py` proves that they hold the extremes.  Each point
-    goes through the checks of `body_delta`, so a point that is not finite
-    is refused with ValueError, and so is a class whose map overflows.
+    `tests/test_symbolic.py` proves that they hold the extremes.  A class
+    whose map overflows is refused with ValueError by `classes._body`, and
+    each point goes through the checks of `body_delta`, so a point that is
+    not finite is refused too.
 
-    One class is searched in Python floats, with no numpy call, since
-    numpy's first use of each operation in a process costs more than the
-    about 20 flops of one class: the first search of M(1) in a fresh process
-    took a median 509 us through `body_searches` and 54 us in floats (numpy
-    2.4.6, 2-vCPU Xeon VM).  Every step mirrors `_search_rows` in the same
-    order, so the result is `body_searches([spec])[0]` bit for bit
-    (`tests/test_search.py` compares their reprs on every kind's chunk edges
-    and range edges).  Many classes are faster stacked: 10^4 M classes took
-    25 ms in `body_searches` and 89 ms in a loop of this.
+    The search runs in Python floats, with no numpy call, since numpy's
+    first use of each operation in a process costs more than the about 20
+    flops of one class: the first search of M(1) in a fresh process took a
+    median 509 us through numpy arrays and 54 us in floats (numpy 2.4.6,
+    2-vCPU Xeon VM).  A class sweep calls it once per class, at 10-14 us a
+    class once warm (`timeit` on M(1), U(0.5) and G(0.5), same machine).
     """
-    body = _body_row(spec.kind, spec.param)
-    if not all(map(math.isfinite, body[:3])):  # `_check_row` of one class
-        raise ValueError(f"the coefficient map of {spec.label()} overflows")
+    body = _body(spec)
     points = []
-    for m1, k2 in ((0.0, 1.0), (body.reach, 1.0), (_float_min_m1(body), 0.0)):
+    for m1, k2 in ((0.0, 1.0), (body.reach, 1.0), (_min_m1(body), 0.0)):
         a2 = body.s * m1
         p, cap = (body.q - functional.MU) * a2 * a2, body.c0 + body.c2 * m1 * m1
         against = p < 0.0 < body.t or body.t < 0.0 < p  # from the signs, as p t underflows

@@ -845,18 +845,14 @@ class TestSweep:
             res = search.body_search(spec)
             assert (row["search_min"], row["search_max"]) == (res.min_delta, res.max_delta)
 
-    def test_class_sweep_searches_once_per_chunk(self, run, monkeypatch):
-        # The stack evaluates its maximum and minimum once per chunk of
-        # classes; one search per class would evaluate 2 per class.
+    def test_class_sweep_runs_no_numpy_kernel(self, run, monkeypatch):
+        # A class sweep searches each class in Python floats: the numpy
+        # kernel of body_delta and the scan is never called.
         calls = []
-        delta = search._delta
-        monkeypatch.setattr(search, "_delta", lambda *a: calls.append(1) or delta(*a))
+        monkeypatch.setattr(search, "_delta", lambda *a: calls.append(a))
         code, _, _ = run("sweep", "--class", "M", "--step", "0.001", "--format", "json")
         assert code == 0
-        classes = len(cli._class_param_grid("M", 0.001))
-        chunks = -(-classes // (search._SCAN_BLOCK // search._POINTS_PER_CLASS))
-        assert (classes, chunks) == (3002, 2)
-        assert len(calls) == 2 * chunks
+        assert calls == []
 
     def test_empty_class_grid(self, run):
         # A step past the range leaves no parameter: only the header.

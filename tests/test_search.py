@@ -33,7 +33,6 @@ from logcoef.search import (
     SweepRow,
     body_delta,
     body_search,
-    body_searches,
     bound_violation_scan,
     family_sweep,
 )
@@ -51,15 +50,6 @@ def assert_extremes_reproduced(res):
         scale = a2 + abs(body.q - functional.MU) * a2 * a2 + abs(body.t) * m2
         again = body_delta(res.spec, m1, m2, arg["phase"])
         assert abs(again - value) <= np.spacing(scale)
-
-
-def _search_outcome(search_one, spec):
-    """The repr of `search_one(spec)`, which prints every float in round-trip
-    form, or the message of the ValueError it refuses `spec` with."""
-    try:
-        return repr(search_one(spec))
-    except ValueError as e:
-        return f"refused: {e}"
 
 
 class TestBodyDelta:
@@ -183,29 +173,30 @@ class TestBodySearch:
         assert res.as_dict()["note"] == BODY_NOTE
         assert res.as_dict()["class"] == "U(1)"
 
-    def test_evaluates_only_the_candidates(self, monkeypatch):
+    def test_evaluates_only_the_candidates(self, monkeypatch, capsys):
         # One class's maximum is the float kernel at its two endpoints, with
         # k^2 = 1, and its minimum the kernel at one point, with k^2 = 0.  A
-        # stack evaluates the same points, one row per class, and nothing else.
-        calls, shapes = [], []
-        float_delta, delta = search._float_delta, search._delta
+        # class sweep evaluates the same three points per class, and the
+        # numpy kernel never.
+        calls, arrays = [], []
+        float_delta = search._float_delta
 
         def float_spy(body, m1, m2, k2):
             calls.append((m1, k2))
             return float_delta(body, m1, m2, k2)
 
-        def spy(body, m1, *rest):
-            shapes.append(m1.shape)
-            return delta(body, m1, *rest)
-
         monkeypatch.setattr(search, "_float_delta", float_spy)
-        monkeypatch.setattr(search, "_delta", spy)
+        monkeypatch.setattr(search, "_delta", lambda *a, **k: arrays.append(a))
         res = body_search(ClassSpec("M", alpha=2.0))
         assert calls == [(0.0, 1.0), (1.0, 1.0), (res.argmin["m1"], 0.0)]
-        assert shapes == []
-        body_searches([ClassSpec("G", alpha=a) for a in (0.25, 0.5, 1.0)])
-        assert shapes == [(3, 2), (3, 1)]
-        assert len(calls) == 3
+        grid = cli._class_param_grid("G", 0.3)
+        assert len(grid) == 3
+        argmins = [body_search(ClassSpec.of("G", a)).argmin["m1"] for a in grid]
+        calls.clear()
+        assert cli.main(["sweep", "--class", "G", "--step", "0.3", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert calls == [(m1, k2) for x in argmins for m1, k2 in [(0.0, 1.0), (1.0, 1.0), (x, 0.0)]]
+        assert arrays == []
 
     @pytest.mark.parametrize("kind, param", [
         ("M", 1e155),
@@ -216,8 +207,8 @@ class TestBodySearch:
     ])
     def test_an_overflowing_map_is_refused(self, kind, param):
         # Division by zero and math's functions raise in Python floats where
-        # numpy returns inf or nan; no such error escapes, and the refusal is
-        # the stack's (test_first_overflow_named).
+        # numpy returns inf or nan; no such error escapes
+        # (test_every_admitted_class_is_searched_or_refused).
         spec = ClassSpec.of(kind, param)
         label = re.escape(spec.label())
         with pytest.raises(ValueError, match=rf"^the coefficient map of {label} overflows$"):
@@ -225,20 +216,38 @@ class TestBodySearch:
 
     def test_a_point_off_the_body_is_refused(self, monkeypatch):
         # Every searched point goes through body_delta's checks, in its words.
-        monkeypatch.setattr(search, "_float_min_m1", lambda body: math.nan)
+        monkeypatch.setattr(search, "_min_m1", lambda body: math.nan)
         with pytest.raises(ValueError, match=r"^body points must be finite .* for G\(0\.5\)$"):
             body_search(ClassSpec.of("G", 0.5))
 
+    def test_a_sweep_names_the_first_point_off_the_body(self, monkeypatch, capsys):
+        # Every searched point goes through body_delta's checks, and a class
+        # sweep refuses the first class with a point that is not finite.
+        min_m1 = search._min_m1
+
+        def spoiled(body):  # not finite above G(0.4)
+            return math.nan if body.s > 0.2 else min_m1(body)
+
+        monkeypatch.setattr(search, "_min_m1", spoiled)
+        assert cli.main(["sweep", "--class", "G", "--step", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"body points must be finite .* for G\(0\.6\)$", err.strip()), err
+
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(KINDS), param=st.floats(min_value=0.0, allow_infinity=False))
-    def test_floats_search_as_the_stack(self, kind, param):
-        # Every class ClassSpec admits is searched, or refused, as the stack does.
+    def test_every_admitted_class_is_searched_or_refused(self, kind, param):
+        # Every class ClassSpec admits gets finite extremes, or the one
+        # refusal of a map that overflows: no other error of Python floats.
         try:
             spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, param)
         except ValueError:
             return
-        assert _search_outcome(body_search, spec) == _search_outcome(
-            lambda spec: body_searches([spec])[0], spec)
+        try:
+            res = body_search(spec)
+        except ValueError as err:
+            assert str(err) == f"the coefficient map of {spec.label()} overflows"
+            return
+        assert math.isfinite(res.min_delta) and math.isfinite(res.max_delta)
 
     def test_phase_grid_doubling_barely_moves_extremes(self):
         # Only the relative phase enters delta, so refining the phase grid
@@ -252,18 +261,8 @@ class TestBodySearch:
         assert abs(coarse.max() - fine.max()) < 1e-4
 
 
-def _chunk_edge_grid(kind):
-    """2 chunks and 1 class of `kind`, across its parameter range; on M the grid
-    includes the branch point."""
-    n = 2 * (search._SCAN_BLOCK // search._POINTS_PER_CLASS) + 1
-    if kind == "M":
-        return sorted(np.linspace(0.0, 3.0, n - 1).tolist() + [M_BRANCH_ALPHA])
-    return np.linspace(0.0, 1.0, n + 1)[1:].tolist()  # U and G exclude 0
-
-
-# Each kind's range edges, where Python floats and numpy arrays could part:
-# subnormal parameters, and maps near their overflow: the last M and the first
-# G whose maps are finite.
+# Each kind's range edges: subnormal parameters, and maps near their
+# overflow: the last M and the first G whose maps are finite.
 _RANGE_EDGES = {
     "S": [None],
     "U": [5e-324, 1.0],
@@ -272,60 +271,16 @@ _RANGE_EDGES = {
 }
 
 
-class TestBodySearches:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_stack_equals_a_loop_across_chunk_edges(self, kind):
-        # body_search of one class runs in Python floats and body_searches in
-        # numpy arrays.  repr prints every field, floats in round-trip form, so
-        # this compares min_delta, max_delta, argmin and argmax bit for bit.
-        grid = [] if kind == "S" else _chunk_edge_grid(kind)
-        specs = [ClassSpec.of(kind, p) for p in grid + _RANGE_EDGES[kind]]
-        loop = [repr(body_search(spec)) for spec in specs]
-        assert list(map(repr, body_searches(specs))) == loop
-
-    def test_empty(self):
-        assert body_searches([]) == []
-
-    def test_mixed_kinds_refused(self):
-        with pytest.raises(ValueError, match=r"one kind, got \['G', 'M'\]"):
-            body_searches([ClassSpec.of("M", 1.0), ClassSpec.of("G", 1.0)])
-
-    def test_first_overflow_named(self):
-        specs = [ClassSpec.of("M", a) for a in (1.0, 1e155, 1e200)]
-        with pytest.raises(ValueError, match=r"^the coefficient map of M\(1e\+155\) overflows$"):
-            body_searches(specs)
-
-    def test_a_point_off_the_body_is_refused(self, monkeypatch):
-        # Every searched point goes through body_delta's checks, which name
-        # the first class with a point that is not finite.
-        min_m1 = search._min_m1
-
-        def spoiled(body):
-            m1 = min_m1(body)
-            m1[1:] = math.nan
-            return m1
-
-        monkeypatch.setattr(search, "_min_m1", spoiled)
-        specs = [ClassSpec.of("G", a) for a in (0.25, 0.5, 1.0)]
-        with pytest.raises(ValueError, match=r"^body points must be finite .* for G\(0\.5\)$"):
-            body_searches(specs)
-
-    def test_memory_stays_chunked(self):
-        # The finest M sweep: 10002 classes, whose stack peaks 1.3 MiB above
-        # the results it holds, and 3.4 MiB unchunked (numpy 2.4.6).  A loop
-        # of body_search peaks at least at the results it holds at its end,
-        # so peaking at most 2 MiB above the same results bounds the stack by
-        # the loop's peak plus 2 MiB, without running the loop, which takes
-        # 13 s traced.
-        specs = [ClassSpec.of("M", a) for a in cli._class_param_grid("M", 0.0003)]
-        tracemalloc.start()
-        try:
-            results = body_searches(specs)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(results) == len(specs) == 10002
-        assert peak <= held + 2 * 2**20
+@pytest.mark.parametrize("kind", KINDS)
+def test_range_edges_attain_the_bounds(kind):
+    # At the subnormal parameters and near the overflow of the map, each
+    # extreme is within 1e-15 relative of its bound; the largest gap
+    # measured is 2.2e-16.
+    for p in _RANGE_EDGES[kind]:
+        spec = ClassSpec("S") if kind == "S" else ClassSpec.of(kind, p)
+        res, pair = body_search(spec), bound_delta(spec)
+        assert abs(res.min_delta - pair.lower) <= 1e-15 * abs(pair.lower), spec.label()
+        assert abs(res.max_delta - pair.upper) <= 1e-15 * abs(pair.upper), spec.label()
 
 
 # S plus the class instances of acceptance criterion 5.
@@ -418,7 +373,7 @@ def test_no_grid_node_beats_the_candidates(kind):
     # in closed form as the search takes them, stay within 1e-12 of the
     # search's: no extreme lies off those points.
     specs = [ClassSpec.of(kind, p) for p in GUARD_GRIDS[kind]]
-    results = body_searches(specs)
+    results = list(map(body_search, specs))
     lo = np.array([res.min_delta for res in results])[:, None]
     hi = np.array([res.max_delta for res in results])[:, None]
     params = np.array([spec.param for spec in specs], dtype=float)
@@ -446,7 +401,7 @@ def test_search_extremes_against_exact_delta(kind, grid):
     specs = [ClassSpec.of(kind, p) for p in grid]
     with mpmath.workdps(50):
         mu = mpmath.mpf(functional.MU)
-        for res in body_searches(specs):
+        for res in map(body_search, specs):
             body = search._body(res.spec)
             s, q, t = (mpmath.mpf(float(v)) for v in (body.s, body.q, body.t))
             for value, arg in [(res.min_delta, res.argmin), (res.max_delta, res.argmax)]:

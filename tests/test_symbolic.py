@@ -204,14 +204,15 @@ def test_search_reads_the_derived_points(kind):
         want = np.broadcast_to(point(*fields, body.reach), body.reach.shape)
     # Within 4 ulps: sympy prints the point in its own order of operations.
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(search._min_m1(body), want, rtol=4 * eps, atol=0)
+    got = [search._min_m1(_body_row(kind, a)) for a in params.tolist()]
+    np.testing.assert_allclose(got, want[:, 0], rtol=4 * eps, atol=0)
     # The maximum is at an endpoint, and at the larger one where HI tells them
     # apart by more than roundoff.
     hi = sp.lambdify((S, T, p, c0, c2, m), HI, "numpy")
     at_0, at_reach = (np.broadcast_to(hi(*fields, x), params.shape + (1,))[:, 0]
                       for x in (0.0, body.reach))
     specs = [ClassSpec.of(kind, None if kind == "S" else a) for a in params.tolist()]
-    m1 = np.array([res.argmax["m1"] for res in search.body_searches(specs)])
+    m1 = np.array([search.body_search(spec).argmax["m1"] for spec in specs])
     reach = body.reach[:, 0]
     assert ((m1 == 0.0) | (m1 == reach)).all()
     apart = np.abs(at_reach - at_0) > 1e-12 * np.maximum(np.abs(at_0), np.abs(at_reach))
