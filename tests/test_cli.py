@@ -15,6 +15,7 @@ import json
 import math
 import re
 import types
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -853,6 +854,20 @@ class TestSweep:
         code, _, _ = run("sweep", "--class", "M", "--step", "0.001", "--format", "json")
         assert code == 0
         assert calls == []
+
+    @pytest.mark.parametrize("kind, step, count", [
+        ("M", "0.0003", 10002), ("U", "0.0001", 10000), ("G", "0.0001", 10000),
+    ])
+    def test_finest_class_sweep_warns_of_nothing(self, run, kind, step, count):
+        # The finest grids, searched in Python floats, where a division by
+        # zero raises; with every warning an error, each row is still finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run("sweep", "--class", kind, "--step", step, "--format", "csv")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) == count
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_empty_class_grid(self, run):
         # A step past the range leaves no parameter: only the header.
